@@ -2,13 +2,13 @@
 
 Usage, from the repository root::
 
-    python3 perfbench/run.py --workload paper-suite --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload paper-suite --seed 1 --seconds 30 --trace 0
 
 ``--workload`` is one of ``paper-suite``, ``pretrain-mapmatched`` and
 ``serve-zipf`` (see ``perfbench/COLUMNS.md`` for why each exists and what
 every metric means).  The command sets up the workload, repeats its timed
-pass until ``--seconds`` have elapsed (at least once), checks every output,
-prints each metric as ``name value unit`` and ends with one JSON line::
+pass until the passes have taken ``--seconds`` (at least once), checks every
+output, prints each metric as ``name value unit`` and ends with one JSON line::
 
     {"correct": true, "attempted": 12, "failed": 0, "metrics": {...}}
 
@@ -30,6 +30,15 @@ import os  # noqa: E402
 # around small matrices, and extra threads only contend for the cores.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+
+import atexit  # noqa: E402
+
+from hostspeed import HostSpeed  # noqa: E402
+
+#: Samples the host's speed through set-up, imports included.  Stopped at
+#: exit too, so that a failed set-up ends with its error, not with SIGALRM.
+SETUP_SPEED = HostSpeed(interval_s=0.02).start()
+atexit.register(SETUP_SPEED.stop)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
@@ -64,12 +73,16 @@ EMBED_SPAN = "serving.PathEmbeddingService.embed"
 TRAIN_STEP_SPAN = "core.WSCTrainer.train_step"
 #: The few spans the untraced run keeps, for its throughput and latency.
 PROBE_SPANS = frozenset(FIT_SPANS + (EMBED_SPAN, TRAIN_STEP_SPAN))
-SETUP_SAMPLES = {"paper-suite": 7, "pretrain-mapmatched": 7, "serve-zipf": 5}
+SETUP_SAMPLES = {"paper-suite": 5, "pretrain-mapmatched": 5, "serve-zipf": 3}
+RETRAIN_EVERY_S = 5.0
+PASS_SPEED_INTERVAL_S = 0.05
+#: Samples a reported latency percentile leaves beyond it.
+TAIL_SAMPLES = 10
 
 END_TO_END_UNITS = {
     "setup_s": "s", "wall_s": "s", "peak_rss_mb": "MiB",
     "train_paths_per_s": "paths/s", "serve_paths_per_s": "paths/s",
-    "latency_p99_ms": "ms",
+    "latency_tail_ms": "ms",
 }
 
 
@@ -103,13 +116,27 @@ def environment(seed):
     }
 
 
-def train_paths_per_s(probe):
-    fit_s = probe.groups[FIT_GROUP][1]
-    return probe.counts["train_paths"] / fit_s if fit_s else 0.0
+def scaled(speed, starts, seconds):
+    """Each piece's ``seconds``, times the host's speed factor around it."""
+    return [s * f for s, f in zip(seconds, speed.local_factors(starts, seconds))]
+
+
+def train_paths_per_s(probe, speed):
+    """Paths passed to ``train_step`` per second of ``WSCCL.fit*``, on the fast host.
+
+    Each train step is scaled by the host's speed around it.  The rest of
+    the fits runs between the steps, so it is scaled by their mean factor.
+    """
+    steps = probe.durations[TRAIN_STEP_SPAN]
+    if not steps:
+        return 0.0
+    steps_s = sum(scaled(speed, probe.starts[TRAIN_STEP_SPAN], steps))
+    fit_s = probe.groups[FIT_GROUP][1] * steps_s / sum(steps)
+    return ratio(probe.counts["train_paths"], fit_s)
 
 
 def setup_probe(args):
-    """Set-up time, and set-up training rate, of one fresh process."""
+    """Set-up time, and set-up training, of one fresh process."""
     command = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", "0", "--setup-probe"]
     output = subprocess.run(command, capture_output=True, text=True, check=True,
@@ -118,66 +145,102 @@ def setup_probe(args):
 
 
 def percentile_ms(durations, q):
-    return float(np.percentile(durations, q)) * 1000.0 if durations else 0.0
+    return float(np.percentile(durations, q)) * 1000.0 if len(durations) else 0.0
+
+
+def tail_percentile(count):
+    """The highest percentile with at least ten of ``count`` samples beyond it.
+
+    The median when there are too few samples for any tail.
+    """
+    return max(50.0, 100.0 * (1.0 - TAIL_SAMPLES / count)) if count else 50.0
 
 
 def ratio(numerator, denominator):
     return numerator / denominator if denominator else 0.0
 
 
+def sampled(work):
+    """Run ``work()`` under a :class:`HostSpeed`; returns its result and the sampler."""
+    speed = HostSpeed(PASS_SPEED_INTERVAL_S).start()
+    try:
+        result = work()
+    finally:
+        speed.stop()
+    return result, speed
+
+
 def measure_pass(workload, probe):
-    """Run one pass; returns its result and its end-to-end values."""
+    """Run one pass; returns its result and its values, scaled to the fast host."""
     probe.reset()
-    result = workload.run_pass()
-    latencies = probe.durations[EMBED_SPAN]
+    result, speed = sampled(workload.run_pass)
+    starts, seconds = zip(*result.chunks)
+    latencies = scaled(speed, probe.starts[EMBED_SPAN], probe.durations[EMBED_SPAN])
     return result, {
-        "wall_s": result.seconds,
-        "train_paths_per_s": train_paths_per_s(probe),
-        "serve_paths_per_s": ratio(probe.counts["served_paths"], probe.total_s(EMBED_SPAN)),
+        "speed": speed.factor(),
+        "wall_s": sum(scaled(speed, starts, seconds)),
+        "train_paths_per_s": train_paths_per_s(probe, speed),
+        "serve_paths_per_s": ratio(probe.counts["served_paths"], sum(latencies)),
+        "latency_tail_ms": percentile_ms(latencies, tail_percentile(len(latencies))),
         "latency_p50_ms": percentile_ms(latencies, 50),
-        "latency_p99_ms": percentile_ms(latencies, 99),
         "latency_samples": len(latencies),
     }
 
 
-def end_to_end(args, workload, probe):
-    """Passes until ``--seconds`` elapse, then the best pass per metric.
+def end_to_end(args, workload, probe, setup):
+    """Passes for up to ``--seconds`` of pass time; the median pass per metric.
 
-    Other tenants of the host slow a pass by up to a third for seconds at a
-    time and never speed one up, so the fastest of several passes is the
-    steadiest estimate of the code's own speed.  Set-up is sampled in fresh
-    processes between passes and reported as a median.
+    The shared host switches between a fast state and one up to 2 times
+    slower every few seconds, and under load it can stay slow for minutes.
+    So each chunk of a pass, each ``embed`` call and each train step is
+    timed and scaled by the :class:`HostSpeed` factor sampled around it, to
+    the host's fast state.  A workload that trains only in set-up retrains
+    every ``RETRAIN_EVERY_S`` of pass time, and its training rate is the
+    median over set-up samples and retrains.  Set-up is sampled in fresh
+    processes spread over the passes; both run outside the measured time.
+    Each set-up time is scaled to the fast host, and set-up is reported as
+    their median.
     """
-    setups = [{"setup_s": time.perf_counter() - STARTED,
-               "train_paths_per_s": train_paths_per_s(probe)}]
-    passes, values = [], []
-    deadline = time.perf_counter() + args.seconds
-    while not passes or time.perf_counter() < deadline:
+    setups = [setup]
+    samples = SETUP_SAMPLES[args.workload]
+    passes, values, retrained = [], [], []
+    measured_s = 0.0
+    # Start a pass only if one more like the last still fits in --seconds.
+    while not passes or measured_s + passes[-1].seconds <= args.seconds:
         result, measured = measure_pass(workload, probe)
+        measured_s += result.seconds
         passes.append(result)
         values.append(measured)
-        if len(setups) < SETUP_SAMPLES[args.workload]:
+        if workload.trains_in_setup and measured_s >= len(retrained) * RETRAIN_EVERY_S:
+            probe.reset()
+            _, speed = sampled(workload.retrain)
+            retrained.append(train_paths_per_s(probe, speed))
+        if len(setups) < samples and measured_s >= len(setups) * args.seconds / samples:
             setups.append(setup_probe(args))
-    while len(setups) < SETUP_SAMPLES[args.workload]:
+    while len(setups) < samples:
         setups.append(setup_probe(args))
 
-    def best(name, pick, samples=values):
-        return pick(sample[name] for sample in samples)
+    def middle(name):
+        return median(v[name] for v in values)
 
+    trained = ([s["train_paths_per_s"] for s in setups] + retrained
+               if workload.trains_in_setup else [v["train_paths_per_s"] for v in values])
     metrics = {
-        "setup_s": median(sample["setup_s"] for sample in setups),
-        "wall_s": best("wall_s", min),
+        "setup_s": median(s["setup_s"] for s in setups),
+        "wall_s": middle("wall_s"),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-        "train_paths_per_s": best("train_paths_per_s", max,
-                                  setups if workload.trains_in_setup else values),
-        "serve_paths_per_s": best("serve_paths_per_s", max),
-        "latency_p99_ms": best("latency_p99_ms", min),
+        "train_paths_per_s": median(trained),
+        "serve_paths_per_s": middle("serve_paths_per_s"),
+        "latency_tail_ms": middle("latency_tail_ms"),
     }
     notes = {"passes": len(passes),
-             "latency_p50_ms": best("latency_p50_ms", min),
+             "latency_p50_ms": middle("latency_p50_ms"),
+             "latency_tail_percentile": round(tail_percentile(values[0]["latency_samples"]), 2),
+             "latency_samples_per_pass": values[0]["latency_samples"],
              "setup_samples_s": [round(s["setup_s"], 4) for s in setups],
              "pass_wall_s": [round(p.seconds, 4) for p in passes],
-             "latency_samples_per_pass": values[0]["latency_samples"],
+             "host_speed_factor": [round(v["speed"], 4) for v in values],
+             "train_paths_per_s_samples": [round(t, 1) for t in trained],
              "tt_mae_s": median(p.tt_mae for p in passes)}
     for key, value in passes[0].extra.items():
         if not isinstance(value, dict):
@@ -310,15 +373,17 @@ def main(argv=None):
     workload = WORKLOADS[args.workload]()
     probe = Tracer().install(only=PROBE_SPANS)
     workload.setup(args.seed)
+    elapsed = time.perf_counter() - STARTED
+    setup = {"setup_s": elapsed * SETUP_SPEED.stop().factor(),
+             "train_paths_per_s": train_paths_per_s(probe, SETUP_SPEED)}
     if args.setup_probe:
-        print(json.dumps({"setup_s": time.perf_counter() - STARTED,
-                          "train_paths_per_s": train_paths_per_s(probe)}))
+        print(json.dumps(setup))
         return 0
 
     if args.trace:
         passes, metrics, notes = per_layer(workload, probe)
     else:
-        passes, metrics, notes = end_to_end(args, workload, probe)
+        passes, metrics, notes = end_to_end(args, workload, probe, setup)
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
 

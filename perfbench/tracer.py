@@ -42,7 +42,8 @@ _NOT_WRAPPED = {
     "repro.roadnet.network": "*",
     "repro.datasets.temporal_paths": ("TemporalPath",),
 }
-# Spans whose every duration is kept, for percentiles.
+# Spans whose every duration, and start, is kept: for percentiles and for
+# scaling each call by the host's speed at the time.
 KEEP_DURATIONS = ("core.WSCTrainer.train_step", "serving.PathEmbeddingService.embed")
 # Wrapped although not public by name.
 _EXTRA_METHODS = {
@@ -83,6 +84,7 @@ class Tracer:
         self.counts = defaultdict(int)
         self.keys = defaultdict(list)
         self.durations = {name: [] for name in KEEP_DURATIONS}
+        self.starts = {name: [] for name in KEEP_DURATIONS}
         self.groups = defaultdict(lambda: [0, 0.0])
         self.top_level_s = 0.0
         self._depth = defaultdict(int)
@@ -92,7 +94,7 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def _wrap(self, name, func):
-        stats, stack, durations = self.stats, self._stack, self.durations
+        stats, stack, durations, starts = self.stats, self._stack, self.durations, self.starts
         before, after = COUNTERS.get(name, (None, None))
         kind, fingerprint = self._fingerprints.get(name, (None, None))
         keys = self.keys
@@ -125,6 +127,7 @@ class Tracer:
                     tracer.top_level_s += elapsed
                 if name in durations:
                     durations[name].append(elapsed)
+                    starts[name].append(start)
                 if group:
                     depth[group] -= 1
                     if not depth[group]:
@@ -186,8 +189,8 @@ class Tracer:
         self.groups.clear()
         self.counts.clear()
         self.keys.clear()
-        for durations in self.durations.values():
-            durations.clear()
+        for kept in (*self.durations.values(), *self.starts.values()):
+            kept.clear()
         self.top_level_s = 0.0
 
     def uninstall(self):

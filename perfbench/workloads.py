@@ -2,12 +2,13 @@
 
 A workload has a ``setup(seed)`` that runs before the timed region and a
 ``run_pass()`` that runs one unit of timed work and returns a
-:class:`PassResult`.  The command repeats passes until ``--seconds`` have
-elapsed (at least one pass) and reports medians over them.
+:class:`PassResult`.  A pass times its work in consecutive chunks, so the
+command can scale each chunk by the host's speed while it ran.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import time
@@ -31,6 +32,9 @@ class PassResult:
     seconds: float
     attempted: int
     failed: int
+    #: ``(start, seconds)`` of the pass's consecutive chunks of work, in
+    #: pass order, on the ``time.perf_counter`` clock.
+    chunks: list
     #: Travel-time MAE of the WSCCL model this pass trained or served.
     tt_mae: float = math.nan
     extra: dict = field(default_factory=dict)
@@ -71,6 +75,7 @@ class PaperSuite:
     def run_pass(self):
         failed = 0
         seconds = {}
+        chunks = []
         tt_mae = math.nan
         tau = math.nan
         start = time.perf_counter()
@@ -78,6 +83,7 @@ class PaperSuite:
             began = time.perf_counter()
             results = self.run_runner(entry)
             seconds[entry[0]] = time.perf_counter() - began
+            chunks.append((began, seconds[entry[0]]))
             if results is None:
                 failed += 1
             elif entry[0] == "table3":
@@ -85,7 +91,8 @@ class PaperSuite:
                 tt_mae = wsccl["travel_time"]["MAE"]
                 tau = wsccl["ranking"]["tau"]
         return PassResult(time.perf_counter() - start, len(self.runners), failed,
-                          tt_mae=tt_mae, extra={"rank_tau": tau, "runner_s": seconds})
+                          chunks, tt_mae=tt_mae,
+                          extra={"rank_tau": tau, "runner_s": seconds})
 
 
 class PretrainMapmatched:
@@ -124,9 +131,9 @@ class PretrainMapmatched:
             expect(math.isfinite(result.mae) and result.mae > 0, "travel-time MAE")
         except Exception:  # noqa: BLE001 - counted as failed traces
             report_failure(self.name)
-            return PassResult(time.perf_counter() - start, scale.num_trips,
-                              scale.num_trips)
-        return PassResult(seconds, scale.num_trips, 0, tt_mae=result.mae)
+            seconds = time.perf_counter() - start
+            return PassResult(seconds, scale.num_trips, scale.num_trips, [(start, seconds)])
+        return PassResult(seconds, scale.num_trips, 0, [(start, seconds)], tt_mae=result.mae)
 
 
 def zipf_ranks(rng, exponent, count, size):
@@ -135,35 +142,52 @@ def zipf_ranks(rng, exponent, count, size):
 
 
 class ServeZipf:
-    """Closed-loop replay of a Zipf request trace against a trained model.
+    """Closed-loop replay of a Zipf request trace against a warm service.
 
     Setup trains WSCCL on Aalborg at ``DatasetScale.benchmark()`` with the
-    harness's benchmark configuration.  The seed draws the trace: 4,000
-    requests of one path (70%) or 32 paths (30%); routes Zipf(1.2) over the
-    city's distinct corpus and ranking routes; departures a uniform day and
-    a Zipf(1.5)-popular half-hour slot.  The popularity order of routes and
-    slots is fixed.  Each pass replays the trace with one client against a
-    fresh :class:`PathEmbeddingService` with its defaults, and checks one
-    seeded row of every request against direct ``model.encode``.
+    harness's benchmark configuration; :meth:`retrain` repeats that fit, so
+    the training rate can be sampled between passes.  The seed draws the
+    trace: requests of one path (70%) or 32 paths (30%, at seeded
+    positions); routes Zipf(1.2) over the city's distinct corpus and ranking
+    routes; departures a uniform day and a Zipf(1.5)-popular half-hour slot.
+    The popularity order of routes and slots is fixed.  Setup replays the
+    first 1,000 requests against a :class:`PathEmbeddingService` with its
+    defaults, which fills its cache.  Each pass replays the next 1,000
+    requests with one client against a copy of that warm service, and checks
+    one seeded row of every request against direct ``model.encode``.  The
+    pass is timed in chunks of 50 consecutive requests.
     """
 
     name = "serve-zipf"
     operation = "request"
     trains_in_setup = True
-    num_requests = 4000
+    warmup_requests = 1000
+    num_requests = 1000
+    chunk_requests = 50
     batch_request_share = 0.3
     batch_request_size = 32
     tolerance = 1e-10
 
     def setup(self, seed):
-        config = HarnessConfig.benchmark()
-        city = aalborg(scale=DatasetScale.benchmark())
-        self.model = fit_wsccl(city, config, variant="full")
+        self.config = config = HarnessConfig.benchmark()
+        self.city = city = aalborg(scale=DatasetScale.benchmark())
+        self.resources = SharedResources(city.network, config.wsccl)
+        self.model = self.retrain()
         self.tt_mae = evaluate_travel_time(
             self.model, city.tasks.travel_time, test_fraction=config.test_fraction,
             seed=config.seed, n_estimators=config.n_estimators).mae
-        self.requests, self.sampled = self.make_trace(city, seed)
+        requests, sampled = self.make_trace(city, seed)
+        self.warm_service = PathEmbeddingService(self.model)
+        for request in requests[:self.warmup_requests]:
+            self.warm_service.embed(request)
+        self.warm_service.reset_metrics()
+        self.requests = requests[self.warmup_requests:]
+        self.sampled = sampled[self.warmup_requests:]
         self.expected = None
+
+    def retrain(self):
+        """Fit the served WSCCL again, from the same node2vec features."""
+        return fit_wsccl(self.city, self.config, variant="full", resources=self.resources)
 
     def make_trace(self, city, seed):
         # Which routes and slots are popular is part of the workload, fixed
@@ -175,10 +199,14 @@ class ServeZipf:
         routes = [routes[i] for i in popularity.permutation(len(routes))]
         slots = popularity.permutation(48)
         rng = np.random.default_rng(seed)
+        # Exactly 30% of the warm-up and of the timed requests are batches,
+        # so every seed serves the same number of paths.
+        sizes = np.concatenate([
+            np.where(rng.permutation(count) < round(self.batch_request_share * count),
+                     self.batch_request_size, 1)
+            for count in (self.warmup_requests, self.num_requests)])
         requests, sampled = [], []
-        for _ in range(self.num_requests):
-            size = (self.batch_request_size
-                    if rng.random() < self.batch_request_share else 1)
+        for size in sizes.tolist():
             route_ids = zipf_ranks(rng, 1.2, len(routes), size)
             slot_ids = zipf_ranks(rng, 1.5, len(slots), size)
             days = rng.integers(0, 7, size=size)
@@ -189,17 +217,21 @@ class ServeZipf:
         return requests, sampled
 
     def run_pass(self):
-        service = PathEmbeddingService(self.model)
+        # The copy shares the model and nothing else, so every pass starts
+        # from the same warm cache.
+        service = copy.deepcopy(self.warm_service, {id(self.model): self.model})
         rows = []
         failed = 0
-        start = time.perf_counter()
-        for request, row in zip(self.requests, self.sampled):
+        marks = [time.perf_counter()]
+        for done, (request, row) in enumerate(zip(self.requests, self.sampled), 1):
             try:
                 rows.append(service.embed(request)[row])
             except Exception:  # noqa: BLE001 - a failed request is counted
                 report_failure("request")
                 rows.append(None)
-        seconds = time.perf_counter() - start
+            if done % self.chunk_requests == 0 or done == len(self.requests):
+                marks.append(time.perf_counter())
+        seconds = marks[-1] - marks[0]
         if self.expected is None:
             paths = [request[row] for request, row in zip(self.requests, self.sampled)]
             self.expected = self.model.encode(paths)
@@ -207,7 +239,8 @@ class ServeZipf:
             if got is None or not np.allclose(got, want, rtol=0.0, atol=self.tolerance):
                 failed += 1
         scraped = service.scrape()
-        return PassResult(seconds, len(self.requests), failed, tt_mae=self.tt_mae,
+        chunks = list(zip(marks[:-1], np.diff(marks).tolist()))
+        return PassResult(seconds, len(self.requests), failed, chunks, tt_mae=self.tt_mae,
                           extra={"cache_hit_rate": scraped["cache_hit_rate"],
                                  "padding_efficiency": scraped["padding_efficiency"]})
 
