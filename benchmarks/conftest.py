@@ -1,9 +1,9 @@
 """Shared fixtures for the benchmark suite.
 
 Every benchmark reproduces one table or figure from the paper's evaluation
-section (§VII) at a reduced scale and prints the regenerated rows, so running
-``pytest benchmarks/ --benchmark-only`` both times the harness and emits the
-tables that EXPERIMENTS.md records.
+section (§VII) at a reduced scale, prints the regenerated rows and asserts
+the table's shape (who wins, orderings).  ``pytest benchmarks/ -q`` runs them
+all (``pytest.ini`` collects ``bench_*.py``); add ``-s`` to see the tables.
 
 pytest-benchmark is configured for a single round per benchmark: each
 "iteration" is a full experiment (dataset build + model training +

@@ -70,15 +70,13 @@ def _edge_vectors_from_nodes(network, node_embeddings):
 class Node2vecPathModel(RepresentationModel):
     """Paths represented by averaging node2vec edge embeddings."""
 
-    def __init__(self, dim=16, seed=0, walks_per_node=3, walk_length=10,
-                 impl="vectorized"):
+    def __init__(self, dim=16, seed=0, walks_per_node=3, walk_length=10):
         if dim % 2:
             raise ValueError("dim must be even")
         self.dim = dim
         self.seed = seed
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
-        self.impl = impl
         self._edge_vectors = None
 
     def fit(self, city, **kwargs):
@@ -87,7 +85,6 @@ class Node2vecPathModel(RepresentationModel):
             walks_per_node=self.walks_per_node,
             walk_length=self.walk_length,
             seed=self.seed,
-            impl=self.impl,
         ))
         node2vec.fit_road_network(city.network)
         self._edge_vectors = node2vec.edge_topology_embeddings(city.network)

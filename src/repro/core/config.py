@@ -8,9 +8,19 @@ examples can raise or lower the scale through a single config object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, replace
 
 __all__ = ["WSCCLConfig"]
+
+_POSITIVE_INTS = (
+    "road_type_dim", "lanes_dim", "one_way_dim", "signals_dim", "topology_dim",
+    "temporal_dim", "hidden_dim", "lstm_layers", "batch_size", "epochs",
+    "local_edges_per_path", "num_meta_sets", "num_stages", "expert_epochs",
+    "final_stage_epochs", "slots_per_day", "node2vec_walks",
+    "node2vec_walk_length", "node2vec_window", "node2vec_epochs",
+)
+_POSITIVE_FLOATS = ("learning_rate", "temperature", "grad_clip")
 
 
 @dataclass
@@ -73,10 +83,6 @@ class WSCCLConfig:
     node2vec_walks, node2vec_walk_length, node2vec_window, node2vec_epochs:
         Walk-corpus parameters shared by the temporal graph and road network
         embedding runs.
-    node2vec_impl:
-        Pretraining engine for both node2vec runs: ``"vectorized"`` (CSR
-        lockstep walker + strided-window corpus, the default) or
-        ``"reference"`` (per-step Python loops).
     """
 
     # Embedding dimensions
@@ -112,22 +118,25 @@ class WSCCLConfig:
     node2vec_walk_length: int = 10
     node2vec_window: int = 3
     node2vec_epochs: int = 1
-    node2vec_impl: str = "vectorized"
 
     # Reproducibility
     seed: int = 0
 
     def __post_init__(self):
+        for name in _POSITIVE_INTS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name in _POSITIVE_FLOATS:
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
         if not 0.0 <= self.lambda_balance <= 1.0:
             raise ValueError("lambda_balance must be in [0, 1]")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for contrastive training")
-        if self.num_meta_sets < 1 or self.num_stages < 1:
-            raise ValueError("num_meta_sets and num_stages must be >= 1")
-        if self.node2vec_impl not in ("reference", "vectorized"):
-            raise ValueError("node2vec_impl must be 'reference' or 'vectorized'")
+        if self.node2vec_walk_length < 2:
+            raise ValueError("node2vec_walk_length must be >= 2")
         if (24 * 60) % self.slots_per_day != 0:
             # Any divisor of 1440 minutes works; 288 is the paper's default.
             raise ValueError("slots_per_day must divide 1440 minutes")

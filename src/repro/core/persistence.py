@@ -69,7 +69,11 @@ def load_model(path, network):
     are reused, so no walks are re-run.
     """
     archive = np.load(path, allow_pickle=False)
-    config = WSCCLConfig(**json.loads(str(archive[_CONFIG_KEY])))
+    # Archives written by older versions may carry options that no longer
+    # exist; only the current config fields are restored.
+    known = {field.name for field in dataclasses.fields(WSCCLConfig)}
+    stored = json.loads(str(archive[_CONFIG_KEY]))
+    config = WSCCLConfig(**{k: v for k, v in stored.items() if k in known})
     meta = json.loads(str(archive[_META_KEY]))
 
     if network.num_edges != meta["num_network_edges"]:

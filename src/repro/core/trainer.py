@@ -8,20 +8,13 @@ to run the staged curriculum) and by the ablation benchmarks.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .. import nn
-from .losses import _reference_combined_wsc_loss, combined_wsc_loss
-from .sampling import (
-    _reference_build_contrast_sets,
-    _reference_sample_edge_sets,
-    augment_with_positive_views,
-    build_contrast_sets,
-    sample_edge_sets,
-)
+from .losses import combined_wsc_loss
+from .sampling import augment_with_positive_views, build_contrast_sets, sample_edge_sets
 
 __all__ = ["TrainingHistory", "WSCTrainer"]
 
@@ -56,43 +49,14 @@ class WSCTrainer:
     config:
         Hyper-parameters (λ, temperature, batch size, learning rate, ...).
         Defaults to the model's own config.
-    impl:
-        ``"vectorized"`` (default) uses the matrix-form losses and the
-        dict-grouped contrast-set construction; ``"reference"`` uses the
-        original per-query loop implementations.  The two are equivalent to
-        numerical tolerance — ``"reference"`` exists for the loop-baseline
-        rows of the training-throughput benchmark and for debugging.
     """
 
-    def __init__(self, model, config=None, seed=None, impl="vectorized"):
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"impl must be 'vectorized' or 'reference', got {impl!r}")
+    def __init__(self, model, config=None, seed=None):
         self.model = model
         self.config = config or model.config
         self.rng = np.random.default_rng(self.config.seed if seed is None else seed)
         self.optimizer = nn.Adam(model.parameters(), lr=self.config.learning_rate)
         self.history = TrainingHistory()
-        self.impl = impl
-        if impl == "vectorized":
-            self._loss_fn = combined_wsc_loss
-            self._contrast_fn = build_contrast_sets
-            self._edge_fn = sample_edge_sets
-        else:
-            self._loss_fn = _reference_combined_wsc_loss
-            self._contrast_fn = _reference_build_contrast_sets
-            self._edge_fn = _reference_sample_edge_sets
-
-    def _attention_scope(self):
-        """Scope the encoder's attention impl to this trainer's knob.
-
-        Applied around each step (not at construction) so a trainer never
-        permanently mutates a model shared with other trainers or with the
-        serving layer.  No-op for encoders without a fused/loop choice.
-        """
-        encoder = getattr(self.model, "encoder", self.model)
-        if hasattr(encoder, "attention_impl"):
-            return encoder.attention_impl(self.impl == "vectorized")
-        return contextlib.nullcontext()
 
     # ------------------------------------------------------------------
     def train_step(self, batch, weak_labeler):
@@ -102,16 +66,15 @@ class WSCTrainer:
         """
         augmented = augment_with_positive_views(batch, weak_labeler, self.rng)
         temporal_paths = [tp for tp, _ in augmented]
-        contrast_sets = self._contrast_fn(augmented)
+        contrast_sets = build_contrast_sets(augmented)
 
         self.model.train()
-        with self._attention_scope():
-            encoded = self.model(temporal_paths)
-        edge_sets = self._edge_fn(
+        encoded = self.model(temporal_paths)
+        edge_sets = sample_edge_sets(
             augmented, contrast_sets, encoded.mask, self.rng,
             edges_per_path=self.config.local_edges_per_path,
         )
-        loss = self._loss_fn(
+        loss = combined_wsc_loss(
             encoded.tprs,
             encoded.edge_representations,
             contrast_sets,
@@ -160,8 +123,8 @@ class WSCTrainer:
         rather than dataset objects.
         """
         samples = list(samples)
-        losses = []
         for _ in range(epochs):
+            losses = []
             order = np.arange(len(samples))
             self.rng.shuffle(order)
             count = 0

@@ -14,11 +14,9 @@ numerically faithful to direct encoding, so results are unchanged; pass
 ``serving=False`` to bypass it, or pass a ready-made service as ``model`` to
 control its configuration.
 
-``impl`` / ``binning`` select the downstream engine
-(:mod:`repro.downstream.tree`): the default vectorized exact engine
-reproduces the reference loops bit-for-bit; ``impl="reference"`` runs the
-original Python loops and ``binning="histogram"`` the quantile-binned fast
-path.
+``binning`` selects the split search of the downstream trees
+(:mod:`repro.downstream.tree`): ``"exact"`` (default) scans every deduplicated
+midpoint threshold, ``"histogram"`` the quantile-binned fast path.
 """
 
 from __future__ import annotations
@@ -100,8 +98,7 @@ def _encode(model, temporal_paths):
 
 
 def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
-                         n_estimators=40, max_depth=3, serving=True,
-                         impl="vectorized", binning="exact"):
+                         n_estimators=40, max_depth=3, serving=True, binning="exact"):
     """Fit GBR on TPRs -> travel time; report MAE / MARE / MAPE on the test split."""
     train, test = train_test_split(examples, test_fraction=test_fraction, seed=seed)
     if not train or not test:
@@ -114,8 +111,7 @@ def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
     test_y = np.array([e.travel_time for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-        impl=impl, binning=binning,
+        n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
     ).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return TravelTimeResult(
@@ -126,8 +122,7 @@ def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
-                     n_estimators=40, max_depth=3, serving=True,
-                     impl="vectorized", binning="exact"):
+                     n_estimators=40, max_depth=3, serving=True, binning="exact"):
     """Fit GBR on TPRs -> ranking score; report MAE / τ / ρ on the test split.
 
     The split is grouped by trip so the candidate set of one trip never
@@ -148,8 +143,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
     test_groups = np.array([e.group for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-        impl=impl, binning=binning,
+        n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
     ).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return RankingResult(
@@ -161,7 +155,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
 
 def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
                             n_estimators=40, max_depth=3, serving=True,
-                            impl="vectorized", binning="exact"):
+                            binning="exact"):
     """Fit GBC on TPRs -> chosen/not-chosen; report accuracy and hit rate."""
     groups = [e.group for e in examples]
     train, test = grouped_train_test_split(examples, groups,
@@ -180,8 +174,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
         predictions = np.full(len(test_y), int(round(train_y.mean())))
     else:
         classifier = GradientBoostingClassifier(
-            n_estimators=n_estimators, max_depth=max_depth, seed=seed,
-            impl=impl, binning=binning,
+            n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
         ).fit(train_x, train_y)
         predictions = classifier.predict(test_x)
     return RecommendationResult(
@@ -191,7 +184,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
-                       serving=True, impl="vectorized", binning="exact"):
+                       serving=True, binning="exact"):
     """Run all three downstream evaluations against one representation model.
 
     ``tasks`` is a :class:`~repro.datasets.tasks.TaskDatasets`.  Returns a
@@ -205,14 +198,11 @@ def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
     return {
         "travel_time": evaluate_travel_time(
             model, tasks.travel_time, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving,
-            impl=impl, binning=binning),
+            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
         "ranking": evaluate_ranking(
             model, tasks.ranking, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving,
-            impl=impl, binning=binning),
+            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
         "recommendation": evaluate_recommendation(
             model, tasks.recommendation, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving,
-            impl=impl, binning=binning),
+            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
     }

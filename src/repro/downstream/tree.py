@@ -4,19 +4,19 @@ The paper maps frozen TPRs to task labels with scikit-learn's Gradient
 Boosting Regressor / Classifier; scikit-learn is unavailable offline, so
 :mod:`repro.downstream.gbm` rebuilds the estimator on top of these trees.
 
-Two implementations share one public class:
+A node's best split comes from one cumulative-sum scan over *all*
+candidate features simultaneously, and the fitted tree is flattened into
+``(feature, threshold, left, right, value)`` arrays, so ``predict`` is a
+batch traversal with no per-row Python.  With ``binning="exact"`` the scan
+covers the deduplicated midpoints of unique values; with
+``binning="histogram"`` features are quantile-binned once per ``fit`` (or
+once per *boosting run* — see :class:`HistogramBins`) and every node split
+reduces to a weighted ``bincount`` over the bin codes.
 
-* ``impl="vectorized"`` (default) finds the best split of a node with one
-  cumulative-sum scan over *all* candidate features simultaneously and
-  flattens the fitted tree into ``(feature, threshold, left, right, value)``
-  arrays, so ``predict`` is a batch traversal with no per-row Python.  With
-  ``binning="exact"`` it scans the same midpoint thresholds as the
-  reference implementation and produces a bit-identical tree; with
-  ``binning="histogram"`` features are quantile-binned once per ``fit``
-  (or once per *boosting run* — see :class:`HistogramBins`) and every node
-  split reduces to a weighted ``bincount`` over the bin codes.
-* ``impl="reference"`` is the original per-threshold Python loop and
-  per-row ``predict`` walk, kept as the equivalence oracle.
+The original per-threshold Python loop and per-row ``predict`` walk are kept
+as :meth:`DecisionTreeRegressor._reference_grow` and
+:meth:`DecisionTreeRegressor._reference_predict`; the equivalence suites
+check that exact binning grows bit-identical trees.
 """
 
 from __future__ import annotations
@@ -106,43 +106,32 @@ class DecisionTreeRegressor:
 
     Parameters beyond the historical ones:
 
-    impl:
-        ``"vectorized"`` (default) or ``"reference"`` (the original Python
-        loops, the equivalence oracle).
     binning:
-        ``"exact"`` (default) scans midpoints of unique values — identical
-        splits to the reference; ``"histogram"`` pre-bins features into
-        quantile histograms once per fit and scans bin edges.
+        ``"exact"`` (default) scans midpoints of unique values;
+        ``"histogram"`` pre-bins features into quantile histograms once per
+        fit and scans bin edges.
     max_bins:
         Histogram resolution for ``binning="histogram"``.
     """
 
     def __init__(self, max_depth=3, min_samples_leaf=5, max_thresholds=16,
-                 max_features=None, seed=0, impl="vectorized", binning="exact",
-                 max_bins=64):
+                 max_features=None, seed=0, binning="exact", max_bins=64):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-        if impl not in ("vectorized", "reference"):
-            raise ValueError(f"unknown impl {impl!r}")
         if binning not in ("exact", "histogram"):
             raise ValueError(f"unknown binning {binning!r}")
-        if impl == "reference" and binning != "exact":
-            raise ValueError("impl='reference' only supports binning='exact'; "
-                             "the loop oracle has no histogram path")
         if max_bins < 2:
             raise ValueError("max_bins must be >= 2")
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.max_thresholds = max_thresholds
         self.max_features = max_features
-        self.impl = impl
         self.binning = binning
         self.max_bins = max_bins
         self.rng = np.random.default_rng(seed)
-        self._root = None
-        # Flattened tree (vectorized impl): feature is -1 at leaves.
+        # Flattened tree: feature is -1 at leaves.
         self._feature = None
         self._threshold = None
         self._left = None
@@ -165,12 +154,6 @@ class DecisionTreeRegressor:
             raise ValueError("features and targets must have the same length")
         if len(features) == 0:
             raise ValueError("cannot fit a tree on zero samples")
-        if self.impl == "reference":
-            if binned is not None:
-                raise ValueError("impl='reference' cannot use prebinned features")
-            self._root = self._reference_grow(features, targets, depth=0)
-            return self
-
         if self.binning == "histogram":
             if binned is None:
                 binned = HistogramBins(features, max_bins=self.max_bins)
@@ -188,15 +171,12 @@ class DecisionTreeRegressor:
 
     def predict(self, features):
         """Predict targets for ``features`` (N, D)."""
-        features = np.asarray(features, dtype=np.float64)
-        if self._feature is not None:
-            return self._predict_flattened(features)
-        if self._root is None:
+        if self._feature is None:
             raise RuntimeError("tree has not been fitted")
-        return self._reference_predict(features)
+        return self._predict_flattened(np.asarray(features, dtype=np.float64))
 
     # ------------------------------------------------------------------
-    # Vectorized implementation
+    # Flattened-tree growth and prediction
     # ------------------------------------------------------------------
     def _predict_flattened(self, features):
         """Batch traversal of the flattened tree: one vector step per level."""
@@ -214,8 +194,8 @@ class DecisionTreeRegressor:
         return self._value[node]
 
     def _grow_vectorized(self, features, targets, rows, depth, binned, nodes):
-        """Grow depth-first (left before right, matching the reference so the
-        ``max_features`` RNG draws align) and append flattened node rows.
+        """Grow depth-first (left before right, like the reference loop, so
+        the ``max_features`` RNG draws align) and append flattened node rows.
 
         Returns the index of the node created for ``rows``.
         """
@@ -295,9 +275,19 @@ class DecisionTreeRegressor:
             threshold_chunks.append(midpoints)
         if not feature_slots:
             return None
-        slots = np.concatenate(feature_slots)
         left_counts = np.concatenate(left_count_chunks)
-        thresholds = np.concatenate(threshold_chunks)
+        right_counts = num_samples - left_counts
+        # Drop candidates that leave a side under min_samples_leaf before
+        # dividing: a midpoint rounded onto the last unique value sends every
+        # row left, and its empty right side would divide by zero.
+        valid = ((left_counts >= self.min_samples_leaf)
+                 & (right_counts >= self.min_samples_leaf))
+        if not valid.any():
+            return None
+        slots = np.concatenate(feature_slots)[valid]
+        thresholds = np.concatenate(threshold_chunks)[valid]
+        left_counts = left_counts[valid]
+        right_counts = right_counts[valid]
 
         # Scalar totals computed exactly as the reference does (np.sum's
         # pairwise order, not the sequential cumsum tail) so gains are
@@ -305,15 +295,12 @@ class DecisionTreeRegressor:
         total_sum = targets.sum()
         total_sq = (targets ** 2).sum()
         parent_impurity = total_sq - total_sum ** 2 / num_samples
-        right_counts = num_samples - left_counts
         left_sum = cum_sum[left_counts - 1, slots]
         left_sq = cum_sq[left_counts - 1, slots]
         left_impurity = left_sq - left_sum ** 2 / left_counts
         right_impurity = ((total_sq - left_sq)
                           - (total_sum - left_sum) ** 2 / right_counts)
         gains = parent_impurity - left_impurity - right_impurity
-        gains[(left_counts < self.min_samples_leaf)
-              | (right_counts < self.min_samples_leaf)] = -np.inf
         best = int(np.argmax(gains))
         if gains[best] <= _MIN_GAIN:
             return None
@@ -374,7 +361,7 @@ class DecisionTreeRegressor:
         return feature, float(binned.edges[feature, edge])
 
     # ------------------------------------------------------------------
-    # Reference implementation (the original Python loops)
+    # Reference implementation (the original Python loops; test oracle)
     # ------------------------------------------------------------------
     def _reference_predict(self, features):
         return np.array([self._predict_row(row) for row in features])

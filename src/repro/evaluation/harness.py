@@ -12,14 +12,7 @@ import dataclasses
 import numpy as np
 
 from ..datasets.splits import grouped_train_test_split, train_test_split
-from ..downstream.metrics import (
-    accuracy,
-    grouped_rank_correlation,
-    hit_rate,
-    mae,
-    mape,
-    mare,
-)
+from ..downstream.metrics import grouped_rank_correlation, mae, mape, mare
 from ..downstream.tasks import (
     ensure_service,
     evaluate_ranking,
@@ -59,7 +52,7 @@ __all__ = [
 # Shared evaluation helpers
 # ----------------------------------------------------------------------
 def representation_task_results(model, city, config, tasks=("travel_time", "ranking"),
-                                serving=True, impl="vectorized", binning="exact"):
+                                serving=True, binning="exact"):
     """GBR/GBC evaluation of a frozen representation model on selected tasks.
 
     Embeddings are obtained through one shared
@@ -67,8 +60,7 @@ def representation_task_results(model, city, config, tasks=("travel_time", "rank
     recur across the selected tasks hit the embedding cache instead of being
     re-encoded; ``serving=False`` evaluates the raw model directly.
 
-    ``impl`` / ``binning`` pick the downstream GBM engine (vectorized exact
-    by default, which matches the reference loops bit-for-bit).
+    ``binning`` picks the downstream GBM split search (exact by default).
     """
     model = ensure_service(model, serving=serving)
     results = {}
@@ -76,20 +68,17 @@ def representation_task_results(model, city, config, tasks=("travel_time", "rank
         results["travel_time"] = evaluate_travel_time(
             model, city.tasks.travel_time, test_fraction=config.test_fraction,
             seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            binning=binning).as_row()
     if "ranking" in tasks:
         results["ranking"] = evaluate_ranking(
             model, city.tasks.ranking, test_fraction=config.test_fraction,
             seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            binning=binning).as_row()
     if "recommendation" in tasks:
         results["recommendation"] = evaluate_recommendation(
             model, city.tasks.recommendation, test_fraction=config.test_fraction,
             seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            impl=impl, binning=binning,
-        ).as_row()
+            binning=binning).as_row()
     return results
 
 
@@ -140,13 +129,10 @@ def run_table2_dataset_statistics(config, cities=("aalborg", "harbin", "chengdu"
 # Table III — overall accuracy (travel time + ranking)
 # ----------------------------------------------------------------------
 def run_table3_overall(config, cities=("aalborg",), methods=None,
-                       include_supervised=True, include_edge_sum=True,
-                       impl="vectorized", binning="exact"):
+                       include_supervised=True, include_edge_sum=True, binning="exact"):
     """Travel-time and ranking results for WSCCL and the baselines.
 
-    ``impl`` / ``binning`` select the downstream GBM engine; every fit in
-    the runner is seeded, so rerunning with ``impl="reference"`` reproduces
-    the same table (the benchmark gate asserts this to 1e-9).
+    ``binning`` selects the downstream GBM split search.
     """
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
@@ -157,7 +143,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
             city_rows[name] = representation_task_results(
-                model, city, config, impl=impl, binning=binning)
+                model, city, config, binning=binning)
 
         if include_supervised:
             for name in SUPERVISED_BASELINES:
@@ -176,7 +162,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, impl=impl, binning=binning)
+            wsccl, city, config, binning=binning)
         results[city_name] = city_rows
     return results
 
@@ -184,8 +170,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 # ----------------------------------------------------------------------
 # Table IV — path recommendation
 # ----------------------------------------------------------------------
-def run_table4_recommendation(config, cities=("aalborg",), methods=None,
-                              impl="vectorized", binning="exact"):
+def run_table4_recommendation(config, cities=("aalborg",), methods=None, binning="exact"):
     """Path recommendation accuracy / hit rate for WSCCL and baselines."""
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
@@ -195,12 +180,12 @@ def run_table4_recommendation(config, cities=("aalborg",), methods=None,
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
             city_rows[name] = representation_task_results(
-                model, city, config, tasks=("recommendation",),
-                impl=impl, binning=binning)["recommendation"]
+                model, city, config, tasks=("recommendation",), binning=binning,
+            )["recommendation"]
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, tasks=("recommendation",),
-            impl=impl, binning=binning)["recommendation"]
+            wsccl, city, config, tasks=("recommendation",), binning=binning,
+        )["recommendation"]
         results[city_name] = city_rows
     return results
 

@@ -1,7 +1,7 @@
 """Formatting helpers that turn harness output into printable tables.
 
 Benchmarks print these tables so their output visually mirrors the paper's
-tables; EXPERIMENTS.md records the same rows.
+tables.
 """
 
 from __future__ import annotations

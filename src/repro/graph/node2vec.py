@@ -1,14 +1,14 @@
 """Node2vec front-end: walks + skip-gram, for arbitrary graphs.
 
 ``Node2Vec.fit_temporal_graph`` and ``Node2Vec.fit_road_network`` are thin
-adapters for the two graphs WSCCL embeds (paper Eq. 2 and Eq. 5).
-
-The ``impl`` knob selects the pretraining engine end to end: walk generation
-(:class:`~repro.graph.walks.RandomWalker`) and corpus extraction
-(:class:`~repro.graph.skipgram.SkipGramTrainer`) both honour it.
+adapters for the two graphs WSCCL embeds (paper Eq. 2 and Eq. 5).  Walks
+come from :class:`~repro.graph.walks.RandomWalker`'s lockstep CSR engine and
+embeddings from :class:`~repro.graph.skipgram.SkipGramTrainer`.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -17,26 +17,26 @@ from .walks import RandomWalker
 
 __all__ = ["Node2Vec", "Node2VecConfig"]
 
-_IMPLS = ("reference", "vectorized")
-
 
 class Node2VecConfig:
     """Hyper-parameters for one node2vec run.
 
-    ``impl`` picks the pretraining engine (``"vectorized"`` CSR walker and
-    strided-window corpus vs the ``"reference"`` Python loops); ``lr_decay``
-    enables the word2vec-style linear learning-rate schedule.
+    ``lr_decay`` enables the word2vec-style linear learning-rate schedule.
     """
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
                  negatives=5, epochs=2, p=1.0, q=1.0, lr=0.025, seed=0,
-                 impl="vectorized", lr_decay=True):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+                 lr_decay=True):
+        for name, value in (("dim", dim), ("walks_per_node", walks_per_node),
+                            ("walk_length", walk_length), ("window", window),
+                            ("negatives", negatives), ("epochs", epochs)):
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, value in (("p", p), ("q", q), ("lr", lr)):
+            if not (isinstance(value, numbers.Real) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.dim = dim
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
@@ -47,7 +47,6 @@ class Node2VecConfig:
         self.q = q
         self.lr = lr
         self.seed = seed
-        self.impl = impl
         self.lr_decay = lr_decay
 
 
@@ -71,7 +70,7 @@ class Node2Vec:
         """
         cfg = self.config
         walker = RandomWalker(neighbors_fn, num_nodes, p=cfg.p, q=cfg.q,
-                              seed=cfg.seed, impl=cfg.impl)
+                              seed=cfg.seed)
         walks = walker.generate_walks(cfg.walks_per_node, cfg.walk_length)
         trainer = SkipGramTrainer(
             num_nodes=num_nodes,
@@ -81,7 +80,6 @@ class Node2Vec:
             lr=cfg.lr,
             seed=cfg.seed,
             lr_decay=cfg.lr_decay,
-            impl=cfg.impl,
         )
         self._embeddings = trainer.train(walks, epochs=cfg.epochs)
         return self._embeddings

@@ -1,17 +1,14 @@
 """Skip-gram with negative sampling (SGNS) over random-walk corpora.
 
-This is the word2vec-style objective node2vec optimises.  The SGD update was
-always vectorised numpy (the SGNS gradient has a closed form); the corpus
-extraction now is too:
-
-* ``impl="reference"`` — (center, context) pairs via the original nested
-  Python loops (:meth:`SkipGramTrainer._pairs_from_walk`) and a per-node
-  counting loop for the noise distribution.
-* ``impl="vectorized"`` (default) — strided context windows over a padded
-  walk matrix, emitting pairs in *exactly* the reference order, plus a single
-  batched ``np.bincount`` for the noise distribution.  Because the pair array
-  and noise distribution are bit-identical, training consumes the RNG
-  identically and the final embeddings match the reference bit for bit.
+This is the word2vec-style objective node2vec optimises.  The SGD update is
+vectorised numpy (the SGNS gradient has a closed form), and so is the corpus
+extraction: strided context windows over a padded walk matrix emit the
+(center, context) pairs in *exactly* the order of the original nested loops,
+and one batched ``np.bincount`` builds the noise distribution.  The loops
+are kept as :meth:`SkipGramTrainer._reference_pairs` and
+:meth:`SkipGramTrainer._reference_noise_counts`; because pairs and noise
+counts are bit-identical to them, training consumes the RNG identically and
+the embeddings match a loop-built corpus bit for bit.
 
 The learning rate decays linearly over the planned updates down to a floor
 of ``lr / 10_000``, as in word2vec; disable with ``lr_decay=False``.
@@ -22,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SkipGramTrainer"]
-
-_IMPLS = ("reference", "vectorized")
 
 #: Word2vec's learning-rate floor: the linear decay never goes below
 #: ``lr * _MIN_LR_FRACTION``.
@@ -52,24 +47,18 @@ class SkipGramTrainer:
     lr_decay:
         Word2vec-style linear decay of the learning rate over the planned
         updates of a :meth:`train` call, floored at ``lr / 10_000``.
-    impl:
-        ``"vectorized"`` (default) or ``"reference"`` corpus extraction; the
-        two produce bit-identical embeddings.
     """
 
     def __init__(self, num_nodes, dim, window=5, negatives=5, lr=0.025, seed=0,
-                 batch_size=512, lr_decay=True, impl="vectorized"):
+                 batch_size=512, lr_decay=True):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.num_nodes = num_nodes
         self.dim = dim
         self.window = window
         self.negatives = negatives
         self.lr = lr
         self.lr_decay = lr_decay
-        self.impl = impl
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
         scale = 0.5 / dim
@@ -132,11 +121,7 @@ class SkipGramTrainer:
 
     def _noise_distribution(self, walks):
         """Unigram^0.75 noise distribution over the corpus."""
-        if self.impl == "vectorized":
-            counts = self._vectorized_noise_counts(walks)
-        else:
-            counts = self._reference_noise_counts(walks)
-        counts = np.power(counts, 0.75)
+        counts = np.power(self._vectorized_noise_counts(walks), 0.75)
         total = counts.sum()
         if total == 0:
             return np.full(self.num_nodes, 1.0 / self.num_nodes)
@@ -159,10 +144,7 @@ class SkipGramTrainer:
     def train(self, walks, epochs=1):
         """Run SGNS over the walk corpus for ``epochs`` passes."""
         noise = self._noise_distribution(walks)
-        if self.impl == "vectorized":
-            pairs = self._vectorized_pairs(walks)
-        else:
-            pairs = self._reference_pairs(walks)
+        pairs = self._vectorized_pairs(walks)
         if pairs.shape[0] == 0:
             return self.in_embeddings
 

@@ -5,21 +5,18 @@ embeddings of departure-time slots) and on the road network (to obtain
 topology-aware node embeddings whose concatenation forms the edge topology
 feature, paper Eq. 5).
 
-Two implementations share the same sampling semantics:
+:meth:`RandomWalker.generate_walks` queries ``neighbors_fn`` once per node
+to build a CSR adjacency, then advances *all* walks of a pass in lockstep:
+each batched step gathers the whole frontier's candidate neighbourhoods from
+the CSR arrays, computes the p/q bias weights with a sorted-membership check
+of candidates against the previous-step neighbourhoods, and samples every
+walk's next node with one cumulative-sum/searchsorted draw.
 
-* ``impl="reference"`` — the original per-walk, per-step Python loop
-  (:meth:`RandomWalker._reference_walk_from`), kept as the oracle.
-* ``impl="vectorized"`` (default) — a CSR-adjacency engine that queries
-  ``neighbors_fn`` once per node, then advances *all* walks of a pass in
-  lockstep: each batched step gathers the whole frontier's candidate
-  neighbourhoods from the CSR arrays, computes the p/q bias weights with a
-  sorted-membership check of candidates against the previous-step
-  neighbourhoods, and samples every walk's next node with one
-  cumulative-sum/searchsorted draw.
-
-The two implementations consume the RNG differently, so individual walks
-differ for the same seed; the *distribution* of walks is the same (pinned by
-the Hypothesis suites in ``tests/graph/test_pretraining_equivalence.py``).
+Single walks (:meth:`RandomWalker.walk_from`) use the original per-step
+loop, :meth:`RandomWalker._reference_walk_from`.  It consumes the RNG
+differently, so individual walks differ for the same seed; the
+*distribution* of walks is the same (pinned by the Hypothesis suites in
+``tests/graph/test_pretraining_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -27,9 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["RandomWalker"]
-
-_IMPLS = ("reference", "vectorized")
-
 
 class RandomWalker:
     """Generate node2vec walks over a graph given by an adjacency callable.
@@ -46,25 +40,17 @@ class RandomWalker:
     q:
         In-out parameter.  q > 1 keeps walks local (BFS-like), q < 1 pushes
         them outward (DFS-like).
-    impl:
-        ``"vectorized"`` (default) advances all walks of a pass in lockstep
-        over a precomputed CSR adjacency; ``"reference"`` runs the original
-        per-walk Python loop.
     """
 
-    def __init__(self, neighbors_fn, num_nodes, p=1.0, q=1.0, seed=0,
-                 impl="vectorized"):
+    def __init__(self, neighbors_fn, num_nodes, p=1.0, q=1.0, seed=0):
         if p <= 0 or q <= 0:
             raise ValueError("p and q must be positive")
-        if impl not in _IMPLS:
-            raise ValueError(f"impl must be one of {_IMPLS}, got {impl!r}")
         self.neighbors_fn = neighbors_fn
         self.num_nodes = num_nodes
         self.p = p
         self.q = q
-        self.impl = impl
         self.rng = np.random.default_rng(seed)
-        # CSR adjacency, built lazily on the first vectorized walk batch.
+        # CSR adjacency, built lazily on the first walk batch.
         self._indptr = None
         self._indices = None
         self._edge_keys = None
@@ -93,7 +79,7 @@ class RandomWalker:
         self._edge_keys = np.sort(sources * self.num_nodes + self._indices)
 
     # ------------------------------------------------------------------
-    # Reference (per-walk) implementation
+    # Single walks (per-step loop)
     # ------------------------------------------------------------------
     def walk_from(self, start, length):
         """One biased walk of at most ``length`` nodes starting at ``start``.
@@ -129,7 +115,7 @@ class RandomWalker:
         return walk
 
     # ------------------------------------------------------------------
-    # Vectorized (lockstep) implementation
+    # Lockstep walk batches
     # ------------------------------------------------------------------
     def _batched_walks(self, starts, length):
         """Advance one walk per entry of ``starts`` simultaneously."""
@@ -204,9 +190,5 @@ class RandomWalker:
         order = np.arange(self.num_nodes)
         for _ in range(walks_per_node):
             self.rng.shuffle(order)
-            if self.impl == "reference":
-                for start in order:
-                    walks.append(self._reference_walk_from(int(start), walk_length))
-            else:
-                walks.extend(self._batched_walks(order, walk_length))
+            walks.extend(self._batched_walks(order, walk_length))
         return walks

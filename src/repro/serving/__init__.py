@@ -30,9 +30,9 @@ Quick start::
     embeddings = service.embed(temporal_paths)   # (N, D), request order
     print(service.scrape())                      # metrics snapshot
 
-``benchmarks/bench_serving_throughput.py`` measures the serving
-configurations against per-path encoding and emits a run-table JSON
-(schema documented in the repository README).
+The ``serve-zipf`` workload of ``perfbench/run.py`` measures the service
+end to end: a Zipf request replay against a warm cache, checked row by row
+against direct encoding.
 """
 
 from .bucketing import (

@@ -9,21 +9,18 @@ with the great-circle distance between fixes, decoded with Viterbi.  When a
 step has no reachable transition at all, decoding restarts from that fix
 (Newson & Krumm's HMM break) instead of stitching disconnected garbage.
 
-Two engines share the model exactly:
+Candidate generation is one batched segment-distance computation over
+grid-pruned ``(fix, edge)`` pairs
+(:class:`~repro.roadnet.spatial_index.SegmentGridIndex`), transition pricing
+reuses a resumable multi-target Dijkstra per unique source node
+(:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and across
+a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form Viterbi
+(one ``(K, K)`` transition matrix and one vectorized max per step).
 
-* ``impl="reference"`` — the original per-point/per-pair Python loops: a
-  full segment-distance scan per fix and one fresh Dijkstra per candidate
-  pair per Viterbi step;
-* ``impl="vectorized"`` — candidate generation becomes one batched
-  segment-distance computation over grid-pruned ``(fix, edge)`` pairs
-  (:class:`~repro.roadnet.spatial_index.SegmentGridIndex`), transition
-  pricing reuses a resumable multi-target Dijkstra per unique source node
-  (:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and
-  across a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form
-  Viterbi (one ``(K, K)`` transition matrix and one vectorized max per
-  step).
-
-Both engines decode bit-identical paths; the vectorized one is just faster.
+The original per-point/per-pair loops — a full segment-distance scan per fix
+and one fresh Dijkstra per candidate pair per Viterbi step — are kept as the
+``_reference_*`` methods; the test suites check that they decode
+bit-identical paths.
 """
 
 from __future__ import annotations
@@ -40,8 +37,9 @@ def _project_points_onto_segments(points, starts, ends):
     """Distance and projection fraction from points to segments, row-wise.
 
     ``points`` broadcasts against ``starts``/``ends``: one point against all
-    segments, or row-paired arrays.  Both matcher engines go through this
-    single helper, so candidate distances are bit-identical by construction.
+    segments, or row-paired arrays.  The batched candidate search and the
+    full-scan loop both go through this single helper, so candidate
+    distances are bit-identical by construction.
     """
     direction = ends - starts
     length_sq = np.maximum((direction ** 2).sum(axis=1), 1e-9)
@@ -66,30 +64,23 @@ class HMMMapMatcher:
         considered as candidates.
     max_candidates:
         Cap on candidates per point (closest first), bounding Viterbi cost.
-    impl:
-        ``"vectorized"`` (default) or ``"reference"``; see the module
-        docstring.  Decoded paths are identical across impls.
     grid_cell_size:
-        Cell size (metres) of the candidate-generation spatial index used by
-        the vectorized engine; defaults to ``candidate_radius``.
+        Cell size (metres) of the candidate-generation spatial index;
+        defaults to ``candidate_radius``.
     cache_sources:
         Capacity of the LRU Dijkstra cache used for transition pricing.
     """
 
     def __init__(self, network, emission_sigma=15.0, transition_beta=30.0,
-                 candidate_radius=120.0, max_candidates=6, impl="vectorized",
+                 candidate_radius=120.0, max_candidates=6,
                  grid_cell_size=None, cache_sources=4096):
         if emission_sigma <= 0 or transition_beta <= 0:
             raise ValueError("emission_sigma and transition_beta must be positive")
-        if impl not in ("reference", "vectorized"):
-            raise ValueError(
-                f"impl must be 'reference' or 'vectorized', got {impl!r}")
         self.network = network
         self.emission_sigma = emission_sigma
         self.transition_beta = transition_beta
         self.candidate_radius = candidate_radius
         self.max_candidates = max_candidates
-        self.impl = impl
         self.grid_cell_size = float(candidate_radius if grid_cell_size is None
                                     else grid_cell_size)
         if self.grid_cell_size <= 0:
@@ -392,20 +383,12 @@ class HMMMapMatcher:
         positions = trajectory.positions()
         if len(positions) == 0:
             return [], set()
-        if self.impl == "vectorized":
-            candidate_sets, fraction_sets, emission_sets = \
-                self._vectorized_candidate_sets(positions)
-        else:
-            candidate_sets, fraction_sets, emission_sets = \
-                self._reference_candidate_sets(positions)
+        candidate_sets, fraction_sets, emission_sets = \
+            self._vectorized_candidate_sets(positions)
         straights = np.sqrt(
             ((positions[1:] - positions[:-1]) ** 2).sum(axis=1))
-        if self.impl == "vectorized":
-            scores, back_pointers, break_steps = self._vectorized_decode(
-                candidate_sets, fraction_sets, emission_sets, straights)
-        else:
-            scores, back_pointers, break_steps = self._reference_decode(
-                candidate_sets, fraction_sets, emission_sets, straights)
+        scores, back_pointers, break_steps = self._vectorized_decode(
+            candidate_sets, fraction_sets, emission_sets, straights)
         matched = self._backtrack(candidate_sets, scores, back_pointers,
                                   break_steps)
         return matched, break_steps

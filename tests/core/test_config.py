@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import WSCCLConfig
+from repro.graph import Node2VecConfig
 
 
 class TestWSCCLConfig:
@@ -57,3 +58,31 @@ class TestWSCCLConfig:
         test = WSCCLConfig.test_scale()
         assert test.hidden_dim <= 16
         assert test.num_meta_sets <= 4
+
+
+@pytest.mark.parametrize("config_class,name,value", [
+    (WSCCLConfig, "hidden_dim", 0),
+    (WSCCLConfig, "topology_dim", -4),
+    (WSCCLConfig, "temporal_dim", 2.5),
+    (WSCCLConfig, "lstm_layers", 0),
+    (WSCCLConfig, "epochs", 0),
+    (WSCCLConfig, "local_edges_per_path", 0),
+    (WSCCLConfig, "num_stages", 0),
+    (WSCCLConfig, "node2vec_walks", 0),
+    (WSCCLConfig, "node2vec_walk_length", 1),
+    (WSCCLConfig, "learning_rate", 0.0),
+    (WSCCLConfig, "grad_clip", -1.0),
+    (WSCCLConfig, "temperature", float("nan")),
+    (Node2VecConfig, "dim", 0),
+    (Node2VecConfig, "walks_per_node", 0),
+    (Node2VecConfig, "walk_length", 1),
+    (Node2VecConfig, "window", 0),
+    (Node2VecConfig, "negatives", -1),
+    (Node2VecConfig, "epochs", 1.5),
+    (Node2VecConfig, "p", 0.0),
+    (Node2VecConfig, "q", -2.0),
+    (Node2VecConfig, "lr", float("nan")),
+])
+def test_configs_reject_non_positive_values(config_class, name, value):
+    with pytest.raises(ValueError, match=name):
+        config_class(**{name: value})

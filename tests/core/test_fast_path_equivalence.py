@@ -1,4 +1,4 @@
-"""Equivalence suites for the vectorized training fast path.
+"""Equivalence suites for the training fast path.
 
 Three oracles, three suites:
 
@@ -205,35 +205,33 @@ class TestFloat32Agreement:
         assert half.data.dtype == np.float32
         assert abs(float(full.data) - float(half.data)) < FLOAT32_TOLERANCE
 
-    def test_reference_impl_runs_loop_paths_end_to_end(self, tiny_city,
-                                                       tiny_config,
-                                                       shared_resources):
-        """impl='reference' scopes the loop attention to each step without
-        permanently mutating a model that other trainers/serving share."""
-        from repro.core import WSCModel, WSCTrainer
+    def test_train_step_matches_loop_oracles(self, tiny_city, tiny_config,
+                                             shared_resources, monkeypatch):
+        """A full transformer train_step with the loop oracles patched in
+        (loss, contrast sets, per-head attention) lands on the same loss."""
+        from repro.core import WSCModel, WSCTrainer, trainer
+        from repro.core.losses import _reference_combined_wsc_loss
+        from repro.core.sampling import _reference_build_contrast_sets
 
-        model = WSCModel(tiny_city.network, tiny_config,
-                         resources=shared_resources,
-                         encoder_type="transformer")
-        blocks = [getattr(model.encoder, name)
-                  for name in model.encoder._block_names]
-        trainer = WSCTrainer(model, impl="reference")
-        # Construction must not touch the model.
-        assert all(block.attention.fused for block in blocks)
+        batch = list(tiny_city.unlabeled)[:6]
+        labeler = tiny_city.unlabeled.weak_labeler
 
-        seen = []
-        original_forward = model.forward
-        def spying_forward(paths):
-            seen.append([block.attention.fused for block in blocks])
-            return original_forward(paths)
-        model.forward = spying_forward
+        def step():
+            model = WSCModel(tiny_city.network, tiny_config,
+                             resources=shared_resources,
+                             encoder_type="transformer")
+            return WSCTrainer(model, seed=7).train_step(batch, labeler)
 
-        batch = list(tiny_city.unlabeled)[:4]
-        loss = trainer.train_step(batch, tiny_city.unlabeled.weak_labeler)
-        assert np.isfinite(loss)
-        # During the step the loop path ran; afterwards the flags are restored.
-        assert seen and all(not fused for fused in seen[0])
-        assert all(block.attention.fused for block in blocks)
+        fast = step()
+        monkeypatch.setattr(trainer, "combined_wsc_loss", _reference_combined_wsc_loss)
+        monkeypatch.setattr(trainer, "build_contrast_sets",
+                            _reference_build_contrast_sets)
+        monkeypatch.setattr(
+            MultiHeadSelfAttention, "forward",
+            lambda self, x, mask=None, mask_bias=None: self._reference_forward(x, mask))
+        loops = step()
+        assert np.isfinite(fast)
+        assert loops == pytest.approx(fast, abs=FLOAT64_TOLERANCE)
 
     @pytest.mark.parametrize("encoder_type", ["lstm", "transformer"])
     def test_float32_model_stays_float32_outside_context(self, tiny_city,
@@ -275,18 +273,3 @@ class TestFloat32Agreement:
                 trainer = WSCTrainer(model, seed=7)
                 losses[dtype] = trainer.train_step(batch, labeler)
         assert abs(losses["float32"] - losses["float64"]) < FLOAT32_TOLERANCE
-
-
-class TestLoopPathMaskBias:
-    def test_reference_branch_honours_precomputed_bias(self):
-        """fused=False with only mask_bias supplied must still mask padding."""
-        rng = np.random.default_rng(5)
-        attention = MultiHeadSelfAttention(6, num_heads=2,
-                                           rng=np.random.default_rng(6))
-        attention.fused = False
-        x = nn.Tensor(rng.normal(size=(2, 4, 6)))
-        mask = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 0.0]])
-        bias = attention_mask_bias(mask, dtype=np.float64)
-        np.testing.assert_allclose(
-            attention(x, mask_bias=bias).data,
-            attention(x, mask=mask).data, atol=1e-12)

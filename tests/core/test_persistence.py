@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ class TestSaveLoad:
         restored = load_model(archive, tiny_city.network)
         paths = tiny_city.unlabeled.temporal_paths[:3]
         np.testing.assert_allclose(restored.encode(paths), model.encode(paths), atol=1e-9)
+
+    def test_loads_archive_carrying_a_removed_config_option(self, tmp_path, tiny_city,
+                                                            tiny_config, shared_resources):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "wsc.npz"
+        save_model(archive, model)
+        stored = dict(np.load(archive))
+        config = json.loads(str(stored["config_json"]))
+        config["node2vec_impl"] = "vectorized"
+        stored["config_json"] = np.array(json.dumps(config))
+        np.savez_compressed(archive, **stored)
+        restored = load_model(archive, tiny_city.network)
+        assert restored.config == tiny_config
 
     def test_rejects_non_model_objects(self, tmp_path):
         with pytest.raises(TypeError):

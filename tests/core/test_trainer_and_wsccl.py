@@ -48,6 +48,17 @@ class TestWSCTrainer:
                                          epochs=1, batches_per_epoch=2)
         assert len(history.epoch_losses) >= 1
 
+    def test_fit_on_samples_records_per_epoch_means(self, model, tiny_city):
+        # Regression: the step losses were never reset between epochs, so the
+        # history held running means over all epochs so far.
+        trainer = WSCTrainer(model)
+        step_losses = iter([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        trainer.train_step = lambda batch, weak_labeler: next(step_losses)
+        samples = list(tiny_city.unlabeled)[:2 * trainer.config.batch_size]
+        history = trainer.fit_on_samples(samples, tiny_city.unlabeled.weak_labeler,
+                                         epochs=3)
+        assert history.epoch_losses == [1.5, 3.5, 5.5]
+
     def test_training_reduces_loss_on_small_corpus(self, tiny_city, tiny_config,
                                                    shared_resources):
         """A few epochs over a small fixed corpus should lower the contrastive loss."""

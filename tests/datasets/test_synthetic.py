@@ -84,6 +84,13 @@ class TestMapMatchedPaths:
             assert max(tp.path) < mapmatched_city.network.num_edges
             assert mapmatched_city.network.is_connected_path(list(tp.path))
 
+    def test_corpus_feeds_contrastive_minibatches(self, mapmatched_city):
+        assert len(mapmatched_city.unlabeled) > 0
+        assert mapmatched_city.tasks.travel_time
+        batches = list(mapmatched_city.unlabeled.minibatches(
+            batch_size=4, rng=np.random.default_rng(0)))
+        assert batches
+
     def test_gps_noise_actually_flows_into_the_corpus(self, mapmatched_city,
                                                       tiny_city):
         """Map matching noisy GPS must change at least some corpus paths."""

@@ -1,19 +1,22 @@
-"""Equivalence suites: vectorized downstream engine vs the ``_reference_*`` oracles.
+"""Equivalence suites: the downstream engine vs the ``_reference_*`` oracles.
 
 Three layers, matching the engine:
 
 * metrics — vectorized Kendall/ranks/grouped exactly equal the loop oracles;
   Spearman agrees with the no-ties shortcut on tie-free inputs and with
   Pearson-on-ranks everywhere.
-* trees — vectorized exact binning reproduces the reference tree bit for
-  bit (flattened-vs-node ``predict`` agrees to 1e-12), including the
+* trees — exact binning reproduces the reference tree bit for bit
+  (flattened-vs-node ``predict`` agrees to 1e-12), including the
   ``max_features`` RNG draws; histogram binning stays statistically
   equivalent on task metrics.
 * GBM — identical predictions for identical seeds on exact splits, for both
-  the regressor and the classifier.
+  the regressor and the classifier, with the reference tree patched in as
+  the weak learner.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from repro.downstream import (
     DecisionTreeRegressor,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
+    gbm,
 )
 from repro.downstream.metrics import (
     _ranks,
@@ -123,6 +127,28 @@ tree_problems = st.tuples(
 )
 
 
+class ReferenceTree(DecisionTreeRegressor):
+    """The per-threshold loop and per-row node walk behind the tree API."""
+
+    def fit(self, features, targets, binned=None):
+        assert binned is None, "the loop oracle has no histogram path"
+        self._root = self._reference_grow(np.asarray(features, dtype=np.float64),
+                                          np.asarray(targets, dtype=np.float64),
+                                          depth=0)
+        return self
+
+    def predict(self, features):
+        return self._reference_predict(np.asarray(features, dtype=np.float64))
+
+
+@contextlib.contextmanager
+def reference_weak_learners():
+    """Boosters built inside grow :class:`ReferenceTree` rounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbm, "DecisionTreeRegressor", ReferenceTree)
+        yield
+
+
 def make_problem(num_samples, num_features, seed):
     rng = np.random.default_rng(seed)
     features = np.round(rng.normal(size=(num_samples, num_features)), 1)
@@ -141,8 +167,8 @@ class TestTreeEquivalence:
         kwargs = dict(max_depth=depth, min_samples_leaf=leaf,
                       max_thresholds=thresholds, max_features=max_features,
                       seed=seed)
-        reference = DecisionTreeRegressor(impl="reference", **kwargs).fit(x, y)
-        vectorized = DecisionTreeRegressor(impl="vectorized", **kwargs).fit(x, y)
+        reference = ReferenceTree(**kwargs).fit(x, y)
+        vectorized = DecisionTreeRegressor(**kwargs).fit(x, y)
         for matrix in (x, queries):
             node_walk = reference.predict(matrix)
             flattened = vectorized.predict(matrix)
@@ -193,8 +219,9 @@ class TestGBMEquivalence:
         samples, features, estimators, seed, subsample = problem
         x, y, queries = make_problem(samples, features, seed)
         kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
-        reference = GradientBoostingRegressor(impl="reference", **kwargs).fit(x, y)
-        vectorized = GradientBoostingRegressor(impl="vectorized", **kwargs).fit(x, y)
+        with reference_weak_learners():
+            reference = GradientBoostingRegressor(**kwargs).fit(x, y)
+        vectorized = GradientBoostingRegressor(**kwargs).fit(x, y)
         np.testing.assert_array_equal(
             reference.predict(queries), vectorized.predict(queries))
 
@@ -207,8 +234,9 @@ class TestGBMEquivalence:
         if len(np.unique(labels)) < 2:
             return
         kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
-        reference = GradientBoostingClassifier(impl="reference", **kwargs).fit(x, labels)
-        vectorized = GradientBoostingClassifier(impl="vectorized", **kwargs).fit(x, labels)
+        with reference_weak_learners():
+            reference = GradientBoostingClassifier(**kwargs).fit(x, labels)
+        vectorized = GradientBoostingClassifier(**kwargs).fit(x, labels)
         np.testing.assert_array_equal(
             reference.predict_proba(queries), vectorized.predict_proba(queries))
 
@@ -245,10 +273,39 @@ class TestEvaluatorEngineEquivalence:
         from repro.downstream import evaluate_travel_time
 
         model = self.LengthModel(tiny_city.network)
-        reference = evaluate_travel_time(
-            model, tiny_city.tasks.travel_time, n_estimators=10, impl="reference")
+        with reference_weak_learners():
+            reference = evaluate_travel_time(
+                model, tiny_city.tasks.travel_time, n_estimators=10)
         vectorized = evaluate_travel_time(
-            model, tiny_city.tasks.travel_time, n_estimators=10, impl="vectorized")
+            model, tiny_city.tasks.travel_time, n_estimators=10)
         assert vectorized.mae == pytest.approx(reference.mae, abs=1e-9)
         assert vectorized.mare == pytest.approx(reference.mare, abs=1e-9)
         assert vectorized.mape == pytest.approx(reference.mape, abs=1e-9)
+
+    @pytest.mark.parametrize("runner", ["table3", "table4"])
+    def test_table_runners_engine_equivalent(self, runner):
+        """Whole table runners agree to 1e-9 with reference weak learners."""
+        from repro.evaluation.experiment import HarnessConfig
+        from repro.evaluation.harness import run_table3_overall, run_table4_recommendation
+
+        def run():
+            if runner == "table3":
+                return run_table3_overall(HarnessConfig(), methods=("Node2vec",),
+                                          include_supervised=False,
+                                          include_edge_sum=False)
+            return run_table4_recommendation(HarnessConfig(), methods=("Node2vec",))
+
+        def flatten(table, prefix=""):
+            flat = {}
+            for key, value in table.items():
+                if isinstance(value, dict):
+                    flat.update(flatten(value, f"{prefix}{key}."))
+                else:
+                    flat[prefix + key] = float(value)
+            return flat
+
+        with reference_weak_learners():
+            reference = flatten(run())
+        vectorized = flatten(run())
+        assert len(reference) >= 4
+        assert vectorized == pytest.approx(reference, abs=1e-9)

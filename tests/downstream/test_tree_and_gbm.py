@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,16 +66,11 @@ class TestDecisionTree:
 
     def test_engine_parameter_validation(self):
         with pytest.raises(ValueError):
-            DecisionTreeRegressor(impl="numba")
-        with pytest.raises(ValueError):
             DecisionTreeRegressor(binning="kmeans")
         with pytest.raises(ValueError):
             DecisionTreeRegressor(max_bins=1)
-        # The loop oracle has no histogram path; don't silently run exact.
         with pytest.raises(ValueError):
-            DecisionTreeRegressor(impl="reference", binning="histogram")
-        with pytest.raises(ValueError):
-            GradientBoostingRegressor(impl="reference", binning="histogram")
+            GradientBoostingRegressor(binning="kmeans")
 
     def test_thresholds_are_deduplicated(self):
         # Regression: midpoints of near-adjacent unique values can round
@@ -101,9 +98,24 @@ class TestDecisionTree:
                                      binning="histogram").fit(x, y)
         assert np.abs(tree.predict(x) - y).mean() < 0.5
 
-    def test_reference_impl_predict_before_fit_raises(self):
-        with pytest.raises(RuntimeError):
-            DecisionTreeRegressor(impl="reference").predict(np.ones((2, 2)))
+    def test_midpoint_rounded_onto_last_value_does_not_divide_by_zero(self):
+        # Regression: the float midpoint of two adjacent doubles can round up
+        # onto the upper one, so that candidate sends every row left.  The
+        # exact split search divided by its empty right side (RuntimeWarning)
+        # before masking it out.
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        x = np.column_stack([[low] * 6 + [high] * 6, np.arange(12.0)])
+        y = np.array([0.0] * 6 + [1.0] * 6)
+        tree = DecisionTreeRegressor(max_depth=2, min_samples_leaf=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tree.fit(x, y)
+        np.testing.assert_array_equal(tree.predict(x), y)
+        # Same tree as the per-threshold loop oracle.
+        tree._root = tree._reference_grow(x, y, depth=0)
+        np.testing.assert_array_equal(tree._reference_predict(x), y)
 
 
 class TestGradientBoostingRegressor:

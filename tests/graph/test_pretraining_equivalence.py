@@ -1,8 +1,8 @@
-"""Equivalence suites: vectorized pretraining pipeline vs the reference loops.
+"""Equivalence suites: the pretraining pipeline vs the reference loops.
 
 Three layers, matching the engine:
 
-* corpus — vectorized strided-window pair extraction reproduces the nested
+* corpus — strided-window pair extraction reproduces the nested
   loops *exactly* (same pairs, same order), and the batched bincount noise
   distribution equals the counting loop;
 * SGNS — because corpus and noise are bit-identical, training consumes the
@@ -58,13 +58,13 @@ class TestCorpusEquivalence:
 
     @given(corpora, st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
-    def test_sgns_embeddings_bit_identical(self, walks, seed):
-        def train(impl):
-            trainer = SkipGramTrainer(num_nodes=20, dim=4, window=3,
-                                      negatives=3, seed=seed, impl=impl)
+    def test_sgns_embeddings_bit_identical(self, loop_corpus_trainer, walks, seed):
+        def train(make):
+            trainer = make(num_nodes=20, dim=4, window=3, negatives=3, seed=seed)
             return trainer.train(walks, epochs=2)
 
-        np.testing.assert_array_equal(train("reference"), train("vectorized"))
+        np.testing.assert_array_equal(train(loop_corpus_trainer),
+                                      train(SkipGramTrainer))
 
 
 class TestWalkStructuralEquivalence:
@@ -73,7 +73,7 @@ class TestWalkStructuralEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_vectorized_walks_respect_graph(self, adjacency, length, seed):
         walker = RandomWalker(lambda n: adjacency[n], num_nodes=len(adjacency),
-                              seed=seed, impl="vectorized")
+                              seed=seed)
         walks = walker.generate_walks(walks_per_node=2, walk_length=length)
         assert len(walks) == 2 * len(adjacency)
         for walk in walks:
@@ -87,16 +87,14 @@ class TestWalkStructuralEquivalence:
     @given(graphs, st.integers(min_value=0, max_value=50))
     @settings(max_examples=40, deadline=None)
     def test_both_impls_terminate_identically_on_degenerate_graphs(
-            self, adjacency, seed):
-        """Walk lengths depend only on the dead-end structure, not the impl."""
-        def lengths(impl):
-            walker = RandomWalker(lambda n: adjacency[n],
-                                  num_nodes=len(adjacency), seed=seed, impl=impl)
-            walks = sorted(walker.generate_walks(1, 6))
-            return walks
+            self, reference_walks, adjacency, seed):
+        """Walk lengths depend only on the dead-end structure, not the engine."""
+        def make():
+            return RandomWalker(lambda n: adjacency[n], num_nodes=len(adjacency),
+                                seed=seed)
 
-        reference = lengths("reference")
-        vectorized = lengths("vectorized")
+        reference = sorted(reference_walks(make(), 1, 6))
+        vectorized = sorted(make().generate_walks(1, 6))
         # Same multiset of start nodes; early termination states agree.
         assert [w[0] for w in reference] == [w[0] for w in vectorized]
         for ref_walk, vec_walk in zip(reference, vectorized):
@@ -106,7 +104,8 @@ class TestWalkStructuralEquivalence:
 
 
 class TestWalkDistributionalEquivalence:
-    """Transition statistics agree between impls (histogram-mode pattern)."""
+    """Transition statistics of the engine and the loop agree (histogram-mode
+    pattern)."""
 
     @staticmethod
     def _ring(size):
@@ -114,40 +113,41 @@ class TestWalkDistributionalEquivalence:
             return [(node - 1) % size, (node + 1) % size]
         return neighbors
 
-    def _transition_counts(self, impl, p, q, passes, seed):
+    def _transition_counts(self, generate, p, q, passes, seed):
         size = 10
         walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=q,
-                              seed=seed, impl=impl)
+                              seed=seed)
         counts = np.zeros((size, size))
-        for walk in walker.generate_walks(passes, 12):
+        for walk in generate(walker, passes, 12):
             for a, b in zip(walk, walk[1:]):
                 counts[a, b] += 1
         return counts
 
     @pytest.mark.parametrize("p,q", [(1.0, 1.0), (4.0, 0.25), (0.25, 4.0)])
-    def test_first_order_transition_frequencies_agree(self, p, q):
-        reference = self._transition_counts("reference", p, q, passes=60, seed=0)
-        vectorized = self._transition_counts("vectorized", p, q, passes=60, seed=1)
+    def test_first_order_transition_frequencies_agree(self, p, q, reference_walks):
+        reference = self._transition_counts(reference_walks, p, q, passes=60, seed=0)
+        vectorized = self._transition_counts(RandomWalker.generate_walks, p, q,
+                                             passes=60, seed=1)
         reference /= reference.sum()
         vectorized /= vectorized.sum()
         total_variation = 0.5 * np.abs(reference - vectorized).sum()
         assert total_variation < 0.05
 
-    def test_backtrack_rate_tracks_p_in_both_impls(self):
-        """P(walk[t] == walk[t-2]) responds to p the same way in both impls."""
-        def backtrack_rate(impl, p):
+    def test_backtrack_rate_tracks_p_in_both_impls(self, reference_walks):
+        """P(walk[t] == walk[t-2]) responds to p the same way in both."""
+        def backtrack_rate(generate, p):
             size = 12
             walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=1.0,
-                                  seed=5, impl=impl)
+                                  seed=5)
             hits = steps = 0
-            for walk in walker.generate_walks(40, 15):
+            for walk in generate(walker, 40, 15):
                 for i in range(2, len(walk)):
                     steps += 1
                     hits += walk[i] == walk[i - 2]
             return hits / steps
 
-        for impl in ("reference", "vectorized"):
-            assert backtrack_rate(impl, 20.0) < backtrack_rate(impl, 0.05)
-        # And the rates themselves agree across impls for the same p.
-        assert backtrack_rate("reference", 4.0) == pytest.approx(
-            backtrack_rate("vectorized", 4.0), abs=0.04)
+        for generate in (reference_walks, RandomWalker.generate_walks):
+            assert backtrack_rate(generate, 20.0) < backtrack_rate(generate, 0.05)
+        # And the rates themselves agree for the same p.
+        assert backtrack_rate(reference_walks, 4.0) == pytest.approx(
+            backtrack_rate(RandomWalker.generate_walks, 4.0), abs=0.04)

@@ -64,10 +64,6 @@ class TestSkipGramTrainer:
         copy[:] = 99.0
         assert not np.allclose(trainer.in_embeddings, 99.0)
 
-    def test_invalid_impl(self):
-        with pytest.raises(ValueError):
-            SkipGramTrainer(num_nodes=5, dim=2, impl="gpu")
-
 
 class TestLearningRateDecay:
     def test_decay_changes_training_outcome(self):
@@ -98,12 +94,13 @@ class TestLearningRateDecay:
 
 
 class TestFixedSeedPins:
-    """Pin the exact training output (both impls share one RNG stream)."""
+    """Pin the exact training output (engine and loop corpus share one RNG
+    stream)."""
 
-    @pytest.mark.parametrize("impl", ["reference", "vectorized"])
-    def test_training_output_pinned(self, impl):
-        trainer = SkipGramTrainer(num_nodes=6, dim=3, window=2, negatives=2,
-                                  seed=7, impl=impl)
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_training_output_pinned(self, engine, loop_corpus_trainer):
+        make = loop_corpus_trainer if engine == "reference" else SkipGramTrainer
+        trainer = make(num_nodes=6, dim=3, window=2, negatives=2, seed=7)
         embeddings = trainer.train([[0, 1, 2, 3], [3, 4, 5, 0]], epochs=1)
         np.testing.assert_allclose(
             embeddings[0], [0.0416984889, 0.1324046003, 0.0918952301], atol=1e-9)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.graph import RandomWalker
@@ -67,37 +66,32 @@ class TestRandomWalker:
         b = RandomWalker(ring_neighbors(8), 8, seed=7).generate_walks(1, 6)
         assert a == b
 
-    def test_invalid_impl(self):
-        with pytest.raises(ValueError):
-            RandomWalker(ring_neighbors(4), 4, impl="fast")
-
 
 class TestVectorizedWalker:
     """The CSR lockstep engine honours the same walk semantics as the loop."""
 
     def test_generate_walks_count_and_starts(self):
-        walker = RandomWalker(ring_neighbors(6), num_nodes=6, seed=0, impl="vectorized")
+        walker = RandomWalker(ring_neighbors(6), num_nodes=6, seed=0)
         walks = walker.generate_walks(walks_per_node=3, walk_length=5)
         assert len(walks) == 18
         assert sorted(w[0] for w in walks) == sorted(list(range(6)) * 3)
 
     def test_walks_follow_edges(self):
-        walker = RandomWalker(ring_neighbors(12), num_nodes=12, seed=1, impl="vectorized")
+        walker = RandomWalker(ring_neighbors(12), num_nodes=12, seed=1)
         for walk in walker.generate_walks(2, 20):
             assert len(walk) == 20
             for a, b in zip(walk, walk[1:]):
                 assert b in ring_neighbors(12)(a)
 
     def test_isolated_node_walk_stops(self):
-        walker = RandomWalker(lambda n: [], num_nodes=3, seed=0, impl="vectorized")
+        walker = RandomWalker(lambda n: [], num_nodes=3, seed=0)
         walks = walker.generate_walks(1, 5)
         assert sorted(walks) == [[0], [1], [2]]
 
     def test_dead_end_terminates_walk(self):
         # 0 -> 1, 1 has no neighbours; 2 is isolated.
         adjacency = {0: [1], 1: [], 2: []}
-        walker = RandomWalker(lambda n: adjacency[n], num_nodes=3, seed=0,
-                              impl="vectorized")
+        walker = RandomWalker(lambda n: adjacency[n], num_nodes=3, seed=0)
         walks = {w[0]: w for w in walker.generate_walks(1, 10)}
         assert walks[0] == [0, 1]
         assert walks[1] == [1]
@@ -108,7 +102,7 @@ class TestVectorizedWalker:
         backtracks = {"low_p": 0, "high_p": 0}
         for label, p in (("low_p", 0.05), ("high_p", 50.0)):
             walker = RandomWalker(ring_neighbors(size), num_nodes=size, p=p,
-                                  q=1.0, seed=3, impl="vectorized")
+                                  q=1.0, seed=3)
             for walk in walker.generate_walks(1, 30):
                 for i in range(2, len(walk)):
                     if walk[i] == walk[i - 2]:
@@ -122,43 +116,44 @@ class TestVectorizedWalker:
             calls.append(node)
             return ring_neighbors(8)(node)
 
-        walker = RandomWalker(counting_neighbors, num_nodes=8, seed=0,
-                              impl="vectorized")
+        walker = RandomWalker(counting_neighbors, num_nodes=8, seed=0)
         walker.generate_walks(4, 10)
         assert sorted(calls) == list(range(8))
 
     def test_walk_elements_are_python_ints(self):
-        walker = RandomWalker(ring_neighbors(5), num_nodes=5, seed=0, impl="vectorized")
+        walker = RandomWalker(ring_neighbors(5), num_nodes=5, seed=0)
         for walk in walker.generate_walks(1, 4):
             assert all(type(node) is int for node in walk)
 
-    @pytest.mark.parametrize("impl", ["reference", "vectorized"])
-    def test_short_length_takes_first_step_in_both_impls(self, impl):
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_short_length_takes_first_step_in_both_impls(self, engine,
+                                                         reference_walks):
         # The reference loop always takes the uniform first step, even for
         # walk_length < 2; the lockstep engine must agree.
-        walker = RandomWalker(ring_neighbors(5), num_nodes=5, seed=0, impl=impl)
-        assert all(len(walk) == 2 for walk in walker.generate_walks(1, 1))
+        generate = (reference_walks if engine == "reference"
+                    else RandomWalker.generate_walks)
+        walker = RandomWalker(ring_neighbors(5), num_nodes=5, seed=0)
+        assert all(len(walk) == 2 for walk in generate(walker, 1, 1))
 
 
 class TestFixedSeedPins:
-    """Pin the exact RNG streams of both impls so rewrites cannot drift."""
+    """Pin the exact RNG streams of the engine and the loop oracle."""
 
-    def test_reference_walks_pinned(self):
-        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42,
-                              impl="reference")
-        assert walker.generate_walks(1, 5) == [
+    def test_reference_walks_pinned(self, reference_walks):
+        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42)
+        assert reference_walks(walker, 1, 5) == [
             [3, 2, 1, 2, 3], [2, 3, 4, 3, 2], [5, 0, 1, 2, 3],
             [4, 3, 2, 1, 0], [1, 2, 3, 4, 5], [0, 5, 4, 5, 0]]
 
     def test_vectorized_walks_pinned(self):
-        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42,
-                              impl="vectorized")
+        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42)
         assert walker.generate_walks(1, 5) == [
             [3, 4, 5, 0, 1], [2, 1, 0, 5, 0], [5, 0, 1, 0, 1],
             [4, 5, 0, 1, 2], [1, 2, 3, 4, 3], [0, 5, 4, 3, 2]]
 
-    @pytest.mark.parametrize("impl", ["reference", "vectorized"])
-    def test_same_seed_same_walks(self, impl):
-        make = lambda: RandomWalker(ring_neighbors(9), 9, p=0.5, q=2.0, seed=11,
-                                    impl=impl)
-        assert make().generate_walks(2, 7) == make().generate_walks(2, 7)
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_same_seed_same_walks(self, engine, reference_walks):
+        generate = (reference_walks if engine == "reference"
+                    else RandomWalker.generate_walks)
+        make = lambda: RandomWalker(ring_neighbors(9), 9, p=0.5, q=2.0, seed=11)
+        assert generate(make(), 2, 7) == generate(make(), 2, 7)

@@ -1,4 +1,4 @@
-"""Tests for the HMM map matcher (reference and vectorized engines)."""
+"""Tests for the HMM map matcher and its loop oracles."""
 
 from __future__ import annotations
 
@@ -22,6 +22,17 @@ def build_path(network, start_node=0, hops=5):
         path.append(edges[0])
         node = network.edge_endpoints(edges[0])[1]
     return path
+
+
+class ReferenceMatcher(HMMMapMatcher):
+    """The matcher with the loop oracles swapped in for candidate search
+    (full scan per fix) and decoding (per-pair Viterbi, fresh Dijkstras)."""
+
+    def _vectorized_candidate_sets(self, positions):
+        return self._reference_candidate_sets(positions)
+
+    def _vectorized_decode(self, *args):
+        return self._reference_decode(*args)
 
 
 def features(length):
@@ -71,8 +82,6 @@ class TestHMMMapMatcher:
             HMMMapMatcher(tiny_network, emission_sigma=0.0)
         with pytest.raises(ValueError):
             HMMMapMatcher(tiny_network, transition_beta=-1.0)
-        with pytest.raises(ValueError):
-            HMMMapMatcher(tiny_network, impl="gpu")
 
     def test_empty_trajectory(self, matcher, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
@@ -134,8 +143,7 @@ class TestTransitionModel:
     """The corrected projection-point transition model (was: adjacency = 0 m)."""
 
     def test_crawl_along_one_edge_is_not_stationary(self, single_edge_network):
-        matcher = HMMMapMatcher(single_edge_network, impl="reference",
-                                transition_beta=30.0)
+        matcher = HMMMapMatcher(single_edge_network, transition_beta=30.0)
         # Two fixes 500 m apart along the same 1000 m edge: the driving
         # distance is (0.6 - 0.1) * 1000 = 500 m, matching the straight-line
         # separation, so the transition is now a perfect score ...
@@ -146,14 +154,13 @@ class TestTransitionModel:
         assert log_prob != pytest.approx(-500.0 / 30.0)
 
     def test_backwards_crawl_needs_a_return_route(self, single_edge_network):
-        matcher = HMMMapMatcher(single_edge_network, impl="reference")
+        matcher = HMMMapMatcher(single_edge_network)
         # Moving backwards along a one-way edge requires a route from the
         # edge head back to its tail; none exists here.
         assert matcher._reference_transition_log_prob(0, 0.6, 0, 0.1, 500.0) == -np.inf
 
     def test_adjacent_edges_use_projection_distance(self, tiny_network):
-        matcher = HMMMapMatcher(tiny_network, impl="reference",
-                                transition_beta=30.0)
+        matcher = HMMMapMatcher(tiny_network, transition_beta=30.0)
         edge_a = tiny_network.out_edges(0)[0]
         target = tiny_network.edge_endpoints(edge_a)[1]
         edge_b = tiny_network.out_edges(target)[0]
@@ -190,8 +197,8 @@ class TestHMMBreak:
     def test_disconnected_trajectory_splits_into_segments(self, disconnected_network):
         trajectory = make_trajectory(
             [(50.0, 1.0), (150.0, 1.0), (10050.0, 1.0), (10150.0, 1.0)])
-        for impl in ("reference", "vectorized"):
-            matcher = HMMMapMatcher(disconnected_network, impl=impl)
+        for matcher_class in (ReferenceMatcher, HMMMapMatcher):
+            matcher = matcher_class(disconnected_network)
             segments = matcher.match_segments(trajectory)
             assert segments == [[0, 1], [2, 3]]
 
@@ -218,12 +225,11 @@ class TestHMMBreak:
 
 
 class TestImplEquivalence:
-    """Reference and vectorized engines decode bit-identical paths."""
+    """The matcher and its loop oracles decode bit-identical paths."""
 
     @pytest.fixture(scope="class")
     def matchers(self, tiny_network):
-        return (HMMMapMatcher(tiny_network, impl="reference"),
-                HMMMapMatcher(tiny_network, impl="vectorized"))
+        return ReferenceMatcher(tiny_network), HMMMapMatcher(tiny_network)
 
     def test_fixed_seed_trajectories_decode_identically(self, matchers, tiny_network):
         reference, vectorized = matchers

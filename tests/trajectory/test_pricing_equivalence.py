@@ -5,17 +5,18 @@
   as the scalar reference, so equality is exact (``==``, not approx).
 * ``grid=True`` quantises congestion to time slots; it must stay within a
   small relative band of the continuous model.
-* The ``impl="vectorized"`` simulator must produce bit-identical trips to
-  the reference simulator under one seed.
+* The simulator, which prices through the batched calls, must produce
+  bit-identical trips to a simulator whose speed model prices with the
+  scalar per-edge calls under one seed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.datasets import DatasetScale, build_city_dataset
 from repro.temporal import DepartureTime
 from repro.trajectory import CongestionProfile, SpeedModel, TripSimulator
 
@@ -118,21 +119,48 @@ class TestGridPricing:
         grid = model.path_travel_times(paths, departure_time, grid=True)
         # Quantisation error compounds along a path and is amplified on
         # near-floor speeds during peak ramps; adversarial random walks stay
-        # within 15% (realistic candidate corpora stay within 2% — gated by
-        # bench_pretraining_pipeline --check).
+        # within 15% (a realistic candidate corpus stays within 2%, below).
         np.testing.assert_allclose(grid, exact, rtol=0.15)
+
+    def test_grid_pricing_within_two_percent_on_simulated_corpus(self):
+        """Every driven and alternative path of a benchmark-scale Aalborg
+        corpus, priced at the first trip's departure time."""
+        city = build_city_dataset("aalborg", scale=DatasetScale.benchmark(), seed=0)
+        paths = []
+        for trip in city.trips:
+            paths.append(list(trip.path))
+            paths.extend(list(alternative) for alternative in trip.alternatives)
+        departure_time = city.trips[0].departure_time
+        model = city.speed_model
+        exact = model.path_travel_times(paths, departure_time)
+        grid = model.path_travel_times(paths, departure_time, grid=True)
+        assert len(paths) > 300
+        assert np.max(np.abs(grid - exact) / exact) <= 0.02
+
+
+class LoopPricedSpeedModel(SpeedModel):
+    """Prices every batch call with the scalar per-edge / per-path methods."""
+
+    def edge_travel_time_vector(self, departure_time):
+        return np.array([self.edge_travel_time(edge, departure_time)
+                         for edge in range(self.network.num_edges)])
+
+    def path_travel_times(self, paths, departure_time, grid=False):
+        assert not grid
+        return np.array([self.path_travel_time(path, departure_time)
+                         for path in paths])
 
 
 class TestSimulatorImplEquivalence:
     def test_vectorized_simulator_bit_identical(self, tiny_network):
-        def run(impl):
+        def run(model_class):
             simulator = TripSimulator(
-                tiny_network, speed_model=SpeedModel(tiny_network, seed=0),
-                seed=9, min_trip_edges=2, impl=impl)
+                tiny_network, speed_model=model_class(tiny_network, seed=0),
+                seed=9, min_trip_edges=2)
             return simulator.simulate(12)
 
-        reference = run("reference")
-        vectorized = run("vectorized")
+        reference = run(LoopPricedSpeedModel)
+        vectorized = run(SpeedModel)
         assert len(reference) == len(vectorized) == 12
         for ref_trip, vec_trip in zip(reference, vectorized):
             assert ref_trip.path == vec_trip.path

@@ -57,10 +57,6 @@ class TestTripSimulator:
         correlation = np.corrcoef(lengths, times)[0, 1]
         assert correlation > 0.5
 
-    def test_invalid_impl(self, tiny_network):
-        with pytest.raises(ValueError):
-            TripSimulator(tiny_network, impl="turbo")
-
     def test_peak_travel_slower_for_fixed_od(self, tiny_network):
         """Same OD pair takes longer in the peak (what weak labels capture)."""
         simulator = TripSimulator(tiny_network,
