@@ -110,12 +110,17 @@ class SpatialEmbedding(nn.Module):
             hold the reserved :data:`~repro.core.encoder.PAD_EDGE_ID`
             sentinel (any negative id); they embed to exactly zero vectors,
             so padded steps contribute neither activations nor gradients.
+            An id ``>= num_edges`` raises ``ValueError``.
 
         Returns
         -------
         Tensor of shape ``(batch, max_len, spatial_dim)``.
         """
         edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
+        num_edges = len(self._edge_categories)
+        if edge_ids.size and edge_ids.max() >= num_edges:
+            raise ValueError(f"edge id {int(edge_ids.max())} is out of range "
+                             f"for a network with {num_edges} edges")
         padded = edge_ids < 0
         has_padding = bool(padded.any())
         safe_ids = np.where(padded, 0, edge_ids) if has_padding else edge_ids

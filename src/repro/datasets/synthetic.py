@@ -10,7 +10,8 @@ CPU in seconds-to-minutes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from ..roadnet.generator import CityConfig, generate_city_network
 from ..temporal.weak_labels import CongestionIndexLabeler, PeakOffPeakLabeler
@@ -29,16 +30,24 @@ __all__ = ["DatasetScale", "CityDataset", "build_city_dataset", "mapmatch_trips"
 class DatasetScale:
     """Scale knobs for a synthetic dataset build.
 
-    ``tiny`` is for unit tests, ``small`` for benchmarks, ``medium`` for the
-    examples.  The paper-scale corpora (tens of thousands of paths over
-    ~10k-node networks) are out of reach for pure-numpy training, which the
-    DESIGN.md substitution table documents.
+    ``tiny`` is for unit tests, ``benchmark`` for the paper-table benchmarks,
+    ``small`` for the examples and ``medium`` for the map-matched
+    pretraining workload of ``perfbench/``.  The paper-scale corpora (tens
+    of thousands of paths over ~10k-node networks) are out of reach for
+    pure-numpy training.  Every field must be a positive integer.
     """
 
     grid_rows: int
     grid_cols: int
     num_trips: int
     num_labeled: int
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(
+                    f"{field.name} must be a positive integer, got {value!r}")
 
     @classmethod
     def tiny(cls):

@@ -10,13 +10,9 @@ Embeddings are obtained through the batched
 :class:`~repro.serving.PathEmbeddingService` (length-bucketed micro-batching
 plus an LRU cache shared between the train and test encodes — and, via
 :func:`evaluate_all_tasks`, across the three tasks).  The service is
-numerically faithful to direct encoding, so results are unchanged; pass
-``serving=False`` to bypass it, or pass a ready-made service as ``model`` to
-control its configuration.
-
-``binning`` selects the split search of the downstream trees
-(:mod:`repro.downstream.tree`): ``"exact"`` (default) scans every deduplicated
-midpoint threshold, ``"histogram"`` the quantile-binned fast path.
+numerically faithful to direct encoding, so results equal those of the raw
+model; pass a ready-made service as ``model`` to share its cache across
+calls.
 """
 
 from __future__ import annotations
@@ -77,42 +73,32 @@ class RecommendationResult:
         return {"Acc": self.accuracy, "HR": self.hit_rate}
 
 
-def ensure_service(model, serving=True):
+def ensure_service(model):
     """Route a representation model through the path-embedding service.
 
-    A model that already is a :class:`PathEmbeddingService` is used as-is
-    (so callers can share one cache across evaluations); with
-    ``serving=False`` the raw model is used directly.
+    A model that already is a :class:`PathEmbeddingService` is used as-is,
+    so callers can share one cache across evaluations.
     """
-    if not serving or isinstance(model, PathEmbeddingService):
+    if isinstance(model, PathEmbeddingService):
         return model
     return PathEmbeddingService(model)
 
 
-def _encode(model, temporal_paths):
-    representations = model.encode(temporal_paths)
-    representations = np.asarray(representations, dtype=np.float64)
-    if representations.ndim != 2 or len(representations) != len(temporal_paths):
-        raise ValueError("representation model returned a malformed matrix")
-    return representations
-
-
 def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
-                         n_estimators=40, max_depth=3, serving=True, binning="exact"):
+                         n_estimators=40, max_depth=3):
     """Fit GBR on TPRs -> travel time; report MAE / MARE / MAPE on the test split."""
     train, test = train_test_split(examples, test_fraction=test_fraction, seed=seed)
     if not train or not test:
         raise ValueError("need at least one train and one test example")
 
-    model = ensure_service(model, serving=serving)
-    train_x = _encode(model, [e.temporal_path for e in train])
-    test_x = _encode(model, [e.temporal_path for e in test])
+    service = ensure_service(model)
+    train_x = service.embed([e.temporal_path for e in train])
+    test_x = service.embed([e.temporal_path for e in test])
     train_y = np.array([e.travel_time for e in train])
     test_y = np.array([e.travel_time for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
-    ).fit(train_x, train_y)
+        n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return TravelTimeResult(
         mae=mae(test_y, predictions),
@@ -122,7 +108,7 @@ def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
-                     n_estimators=40, max_depth=3, serving=True, binning="exact"):
+                     n_estimators=40, max_depth=3):
     """Fit GBR on TPRs -> ranking score; report MAE / τ / ρ on the test split.
 
     The split is grouped by trip so the candidate set of one trip never
@@ -135,16 +121,15 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
     if not train or not test:
         raise ValueError("need at least one train and one test group")
 
-    model = ensure_service(model, serving=serving)
-    train_x = _encode(model, [e.temporal_path for e in train])
-    test_x = _encode(model, [e.temporal_path for e in test])
+    service = ensure_service(model)
+    train_x = service.embed([e.temporal_path for e in train])
+    test_x = service.embed([e.temporal_path for e in test])
     train_y = np.array([e.score for e in train])
     test_y = np.array([e.score for e in test])
     test_groups = np.array([e.group for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
-    ).fit(train_x, train_y)
+        n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return RankingResult(
         mae=mae(test_y, predictions),
@@ -154,8 +139,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
 
 
 def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
-                            n_estimators=40, max_depth=3, serving=True,
-                            binning="exact"):
+                            n_estimators=40, max_depth=3):
     """Fit GBC on TPRs -> chosen/not-chosen; report accuracy and hit rate."""
     groups = [e.group for e in examples]
     train, test = grouped_train_test_split(examples, groups,
@@ -163,9 +147,9 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
     if not train or not test:
         raise ValueError("need at least one train and one test group")
 
-    model = ensure_service(model, serving=serving)
-    train_x = _encode(model, [e.temporal_path for e in train])
-    test_x = _encode(model, [e.temporal_path for e in test])
+    service = ensure_service(model)
+    train_x = service.embed([e.temporal_path for e in train])
+    test_x = service.embed([e.temporal_path for e in test])
     train_y = np.array([e.chosen for e in train])
     test_y = np.array([e.chosen for e in test])
 
@@ -174,8 +158,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
         predictions = np.full(len(test_y), int(round(train_y.mean())))
     else:
         classifier = GradientBoostingClassifier(
-            n_estimators=n_estimators, max_depth=max_depth, seed=seed, binning=binning,
-        ).fit(train_x, train_y)
+            n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
         predictions = classifier.predict(test_x)
     return RecommendationResult(
         accuracy=accuracy(test_y, predictions),
@@ -183,8 +166,7 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
     )
 
 
-def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
-                       serving=True, binning="exact"):
+def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40):
     """Run all three downstream evaluations against one representation model.
 
     ``tasks`` is a :class:`~repro.datasets.tasks.TaskDatasets`.  Returns a
@@ -194,15 +176,15 @@ def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40,
     three evaluations, so paths appearing in several task datasets are
     encoded once and served from the cache afterwards.
     """
-    model = ensure_service(model, serving=serving)
+    service = ensure_service(model)
     return {
         "travel_time": evaluate_travel_time(
-            model, tasks.travel_time, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
+            service, tasks.travel_time, test_fraction=test_fraction,
+            seed=seed, n_estimators=n_estimators),
         "ranking": evaluate_ranking(
-            model, tasks.ranking, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
+            service, tasks.ranking, test_fraction=test_fraction,
+            seed=seed, n_estimators=n_estimators),
         "recommendation": evaluate_recommendation(
-            model, tasks.recommendation, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators, serving=serving, binning=binning),
+            service, tasks.recommendation, test_fraction=test_fraction,
+            seed=seed, n_estimators=n_estimators),
     }

@@ -8,6 +8,7 @@ just "for each method: fit, evaluate, collect a row".
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from ..baselines import (
@@ -61,6 +62,20 @@ class HarnessConfig:
     n_estimators: int = 20
     test_fraction: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("baseline_dim", "baseline_epochs", "supervised_epochs",
+                     "max_batches", "n_estimators"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if not (isinstance(self.test_fraction, numbers.Real)
+                and 0.0 < self.test_fraction < 1.0):
+            raise ValueError(
+                f"test_fraction must be in (0, 1), got {self.test_fraction!r}")
+        if self.paths_from not in ("simulator", "mapmatched"):
+            raise ValueError("paths_from must be 'simulator' or 'mapmatched', "
+                             f"got {self.paths_from!r}")
 
     @classmethod
     def benchmark(cls):

@@ -3,6 +3,11 @@
 Every function returns plain dictionaries (method -> metrics) so benchmarks
 can both print the table and assert on its *shape* (who wins, orderings)
 without depending on absolute values.
+
+Frozen representation models are scored through
+:func:`representation_task_results`: one
+:class:`~repro.serving.PathEmbeddingService` per model serves the task
+embeddings, and exact-split gradient-boosting models fit them.
 """
 
 from __future__ import annotations
@@ -51,34 +56,28 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared evaluation helpers
 # ----------------------------------------------------------------------
-def representation_task_results(model, city, config, tasks=("travel_time", "ranking"),
-                                serving=True, binning="exact"):
+def representation_task_results(model, city, config, tasks=("travel_time", "ranking")):
     """GBR/GBC evaluation of a frozen representation model on selected tasks.
 
     Embeddings are obtained through one shared
     :class:`~repro.serving.PathEmbeddingService` per model, so paths that
     recur across the selected tasks hit the embedding cache instead of being
-    re-encoded; ``serving=False`` evaluates the raw model directly.
-
-    ``binning`` picks the downstream GBM split search (exact by default).
+    re-encoded.
     """
-    model = ensure_service(model, serving=serving)
+    service = ensure_service(model)
     results = {}
     if "travel_time" in tasks:
         results["travel_time"] = evaluate_travel_time(
-            model, city.tasks.travel_time, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            binning=binning).as_row()
+            service, city.tasks.travel_time, test_fraction=config.test_fraction,
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     if "ranking" in tasks:
         results["ranking"] = evaluate_ranking(
-            model, city.tasks.ranking, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            binning=binning).as_row()
+            service, city.tasks.ranking, test_fraction=config.test_fraction,
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     if "recommendation" in tasks:
         results["recommendation"] = evaluate_recommendation(
-            model, city.tasks.recommendation, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators, serving=serving,
-            binning=binning).as_row()
+            service, city.tasks.recommendation, test_fraction=config.test_fraction,
+            seed=config.seed, n_estimators=config.n_estimators).as_row()
     return results
 
 
@@ -129,11 +128,8 @@ def run_table2_dataset_statistics(config, cities=("aalborg", "harbin", "chengdu"
 # Table III — overall accuracy (travel time + ranking)
 # ----------------------------------------------------------------------
 def run_table3_overall(config, cities=("aalborg",), methods=None,
-                       include_supervised=True, include_edge_sum=True, binning="exact"):
-    """Travel-time and ranking results for WSCCL and the baselines.
-
-    ``binning`` selects the downstream GBM split search.
-    """
+                       include_supervised=True, include_edge_sum=True):
+    """Travel-time and ranking results for WSCCL and the baselines."""
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
     for city_name in cities:
@@ -142,8 +138,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
-            city_rows[name] = representation_task_results(
-                model, city, config, binning=binning)
+            city_rows[name] = representation_task_results(model, city, config)
 
         if include_supervised:
             for name in SUPERVISED_BASELINES:
@@ -161,8 +156,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
                 }
 
         wsccl = fit_wsccl(city, config, variant="full")
-        city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, binning=binning)
+        city_rows["WSCCL"] = representation_task_results(wsccl, city, config)
         results[city_name] = city_rows
     return results
 
@@ -170,7 +164,7 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 # ----------------------------------------------------------------------
 # Table IV — path recommendation
 # ----------------------------------------------------------------------
-def run_table4_recommendation(config, cities=("aalborg",), methods=None, binning="exact"):
+def run_table4_recommendation(config, cities=("aalborg",), methods=None):
     """Path recommendation accuracy / hit rate for WSCCL and baselines."""
     methods = methods or UNSUPERVISED_BASELINES
     results = {}
@@ -180,11 +174,11 @@ def run_table4_recommendation(config, cities=("aalborg",), methods=None, binning
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
             city_rows[name] = representation_task_results(
-                model, city, config, tasks=("recommendation",), binning=binning,
+                model, city, config, tasks=("recommendation",),
             )["recommendation"]
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, tasks=("recommendation",), binning=binning,
+            wsccl, city, config, tasks=("recommendation",),
         )["recommendation"]
         results[city_name] = city_rows
     return results

@@ -21,12 +21,12 @@ __all__ = ["Node2Vec", "Node2VecConfig"]
 class Node2VecConfig:
     """Hyper-parameters for one node2vec run.
 
-    ``lr_decay`` enables the word2vec-style linear learning-rate schedule.
+    ``lr`` is the initial skip-gram learning rate; it decays linearly, as in
+    word2vec.
     """
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
-                 negatives=5, epochs=2, p=1.0, q=1.0, lr=0.025, seed=0,
-                 lr_decay=True):
+                 negatives=5, epochs=2, p=1.0, q=1.0, lr=0.025, seed=0):
         for name, value in (("dim", dim), ("walks_per_node", walks_per_node),
                             ("walk_length", walk_length), ("window", window),
                             ("negatives", negatives), ("epochs", epochs)):
@@ -47,7 +47,6 @@ class Node2VecConfig:
         self.q = q
         self.lr = lr
         self.seed = seed
-        self.lr_decay = lr_decay
 
 
 class Node2Vec:
@@ -79,7 +78,6 @@ class Node2Vec:
             negatives=cfg.negatives,
             lr=cfg.lr,
             seed=cfg.seed,
-            lr_decay=cfg.lr_decay,
         )
         self._embeddings = trainer.train(walks, epochs=cfg.epochs)
         return self._embeddings

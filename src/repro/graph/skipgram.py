@@ -11,7 +11,7 @@ counts are bit-identical to them, training consumes the RNG identically and
 the embeddings match a loop-built corpus bit for bit.
 
 The learning rate decays linearly over the planned updates down to a floor
-of ``lr / 10_000``, as in word2vec; disable with ``lr_decay=False``.
+of ``lr / 10_000``, as in word2vec.
 """
 
 from __future__ import annotations
@@ -43,14 +43,12 @@ class SkipGramTrainer:
     negatives:
         Number of negative samples per positive pair.
     lr:
-        Initial SGD learning rate (decays linearly when ``lr_decay``).
-    lr_decay:
-        Word2vec-style linear decay of the learning rate over the planned
+        Initial SGD learning rate; it decays linearly over the planned
         updates of a :meth:`train` call, floored at ``lr / 10_000``.
     """
 
     def __init__(self, num_nodes, dim, window=5, negatives=5, lr=0.025, seed=0,
-                 batch_size=512, lr_decay=True):
+                 batch_size=512):
         if dim < 1:
             raise ValueError("dim must be >= 1")
         self.num_nodes = num_nodes
@@ -58,7 +56,6 @@ class SkipGramTrainer:
         self.window = window
         self.negatives = negatives
         self.lr = lr
-        self.lr_decay = lr_decay
         self.batch_size = batch_size
         self.rng = np.random.default_rng(seed)
         scale = 0.5 / dim
@@ -157,11 +154,8 @@ class SkipGramTrainer:
                 self.num_nodes, size=(len(pairs), self.negatives), p=noise
             )
             for start in range(0, len(pairs), self.batch_size):
-                if self.lr_decay:
-                    step_lr = max(self.lr * (1.0 - completed / total_batches),
-                                  self.lr * _MIN_LR_FRACTION)
-                else:
-                    step_lr = self.lr
+                step_lr = max(self.lr * (1.0 - completed / total_batches),
+                              self.lr * _MIN_LR_FRACTION)
                 chunk = slice(start, start + self.batch_size)
                 self._update_batch(pairs[chunk, 0], pairs[chunk, 1],
                                    negatives[chunk], step_lr)

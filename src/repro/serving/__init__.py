@@ -1,22 +1,21 @@
 """Batched path-embedding serving layer (``repro.serving``).
 
-This package turns a trained representation model into a serving component
-sized for the ROADMAP's traffic goals.  It is the seam later scaling work
-(sharding, async request handling, multiple model backends) plugs into.
+This package turns a trained representation model into the component every
+downstream evaluation reads its embeddings from.
 
 Components
 ----------
 :class:`PathEmbeddingService`
-    Fronts any ``encode``-capable model with length-bucketed micro-batching,
-    an LRU embedding cache and a metrics scrape, while remaining numerically
-    faithful to one-at-a-time encoding.
+    Fronts any ``encode``-capable model with length-bucketed micro-batching
+    (at most 64 paths per batch), a 4,096-entry LRU embedding cache and a
+    metrics scrape, while remaining numerically faithful to one-at-a-time
+    encoding.
 :class:`LRUEmbeddingCache`
     Bounded ``(edge sequence, departure time) -> embedding`` store with
-    hit/miss/eviction counters (widen the key per model with
-    :func:`slot_cache_key`).
-Bucket policies (``"none"``, ``"fixed"``, ``"pow2"``, ``"exact"``)
-    Control how much padding waste micro-batches may carry; see
-    :mod:`repro.serving.bucketing` for the trade-offs.
+    hit/miss/eviction counters; :func:`cache_key` builds its keys.
+:func:`plan_batches`
+    Groups path lengths into buckets of width 8 so each micro-batch is
+    padded only to its own bucket's maximum.
 :class:`ServiceMetrics`
     Throughput, p50/p95 latency, padding efficiency and cache hit rate in
     one scrape dictionary.
@@ -25,8 +24,7 @@ Quick start::
 
     from repro.serving import PathEmbeddingService
 
-    service = PathEmbeddingService(model, bucket_policy="fixed",
-                                   max_batch_size=64, cache_capacity=4096)
+    service = PathEmbeddingService(model)
     embeddings = service.embed(temporal_paths)   # (N, D), request order
     print(service.scrape())                      # metrics snapshot
 
@@ -35,30 +33,15 @@ end to end: a Zipf request replay against a warm cache, checked row by row
 against direct encoding.
 """
 
-from .bucketing import (
-    BUCKET_POLICIES,
-    BucketPolicy,
-    ExactLengthBucketPolicy,
-    FixedWidthBucketPolicy,
-    PowerOfTwoBucketPolicy,
-    SingleBucketPolicy,
-    get_bucket_policy,
-)
+from .bucketing import plan_batches
 from .cache import LRUEmbeddingCache
 from .metrics import ServiceMetrics
-from .service import PathEmbeddingService, default_cache_key, slot_cache_key
+from .service import PathEmbeddingService, cache_key
 
 __all__ = [
-    "BUCKET_POLICIES",
-    "BucketPolicy",
-    "ExactLengthBucketPolicy",
-    "FixedWidthBucketPolicy",
-    "PowerOfTwoBucketPolicy",
-    "SingleBucketPolicy",
-    "get_bucket_policy",
+    "plan_batches",
     "LRUEmbeddingCache",
     "ServiceMetrics",
     "PathEmbeddingService",
-    "default_cache_key",
-    "slot_cache_key",
+    "cache_key",
 ]

@@ -1,166 +1,36 @@
-"""Length-bucketing policies for micro-batched path encoding.
+"""Length-bucketed micro-batch planning for path encoding.
 
 Padding a mini-batch to its longest path wastes compute on every shorter
-path.  A bucket policy groups paths of similar length so each micro-batch is
-padded only to its own bucket's maximum, bounding the waste instead of paying
-the worst case:
+path.  :func:`plan_batches` groups path lengths into buckets of a fixed width
+(``1..8`` share a bucket, ``9..16`` the next, and so on), so each micro-batch
+is padded only to its own bucket's maximum and per-step padding waste is
+bounded by ``(width - 1) / length``.
 
-``"none"``
-    No length grouping: paths are batched in arrival order.  This is the
-    pre-serving behaviour and the baseline the benchmark compares against.
-``"fixed"``
-    Lengths are grouped into buckets of a fixed width ``w``: paths of length
-    ``1..w`` share a bucket, ``w+1..2w`` the next, and so on.  Per-step
-    padding waste is bounded by ``(w - 1) / length``.
-``"pow2"``
-    Bucket boundaries at powers of two (1, 2, 3–4, 5–8, 9–16, ...): padding
-    waste is bounded by a factor of two while keeping the bucket count
-    logarithmic in the maximum length.
-``"exact"``
-    One bucket per distinct length: zero padding, but the most
-    micro-batches.  Best when the workload has few distinct lengths.
-
-Every policy produces deterministic plans: bucket keys are visited in sorted
-order and paths keep their relative order within a bucket, so serving results
-are reproducible run to run.
+Plans are deterministic: buckets are visited in ascending length order and
+paths keep their arrival order within a bucket, so serving results are
+reproducible run to run.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "BucketPolicy",
-    "SingleBucketPolicy",
-    "FixedWidthBucketPolicy",
-    "PowerOfTwoBucketPolicy",
-    "ExactLengthBucketPolicy",
-    "BUCKET_POLICIES",
-    "get_bucket_policy",
-]
+__all__ = ["plan_batches"]
+
+#: Lengths ``1..8`` share the first bucket, ``9..16`` the second, ...
+_BUCKET_WIDTH = 8
 
 
-class BucketPolicy:
-    """Assign path lengths to buckets and plan micro-batches."""
+def plan_batches(lengths, max_batch_size):
+    """Plan micro-batches of at most ``max_batch_size`` paths.
 
-    #: Registry name of the policy ("none", "fixed", ...).
-    name = "base"
-
-    def bucket_key(self, length):
-        """Hashable bucket identifier for a path of ``length`` edges."""
-        raise NotImplementedError
-
-    def plan(self, lengths, max_batch_size):
-        """Plan micro-batches over paths with the given lengths.
-
-        Parameters
-        ----------
-        lengths:
-            Sequence of path lengths (number of edges per path).
-        max_batch_size:
-            Upper bound on the number of paths per micro-batch.
-
-        Returns
-        -------
-        List of 1-D ``int64`` index arrays into ``lengths``; every index
-        appears in exactly one micro-batch.
-        """
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        lengths = np.asarray(lengths, dtype=np.int64)
-        buckets = {}
-        for index, length in enumerate(lengths):
-            buckets.setdefault(self.bucket_key(int(length)), []).append(index)
-        batches = []
-        for key in sorted(buckets):
-            members = buckets[key]
-            for start in range(0, len(members), max_batch_size):
-                chunk = members[start:start + max_batch_size]
-                batches.append(np.asarray(chunk, dtype=np.int64))
-        return batches
-
-    def describe(self):
-        """Short human-readable description used in metrics scrapes."""
-        return self.name
-
-
-class SingleBucketPolicy(BucketPolicy):
-    """No length grouping — arrival-order batching (the baseline)."""
-
-    name = "none"
-
-    def bucket_key(self, length):
-        return 0
-
-    def plan(self, lengths, max_batch_size):
-        # Preserve arrival order exactly instead of sorting by bucket.
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        count = len(lengths)
-        return [np.arange(start, min(start + max_batch_size, count), dtype=np.int64)
-                for start in range(0, count, max_batch_size)]
-
-
-class FixedWidthBucketPolicy(BucketPolicy):
-    """Buckets of a fixed length width (default 8)."""
-
-    name = "fixed"
-
-    def __init__(self, width=8):
-        width = int(width)
-        if width < 1:
-            raise ValueError("bucket width must be >= 1")
-        self.width = width
-
-    def bucket_key(self, length):
-        return (length - 1) // self.width
-
-    def describe(self):
-        return f"fixed(width={self.width})"
-
-
-class PowerOfTwoBucketPolicy(BucketPolicy):
-    """Bucket boundaries at powers of two: 1, 2, 3-4, 5-8, 9-16, ..."""
-
-    name = "pow2"
-
-    def bucket_key(self, length):
-        # ceil(log2(length)) via bit_length; length 1 -> 0, 2 -> 1, 3..4 -> 2.
-        return (length - 1).bit_length()
-
-
-class ExactLengthBucketPolicy(BucketPolicy):
-    """One bucket per distinct path length — zero padding."""
-
-    name = "exact"
-
-    def bucket_key(self, length):
-        return length
-
-
-#: name -> policy class, for :func:`get_bucket_policy`.
-BUCKET_POLICIES = {
-    SingleBucketPolicy.name: SingleBucketPolicy,
-    FixedWidthBucketPolicy.name: FixedWidthBucketPolicy,
-    PowerOfTwoBucketPolicy.name: PowerOfTwoBucketPolicy,
-    ExactLengthBucketPolicy.name: ExactLengthBucketPolicy,
-}
-
-
-def get_bucket_policy(policy, **kwargs):
-    """Resolve a policy instance from a name or pass an instance through.
-
-    ``get_bucket_policy("fixed", width=4)`` builds a fresh policy;
-    ``get_bucket_policy(my_policy)`` returns ``my_policy`` unchanged (extra
-    kwargs are rejected in that case).
+    Returns a list of 1-D ``int64`` index arrays into ``lengths``; every
+    index appears in exactly one micro-batch, and all members of a
+    micro-batch share a length bucket.
     """
-    if isinstance(policy, BucketPolicy):
-        if kwargs:
-            raise ValueError("cannot pass kwargs with a policy instance")
-        return policy
-    try:
-        policy_cls = BUCKET_POLICIES[policy]
-    except KeyError:
-        known = ", ".join(sorted(BUCKET_POLICIES))
-        raise ValueError(f"unknown bucket policy {policy!r} (known: {known})")
-    return policy_cls(**kwargs)
+    keys = (np.asarray(lengths, dtype=np.int64) - 1) // _BUCKET_WIDTH
+    order = np.argsort(keys, kind="stable")
+    buckets = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    return [bucket[start:start + max_batch_size]
+            for bucket in buckets
+            for start in range(0, len(bucket), max_batch_size)]

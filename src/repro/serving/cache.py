@@ -1,7 +1,7 @@
 """LRU cache for path embeddings.
 
-The cache maps a hashable key — by default ``(edge sequence, departure
-time)``, see :func:`repro.serving.service.default_cache_key` — to the
+The cache maps a hashable key — the service uses ``(edge sequence,
+departure time)``, see :func:`repro.serving.service.cache_key` — to the
 embedding vector the model computed for it.  Entries are stored as read-only copies and served
 back as fresh copies, so neither the service nor its callers can corrupt a
 cached value by mutating an array in place.

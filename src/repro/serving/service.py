@@ -6,28 +6,24 @@
 implementing :class:`~repro.baselines.base.RepresentationModel` — and serves
 embeddings at batch granularity:
 
-1. **Cache lookup.**  Each requested path is first looked up in an LRU cache
-   keyed on ``(edge sequence, departure time)`` — exact by default, so a hit
-   is always correct whatever the model's temporal granularity.  Models that
-   only distinguish coarser time slots can widen the key with
-   :func:`slot_cache_key` (or any custom ``cache_key_fn``) for a higher hit
-   rate.
-2. **Deduplication.**  With the cache enabled, misses are deduplicated
-   within the request: the same temporal path requested twice is encoded
-   once.  With the cache disabled every occurrence is encoded
-   independently, so models whose embeddings are not a pure function of
-   the key keep their semantics.
-3. **Length-bucketed micro-batching.**  Remaining unique misses are grouped
-   by a :class:`~repro.serving.bucketing.BucketPolicy` so each micro-batch
-   is padded to its own bucket's maximum length instead of the global one.
+1. **Cache lookup.**  Each requested path is first looked up in a
+   4,096-entry LRU cache keyed on the exact ``(edge sequence, day of week,
+   seconds)`` departure, so a hit is always correct whatever the model's
+   temporal granularity.
+2. **Deduplication.**  Misses are deduplicated within the request: the same
+   temporal path requested twice is encoded once.
+3. **Length-bucketed micro-batching.**  Remaining unique misses are planned
+   by :func:`~repro.serving.bucketing.plan_batches` into micro-batches of at
+   most 64 paths, each padded to its own length bucket's maximum instead of
+   the global one.
 4. **Metrics.**  Per-request latency, throughput, padding efficiency and
    cache counters are recorded in a
    :class:`~repro.serving.metrics.ServiceMetrics` and exposed via
    :meth:`PathEmbeddingService.scrape`.
 
-The service is *bit-faithful*: whatever the bucket policy, batch size or
-cache state, the returned matrix matches what one-at-a-time
-``model.encode([tp])`` calls produce (see ``tests/serving/``).
+The service is *bit-faithful*: whatever the request mix or cache state, the
+returned matrix matches what one-at-a-time ``model.encode([tp])`` calls
+produce (see ``tests/serving/``).
 """
 
 from __future__ import annotations
@@ -37,22 +33,25 @@ import time
 
 import numpy as np
 
-from .bucketing import get_bucket_policy
+from .bucketing import plan_batches
 from .cache import LRUEmbeddingCache
 from .metrics import ServiceMetrics
 
-__all__ = ["PathEmbeddingService", "default_cache_key", "slot_cache_key"]
+__all__ = ["PathEmbeddingService", "cache_key"]
+
+#: Upper bound on paths per model micro-batch.
+_MAX_BATCH_SIZE = 64
+#: LRU capacity in embeddings.
+_CACHE_CAPACITY = 4096
 
 
-def default_cache_key(temporal_path):
-    """Cache key ``(edge sequence, exact departure time)`` for a temporal path.
+def cache_key(temporal_path):
+    """Cache key ``(edge sequence, day of week, seconds)`` for a temporal path.
 
-    Keying on the exact ``(day of week, seconds)`` departure time never
-    merges two requests a model could distinguish, whatever its temporal
-    granularity — so the default is safe for any served model.  Repeated
+    Keying on the exact departure time never merges two requests a model
+    could distinguish, whatever its temporal granularity, while repeated
     requests for the same temporal path (the common traffic pattern) still
-    hit.  To additionally merge requests within one model time slot, pass
-    ``cache_key_fn=slot_cache_key(model_slots_per_day)``.
+    hit.
     """
     departure = temporal_path.departure_time
     day = getattr(departure, "day_of_week", None)
@@ -62,59 +61,16 @@ def default_cache_key(temporal_path):
     return (temporal_path.path, int(day), float(seconds))
 
 
-def slot_cache_key(slots_per_day):
-    """Key factory merging departure times within one ``(day, slot)`` bucket.
-
-    Safe whenever the served model consumes departure times at a granularity
-    no finer than ``slots_per_day`` slots (e.g. pass the model's
-    ``config.slots_per_day``); coarser keys than the model's own slots would
-    serve wrong embeddings.
-    """
-    slots_per_day = int(slots_per_day)
-    if slots_per_day < 1:
-        raise ValueError("slots_per_day must be >= 1")
-    seconds_per_slot = 86400.0 / slots_per_day
-
-    def key(temporal_path):
-        departure = temporal_path.departure_time
-        slot = min(int(departure.seconds // seconds_per_slot), slots_per_day - 1)
-        return (temporal_path.path,
-                departure.day_of_week * slots_per_day + slot)
-
-    return key
-
-
 class PathEmbeddingService:
-    """Serve path embeddings from a model with batching and caching.
+    """Serve path embeddings from ``model`` with batching and caching.
 
-    Parameters
-    ----------
-    model:
-        Any object exposing ``encode(temporal_paths) -> (N, D) array``.
-    bucket_policy:
-        A :class:`~repro.serving.bucketing.BucketPolicy` instance or registry
-        name (``"none"``, ``"fixed"``, ``"pow2"``, ``"exact"``).
-    max_batch_size:
-        Upper bound on paths per model micro-batch.
-    cache_capacity:
-        LRU capacity in entries; ignored when ``cache_enabled`` is False.
-    cache_enabled:
-        Disable to force every request through the model (benchmarking,
-        or models whose embeddings are not a pure function of the key).
-    cache_key_fn:
-        Override the exact ``(edge sequence, departure time)`` key, e.g.
-        :func:`slot_cache_key` for slot-granular models.
+    ``model`` is any object exposing ``encode(temporal_paths) -> (N, D)
+    array``.
     """
 
-    def __init__(self, model, bucket_policy="fixed", max_batch_size=64,
-                 cache_capacity=4096, cache_enabled=True, cache_key_fn=None):
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
+    def __init__(self, model):
         self.model = model
-        self.bucket_policy = get_bucket_policy(bucket_policy)
-        self.max_batch_size = int(max_batch_size)
-        self.cache = LRUEmbeddingCache(cache_capacity) if cache_enabled else None
-        self.cache_key_fn = cache_key_fn or default_cache_key
+        self.cache = LRUEmbeddingCache(_CACHE_CAPACITY)
         self.metrics = ServiceMetrics()
         self._output_dim = None
         try:
@@ -141,7 +97,7 @@ class PathEmbeddingService:
         if self._encode_accepts_batch_size:
             # Encoders with an internal default batch_size (e.g. 64) would
             # otherwise re-chunk our micro-batch, invalidating the padding
-            # stats and capping the effective batch below max_batch_size.
+            # stats and capping the effective batch below _MAX_BATCH_SIZE.
             raw = self.model.encode(temporal_paths,
                                     batch_size=len(temporal_paths))
         else:
@@ -176,13 +132,7 @@ class PathEmbeddingService:
         pending = {}
         pending_paths = []
         for position, path in enumerate(temporal_paths):
-            if self.cache is None:
-                # No cache: no dedup either, so every occurrence is encoded
-                # independently (models need not be pure functions of the key).
-                pending[position] = [position]
-                pending_paths.append((position, path))
-                continue
-            key = self.cache_key_fn(path)
+            key = cache_key(path)
             cached = self.cache.get(key)
             if cached is not None:
                 rows[position] = cached
@@ -194,13 +144,11 @@ class PathEmbeddingService:
 
         if pending_paths:
             lengths = [len(path) for _, path in pending_paths]
-            plan = self.bucket_policy.plan(lengths, self.max_batch_size)
-            for batch_indices in plan:
+            for batch_indices in plan_batches(lengths, _MAX_BATCH_SIZE):
                 batch = [pending_paths[i] for i in batch_indices]
                 embeddings = self._encode_batch([path for _, path in batch])
                 for (key, _), embedding in zip(batch, embeddings):
-                    if self.cache is not None:
-                        self.cache.put(key, embedding)
+                    self.cache.put(key, embedding)
                     for position in pending[key]:
                         rows[position] = embedding
 
@@ -212,7 +160,7 @@ class PathEmbeddingService:
     # RepresentationModel-compatible interface
     # ------------------------------------------------------------------
     def encode(self, temporal_paths):
-        """Alias of :meth:`embed` (the downstream evaluators' interface)."""
+        """Alias of :meth:`embed`, so a service can stand in for a model."""
         return self.embed(temporal_paths)
 
     def represent(self, temporal_path):
@@ -221,16 +169,10 @@ class PathEmbeddingService:
 
     # ------------------------------------------------------------------
     def scrape(self):
-        """Metrics snapshot: throughput, latency, padding, cache and config."""
-        cache_stats = self.cache.stats() if self.cache is not None else None
-        scraped = self.metrics.scrape(cache_stats=cache_stats)
-        scraped["bucket_policy"] = self.bucket_policy.describe()
-        scraped["max_batch_size"] = self.max_batch_size
-        scraped["cache_enabled"] = self.cache is not None
-        return scraped
+        """Metrics snapshot: throughput, latency, padding and cache counters."""
+        return self.metrics.scrape(cache_stats=self.cache.stats())
 
     def reset_metrics(self):
         """Zero serving metrics and cache counters (cache contents stay)."""
         self.metrics.reset()
-        if self.cache is not None:
-            self.cache.reset_stats()
+        self.cache.reset_stats()

@@ -15,16 +15,17 @@ Pricing comes in two granularities:
   :meth:`SpeedModel.edge_travel_time_vector`,
   :meth:`SpeedModel.path_travel_times`) — whole-frontier numpy over static
   per-edge factor arrays.  Noise-free batched pricing is bit-identical to
-  the reference loop; ``grid=True`` instead gathers from the precomputed
-  per-edge × time-slot :meth:`SpeedModel.slot_speed_matrix` (quantised to
-  5-minute slots, fastest).
+  the reference loop.
+
+Both price congestion continuously in the departure time; nothing is
+quantised to time slots.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..temporal.timeslots import DAYS_PER_WEEK, SLOTS_PER_DAY
+from ..temporal.timeslots import DAYS_PER_WEEK
 
 __all__ = ["CongestionProfile", "SpeedModel", "DEFAULT_CONGESTION_SENSITIVITY"]
 
@@ -148,8 +149,6 @@ class SpeedModel:
         self._sensitivity = np.clip(
             sensitivities * rng.uniform(0.85, 1.15, size=network.num_edges),
             0.0, 0.95)
-        self._slot_matrix = None
-        self._slot_matrix_granularity = None
 
     def congestion_level(self, departure_time):
         """Network-wide congestion level (used by the TCI weak labeler)."""
@@ -210,43 +209,15 @@ class SpeedModel:
         """
         return self._lengths / (self.edge_speeds(departure_time) / 3.6)
 
-    def slot_speed_matrix(self, slots_per_day=SLOTS_PER_DAY):
-        """Per-edge × time-slot speed grid, shape ``(num_edges, 7 * slots_per_day)``.
-
-        Column ``day * slots_per_day + slot`` holds the noise-free speed at
-        the *start* of that slot (the same quantisation as
-        ``DepartureTime.slot_index``).  Computed once and cached; reused by
-        ``path_travel_times(..., grid=True)`` and any bulk workload that can
-        tolerate slot granularity.
-        """
-        if (self._slot_matrix is None
-                or self._slot_matrix_granularity != slots_per_day):
-            days = np.repeat(np.arange(DAYS_PER_WEEK), slots_per_day)
-            seconds = np.tile(
-                np.arange(slots_per_day) * (86400.0 / slots_per_day), DAYS_PER_WEEK)
-            levels = self.profile.level_batch(days, seconds)          # (S,)
-            base = self._speed_limits * self._capacity_factor         # (E,)
-            speeds = base[:, None] * (1.0 - self._sensitivity[:, None] * levels[None, :])
-            self._slot_matrix = np.maximum(speeds, self.MIN_SPEED_KMH)
-            self._slot_matrix_granularity = slots_per_day
-        return self._slot_matrix
-
-    def path_travel_times(self, paths, departure_time, grid=False,
-                          slots_per_day=SLOTS_PER_DAY):
+    def path_travel_times(self, paths, departure_time):
         """Travel times of many paths sharing one departure time, shape (k,).
 
         All paths advance in lockstep: step ``t`` gathers the speeds of every
         path's ``t``-th edge at that path's current clock, accumulates the
         traversal seconds and shifts the clocks — ``max(len(path))`` numpy
-        steps instead of ``k × len(path)`` Python calls.
-
-        With ``grid=False`` (default) congestion levels are recomputed
-        continuously and the result is bit-identical to looping
-        :meth:`path_travel_time` over the paths (without noise).  With
-        ``grid=True`` each step is a single gather into
-        :meth:`slot_speed_matrix`; speeds are then quantised to the slot the
-        clock falls in (within a fraction of a percent of the continuous
-        model for the default smooth profiles).
+        steps instead of ``k × len(path)`` Python calls.  The result is
+        bit-identical to looping :meth:`path_travel_time` over the paths
+        (without noise).
         """
         paths = [np.asarray(list(path), dtype=np.int64) for path in paths]
         count = len(paths)
@@ -263,21 +234,14 @@ class SpeedModel:
 
         days = np.full(count, departure_time.day_of_week, dtype=np.int64)
         seconds = np.full(count, departure_time.seconds, dtype=np.float64)
-        matrix = self.slot_speed_matrix(slots_per_day) if grid else None
         for step in range(max_len):
             active = np.flatnonzero(lengths > step)
             edges = padded[active, step]
-            if grid:
-                slots = np.minimum(
-                    (seconds[active] // (86400.0 / slots_per_day)).astype(np.int64),
-                    slots_per_day - 1)
-                speeds = matrix[edges, days[active] * slots_per_day + slots]
-            else:
-                level = self.profile.level_batch(days[active], seconds[active])
-                slowdown = 1.0 - self._sensitivity[edges] * level
-                speeds = np.maximum(
-                    self._speed_limits[edges] * self._capacity_factor[edges] * slowdown,
-                    self.MIN_SPEED_KMH)
+            level = self.profile.level_batch(days[active], seconds[active])
+            slowdown = 1.0 - self._sensitivity[edges] * level
+            speeds = np.maximum(
+                self._speed_limits[edges] * self._capacity_factor[edges] * slowdown,
+                self.MIN_SPEED_KMH)
             step_seconds = self._lengths[edges] / (speeds / 3.6)
             totals[active] += step_seconds
             days[active], seconds[active] = _advance_clock(

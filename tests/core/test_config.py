@@ -1,10 +1,14 @@
-"""Tests for WSCCLConfig."""
+"""Tests for WSCCLConfig and the validation of every config dataclass."""
 
 from __future__ import annotations
 
 import pytest
 
+import dataclasses
+
 from repro.core import WSCCLConfig
+from repro.datasets import DatasetScale
+from repro.evaluation import HarnessConfig
 from repro.graph import Node2VecConfig
 
 
@@ -86,3 +90,29 @@ class TestWSCCLConfig:
 def test_configs_reject_non_positive_values(config_class, name, value):
     with pytest.raises(ValueError, match=name):
         config_class(**{name: value})
+
+
+_BAD_SCALE_AND_HARNESS_VALUES = [
+    (DatasetScale.tiny(), "grid_rows", 0),
+    (DatasetScale.tiny(), "grid_cols", -3),
+    (DatasetScale.tiny(), "num_trips", 2.5),
+    (DatasetScale.tiny(), "num_labeled", 0),
+    (HarnessConfig(), "baseline_dim", 0),
+    (HarnessConfig(), "baseline_epochs", -1),
+    (HarnessConfig(), "supervised_epochs", 1.5),
+    (HarnessConfig(), "max_batches", 0),
+    (HarnessConfig(), "n_estimators", 0),
+    (HarnessConfig(), "test_fraction", 0.0),
+    (HarnessConfig(), "test_fraction", 1.0),
+    (HarnessConfig(), "test_fraction", float("nan")),
+    (HarnessConfig(), "paths_from", "gps"),
+]
+
+
+@pytest.mark.parametrize(
+    "config,name,value", _BAD_SCALE_AND_HARNESS_VALUES,
+    ids=[f"{type(config).__name__}.{name}={value!r}"
+         for config, name, value in _BAD_SCALE_AND_HARNESS_VALUES])
+def test_scale_and_harness_configs_reject_bad_values(config, name, value):
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(config, **{name: value})

@@ -36,6 +36,11 @@ class TestSpatialEmbedding:
         out.sum().backward()
         assert embedding.road_type_embedding.weight.grad is not None
 
+    def test_out_of_range_edge_id_rejected(self, embedding, tiny_city):
+        num_edges = tiny_city.network.num_edges
+        with pytest.raises(ValueError, match=f"edge id {num_edges} "):
+            embedding(np.array([[0, num_edges, -1]]))
+
     def test_topology_shape_mismatch_rejected(self, tiny_city, tiny_config):
         bad = np.zeros((3, tiny_config.topology_dim))
         with pytest.raises(ValueError):

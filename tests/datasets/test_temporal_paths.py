@@ -25,6 +25,10 @@ class TestTemporalPath:
         with pytest.raises(ValueError):
             TemporalPath(path=[], departure_time=DepartureTime.from_hour(0, 8.0))
 
+    def test_negative_edge_id_rejected(self):
+        with pytest.raises(ValueError, match="-3"):
+            TemporalPath(path=[4, -3, 5], departure_time=DepartureTime.from_hour(0, 8.0))
+
     def test_length_and_tuple_conversion(self):
         tp = TemporalPath(path=[3, 4, 5], departure_time=DepartureTime.from_hour(0, 8.0))
         assert len(tp) == 3

@@ -7,6 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.downstream.tasks as downstream_tasks
 from repro.core import WSCCL
 from repro.downstream import evaluate_all_tasks
 from repro.serving import PathEmbeddingService
@@ -27,34 +28,20 @@ def _flatten(results):
 
 
 class TestServingEndToEnd:
-    def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city):
-        direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
+    def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city,
+                                                  monkeypatch):
         served = evaluate_all_tasks(
             trained_model, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
-
-    @pytest.mark.parametrize("policy", ["none", "pow2", "exact"])
-    def test_every_bucket_policy_yields_identical_metrics(
-            self, trained_model, tiny_city, policy):
+        # Direct path: the evaluators get the trained WSCModel itself, whose
+        # ``embed`` encodes every request without batching or caching.
+        monkeypatch.setattr(downstream_tasks, "ensure_service", lambda model: model)
         direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
-        service = PathEmbeddingService(
-            trained_model, bucket_policy=policy, max_batch_size=16)
-        served = evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
-
-    def test_cache_disabled_still_identical(self, trained_model, tiny_city):
-        direct = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10, serving=False)
-        service = PathEmbeddingService(trained_model, cache_enabled=False)
-        served = evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
+            trained_model.model, tiny_city.tasks, n_estimators=10)
         assert _flatten(direct) == _flatten(served)
 
     def test_service_metrics_reflect_the_evaluation_traffic(
             self, trained_model, tiny_city):
-        service = PathEmbeddingService(trained_model, bucket_policy="fixed",
-                                       max_batch_size=32)
+        service = PathEmbeddingService(trained_model)
         evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
         scraped = service.scrape()
 

@@ -1,4 +1,4 @@
-"""Unit tests for bucket policies, serving metrics and the service's
+"""Unit tests for micro-batch planning, serving metrics and the service's
 bookkeeping (padding efficiency, scrape shape, dedup)."""
 
 from __future__ import annotations
@@ -9,68 +9,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.serving import (
-    BUCKET_POLICIES,
-    FixedWidthBucketPolicy,
     PathEmbeddingService,
-    PowerOfTwoBucketPolicy,
     ServiceMetrics,
-    get_bucket_policy,
+    cache_key,
+    plan_batches,
+    service as service_module,
 )
 
 
-class TestBucketPolicies:
+class TestPlanBatches:
     @settings(max_examples=100, deadline=None)
     @given(
         lengths=st.lists(st.integers(1, 100), min_size=1, max_size=60),
         max_batch_size=st.integers(1, 16),
-        policy_name=st.sampled_from(sorted(BUCKET_POLICIES)),
     )
-    def test_plan_is_a_partition(self, lengths, max_batch_size, policy_name):
-        policy = get_bucket_policy(policy_name)
-        plan = policy.plan(lengths, max_batch_size)
+    def test_plan_is_a_partition(self, lengths, max_batch_size):
+        plan = plan_batches(lengths, max_batch_size)
         seen = np.concatenate(plan) if plan else np.array([], dtype=np.int64)
         assert sorted(seen.tolist()) == list(range(len(lengths)))
         for batch in plan:
             assert 1 <= len(batch) <= max_batch_size
-            keys = {policy.bucket_key(lengths[i]) for i in batch}
-            assert len(keys) == 1  # no batch straddles buckets
+            buckets = {(lengths[i] - 1) // 8 for i in batch}
+            assert len(buckets) == 1  # no batch straddles buckets
 
     def test_fixed_width_bounds_padding(self):
-        policy = FixedWidthBucketPolicy(width=4)
-        lengths = [1, 2, 3, 4, 5, 6, 7, 8, 9]
-        for batch in policy.plan(lengths, max_batch_size=64):
+        lengths = list(range(1, 21))
+        for batch in plan_batches(lengths, max_batch_size=64):
             batch_lengths = [lengths[i] for i in batch]
-            assert max(batch_lengths) - min(batch_lengths) < 4
+            assert max(batch_lengths) - min(batch_lengths) < 8
 
-    def test_pow2_bucket_boundaries(self):
-        policy = PowerOfTwoBucketPolicy()
-        assert policy.bucket_key(1) == 0
-        assert policy.bucket_key(2) == 1
-        assert policy.bucket_key(3) == policy.bucket_key(4) == 2
-        assert policy.bucket_key(5) == policy.bucket_key(8) == 3
-        assert policy.bucket_key(9) == 4
-
-    def test_exact_policy_has_zero_padding(self):
-        policy = get_bucket_policy("exact")
-        lengths = [5, 3, 5, 7, 3, 3]
-        for batch in policy.plan(lengths, max_batch_size=2):
-            batch_lengths = {lengths[i] for i in batch}
-            assert len(batch_lengths) == 1
-
-    def test_none_policy_preserves_arrival_order(self):
-        policy = get_bucket_policy("none")
-        plan = policy.plan([9, 1, 5, 2, 7], max_batch_size=2)
-        assert [batch.tolist() for batch in plan] == [[0, 1], [2, 3], [4]]
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            get_bucket_policy("nope")
-
-    def test_instance_passthrough(self):
-        policy = FixedWidthBucketPolicy(width=2)
-        assert get_bucket_policy(policy) is policy
-        with pytest.raises(ValueError):
-            get_bucket_policy(policy, width=3)
+    def test_buckets_in_length_order_then_arrival_order(self):
+        plan = plan_batches([9, 1, 5, 17, 2, 7, 10], max_batch_size=2)
+        assert [batch.tolist() for batch in plan] == [[1, 2], [4, 5], [0, 6], [3]]
 
 
 class TestServiceMetrics:
@@ -121,16 +91,6 @@ class TestServiceBookkeeping:
         assert result.shape == (3, 2)
         np.testing.assert_array_equal(result[0], result[1])
 
-    def test_no_dedup_without_cache(self, tiny_city):
-        # With the cache off the service must not assume the model is a pure
-        # function of the key: every occurrence is encoded independently.
-        model = CountingModel()
-        service = PathEmbeddingService(model, cache_enabled=False)
-        path = tiny_city.unlabeled.temporal_paths[0]
-        result = service.embed([path, path, path])
-        assert sum(model.calls) == 3
-        assert result.shape == (3, 2)
-
     def test_cache_avoids_re_encoding_across_requests(self, tiny_city):
         model = CountingModel()
         service = PathEmbeddingService(model)
@@ -141,21 +101,21 @@ class TestServiceBookkeeping:
         assert sum(model.calls) == encoded_first  # all hits, no new encodes
         assert service.cache.hits == len(paths)
 
-    def test_exact_bucketing_reports_full_padding_efficiency(self, tiny_city):
-        model = CountingModel()
-        service = PathEmbeddingService(model, bucket_policy="exact",
-                                       cache_enabled=False)
-        service.embed(tiny_city.unlabeled.temporal_paths[:12])
+    def test_equal_length_request_reports_full_padding_efficiency(self, tiny_city):
+        paths = tiny_city.unlabeled.temporal_paths
+        length = len(paths[0])
+        same_length = [tp for tp in paths if len(tp) == length][:12]
+        service = PathEmbeddingService(CountingModel())
+        service.embed(same_length)
         assert service.metrics.padding_efficiency == 1.0
 
-    def test_scrape_includes_config_and_counters(self, tiny_city):
-        service = PathEmbeddingService(CountingModel(), bucket_policy="fixed",
-                                       max_batch_size=4)
+    def test_scrape_includes_counters(self, tiny_city, monkeypatch):
+        monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 4)
+        service = PathEmbeddingService(CountingModel())
         service.embed(tiny_city.unlabeled.temporal_paths[:5])
         scraped = service.scrape()
-        assert scraped["bucket_policy"] == "fixed(width=8)"
-        assert scraped["max_batch_size"] == 4
-        assert scraped["cache_enabled"] is True
+        assert scraped["batches"] >= 2
+        assert scraped["cache_misses"] == 5
         assert scraped["paths_served"] == 5
         assert 0.0 < scraped["padding_efficiency"] <= 1.0
         assert scraped["latency_p95_ms"] >= scraped["latency_p50_ms"] >= 0.0
@@ -181,12 +141,11 @@ class TestServiceBookkeeping:
 
 
 class TestCacheKeys:
-    """Regression tests: the default cache key must never merge departure
-    times a served model could distinguish (whatever its slot granularity)."""
+    """Regression tests: the cache key must never merge departure times a
+    served model could distinguish (whatever its slot granularity)."""
 
-    def test_default_key_distinguishes_sub_slot_times(self, tiny_city):
+    def test_cache_key_distinguishes_sub_slot_times(self, tiny_city):
         from repro.datasets import TemporalPath
-        from repro.serving import default_cache_key
         from repro.temporal import DepartureTime
 
         base = tiny_city.unlabeled.temporal_paths[0]
@@ -195,22 +154,7 @@ class TestCacheKeys:
                              departure_time=DepartureTime(0, 0.0))
         late = TemporalPath(path=base.path,
                             departure_time=DepartureTime(0, 270.0))
-        assert default_cache_key(early) != default_cache_key(late)
-
-    def test_slot_key_merges_only_within_model_slots(self, tiny_city):
-        from repro.datasets import TemporalPath
-        from repro.serving import slot_cache_key
-        from repro.temporal import DepartureTime
-
-        base = tiny_city.unlabeled.temporal_paths[0]
-        early = TemporalPath(path=base.path,
-                             departure_time=DepartureTime(0, 0.0))
-        late = TemporalPath(path=base.path,
-                            departure_time=DepartureTime(0, 270.0))
-        # 4-minute slots (360/day): 0 s and 270 s fall in different slots.
-        assert slot_cache_key(360)(early) != slot_cache_key(360)(late)
-        # 5-minute slots (288/day): same slot, merged for a higher hit rate.
-        assert slot_cache_key(288)(early) == slot_cache_key(288)(late)
+        assert cache_key(early) != cache_key(late)
 
     def test_cache_never_serves_stale_embedding_to_time_sensitive_model(
             self, tiny_city):
@@ -253,7 +197,7 @@ class TestModelBatchSizePassThrough:
                                 dtype=np.float64)
 
         model = BatchAwareModel()
-        service = PathEmbeddingService(model, bucket_policy="none",
-                                      max_batch_size=16, cache_enabled=False)
+        service = PathEmbeddingService(model)
         service.embed(tiny_city.unlabeled.temporal_paths[:10])
-        assert model.seen == [(10, 10)]
+        assert all(count == batch_size for count, batch_size in model.seen)
+        assert sum(count for count, _ in model.seen) == 10

@@ -1,8 +1,9 @@
 """Golden equivalence suite for the path-embedding service.
 
-The service must be a pure optimisation: for every bucket policy, batch
-size and cache state, its output must match one-at-a-time ``WSCModel.embed``
-calls to 1e-10 on a seeded synthetic dataset.
+The service must be a pure optimisation: for every micro-batch size and
+cache state, its output must match one-at-a-time ``WSCModel.embed`` calls to
+1e-10 on a seeded synthetic dataset.  Tests that need small micro-batches
+patch the service module's ``_MAX_BATCH_SIZE``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import WSCModel
-from repro.serving import BUCKET_POLICIES, PathEmbeddingService
+from repro.serving import PathEmbeddingService, service as service_module
 
 TOLERANCE = 1e-10
 
@@ -38,29 +39,16 @@ def golden(model, workload):
     return np.stack([model.embed([tp])[0] for tp in workload], axis=0)
 
 
-@pytest.mark.parametrize("policy", sorted(BUCKET_POLICIES))
-@pytest.mark.parametrize("cache_enabled", [False, True])
-def test_service_matches_per_path_embedding(model, workload, golden,
-                                            policy, cache_enabled):
-    service = PathEmbeddingService(
-        model, bucket_policy=policy, max_batch_size=8,
-        cache_enabled=cache_enabled)
-    served = service.embed(workload)
-    assert served.shape == golden.shape
-    np.testing.assert_allclose(served, golden, atol=TOLERANCE)
-
-
 @pytest.mark.parametrize("max_batch_size", [1, 3, 64])
 def test_service_matches_across_batch_sizes(model, workload, golden,
-                                            max_batch_size):
-    service = PathEmbeddingService(
-        model, bucket_policy="fixed", max_batch_size=max_batch_size)
+                                            max_batch_size, monkeypatch):
+    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", max_batch_size)
+    service = PathEmbeddingService(model)
     np.testing.assert_allclose(service.embed(workload), golden, atol=TOLERANCE)
 
 
 def test_hot_cache_matches_cold_cache(model, workload, golden):
-    service = PathEmbeddingService(model, bucket_policy="pow2",
-                                   cache_capacity=4096)
+    service = PathEmbeddingService(model)
     cold = service.embed(workload)
     hot = service.embed(workload)
     np.testing.assert_allclose(cold, golden, atol=TOLERANCE)
@@ -70,7 +58,7 @@ def test_hot_cache_matches_cold_cache(model, workload, golden):
 
 
 def test_request_order_is_preserved(model, workload):
-    service = PathEmbeddingService(model, bucket_policy="exact")
+    service = PathEmbeddingService(model)
     forward = service.embed(workload)
     reversed_out = service.embed(list(reversed(workload)))
     np.testing.assert_allclose(forward, reversed_out[::-1], atol=TOLERANCE)
@@ -84,16 +72,19 @@ def test_single_path_and_empty_requests(model, workload, golden):
     assert empty.shape == (0, model.representation_dim)
 
 
-def test_transformer_backend_equivalence(tiny_city, tiny_config, shared_resources):
+def test_transformer_backend_equivalence(tiny_city, tiny_config, shared_resources,
+                                         monkeypatch):
+    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 5)
     model = WSCModel(tiny_city.network, tiny_config, resources=shared_resources,
                      encoder_type="transformer")
     paths = list(tiny_city.unlabeled.temporal_paths[:12])
     golden = np.stack([model.embed([tp])[0] for tp in paths], axis=0)
-    service = PathEmbeddingService(model, bucket_policy="fixed", max_batch_size=5)
+    service = PathEmbeddingService(model)
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
 
 
-def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources):
+def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources,
+                                                   monkeypatch):
     from repro.baselines import SpatialSequenceEncoder
 
     encoder = SpatialSequenceEncoder(
@@ -101,5 +92,6 @@ def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources):
         topology_features=shared_resources.topology_features)
     paths = list(tiny_city.unlabeled.temporal_paths[:10])
     golden = np.stack([encoder.encode([tp])[0] for tp in paths], axis=0)
-    service = PathEmbeddingService(encoder, bucket_policy="pow2", max_batch_size=4)
+    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 4)
+    service = PathEmbeddingService(encoder)
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)

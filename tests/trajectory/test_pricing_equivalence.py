@@ -1,10 +1,8 @@
 """Equivalence suites: batched trip pricing vs the per-edge reference loops.
 
 * ``level_batch`` / ``edge_speeds`` / ``edge_travel_time_vector`` /
-  ``path_travel_times(grid=False)`` are elementwise the same IEEE operations
-  as the scalar reference, so equality is exact (``==``, not approx).
-* ``grid=True`` quantises congestion to time slots; it must stay within a
-  small relative band of the continuous model.
+  ``path_travel_times`` are elementwise the same IEEE operations as the
+  scalar reference, so equality is exact (``==``, not approx).
 * The simulator, which prices through the batched calls, must produce
   bit-identical trips to a simulator whose speed model prices with the
   scalar per-edge calls under one seed.
@@ -16,7 +14,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datasets import DatasetScale, build_city_dataset
 from repro.temporal import DepartureTime
 from repro.trajectory import CongestionProfile, SpeedModel, TripSimulator
 
@@ -92,52 +89,6 @@ class TestExactEquivalence:
         assert model.path_travel_times([], DepartureTime.from_hour(0, 8.0)).shape == (0,)
 
 
-class TestGridPricing:
-    def test_slot_matrix_shape_and_cache(self, tiny_network):
-        model = SpeedModel(tiny_network, seed=0)
-        matrix = model.slot_speed_matrix(slots_per_day=48)
-        assert matrix.shape == (tiny_network.num_edges, 7 * 48)
-        assert model.slot_speed_matrix(slots_per_day=48) is matrix
-        assert (matrix >= SpeedModel.MIN_SPEED_KMH).all()
-
-    def test_slot_matrix_columns_match_slot_start_speeds(self, tiny_network):
-        model = SpeedModel(tiny_network, seed=0)
-        matrix = model.slot_speed_matrix(slots_per_day=24)
-        departure = DepartureTime.from_hour(2, 17.0)  # start of slot 17, day 2
-        column = 2 * 24 + 17
-        np.testing.assert_array_equal(matrix[:, column],
-                                      model.edge_speeds(departure))
-
-    @given(departure_times, st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=30, deadline=None)
-    def test_grid_pricing_close_to_continuous(self, tiny_network, departure_time,
-                                              seed):
-        model = SpeedModel(tiny_network, seed=0)
-        rng = np.random.default_rng(seed)
-        paths = random_paths(tiny_network, rng, count=5, max_edges=10)
-        exact = model.path_travel_times(paths, departure_time)
-        grid = model.path_travel_times(paths, departure_time, grid=True)
-        # Quantisation error compounds along a path and is amplified on
-        # near-floor speeds during peak ramps; adversarial random walks stay
-        # within 15% (a realistic candidate corpus stays within 2%, below).
-        np.testing.assert_allclose(grid, exact, rtol=0.15)
-
-    def test_grid_pricing_within_two_percent_on_simulated_corpus(self):
-        """Every driven and alternative path of a benchmark-scale Aalborg
-        corpus, priced at the first trip's departure time."""
-        city = build_city_dataset("aalborg", scale=DatasetScale.benchmark(), seed=0)
-        paths = []
-        for trip in city.trips:
-            paths.append(list(trip.path))
-            paths.extend(list(alternative) for alternative in trip.alternatives)
-        departure_time = city.trips[0].departure_time
-        model = city.speed_model
-        exact = model.path_travel_times(paths, departure_time)
-        grid = model.path_travel_times(paths, departure_time, grid=True)
-        assert len(paths) > 300
-        assert np.max(np.abs(grid - exact) / exact) <= 0.02
-
-
 class LoopPricedSpeedModel(SpeedModel):
     """Prices every batch call with the scalar per-edge / per-path methods."""
 
@@ -145,8 +96,7 @@ class LoopPricedSpeedModel(SpeedModel):
         return np.array([self.edge_travel_time(edge, departure_time)
                          for edge in range(self.network.num_edges)])
 
-    def path_travel_times(self, paths, departure_time, grid=False):
-        assert not grid
+    def path_travel_times(self, paths, departure_time):
         return np.array([self.path_travel_time(path, departure_time)
                          for path in paths])
 
