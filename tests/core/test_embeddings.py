@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SpatialEmbedding, TemporalEmbedding, compute_edge_topology_features
+from repro.core.encoder import PAD_EDGE_ID
 from repro.temporal import DepartureTime
 
 
@@ -40,6 +41,14 @@ class TestSpatialEmbedding:
         num_edges = tiny_city.network.num_edges
         with pytest.raises(ValueError, match=f"edge id {num_edges} "):
             embedding(np.array([[0, num_edges, -1]]))
+
+    def test_last_edge_id_and_padding_accepted(self, embedding, tiny_city,
+                                              tiny_config):
+        last = tiny_city.network.num_edges - 1
+        out = embedding(np.array([[last, PAD_EDGE_ID]]))
+        assert out.shape == (1, 2, tiny_config.spatial_dim)
+        assert np.any(out.data[0, 0] != 0.0)
+        np.testing.assert_array_equal(out.data[0, 1], 0.0)
 
     def test_topology_shape_mismatch_rejected(self, tiny_city, tiny_config):
         bad = np.zeros((3, tiny_config.topology_dim))

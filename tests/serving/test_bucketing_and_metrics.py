@@ -43,6 +43,15 @@ class TestPlanBatches:
         assert [batch.tolist() for batch in plan] == [[1, 2], [4, 5], [0, 6], [3]]
 
 
+    def test_empty_request_plans_no_batches(self):
+        assert plan_batches([], max_batch_size=4) == []
+
+    def test_full_bucket_splits_into_max_size_chunks_in_arrival_order(self):
+        plan = plan_batches([3] * 130, max_batch_size=64)
+        assert [len(batch) for batch in plan] == [64, 64, 2]
+        assert np.concatenate(plan).tolist() == list(range(130))
+
+
 class TestServiceMetrics:
     def test_scrape_values(self):
         metrics = ServiceMetrics()
@@ -119,6 +128,21 @@ class TestServiceBookkeeping:
         assert scraped["paths_served"] == 5
         assert 0.0 < scraped["padding_efficiency"] <= 1.0
         assert scraped["latency_p95_ms"] >= scraped["latency_p50_ms"] >= 0.0
+
+    def test_cache_capacity_bounds_entries_and_counts_evictions(
+            self, tiny_city, monkeypatch):
+        monkeypatch.setattr(service_module, "_CACHE_CAPACITY", 2)
+        model = CountingModel()
+        service = PathEmbeddingService(model)
+        paths = tiny_city.unlabeled.temporal_paths[:5]
+        assert len({cache_key(tp) for tp in paths}) == 5
+        service.embed(paths)
+        assert len(service.cache) == 2
+        assert service.cache.evictions == 3
+        assert service.scrape()["cache_evictions"] == 3
+        # Only the two most recently encoded paths are still cached.
+        service.embed(paths)
+        assert sum(model.calls) == 5 + 3
 
     def test_malformed_model_output_rejected(self, tiny_city):
         class BadModel:

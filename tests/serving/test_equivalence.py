@@ -1,9 +1,10 @@
 """Golden equivalence suite for the path-embedding service.
 
-The service must be a pure optimisation: for every micro-batch size and
-cache state, its output must match one-at-a-time ``WSCModel.embed`` calls to
-1e-10 on a seeded synthetic dataset.  Tests that need small micro-batches
-patch the service module's ``_MAX_BATCH_SIZE``.
+The service must be a pure optimisation: for every micro-batch size, cache
+size and cache state, its output must match one-at-a-time ``WSCModel.embed``
+calls to 1e-10 on a seeded synthetic dataset.  Tests that need small
+micro-batches or caches patch the service module's ``_MAX_BATCH_SIZE`` or
+``_CACHE_CAPACITY``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,23 @@ def workload(tiny_city):
 def golden(model, workload):
     """One-at-a-time reference embeddings, in request order."""
     return np.stack([model.embed([tp])[0] for tp in workload], axis=0)
+
+
+@pytest.mark.parametrize("cache_capacity", [1, 5, 4096])
+@pytest.mark.parametrize("max_batch_size", [3, 8])
+def test_service_matches_per_path_embedding(model, workload, golden,
+                                            max_batch_size, cache_capacity,
+                                            monkeypatch):
+    """Small caches evict entries within a request; rows must not suffer."""
+    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", max_batch_size)
+    monkeypatch.setattr(service_module, "_CACHE_CAPACITY", cache_capacity)
+    service = PathEmbeddingService(model)
+    for _ in range(2):
+        served = service.embed(workload)
+        assert served.shape == golden.shape
+        np.testing.assert_allclose(served, golden, atol=TOLERANCE)
+    distinct = len({service_module.cache_key(tp) for tp in workload})
+    assert len(service.cache) == min(cache_capacity, distinct)
 
 
 @pytest.mark.parametrize("max_batch_size", [1, 3, 64])
