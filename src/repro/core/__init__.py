@@ -23,7 +23,6 @@ from .persistence import load_model, save_model
 from .spatial import SpatialEmbedding, compute_edge_topology_features
 from .temporal_embedding import TemporalEmbedding
 from .trainer import TrainingHistory, WSCTrainer
-from .transformer import TransformerPathEncoder
 from .wsccl import WSCCL
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "heuristic_curriculum_stages",
     "CurriculumPlan",
     "WSCCL",
-    "TransformerPathEncoder",
     "save_model",
     "load_model",
 ]

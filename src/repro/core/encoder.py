@@ -124,20 +124,15 @@ class TemporalPathEncoder(nn.Module):
         temporal = self.temporal(departure_times)             # (B, d_tem)
         if not self.use_temporal:
             temporal = nn.Tensor(np.zeros_like(temporal.data))
-        # Broadcast the temporal embedding to every step of the path, in the
-        # trainable embeddings' dtype so float32 models stay float32.
-        temporal_steps = nn.Tensor(
-            np.repeat(temporal.data[:, None, :], max_len, axis=1)
-            .astype(spatial.data.dtype, copy=False)
-        )
+        # Broadcast the temporal embedding to every step of the path.
+        temporal_steps = nn.Tensor(np.repeat(temporal.data[:, None, :], max_len, axis=1))
         inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
 
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
 
         # Masked mean over valid steps (Eq. 8).
-        dtype = outputs.data.dtype
-        mask_tensor = nn.Tensor(mask[:, :, None].astype(dtype))
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0).astype(dtype))
+        mask_tensor = nn.Tensor(mask[:, :, None])
+        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
         summed = (outputs * mask_tensor).sum(axis=1)
         tprs = summed / counts
 

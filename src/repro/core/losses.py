@@ -31,8 +31,8 @@ def _normalized(tprs, eps=1e-12):
     return tprs / (norm + eps)
 
 
-def _zero_loss(dtype=None):
-    return nn.Tensor(np.zeros((), dtype=dtype or np.float64), requires_grad=False)
+def _zero_loss():
+    return nn.Tensor(np.zeros(()), requires_grad=False)
 
 
 def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
@@ -65,7 +65,7 @@ def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
         negative_mask[i, negatives] = True
         valid.append(i)
     if not valid:
-        return _zero_loss(tprs.data.dtype)
+        return _zero_loss()
     valid = np.asarray(valid, dtype=np.int64)
 
     normalized = _normalized(tprs)
@@ -74,14 +74,13 @@ def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
     # mean_{j in S_i} sim(i, j): one weighted row-sum instead of a gather per
     # query.  Rows without positives have all-zero weights (and are dropped
     # by the ``valid`` selection below).
-    dtype = similarities.data.dtype
-    counts = np.maximum(positive_mask.sum(axis=1, keepdims=True), 1).astype(dtype)
-    positive_weights = positive_mask.astype(dtype) / counts
+    counts = np.maximum(positive_mask.sum(axis=1, keepdims=True), 1)
+    positive_weights = positive_mask / counts
     positive_term = (similarities * nn.Tensor(positive_weights)).sum(axis=1)
 
     # log sum_{k in N_i} exp(sim(i, k)): masked row-wise log-sum-exp.
     negative_bias = np.where(negative_mask, 0.0, _EXCLUDED_BIAS)
-    masked = similarities + nn.Tensor(negative_bias.astype(similarities.data.dtype))
+    masked = similarities + nn.Tensor(negative_bias)
     negative_lse = F.logsumexp(masked, axis=-1)
 
     objective = (positive_term - negative_lse)[valid]
@@ -107,7 +106,7 @@ def _reference_global_wsc_loss(tprs, contrast_sets, temperature=0.1):
         terms.append(objective)
 
     if not terms:
-        return _zero_loss(tprs.data.dtype)
+        return _zero_loss()
     total = terms[0]
     for term in terms[1:]:
         total = total + term
@@ -133,7 +132,7 @@ def _padded_logsumexp(flat_sims, segment_lengths):
         pad_index[row, :length] = np.arange(offset, offset + length)
         pad_bias[row, :length] = 0.0
         offset += int(length)
-    padded = flat_sims[pad_index] + nn.Tensor(pad_bias.astype(flat_sims.data.dtype))
+    padded = flat_sims[pad_index] + nn.Tensor(pad_bias)
     return F.logsumexp(padded, axis=-1)
 
 
@@ -155,7 +154,7 @@ def local_wsc_loss(tprs, edge_representations, edge_sets, temperature=0.1):
              if len(edge_sets.positive_rows[i]) > 0
              and len(edge_sets.negative_rows[i]) > 0]
     if not valid:
-        return _zero_loss(tprs.data.dtype)
+        return _zero_loss()
 
     def gather_sims(rows_per_query, cols_per_query):
         rows = np.concatenate([rows_per_query[i] for i in valid])
@@ -172,10 +171,8 @@ def local_wsc_loss(tprs, edge_representations, edge_sets, temperature=0.1):
     positive_lse = gather_sims(edge_sets.positive_rows, edge_sets.positive_cols)
     negative_lse = gather_sims(edge_sets.negative_rows, edge_sets.negative_cols)
 
-    weights = np.asarray(
-        [1.0 / len(edge_sets.positive_rows[i]) for i in valid],
-        dtype=positive_lse.data.dtype)
-    per_query = (positive_lse - negative_lse) * nn.Tensor(weights)
+    weights = nn.Tensor([1.0 / len(edge_sets.positive_rows[i]) for i in valid])
+    per_query = (positive_lse - negative_lse) * weights
     return -(per_query.sum() * (1.0 / len(valid)))
 
 
@@ -203,7 +200,7 @@ def _reference_local_wsc_loss(tprs, edge_representations, edge_sets, temperature
         terms.append(objective)
 
     if not terms:
-        return _zero_loss(tprs.data.dtype)
+        return _zero_loss()
     total = terms[0]
     for term in terms[1:]:
         total = total + term

@@ -72,34 +72,21 @@ class WSCModel(nn.Module):
         Optional :class:`SharedResources`; created on demand otherwise.
     use_temporal:
         Set False for the WSCCL-NT ablation (Table VIII).
-    encoder_type:
-        ``"lstm"`` (the paper's encoder, default) or ``"transformer"`` (the
-        extension the paper suggests in §IV-C).
     seed:
         Seed for the trainable parameter initialisation (each curriculum
         expert gets a different seed).
     """
 
     def __init__(self, network, config=None, resources=None, use_temporal=True,
-                 encoder_type="lstm", seed=None):
+                 seed=None):
         super().__init__()
         self.config = config or WSCCLConfig()
         self.network = network
         self.resources = resources or SharedResources(network, self.config)
-        self.encoder_type = encoder_type
         seed = self.config.seed if seed is None else seed
         rng = np.random.default_rng(seed)
 
-        if encoder_type == "lstm":
-            encoder_cls = TemporalPathEncoder
-        elif encoder_type == "transformer":
-            from .transformer import TransformerPathEncoder
-
-            encoder_cls = TransformerPathEncoder
-        else:
-            raise ValueError(f"unknown encoder_type {encoder_type!r}")
-
-        self.encoder = encoder_cls(
+        self.encoder = TemporalPathEncoder(
             network=network,
             config=self.config,
             spatial_embedding=self.resources.new_spatial_embedding(rng=rng),

@@ -1,10 +1,12 @@
 """Model persistence: save and load trained WSCCL encoders.
 
-The encoder state (all trainable parameters), the frozen node2vec features and
-the configuration are stored in a single ``.npz`` archive so a trained model
-can be shipped to downstream users without retraining node2vec or the
+The LSTM encoder's state (all trainable parameters), the frozen node2vec
+features, the configuration and a small meta record (``use_temporal`` and the
+network's edge count) are stored in a single ``.npz`` archive so a trained
+model can be shipped to downstream users without retraining node2vec or the
 contrastive objective — the deployment mode the paper's "generic TPR" pitch
-implies.
+implies.  Older archives may also name an ``encoder_type`` in their meta;
+only ``"lstm"`` loads.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ def save_model(path, model):
 
     config_json = json.dumps(dataclasses.asdict(model.config))
     meta_json = json.dumps({
-        "encoder_type": getattr(model, "encoder_type", "lstm"),
         "use_temporal": model.encoder.use_temporal,
         "num_network_edges": model.network.num_edges,
     })
@@ -66,7 +67,8 @@ def load_model(path, network):
 
     The road network must be the same one the model was trained on (checked
     via its edge count); the frozen node2vec features stored in the archive
-    are reused, so no walks are re-run.
+    are reused, so no walks are re-run.  Raises ``ValueError`` when the
+    archive names an encoder other than the LSTM.
     """
     archive = np.load(path, allow_pickle=False)
     # Archives written by older versions may carry options that no longer
@@ -76,6 +78,11 @@ def load_model(path, network):
     config = WSCCLConfig(**{k: v for k, v in stored.items() if k in known})
     meta = json.loads(str(archive[_META_KEY]))
 
+    encoder_type = meta.get("encoder_type", "lstm")
+    if encoder_type != "lstm":
+        raise ValueError(
+            f"archive holds a {encoder_type!r} encoder; only the 'lstm' "
+            "encoder can be loaded")
     if network.num_edges != meta["num_network_edges"]:
         raise ValueError(
             f"network mismatch: archive was trained on {meta['num_network_edges']} "
@@ -92,7 +99,6 @@ def load_model(path, network):
         config=config,
         resources=resources,
         use_temporal=meta["use_temporal"],
-        encoder_type=meta.get("encoder_type", "lstm"),
     )
     state = {
         name[len(_STATE_PREFIX):]: archive[name]

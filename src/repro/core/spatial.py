@@ -134,12 +134,9 @@ class SpatialEmbedding(nn.Module):
             [road_type, lanes, one_way, signals], axis=-1
         )                                                      # Eq. 4
 
-        # Match the trainable embeddings' dtype so float32 training does not
-        # silently upcast through the frozen topology buffer.
-        dtype = type_embedding.data.dtype
-        topology_features = self._topology_features[safe_ids].astype(dtype, copy=False)
+        topology_features = self._topology_features[safe_ids]
         if has_padding:
-            keep = (~padded).astype(dtype)[..., None]
+            keep = (~padded).astype(np.float64)[..., None]
             topology_features = topology_features * keep
             type_embedding = type_embedding * nn.Tensor(keep)
 

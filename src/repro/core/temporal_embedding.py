@@ -36,10 +36,6 @@ class TemporalEmbedding(nn.Module):
         self.config = config
         self.slots_per_day = config.slots_per_day
         self.num_nodes = self.slots_per_day * DAYS_PER_WEEK
-        # Captured at construction (like Parameter dtypes), not at call time:
-        # a float32 model keeps producing float32 temporal features even when
-        # forward runs outside the dtype context it was built in.
-        self._dtype = nn.get_default_dtype()
 
         if embeddings is None:
             embeddings = self._fit_node2vec(config)
@@ -49,9 +45,7 @@ class TemporalEmbedding(nn.Module):
                 f"temporal embeddings have shape {embeddings.shape}, "
                 f"expected {(self.num_nodes, config.temporal_dim)}"
             )
-        # One cast at construction (not per forward): the gather in
-        # :meth:`forward` then reads and returns the module dtype directly.
-        self._embeddings = embeddings.astype(self._dtype, copy=False)
+        self._embeddings = embeddings
 
     def _fit_node2vec(self, config):
         graph = build_temporal_graph(slots_per_day=self.slots_per_day)
@@ -98,6 +92,6 @@ class TemporalEmbedding(nn.Module):
         """Temporal embedding ``t_all`` for a batch of departure times.
 
         Returns a constant (non-trainable) Tensor of shape
-        ``(batch, temporal_dim)`` in the module's construction-time dtype.
+        ``(batch, temporal_dim)``.
         """
         return nn.Tensor(self._embeddings[self.slot_indices(departure_times)])

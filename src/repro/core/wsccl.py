@@ -47,17 +47,16 @@ class WSCCL:
         The :class:`~repro.core.curriculum.CurriculumPlan` used (if any).
     """
 
-    def __init__(self, network, config=None, resources=None, use_temporal=True,
-                 encoder_type="lstm"):
+    # Part of the fit fingerprint in perfbench/tracer.py (``_wsccl_fit_key``).
+    encoder_type = "lstm"
+
+    def __init__(self, network, config=None, resources=None, use_temporal=True):
         self.config = config or WSCCLConfig()
         self.network = network
         self.resources = resources or SharedResources(network, self.config)
         self.use_temporal = use_temporal
-        self.encoder_type = encoder_type
-        self.model = WSCModel(
-            network, config=self.config, resources=self.resources,
-            use_temporal=use_temporal, encoder_type=encoder_type,
-        )
+        self.model = WSCModel(network, config=self.config, resources=self.resources,
+                              use_temporal=use_temporal)
         self.trainer = WSCTrainer(self.model, config=self.config)
         self.plan = None
         self.experts = []

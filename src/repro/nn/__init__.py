@@ -1,44 +1,28 @@
 """Minimal neural-network substrate (numpy autograd) used by WSCCL.
 
-This package substitutes for PyTorch in the original artifact.  See
-``DESIGN.md`` for the substitution rationale.
+This package substitutes for PyTorch in the original artifact: a float64
+reverse-mode autograd engine (:mod:`.tensor`), modules and parameters, the
+linear, embedding and LSTM layers, the Adam optimiser, and the functional ops
+the WSC losses and baselines use.
 """
 
 from . import functional
 from .init import orthogonal, uniform, xavier_normal, xavier_uniform, zeros
-from .layers import Dropout, Embedding, LayerNorm, Linear, ReLU, Sigmoid, Tanh
-from .module import Module, Parameter, Sequential
-from .optim import SGD, Adam, Optimizer, clip_grad_norm
-from .recurrent import GRU, GRUCell, LSTM, LSTMCell
-from .tensor import (
-    Tensor,
-    default_dtype,
-    get_default_dtype,
-    no_grad,
-    set_default_dtype,
-)
+from .layers import Embedding, Linear
+from .module import Module, Parameter
+from .optim import Adam, Optimizer, clip_grad_norm
+from .recurrent import LSTM, LSTMCell
+from .tensor import Tensor, no_grad
 
 __all__ = [
     "Tensor",
     "no_grad",
-    "set_default_dtype",
-    "get_default_dtype",
-    "default_dtype",
     "Module",
     "Parameter",
-    "Sequential",
     "Linear",
     "Embedding",
-    "Dropout",
-    "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "LayerNorm",
     "LSTM",
     "LSTMCell",
-    "GRU",
-    "GRUCell",
-    "SGD",
     "Adam",
     "Optimizer",
     "clip_grad_norm",

@@ -14,24 +14,20 @@ from .tensor import Tensor
 __all__ = [
     "EXCLUDED_BIAS",
     "softmax",
-    "masked_softmax",
     "log_softmax",
     "cosine_similarity",
     "mse_loss",
-    "mae_loss",
     "binary_cross_entropy_with_logits",
     "cross_entropy",
     "logsumexp",
-    "dropout",
     "normalize",
 ]
 
 
 #: Additive bias that excludes a position from a softmax or log-sum-exp:
-#: after the max-shift, ``exp(x - 1e9 - max)`` underflows to exactly 0 in
-#: both float32 and float64, so excluded entries contribute neither value
-#: nor gradient.  Shared by :func:`masked_softmax`, the attention mask bias
-#: and the contrastive losses' masked reductions.
+#: after the max-shift, ``exp(x - 1e9 - max)`` underflows to exactly 0, so
+#: excluded entries contribute neither value nor gradient.  Used by the
+#: contrastive losses' masked reductions.
 EXCLUDED_BIAS = -1e9
 
 
@@ -41,31 +37,6 @@ def softmax(x, axis=-1):
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exps = shifted.exp()
     return exps / exps.sum(axis=axis, keepdims=True)
-
-
-def masked_softmax(x, mask_bias=None, axis=-1):
-    """Fused ``softmax(x + mask_bias)`` with a single autograd node.
-
-    ``mask_bias`` is a *constant* additive bias (numpy array broadcastable to
-    ``x``, e.g. ``(B, 1, 1, T)`` against ``(B, H, T, T)`` attention scores)
-    holding 0 on valid positions and a large negative value on masked ones.
-    Because the bias carries no gradient and the softmax Jacobian is applied
-    in closed form (``y * (g - sum(g * y))``), this op records one graph node
-    instead of the five that ``softmax(x + Tensor(bias))`` would, which is
-    what makes it the attention fast path's inner loop.
-    """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    scores = x.data if mask_bias is None else x.data + np.asarray(mask_bias, dtype=x.data.dtype)
-    shifted = scores - scores.max(axis=axis, keepdims=True)
-    exps = np.exp(shifted)
-    out_data = exps / exps.sum(axis=axis, keepdims=True)
-
-    def backward(grad):
-        if x.requires_grad:
-            inner = (grad * out_data).sum(axis=axis, keepdims=True)
-            x._accumulate(out_data * (grad - inner))
-
-    return x._make_result(out_data, (x,), backward, "masked_softmax")
 
 
 def log_softmax(x, axis=-1):
@@ -113,14 +84,6 @@ def mse_loss(prediction, target):
     return (diff * diff).mean()
 
 
-def mae_loss(prediction, target):
-    """Mean absolute error implemented with a smooth |x| ~ sqrt(x^2 + eps)."""
-    prediction = prediction if isinstance(prediction, Tensor) else Tensor(prediction)
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    return ((diff * diff + 1e-12) ** 0.5).mean()
-
-
 def binary_cross_entropy_with_logits(logits, targets):
     """BCE on raw logits, stable for large magnitudes."""
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
@@ -141,12 +104,3 @@ def cross_entropy(logits, target_indices):
     picked = log_probs[rows, target_indices]
     return -picked.mean()
 
-
-def dropout(x, rate, training, rng=None):
-    """Inverted dropout.  A no-op when ``training`` is False or ``rate`` == 0."""
-    if not training or rate <= 0.0:
-        return x if isinstance(x, Tensor) else Tensor(x)
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return x * Tensor(mask)

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import functional as F
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["Linear", "Embedding", "Dropout", "ReLU", "Tanh", "Sigmoid", "LayerNorm"]
+__all__ = ["Linear", "Embedding"]
 
 
 class Linear(Module):
@@ -54,59 +53,3 @@ class Embedding(Module):
             )
         return self.weight[indices]
 
-
-class Dropout(Module):
-    """Inverted dropout layer; identity in eval mode."""
-
-    def __init__(self, rate=0.1, rng=None):
-        super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must be in [0, 1)")
-        self.rate = rate
-        self._rng = rng or np.random.default_rng(0)
-
-    def forward(self, x):
-        return F.dropout(x, self.rate, self.training, rng=self._rng)
-
-
-class ReLU(Module):
-    """Rectified linear unit."""
-
-    def forward(self, x):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return x.relu()
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def forward(self, x):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic activation."""
-
-    def forward(self, x):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        return x.sigmoid()
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last dimension."""
-
-    def __init__(self, normalized_shape, eps=1e-5):
-        super().__init__()
-        self.eps = eps
-        self.normalized_shape = normalized_shape
-        self.weight = Parameter(np.ones((normalized_shape,)))
-        self.bias = Parameter(np.zeros((normalized_shape,)))
-
-    def forward(self, x):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered / ((var + self.eps) ** 0.5)
-        return normalised * self.weight + self.bias

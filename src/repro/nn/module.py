@@ -2,8 +2,8 @@
 
 Modules own parameters and sub-modules, expose ``parameters()`` for
 optimisers, support train/eval mode switching, and can export or load their
-state as plain numpy arrays — which is how the WSCCL curriculum stage clones
-expert models and how pre-trained encoders are transplanted into PathRank.
+state as plain numpy arrays — which is how trained encoders are saved and
+loaded, and how pre-trained encoders are transplanted into PathRank.
 """
 
 from __future__ import annotations
@@ -14,23 +14,14 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["Parameter", "Module", "Sequential"]
+__all__ = ["Parameter", "Module"]
 
 
 class Parameter(Tensor):
-    """A :class:`Tensor` that is registered as trainable by ``Module``.
+    """A :class:`Tensor` that is registered as trainable by ``Module``."""
 
-    Parameters are always materialised in the configurable default dtype
-    (``nn.set_default_dtype``) unless an explicit ``dtype`` is given, so a
-    model built inside ``nn.default_dtype("float32")`` really is a float32
-    model even though initialisers hand back float64 arrays.
-    """
-
-    def __init__(self, data, dtype=None):
-        from .tensor import get_default_dtype
-
-        super().__init__(data, requires_grad=True,
-                         dtype=dtype or get_default_dtype())
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -67,10 +58,6 @@ class Module:
             yield (f"{prefix}{name}", param)
         for module_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{module_name}.")
-
-    def num_parameters(self):
-        """Total number of scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))
 
     def zero_grad(self):
         """Clear gradients on every parameter."""
@@ -115,13 +102,6 @@ class Module:
             param.data = value.copy()
         return self
 
-    def clone(self):
-        """Deep-copy this module by rebuilding from its own state dict."""
-        import copy
-
-        duplicate = copy.deepcopy(self)
-        return duplicate
-
     # ------------------------------------------------------------------
     # Call protocol
     # ------------------------------------------------------------------
@@ -131,25 +111,3 @@ class Module:
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
-
-class Sequential(Module):
-    """Run sub-modules in order, feeding each output to the next module."""
-
-    def __init__(self, *modules):
-        super().__init__()
-        self._order = []
-        for index, module in enumerate(modules):
-            name = f"layer{index}"
-            setattr(self, name, module)
-            self._order.append(name)
-
-    def forward(self, x):
-        for name in self._order:
-            x = getattr(self, name)(x)
-        return x
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self._order)
-
-    def __len__(self):
-        return len(self._order)

@@ -1,4 +1,4 @@
-"""Gradient-descent optimisers: SGD (with momentum) and Adam.
+"""The Adam optimiser and global gradient-norm clipping.
 
 The paper trains WSCCL with Adam at learning rate 3e-4; Adam is therefore the
 default everywhere in ``repro.core``.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(parameters, max_norm):
@@ -45,31 +45,6 @@ class Optimizer:
 
     def step(self):
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(self, parameters, lr=0.01, momentum=0.0, weight_decay=0.0):
-        super().__init__(parameters, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self):
-        for param, velocity in zip(self.parameters, self._velocity):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
 
 
 class Adam(Optimizer):

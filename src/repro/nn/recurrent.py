@@ -1,9 +1,10 @@
-"""Recurrent layers: LSTM and GRU.
+"""The LSTM recurrent layer.
 
 The WSCCL temporal path encoder (paper §IV-C, Eq. 7) feeds the concatenated
-spatio-temporal edge features into a (possibly multi-layer) LSTM; the
-PathRank baseline uses a GRU.  Both are implemented here on top of the
-autograd engine, processing sequences of shape ``(batch, time, features)``.
+spatio-temporal edge features into a (possibly multi-layer) LSTM, and the
+PathRank baseline reuses that encoder.  The LSTM is implemented here on top
+of the autograd engine, processing sequences of shape
+``(batch, time, features)``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from . import init
 from .module import Module, Parameter
 from .tensor import Tensor
 
-__all__ = ["LSTMCell", "LSTM", "GRUCell", "GRU"]
+__all__ = ["LSTMCell", "LSTM"]
 
 
 class LSTMCell(Module):
@@ -49,9 +50,8 @@ class LSTMCell(Module):
 
     def initial_state(self, batch_size):
         """Zero hidden and cell state."""
-        dtype = self.weight_hh.data.dtype
-        zeros = Tensor(np.zeros((batch_size, self.hidden_size), dtype=dtype))
-        return zeros, Tensor(np.zeros((batch_size, self.hidden_size), dtype=dtype))
+        shape = (batch_size, self.hidden_size)
+        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
 
 
 class LSTM(Module):
@@ -96,7 +96,7 @@ class LSTM(Module):
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         batch, time_steps, _ = x.shape
-        mask_array = None if mask is None else np.asarray(mask, dtype=x.data.dtype)
+        mask_array = None if mask is None else np.asarray(mask, dtype=np.float64)
 
         layer_input_steps = [x[:, t, :] for t in range(time_steps)]
         for name in self._cell_names:
@@ -118,73 +118,3 @@ class LSTM(Module):
         final_hidden = layer_input_steps[-1]
         return outputs, final_hidden
 
-
-class GRUCell(Module):
-    """A single GRU cell (update/reset/new gates)."""
-
-    def __init__(self, input_size, hidden_size, rng=None):
-        super().__init__()
-        rng = rng or np.random.default_rng(0)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.weight_ih = Parameter(init.xavier_uniform((3 * hidden_size, input_size), rng))
-        self.weight_hh = Parameter(init.orthogonal((3 * hidden_size, hidden_size), rng))
-        self.bias_ih = Parameter(np.zeros(3 * hidden_size))
-        self.bias_hh = Parameter(np.zeros(3 * hidden_size))
-
-    def forward(self, x, h_prev):
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        hs = self.hidden_size
-        gi = x @ self.weight_ih.transpose() + self.bias_ih
-        gh = h_prev @ self.weight_hh.transpose() + self.bias_hh
-        reset = (gi[:, 0:hs] + gh[:, 0:hs]).sigmoid()
-        update = (gi[:, hs:2 * hs] + gh[:, hs:2 * hs]).sigmoid()
-        new = (gi[:, 2 * hs:3 * hs] + reset * gh[:, 2 * hs:3 * hs]).tanh()
-        return update * h_prev + (1.0 - update) * new
-
-    def initial_state(self, batch_size):
-        dtype = self.weight_hh.data.dtype
-        return Tensor(np.zeros((batch_size, self.hidden_size), dtype=dtype))
-
-
-class GRU(Module):
-    """Multi-layer GRU over ``(batch, time, features)`` sequences."""
-
-    def __init__(self, input_size, hidden_size, num_layers=1, rng=None):
-        super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
-        rng = rng or np.random.default_rng(0)
-        self.input_size = input_size
-        self.hidden_size = hidden_size
-        self.num_layers = num_layers
-        self._cell_names = []
-        for layer in range(num_layers):
-            in_size = input_size if layer == 0 else hidden_size
-            name = f"cell{layer}"
-            setattr(self, name, GRUCell(in_size, hidden_size, rng=rng))
-            self._cell_names.append(name)
-
-    def forward(self, x, mask=None):
-        """Same calling convention as :class:`LSTM`."""
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        batch, time_steps, _ = x.shape
-        mask_array = None if mask is None else np.asarray(mask, dtype=x.data.dtype)
-
-        layer_input_steps = [x[:, t, :] for t in range(time_steps)]
-        for name in self._cell_names:
-            cell = getattr(self, name)
-            h = cell.initial_state(batch)
-            step_outputs = []
-            for t, step in enumerate(layer_input_steps):
-                h_new = cell(step, h)
-                if mask_array is not None:
-                    keep = Tensor(mask_array[:, t:t + 1])
-                    h = h_new * keep + h * (1.0 - keep)
-                else:
-                    h = h_new
-                step_outputs.append(h)
-            layer_input_steps = step_outputs
-
-        outputs = Tensor.stack(layer_input_steps, axis=1)
-        return outputs, layer_input_steps[-1]

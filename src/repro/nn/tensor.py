@@ -10,77 +10,20 @@ The engine intentionally supports only the operations the WSCCL pipeline and
 its baselines need (dense linear algebra, element-wise math, reductions,
 indexing, concatenation and stacking), but supports them with full
 broadcasting semantics so that model code reads like idiomatic numpy.
+
+Tensor data is always float64: lists, scalars and integer or boolean arrays
+are converted on construction, and float64 arrays are wrapped without a
+copy.  The 1e-10 serving-equivalence checks rely on float64 throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "no_grad",
-    "is_grad_enabled",
-    "set_default_dtype",
-    "get_default_dtype",
-    "default_dtype",
-]
+__all__ = ["Tensor", "no_grad"]
 
 
 _GRAD_ENABLED = [True]
-
-#: Floating dtypes the engine supports.  float64 is the historical default
-#: (and what the 1e-10 serving-equivalence suites rely on); float32 is the
-#: training fast path's default, halving memory traffic per step.
-_SUPPORTED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-
-_DEFAULT_DTYPE = [np.dtype(np.float64)]
-
-
-def _canonical_dtype(dtype):
-    resolved = np.dtype(dtype)
-    if resolved not in _SUPPORTED_DTYPES:
-        raise ValueError(
-            f"unsupported dtype {dtype!r}: expected one of "
-            f"{[d.name for d in _SUPPORTED_DTYPES]}")
-    return resolved
-
-
-def set_default_dtype(dtype):
-    """Set the dtype new tensors are created with; returns the previous one.
-
-    Accepts ``np.float32`` / ``np.float64`` or their string names.  Tensors
-    built from plain lists, scalars or integer arrays are cast to this dtype;
-    float32/float64 numpy arrays keep their own dtype (per-tensor dtype), so a
-    float64 model keeps computing in float64 even while the default is
-    float32.
-    """
-    previous = _DEFAULT_DTYPE[0]
-    _DEFAULT_DTYPE[0] = _canonical_dtype(dtype)
-    return previous
-
-
-def get_default_dtype():
-    """The dtype currently used for new tensors (``np.dtype``)."""
-    return _DEFAULT_DTYPE[0]
-
-
-class default_dtype:
-    """Context manager scoping :func:`set_default_dtype`.
-
-    >>> with default_dtype("float32"):
-    ...     model = build_model()   # float32 parameters
-    """
-
-    def __init__(self, dtype):
-        self._dtype = _canonical_dtype(dtype)
-
-    def __enter__(self):
-        self._previous = set_default_dtype(self._dtype)
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback):
-        set_default_dtype(self._previous)
-        return False
 
 
 class no_grad:
@@ -105,20 +48,10 @@ def is_grad_enabled():
     return _GRAD_ENABLED[0]
 
 
-def _as_array(data, dtype=None):
-    if dtype is None:
-        # Per-tensor dtype: float32/float64 arrays (and numpy scalars, which
-        # full reductions like ``arr.sum()`` produce) keep their own dtype so
-        # mixed-precision graphs are possible; everything else (lists, python
-        # scalars, integer arrays) is cast to the configurable default.
-        if isinstance(data, (np.ndarray, np.generic)) and data.dtype in _SUPPORTED_DTYPES:
-            return np.asarray(data)
-        dtype = _DEFAULT_DTYPE[0]
-    else:
-        dtype = _canonical_dtype(dtype)
-    if isinstance(data, np.ndarray) and data.dtype == dtype:
+def _as_array(data):
+    if isinstance(data, np.ndarray) and data.dtype == np.float64:
         return data
-    return np.asarray(data, dtype=dtype)
+    return np.asarray(data, dtype=np.float64)
 
 
 def _sum_to_shape(grad, shape):
@@ -146,21 +79,17 @@ class Tensor:
     Parameters
     ----------
     data:
-        Array-like payload.  Stored as the configurable default floating
-        dtype (:func:`set_default_dtype`; float64 unless changed), except
-        that float32/float64 numpy arrays keep their own dtype.
+        Array-like payload, stored as float64 (float64 arrays are kept
+        without a copy).
     requires_grad:
         Whether gradients should be accumulated into ``self.grad`` when
         :meth:`backward` is called on a downstream tensor.
-    dtype:
-        Optional explicit dtype (``np.float32`` / ``np.float64``) overriding
-        both the payload's dtype and the default.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "_op")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _op="", dtype=None):
-        self.data = _as_array(data, dtype=dtype)
+    def __init__(self, data, requires_grad=False, _parents=(), _op=""):
+        self.data = _as_array(data)
         self.requires_grad = bool(requires_grad) and is_grad_enabled()
         self.grad = None
         self._backward = None
@@ -208,20 +137,6 @@ class Tensor:
         """Return a new tensor sharing data but cut off from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def astype(self, dtype):
-        """Differentiable dtype cast; gradients are cast back on the way in."""
-        dtype = _canonical_dtype(dtype)
-        if dtype == self.data.dtype:
-            return self
-        out_data = self.data.astype(dtype)
-        source_dtype = self.data.dtype
-
-        def backward(grad):
-            if self.requires_grad:
-                self._accumulate(grad.astype(source_dtype))
-
-        return self._make_result(out_data, (self,), backward, "astype")
-
     def zero_grad(self):
         """Reset the accumulated gradient."""
         self.grad = None
@@ -230,15 +145,8 @@ class Tensor:
     # Graph construction helpers
     # ------------------------------------------------------------------
     @staticmethod
-    def _ensure(other, dtype=None):
-        if isinstance(other, Tensor):
-            return other
-        if dtype is not None and not isinstance(other, np.ndarray):
-            # Python scalars/lists adopt the companion operand's dtype so a
-            # float32 graph is not upcast by `x * 0.5`-style constants when
-            # the global default is float64.
-            return Tensor(other, dtype=dtype)
-        return Tensor(other)
+    def _ensure(other):
+        return other if isinstance(other, Tensor) else Tensor(other)
 
     def _make_result(self, data, parents, backward, op):
         requires = is_grad_enabled() and any(p.requires_grad for p in parents)
@@ -256,7 +164,7 @@ class Tensor:
     # Arithmetic
     # ------------------------------------------------------------------
     def __add__(self, other):
-        other = self._ensure(other, dtype=self.data.dtype)
+        other = self._ensure(other)
         out_data = self.data + other.data
 
         def backward(grad):
@@ -270,7 +178,7 @@ class Tensor:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._ensure(other, dtype=self.data.dtype)
+        other = self._ensure(other)
         out_data = self.data - other.data
 
         def backward(grad):
@@ -282,10 +190,10 @@ class Tensor:
         return self._make_result(out_data, (self, other), backward, "sub")
 
     def __rsub__(self, other):
-        return self._ensure(other, dtype=self.data.dtype).__sub__(self)
+        return self._ensure(other).__sub__(self)
 
     def __mul__(self, other):
-        other = self._ensure(other, dtype=self.data.dtype)
+        other = self._ensure(other)
         out_data = self.data * other.data
 
         def backward(grad):
@@ -299,7 +207,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._ensure(other, dtype=self.data.dtype)
+        other = self._ensure(other)
         out_data = self.data / other.data
 
         def backward(grad):
@@ -313,7 +221,7 @@ class Tensor:
         return self._make_result(out_data, (self, other), backward, "div")
 
     def __rtruediv__(self, other):
-        return self._ensure(other, dtype=self.data.dtype).__truediv__(self)
+        return self._ensure(other).__truediv__(self)
 
     def __neg__(self):
         out_data = -self.data
@@ -336,7 +244,7 @@ class Tensor:
         return self._make_result(out_data, (self,), backward, "pow")
 
     def __matmul__(self, other):
-        other = self._ensure(other, dtype=self.data.dtype)
+        other = self._ensure(other)
         out_data = self.data @ other.data
 
         def backward(grad):
@@ -556,7 +464,7 @@ class Tensor:
                 raise RuntimeError("grad must be provided for non-scalar tensors")
             grad = np.ones_like(self.data)
         else:
-            grad = _as_array(grad, dtype=self.data.dtype)
+            grad = _as_array(grad)
 
         # Topological ordering of the graph reachable from self.
         order = []

@@ -65,6 +65,12 @@ class TestTemporalPathEncoder:
         assert reps.shape == (5, tiny_config.hidden_dim)
         assert np.isfinite(reps).all()
 
+    def test_parameters_and_outputs_are_float64(self, encoder, tiny_city):
+        encoded = encoder(paths_from_city(tiny_city, 3))
+        assert encoded.tprs.dtype == np.float64
+        assert encoded.edge_representations.dtype == np.float64
+        assert all(p.dtype == np.float64 for p in encoder.parameters())
+
     def test_encode_empty_list(self, encoder, tiny_config):
         reps = encoder.encode([])
         assert reps.shape == (0, tiny_config.hidden_dim)

@@ -11,6 +11,15 @@ from repro.core import WSCCL, WSCModel, load_model, save_model
 from repro.roadnet import CityConfig, generate_city_network
 
 
+def rewrite_meta(archive, edit):
+    """Apply ``edit`` to the meta record of a saved archive, in place."""
+    stored = dict(np.load(archive))
+    meta = json.loads(str(stored["meta_json"]))
+    edit(meta)
+    stored["meta_json"] = np.array(json.dumps(meta))
+    np.savez_compressed(archive, **stored)
+
+
 class TestSaveLoad:
     def test_round_trip_preserves_representations(self, tmp_path, tiny_city, tiny_config,
                                                   shared_resources):
@@ -45,6 +54,50 @@ class TestSaveLoad:
         np.savez_compressed(archive, **stored)
         restored = load_model(archive, tiny_city.network)
         assert restored.config == tiny_config
+
+    def test_rejects_archive_naming_another_encoder(self, tmp_path, tiny_city,
+                                                     tiny_config, shared_resources):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "wsc.npz"
+        save_model(archive, model)
+        rewrite_meta(archive, lambda meta: meta.update(encoder_type="transformer"))
+        with pytest.raises(ValueError, match="transformer"):
+            load_model(archive, tiny_city.network)
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta.pop("encoder_type", None),
+        lambda meta: meta.update(encoder_type="lstm"),
+    ], ids=["no-encoder-key", "lstm-encoder-key"])
+    def test_round_trip_with_or_without_encoder_key(self, tmp_path, tiny_city, tiny_config,
+                                                    shared_resources, edit):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "wsc.npz"
+        save_model(archive, model)
+        rewrite_meta(archive, edit)
+        restored = load_model(archive, tiny_city.network)
+        paths = tiny_city.unlabeled.temporal_paths[:3]
+        np.testing.assert_array_equal(restored.encode(paths), model.encode(paths))
+
+    @pytest.mark.parametrize("use_temporal", [True, False])
+    def test_round_trip_keeps_use_temporal(self, tmp_path, tiny_city, tiny_config,
+                                           shared_resources, use_temporal):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources,
+                         use_temporal=use_temporal)
+        archive = tmp_path / "wsc.npz"
+        save_model(archive, model)
+        restored = load_model(archive, tiny_city.network)
+        assert restored.encoder.use_temporal is use_temporal
+        paths = tiny_city.unlabeled.temporal_paths[:3]
+        np.testing.assert_array_equal(restored.encode(paths), model.encode(paths))
+
+    def test_meta_records_use_temporal_and_edge_count(self, tmp_path, tiny_city,
+                                                      tiny_config, shared_resources):
+        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        archive = tmp_path / "wsc.npz"
+        save_model(archive, model)
+        meta = json.loads(str(np.load(archive)["meta_json"]))
+        assert meta == {"use_temporal": True,
+                        "num_network_edges": tiny_city.network.num_edges}
 
     def test_rejects_non_model_objects(self, tmp_path):
         with pytest.raises(TypeError):

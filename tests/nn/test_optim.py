@@ -1,4 +1,4 @@
-"""Tests for SGD / Adam optimisers and gradient clipping."""
+"""Tests for the Adam optimiser and gradient clipping."""
 
 from __future__ import annotations
 
@@ -14,54 +14,31 @@ def quadratic_loss(parameter):
     return (diff * diff).sum()
 
 
-class TestSGD:
-    def test_single_step_matches_formula(self):
-        p = nn.Parameter(np.array([1.0]))
-        optimizer = nn.SGD([p], lr=0.1)
-        quadratic_loss(p).backward()
-        optimizer.step()
-        # grad = 2*(1-3) = -4 -> p = 1 - 0.1*(-4) = 1.4
-        np.testing.assert_allclose(p.data, [1.4])
-
-    def test_converges_on_quadratic(self):
-        p = nn.Parameter(np.array([10.0, -5.0]))
-        optimizer = nn.SGD([p], lr=0.1)
-        for _ in range(200):
+class TestAdam:
+    def test_first_steps_match_formula(self):
+        p = nn.Parameter(np.array([1.0, -2.0]))
+        optimizer = nn.Adam([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+        m = v = np.zeros(2)
+        expected = p.data.copy()
+        for step in (1, 2):
             optimizer.zero_grad()
             quadratic_loss(p).backward()
+            grad = 2.0 * (expected - 3.0)
+            m = 0.9 * m + 0.1 * grad
+            v = 0.999 * v + 0.001 * grad * grad
+            m_hat = m / (1.0 - 0.9 ** step)
+            v_hat = v / (1.0 - 0.999 ** step)
+            expected = expected - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
             optimizer.step()
-        np.testing.assert_allclose(p.data, [3.0, 3.0], atol=1e-3)
+            np.testing.assert_allclose(p.data, expected, rtol=1e-12)
 
-    def test_momentum_accelerates(self):
-        plain = nn.Parameter(np.array([10.0]))
-        momentum = nn.Parameter(np.array([10.0]))
-        opt_plain = nn.SGD([plain], lr=0.01)
-        opt_momentum = nn.SGD([momentum], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            for p, optimizer in ((plain, opt_plain), (momentum, opt_momentum)):
-                optimizer.zero_grad()
-                quadratic_loss(p).backward()
-                optimizer.step()
-        assert abs(momentum.data[0] - 3.0) < abs(plain.data[0] - 3.0)
+    def test_zero_grad_clears_managed_parameters(self):
+        params = [nn.Parameter(np.ones(2)), nn.Parameter(np.ones(3))]
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        nn.Adam(params).zero_grad()
+        assert all(p.grad is None for p in params)
 
-    def test_weight_decay_shrinks_parameters(self):
-        p = nn.Parameter(np.array([1.0]))
-        optimizer = nn.SGD([p], lr=0.1, weight_decay=0.5)
-        # Zero-gradient step: only weight decay acts.
-        p.grad = np.array([0.0])
-        optimizer.step()
-        assert p.data[0] < 1.0
-
-    def test_rejects_empty_parameter_list(self):
-        with pytest.raises(ValueError):
-            nn.SGD([], lr=0.1)
-
-    def test_rejects_non_positive_lr(self):
-        with pytest.raises(ValueError):
-            nn.SGD([nn.Parameter(np.zeros(1))], lr=0.0)
-
-
-class TestAdam:
     def test_converges_on_quadratic(self):
         p = nn.Parameter(np.array([10.0, -8.0]))
         optimizer = nn.Adam([p], lr=0.1)
@@ -79,6 +56,22 @@ class TestAdam:
         optimizer.step()
         np.testing.assert_allclose(q.data, [2.0])
         assert p.data[0] != 1.0
+
+    def test_weight_decay_shrinks_parameters(self):
+        p = nn.Parameter(np.array([1.0]))
+        optimizer = nn.Adam([p], lr=0.1, weight_decay=0.5)
+        # Zero-gradient step: only weight decay acts.
+        p.grad = np.array([0.0])
+        optimizer.step()
+        assert p.data[0] < 1.0
+
+    def test_rejects_empty_parameter_list(self):
+        with pytest.raises(ValueError):
+            nn.Adam([], lr=0.1)
+
+    def test_rejects_non_positive_lr(self):
+        with pytest.raises(ValueError):
+            nn.Adam([nn.Parameter(np.zeros(1))], lr=0.0)
 
     def test_trains_a_linear_model(self, rng):
         """Adam should fit a small least-squares problem."""
@@ -109,6 +102,22 @@ class TestClipGradNorm:
         p.grad = np.array([0.1, 0.1])
         nn.clip_grad_norm([p], max_norm=5.0)
         np.testing.assert_allclose(p.grad, [0.1, 0.1])
+
+    def test_norm_is_global_across_parameters(self):
+        p = nn.Parameter(np.zeros(1))
+        q = nn.Parameter(np.zeros(1))
+        p.grad = np.array([3.0])
+        q.grad = np.array([4.0])
+        assert nn.clip_grad_norm([p, q], max_norm=1.0) == pytest.approx(5.0)
+        np.testing.assert_allclose([p.grad[0], q.grad[0]], [0.6, 0.8])
+
+    def test_skips_parameters_without_gradient(self):
+        p = nn.Parameter(np.zeros(2))
+        q = nn.Parameter(np.zeros(2))
+        p.grad = np.array([6.0, 8.0])
+        assert nn.clip_grad_norm([p, q], max_norm=5.0) == pytest.approx(10.0)
+        np.testing.assert_allclose(p.grad, [3.0, 4.0])
+        assert q.grad is None
 
     def test_handles_missing_gradients(self):
         p = nn.Parameter(np.zeros(2))

@@ -1,4 +1,4 @@
-"""Tests for LSTM / GRU recurrent layers."""
+"""Tests for the LSTM recurrent layer."""
 
 from __future__ import annotations
 
@@ -6,6 +6,18 @@ import numpy as np
 import pytest
 
 from repro import nn
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def numpy_lstm_step(cell, x, h, c):
+    """One LSTM step written out with numpy, gates stacked as [i, f, g, o]."""
+    gates = x @ cell.weight_ih.data.T + h @ cell.weight_hh.data.T + cell.bias.data
+    i, f, g, o = np.split(gates, 4, axis=1)
+    c_new = _sigmoid(f) * c + _sigmoid(i) * np.tanh(g)
+    return _sigmoid(o) * np.tanh(c_new), c_new
 
 
 class TestLSTMCell:
@@ -22,6 +34,28 @@ class TestLSTMCell:
         h1, _ = cell(nn.Tensor(rng.normal(size=(2, 4))), state)
         h2, _ = cell(nn.Tensor(rng.normal(size=(2, 4))), state)
         assert not np.allclose(h1.data, h2.data)
+
+    @pytest.mark.parametrize("batch,input_size,hidden_size", [(1, 3, 2), (4, 5, 7), (2, 1, 3)])
+    def test_step_matches_gate_equations(self, rng, batch, input_size, hidden_size):
+        cell = nn.LSTMCell(input_size, hidden_size, rng=np.random.default_rng(1))
+        x = rng.normal(size=(batch, input_size))
+        h = rng.normal(size=(batch, hidden_size))
+        c = rng.normal(size=(batch, hidden_size))
+        h_new, c_new = cell(nn.Tensor(x), (nn.Tensor(h), nn.Tensor(c)))
+        expected_h, expected_c = numpy_lstm_step(cell, x, h, c)
+        np.testing.assert_allclose(h_new.data, expected_h, atol=1e-12)
+        np.testing.assert_allclose(c_new.data, expected_c, atol=1e-12)
+
+    def test_initial_state_is_zero_float64(self):
+        cell = nn.LSTMCell(2, 3)
+        for part in cell.initial_state(batch_size=4):
+            assert part.shape == (4, 3)
+            assert part.dtype == np.float64
+            assert not part.data.any()
+
+    def test_forget_gate_bias_starts_at_one(self):
+        cell = nn.LSTMCell(2, 3)
+        np.testing.assert_array_equal(cell.bias.data, [0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
 
 
 class TestLSTM:
@@ -66,24 +100,49 @@ class TestLSTM:
         with pytest.raises(ValueError):
             nn.LSTM(4, 4, num_layers=0)
 
+    def test_stacked_layers_chain_cells(self, rng):
+        """Layer 2 runs its cell over layer 1's hidden states (Eq. 7, stacked)."""
+        lstm = nn.LSTM(input_size=3, hidden_size=4, num_layers=2, rng=np.random.default_rng(2))
+        x = rng.normal(size=(2, 3, 3))
+        outputs, final = lstm(nn.Tensor(x))
 
-class TestGRU:
-    def test_output_shapes(self, rng):
-        gru = nn.GRU(input_size=4, hidden_size=6, rng=np.random.default_rng(0))
-        outputs, final = gru(nn.Tensor(rng.normal(size=(2, 3, 4))))
-        assert outputs.shape == (2, 3, 6)
-        assert final.shape == (2, 6)
+        layer_input = [x[:, t, :] for t in range(3)]
+        for cell in (lstm.cell0, lstm.cell1):
+            h = c = np.zeros((2, 4))
+            steps = []
+            for step in layer_input:
+                h, c = numpy_lstm_step(cell, step, h, c)
+                steps.append(h)
+            layer_input = steps
+        np.testing.assert_allclose(outputs.data, np.stack(layer_input, axis=1), atol=1e-12)
+        np.testing.assert_allclose(final.data, layer_input[-1], atol=1e-12)
 
-    def test_mask_freezes_state(self, rng):
-        gru = nn.GRU(input_size=3, hidden_size=4, rng=np.random.default_rng(0))
-        x = rng.normal(size=(1, 3, 3))
-        mask = np.array([[1.0, 0.0, 0.0]])
-        outputs, final = gru(nn.Tensor(x), mask=mask)
-        np.testing.assert_allclose(outputs.data[0, 2], outputs.data[0, 0])
-        np.testing.assert_allclose(final.data[0], outputs.data[0, 0])
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("masked", [False, True], ids=["dense", "masked"])
+    def test_input_gradient_matches_finite_differences(self, rng, num_layers, masked):
+        lstm = nn.LSTM(input_size=2, hidden_size=3, num_layers=num_layers,
+                       rng=np.random.default_rng(3))
+        x = rng.normal(size=(2, 3, 2))
+        mask = np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 0.0]]) if masked else None
+        weights = rng.normal(size=(2, 3, 3))
 
-    def test_gradients_flow(self, rng):
-        gru = nn.GRU(input_size=2, hidden_size=3, rng=np.random.default_rng(0))
-        outputs, final = gru(nn.Tensor(rng.normal(size=(2, 3, 2))))
-        final.sum().backward()
-        assert all(p.grad is not None for p in gru.parameters())
+        def loss(inputs):
+            outputs, _ = lstm(inputs, mask=mask)
+            return (outputs * nn.Tensor(weights)).sum()
+
+        inputs = nn.Tensor(x.copy(), requires_grad=True)
+        loss(inputs).backward()
+
+        eps = 1e-6
+        numeric = np.zeros_like(x)
+        for index in np.ndindex(*x.shape):
+            shifted = x.copy()
+            shifted[index] += eps
+            upper = float(loss(nn.Tensor(shifted)).data)
+            shifted[index] -= 2 * eps
+            lower = float(loss(nn.Tensor(shifted)).data)
+            numeric[index] = (upper - lower) / (2 * eps)
+        np.testing.assert_allclose(inputs.grad, numeric, rtol=1e-4, atol=1e-7)
+        if masked:
+            # Padded steps of the short sequence feed nothing forward.
+            np.testing.assert_array_equal(inputs.grad[1, 1:], 0.0)

@@ -41,6 +41,13 @@ def check_gradient(build_scalar, shape, seed=0, tol=1e-4):
 
 
 class TestBasicOps:
+    def test_data_is_always_float64(self):
+        for payload in (1.5, [1, 2], np.arange(3), np.array([True, False]),
+                        np.zeros(2, dtype=np.float32)):
+            assert Tensor(payload).dtype == np.float64
+        array = np.zeros(3)
+        assert Tensor(array).data is array
+
     def test_add_forward(self):
         out = Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])
         np.testing.assert_allclose(out.data, [4.0, 6.0])
@@ -157,6 +164,95 @@ class TestGradients:
 
     def test_clip_gradient_inside_range(self):
         check_gradient(lambda t: (t.clip(-100.0, 100.0) * 2.0).sum(), (4,))
+
+
+_FIXED = np.random.default_rng(11)
+_MATRIX = _FIXED.normal(size=(4, 3))
+_VECTOR = _FIXED.normal(size=(4,))
+_BATCH = _FIXED.normal(size=(2, 3, 4))
+_POSITIVE = _FIXED.uniform(1.0, 2.0, size=(3, 4))
+
+#: Backward rules not exercised above: the right-hand operand of binary ops,
+#: reflected scalar ops, 1-D and batched matmul, and reductions/reshapes with
+#: non-default axes.  name -> (scalar graph of ``t``, shape of ``t``).
+OPERAND_GRADIENT_CASES = {
+    "add_right_operand": (lambda t: (Tensor(_MATRIX) + t).sum(), (4, 3)),
+    "sub_right_operand": (lambda t: ((Tensor(_MATRIX) - t) ** 2).sum(), (4, 3)),
+    "mul_right_broadcast": (lambda t: (Tensor(_MATRIX) * t).sum(), (1, 3)),
+    "div_right_operand": (lambda t: (Tensor(_MATRIX) / (t * t + 1.0)).sum(), (4, 3)),
+    "reflected_sub": (lambda t: ((2.0 - t) ** 2).sum(), (3,)),
+    "reflected_div": (lambda t: (1.0 / (t * t + 1.0)).sum(), (3,)),
+    "neg": (lambda t: (-(t * t)).sum(), (2, 2)),
+    "pow_cubic": (lambda t: (t ** 3).sum(), (5,)),
+    "sqrt": (lambda t: (t * t + 1.0).sqrt().sum(), (4,)),
+    "matmul_right_operand": (lambda t: ((Tensor(_MATRIX.T) @ t) ** 2).sum(), (4, 2)),
+    "matmul_vector_left": (lambda t: ((t @ Tensor(_MATRIX)) ** 2).sum(), (4,)),
+    "matmul_vector_right": (lambda t: ((Tensor(_MATRIX.T) @ t) ** 2).sum(), (4,)),
+    "matmul_vector_by_right_operand": (lambda t: ((Tensor(_VECTOR) @ t) ** 2).sum(), (4, 3)),
+    "matmul_matrix_by_vector": (lambda t: ((t @ Tensor(_VECTOR)) ** 2).sum(), (3, 4)),
+    "matmul_batched_by_vector": (lambda t: ((t @ Tensor(_VECTOR)) ** 2).sum(), (2, 3, 4)),
+    "matmul_batched_broadcast": (lambda t: ((Tensor(_BATCH) @ t) ** 2).sum(), (4, 2)),
+    "matmul_batched_left": (lambda t: ((t @ Tensor(_MATRIX)) ** 2).sum(), (2, 3, 4)),
+    "sum_keepdims": (lambda t: (t.sum(axis=1, keepdims=True) * t).sum(), (3, 4)),
+    "sum_all": (lambda t: t.sum() * t.sum(), (2, 3)),
+    "mean_tuple_axis": (lambda t: (t.mean(axis=(0, 2)) ** 2).sum(), (2, 3, 4)),
+    "mean_all": (lambda t: t.mean() * t.mean(), (3, 2)),
+    "transpose_axes": (
+        lambda t: (t.transpose(2, 0, 1) * Tensor(np.arange(24.0).reshape(4, 2, 3))).sum(),
+        (2, 3, 4)),
+    "getitem_3d_slice": (lambda t: (t[:, 1:, ::2] ** 2).sum(), (2, 3, 4)),
+    "concatenate_axis0": (
+        lambda t: (Tensor.concatenate([t, Tensor(_POSITIVE), t], axis=0) ** 2).sum(),
+        (3, 4)),
+    "stack_axis1": (
+        lambda t: (Tensor.stack([t, t * t], axis=1)
+                   * Tensor(np.arange(12.0).reshape(3, 2, 2))).sum(),
+        (3, 2)),
+    "exp_of_product": (lambda t: (t * Tensor(_POSITIVE)).exp().sum(), (3, 4)),
+    "log_of_positive": (lambda t: (t * t + Tensor(_POSITIVE)).log().sum(), (3, 4)),
+}
+
+
+class TestOperandGradients:
+    @pytest.mark.parametrize("name", sorted(OPERAND_GRADIENT_CASES))
+    def test_matches_finite_differences(self, name):
+        build, shape = OPERAND_GRADIENT_CASES[name]
+        check_gradient(build, shape, seed=len(name))
+
+    def test_max_splits_gradient_between_ties(self):
+        tensor = Tensor(np.array([[1.0, 3.0, 3.0], [2.0, 0.0, -1.0]]), requires_grad=True)
+        tensor.max(axis=1).sum().backward()
+        np.testing.assert_allclose(tensor.grad, [[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+
+    def test_clip_blocks_gradient_outside_range(self):
+        tensor = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
+        (tensor.clip(-1.0, 1.0) * 4.0).sum().backward()
+        np.testing.assert_allclose(tensor.grad, [0.0, 4.0, 0.0])
+
+    def test_relu_blocks_gradient_for_negative_inputs(self):
+        tensor = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)
+        tensor.relu().sum().backward()
+        np.testing.assert_allclose(tensor.grad, [0.0, 1.0, 1.0])
+
+
+class TestFloat64Contract:
+    def test_scalar_operands_keep_float64(self):
+        t = Tensor(np.arange(3))
+        for out in (t * 0.5, t + 1, 1 - t, t / 2, 2.0 / (t + 1.0), t.mean()):
+            assert out.dtype == np.float64
+
+    def test_gradients_are_float64_for_integer_seed(self):
+        t = Tensor([1.0, 2.0], requires_grad=True)
+        (t * 3.0).backward(np.array([1, 2]))
+        assert t.grad.dtype == np.float64
+        np.testing.assert_allclose(t.grad, [3.0, 6.0])
+
+    def test_full_reductions_are_float64_tensors(self):
+        t = Tensor(np.ones((2, 3)), requires_grad=True)
+        for out in (t.sum(), t.max(), t.mean()):
+            assert isinstance(out, Tensor)
+            assert out.dtype == np.float64
+            assert out.shape == ()
 
 
 class TestBackwardMechanics:

@@ -90,17 +90,6 @@ def test_single_path_and_empty_requests(model, workload, golden):
     assert empty.shape == (0, model.representation_dim)
 
 
-def test_transformer_backend_equivalence(tiny_city, tiny_config, shared_resources,
-                                         monkeypatch):
-    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 5)
-    model = WSCModel(tiny_city.network, tiny_config, resources=shared_resources,
-                     encoder_type="transformer")
-    paths = list(tiny_city.unlabeled.temporal_paths[:12])
-    golden = np.stack([model.embed([tp])[0] for tp in paths], axis=0)
-    service = PathEmbeddingService(model)
-    np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
-
-
 def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources,
                                                    monkeypatch):
     from repro.baselines import SpatialSequenceEncoder
