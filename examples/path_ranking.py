@@ -30,7 +30,7 @@ def main():
     groups = np.array([e.group for e in examples])
 
     print("Fitting the ranking-score regressor on frozen TPRs ...")
-    regressor = GradientBoostingRegressor(n_estimators=40, seed=0)
+    regressor = GradientBoostingRegressor(n_estimators=40)
     regressor.fit(representations, scores)
     predictions = regressor.predict(representations)
 

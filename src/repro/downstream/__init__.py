@@ -15,16 +15,14 @@ from .tasks import (
     RankingResult,
     RecommendationResult,
     TravelTimeResult,
-    evaluate_all_tasks,
     evaluate_ranking,
     evaluate_recommendation,
     evaluate_travel_time,
 )
-from .tree import DecisionTreeRegressor, HistogramBins
+from .tree import DecisionTreeRegressor
 
 __all__ = [
     "DecisionTreeRegressor",
-    "HistogramBins",
     "GradientBoostingRegressor",
     "GradientBoostingClassifier",
     "mae",
@@ -41,5 +39,4 @@ __all__ = [
     "evaluate_travel_time",
     "evaluate_ranking",
     "evaluate_recommendation",
-    "evaluate_all_tasks",
 ]

@@ -8,11 +8,11 @@ test split.
 
 Embeddings are obtained through the batched
 :class:`~repro.serving.PathEmbeddingService` (length-bucketed micro-batching
-plus an LRU cache shared between the train and test encodes — and, via
-:func:`evaluate_all_tasks`, across the three tasks).  The service is
-numerically faithful to direct encoding, so results equal those of the raw
-model; pass a ready-made service as ``model`` to share its cache across
-calls.
+plus an LRU cache shared between the train and test encodes).  The service
+is numerically faithful to direct encoding, so results equal those of the
+raw model; pass a ready-made service as ``model`` to share its cache across
+calls, as :func:`repro.evaluation.harness.representation_task_results` does
+across the three tasks.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_travel_time",
     "evaluate_ranking",
     "evaluate_recommendation",
-    "evaluate_all_tasks",
 ]
 
 
@@ -98,7 +97,7 @@ def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
     test_y = np.array([e.travel_time for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
+        n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return TravelTimeResult(
         mae=mae(test_y, predictions),
@@ -129,7 +128,7 @@ def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
     test_groups = np.array([e.group for e in test])
 
     regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
+        n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
     predictions = regressor.predict(test_x)
     return RankingResult(
         mae=mae(test_y, predictions),
@@ -158,33 +157,10 @@ def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
         predictions = np.full(len(test_y), int(round(train_y.mean())))
     else:
         classifier = GradientBoostingClassifier(
-            n_estimators=n_estimators, max_depth=max_depth, seed=seed).fit(train_x, train_y)
+            n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
         predictions = classifier.predict(test_x)
     return RecommendationResult(
         accuracy=accuracy(test_y, predictions),
         hit_rate=hit_rate(test_y, predictions),
     )
 
-
-def evaluate_all_tasks(model, tasks, test_fraction=0.2, seed=0, n_estimators=40):
-    """Run all three downstream evaluations against one representation model.
-
-    ``tasks`` is a :class:`~repro.datasets.tasks.TaskDatasets`.  Returns a
-    dict with keys ``travel_time``, ``ranking`` and ``recommendation``.
-
-    One :class:`~repro.serving.PathEmbeddingService` is shared across the
-    three evaluations, so paths appearing in several task datasets are
-    encoded once and served from the cache afterwards.
-    """
-    service = ensure_service(model)
-    return {
-        "travel_time": evaluate_travel_time(
-            service, tasks.travel_time, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators),
-        "ranking": evaluate_ranking(
-            service, tasks.ranking, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators),
-        "recommendation": evaluate_recommendation(
-            service, tasks.recommendation, test_fraction=test_fraction,
-            seed=seed, n_estimators=n_estimators),
-    }

@@ -5,13 +5,11 @@ Three layers, matching the engine:
 * metrics — vectorized Kendall/ranks/grouped exactly equal the loop oracles;
   Spearman agrees with the no-ties shortcut on tie-free inputs and with
   Pearson-on-ranks everywhere.
-* trees — exact binning reproduces the reference tree bit for bit
-  (flattened-vs-node ``predict`` agrees to 1e-12), including the
-  ``max_features`` RNG draws; histogram binning stays statistically
-  equivalent on task metrics.
-* GBM — identical predictions for identical seeds on exact splits, for both
-  the regressor and the classifier, with the reference tree patched in as
-  the weak learner.
+* trees — the vectorized split scan reproduces the reference tree bit for
+  bit (flattened-vs-node ``predict`` agrees to 1e-12) across depth, leaf
+  size and threshold budget.
+* GBM — identical predictions for both the regressor and the classifier,
+  with the reference tree patched in as the weak learner.
 """
 
 from __future__ import annotations
@@ -123,15 +121,13 @@ tree_problems = st.tuples(
     st.integers(min_value=1, max_value=5),      # min samples leaf
     st.integers(min_value=2, max_value=20),     # max thresholds
     st.integers(min_value=0, max_value=10_000), # seed
-    st.booleans(),                              # restrict max_features
 )
 
 
 class ReferenceTree(DecisionTreeRegressor):
     """The per-threshold loop and per-row node walk behind the tree API."""
 
-    def fit(self, features, targets, binned=None):
-        assert binned is None, "the loop oracle has no histogram path"
+    def fit(self, features, targets):
         self._root = self._reference_grow(np.asarray(features, dtype=np.float64),
                                           np.asarray(targets, dtype=np.float64),
                                           depth=0)
@@ -161,46 +157,18 @@ class TestTreeEquivalence:
     @given(tree_problems)
     @settings(max_examples=60, deadline=None)
     def test_flattened_predict_matches_node_walk_exactly(self, problem):
-        samples, features, depth, leaf, thresholds, seed, restrict = problem
+        samples, features, depth, leaf, thresholds, seed = problem
         x, y, queries = make_problem(samples, features, seed)
-        max_features = max(1, features - 1) if restrict else None
         kwargs = dict(max_depth=depth, min_samples_leaf=leaf,
-                      max_thresholds=thresholds, max_features=max_features,
-                      seed=seed)
+                      max_thresholds=thresholds)
         reference = ReferenceTree(**kwargs).fit(x, y)
         vectorized = DecisionTreeRegressor(**kwargs).fit(x, y)
         for matrix in (x, queries):
             node_walk = reference.predict(matrix)
             flattened = vectorized.predict(matrix)
             np.testing.assert_allclose(flattened, node_walk, atol=1e-12, rtol=0)
-            # The exact engine scans the same thresholds: bit-identical.
+            # The vectorized scan covers the same thresholds: bit-identical.
             np.testing.assert_array_equal(flattened, node_walk)
-
-    def test_histogram_tree_statistically_equivalent(self):
-        x, y, _ = make_problem(2000, 5, seed=7)
-        exact = DecisionTreeRegressor(max_depth=4, binning="exact").fit(x, y)
-        histogram = DecisionTreeRegressor(max_depth=4, binning="histogram").fit(x, y)
-        exact_mae = np.abs(exact.predict(x) - y).mean()
-        histogram_mae = np.abs(histogram.predict(x) - y).mean()
-        assert histogram_mae <= exact_mae * 1.25 + 0.05
-
-    def test_prebinned_fit_matches_self_binned(self):
-        from repro.downstream import HistogramBins
-
-        x, y, queries = make_problem(500, 4, seed=3)
-        bins = HistogramBins(x)
-        self_binned = DecisionTreeRegressor(binning="histogram").fit(x, y)
-        prebinned = DecisionTreeRegressor(binning="histogram").fit(x, y, binned=bins)
-        np.testing.assert_array_equal(
-            self_binned.predict(queries), prebinned.predict(queries))
-
-    def test_prebinned_shape_mismatch_rejected(self):
-        from repro.downstream import HistogramBins
-
-        x, y, _ = make_problem(100, 4, seed=3)
-        bins = HistogramBins(x[:50])
-        with pytest.raises(ValueError):
-            DecisionTreeRegressor(binning="histogram").fit(x, y, binned=bins)
 
 
 gbm_problems = st.tuples(
@@ -208,7 +176,6 @@ gbm_problems = st.tuples(
     st.integers(min_value=2, max_value=5),
     st.integers(min_value=1, max_value=12),     # n_estimators
     st.integers(min_value=0, max_value=10_000),
-    st.sampled_from([1.0, 0.7]),                # subsample
 )
 
 
@@ -216,9 +183,9 @@ class TestGBMEquivalence:
     @given(gbm_problems)
     @settings(max_examples=25, deadline=None)
     def test_regressor_identical_predictions_given_identical_seeds(self, problem):
-        samples, features, estimators, seed, subsample = problem
+        samples, features, estimators, seed = problem
         x, y, queries = make_problem(samples, features, seed)
-        kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
+        kwargs = dict(n_estimators=estimators)
         with reference_weak_learners():
             reference = GradientBoostingRegressor(**kwargs).fit(x, y)
         vectorized = GradientBoostingRegressor(**kwargs).fit(x, y)
@@ -228,27 +195,17 @@ class TestGBMEquivalence:
     @given(gbm_problems)
     @settings(max_examples=15, deadline=None)
     def test_classifier_identical_probabilities_given_identical_seeds(self, problem):
-        samples, features, estimators, seed, subsample = problem
+        samples, features, estimators, seed = problem
         x, _, queries = make_problem(samples, features, seed)
         labels = (x[:, 0] > 0).astype(np.int64)
         if len(np.unique(labels)) < 2:
             return
-        kwargs = dict(n_estimators=estimators, subsample=subsample, seed=seed)
+        kwargs = dict(n_estimators=estimators)
         with reference_weak_learners():
             reference = GradientBoostingClassifier(**kwargs).fit(x, labels)
         vectorized = GradientBoostingClassifier(**kwargs).fit(x, labels)
         np.testing.assert_array_equal(
             reference.predict_proba(queries), vectorized.predict_proba(queries))
-
-    def test_histogram_gbm_statistically_equivalent(self):
-        x, y, _ = make_problem(2000, 5, seed=11)
-        exact = GradientBoostingRegressor(n_estimators=30, seed=0,
-                                          binning="exact").fit(x, y)
-        histogram = GradientBoostingRegressor(n_estimators=30, seed=0,
-                                              binning="histogram").fit(x, y)
-        exact_mae = np.abs(exact.predict(x) - y).mean()
-        histogram_mae = np.abs(histogram.predict(x) - y).mean()
-        assert histogram_mae <= exact_mae * 1.25 + 0.05
 
 
 class TestEvaluatorEngineEquivalence:

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.downstream import (
-    evaluate_all_tasks,
     evaluate_ranking,
     evaluate_recommendation,
     evaluate_travel_time,
 )
+from repro.evaluation import HarnessConfig, representation_task_results
 
 
 class LengthModel:
@@ -77,6 +77,14 @@ class TestEvaluateTravelTime:
         row = result.as_row()
         assert set(row) == {"MAE", "MARE", "MAPE"}
 
+    def test_malformed_model_rejected(self, tiny_city):
+        class Broken:
+            def encode(self, paths):
+                return np.zeros((1, 2))   # wrong row count
+
+        with pytest.raises(ValueError):
+            evaluate_travel_time(Broken(), tiny_city.tasks.travel_time, n_estimators=5)
+
 
 class TestEvaluateRanking:
     def test_returns_metrics_in_valid_ranges(self, tiny_city):
@@ -100,16 +108,9 @@ class TestEvaluateRecommendation:
         assert 0.0 <= result.hit_rate <= 1.0
 
 
-class TestEvaluateAllTasks:
+class TestRepresentationTaskResults:
     def test_bundles_all_three(self, tiny_city):
-        results = evaluate_all_tasks(
-            LengthModel(tiny_city.network), tiny_city.tasks, n_estimators=10)
+        results = representation_task_results(
+            LengthModel(tiny_city.network), tiny_city, HarnessConfig(n_estimators=10),
+            tasks=("travel_time", "ranking", "recommendation"))
         assert set(results) == {"travel_time", "ranking", "recommendation"}
-
-    def test_malformed_model_rejected(self, tiny_city):
-        class Broken:
-            def encode(self, paths):
-                return np.zeros((1, 2))   # wrong row count
-
-        with pytest.raises(ValueError):
-            evaluate_travel_time(Broken(), tiny_city.tasks.travel_time, n_estimators=5)

@@ -9,12 +9,12 @@ import pytest
 
 from repro.core import WSCCL
 from repro.datasets import DatasetScale
-from repro.downstream import evaluate_all_tasks
 from repro.evaluation import (
     HarnessConfig,
     fit_unsupervised_baseline,
     fit_wsccl,
     format_nested_results,
+    representation_task_results,
     run_table6_ablation,
 )
 from repro.temporal import DepartureTime
@@ -68,10 +68,12 @@ class TestWSCCLPipeline:
         assert reps.shape == (len(tiny_city.unlabeled), model.representation_dim)
         assert np.isfinite(reps).all()
 
-        results = evaluate_all_tasks(model, tiny_city.tasks, n_estimators=10)
-        assert results["travel_time"].mae > 0
-        assert -1 <= results["ranking"].kendall_tau <= 1
-        assert 0 <= results["recommendation"].accuracy <= 1
+        results = representation_task_results(
+            model, tiny_city, HarnessConfig(n_estimators=10),
+            tasks=("travel_time", "ranking", "recommendation"))
+        assert results["travel_time"]["MAE"] > 0
+        assert -1 <= results["ranking"]["tau"] <= 1
+        assert 0 <= results["recommendation"]["Acc"] <= 1
 
     def test_wsccl_representations_encode_path_identity(self, tiny_city, tiny_config,
                                                         shared_resources):
@@ -109,8 +111,6 @@ class TestHarnessIntegration:
         baseline = fit_unsupervised_baseline("PIM", tiny_city, fast_config)
         wsccl = fit_wsccl(tiny_city, fast_config, variant="no_cl",
                           resources=shared_resources)
-        from repro.evaluation import representation_task_results
-
         baseline_rows = representation_task_results(baseline, tiny_city, fast_config)
         wsccl_rows = representation_task_results(wsccl, tiny_city, fast_config)
         assert set(baseline_rows) == set(wsccl_rows) == {"travel_time", "ranking"}

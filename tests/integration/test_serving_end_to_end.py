@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 
 import repro.downstream.tasks as downstream_tasks
+import repro.evaluation.harness as harness
 from repro.core import WSCCL
-from repro.downstream import evaluate_all_tasks
+from repro.evaluation import HarnessConfig, representation_task_results
 from repro.serving import PathEmbeddingService
+
+ALL_TASKS = ("travel_time", "ranking", "recommendation")
 
 
 @pytest.fixture(scope="module")
@@ -21,28 +24,26 @@ def trained_model(tiny_city, tiny_config, shared_resources):
     return model
 
 
-def _flatten(results):
-    return {f"{task}.{metric}": value
-            for task, result in results.items()
-            for metric, value in result.as_row().items()}
+def _all_task_rows(model, tiny_city):
+    return representation_task_results(
+        model, tiny_city, HarnessConfig(n_estimators=10), tasks=ALL_TASKS)
 
 
 class TestServingEndToEnd:
     def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city,
                                                   monkeypatch):
-        served = evaluate_all_tasks(
-            trained_model, tiny_city.tasks, n_estimators=10)
+        served = _all_task_rows(trained_model, tiny_city)
         # Direct path: the evaluators get the trained WSCModel itself, whose
         # ``embed`` encodes every request without batching or caching.
-        monkeypatch.setattr(downstream_tasks, "ensure_service", lambda model: model)
-        direct = evaluate_all_tasks(
-            trained_model.model, tiny_city.tasks, n_estimators=10)
-        assert _flatten(direct) == _flatten(served)
+        for module in (harness, downstream_tasks):
+            monkeypatch.setattr(module, "ensure_service", lambda model: model)
+        direct = _all_task_rows(trained_model.model, tiny_city)
+        assert direct == served
 
     def test_service_metrics_reflect_the_evaluation_traffic(
             self, trained_model, tiny_city):
         service = PathEmbeddingService(trained_model)
-        evaluate_all_tasks(service, tiny_city.tasks, n_estimators=10)
+        _all_task_rows(service, tiny_city)
         scraped = service.scrape()
 
         total_examples = (len(tiny_city.tasks.travel_time)
