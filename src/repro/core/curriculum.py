@@ -16,7 +16,7 @@ Two stages:
    set.
 
 A *heuristic* curriculum (sorting by number of edges, Table V's baseline) is
-also provided for the ablation bench.
+also provided for the Table V runner.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ masks, with the per-query log-sum-exp done as a masked row-wise reduction —
 no Python loop over queries.  The original per-query loop implementations
 are retained as :func:`_reference_global_wsc_loss` /
 :func:`_reference_local_wsc_loss`; they are the oracles for the equivalence
-test suite and the loop-reference rows of the training-throughput benchmark.
+test suite.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def combined_wsc_loss(tprs, edge_representations, contrast_sets, edge_sets,
 
 def _reference_combined_wsc_loss(tprs, edge_representations, contrast_sets,
                                  edge_sets, lambda_balance=0.8, temperature=0.1):
-    """Eq. 12 built from the per-query loop losses (benchmark baseline)."""
+    """Eq. 12 built from the per-query loop losses (equivalence-test oracle)."""
     return combined_wsc_loss(
         tprs, edge_representations, contrast_sets, edge_sets,
         lambda_balance=lambda_balance, temperature=temperature,

@@ -3,7 +3,7 @@
 :class:`WSCTrainer` trains one :class:`~repro.core.model.WSCModel` with the
 combined global/local weakly-supervised contrastive loss over minibatches of
 temporal paths.  It is reused by the curriculum stage (to train experts and
-to run the staged curriculum) and by the ablation benchmarks.
+to run the staged curriculum) and by the ablation table runners.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class WSCTrainer:
         """One pass over a :class:`~repro.datasets.temporal_paths.TemporalPathDataset`.
 
         ``batches`` optionally limits the number of minibatches (useful for
-        smoke tests and benchmarks).  Returns the mean step loss.
+        smoke tests and reduced-scale table runs).  Returns the mean step loss.
         """
         losses = []
         for index, batch in enumerate(

@@ -30,11 +30,12 @@ __all__ = ["DatasetScale", "CityDataset", "build_city_dataset", "mapmatch_trips"
 class DatasetScale:
     """Scale knobs for a synthetic dataset build.
 
-    ``tiny`` is for unit tests, ``benchmark`` for the paper-table benchmarks,
-    ``small`` for the examples and ``medium`` for the map-matched
-    pretraining workload of ``perfbench/``.  The paper-scale corpora (tens
-    of thousands of paths over ~10k-node networks) are out of reach for
-    pure-numpy training.  Every field must be a positive integer.
+    ``tiny`` is for unit tests and the golden tables, ``benchmark`` for the
+    paper-table suite of ``perfbench/``, ``small`` for the examples and
+    ``medium`` for the map-matched pretraining workload of ``perfbench/``.
+    The paper-scale corpora (tens of thousands of paths over ~10k-node
+    networks) are out of reach for pure-numpy training.  Every field must be
+    a positive integer.
     """
 
     grid_rows: int

@@ -1,7 +1,7 @@
 """Experiment configuration and model factories for the evaluation harness.
 
 The harness reproduces each table/figure of the paper at a reduced scale.
-:class:`HarnessConfig` bundles every knob the benchmarks need; the factory
+:class:`HarnessConfig` bundles every knob a table runner needs; the factory
 functions build WSCCL variants and baselines uniformly so a table runner is
 just "for each method: fit, evaluate, collect a row".
 """
@@ -45,8 +45,9 @@ __all__ = [
 class HarnessConfig:
     """Scale and hyper-parameter knobs for one harness run.
 
-    The defaults are sized for pytest-benchmark runs (a couple of minutes per
-    table on CPU); examples use slightly larger values.
+    The defaults are the tiny scale that ``tests/golden/`` pins byte for
+    byte (about a second per table on CPU); :meth:`benchmark` is larger and
+    examples use slightly larger values.
     """
 
     scale: DatasetScale = field(default_factory=DatasetScale.tiny)
@@ -79,10 +80,10 @@ class HarnessConfig:
 
     @classmethod
     def benchmark(cls):
-        """Configuration used by the ``benchmarks/`` suite.
+        """Configuration used by ``perfbench/``.
 
-        Sized so that one table reproduces in roughly a minute on a laptop
-        CPU while leaving WSCCL and the baselines enough training signal for
+        Sized so that one table reproduces in a few seconds on a laptop CPU
+        while leaving WSCCL and the baselines enough training signal for
         the paper's qualitative orderings to emerge.
         """
         return cls(

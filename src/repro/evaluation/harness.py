@@ -1,8 +1,8 @@
 """Table/figure runners: one function per experiment in the paper's §VII.
 
-Every function returns plain dictionaries (method -> metrics) so benchmarks
-can both print the table and assert on its *shape* (who wins, orderings)
-without depending on absolute values.
+Every function returns plain dictionaries (method -> metrics) so a caller
+can print the table, pin it byte for byte (``tests/golden/``) or assert on
+its *shape* (who wins, orderings; ``perfbench/suite.py``).
 
 Frozen representation models are scored through
 :func:`representation_task_results`: one

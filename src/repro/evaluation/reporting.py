@@ -1,7 +1,6 @@
 """Formatting helpers that turn harness output into printable tables.
 
-Benchmarks print these tables so their output visually mirrors the paper's
-tables.
+The printed tables visually mirror the paper's tables.
 """
 
 from __future__ import annotations

@@ -183,7 +183,7 @@ class RoadNetwork:
         return nodes
 
     def statistics(self):
-        """Summary statistics used by the Table II bench."""
+        """Summary statistics used by the Table II runner."""
         lengths = np.array([f.length for f in self._edge_features]) if self._edge_features else np.zeros(1)
         return {
             "num_nodes": self.num_nodes,
@@ -196,7 +196,8 @@ class RoadNetwork:
         """Export as a ``networkx.DiGraph`` with edge attributes.
 
         Useful for interoperability and for tests that cross-check shortest
-        paths against networkx.
+        paths against networkx.  networkx is not a dependency of the package;
+        install it separately to use this method.
         """
         import networkx as nx
 
