@@ -1,8 +1,9 @@
 """repro: reproduction of WSCCL (ICDE 2022).
 
 Weakly-supervised Temporal Path Representation Learning with Contrastive
-Curriculum Learning, built entirely on numpy-based substrates (see
-``DESIGN.md`` for the system inventory and substitution notes).
+Curriculum Learning, built entirely on numpy-based substrates (see the
+README for the layer inventory and its "Baselines" section for the
+substitutions made in the compared methods).
 
 Quickstart
 ----------

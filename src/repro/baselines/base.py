@@ -17,14 +17,22 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["RepresentationModel", "SupervisedModel", "BASELINE_REGISTRY", "register_baseline"]
+from ..core.config import WSCCLConfig
+from ..core.temporal_embedding import TemporalEmbedding
+
+__all__ = ["RepresentationModel", "SupervisedModel"]
+
+#: Minibatch size and Adam learning rate of every sequence baseline.
+_BATCH_SIZE = 16
+_LR = 1e-3
+#: Size and granularity of the departure-time slot embedding that
+#: PIM-Temporal and STGCN add to a non-temporal model.
+_TEMPORAL_DIM = 8
+_SLOTS_PER_DAY = 48
 
 
 class RepresentationModel:
     """Interface for unsupervised path-representation baselines."""
-
-    #: Short name used in tables ("Node2vec", "DGI", ...).
-    name = "base"
 
     def fit(self, city, **kwargs):
         """Learn representations from a :class:`~repro.datasets.synthetic.CityDataset`.
@@ -55,21 +63,6 @@ class SupervisedModel(RepresentationModel):
         raise NotImplementedError
 
 
-#: name -> factory callable ``(city, seed, **kwargs) -> fitted model``.
-BASELINE_REGISTRY = {}
-
-
-def register_baseline(name):
-    """Class decorator adding a baseline to :data:`BASELINE_REGISTRY`."""
-
-    def decorator(cls):
-        BASELINE_REGISTRY[name] = cls
-        cls.name = name
-        return cls
-
-    return decorator
-
-
 def mean_pool_edge_vectors(edge_vectors, paths):
     """Average per-edge vectors over each path (shared by several baselines)."""
     edge_vectors = np.asarray(edge_vectors, dtype=np.float64)
@@ -78,3 +71,9 @@ def mean_pool_edge_vectors(edge_vectors, paths):
         indices = np.asarray(list(path.path), dtype=np.int64)
         output[row] = edge_vectors[indices].mean(axis=0)
     return output
+
+
+def departure_slot_embedding():
+    """The frozen departure-time slot embedding of PIM-Temporal and STGCN."""
+    return TemporalEmbedding(WSCCLConfig.test_scale().with_overrides(
+        temporal_dim=_TEMPORAL_DIM, slots_per_day=_SLOTS_PER_DAY))

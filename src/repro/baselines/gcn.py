@@ -18,9 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..core.config import WSCCLConfig
-from ..core.temporal_embedding import TemporalEmbedding
-from .base import SupervisedModel, register_baseline
+from ..core.encoder import encode_in_chunks
+from ..datasets.splits import minibatch_indices
+from .base import _TEMPORAL_DIM, SupervisedModel, departure_slot_embedding
 from .graph_embedding import _node_input_features, _normalized_adjacency
 
 __all__ = ["GCNTravelTimeModel", "STGCNTravelTimeModel"]
@@ -79,17 +79,17 @@ class _EdgeTimeBackbone(nn.Module):
         return softplus * nn.Tensor(self._lengths / 100.0)
 
 
-@register_baseline("GCN")
+#: Minibatch size and Adam learning rate of GCN and STGCN.
+_BATCH_SIZE = 16
+_LR = 5e-3
+
+
 class GCNTravelTimeModel(SupervisedModel):
     """Sum of GCN-predicted edge travel times (no temporal information)."""
 
-    supports_ranking = False
-
-    def __init__(self, hidden_dim=16, epochs=20, batch_size=16, lr=5e-3, seed=0):
+    def __init__(self, hidden_dim=16, epochs=20, seed=0):
         self.hidden_dim = hidden_dim
         self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
         self.seed = seed
         self._backbone = None
 
@@ -103,6 +103,8 @@ class GCNTravelTimeModel(SupervisedModel):
     def fit_supervised(self, examples, task, city=None, max_batches=None, **kwargs):
         if task != "travel_time":
             raise ValueError("GCN/STGCN baselines only support the travel_time task")
+        if len(examples) < 2:
+            raise ValueError(f"need at least 2 examples for one minibatch, got {len(examples)}")
         if self._backbone is None:
             if city is None:
                 raise ValueError("pass city= the first time fit_supervised is called")
@@ -113,27 +115,19 @@ class GCNTravelTimeModel(SupervisedModel):
         scale = float(max(targets.mean(), 1e-6))
 
         rng = np.random.default_rng(self.seed)
-        optimizer = nn.Adam(self._backbone.parameters(), lr=self.lr)
+        optimizer = nn.Adam(self._backbone.parameters(), lr=_LR)
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                if len(indices) < 2:
-                    continue
-                batch_paths = [paths[i] for i in indices]
-                batch_targets = nn.Tensor(targets[indices] / scale)
+        for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
+                                         epochs=self.epochs, max_batches=max_batches):
+            batch_paths = [paths[i] for i in indices]
+            batch_targets = nn.Tensor(targets[indices] / scale)
 
-                predictions = self._predict_batch_tensor(batch_paths) * (1.0 / scale)
-                loss = nn.functional.mse_loss(predictions, batch_targets)
-                optimizer.zero_grad()
-                loss.backward()
-                nn.clip_grad_norm(self._backbone.parameters(), 5.0)
-                optimizer.step()
-                batches += 1
+            predictions = self._predict_batch_tensor(batch_paths) * (1.0 / scale)
+            loss = nn.functional.mse_loss(predictions, batch_targets)
+            optimizer.zero_grad()
+            loss.backward()
+            nn.clip_grad_norm(self._backbone.parameters(), 5.0)
+            optimizer.step()
         return self
 
     def _predict_batch_tensor(self, temporal_paths):
@@ -147,46 +141,17 @@ class GCNTravelTimeModel(SupervisedModel):
     def predict(self, temporal_paths, batch_size=64):
         if self._backbone is None:
             raise RuntimeError("model has not been trained")
-        outputs = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                outputs.append(self._predict_batch_tensor(chunk).data.copy())
-        return np.concatenate(outputs) if outputs else np.zeros(0)
-
-    def encode(self, temporal_paths):
-        """Per-path mean of endpoint node embeddings (rarely used)."""
-        if self._backbone is None:
-            raise RuntimeError("model has not been fitted")
-        with nn.no_grad():
-            nodes = self._backbone.node_embeddings().data
-        outputs = np.zeros((len(temporal_paths), nodes.shape[1]))
-        for row, tp in enumerate(temporal_paths):
-            endpoint_nodes = self._backbone._endpoints[np.asarray(list(tp.path))]
-            outputs[row] = nodes[endpoint_nodes.reshape(-1)].mean(axis=0)
-        return outputs
+        return encode_in_chunks(self._predict_batch_tensor, temporal_paths, (0,), batch_size)
 
 
-@register_baseline("STGCN")
 class STGCNTravelTimeModel(GCNTravelTimeModel):
     """GCN backbone plus a temporal branch conditioned on the departure slot."""
 
-    def __init__(self, hidden_dim=16, temporal_dim=8, slots_per_day=48, **kwargs):
-        super().__init__(hidden_dim=hidden_dim, **kwargs)
-        self.temporal_dim = temporal_dim
-        self.slots_per_day = slots_per_day
-        self._temporal = None
-
     def fit(self, city, **kwargs):
         self._backbone = _EdgeTimeBackbone(
-            city.network, self.hidden_dim, extra_dim=self.temporal_dim, seed=self.seed,
+            city.network, self.hidden_dim, extra_dim=_TEMPORAL_DIM, seed=self.seed,
         )
-        config = WSCCLConfig.test_scale().with_overrides(
-            temporal_dim=self.temporal_dim, slots_per_day=self.slots_per_day,
-        )
-        self._temporal = TemporalEmbedding(config)
+        self._temporal = departure_slot_embedding()
         return self
 
     def _extra_for_batch(self, temporal_paths):

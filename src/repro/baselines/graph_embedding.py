@@ -20,9 +20,16 @@ import numpy as np
 
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
-from .base import RepresentationModel, mean_pool_edge_vectors, register_baseline
+from .base import RepresentationModel, mean_pool_edge_vectors
 
 __all__ = ["Node2vecPathModel", "DGIPathModel", "GMIPathModel"]
+
+#: Node2vec walks started per node, and steps per walk.
+_WALKS_PER_NODE = 3
+_WALK_LENGTH = 10
+#: Full-graph Adam steps and learning rate of DGI and GMI.
+_GRAPH_EPOCHS = 30
+_GRAPH_LR = 0.01
 
 
 def _node_input_features(network):
@@ -66,34 +73,38 @@ def _edge_vectors_from_nodes(network, node_embeddings):
     return edges
 
 
-@register_baseline("Node2vec")
-class Node2vecPathModel(RepresentationModel):
-    """Paths represented by averaging node2vec edge embeddings."""
+class _EdgeVectorModel(RepresentationModel):
+    """A path is the mean of its edges' vectors, set by ``fit``."""
 
-    def __init__(self, dim=16, seed=0, walks_per_node=3, walk_length=10):
-        if dim % 2:
-            raise ValueError("dim must be even")
+    def __init__(self, dim=16, seed=0):
         self.dim = dim
         self.seed = seed
-        self.walks_per_node = walks_per_node
-        self.walk_length = walk_length
         self._edge_vectors = None
-
-    def fit(self, city, **kwargs):
-        node2vec = Node2Vec(Node2VecConfig(
-            dim=self.dim // 2,
-            walks_per_node=self.walks_per_node,
-            walk_length=self.walk_length,
-            seed=self.seed,
-        ))
-        node2vec.fit_road_network(city.network)
-        self._edge_vectors = node2vec.edge_topology_embeddings(city.network)
-        return self
 
     def encode(self, temporal_paths):
         if self._edge_vectors is None:
             raise RuntimeError("model has not been fitted")
         return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)
+
+
+class Node2vecPathModel(_EdgeVectorModel):
+    """Paths represented by averaging node2vec edge embeddings."""
+
+    def __init__(self, dim=16, seed=0):
+        if dim % 2:
+            raise ValueError("dim must be even")
+        super().__init__(dim=dim, seed=seed)
+
+    def fit(self, city, **kwargs):
+        node2vec = Node2Vec(Node2VecConfig(
+            dim=self.dim // 2,
+            walks_per_node=_WALKS_PER_NODE,
+            walk_length=_WALK_LENGTH,
+            seed=self.seed,
+        ))
+        node2vec.fit_road_network(city.network)
+        self._edge_vectors = node2vec.edge_topology_embeddings(city.network)
+        return self
 
 
 class _GCNEncoder(nn.Module):
@@ -107,16 +118,8 @@ class _GCNEncoder(nn.Module):
         return (adjacency @ self.linear(features)).tanh()
 
 
-@register_baseline("DGI")
-class DGIPathModel(RepresentationModel):
+class DGIPathModel(_EdgeVectorModel):
     """Deep Graph Infomax over the road network."""
-
-    def __init__(self, dim=16, epochs=30, lr=0.01, seed=0):
-        self.dim = dim
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
-        self._edge_vectors = None
 
     def fit(self, city, **kwargs):
         network = city.network
@@ -128,9 +131,9 @@ class DGIPathModel(RepresentationModel):
         encoder = _GCNEncoder(features.shape[1], self.dim, rng=rng)
         discriminator = nn.Linear(self.dim, self.dim, bias=False, rng=rng)
         params = list(encoder.parameters()) + list(discriminator.parameters())
-        optimizer = nn.Adam(params, lr=self.lr)
+        optimizer = nn.Adam(params, lr=_GRAPH_LR)
 
-        for _ in range(self.epochs):
+        for _ in range(_GRAPH_EPOCHS):
             positive = encoder(adjacency, features_tensor)
             corrupted = nn.Tensor(features[rng.permutation(len(features))])
             negative = encoder(adjacency, corrupted)
@@ -153,22 +156,9 @@ class DGIPathModel(RepresentationModel):
         self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
         return self
 
-    def encode(self, temporal_paths):
-        if self._edge_vectors is None:
-            raise RuntimeError("model has not been fitted")
-        return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)
 
-
-@register_baseline("GMI")
-class GMIPathModel(RepresentationModel):
+class GMIPathModel(_EdgeVectorModel):
     """Graphical Mutual Information maximisation over the road network."""
-
-    def __init__(self, dim=16, epochs=30, lr=0.01, seed=0):
-        self.dim = dim
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
-        self._edge_vectors = None
 
     def fit(self, city, **kwargs):
         network = city.network
@@ -181,12 +171,12 @@ class GMIPathModel(RepresentationModel):
         encoder = _GCNEncoder(features.shape[1], self.dim, rng=rng)
         decoder = nn.Linear(self.dim, features.shape[1], rng=rng)
         params = list(encoder.parameters()) + list(decoder.parameters())
-        optimizer = nn.Adam(params, lr=self.lr)
+        optimizer = nn.Adam(params, lr=_GRAPH_LR)
 
         # Neighbour-feature target: the adjacency-smoothed input features.
         neighbour_features = nn.Tensor(adjacency_matrix @ features)
 
-        for _ in range(self.epochs):
+        for _ in range(_GRAPH_EPOCHS):
             embeddings = encoder(adjacency, features_tensor)
             reconstructed = decoder(embeddings)
             # MI surrogate: reconstruct both own and neighbour features.
@@ -202,8 +192,3 @@ class GMIPathModel(RepresentationModel):
             node_embeddings = encoder(adjacency, features_tensor).data
         self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
         return self
-
-    def encode(self, temporal_paths):
-        if self._edge_vectors is None:
-            raise RuntimeError("model has not been fitted")
-        return mean_pool_edge_vectors(self._edge_vectors, temporal_paths)

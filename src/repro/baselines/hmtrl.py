@@ -15,13 +15,15 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import pad_paths
-from ..core.spatial import SpatialEmbedding
-from ..core.temporal_embedding import TemporalEmbedding
-from .base import register_baseline
+from ..core.encoder import encode_in_chunks, pad_paths
+from ..core.model import SharedResources
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["HMTRLModel"]
+
+
+#: Weight of the route-coherence term added to the MSE loss.
+_COHERENCE_WEIGHT = 0.1
 
 
 class _HMTRLEncoder(nn.Module):
@@ -29,14 +31,11 @@ class _HMTRLEncoder(nn.Module):
 
     def __init__(self, network, config, resources=None, seed=0):
         super().__init__()
+        resources = resources or SharedResources(network, config)
         rng = np.random.default_rng(seed)
         self.config = config
-        if resources is not None:
-            self.spatial = resources.new_spatial_embedding(rng=rng)
-            self.temporal = resources.new_temporal_embedding()
-        else:
-            self.spatial = SpatialEmbedding(network, config, rng=rng)
-            self.temporal = TemporalEmbedding(config)
+        self.spatial = resources.new_spatial_embedding(rng=rng)
+        self.temporal = resources.new_temporal_embedding()
         self.lstm = nn.LSTM(config.encoder_input_dim, config.hidden_dim, rng=rng)
         self.mix = nn.Linear(2 * config.hidden_dim, config.hidden_dim, rng=rng)
 
@@ -58,42 +57,30 @@ class _HMTRLEncoder(nn.Module):
         return pooled, outputs, mask
 
     def encode(self, temporal_paths, batch_size=64):
-        chunks = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                pooled, _, _ = self.forward(chunk)
-                chunks.append(pooled.data.copy())
-        if not chunks:
-            return np.zeros((0, self.config.hidden_dim))
-        return np.concatenate(chunks, axis=0)
+        return encode_in_chunks(lambda chunk: self.forward(chunk)[0], temporal_paths,
+                                (0, self.config.hidden_dim), batch_size)
 
 
-@register_baseline("HMTRL")
 class HMTRLModel(SupervisedSequenceModel):
     """Unified route representation learning with a coherence auxiliary loss."""
 
-    def __init__(self, config=None, epochs=3, batch_size=16, lr=1e-3, seed=0,
-                 coherence_weight=0.1):
+    def __init__(self, config=None, epochs=3, seed=0):
         self.config = config or WSCCLConfig.test_scale()
-        super().__init__(dim=self.config.hidden_dim, epochs=epochs,
-                         batch_size=batch_size, lr=lr, seed=seed)
-        self.coherence_weight = coherence_weight
+        super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
 
-    def build_encoder(self, city, resources=None, **kwargs):
+    def build_encoder(self, city, resources=None):
         self._encoder = _HMTRLEncoder(
             city.network, self.config, resources=resources, seed=self.seed,
         )
         return self._encoder
 
-    def auxiliary_loss(self, pooled, outputs, mask, batch_paths):
-        """Route coherence: consecutive edge states should be similar."""
+    def _loss(self, pooled, outputs, mask, observed):
+        """MSE plus route coherence: consecutive edge states should be similar."""
+        loss = super()._loss(pooled, outputs, mask, observed)
         if outputs.shape[1] < 2:
-            return None
+            return loss
         current = outputs[:, 1:, :]
         previous = outputs[:, :-1, :]
         pair_mask = nn.Tensor((mask[:, 1:] * mask[:, :-1])[:, :, None])
         difference = (current - previous) * pair_mask
-        return (difference * difference).mean() * self.coherence_weight
+        return loss + (difference * difference).mean() * _COHERENCE_WEIGHT

@@ -12,51 +12,29 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..nn import functional as F
-from .base import RepresentationModel, register_baseline
-from .sequence_encoder import SpatialSequenceEncoder
+from ..datasets.splits import minibatch_indices
+from .base import _BATCH_SIZE, _LR
+from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
 
 __all__ = ["InfoGraphModel"]
 
 
-@register_baseline("InfoGraph")
-class InfoGraphModel(RepresentationModel):
+class InfoGraphModel(SpatialSequenceModel):
     """Graph-level vs node-level mutual information maximisation on paths."""
 
-    def __init__(self, dim=16, epochs=2, batch_size=16, lr=1e-3, seed=0):
-        self.dim = dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self._encoder = None
-
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None, **kwargs):
         rng = np.random.default_rng(self.seed)
         paths = city.unlabeled.temporal_paths
-        encoder = SpatialSequenceEncoder(
-            city.network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
-        optimizer = nn.Adam(encoder.parameters(), lr=self.lr)
+        encoder = SpatialSequenceEncoder(city.network, hidden_dim=self.dim, seed=self.seed)
+        optimizer = nn.Adam(encoder.parameters(), lr=_LR)
 
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                batch_paths = [paths[i] for i in indices]
-                if len(batch_paths) < 2:
-                    continue
-
-                pooled, outputs, mask = encoder(batch_paths)
-                loss = self._jsd_loss(pooled, outputs, mask, rng)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                batches += 1
+        for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
+                                         epochs=self.epochs, max_batches=max_batches):
+            pooled, outputs, mask = encoder([paths[i] for i in indices])
+            loss = self._jsd_loss(pooled, outputs, mask, rng)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
         self._encoder = encoder
         return self
@@ -87,8 +65,3 @@ class InfoGraphModel(RepresentationModel):
         for term in negative_terms:
             loss = loss + term
         return loss * (1.0 / batch)
-
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)

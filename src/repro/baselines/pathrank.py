@@ -10,7 +10,7 @@ fine-tuning (``pretrained_state``).
 Note: the original PathRank uses GRUs; we reuse the LSTM-based temporal path
 encoder so pre-trained WSCCL parameters transplant exactly (the paper's
 pre-training protocol requires matching encoders).  This substitution is
-documented in DESIGN.md.
+listed in the README's "Baselines" section.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .. import nn
 from ..core.config import WSCCLConfig
 from ..core.encoder import TemporalPathEncoder
-from .base import register_baseline
+from ..core.model import SharedResources
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["PathRankModel"]
@@ -41,41 +41,25 @@ class _TemporalEncoderAdapter(nn.Module):
         return self.encoder.encode(temporal_paths, batch_size=batch_size)
 
 
-@register_baseline("PathRank")
 class PathRankModel(SupervisedSequenceModel):
     """Supervised path representation learning with departure-time context."""
 
-    def __init__(self, config=None, pretrained_state=None, epochs=3,
-                 batch_size=16, lr=1e-3, seed=0):
+    def __init__(self, config=None, pretrained_state=None, epochs=3, seed=0):
         self.config = config or WSCCLConfig.test_scale()
-        super().__init__(dim=self.config.hidden_dim, epochs=epochs,
-                         batch_size=batch_size, lr=lr, seed=seed)
+        super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
         self.pretrained_state = pretrained_state
 
-    def build_encoder(self, city, resources=None, **kwargs):
-        if resources is not None:
-            encoder = TemporalPathEncoder(
-                network=city.network,
-                config=self.config,
-                spatial_embedding=resources.new_spatial_embedding(
-                    rng=np.random.default_rng(self.seed)),
-                temporal_embedding=resources.new_temporal_embedding(),
-                rng=np.random.default_rng(self.seed),
-            )
-        else:
-            encoder = TemporalPathEncoder(
-                network=city.network, config=self.config,
-                rng=np.random.default_rng(self.seed),
-            )
+    def build_encoder(self, city, resources=None):
+        resources = resources or SharedResources(city.network, self.config)
+        rng = np.random.default_rng(self.seed)
+        encoder = TemporalPathEncoder(
+            network=city.network,
+            config=self.config,
+            spatial_embedding=resources.new_spatial_embedding(rng=rng),
+            temporal_embedding=resources.new_temporal_embedding(),
+            rng=rng,
+        )
         if self.pretrained_state is not None:
             encoder.load_state_dict(self.pretrained_state)
         self._encoder = _TemporalEncoderAdapter(encoder)
         return self._encoder
-
-    def load_pretrained(self, state_dict):
-        """Load WSCCL encoder parameters (pre-training protocol of Fig. 7)."""
-        if self._encoder is None:
-            self.pretrained_state = state_dict
-        else:
-            self._encoder.encoder.load_state_dict(state_dict)
-        return self

@@ -18,27 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..core.temporal_embedding import TemporalEmbedding
+from ..datasets.splits import minibatch_indices
 from ..datasets.temporal_paths import TemporalPath
-from .base import RepresentationModel, register_baseline
-from .sequence_encoder import SpatialSequenceEncoder
+from .base import _BATCH_SIZE, _LR, departure_slot_embedding
+from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
 
 __all__ = ["PIMModel", "PIMTemporalModel"]
 
 
-@register_baseline("PIM")
-class PIMModel(RepresentationModel):
-    """Unsupervised path representation learning via global/local InfoMax."""
+#: Largest share of a path's edges replaced in a curriculum negative.
+_NEGATIVE_PERTURBATION = 0.4
 
-    def __init__(self, dim=16, epochs=2, batch_size=16, lr=1e-3, seed=0,
-                 negative_perturbation=0.4):
-        self.dim = dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.negative_perturbation = negative_perturbation
-        self._encoder = None
+
+class PIMModel(SpatialSequenceModel):
+    """Unsupervised path representation learning via global/local InfoMax."""
 
     # ------------------------------------------------------------------
     def _curriculum_negative(self, path, network, rng, difficulty):
@@ -49,50 +42,38 @@ class PIMModel(RepresentationModel):
         giving hard negatives — PIM's curriculum schedule.
         """
         edges = list(path.path)
-        replace_fraction = max(0.1, self.negative_perturbation * (1.0 - difficulty))
+        replace_fraction = max(0.1, _NEGATIVE_PERTURBATION * (1.0 - difficulty))
         count = max(1, int(round(len(edges) * replace_fraction)))
         positions = rng.choice(len(edges), size=min(count, len(edges)), replace=False)
         for position in positions:
             edges[position] = int(rng.integers(0, network.num_edges))
         return TemporalPath(path=edges, departure_time=path.departure_time)
 
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
+    def fit(self, city, max_batches=None, **kwargs):
         rng = np.random.default_rng(self.seed)
         paths = city.unlabeled.temporal_paths
         network = city.network
-        encoder = SpatialSequenceEncoder(
-            network, hidden_dim=self.dim,
-            topology_features=topology_features, seed=self.seed,
-        )
-        optimizer = nn.Adam(encoder.parameters(), lr=self.lr)
+        encoder = SpatialSequenceEncoder(network, hidden_dim=self.dim, seed=self.seed)
+        optimizer = nn.Adam(encoder.parameters(), lr=_LR)
 
-        total_steps = max(1, self.epochs * (len(paths) // max(1, self.batch_size)))
-        step = 0
-        for _ in range(self.epochs):
-            order = rng.permutation(len(paths))
-            batches = 0
-            for start in range(0, len(order), self.batch_size):
-                if max_batches is not None and batches >= max_batches:
-                    break
-                indices = order[start:start + self.batch_size]
-                batch_paths = [paths[i] for i in indices]
-                if len(batch_paths) < 2:
-                    continue
-                difficulty = min(1.0, step / total_steps)
-                negatives = [
-                    self._curriculum_negative(p, network, rng, difficulty)
-                    for p in batch_paths
-                ]
+        total_steps = max(1, self.epochs * (len(paths) // _BATCH_SIZE))
+        batches = minibatch_indices(len(paths), _BATCH_SIZE, rng,
+                                    epochs=self.epochs, max_batches=max_batches)
+        for step, indices in enumerate(batches):
+            batch_paths = [paths[i] for i in indices]
+            difficulty = min(1.0, step / total_steps)
+            negatives = [
+                self._curriculum_negative(p, network, rng, difficulty)
+                for p in batch_paths
+            ]
 
-                pos_pooled, pos_outputs, pos_mask = encoder(batch_paths)
-                neg_pooled, _, _ = encoder(negatives)
+            pos_pooled, pos_outputs, pos_mask = encoder(batch_paths)
+            neg_pooled, _, _ = encoder(negatives)
 
-                loss = self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                step += 1
-                batches += 1
+            loss = self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
 
         self._encoder = encoder
         return self
@@ -124,35 +105,16 @@ class PIMModel(RepresentationModel):
 
         return global_loss + local_loss
 
-    def encode(self, temporal_paths):
-        if self._encoder is None:
-            raise RuntimeError("model has not been fitted")
-        return self._encoder.encode(temporal_paths)
 
-
-@register_baseline("PIM-Temporal")
 class PIMTemporalModel(PIMModel):
     """PIM with a frozen temporal embedding concatenated onto its PR (Table IX)."""
 
-    def __init__(self, dim=16, temporal_dim=8, slots_per_day=48, **kwargs):
-        super().__init__(dim=dim, **kwargs)
-        self.temporal_dim = temporal_dim
-        self.slots_per_day = slots_per_day
-        self._temporal = None
-
-    def fit(self, city, topology_features=None, max_batches=None, **kwargs):
-        super().fit(city, topology_features=topology_features, max_batches=max_batches)
-        from ..core.config import WSCCLConfig
-
-        config = WSCCLConfig.test_scale().with_overrides(
-            temporal_dim=self.temporal_dim, slots_per_day=self.slots_per_day,
-        )
-        self._temporal = TemporalEmbedding(config)
+    def fit(self, city, max_batches=None, **kwargs):
+        super().fit(city, max_batches=max_batches)
+        self._temporal = departure_slot_embedding()
         return self
 
     def encode(self, temporal_paths):
         base = super().encode(temporal_paths)
-        if self._temporal is None:
-            raise RuntimeError("model has not been fitted")
         temporal = self._temporal([tp.departure_time for tp in temporal_paths]).data
         return np.concatenate([base, temporal], axis=1)

@@ -1,8 +1,9 @@
 """Shared spatial-only sequence encoder used by several baselines.
 
 MB, InfoGraph, PIM and BERT all encode a path as a sequence of *spatial* edge
-features (no temporal information) — this module provides that encoder so the
-baselines differ only in their training objective, as in the paper.
+features (no temporal information) — this module provides that encoder, and
+the model state they share, so the baselines differ only in their training
+objective, as in the paper.
 """
 
 from __future__ import annotations
@@ -11,10 +12,11 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import pad_paths
+from ..core.encoder import encode_in_chunks, pad_paths
 from ..core.spatial import SpatialEmbedding
+from .base import RepresentationModel
 
-__all__ = ["SpatialSequenceEncoder"]
+__all__ = ["SpatialSequenceEncoder", "SpatialSequenceModel"]
 
 
 class SpatialSequenceEncoder(nn.Module):
@@ -26,17 +28,14 @@ class SpatialSequenceEncoder(nn.Module):
         Road network the paths live on.
     hidden_dim:
         Encoder output dimensionality.
-    config:
-        Optional :class:`WSCCLConfig` controlling the spatial embedding sizes
-        (a small default is built otherwise).
     topology_features:
         Optional pre-computed node2vec topology features to share.
     """
 
-    def __init__(self, network, hidden_dim=16, config=None, topology_features=None, seed=0):
+    def __init__(self, network, hidden_dim=16, topology_features=None, seed=0):
         super().__init__()
         rng = np.random.default_rng(seed)
-        self.config = config or WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
+        self.config = WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
         self.hidden_dim = hidden_dim
         self.spatial = SpatialEmbedding(
             network, self.config, topology_features=topology_features, rng=rng,
@@ -55,14 +54,20 @@ class SpatialSequenceEncoder(nn.Module):
 
     def encode(self, temporal_paths, batch_size=64):
         """Frozen numpy representations for a list of paths."""
-        chunks = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                pooled, _, _ = self.forward(chunk)
-                chunks.append(pooled.data.copy())
-        if not chunks:
-            return np.zeros((0, self.hidden_dim))
-        return np.concatenate(chunks, axis=0)
+        return encode_in_chunks(lambda chunk: self.forward(chunk)[0],
+                                temporal_paths, (0, self.hidden_dim), batch_size)
+
+
+class SpatialSequenceModel(RepresentationModel):
+    """Base of MB, BERT, InfoGraph and PIM: ``fit`` sets ``self._encoder``."""
+
+    def __init__(self, dim=16, epochs=2, seed=0):
+        self.dim = dim
+        self.epochs = epochs
+        self.seed = seed
+        self._encoder = None
+
+    def encode(self, temporal_paths):
+        if self._encoder is None:
+            raise RuntimeError("model has not been fitted")
+        return self._encoder.encode(temporal_paths)

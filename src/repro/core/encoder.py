@@ -18,7 +18,7 @@ from .. import nn
 from .spatial import SpatialEmbedding
 from .temporal_embedding import TemporalEmbedding
 
-__all__ = ["TemporalPathEncoder", "EncodedBatch", "pad_paths", "PAD_EDGE_ID"]
+__all__ = ["TemporalPathEncoder", "EncodedBatch", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
 
 #: Reserved edge id marking padding positions.  It is never a valid edge
 #: index; :class:`~repro.core.spatial.SpatialEmbedding` maps it to an exactly
@@ -54,6 +54,23 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
         chain.from_iterable(tp.path for tp in temporal_paths),
         dtype=np.int64, count=int(lengths.sum()))
     return edge_ids, valid.astype(np.float64)
+
+
+def encode_in_chunks(forward, temporal_paths, empty_shape, batch_size=64):
+    """Run ``forward`` over ``batch_size`` chunks of paths without gradients.
+
+    ``forward(chunk)`` returns a Tensor with one row per path; the rows of
+    all chunks are stacked into one numpy array.  No paths give
+    ``np.zeros(empty_shape)``.  Every model's ``encode`` and ``predict`` is
+    this loop.
+    """
+    if not temporal_paths:
+        return np.zeros(empty_shape)
+    with nn.no_grad():
+        return np.concatenate([
+            forward(temporal_paths[start:start + batch_size]).data
+            for start in range(0, len(temporal_paths), batch_size)
+        ], axis=0)
 
 
 class EncodedBatch:
@@ -146,14 +163,5 @@ class TemporalPathEncoder(nn.Module):
         This is the inference entry point used by the downstream tasks, the
         curriculum difficulty scoring, and the baselines' evaluation harness.
         """
-        representations = []
-        with nn.no_grad():
-            for start in range(0, len(temporal_paths), batch_size):
-                chunk = temporal_paths[start:start + batch_size]
-                if not chunk:
-                    continue
-                encoded = self.forward(chunk)
-                representations.append(encoded.tprs.data.copy())
-        if not representations:
-            return np.zeros((0, self.output_dim))
-        return np.concatenate(representations, axis=0)
+        return encode_in_chunks(lambda chunk: self.forward(chunk).tprs,
+                                temporal_paths, (0, self.output_dim), batch_size)

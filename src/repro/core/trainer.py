@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nn
+from ..datasets.splits import minibatch_indices
 from .losses import combined_wsc_loss
 from .sampling import augment_with_positive_views, build_contrast_sets, sample_edge_sets
 
@@ -92,50 +93,27 @@ class WSCTrainer:
         return float(loss.data)
 
     # ------------------------------------------------------------------
-    def train_epoch(self, dataset, batches=None):
-        """One pass over a :class:`~repro.datasets.temporal_paths.TemporalPathDataset`.
-
-        ``batches`` optionally limits the number of minibatches (useful for
-        smoke tests and reduced-scale table runs).  Returns the mean step loss.
-        """
-        losses = []
-        for index, batch in enumerate(
-            dataset.minibatches(self.config.batch_size, rng=self.rng)
-        ):
-            if batches is not None and index >= batches:
-                break
-            losses.append(self.train_step(batch, dataset.weak_labeler))
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        self.history.record(mean_loss)
-        return mean_loss
-
     def fit(self, dataset, epochs=None, batches_per_epoch=None):
         """Train for ``epochs`` passes (default: the config's epoch count)."""
         epochs = self.config.epochs if epochs is None else epochs
-        for _ in range(epochs):
-            self.train_epoch(dataset, batches=batches_per_epoch)
-        return self.history
+        return self.fit_on_samples(dataset, dataset.weak_labeler, epochs=epochs,
+                                   batches_per_epoch=batches_per_epoch)
 
     def fit_on_samples(self, samples, weak_labeler, epochs=1, batches_per_epoch=None):
-        """Train on a plain list of ``(TemporalPath, label)`` pairs.
+        """Train on a sequence of ``(TemporalPath, label)`` pairs.
 
-        Used by the curriculum stages, which operate on explicit sample lists
-        rather than dataset objects.
+        The curriculum stages pass explicit sample lists; :meth:`fit` passes
+        the dataset itself.  An epoch's mean step loss is recorded in
+        :attr:`history` when the epoch ran at least one step.
         """
         samples = list(samples)
         for _ in range(epochs):
-            losses = []
-            order = np.arange(len(samples))
-            self.rng.shuffle(order)
-            count = 0
-            for start in range(0, len(order), self.config.batch_size):
-                if batches_per_epoch is not None and count >= batches_per_epoch:
-                    break
-                chunk = [samples[i] for i in order[start:start + self.config.batch_size]]
-                if len(chunk) < 2:
-                    continue
-                losses.append(self.train_step(chunk, weak_labeler))
-                count += 1
+            losses = [
+                self.train_step([samples[i] for i in indices], weak_labeler)
+                for indices in minibatch_indices(
+                    len(samples), self.config.batch_size, self.rng,
+                    max_batches=batches_per_epoch)
+            ]
             if losses:
                 self.history.record(float(np.mean(losses)))
         return self.history

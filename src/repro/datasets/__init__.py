@@ -1,6 +1,6 @@
 """Datasets: synthetic city corpora, temporal paths, task labels, splits."""
 
-from .splits import grouped_train_test_split, train_test_split
+from .splits import grouped_train_test_split, minibatch_indices, train_test_split
 from .synthetic import (
     DATASET_BUILDERS,
     CityDataset,
@@ -36,6 +36,7 @@ __all__ = [
     "recommendation_arrays",
     "train_test_split",
     "grouped_train_test_split",
+    "minibatch_indices",
     "DatasetScale",
     "CityDataset",
     "build_city_dataset",

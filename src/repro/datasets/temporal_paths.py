@@ -74,17 +74,3 @@ class TemporalPathDataset:
         """Mapping weak label -> count, useful for sanity checks and reports."""
         values, counts = np.unique(self.weak_labels, return_counts=True)
         return {int(v): int(c) for v, c in zip(values, counts)}
-
-    def minibatches(self, batch_size, rng=None, shuffle=True):
-        """Yield lists of ``(TemporalPath, weak_label)`` pairs of size ``batch_size``."""
-        if batch_size < 2:
-            raise ValueError("contrastive training needs batch_size >= 2")
-        order = np.arange(len(self))
-        if shuffle:
-            rng = rng or np.random.default_rng()
-            rng.shuffle(order)
-        for start in range(0, len(order), batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) < 2:
-                continue
-            yield [self[i] for i in chunk]

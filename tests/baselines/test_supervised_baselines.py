@@ -46,6 +46,14 @@ class TestSupervisedSequenceModels:
         assert reps.shape[0] == 4
         assert np.isfinite(reps).all()
 
+    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
+    def test_empty_input_shapes(self, model_cls, tiny_city, tiny_config):
+        model = model_cls(config=tiny_config, epochs=1, seed=0)
+        model.fit_supervised(tiny_city.tasks.travel_time, "travel_time",
+                             city=tiny_city, max_batches=1)
+        assert model.predict([]).shape == (0,)
+        assert model.encode([]).shape == (0, tiny_config.hidden_dim)
+
     def test_predict_before_training_raises(self, tiny_city, tiny_config):
         model = PathRankModel(config=tiny_config)
         with pytest.raises(RuntimeError):
@@ -56,11 +64,36 @@ class TestSupervisedSequenceModels:
         with pytest.raises(ValueError):
             model.fit_supervised(tiny_city.tasks.travel_time, "travel_time")
 
-    def test_unknown_task_rejected(self, tiny_city, tiny_config):
-        model = PathRankModel(config=tiny_config)
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
+    def test_unknown_task_rejected_before_building_the_encoder(
+            self, model_cls, tiny_city, tiny_config):
+        model = model_cls(config=tiny_config)
+        with pytest.raises(ValueError, match="unsupported task"):
             model.fit_supervised(tiny_city.tasks.travel_time, "recommendation",
                                  city=tiny_city)
+        assert model._encoder is None
+
+    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_examples_rejected_before_building_the_encoder(
+            self, model_cls, count, tiny_city, tiny_config):
+        model = model_cls(config=tiny_config)
+        with pytest.raises(ValueError, match="at least 2 examples"):
+            model.fit_supervised(tiny_city.tasks.travel_time[:count], "travel_time",
+                                 city=tiny_city)
+        assert model._encoder is None
+
+    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
+    def test_shared_resources_give_the_same_encoder(self, model_cls, tiny_city,
+                                                    tiny_config, shared_resources):
+        """Building with or without SharedResources initialises the same weights."""
+        own = model_cls(config=tiny_config, seed=3).build_encoder(tiny_city)
+        shared = model_cls(config=tiny_config, seed=3).build_encoder(
+            tiny_city, resources=shared_resources)
+        own_state, shared_state = own.state_dict(), shared.state_dict()
+        assert own_state.keys() == shared_state.keys()
+        for name, value in own_state.items():
+            np.testing.assert_array_equal(shared_state[name], value, err_msg=name)
 
     def test_deepgtt_predictions_positive_for_travel_time(self, tiny_city, tiny_config):
         model = DeepGTTModel(config=tiny_config, epochs=1, seed=0)
@@ -98,16 +131,6 @@ class TestPathRankPretraining:
         assert any(not np.allclose(scratch_state[k], pretrained_state[k])
                    for k in scratch_state)
 
-    def test_load_pretrained_after_building(self, tiny_city, tiny_config, shared_resources):
-        wsccl = WSCCL(tiny_city.network, config=tiny_config, resources=shared_resources)
-        state = wsccl.encoder_state_dict()
-        model = PathRankModel(config=tiny_config, seed=0)
-        model.build_encoder(tiny_city, resources=shared_resources)
-        model.load_pretrained(state)
-        loaded = model._encoder.encoder.state_dict()
-        for name, value in state.items():
-            np.testing.assert_allclose(loaded[name], value)
-
 
 class TestEdgeSumBaselines:
     @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
@@ -124,6 +147,20 @@ class TestEdgeSumBaselines:
         model = model_cls(hidden_dim=8, seed=0)
         with pytest.raises(ValueError):
             model.fit_supervised(tiny_city.tasks.ranking, "ranking", city=tiny_city)
+        assert model._backbone is None
+
+    @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_too_few_examples_rejected(self, model_cls, count, tiny_city):
+        model = model_cls(hidden_dim=8, seed=0)
+        with pytest.raises(ValueError, match="at least 2 examples"):
+            model.fit_supervised(tiny_city.tasks.travel_time[:count], "travel_time",
+                                 city=tiny_city)
+        assert model._backbone is None
+
+    def test_predict_empty(self, tiny_city):
+        model = GCNTravelTimeModel(hidden_dim=8, seed=0).fit(tiny_city)
+        assert model.predict([]).shape == (0,)
 
     def test_longer_paths_predicted_slower(self, tiny_city):
         """Edge-sum models must produce times that grow with path length."""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    BASELINE_REGISTRY,
     BERTPathModel,
     DGIPathModel,
     GMIPathModel,
@@ -35,23 +34,10 @@ SEQUENCE_CLASSES = [
 ]
 
 
-class TestRegistry:
-    def test_all_paper_baselines_registered(self):
-        expected = {"Node2vec", "DGI", "GMI", "MB", "BERT", "InfoGraph", "PIM",
-                    "PIM-Temporal", "DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN"}
-        assert expected <= set(BASELINE_REGISTRY)
-
-    def test_registered_names_match_class_attribute(self):
-        for name, cls in BASELINE_REGISTRY.items():
-            assert cls.name == name
-
-
 class TestGraphEmbeddingBaselines:
     @pytest.mark.parametrize("model_cls", UNSUPERVISED_CLASSES)
     def test_fit_encode_shapes(self, model_cls, tiny_city):
-        model = model_cls(dim=8, seed=0) if model_cls is Node2vecPathModel else \
-            model_cls(dim=8, epochs=3, seed=0)
-        model.fit(tiny_city)
+        model = model_cls(dim=8, seed=0).fit(tiny_city)
         paths = tiny_city.unlabeled.temporal_paths[:5]
         reps = model.encode(paths)
         assert reps.shape[0] == 5
@@ -90,13 +76,13 @@ class TestSequenceBaselines:
         assert np.isfinite(reps).all()
 
     def test_pim_temporal_appends_temporal_features(self, tiny_city):
-        model = PIMTemporalModel(dim=8, temporal_dim=4, epochs=1, seed=0)
+        model = PIMTemporalModel(dim=8, epochs=1, seed=0)
         model.fit(tiny_city, max_batches=2)
         reps = model.encode(tiny_city.unlabeled.temporal_paths[:3])
-        assert reps.shape == (3, 12)
+        assert reps.shape == (3, 8 + 8)   # PIM's 8 dims + the 8-dim slot embedding
 
     def test_pim_temporal_representation_depends_on_time(self, tiny_city):
-        model = PIMTemporalModel(dim=8, temporal_dim=4, epochs=1, seed=0)
+        model = PIMTemporalModel(dim=8, epochs=1, seed=0)
         model.fit(tiny_city, max_batches=2)
         base = tiny_city.unlabeled.temporal_paths[0]
         morning = TemporalPath(path=base.path, departure_time=DepartureTime.from_hour(1, 8.0))

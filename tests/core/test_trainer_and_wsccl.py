@@ -30,11 +30,18 @@ class TestWSCTrainer:
         changed = any(not np.allclose(before[name], after[name]) for name in before)
         assert changed
 
-    def test_train_epoch_records_history(self, model, tiny_city):
+    def test_one_epoch_records_history(self, model, tiny_city):
         trainer = WSCTrainer(model)
-        loss = trainer.train_epoch(tiny_city.unlabeled, batches=2)
-        assert np.isfinite(loss)
-        assert trainer.history.epoch_losses == [loss]
+        history = trainer.fit(tiny_city.unlabeled, epochs=1, batches_per_epoch=2)
+        assert history is trainer.history
+        assert len(history.epoch_losses) == 1
+        assert np.isfinite(history.final_loss)
+
+    def test_epochs_without_a_step_are_not_recorded(self, model, tiny_city):
+        trainer = WSCTrainer(model)
+        history = trainer.fit_on_samples(list(tiny_city.unlabeled)[:1],
+                                         tiny_city.unlabeled.weak_labeler, epochs=2)
+        assert history.epoch_losses == []
 
     def test_fit_runs_requested_epochs(self, model, tiny_city):
         trainer = WSCTrainer(model)

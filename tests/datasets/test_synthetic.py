@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import DatasetScale, build_city_dataset
+from repro.datasets import DatasetScale, build_city_dataset, minibatch_indices
 from repro.temporal import PeakOffPeakLabeler
 
 
@@ -87,8 +87,9 @@ class TestMapMatchedPaths:
     def test_corpus_feeds_contrastive_minibatches(self, mapmatched_city):
         assert len(mapmatched_city.unlabeled) > 0
         assert mapmatched_city.tasks.travel_time
-        batches = list(mapmatched_city.unlabeled.minibatches(
-            batch_size=4, rng=np.random.default_rng(0)))
+        corpus = mapmatched_city.unlabeled
+        batches = [[corpus[i] for i in indices] for indices in
+                   minibatch_indices(len(corpus), 4, np.random.default_rng(0))]
         assert batches
 
     def test_gps_noise_actually_flows_into_the_corpus(self, mapmatched_city,

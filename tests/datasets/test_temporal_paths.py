@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import TemporalPath, TemporalPathDataset
+from repro.datasets import TemporalPath, TemporalPathDataset, minibatch_indices
 from repro.temporal import DepartureTime, PeakOffPeakLabeler
 
 
@@ -80,18 +80,22 @@ class TestTemporalPathDataset:
         assert sum(distribution.values()) == len(dataset)
 
     def test_minibatches_cover_dataset(self, dataset):
-        rng = np.random.default_rng(0)
-        seen = 0
-        for batch in dataset.minibatches(4, rng=rng):
+        seen = []
+        for indices in minibatch_indices(len(dataset), 4, np.random.default_rng(0)):
+            batch = [dataset[i] for i in indices]
             assert 2 <= len(batch) <= 4
-            seen += len(batch)
-        assert seen == len(dataset)
+            seen.extend(indices.tolist())
+        assert sorted(seen) == list(range(len(dataset)))
 
     def test_minibatch_requires_size_two(self, dataset):
         with pytest.raises(ValueError):
-            list(dataset.minibatches(1))
+            list(minibatch_indices(len(dataset), 1, np.random.default_rng(0)))
 
-    def test_minibatches_without_shuffle_are_deterministic(self, dataset):
-        a = [tp.path for batch in dataset.minibatches(4, shuffle=False) for tp, _ in batch]
-        b = [tp.path for batch in dataset.minibatches(4, shuffle=False) for tp, _ in batch]
-        assert a == b
+    def test_minibatches_are_deterministic_given_seed(self, dataset):
+        def order(seed):
+            return [dataset[i][0].path for indices in
+                    minibatch_indices(len(dataset), 4, np.random.default_rng(seed))
+                    for i in indices]
+
+        assert order(3) == order(3)
+        assert order(3) != order(4)

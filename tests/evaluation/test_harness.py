@@ -9,6 +9,9 @@ import pytest
 
 from repro.datasets import DatasetScale
 from repro.evaluation import (
+    EDGE_SUM_BASELINES,
+    SUPERVISED_BASELINES,
+    UNSUPERVISED_BASELINES,
     HarnessConfig,
     build_dataset,
     build_supervised_baseline,
@@ -73,15 +76,24 @@ class TestFactories:
             fit_wsccl(tiny_city, fast_config, weak_labels="zodiac",
                       resources=shared_resources)
 
-    def test_fit_unsupervised_baseline_by_name(self, fast_config, tiny_city):
-        model = fit_unsupervised_baseline("Node2vec", tiny_city, fast_config)
-        assert model.encode(tiny_city.unlabeled.temporal_paths[:2]).shape[0] == 2
+    @pytest.mark.parametrize("name", UNSUPERVISED_BASELINES + ("PIM-Temporal",))
+    def test_fit_unsupervised_baseline_by_name(self, name, fast_config, tiny_city):
+        model = fit_unsupervised_baseline(name, tiny_city, fast_config)
+        reps = model.encode(tiny_city.unlabeled.temporal_paths[:2])
+        assert reps.shape[0] == 2
+        assert np.isfinite(reps).all()
+
+    def test_fit_unsupervised_baseline_rejects_unknown_name(self, fast_config, tiny_city):
         with pytest.raises(KeyError):
             fit_unsupervised_baseline("NOPE", tiny_city, fast_config)
 
-    def test_build_supervised_baseline_by_name(self, fast_config):
-        for name in ("DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN"):
-            assert build_supervised_baseline(name, fast_config) is not None
+    @pytest.mark.parametrize("name", SUPERVISED_BASELINES + EDGE_SUM_BASELINES)
+    def test_build_supervised_baseline_by_name(self, name, fast_config, tiny_city):
+        model = build_supervised_baseline(name, fast_config)
+        row = supervised_travel_time_results(model, tiny_city, fast_config)
+        assert np.isfinite(list(row.values())).all()
+
+    def test_build_supervised_baseline_rejects_unknown_name(self, fast_config):
         with pytest.raises(KeyError):
             build_supervised_baseline("NOPE", fast_config)
 
