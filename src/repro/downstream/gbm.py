@@ -6,6 +6,11 @@ every feature and no row subsampling.  Squared-error boosting serves the two
 regression tasks, logistic boosting path recommendation; both run one
 boosting loop over :class:`~repro.downstream.tree.DecisionTreeRegressor`
 weak learners.
+
+A fit checks its inputs and sorts the feature columns once
+(:class:`~repro.downstream.tree._Presort`).  The sort and the root's
+candidate splits depend only on the features, so every round's tree starts
+from them and a round only accumulates its residuals and scores the gains.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ import math
 
 import numpy as np
 
-from .tree import DecisionTreeRegressor, _check_at_least_one, _check_predict_features
+from .tree import (DecisionTreeRegressor, _check_at_least_one, _check_features,
+                   _check_predict_features, _check_targets, _Presort)
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
@@ -38,15 +44,18 @@ class _Booster:
         self._num_features = None
 
     def _boost(self, features, initial, residuals_of):
-        """Fit ``n_estimators`` trees, each to ``residuals_of(raw scores)``."""
+        """Fit ``n_estimators`` trees, each to ``residuals_of(raw scores)``,
+        all from one presort of the checked ``features``."""
         self._trees = []
         self._initial = initial
         self._num_features = features.shape[1]
+        presort = _Presort(features)
         scores = np.full(len(features), initial)
         for _ in range(self.n_estimators):
             # Looked up at call time, so the weak learner can be swapped.
             tree = DecisionTreeRegressor(max_depth=self.max_depth,
                                          min_samples_leaf=self.min_samples_leaf)
+            tree._presort = presort
             tree.fit(features, residuals_of(scores))
             scores = scores + self.learning_rate * tree.predict(features)
             self._trees.append(tree)
@@ -63,22 +72,13 @@ class _Booster:
         return scores
 
 
-def _training_data(features, targets):
-    features = np.asarray(features, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError("features must be a 2-D array")
-    if len(features) != len(targets) or len(features) == 0:
-        raise ValueError("features and targets must be non-empty and aligned")
-    return features, targets
-
-
 class GradientBoostingRegressor(_Booster):
     """Least-squares gradient boosting over shallow regression trees."""
 
     def fit(self, features, targets):
         """Fit to ``features`` (N, D), ``targets`` (N,)."""
-        features, targets = _training_data(features, targets)
+        features = _check_features(features)
+        targets = _check_targets(targets, len(features))
         return self._boost(features, float(targets.mean()),
                            lambda predictions: targets - predictions)
 
@@ -92,7 +92,8 @@ class GradientBoostingClassifier(_Booster):
 
     def fit(self, features, labels):
         """Fit to ``features`` (N, D), binary ``labels`` (N,) in {0, 1}."""
-        features, labels = _training_data(features, labels)
+        features = _check_features(features)
+        labels = _check_targets(labels, len(features), name="labels")
         if set(np.unique(labels)) - {0.0, 1.0}:
             raise ValueError("labels must be binary (0/1)")
         positive_rate = float(np.clip(labels.mean(), 1e-6, 1 - 1e-6))

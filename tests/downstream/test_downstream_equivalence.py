@@ -1,13 +1,16 @@
-"""Equivalence suites: the downstream engine vs the ``_reference_*`` oracles.
+"""Equivalence suites: the downstream engine vs its loop oracles, the
+metrics' ``_reference_*`` functions and ``reference_tree.ReferenceTree``.
 
 Three layers, matching the engine:
 
 * metrics — vectorized Kendall/ranks/grouped exactly equal the loop oracles;
   Spearman agrees with the no-ties shortcut on tie-free inputs and with
   Pearson-on-ranks everywhere.
-* trees — the vectorized split scan reproduces the reference tree bit for
-  bit (flattened-vs-node ``predict`` agrees to 1e-12) across depth, leaf
-  size and threshold budget.
+* trees — a child's row order filtered from its parent's is the stable
+  sort of the child, and the vectorized split scan reproduces the
+  reference tree bit for bit (flattened-vs-node ``predict`` agrees to
+  1e-12) across depth, leaf size, threshold budget and up to 40 mixed
+  columns.
 * GBM — identical predictions for both the regressor and the classifier,
   with the reference tree patched in as the weak learner.
 """
@@ -38,6 +41,8 @@ from repro.downstream.metrics import (
     kendall_tau,
     spearman_rho,
 )
+from repro.downstream.tree import _Presort, _restrict
+from reference_tree import ReferenceTree
 
 # Tie-heavy by construction: few distinct values over up-to-60 entries.
 tied_vectors = st.integers(min_value=2, max_value=60).flatmap(
@@ -113,10 +118,12 @@ class TestMetricEquivalence:
                 truth, prediction, groups, statistic), abs=1e-12)
 
 
-# Feature matrices with deliberate value collisions (rounded normals).
+# Up to 40 feature columns of mixed kinds (see ``mixed_columns``), so one
+# matrix holds features with no candidate split, with fewer unique values
+# than the threshold budget and with more.
 tree_problems = st.tuples(
     st.integers(min_value=12, max_value=120),   # samples
-    st.integers(min_value=1, max_value=6),      # features
+    st.integers(min_value=1, max_value=40),     # features
     st.integers(min_value=1, max_value=5),      # max depth
     st.integers(min_value=1, max_value=5),      # min samples leaf
     st.integers(min_value=2, max_value=20),     # max thresholds
@@ -124,25 +131,16 @@ tree_problems = st.tuples(
 )
 
 
-class ReferenceTree(DecisionTreeRegressor):
-    """The per-threshold loop and per-row node walk behind the tree API."""
-
-    def fit(self, features, targets):
-        self._root = self._reference_grow(np.asarray(features, dtype=np.float64),
-                                          np.asarray(targets, dtype=np.float64),
-                                          depth=0)
-        return self
-
-    def predict(self, features):
-        return self._reference_predict(np.asarray(features, dtype=np.float64))
-
-
 @contextlib.contextmanager
 def reference_weak_learners():
     """Boosters built inside grow :class:`ReferenceTree` rounds."""
+    before = ReferenceTree.fits
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gbm, "DecisionTreeRegressor", ReferenceTree)
         yield
+    # Guard: the block really fitted oracle trees, so a test cannot end up
+    # comparing the engine with itself.
+    assert ReferenceTree.fits > before
 
 
 def make_problem(num_samples, num_features, seed):
@@ -153,12 +151,68 @@ def make_problem(num_samples, num_features, seed):
     return features, targets, queries
 
 
+def mixed_columns(num_samples, num_features, seed):
+    """A problem whose columns are, at random, constant (no candidate),
+    all tied over two or three values, rounded normals (tens of unique
+    values) or continuous (one unique value per row)."""
+    rng = np.random.default_rng(seed)
+
+    def column(kind):
+        if kind == 0:
+            return np.full(num_samples, np.round(rng.normal(), 1))
+        if kind == 1:
+            return rng.integers(0, rng.integers(2, 4), size=num_samples).astype(float)
+        if kind == 2:
+            return np.round(rng.normal(size=num_samples), 1)
+        return rng.normal(size=num_samples)
+
+    kinds = rng.integers(0, 4, size=num_features)
+    features = np.column_stack([column(kind) for kind in kinds])
+    targets = features[:, kinds > 0].sum(axis=1) + rng.normal(scale=0.3,
+                                                             size=num_samples)
+    queries = np.round(rng.normal(size=(50, num_features)), 2)
+    return features, targets, queries
+
+
+# Tie-heavy matrices plus a parent row set and a child subset of it.
+tied_sorts = st.tuples(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=6),
+).flatmap(lambda shape: st.tuples(
+    hnp.arrays(dtype=np.float64, shape=shape,
+               elements=st.integers(min_value=-2, max_value=2).map(float)),
+    hnp.arrays(dtype=np.bool_, shape=shape[0]),
+    hnp.arrays(dtype=np.bool_, shape=shape[0]),
+))
+
+
+def stable_sort_rows(features, rows):
+    """Each column's stable sort of ``features[rows]``, as row ids (D, n)."""
+    return rows[np.argsort(features[rows], axis=0, kind="stable")].T
+
+
+class TestPresortEquivalence:
+    @given(tied_sorts)
+    @settings(max_examples=80, deadline=None)
+    def test_filtered_child_order_is_the_stable_sort_of_the_child(self, problem):
+        features, in_parent, in_child = problem
+        parent = np.flatnonzero(in_parent)
+        child = np.flatnonzero(in_parent & in_child)
+        presort = _Presort(features)
+        np.testing.assert_array_equal(
+            presort.order, stable_sort_rows(features, np.arange(len(features))))
+        parent_order = _restrict(presort.order, parent, len(features))
+        np.testing.assert_array_equal(parent_order, stable_sort_rows(features, parent))
+        order = _restrict(parent_order, child, len(features))
+        np.testing.assert_array_equal(order, stable_sort_rows(features, child))
+
+
 class TestTreeEquivalence:
     @given(tree_problems)
     @settings(max_examples=60, deadline=None)
     def test_flattened_predict_matches_node_walk_exactly(self, problem):
         samples, features, depth, leaf, thresholds, seed = problem
-        x, y, queries = make_problem(samples, features, seed)
+        x, y, queries = mixed_columns(samples, features, seed)
         kwargs = dict(max_depth=depth, min_samples_leaf=leaf,
                       max_thresholds=thresholds)
         reference = ReferenceTree(**kwargs).fit(x, y)
@@ -206,6 +260,33 @@ class TestGBMEquivalence:
         vectorized = GradientBoostingClassifier(**kwargs).fit(x, labels)
         np.testing.assert_array_equal(
             reference.predict_proba(queries), vectorized.predict_proba(queries))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_mixed_columns_identical(self, seed):
+        # 24 columns of every kind: rounds share one presort and its root
+        # candidates, including features that never offer a split.
+        x, y, queries = mixed_columns(150, 24, seed)
+        labels = (y > np.median(y)).astype(np.int64)
+        with reference_weak_learners():
+            reference = (GradientBoostingRegressor(n_estimators=10).fit(x, y),
+                         GradientBoostingClassifier(n_estimators=10).fit(x, labels))
+        vectorized = (GradientBoostingRegressor(n_estimators=10).fit(x, y),
+                      GradientBoostingClassifier(n_estimators=10).fit(x, labels))
+        for matrix in (x, queries):
+            np.testing.assert_array_equal(reference[0].predict(matrix),
+                                          vectorized[0].predict(matrix))
+            np.testing.assert_array_equal(reference[1].predict_proba(matrix),
+                                          vectorized[1].predict_proba(matrix))
+
+    def test_reference_swap_grows_oracle_trees(self):
+        x, y, _ = make_problem(40, 3, seed=0)
+        before = ReferenceTree.fits
+        with reference_weak_learners():
+            model = GradientBoostingRegressor(n_estimators=3).fit(x, y)
+        assert ReferenceTree.fits - before == 3
+        assert [type(tree) for tree in model._trees] == [ReferenceTree] * 3
+        engine = GradientBoostingRegressor(n_estimators=3).fit(x, y)
+        assert [type(tree) for tree in engine._trees] == [DecisionTreeRegressor] * 3
 
 
 class TestEvaluatorEngineEquivalence:

@@ -13,6 +13,8 @@ from repro.downstream import (
     GradientBoostingClassifier,
     GradientBoostingRegressor,
 )
+from repro.downstream.tree import _Presort
+from reference_tree import ReferenceTree
 
 
 def regression_problem(rng, samples=200, noise=0.1):
@@ -92,6 +94,88 @@ class TestPredictInput:
                 getattr(model, method)(x[0])
 
 
+class TestNonFiniteInput:
+    """NaN and ±inf are rejected by name instead of fitting or routing silently."""
+
+    @pytest.mark.parametrize("model, name",
+                             [(DecisionTreeRegressor(), "targets"),
+                              (GradientBoostingRegressor(n_estimators=2), "targets"),
+                              (GradientBoostingClassifier(n_estimators=2), "labels")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, rng, model, name, bad):
+        # Regression: a NaN target fitted a model that predicted NaN.
+        x = rng.normal(size=(30, 3))
+        y = (x[:, 0] > 0).astype(float)
+        y[4] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            model.fit(x, y)
+
+    @pytest.mark.parametrize("model", [DecisionTreeRegressor(),
+                                       GradientBoostingRegressor(n_estimators=2),
+                                       GradientBoostingClassifier(n_estimators=2)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_row_rejected_at_fit(self, rng, model, bad):
+        # Regression: NaN and inf feature rows fitted silently.
+        x = rng.normal(size=(30, 3))
+        labels = (x[:, 0] > 0).astype(float)
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            model.fit(x, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_row_rejected_at_predict(self, rng, bad):
+        # Regression: NaN query rows were silently routed right.
+        x, models = fitted_models(rng)
+        queries = x[:5].copy()
+        queries[2, 0] = bad
+        for model, method in models:
+            with pytest.raises(ValueError, match="features must be finite"):
+                getattr(model, method)(queries)
+
+
+class TestPresort:
+    def test_presort_of_another_matrix_is_not_reused(self, rng):
+        # A tree handed the presort of one matrix but fitted on another must
+        # sort the matrix it was given, not split on stale row orders.
+        x = rng.normal(size=(40, 3))
+        other = rng.normal(size=(40, 3))
+        y = other[:, 0] + rng.normal(0, 0.1, 40)
+        tree = DecisionTreeRegressor()
+        tree._presort = _Presort(x)
+        tree.fit(other, y)
+        np.testing.assert_array_equal(
+            tree.predict(other), DecisionTreeRegressor().fit(other, y).predict(other))
+        # An equal copy is another matrix too; the presort is dropped after use.
+        tree._presort = _Presort(x)
+        tree.fit(x.copy(), y)
+        assert tree._presort is None
+        np.testing.assert_array_equal(
+            tree.predict(x), DecisionTreeRegressor().fit(x, y).predict(x))
+
+    def test_shared_presort_keeps_root_candidates_per_setting(self, rng):
+        x = np.round(rng.normal(size=(60, 3)), 1)
+        y = x[:, 0] + rng.normal(0, 0.1, 60)
+        presort = _Presort(x)
+        for settings in [dict(min_samples_leaf=20, max_thresholds=2),
+                         dict(min_samples_leaf=1, max_thresholds=40)]:
+            tree = DecisionTreeRegressor(max_depth=2, **settings)
+            tree._presort = presort
+            tree.fit(x, y)
+            fresh = DecisionTreeRegressor(max_depth=2, **settings).fit(x, y)
+            np.testing.assert_array_equal(tree.predict(x), fresh.predict(x))
+            np.testing.assert_array_equal(tree._threshold, fresh._threshold)
+
+    @pytest.mark.parametrize("booster", BOOSTERS)
+    def test_refit_booster_sorts_the_new_matrix(self, rng, booster):
+        x = rng.normal(size=(50, 4))
+        other = rng.normal(size=(50, 4))
+        labels = (other[:, 1] > 0).astype(float)
+        model = booster(n_estimators=4).fit(x, (x[:, 0] > 0).astype(float))
+        model.fit(other, labels)
+        fresh = booster(n_estimators=4).fit(other, labels)
+        np.testing.assert_array_equal(model.predict(other), fresh.predict(other))
+
+
 class TestDecisionTree:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -142,8 +226,9 @@ class TestDecisionTree:
     def test_thresholds_are_deduplicated(self):
         # Regression: midpoints of near-adjacent unique values can round
         # onto each other in float arithmetic, so the same candidate
-        # threshold was scanned twice per node.
-        tree = DecisionTreeRegressor(max_thresholds=16)
+        # threshold was scanned twice per node.  The loop oracle keeps the
+        # per-column threshold list; the scan must match it (equivalence suite).
+        tree = ReferenceTree(max_thresholds=16)
         base = 1.0
         ulps = [base]
         for _ in range(6):
@@ -158,6 +243,16 @@ class TestDecisionTree:
         thresholds = tree._thresholds(wide)
         assert len(thresholds) <= 16
         assert len(thresholds) == len(np.unique(thresholds))
+
+    def test_equal_thresholds_on_two_features_are_both_candidates(self):
+        # Threshold dedupe is per feature: column 0's only midpoint, 0.5,
+        # must not hide column 1's equal first midpoint, the best split.
+        x = np.column_stack([np.tile([0.0, 1.0], 10),
+                             np.repeat([0.0, 1.0, 2.0], [6, 7, 7])])
+        y = (x[:, 1] > 0.5).astype(float)
+        tree = DecisionTreeRegressor(max_depth=1, min_samples_leaf=2).fit(x, y)
+        assert (tree._feature[0], tree._threshold[0]) == (1, 0.5)
+        np.testing.assert_array_equal(tree.predict(x), y)
 
     def test_midpoint_rounded_onto_last_value_does_not_divide_by_zero(self):
         # Regression: the float midpoint of two adjacent doubles can round up
@@ -175,8 +270,9 @@ class TestDecisionTree:
             tree.fit(x, y)
         np.testing.assert_array_equal(tree.predict(x), y)
         # Same tree as the per-threshold loop oracle.
-        tree._root = tree._reference_grow(x, y, depth=0)
-        np.testing.assert_array_equal(tree._reference_predict(x), y)
+        oracle = ReferenceTree(max_depth=2, min_samples_leaf=2)
+        oracle._root = oracle._reference_grow(x, y, depth=0)
+        np.testing.assert_array_equal(oracle._reference_predict(x), y)
 
 
 class TestGradientBoostingRegressor:
