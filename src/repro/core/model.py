@@ -21,11 +21,12 @@ __all__ = ["WSCModel", "SharedResources"]
 class SharedResources:
     """Frozen node2vec features shared between WSC models on one network.
 
-    Computing the topology and temporal embeddings is the most expensive
-    preprocessing step; experts, ablation variants and the final model can
-    all reuse one instance of this class.  Pre-computed arrays can be passed
-    in directly (used when loading a persisted model) to skip the node2vec
-    runs entirely.
+    Experts, ablation variants and the final model can all reuse one
+    instance of this class.  The two node2vec fits behind it run once per
+    process for each network and config (``Node2Vec.fit`` is memoized), so a
+    second instance copies the stored embeddings instead of refitting.  Pre-computed
+    arrays can be passed in directly (used when loading a persisted model)
+    to skip node2vec entirely.
     """
 
     def __init__(self, network, config=None, topology_features=None,

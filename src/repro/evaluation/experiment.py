@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 
+from .._memo import remember
 from ..baselines import (
     BERTPathModel,
     DGIPathModel,
@@ -120,9 +121,16 @@ class HarnessConfig:
 
 
 def build_dataset(city_name, config):
-    """Build the synthetic dataset for one of the three cities."""
-    return build_city_dataset(city_name, scale=config.scale, seed=None,
-                              paths_from=config.paths_from)
+    """The synthetic dataset for one of the three cities, built once per process.
+
+    Every call with the same city, ``config.scale`` and ``config.paths_from``
+    returns the same :class:`~repro.datasets.CityDataset`, so callers must
+    treat it as read-only.
+    """
+    return remember(
+        (city_name, config.scale, config.paths_from),
+        lambda: build_city_dataset(city_name, scale=config.scale, seed=None,
+                                   paths_from=config.paths_from))
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numbers
 
 import numpy as np
 
+from .._memo import remember
 from .skipgram import SkipGramTrainer
 from .walks import RandomWalker
 
@@ -22,7 +23,8 @@ class Node2VecConfig:
     """Hyper-parameters for one node2vec run.
 
     ``lr`` is the initial skip-gram learning rate; it decays linearly, as in
-    word2vec.
+    word2vec.  ``seed`` must be a non-negative integer: a fit is a pure
+    function of its config and graph.
     """
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
@@ -37,6 +39,8 @@ class Node2VecConfig:
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
+        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.dim = dim
         self.walks_per_node = walks_per_node
         self.walk_length = walk_length
@@ -60,26 +64,39 @@ class Node2Vec:
     def fit(self, neighbors_fn, num_nodes):
         """Fit embeddings for a generic graph.
 
+        The fit is a pure function of the config and the graph, so it runs
+        once per process for each distinct input; every call returns its
+        own copy of the embeddings.
+
         Parameters
         ----------
         neighbors_fn:
-            Callable ``node -> sequence of neighbours``.
+            Callable ``node -> sequence of neighbours``, called once per
+            node.  Neighbour order matters: walks sample in that order.
         num_nodes:
-            Number of nodes in the graph.
+            Number of nodes in the graph, a positive integer.
         """
+        if not (isinstance(num_nodes, numbers.Integral) and num_nodes >= 1):
+            raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
+        adjacency = tuple(tuple(neighbors_fn(node)) for node in range(num_nodes))
+        for node, neighbours in enumerate(adjacency):
+            for neighbour in neighbours:
+                if not (isinstance(neighbour, numbers.Integral)
+                        and 0 <= neighbour < num_nodes):
+                    raise ValueError(f"node {node} has neighbour {neighbour!r}, "
+                                     f"not an integer in [0, {num_nodes})")
         cfg = self.config
-        walker = RandomWalker(neighbors_fn, num_nodes, p=cfg.p, q=cfg.q,
-                              seed=cfg.seed)
-        walks = walker.generate_walks(cfg.walks_per_node, cfg.walk_length)
-        trainer = SkipGramTrainer(
-            num_nodes=num_nodes,
-            dim=cfg.dim,
-            window=cfg.window,
-            negatives=cfg.negatives,
-            lr=cfg.lr,
-            seed=cfg.seed,
-        )
-        self._embeddings = trainer.train(walks, epochs=cfg.epochs)
+
+        def train():
+            walker = RandomWalker(adjacency.__getitem__, num_nodes, p=cfg.p, q=cfg.q,
+                                  seed=cfg.seed)
+            walks = walker.generate_walks(cfg.walks_per_node, cfg.walk_length)
+            trainer = SkipGramTrainer(num_nodes=num_nodes, dim=cfg.dim, window=cfg.window,
+                                      negatives=cfg.negatives, lr=cfg.lr, seed=cfg.seed)
+            return trainer.train(walks, epochs=cfg.epochs)
+
+        key = (tuple(sorted(vars(cfg).items())), num_nodes, adjacency)
+        self._embeddings = remember(key, train).copy()
         return self._embeddings
 
     def fit_temporal_graph(self, temporal_graph):

@@ -59,6 +59,20 @@ class TestFactories:
         city = build_dataset("aalborg", fast_config)
         assert city.name == "aalborg"
 
+    def test_build_dataset_builds_each_city_once(self, fast_config):
+        city = build_dataset("aalborg", fast_config)
+        # An equal key, from a different config object, is the same city.
+        assert build_dataset("aalborg", HarnessConfig(scale=DatasetScale.tiny())) is city
+        smaller = DatasetScale(grid_rows=4, grid_cols=4, num_trips=20, num_labeled=15)
+        others = [
+            build_dataset("harbin", fast_config),
+            build_dataset("aalborg", dataclasses.replace(fast_config, scale=smaller)),
+            build_dataset("aalborg", dataclasses.replace(fast_config, paths_from="mapmatched")),
+        ]
+        assert all(other is not city for other in others)
+        assert others[0].name == "harbin"
+        assert others[1].network.num_nodes < city.network.num_nodes
+
     def test_fit_wsccl_variants(self, fast_config, tiny_city, shared_resources):
         for variant in ("no_cl", "heuristic"):
             model = fit_wsccl(tiny_city, fast_config, variant=variant,

@@ -8,23 +8,30 @@ default) fails here with the first differing line.  Every table runner of
 ``HarnessConfig()``, and a guard test fails when a new runner lands unpinned.
 
 The files are written once and not regenerated by refactors that claim to
-keep outputs identical.  To regenerate them after a deliberate output change:
+keep outputs identical.  Cities and node2vec fits are memoized per process
+(``repro._memo``), so a case run cold and then warm must match its file both
+times, and no runner may mutate a memoized city.  To regenerate the files
+after a deliberate output change:
 
     PYTHONPATH=src python tests/golden/test_golden_tables.py [case ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
+import pickle
 import sys
 
 import pytest
 
+from repro import _memo
 from repro.datasets import DatasetScale, aalborg
 import repro.evaluation
 from repro.evaluation import (
     HarnessConfig,
+    build_dataset,
     run_fig7_pretraining,
     run_table2_dataset_statistics,
     run_table3_overall,
@@ -88,11 +95,33 @@ def test_every_table_runner_is_pinned():
     assert [name for name in runners if name.removeprefix("run_") not in CASES] == []
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_matches_golden(name):
+def assert_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
     actual = canonical_json(CASES[name]())
     assert actual.splitlines() == expected.splitlines()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_matches_golden(name):
+    assert_matches_golden(name)
+
+
+def test_matches_golden_cold_then_warm():
+    _memo.clear()
+    assert_matches_golden("table8_temporal")
+    assert_matches_golden("table8_temporal")
+
+
+def test_no_runner_mutates_a_memoized_city():
+    def digests():
+        return {name: hashlib.blake2b(pickle.dumps(build_dataset(name, HarnessConfig())))
+                .hexdigest() for name in ("aalborg", "harbin", "chengdu")}
+
+    before = digests()
+    for name, case in CASES.items():
+        if name != "aalborg_tiny_mapmatched":
+            case()
+    assert digests() == before
 
 
 if __name__ == "__main__":
