@@ -1,10 +1,14 @@
 """The LSTM recurrent layer.
 
-The WSCCL temporal path encoder (paper §IV-C, Eq. 7) feeds the concatenated
-spatio-temporal edge features into a (possibly multi-layer) LSTM, and the
-PathRank baseline reuses that encoder.  The LSTM is implemented here on top
-of the autograd engine, processing sequences of shape
-``(batch, time, features)``.
+The WSCCL temporal path encoder (paper §IV-C, Eq. 7), PathRank and the
+DeepGTT, HMTRL and spatial-encoder baselines run this LSTM over
+``(batch, time, features)`` sequences.  :class:`LSTMCell` holds one layer's
+parameters and a public one-step ``forward`` on the autograd engine.
+:class:`LSTM` runs the whole sequence as one autograd node: a numpy loop
+over time with a per-step tape, and a hand-written backpropagation through
+time.  Both repeat the per-step cell graph's arithmetic and summation order,
+so outputs and gradients are bit-identical to it (the oracle is
+``tests/nn/reference_lstm.py``); every gemm stays per step for that reason.
 """
 
 from __future__ import annotations
@@ -13,9 +17,14 @@ import numpy as np
 
 from . import init
 from .module import Module, Parameter
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["LSTMCell", "LSTM"]
+
+
+def _sigmoid(x):
+    # Tensor.sigmoid's expression, applied to the same gate slices.
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
 class LSTMCell(Module):
@@ -53,6 +62,71 @@ class LSTMCell(Module):
         shape = (batch_size, self.hidden_size)
         return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
 
+    def _run(self, steps, mask, tape):
+        """Run over ``(batch, input_size)`` step arrays, taping unless ``tape`` is None."""
+        w_ih, w_hh, bias = self.weight_ih.data, self.weight_hh.data, self.bias.data
+        hs = self.hidden_size
+        h = c = np.zeros((steps[0].shape[0], hs))
+        hidden = []
+        for t, x_t in enumerate(steps):
+            gates = x_t @ w_ih.T + h @ w_hh.T + bias
+            i = _sigmoid(gates[:, 0 * hs:1 * hs])
+            f = _sigmoid(gates[:, 1 * hs:2 * hs])
+            g = np.tanh(gates[:, 2 * hs:3 * hs])
+            o = _sigmoid(gates[:, 3 * hs:4 * hs])
+            c_new = f * c + i * g
+            tanh_c = np.tanh(c_new)
+            h_new = o * tanh_c
+            if tape is not None:
+                tape.append((x_t, h, c, i, f, g, o, tanh_c))
+            if mask is None:
+                h, c = h_new, c_new
+            else:
+                keep, skip = mask[:, t:t + 1], 1.0 - mask[:, t:t + 1]
+                h = h_new * keep + h * skip
+                c = c_new * keep + c * skip
+            hidden.append(h)
+        return hidden
+
+    def _backprop(self, tape, mask, grad_hidden, need_input_grad, hh_forward_order):
+        """Backpropagate through time; ``grad_hidden[t]`` comes from above.
+
+        Sums run in the cell graph's order (a missing term is an exact zero)
+        and each parameter's grad gains one term per step, as in the engine.
+        Returns the per-step input gradients if ``need_input_grad``.
+        """
+        w_ih, w_hh = self.weight_ih.data, self.weight_hh.data
+        grad_input = [None] * len(tape)
+        terms = {self.bias: [], self.weight_ih: [], self.weight_hh: []}
+        keep, skip, dh_rec, dh_carry, dc = 1.0, 0.0, 0.0, 0.0, 0.0
+        for t in range(len(tape) - 1, -1, -1):
+            x_t, h_prev, c_prev, i, f, g, o, tanh_c = tape[t]
+            if mask is not None:
+                keep, skip = mask[:, t:t + 1], 1.0 - mask[:, t:t + 1]
+            dh = grad_hidden[t] + dh_rec + dh_carry
+            dh_new, dh_carry = dh * keep, dh * skip
+            dc_new = dh_new * o * (1.0 - tanh_c ** 2) + dc * keep
+            dgates = np.concatenate([
+                dc_new * g * i * (1.0 - i),
+                dc_new * c_prev * f * (1.0 - f),
+                dc_new * i * (1.0 - g ** 2),
+                dh_new * tanh_c * o * (1.0 - o),
+            ], axis=1)
+            terms[self.bias].append(dgates.sum(axis=0))
+            terms[self.weight_ih].append((x_t.T @ dgates).T)
+            terms[self.weight_hh].append((h_prev.T @ dgates).T)
+            if need_input_grad:
+                grad_input[t] = dgates @ w_ih
+            dh_rec = dgates @ w_hh
+            dc = dc_new * f + dc * skip
+        if hh_forward_order:
+            terms[self.weight_hh].reverse()
+        for param, param_terms in terms.items():
+            if param.requires_grad:
+                for term in param_terms:
+                    param._accumulate(term)
+        return grad_input if need_input_grad else None
+
 
 class LSTM(Module):
     """Multi-layer LSTM over ``(batch, time, features)`` sequences."""
@@ -65,56 +139,60 @@ class LSTM(Module):
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.num_layers = num_layers
-        self._cell_names = []
-        for layer in range(num_layers):
+        self._cell_names = [f"cell{layer}" for layer in range(num_layers)]
+        for layer, name in enumerate(self._cell_names):
             in_size = input_size if layer == 0 else hidden_size
-            name = f"cell{layer}"
             setattr(self, name, LSTMCell(in_size, hidden_size, rng=rng))
-            self._cell_names.append(name)
 
     def forward(self, x, mask=None):
-        """Run the LSTM over a batch of sequences.
+        """Run over ``x`` of shape ``(batch, time >= 1, input_size)``.
 
-        Parameters
-        ----------
-        x:
-            Tensor of shape ``(batch, time, features)``.
-        mask:
-            Optional numpy array of shape ``(batch, time)`` with 1 on valid
-            steps and 0 on padding.  Padded steps carry the previous state
-            forward so variable-length paths can share a batch.
-
-        Returns
-        -------
-        outputs:
-            Tensor of shape ``(batch, time, hidden_size)`` — the top layer's
-            hidden state at every step (the paper's spatio-temporal edge
-            representations).
-        final_hidden:
-            Tensor of shape ``(batch, hidden_size)`` — the top layer's final
-            valid hidden state.
+        ``mask`` is an optional ``(batch, time)`` array of 0/1 (or bool), 1 on
+        valid steps; padded steps carry the state forward unchanged, so
+        variable-length paths can share a batch.  Returns the top layer's
+        hidden state at every step, ``(batch, time, hidden_size)`` (the
+        paper's spatio-temporal edge representations), and its final valid
+        hidden state ``outputs[:, -1, :]``.
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
-        batch, time_steps, _ = x.shape
-        mask_array = None if mask is None else np.asarray(mask, dtype=np.float64)
+        mask = self._check_inputs(x, mask)
+        cells = [getattr(self, name) for name in self._cell_names]
+        parents = (x,) + tuple(p for cell in cells
+                               for p in (cell.weight_ih, cell.weight_hh, cell.bias))
+        record = is_grad_enabled() and any(p.requires_grad for p in parents)
 
-        layer_input_steps = [x[:, t, :] for t in range(time_steps)]
-        for name in self._cell_names:
-            cell = getattr(self, name)
-            h, c = cell.initial_state(batch)
-            step_outputs = []
-            for t, step in enumerate(layer_input_steps):
-                h_new, c_new = cell(step, (h, c))
-                if mask_array is not None:
-                    keep = Tensor(mask_array[:, t:t + 1])
-                    h = h_new * keep + h * (1.0 - keep)
-                    c = c_new * keep + c * (1.0 - keep)
-                else:
-                    h, c = h_new, c_new
-                step_outputs.append(h)
-            layer_input_steps = step_outputs
+        tapes = [[] if record else None for _ in cells]
+        steps = [x.data[:, t, :] for t in range(x.shape[1])]
+        for cell, tape in zip(cells, tapes):
+            steps = cell._run(steps, mask, tape)
 
-        outputs = Tensor.stack(layer_input_steps, axis=1)
-        final_hidden = layer_input_steps[-1]
-        return outputs, final_hidden
+        def backward(grad):
+            grad_hidden = [grad[:, t, :] for t in range(len(steps))]
+            top = len(cells) - 1
+            for layer in range(top, -1, -1):
+                # The engine's graph walk reaches the top layer of an
+                # unmasked run in time order, so its W_hh terms sum forwards.
+                grad_hidden = cells[layer]._backprop(
+                    tapes[layer], mask, grad_hidden, layer > 0 or x.requires_grad,
+                    hh_forward_order=mask is None and layer == top)
+            if x.requires_grad:
+                x._accumulate(np.stack(grad_hidden, axis=1))
 
+        outputs = x._make_result(np.stack(steps, axis=1), parents, backward, "lstm")
+        return outputs, outputs[:, -1, :]
+
+    def _check_inputs(self, x, mask):
+        """Validate ``x`` and ``mask``; return the mask as float64 or None."""
+        if x.ndim != 3 or x.shape[1] < 1 or x.shape[2] != self.input_size:
+            raise ValueError(f"x must have shape (batch, time >= 1, {self.input_size}), "
+                             f"got {x.shape}")
+        if mask is None:
+            return None
+        mask = np.asarray(mask)
+        if mask.shape != x.shape[:2]:
+            raise ValueError(f"mask must have shape (batch, time) = {x.shape[:2]}, "
+                             f"got {mask.shape}")
+        mask = mask.astype(np.float64)
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise ValueError("mask entries must be 0 or 1")
+        return mask

@@ -71,9 +71,9 @@ class TestLSTM:
         x = rng.normal(size=(1, 4, 3))
         mask = np.array([[1.0, 1.0, 0.0, 0.0]])
         outputs, _ = lstm(nn.Tensor(x), mask=mask)
-        # Hidden state on padded steps equals the last valid hidden state.
-        np.testing.assert_allclose(outputs.data[0, 2], outputs.data[0, 1])
-        np.testing.assert_allclose(outputs.data[0, 3], outputs.data[0, 1])
+        # Hidden state on padded steps is the last valid hidden state, bit for bit.
+        np.testing.assert_array_equal(outputs.data[0, 2], outputs.data[0, 1])
+        np.testing.assert_array_equal(outputs.data[0, 3], outputs.data[0, 1])
 
     def test_variable_length_equivalence(self, rng):
         """A short sequence padded inside a batch gives the same final state
@@ -85,7 +85,7 @@ class TestLSTM:
 
         alone_outputs, alone_final = lstm(nn.Tensor(short))
         padded_outputs, padded_final = lstm(nn.Tensor(padded), mask=mask)
-        np.testing.assert_allclose(alone_final.data, padded_final.data, atol=1e-10)
+        np.testing.assert_array_equal(alone_final.data, padded_final.data)
 
     def test_gradients_reach_parameters(self, rng):
         lstm = nn.LSTM(input_size=2, hidden_size=3, rng=np.random.default_rng(0))
@@ -146,3 +146,38 @@ class TestLSTM:
         if masked:
             # Padded steps of the short sequence feed nothing forward.
             np.testing.assert_array_equal(inputs.grad[1, 1:], 0.0)
+
+
+class TestLSTMRejectsBadInput:
+    """Bad shapes and masks raise a ValueError naming the argument, instead
+    of a deep numpy error or a silent broadcast."""
+
+    @pytest.fixture()
+    def lstm(self):
+        return nn.LSTM(input_size=3, hidden_size=4, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 5, 4), (2, 0, 3)],
+                             ids=["2d", "wrong-width", "no-steps"])
+    def test_bad_x_shape(self, lstm, shape):
+        with pytest.raises(ValueError, match="x must have shape"):
+            lstm(nn.Tensor(np.zeros(shape)))
+
+    @pytest.mark.parametrize("mask", [np.ones((2, 6)), np.ones((1, 5)), np.ones(5)],
+                             ids=["too-long", "broadcast-batch", "1d"])
+    def test_bad_mask_shape(self, lstm, mask):
+        with pytest.raises(ValueError, match="mask must have shape"):
+            lstm(nn.Tensor(np.zeros((2, 5, 3))), mask=mask)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0, np.nan])
+    def test_non_binary_mask(self, lstm, value):
+        mask = np.ones((2, 5))
+        mask[1, 3] = value
+        with pytest.raises(ValueError, match="mask entries must be 0 or 1"):
+            lstm(nn.Tensor(np.zeros((2, 5, 3))), mask=mask)
+
+    def test_bool_mask_matches_float_mask(self, lstm, rng):
+        x = nn.Tensor(rng.normal(size=(2, 4, 3)))
+        mask = np.array([[True, True, False, False], [True, True, True, True]])
+        outputs, _ = lstm(x, mask=mask)
+        expected, _ = lstm(x, mask=mask.astype(np.float64))
+        np.testing.assert_array_equal(outputs.data, expected.data)
