@@ -12,16 +12,15 @@ Run with:  python examples/pretraining_pathrank.py
 from __future__ import annotations
 
 from repro.core import WSCCLConfig
-from repro.datasets import DatasetScale
+from repro.datasets import DatasetScale, task_split
 from repro.evaluation import (
     HarnessConfig,
     build_dataset,
     build_supervised_baseline,
     fit_wsccl,
-    supervised_travel_time_results,
+    format_metric_table,
+    supervised_task_results,
 )
-from repro.datasets.splits import train_test_split
-from repro.evaluation import format_metric_table
 
 
 def main():
@@ -39,19 +38,20 @@ def main():
     wsccl = fit_wsccl(city, config, variant="full")
     pretrained_state = wsccl.encoder_state_dict()
 
-    train, _ = train_test_split(city.tasks.travel_time,
-                                test_fraction=config.test_fraction, seed=config.seed)
+    train, _ = task_split("travel_time", city.tasks.travel_time,
+                          config.test_fraction, config.seed)
     budgets = {"40% labels": max(4, int(0.4 * len(train))), "100% labels": len(train)}
 
     rows = {}
     for budget_name, limit in budgets.items():
         scratch = build_supervised_baseline("PathRank", config)
-        scratch_row = supervised_travel_time_results(scratch, city, config, train_limit=limit)
+        scratch_row = supervised_task_results(scratch, city, config, "travel_time",
+                                              train_limit=limit)
 
         pretrained = build_supervised_baseline("PathRank", config,
                                                pretrained_state=pretrained_state)
-        pretrained_row = supervised_travel_time_results(pretrained, city, config,
-                                                        train_limit=limit)
+        pretrained_row = supervised_task_results(pretrained, city, config, "travel_time",
+                                                 train_limit=limit)
         rows[f"scratch @ {budget_name}"] = scratch_row
         rows[f"pretrained @ {budget_name}"] = pretrained_row
 

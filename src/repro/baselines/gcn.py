@@ -20,6 +20,7 @@ import numpy as np
 from .. import nn
 from ..core.encoder import encode_in_chunks
 from ..datasets.splits import minibatch_indices
+from ..datasets.tasks import task_labels
 from .base import _TEMPORAL_DIM, SupervisedModel, departure_slot_embedding
 from .graph_embedding import _node_input_features, _normalized_adjacency
 
@@ -111,7 +112,7 @@ class GCNTravelTimeModel(SupervisedModel):
             self.fit(city)
 
         paths = [e.temporal_path for e in examples]
-        targets = np.array([e.travel_time for e in examples], dtype=np.float64)
+        targets = task_labels(task, examples)
         scale = float(max(targets.mean(), 1e-6))
 
         rng = np.random.default_rng(self.seed)

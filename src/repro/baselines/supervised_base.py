@@ -16,13 +16,10 @@ import numpy as np
 from .. import nn
 from ..core.encoder import encode_in_chunks
 from ..datasets.splits import minibatch_indices
+from ..datasets.tasks import task_labels
 from .base import _BATCH_SIZE, _LR, SupervisedModel
 
 __all__ = ["SupervisedSequenceModel"]
-
-#: Task name -> label attribute of its examples.
-_TARGET_ATTRIBUTES = {"travel_time": "travel_time", "ranking": "score"}
-
 
 class SupervisedSequenceModel(SupervisedModel):
     """Base class: encoder + linear heads trained on one task's labels.
@@ -73,11 +70,11 @@ class SupervisedSequenceModel(SupervisedModel):
     def fit_supervised(self, examples, task, city=None, max_batches=None, **kwargs):
         """Train end-to-end on labelled examples of ``task``.
 
-        ``examples`` carry ``temporal_path`` plus ``travel_time`` (task
-        'travel_time') or ``score`` (task 'ranking').  The task and the
-        example count are checked before the encoder is built.
+        ``task`` is 'travel_time' or 'ranking'; the targets are the
+        examples' :func:`~repro.datasets.tasks.task_labels`.  The task and
+        the example count are checked before the encoder is built.
         """
-        if task not in _TARGET_ATTRIBUTES:
+        if task not in ("travel_time", "ranking"):
             raise ValueError(f"unsupported task {task!r}")
         if len(examples) < 2:
             raise ValueError(f"need at least 2 examples for one minibatch, got {len(examples)}")
@@ -87,9 +84,7 @@ class SupervisedSequenceModel(SupervisedModel):
             self.build_encoder(city, **kwargs)
 
         paths = [e.temporal_path for e in examples]
-        targets = np.array([getattr(e, _TARGET_ATTRIBUTES[task]) for e in examples],
-                           dtype=np.float64)
-        scaled = self._scale_targets(targets)
+        scaled = self._scale_targets(task_labels(task, examples))
 
         rng = np.random.default_rng(self.seed)
         self._heads = [nn.Linear(self.dim, 1, rng=rng) for _ in range(self._HEADS)]

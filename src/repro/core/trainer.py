@@ -33,12 +33,6 @@ class TrainingHistory:
     def final_loss(self):
         return self.epoch_losses[-1] if self.epoch_losses else float("nan")
 
-    def improved(self):
-        """True when the last epoch's loss is below the first epoch's."""
-        if len(self.epoch_losses) < 2:
-            return False
-        return self.epoch_losses[-1] < self.epoch_losses[0]
-
 
 class WSCTrainer:
     """Minibatch trainer for the weakly-supervised contrastive objective.

@@ -16,10 +16,10 @@ from .tasks import (
     RecommendationExample,
     TaskDatasets,
     TravelTimeExample,
+    TASKS,
     build_task_datasets,
-    ranking_arrays,
-    recommendation_arrays,
-    travel_time_arrays,
+    task_labels,
+    task_split,
 )
 from .temporal_paths import TemporalPath, TemporalPathDataset
 
@@ -31,9 +31,9 @@ __all__ = [
     "RecommendationExample",
     "TaskDatasets",
     "build_task_datasets",
-    "travel_time_arrays",
-    "ranking_arrays",
-    "recommendation_arrays",
+    "TASKS",
+    "task_split",
+    "task_labels",
     "train_test_split",
     "grouped_train_test_split",
     "minibatch_indices",

@@ -31,6 +31,8 @@ def train_test_split(items, test_fraction=0.2, seed=0):
 
 def grouped_train_test_split(items, groups, test_fraction=0.2, seed=0):
     """Split so that all items sharing a group id land on the same side."""
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be in (0, 1)")
     if len(items) != len(groups):
         raise ValueError("items and groups must have the same length")
     items = list(items)

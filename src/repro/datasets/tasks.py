@@ -6,6 +6,9 @@
   scores in [0, 1] — the driven path scores 1.0, alternatives score their
   length-weighted overlap with it.
 * Path recommendation: the driven path is labelled 1, alternatives 0.
+
+Every scorer takes a task's split and labels from :func:`task_split` and
+:func:`task_labels`.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..roadnet.search import path_similarity
+from .splits import grouped_train_test_split, train_test_split
 from .temporal_paths import TemporalPath
 
 __all__ = [
@@ -23,7 +27,20 @@ __all__ = [
     "RecommendationExample",
     "TaskDatasets",
     "build_task_datasets",
+    "TASKS",
+    "task_split",
+    "task_labels",
 ]
+
+#: Task name -> (label attribute, label dtype, split by trip).
+_TASK_SPECS = {
+    "travel_time": ("travel_time", np.float64, False),
+    "ranking": ("score", np.float64, True),
+    "recommendation": ("chosen", np.int64, True),
+}
+
+#: The downstream task names, which are also the fields of :class:`TaskDatasets`.
+TASKS = tuple(_TASK_SPECS)
 
 
 @dataclass(frozen=True)
@@ -102,24 +119,27 @@ def build_task_datasets(network, trips, max_labeled=None):
     return datasets
 
 
-def travel_time_arrays(examples):
-    """Split travel-time examples into (temporal_paths, target array)."""
-    paths = [e.temporal_path for e in examples]
-    targets = np.array([e.travel_time for e in examples], dtype=np.float64)
-    return paths, targets
+def _task_spec(task):
+    """``task``'s (label attribute, label dtype, grouped split) triple."""
+    if task not in _TASK_SPECS:
+        raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    return _TASK_SPECS[task]
 
 
-def ranking_arrays(examples):
-    """Split ranking examples into (temporal_paths, scores, groups)."""
-    paths = [e.temporal_path for e in examples]
-    scores = np.array([e.score for e in examples], dtype=np.float64)
-    groups = np.array([e.group for e in examples], dtype=np.int64)
-    return paths, scores, groups
+def task_split(task, examples, test_fraction, seed):
+    """The seeded (train, test) split of ``task``'s examples.
+
+    Ranking and recommendation split by trip, so one trip's candidates never
+    straddle train and test; travel time splits plainly.
+    """
+    _, _, grouped = _task_spec(task)
+    if grouped:
+        return grouped_train_test_split(examples, [e.group for e in examples],
+                                        test_fraction=test_fraction, seed=seed)
+    return train_test_split(examples, test_fraction=test_fraction, seed=seed)
 
 
-def recommendation_arrays(examples):
-    """Split recommendation examples into (temporal_paths, labels, groups)."""
-    paths = [e.temporal_path for e in examples]
-    labels = np.array([e.chosen for e in examples], dtype=np.int64)
-    groups = np.array([e.group for e in examples], dtype=np.int64)
-    return paths, labels, groups
+def task_labels(task, examples):
+    """``task``'s labels of ``examples``: float64, or int64 for recommendation."""
+    attribute, dtype, _ = _task_spec(task)
+    return np.array([getattr(e, attribute) for e in examples], dtype=dtype)

@@ -17,7 +17,9 @@ from .tasks import (
     TravelTimeResult,
     evaluate_ranking,
     evaluate_recommendation,
+    evaluate_task,
     evaluate_travel_time,
+    score_task,
 )
 from .tree import DecisionTreeRegressor
 
@@ -36,6 +38,8 @@ __all__ = [
     "TravelTimeResult",
     "RankingResult",
     "RecommendationResult",
+    "score_task",
+    "evaluate_task",
     "evaluate_travel_time",
     "evaluate_ranking",
     "evaluate_recommendation",

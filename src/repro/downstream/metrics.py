@@ -8,15 +8,14 @@ pairs with merge-sort inversion counting (Knight's O(n log n) algorithm
 instead of the O(n²) pair loop), ``_ranks`` averages ties with one
 ``np.unique(return_inverse)`` + ``bincount`` pass, and
 ``grouped_rank_correlation`` sorts by group once instead of building a
-boolean mask per group.  The original loop implementations are kept as
-``_reference_*`` oracles for the equivalence tests.
+boolean mask per group.  The original loop implementations are the
+equivalence tests' oracles, in ``tests/downstream/reference_metrics.py``.
 
 ``spearman_rho`` is additionally *tie-correct*: it computes the Pearson
 correlation of the average ranks.  The historical ``1 − 6Σd²/(n(n²−1))``
-shortcut (kept as :func:`_reference_spearman_rho`) is only valid without
-ties — e.g. for ``truth=[1,1,2,3]``, ``pred=[1,2,2,3]`` it returns 0.85
-where Pearson-on-ranks (and :func:`scipy.stats.spearmanr`) give 5/6 ≈
-0.8333.
+shortcut (the tests' no-ties oracle) is only valid without ties — e.g. for
+``truth=[1,1,2,3]``, ``pred=[1,2,2,3]`` it returns 0.85 where
+Pearson-on-ranks (and :func:`scipy.stats.spearmanr`) give 5/6 ≈ 0.8333.
 """
 
 from __future__ import annotations
@@ -130,8 +129,7 @@ def kendall_tau(truth, prediction):
     count discordant pairs as merge-sort inversions of the prediction order,
     and correct for ties with the pair-count identity
     ``C − D = n0 − n1 − n2 + n3 − 2·D``.  Exactly equal to the O(n²) pair
-    loop (kept as :func:`_reference_kendall_tau`), including the τ-a
-    denominator ``n(n−1)/2``.
+    loop, including the τ-a denominator ``n(n−1)/2``.
     """
     truth, prediction = _validate(truth, prediction)
     n = len(truth)
@@ -158,26 +156,6 @@ def kendall_tau(truth, prediction):
     return float(concordant_minus_discordant / total_pairs)
 
 
-def _reference_kendall_tau(truth, prediction):
-    """O(n²) pair-loop oracle for :func:`kendall_tau`."""
-    truth, prediction = _validate(truth, prediction)
-    n = len(truth)
-    if n < 2:
-        return 0.0
-    concordant = 0
-    discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = np.sign(truth[i] - truth[j])
-            b = np.sign(prediction[i] - prediction[j])
-            product = a * b
-            if product > 0:
-                concordant += 1
-            elif product < 0:
-                discordant += 1
-    return float((concordant - discordant) / (n * (n - 1) / 2.0))
-
-
 def _ranks(values):
     """Average ranks (ties share the mean rank), 1-based."""
     values = np.asarray(values, dtype=np.float64)
@@ -189,24 +167,11 @@ def _ranks(values):
     return (rank_sums / counts)[inverse]
 
 
-def _reference_ranks(values):
-    """Per-tie rescan oracle for :func:`_ranks`."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.arange(1, len(values) + 1)
-    for value in np.unique(values):
-        mask = values == value
-        if mask.sum() > 1:
-            ranks[mask] = ranks[mask].mean()
-    return ranks
-
-
 def spearman_rho(truth, prediction):
     """Spearman rank correlation: Pearson correlation of the average ranks.
 
-    Tie-correct, unlike the ``1 − 6Σd²/(n(n²−1))`` shortcut (kept as
-    :func:`_reference_spearman_rho`), which assumes all ranks are distinct.
+    Tie-correct, unlike the ``1 − 6Σd²/(n(n²−1))`` shortcut, which assumes
+    all ranks are distinct.
     Returns 0.0 when either input is constant (the correlation is undefined
     there; scipy returns NaN).
     """
@@ -223,20 +188,6 @@ def spearman_rho(truth, prediction):
     if denominator == 0.0:
         return 0.0
     return float(np.sum(centered_truth * centered_prediction) / denominator)
-
-
-def _reference_spearman_rho(truth, prediction):
-    """No-ties rank-difference shortcut, the pre-fix behaviour.
-
-    Only agrees with :func:`spearman_rho` when both inputs are tie-free;
-    kept as the equivalence oracle for that regime.
-    """
-    truth, prediction = _validate(truth, prediction)
-    n = len(truth)
-    if n < 2:
-        return 0.0
-    d = _reference_ranks(truth) - _reference_ranks(prediction)
-    return float(1.0 - 6.0 * np.sum(d ** 2) / (n * (n ** 2 - 1)))
 
 
 _STATISTICS = {"kendall": kendall_tau, "spearman": spearman_rho}
@@ -274,27 +225,6 @@ def grouped_rank_correlation(truth, prediction, groups, statistic="kendall"):
         if stop - start < 2:
             continue
         values.append(func(sorted_truth[start:stop], sorted_prediction[start:stop]))
-    return float(np.mean(values)) if values else 0.0
-
-
-def _reference_grouped_rank_correlation(truth, prediction, groups,
-                                        statistic="kendall"):
-    """Mask-per-group oracle for :func:`grouped_rank_correlation`.
-
-    Composes the *vectorized* per-group statistics so it isolates the
-    grouping strategy; pair it with the ``_reference_*`` statistics directly
-    to reproduce the historical engine end to end.
-    """
-    truth = np.asarray(truth, dtype=np.float64)
-    prediction = np.asarray(prediction, dtype=np.float64)
-    groups = np.asarray(groups)
-    func = _STATISTICS[statistic]
-    values = []
-    for group in np.unique(groups):
-        mask = groups == group
-        if mask.sum() < 2:
-            continue
-        values.append(func(truth[mask], prediction[mask]))
     return float(np.mean(values)) if values else 0.0
 
 

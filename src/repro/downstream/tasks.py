@@ -4,7 +4,8 @@ Each evaluator takes a *representation model* — any object exposing
 ``encode(list_of_temporal_paths) -> (N, D) numpy array`` — plus the labelled
 task examples, fits the appropriate gradient boosting model on the training
 split of the frozen representations, and reports the paper's metrics on the
-test split.
+test split (:func:`evaluate_task`; :func:`score_task` also scores the
+supervised baselines' direct predictions on the same split).
 
 Embeddings are obtained through the batched
 :class:`~repro.serving.PathEmbeddingService` (length-bucketed micro-batching
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets.splits import grouped_train_test_split, train_test_split
+from ..datasets.tasks import task_labels, task_split
 from ..serving import PathEmbeddingService
 from .gbm import GradientBoostingClassifier, GradientBoostingRegressor
 from .metrics import accuracy, grouped_rank_correlation, hit_rate, mae, mape, mare
@@ -31,6 +32,8 @@ __all__ = [
     "RankingResult",
     "RecommendationResult",
     "ensure_service",
+    "score_task",
+    "evaluate_task",
     "evaluate_travel_time",
     "evaluate_ranking",
     "evaluate_recommendation",
@@ -83,84 +86,61 @@ def ensure_service(model):
     return PathEmbeddingService(model)
 
 
-def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
-                         n_estimators=40, max_depth=3):
-    """Fit GBR on TPRs -> travel time; report MAE / MARE / MAPE on the test split."""
-    train, test = train_test_split(examples, test_fraction=test_fraction, seed=seed)
+def score_task(task, test, predictions):
+    """The paper's metrics of ``predictions`` on ``task``'s test examples;
+    rank correlations are averaged over the test trips' candidate sets."""
+    truth = task_labels(task, test)
+    if task == "travel_time":
+        return TravelTimeResult(mae=mae(truth, predictions), mare=mare(truth, predictions),
+                                mape=mape(truth, predictions))
+    groups = np.array([e.group for e in test])
+    if task == "ranking":
+        return RankingResult(
+            mae=mae(truth, predictions),
+            kendall_tau=grouped_rank_correlation(truth, predictions, groups, "kendall"),
+            spearman_rho=grouped_rank_correlation(truth, predictions, groups, "spearman"))
+    return RecommendationResult(accuracy=accuracy(truth, predictions),
+                                hit_rate=hit_rate(truth, predictions))
+
+
+def evaluate_task(task, model, examples, test_fraction=0.2, seed=0,
+                  n_estimators=40, max_depth=3):
+    """Fit a GBM (a classifier for recommendation) on ``task``'s training
+    representations and score its test split."""
+    train, test = task_split(task, examples, test_fraction, seed)
     if not train or not test:
-        raise ValueError("need at least one train and one test example")
+        raise ValueError(f"need at least one train and one test example for {task!r}")
 
     service = ensure_service(model)
     train_x = service.embed([e.temporal_path for e in train])
     test_x = service.embed([e.temporal_path for e in test])
-    train_y = np.array([e.travel_time for e in train])
-    test_y = np.array([e.travel_time for e in test])
+    train_y = task_labels(task, train)
 
-    regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
-    predictions = regressor.predict(test_x)
-    return TravelTimeResult(
-        mae=mae(test_y, predictions),
-        mare=mare(test_y, predictions),
-        mape=mape(test_y, predictions),
-    )
+    classify = task == "recommendation"
+    if classify and len(np.unique(train_y)) < 2:
+        # Degenerate labelled split; predict the majority class.
+        predictions = np.full(len(test), int(round(train_y.mean())))
+    else:
+        booster = GradientBoostingClassifier if classify else GradientBoostingRegressor
+        predictions = booster(n_estimators=n_estimators, max_depth=max_depth).fit(
+            train_x, train_y).predict(test_x)
+    return score_task(task, test, predictions)
+
+
+def evaluate_travel_time(model, examples, test_fraction=0.2, seed=0,
+                         n_estimators=40, max_depth=3):
+    """Fit GBR on TPRs -> travel time; report MAE / MARE / MAPE on the test split."""
+    return evaluate_task("travel_time", model, examples, test_fraction, seed, n_estimators, max_depth)
 
 
 def evaluate_ranking(model, examples, test_fraction=0.2, seed=0,
                      n_estimators=40, max_depth=3):
-    """Fit GBR on TPRs -> ranking score; report MAE / τ / ρ on the test split.
-
-    The split is grouped by trip so the candidate set of one trip never
-    straddles train and test, and the rank correlations are computed within
-    each test trip's candidate set and averaged.
-    """
-    groups = [e.group for e in examples]
-    train, test = grouped_train_test_split(examples, groups,
-                                           test_fraction=test_fraction, seed=seed)
-    if not train or not test:
-        raise ValueError("need at least one train and one test group")
-
-    service = ensure_service(model)
-    train_x = service.embed([e.temporal_path for e in train])
-    test_x = service.embed([e.temporal_path for e in test])
-    train_y = np.array([e.score for e in train])
-    test_y = np.array([e.score for e in test])
-    test_groups = np.array([e.group for e in test])
-
-    regressor = GradientBoostingRegressor(
-        n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
-    predictions = regressor.predict(test_x)
-    return RankingResult(
-        mae=mae(test_y, predictions),
-        kendall_tau=grouped_rank_correlation(test_y, predictions, test_groups, "kendall"),
-        spearman_rho=grouped_rank_correlation(test_y, predictions, test_groups, "spearman"),
-    )
+    """Fit GBR on TPRs -> ranking score; report MAE / τ / ρ on the test split."""
+    return evaluate_task("ranking", model, examples, test_fraction, seed, n_estimators, max_depth)
 
 
 def evaluate_recommendation(model, examples, test_fraction=0.2, seed=0,
                             n_estimators=40, max_depth=3):
     """Fit GBC on TPRs -> chosen/not-chosen; report accuracy and hit rate."""
-    groups = [e.group for e in examples]
-    train, test = grouped_train_test_split(examples, groups,
-                                           test_fraction=test_fraction, seed=seed)
-    if not train or not test:
-        raise ValueError("need at least one train and one test group")
-
-    service = ensure_service(model)
-    train_x = service.embed([e.temporal_path for e in train])
-    test_x = service.embed([e.temporal_path for e in test])
-    train_y = np.array([e.chosen for e in train])
-    test_y = np.array([e.chosen for e in test])
-
-    if len(np.unique(train_y)) < 2:
-        # Degenerate labelled split; predict the majority class.
-        predictions = np.full(len(test_y), int(round(train_y.mean())))
-    else:
-        classifier = GradientBoostingClassifier(
-            n_estimators=n_estimators, max_depth=max_depth).fit(train_x, train_y)
-        predictions = classifier.predict(test_x)
-    return RecommendationResult(
-        accuracy=accuracy(test_y, predictions),
-        hit_rate=hit_rate(test_y, predictions),
-    )
-
+    return evaluate_task("recommendation", model, examples, test_fraction, seed,
+                         n_estimators, max_depth)

@@ -13,17 +13,10 @@ embeddings, and exact-split gradient-boosting models fit them.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
-import numpy as np
-
-from ..datasets.splits import grouped_train_test_split, train_test_split
-from ..downstream.metrics import grouped_rank_correlation, mae, mape, mare
-from ..downstream.tasks import (
-    ensure_service,
-    evaluate_ranking,
-    evaluate_recommendation,
-    evaluate_travel_time,
-)
+from ..datasets.tasks import TASKS, task_split
+from ..downstream.tasks import ensure_service, evaluate_task, score_task
 from .experiment import (
     EDGE_SUM_BASELINES,
     SUPERVISED_BASELINES,
@@ -36,8 +29,7 @@ from .experiment import (
 
 __all__ = [
     "representation_task_results",
-    "supervised_travel_time_results",
-    "supervised_ranking_results",
+    "supervised_task_results",
     "run_table2_dataset_statistics",
     "run_table3_overall",
     "run_table4_recommendation",
@@ -56,6 +48,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Shared evaluation helpers
 # ----------------------------------------------------------------------
+def _check_tasks(tasks):
+    """Reject a bare string or an unknown task name before any task is scored."""
+    if isinstance(tasks, str) or not set(tasks) <= set(TASKS):
+        raise ValueError(f"tasks must be a sequence of names from {TASKS}, got {tasks!r}")
+
+
 def representation_task_results(model, city, config, tasks=("travel_time", "ranking")):
     """GBR/GBC evaluation of a frozen representation model on selected tasks.
 
@@ -64,52 +62,26 @@ def representation_task_results(model, city, config, tasks=("travel_time", "rank
     recur across the selected tasks hit the embedding cache instead of being
     re-encoded.
     """
+    _check_tasks(tasks)
     service = ensure_service(model)
-    results = {}
-    if "travel_time" in tasks:
-        results["travel_time"] = evaluate_travel_time(
-            service, city.tasks.travel_time, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators).as_row()
-    if "ranking" in tasks:
-        results["ranking"] = evaluate_ranking(
-            service, city.tasks.ranking, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators).as_row()
-    if "recommendation" in tasks:
-        results["recommendation"] = evaluate_recommendation(
-            service, city.tasks.recommendation, test_fraction=config.test_fraction,
-            seed=config.seed, n_estimators=config.n_estimators).as_row()
-    return results
-
-
-def supervised_travel_time_results(model, city, config, train_limit=None):
-    """Train a supervised baseline on travel-time labels and score the test split."""
-    train, test = train_test_split(
-        city.tasks.travel_time, test_fraction=config.test_fraction, seed=config.seed)
-    if train_limit is not None:
-        train = train[:train_limit]
-    model.fit_supervised(train, "travel_time", city=city, max_batches=config.max_batches)
-    truth = np.array([e.travel_time for e in test])
-    predictions = model.predict([e.temporal_path for e in test])
-    return {"MAE": mae(truth, predictions), "MARE": mare(truth, predictions),
-            "MAPE": mape(truth, predictions)}
-
-
-def supervised_ranking_results(model, city, config, train_limit=None):
-    """Train a supervised baseline on ranking labels and score the test split."""
-    groups = [e.group for e in city.tasks.ranking]
-    train, test = grouped_train_test_split(
-        city.tasks.ranking, groups, test_fraction=config.test_fraction, seed=config.seed)
-    if train_limit is not None:
-        train = train[:train_limit]
-    model.fit_supervised(train, "ranking", city=city, max_batches=config.max_batches)
-    truth = np.array([e.score for e in test])
-    predictions = model.predict([e.temporal_path for e in test])
-    test_groups = np.array([e.group for e in test])
     return {
-        "MAE": mae(truth, predictions),
-        "tau": grouped_rank_correlation(truth, predictions, test_groups, "kendall"),
-        "rho": grouped_rank_correlation(truth, predictions, test_groups, "spearman"),
+        task: evaluate_task(task, service, getattr(city.tasks, task),
+                            test_fraction=config.test_fraction, seed=config.seed,
+                            n_estimators=config.n_estimators).as_row()
+        for task in tasks
     }
+
+
+def supervised_task_results(model, city, config, task, train_limit=None):
+    """Train a supervised baseline on ``task``'s labels and score the test
+    split; ``train_limit`` (``None`` or an integer >= 2) caps the train split."""
+    _check_tasks((task,))
+    if train_limit is not None and not (
+            isinstance(train_limit, numbers.Integral) and train_limit >= 2):
+        raise ValueError(f"train_limit must be None or an integer >= 2, got {train_limit!r}")
+    train, test = task_split(task, getattr(city.tasks, task), config.test_fraction, config.seed)
+    model.fit_supervised(train[:train_limit], task, city=city, max_batches=config.max_batches)
+    return score_task(task, test, model.predict([e.temporal_path for e in test])).as_row()
 
 
 # ----------------------------------------------------------------------
@@ -142,18 +114,15 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 
         if include_supervised:
             for name in SUPERVISED_BASELINES:
-                tt_model = build_supervised_baseline(name, config)
-                ranking_model = build_supervised_baseline(name, config)
                 city_rows[name] = {
-                    "travel_time": supervised_travel_time_results(tt_model, city, config),
-                    "ranking": supervised_ranking_results(ranking_model, city, config),
+                    task: supervised_task_results(
+                        build_supervised_baseline(name, config), city, config, task)
+                    for task in ("travel_time", "ranking")
                 }
         if include_edge_sum:
             for name in EDGE_SUM_BASELINES:
-                model = build_supervised_baseline(name, config)
-                city_rows[name] = {
-                    "travel_time": supervised_travel_time_results(model, city, config),
-                }
+                city_rows[name] = {"travel_time": supervised_task_results(
+                    build_supervised_baseline(name, config), city, config, "travel_time")}
 
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(wsccl, city, config)
@@ -174,12 +143,10 @@ def run_table4_recommendation(config, cities=("aalborg",), methods=None):
         for name in methods:
             model = fit_unsupervised_baseline(name, city, config)
             city_rows[name] = representation_task_results(
-                model, city, config, tasks=("recommendation",),
-            )["recommendation"]
+                model, city, config, tasks=("recommendation",))["recommendation"]
         wsccl = fit_wsccl(city, config, variant="full")
         city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, tasks=("recommendation",),
-        )["recommendation"]
+            wsccl, city, config, tasks=("recommendation",))["recommendation"]
         results[city_name] = city_rows
     return results
 
@@ -280,19 +247,14 @@ def run_table10_supervised_transfer(config, city_name="aalborg",
     city = build_dataset(city_name, config)
     rows = {}
     for name in methods:
-        # Primary = travel time.  Secondary = ranking via frozen representations.
-        tt_model = build_supervised_baseline(name, config)
-        tt_primary = supervised_travel_time_results(tt_model, city, config)
-        ranking_secondary = representation_task_results(
-            tt_model, city, config, tasks=("ranking",))["ranking"]
-        rows[f"{name}-PR"] = {"travel_time": tt_primary, "ranking": ranking_secondary}
-
-        # Primary = ranking.  Secondary = travel time via frozen representations.
-        rank_model = build_supervised_baseline(name, config)
-        rank_primary = supervised_ranking_results(rank_model, city, config)
-        tt_secondary = representation_task_results(
-            rank_model, city, config, tasks=("travel_time",))["travel_time"]
-        rows[f"{name}-TTE"] = {"travel_time": tt_secondary, "ranking": rank_primary}
+        # Train on the primary task; score the secondary one through the
+        # frozen representations.
+        for primary, secondary, suffix in (("travel_time", "ranking", "PR"),
+                                           ("ranking", "travel_time", "TTE")):
+            model = build_supervised_baseline(name, config)
+            row = {primary: supervised_task_results(model, city, config, primary)}
+            row.update(representation_task_results(model, city, config, tasks=(secondary,)))
+            rows[f"{name}-{suffix}"] = {task: row[task] for task in ("travel_time", "ranking")}
 
     wsccl = fit_wsccl(city, config, variant="full")
     rows["WSCCL"] = representation_task_results(wsccl, city, config)
@@ -348,27 +310,22 @@ def run_fig7_pretraining(config, city_name="aalborg",
     wsccl = fit_wsccl(city, config, variant="full")
     pretrained_state = wsccl.encoder_state_dict()
 
-    train_tt, _ = train_test_split(
-        city.tasks.travel_time, test_fraction=config.test_fraction, seed=config.seed)
-    groups = [e.group for e in city.tasks.ranking]
-    train_rank, _ = grouped_train_test_split(
-        city.tasks.ranking, groups, test_fraction=config.test_fraction, seed=config.seed)
+    tasks = ("travel_time", "ranking")
+    train_sizes = {
+        task: len(task_split(task, getattr(city.tasks, task),
+                             config.test_fraction, config.seed)[0])
+        for task in tasks
+    }
 
     series = {"scratch": {}, "pretrained": {}}
     for fraction in label_fractions:
-        tt_limit = max(4, int(round(len(train_tt) * fraction)))
-        rank_limit = max(4, int(round(len(train_rank) * fraction)))
-
         for mode in ("scratch", "pretrained"):
             state = pretrained_state if mode == "pretrained" else None
-            tt_model = build_supervised_baseline("PathRank", config, pretrained_state=state)
-            tt_metrics = supervised_travel_time_results(
-                tt_model, city, config, train_limit=tt_limit)
-            rank_model = build_supervised_baseline("PathRank", config, pretrained_state=state)
-            rank_metrics = supervised_ranking_results(
-                rank_model, city, config, train_limit=rank_limit)
             series[mode][float(fraction)] = {
-                "travel_time": tt_metrics,
-                "ranking": rank_metrics,
+                task: supervised_task_results(
+                    build_supervised_baseline("PathRank", config, pretrained_state=state),
+                    city, config, task,
+                    train_limit=max(4, int(round(train_sizes[task] * fraction))))
+                for task in tasks
             }
     return {city_name: series}

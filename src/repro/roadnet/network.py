@@ -130,10 +130,6 @@ class RoadNetwork:
         """Edge ids entering ``node_id``."""
         return tuple(self._in_edges[node_id])
 
-    def all_edge_features(self):
-        """List of all edge feature records, indexed by edge id."""
-        return list(self._edge_features)
-
     def edge_feature_matrix(self):
         """Integer matrix of categorical feature indices, shape (E, 4)."""
         return self.feature_encoder.encode_edges(self._edge_features)

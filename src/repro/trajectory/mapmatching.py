@@ -209,9 +209,11 @@ class HMMMapMatcher:
                 distances = sub_distances[order]
                 fractions = sub_fractions[order]
             else:
-                # Nothing within the radius (or no grid cell hit): fall back
-                # to the reference full scan for this fix.
-                edges, distances, fractions = self._reference_candidates(point)
+                # Nothing within the radius: fall back to the closest edge
+                # (the lowest id among ties) so matching never fails.
+                distances, fractions = self._segment_distances(point)
+                edges = np.array([np.argmin(distances)], dtype=np.int64)
+                distances, fractions = distances[edges], fractions[edges]
             candidate_sets.append(edges)
             fraction_sets.append(fractions)
             emission_sets.append(self._emission_log_prob(distances))

@@ -58,6 +58,14 @@ class TestGroupedSplit:
         with pytest.raises(ValueError):
             grouped_train_test_split([1, 2, 3], [0, 1])
 
+    @pytest.mark.parametrize("test_fraction", [0.0, -0.5, 1.0, 1.5])
+    def test_invalid_fraction_rejected(self, test_fraction):
+        # 0.0 and -0.5 used to give a silent one-group test split, 1.5 a
+        # misleading empty-train error downstream.
+        with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+            grouped_train_test_split(list(range(8)), [i // 2 for i in range(8)],
+                                     test_fraction=test_fraction)
+
 
 def _hand_written_minibatches(count, batch_size, rng, epochs, max_batches, body,
                               shuffle_in_place):

@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.datasets import build_task_datasets
-from repro.datasets.tasks import ranking_arrays, recommendation_arrays, travel_time_arrays
+from repro.datasets import TASKS, build_task_datasets, task_labels, task_split, train_test_split
 
 
 class TestBuildTaskDatasets:
@@ -44,10 +43,41 @@ class TestBuildTaskDatasets:
         assert len(capped.travel_time) == 5
         assert max(e.group for e in capped.ranking) <= 4
 
-    def test_array_helpers(self, tasks):
-        paths, targets = travel_time_arrays(tasks.travel_time)
-        assert len(paths) == len(targets)
-        paths, scores, groups = ranking_arrays(tasks.ranking)
-        assert len(paths) == len(scores) == len(groups)
-        paths, labels, groups = recommendation_arrays(tasks.recommendation)
-        assert set(np.unique(labels)) <= {0, 1}
+
+class TestTaskSplitAndLabels:
+    @pytest.fixture(scope="class")
+    def tasks(self, tiny_city):
+        return tiny_city.tasks
+
+    @pytest.mark.parametrize("task, dtype", [("travel_time", np.float64),
+                                             ("ranking", np.float64),
+                                             ("recommendation", np.int64)])
+    def test_labels_dtype_and_values(self, tasks, task, dtype):
+        examples = getattr(tasks, task)
+        labels = task_labels(task, examples)
+        assert labels.dtype == dtype
+        assert labels.shape == (len(examples),)
+        attribute = {"travel_time": "travel_time", "ranking": "score",
+                     "recommendation": "chosen"}[task]
+        assert labels.tolist() == [getattr(e, attribute) for e in examples]
+
+    @pytest.mark.parametrize("task", ["ranking", "recommendation"])
+    def test_candidate_tasks_split_by_trip(self, tasks, task):
+        train, test = task_split(task, getattr(tasks, task), 0.25, 3)
+        assert train and test
+        assert not {e.group for e in train} & {e.group for e in test}
+        assert len(train) + len(test) == len(getattr(tasks, task))
+
+    def test_travel_time_splits_plainly(self, tasks):
+        assert task_split("travel_time", tasks.travel_time, 0.2, 4) == \
+            train_test_split(tasks.travel_time, test_fraction=0.2, seed=4)
+
+    def test_tasks_are_the_dataset_fields(self, tasks):
+        assert TASKS == ("travel_time", "ranking", "recommendation")
+        assert all(isinstance(getattr(tasks, task), list) for task in TASKS)
+
+    def test_unknown_task_rejected(self, tasks):
+        with pytest.raises(ValueError, match="unknown task"):
+            task_labels("score", tasks.ranking)
+        with pytest.raises(ValueError, match="unknown task"):
+            task_split("travel_tme", tasks.travel_time, 0.2, 0)

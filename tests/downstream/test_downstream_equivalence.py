@@ -1,5 +1,6 @@
-"""Equivalence suites: the downstream engine vs its loop oracles, the
-metrics' ``_reference_*`` functions and ``reference_tree.ReferenceTree``.
+"""Equivalence suites: the downstream engine vs its loop oracles,
+``reference_metrics``' ``_reference_*`` functions and
+``reference_tree.ReferenceTree``.
 
 Three layers, matching the engine:
 
@@ -33,15 +34,17 @@ from repro.downstream import (
 )
 from repro.downstream.metrics import (
     _ranks,
-    _reference_grouped_rank_correlation,
-    _reference_kendall_tau,
-    _reference_ranks,
-    _reference_spearman_rho,
     grouped_rank_correlation,
     kendall_tau,
     spearman_rho,
 )
 from repro.downstream.tree import _Presort, _restrict
+from reference_metrics import (
+    _reference_grouped_rank_correlation,
+    _reference_kendall_tau,
+    _reference_ranks,
+    _reference_spearman_rho,
+)
 from reference_tree import ReferenceTree
 
 # Tie-heavy by construction: few distinct values over up-to-60 entries.

@@ -94,7 +94,7 @@ class TestRankCorrelations:
         assert spearman_rho([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]) == 0.0
 
     def test_kendall_ties_match_pair_counting(self):
-        from repro.downstream.metrics import _reference_kendall_tau
+        from reference_metrics import _reference_kendall_tau
 
         truth = [1, 1, 2, 3]
         prediction = [1, 2, 2, 3]

@@ -5,10 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets import task_labels, task_split
 from repro.downstream import (
+    RankingResult,
+    RecommendationResult,
+    TravelTimeResult,
     evaluate_ranking,
     evaluate_recommendation,
+    evaluate_task,
     evaluate_travel_time,
+    score_task,
 )
 from repro.evaluation import HarnessConfig, representation_task_results
 
@@ -99,6 +105,13 @@ class TestEvaluateRanking:
             LengthModel(tiny_city.network), tiny_city.tasks.ranking, n_estimators=5)
         assert set(result.as_row()) == {"MAE", "tau", "rho"}
 
+    @pytest.mark.parametrize("test_fraction", [0.0, -0.5, 1.5])
+    def test_invalid_test_fraction_rejected(self, tiny_city, test_fraction):
+        # 0.0 and -0.5 used to score a silent one-trip test split.
+        with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+            evaluate_ranking(LengthModel(tiny_city.network), tiny_city.tasks.ranking,
+                             test_fraction=test_fraction, n_estimators=5)
+
 
 class TestEvaluateRecommendation:
     def test_metrics_within_bounds(self, tiny_city):
@@ -106,6 +119,29 @@ class TestEvaluateRecommendation:
             LengthModel(tiny_city.network), tiny_city.tasks.recommendation, n_estimators=20)
         assert 0.0 <= result.accuracy <= 1.0
         assert 0.0 <= result.hit_rate <= 1.0
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("task, evaluate", [("travel_time", evaluate_travel_time),
+                                                ("ranking", evaluate_ranking),
+                                                ("recommendation", evaluate_recommendation)])
+    def test_named_evaluators_are_evaluate_task(self, tiny_city, task, evaluate):
+        model = LengthModel(tiny_city.network)
+        examples = getattr(tiny_city.tasks, task)
+        assert evaluate(model, examples, test_fraction=0.3, seed=2, n_estimators=5) == \
+            evaluate_task(task, model, examples, test_fraction=0.3, seed=2, n_estimators=5)
+
+    @pytest.mark.parametrize("task, result_type, expected", [
+        ("travel_time", TravelTimeResult, {"MAE": 0.0, "MARE": 0.0, "MAPE": 0.0}),
+        # Kendall's τ-a stays below 1 when a trip's scores tie.
+        ("ranking", RankingResult, {"MAE": 0.0, "rho": 1.0}),
+        ("recommendation", RecommendationResult, {"Acc": 1.0, "HR": 1.0}),
+    ])
+    def test_score_task_of_the_truth(self, tiny_city, task, result_type, expected):
+        _, test = task_split(task, getattr(tiny_city.tasks, task), 0.5, 0)
+        result = score_task(task, test, task_labels(task, test))
+        assert type(result) is result_type
+        assert result.as_row().items() >= expected.items()
 
 
 class TestRepresentationTaskResults:

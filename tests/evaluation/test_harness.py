@@ -23,7 +23,7 @@ from repro.evaluation import (
     run_table5_curriculum_design,
     run_table8_temporal,
     run_table11_lambda,
-    supervised_travel_time_results,
+    supervised_task_results,
 )
 
 
@@ -104,7 +104,7 @@ class TestFactories:
     @pytest.mark.parametrize("name", SUPERVISED_BASELINES + EDGE_SUM_BASELINES)
     def test_build_supervised_baseline_by_name(self, name, fast_config, tiny_city):
         model = build_supervised_baseline(name, fast_config)
-        row = supervised_travel_time_results(model, tiny_city, fast_config)
+        row = supervised_task_results(model, tiny_city, fast_config, "travel_time")
         assert np.isfinite(list(row.values())).all()
 
     def test_build_supervised_baseline_rejects_unknown_name(self, fast_config):
@@ -121,9 +121,45 @@ class TestFactories:
 
     def test_supervised_travel_time_results(self, fast_config, tiny_city):
         model = build_supervised_baseline("PathRank", fast_config)
-        row = supervised_travel_time_results(model, tiny_city, fast_config)
+        row = supervised_task_results(model, tiny_city, fast_config, "travel_time")
         assert set(row) == {"MAE", "MARE", "MAPE"}
         assert np.isfinite(row["MAE"])
+
+    def test_supervised_ranking_results(self, fast_config, tiny_city):
+        model = build_supervised_baseline("PathRank", fast_config)
+        row = supervised_task_results(model, tiny_city, fast_config, "ranking")
+        assert list(row) == ["MAE", "tau", "rho"]
+        assert np.isfinite(list(row.values())).all()
+
+
+class TestHarnessRejectsBadTaskInput:
+    """Bad task names and label budgets fail before any model is fitted."""
+
+    @pytest.mark.parametrize("tasks", [("travel_tme",), ("ranking", "Ranking"), ["nope"]])
+    def test_unknown_task_name(self, fast_config, tiny_city, tasks):
+        # Used to return {} or a dict without the misspelt task.
+        with pytest.raises(ValueError, match="tasks must be a sequence"):
+            representation_task_results(object(), tiny_city, fast_config, tasks=tasks)
+
+    @pytest.mark.parametrize("tasks", ["ranking", "travel_time"])
+    def test_bare_string_tasks(self, fast_config, tiny_city, tasks):
+        # "ranking" used to work only through a substring test.
+        with pytest.raises(ValueError, match="tasks must be a sequence"):
+            representation_task_results(object(), tiny_city, fast_config, tasks=tasks)
+
+    @pytest.mark.parametrize("train_limit", [-1, 0, 1, 2.5, "10"])
+    def test_supervised_train_limit(self, fast_config, tiny_city, train_limit):
+        # train_limit=-1 used to train silently on train[:-1].
+        model = build_supervised_baseline("PathRank", fast_config)
+        with pytest.raises(ValueError, match="train_limit"):
+            supervised_task_results(model, tiny_city, fast_config, "travel_time",
+                                    train_limit=train_limit)
+        assert model._encoder is None
+
+    def test_supervised_unknown_task(self, fast_config, tiny_city):
+        model = build_supervised_baseline("PathRank", fast_config)
+        with pytest.raises(ValueError, match="tasks must be a sequence"):
+            supervised_task_results(model, tiny_city, fast_config, "travel_tme")
 
 
 class TestTableRunners:

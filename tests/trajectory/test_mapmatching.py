@@ -249,7 +249,16 @@ class TestImplEquivalence:
     def test_candidate_sets_identical(self, matchers, tiny_network):
         reference, vectorized = matchers
         rng = np.random.default_rng(11)
-        positions = rng.uniform(-100.0, 900.0, size=(12, 2))
+        # Two fixes with no edge inside the candidate radius take the
+        # closest-edge fallback: a far corner, and a point 300 m off a
+        # two-way street, so its two directed edges tie for closest.
+        fallbacks = np.array([[1e6, 1e6], [375.0, -800.0]])
+        for point in fallbacks:
+            distances = vectorized._segment_distances(point)[0]
+            assert distances.min() > vectorized.candidate_radius
+        assert np.count_nonzero(
+            vectorized._segment_distances(fallbacks[1])[0] == 300.0) == 2
+        positions = np.vstack([rng.uniform(-100.0, 900.0, size=(12, 2)), fallbacks])
         ref_sets = reference._reference_candidate_sets(positions)
         vec_sets = vectorized._vectorized_candidate_sets(positions)
         for ref_arrays, vec_arrays in zip(ref_sets, vec_sets):
