@@ -8,9 +8,7 @@ The public functions are the vectorized training fast path: one
 ``(batch, batch)`` cosine-similarity matrix plus boolean positive/negative
 masks, with the per-query log-sum-exp done as a masked row-wise reduction —
 no Python loop over queries.  The original per-query loop implementations
-are retained as :func:`_reference_global_wsc_loss` /
-:func:`_reference_local_wsc_loss`; they are the oracles for the equivalence
-test suite.
+are the equivalence suite's oracles (``tests/core/reference_losses.py``).
 """
 
 from __future__ import annotations
@@ -87,32 +85,6 @@ def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
     return -objective.mean()
 
 
-def _reference_global_wsc_loss(tprs, contrast_sets, temperature=0.1):
-    """Per-query loop implementation of Eq. 10 (equivalence oracle)."""
-    normalized = _normalized(tprs)
-    similarities = (normalized @ normalized.transpose()) * (1.0 / temperature)
-
-    terms = []
-    for i in range(len(contrast_sets.positives)):
-        positives = contrast_sets.positives[i]
-        negatives = contrast_sets.negatives[i]
-        if len(positives) == 0 or len(negatives) == 0:
-            continue
-        positive_sims = similarities[i, positives]
-        negative_sims = similarities[i, negatives]
-        denominator = F.logsumexp(negative_sims, axis=-1)
-        # (1/|S_i|) * sum_j [ sim(i, j) - log sum_k exp(sim(i, k)) ]
-        objective = (positive_sims - denominator).mean()
-        terms.append(objective)
-
-    if not terms:
-        return _zero_loss()
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return -(total * (1.0 / len(terms)))
-
-
 def _padded_logsumexp(flat_sims, segment_lengths):
     """Row-wise log-sum-exp over a flat Tensor split into ragged segments.
 
@@ -123,15 +95,11 @@ def _padded_logsumexp(flat_sims, segment_lengths):
     reduced with a single log-sum-exp — no Python loop over queries.
     """
     lengths = np.asarray(segment_lengths, dtype=np.int64)
-    num_queries = len(lengths)
-    max_len = int(lengths.max())
-    pad_index = np.zeros((num_queries, max_len), dtype=np.int64)
-    pad_bias = np.full((num_queries, max_len), _EXCLUDED_BIAS)
-    offset = 0
-    for row, length in enumerate(lengths):
-        pad_index[row, :length] = np.arange(offset, offset + length)
-        pad_bias[row, :length] = 0.0
-        offset += int(length)
+    columns = np.arange(int(lengths.max()))
+    inside = columns < lengths[:, None]
+    starts = np.cumsum(lengths) - lengths
+    pad_index = np.where(inside, starts[:, None] + columns, 0)
+    pad_bias = np.where(inside, 0.0, _EXCLUDED_BIAS)
     padded = flat_sims[pad_index] + nn.Tensor(pad_bias)
     return F.logsumexp(padded, axis=-1)
 
@@ -176,64 +144,19 @@ def local_wsc_loss(tprs, edge_representations, edge_sets, temperature=0.1):
     return -(per_query.sum() * (1.0 / len(valid)))
 
 
-def _reference_local_wsc_loss(tprs, edge_representations, edge_sets, temperature=0.1):
-    """Per-query loop implementation of Eq. 11 (equivalence oracle)."""
-    terms = []
-    batch = tprs.shape[0]
-    for i in range(batch):
-        pos_rows = edge_sets.positive_rows[i]
-        pos_cols = edge_sets.positive_cols[i]
-        neg_rows = edge_sets.negative_rows[i]
-        neg_cols = edge_sets.negative_cols[i]
-        if len(pos_rows) == 0 or len(neg_rows) == 0:
-            continue
-        query = tprs[i:i + 1, :]                               # (1, d_h)
-        positive_edges = edge_representations[pos_rows, pos_cols]  # (P, d_h)
-        negative_edges = edge_representations[neg_rows, neg_cols]  # (N, d_h)
-
-        positive_sims = F.cosine_similarity(query, positive_edges) * (1.0 / temperature)
-        negative_sims = F.cosine_similarity(query, negative_edges) * (1.0 / temperature)
-
-        objective = (
-            F.logsumexp(positive_sims, axis=-1) - F.logsumexp(negative_sims, axis=-1)
-        ) * (1.0 / len(pos_rows))
-        terms.append(objective)
-
-    if not terms:
-        return _zero_loss()
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return -(total * (1.0 / len(terms)))
-
-
 def combined_wsc_loss(tprs, edge_representations, contrast_sets, edge_sets,
-                      lambda_balance=0.8, temperature=0.1,
-                      global_loss=None, local_loss=None):
+                      lambda_balance=0.8, temperature=0.1):
     """λ-weighted combination of the global and local losses (negated Eq. 12).
 
     ``lambda_balance = 1`` uses only the global loss ("w/o Local" ablation);
     ``lambda_balance = 0`` uses only the local loss ("w/o Global").
-    ``global_loss`` / ``local_loss`` override the implementations (used by
-    :func:`_reference_combined_wsc_loss`).
     """
-    global_loss = global_loss or global_wsc_loss
-    local_loss = local_loss or local_wsc_loss
     if lambda_balance >= 1.0:
-        return global_loss(tprs, contrast_sets, temperature=temperature)
+        return global_wsc_loss(tprs, contrast_sets, temperature=temperature)
     if lambda_balance <= 0.0:
-        return local_loss(tprs, edge_representations, edge_sets, temperature=temperature)
-    global_term = global_loss(tprs, contrast_sets, temperature=temperature)
-    local_term = local_loss(tprs, edge_representations, edge_sets, temperature=temperature)
+        return local_wsc_loss(tprs, edge_representations, edge_sets,
+                              temperature=temperature)
+    global_term = global_wsc_loss(tprs, contrast_sets, temperature=temperature)
+    local_term = local_wsc_loss(tprs, edge_representations, edge_sets,
+                                temperature=temperature)
     return global_term * lambda_balance + local_term * (1.0 - lambda_balance)
-
-
-def _reference_combined_wsc_loss(tprs, edge_representations, contrast_sets,
-                                 edge_sets, lambda_balance=0.8, temperature=0.1):
-    """Eq. 12 built from the per-query loop losses (equivalence-test oracle)."""
-    return combined_wsc_loss(
-        tprs, edge_representations, contrast_sets, edge_sets,
-        lambda_balance=lambda_balance, temperature=temperature,
-        global_loss=_reference_global_wsc_loss,
-        local_loss=_reference_local_wsc_loss,
-    )

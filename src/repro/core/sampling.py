@@ -85,9 +85,10 @@ def build_contrast_sets(batch):
 
     Samples are grouped by their ``(path, weak_label)`` key in one pass, so
     construction is O(n) expected in the batch size instead of the O(n²)
-    pairwise scan (kept as :func:`_reference_build_contrast_sets` for the
-    regression test).  Positives of query ``i`` are its group minus itself;
-    negatives are the group's complement, shared by every group member.
+    pairwise scan (the regression test's oracle in
+    ``tests/core/reference_sampling.py``).  Positives of query ``i`` are its
+    group minus itself; negatives are the group's complement, shared by
+    every group member.
     """
     size = len(batch)
     keys = [(tuple(tp.path), label) for tp, label in batch]
@@ -111,22 +112,6 @@ def build_contrast_sets(batch):
         members = group_members[key]
         positives.append(members[members != index])
         negatives.append(group_complement[key])
-    return ContrastSets(positives=positives, negatives=negatives)
-
-
-def _reference_build_contrast_sets(batch):
-    """The original O(n²) pairwise scan (oracle for the regression test)."""
-    paths = [tuple(tp.path) for tp, _ in batch]
-    labels = [label for _, label in batch]
-    size = len(batch)
-    positives = []
-    negatives = []
-    for i in range(size):
-        positive = [j for j in range(size)
-                    if j != i and paths[j] == paths[i] and labels[j] == labels[i]]
-        negative = [j for j in range(size) if j != i and j not in positive]
-        positives.append(np.asarray(positive, dtype=np.int64))
-        negatives.append(np.asarray(negative, dtype=np.int64))
     return ContrastSets(positives=positives, negatives=negatives)
 
 
@@ -156,9 +141,9 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
     uniform matrix is ranked per pair (invalid columns pushed to the end), so
     each pair's first ``min(edges_per_path, length)`` ranks are a uniform
     sample without replacement — no per-pair ``rng.choice`` calls, which
-    dominated the training step.  The per-query loop sampler is kept as
-    :func:`_reference_sample_edge_sets` (same distribution, different random
-    stream).
+    dominated the training step.  The per-query loop sampler is the test
+    oracle in ``tests/core/reference_sampling.py`` (same distribution,
+    different random stream).
     """
     size = len(batch)
     lengths = mask.sum(axis=1).astype(np.int64)
@@ -219,43 +204,3 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
         negative_rows=negative_rows,
         negative_cols=negative_cols,
     )
-
-
-def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
-    """The original per-query ``rng.choice`` sampler (loop baseline)."""
-    size = len(batch)
-    lengths = mask.sum(axis=1).astype(np.int64)
-
-    positive_rows, positive_cols = [], []
-    negative_rows, negative_cols = [], []
-    for i in range(size):
-        pos_paths = np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
-        neg_paths = contrast_sets.negatives[i]
-
-        rows_p, cols_p = _draw_edges(pos_paths, lengths, rng, edges_per_path)
-        rows_n, cols_n = _draw_edges(neg_paths, lengths, rng, edges_per_path)
-        positive_rows.append(rows_p)
-        positive_cols.append(cols_p)
-        negative_rows.append(rows_n)
-        negative_cols.append(cols_n)
-
-    return EdgeSampleSets(
-        positive_rows=positive_rows,
-        positive_cols=positive_cols,
-        negative_rows=negative_rows,
-        negative_cols=negative_cols,
-    )
-
-
-def _draw_edges(path_indices, lengths, rng, edges_per_path):
-    rows = []
-    cols = []
-    for row in path_indices:
-        valid = int(lengths[row])
-        if valid <= 0:
-            continue
-        count = min(edges_per_path, valid)
-        chosen = rng.choice(valid, size=count, replace=False)
-        rows.extend([int(row)] * count)
-        cols.extend(int(c) for c in chosen)
-    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)

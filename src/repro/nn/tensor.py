@@ -14,6 +14,13 @@ broadcasting semantics so that model code reads like idiomatic numpy.
 Tensor data is always float64: lists, scalars and integer or boolean arrays
 are converted on construction, and float64 arrays are wrapped without a
 copy.  The 1e-10 serving-equivalence checks rely on float64 throughout.
+
+Gradients accumulate as in PyTorch.  A tensor's first gradient is stored as
+a fresh array that the tensor owns (never the caller's array, nor a view of
+another tensor's gradient); every later one is added into it in place, so a
+reference to a non-scalar tensor's ``.grad`` held across a second
+:meth:`Tensor.backward` sees the sum.  :meth:`Tensor.zero_grad` drops the
+array instead of zeroing it.
 """
 
 from __future__ import annotations
@@ -156,9 +163,14 @@ class Tensor:
         return out
 
     def _accumulate(self, grad):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad = self.grad + grad
+        if self.grad is not None:
+            self.grad += grad
+        elif grad.shape == self.data.shape and self.data.flags.c_contiguous:
+            # ``zeros_like(data) + grad`` in one allocation: the same bits
+            # (-0.0 becomes +0.0) and the same C layout.
+            self.grad = np.add(grad, 0.0, order="C")
+        else:
+            self.grad = np.zeros_like(self.data) + grad
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -337,7 +349,7 @@ class Tensor:
             g = np.asarray(grad)
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis=axis)
-            self._accumulate(np.broadcast_to(g, self.shape).copy())
+            self._accumulate(np.broadcast_to(g, self.shape))
 
         return self._make_result(out_data, (self,), backward, "sum")
 
@@ -400,9 +412,16 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                full = np.zeros_like(self.data)
-                np.add.at(full, index, grad)
-                self._accumulate(full)
+                # numpy's own indexing maps each read to its flat position, so
+                # every index kind (slices, masks, repeated or negative
+                # integers) becomes one bincount.  It adds the weights in read
+                # order into zeros: each element gets the same additions, in
+                # the same order, as an unbuffered scatter-add.
+                size = self.data.size
+                positions = np.arange(size).reshape(self.shape)[index]
+                full = np.bincount(np.ravel(positions), weights=np.ravel(grad),
+                                   minlength=size)
+                self._accumulate(full.reshape(self.shape))
 
         return self._make_result(out_data, (self,), backward, "getitem")
 

@@ -1,0 +1,66 @@
+"""The loop oracles for :mod:`repro.core.sampling`.
+
+``_reference_build_contrast_sets`` is the original O(n²) pairwise scan, which
+the grouped ``build_contrast_sets`` must reproduce exactly.
+``_reference_sample_edge_sets`` is the original per-query ``rng.choice``
+sampler: the same distribution as ``sample_edge_sets`` from a different
+random stream, so the tests compare structure and counts, not draws.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core import ContrastSets, EdgeSampleSets
+
+
+def _reference_build_contrast_sets(batch):
+    """Positives share the query's path and weak label; the rest are negatives."""
+    paths = [tuple(tp.path) for tp, _ in batch]
+    labels = [label for _, label in batch]
+    size = len(batch)
+    positives = []
+    negatives = []
+    for i in range(size):
+        positive = [j for j in range(size)
+                    if j != i and paths[j] == paths[i] and labels[j] == labels[i]]
+        negative = [j for j in range(size) if j != i and j not in positive]
+        positives.append(np.asarray(positive, dtype=np.int64))
+        negatives.append(np.asarray(negative, dtype=np.int64))
+    return ContrastSets(positives=positives, negatives=negatives)
+
+
+def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
+    """Per query, ``min(edges_per_path, length)`` edges of each of its paths."""
+    lengths = mask.sum(axis=1).astype(np.int64)
+    positive_rows, positive_cols = [], []
+    negative_rows, negative_cols = [], []
+    for i in range(len(batch)):
+        pos_paths = np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
+        rows_p, cols_p = _draw_edges(pos_paths, lengths, rng, edges_per_path)
+        rows_n, cols_n = _draw_edges(contrast_sets.negatives[i], lengths, rng,
+                                     edges_per_path)
+        positive_rows.append(rows_p)
+        positive_cols.append(cols_p)
+        negative_rows.append(rows_n)
+        negative_cols.append(cols_n)
+    return EdgeSampleSets(
+        positive_rows=positive_rows,
+        positive_cols=positive_cols,
+        negative_rows=negative_rows,
+        negative_cols=negative_cols,
+    )
+
+
+def _draw_edges(path_indices, lengths, rng, edges_per_path):
+    rows = []
+    cols = []
+    for row in path_indices:
+        valid = int(lengths[row])
+        if valid <= 0:
+            continue
+        count = min(edges_per_path, valid)
+        chosen = rng.choice(valid, size=count, replace=False)
+        rows.extend([int(row)] * count)
+        cols.extend(int(c) for c in chosen)
+    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)

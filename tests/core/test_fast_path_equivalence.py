@@ -1,9 +1,10 @@
 """Equivalence suite for the training fast path.
 
 The matrix-form global/local WSC losses are checked against the per-query
-loop losses (``_reference_global_wsc_loss`` / ``_reference_local_wsc_loss``),
-alone and inside a full ``train_step`` together with the loop oracle for the
-grouped contrast sets.
+loop losses of ``reference_losses`` (``_reference_global_wsc_loss`` /
+``_reference_local_wsc_loss``), alone and inside a full ``train_step``
+together with ``reference_sampling``'s loop oracle for the grouped contrast
+sets.
 
 Everything randomized goes through Hypothesis so shrinking produces a
 minimal counterexample if a backward rule regresses.
@@ -17,13 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.losses import (
+from repro.core.losses import global_wsc_loss, local_wsc_loss
+from repro.core.sampling import ContrastSets, EdgeSampleSets
+from reference_losses import (
+    _reference_combined_wsc_loss,
     _reference_global_wsc_loss,
     _reference_local_wsc_loss,
-    global_wsc_loss,
-    local_wsc_loss,
 )
-from repro.core.sampling import ContrastSets, EdgeSampleSets
+from reference_sampling import _reference_build_contrast_sets
 
 #: Fast-path vs loop-reference agreement (values and gradients).
 FLOAT64_TOLERANCE = 1e-8
@@ -113,8 +115,6 @@ class TestMatrixLossEquivalence:
         """A full train_step with the loop oracles patched in (loss and
         contrast sets) lands on the same loss."""
         from repro.core import WSCModel, WSCTrainer, trainer
-        from repro.core.losses import _reference_combined_wsc_loss
-        from repro.core.sampling import _reference_build_contrast_sets
 
         batch = list(tiny_city.unlabeled)[:6]
         labeler = tiny_city.unlabeled.weak_labeler

@@ -13,6 +13,10 @@ from repro.core import (
 from repro.core.encoder import pad_paths
 from repro.datasets import TemporalPath
 from repro.temporal import DepartureTime, PeakOffPeakLabeler
+from reference_sampling import (
+    _reference_build_contrast_sets,
+    _reference_sample_edge_sets,
+)
 
 
 def make_batch():
@@ -137,8 +141,6 @@ class TestGroupedContrastSetsRegression:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("size", [2, 7, 33])
     def test_matches_pairwise_scan_on_randomized_batch(self, seed, size):
-        from repro.core.sampling import _reference_build_contrast_sets
-
         batch = self._random_batch(size, seed)
         fast = build_contrast_sets(batch)
         slow = _reference_build_contrast_sets(batch)
@@ -151,8 +153,6 @@ class TestVectorizedEdgeSampler:
     """Distributional/structural checks for the batched edge sampler."""
 
     def test_reference_sampler_same_structure(self, rng):
-        from repro.core.sampling import _reference_sample_edge_sets
-
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
@@ -187,8 +187,6 @@ class TestVectorizedEdgeSampler:
 
     def test_sample_counts_match_reference_sampler(self, rng):
         """Both samplers draw min(edges_per_path, length) edges per pair."""
-        from repro.core.sampling import _reference_sample_edge_sets
-
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])

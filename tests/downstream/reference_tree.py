@@ -102,8 +102,11 @@ class ReferenceTree(DecisionTreeRegressor):
                 left_sq = cum_sq[left_count - 1]
                 right_sum = total_sum - left_sum
                 right_sq = total_sq - left_sq
-                left_impurity = left_sq - left_sum ** 2 / left_count
-                right_impurity = right_sq - right_sum ** 2 / right_count
+                # Multiplied, not ``** 2``: on a numpy scalar ``** 2`` calls
+                # libm ``pow``, which can differ in the last bit from the
+                # multiply the engine's array ``** 2`` performs.
+                left_impurity = left_sq - left_sum * left_sum / left_count
+                right_impurity = right_sq - right_sum * right_sum / right_count
                 gain = parent_impurity - left_impurity - right_impurity
                 if gain > best_gain:
                     best_gain = gain
