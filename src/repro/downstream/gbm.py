@@ -8,9 +8,12 @@ boosting loop over :class:`~repro.downstream.tree.DecisionTreeRegressor`
 weak learners.
 
 A fit checks its inputs and sorts the feature columns once
-(:class:`~repro.downstream.tree._Presort`).  The sort and the root's
-candidate splits depend only on the features, so every round's tree starts
-from them and a round only accumulates its residuals and scores the gains.
+(:class:`~repro.downstream.tree._Presort`).  Every round's tree grows from
+that one presort, which also keeps each node's row order and candidate
+splits: they depend on the node's row set, not on the residuals, so a row
+set that recurs in a later round is not scanned again, and a round only
+accumulates its residuals and scores the gains.  The presort and its kept
+nodes are dropped when the fit ends.
 """
 
 from __future__ import annotations

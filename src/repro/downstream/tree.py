@@ -11,9 +11,11 @@ order filtered to the node's rows; a stable filter of a stable sort is the
 stable sort of the subset, so no node sorts again.  A node's candidate
 thresholds are the deduplicated midpoints of adjacent unique values, at
 most ``max_thresholds`` per feature.  They come from one ``nonzero`` over
-the sorted values, and one cumulative-sum scan scores them all.  They
-depend only on the features, so the presort keeps the root's candidates
-and a booster reuses both in every round.
+the sorted values, and one cumulative-sum scan scores them all.  A node's
+order and candidates depend only on its row set, never on the targets, so
+the presort keeps them per node: a booster grows every round's tree from
+one presort, and each row set that recurs across its rounds is filtered
+and scanned for candidates once per fit.
 
 The fitted tree is flattened into ``(feature, threshold, left, right,
 value)`` arrays, so ``predict`` is a batch traversal with no per-row
@@ -78,24 +80,31 @@ class _Presort:
     """Every feature column of one checked training matrix, sorted once.
 
     ``order[d]`` lists the row ids by ascending ``features[:, d]``, ties in
-    ascending row order.  It depends only on the features, so a booster
-    builds one presort per fit and every round's tree starts from it,
-    reusing the root's candidate splits too.
+    ascending row order.  A booster builds one presort per fit and grows
+    every round's tree from it; :meth:`node` keeps each node's row order
+    and candidates, which depend only on the node's row set, so a row set
+    that recurs in a later round is not filtered or scanned again.
     """
 
     def __init__(self, features):
         self.features = features
         self.columns = np.ascontiguousarray(features.T)
         self.order = np.argsort(self.columns, axis=1, kind="stable")
-        self._root_candidates = {}
+        self._nodes = {}
 
-    def root_candidates(self, min_samples_leaf, max_thresholds):
-        """:func:`_candidates` of the whole matrix, computed once per setting."""
-        key = (min_samples_leaf, max_thresholds)
-        if key not in self._root_candidates:
-            self._root_candidates[key] = _candidates(
-                self.columns, self.order, min_samples_leaf, max_thresholds)
-        return self._root_candidates[key]
+    def node(self, rows, parent_order, min_samples_leaf, max_thresholds):
+        """``(order, candidates)`` of the node holding the ascending
+        ``rows``, computed once per setting: its per-feature row order,
+        filtered from ``parent_order``, and its :func:`_candidates`."""
+        key = (rows.tobytes(), min_samples_leaf, max_thresholds)
+        found = self._nodes.get(key)
+        if found is None:
+            order = parent_order
+            if len(rows) < order.shape[1]:
+                order = _restrict(order, rows, len(self.features))
+            found = self._nodes[key] = (order, _candidates(
+                self.columns, order, min_samples_leaf, max_thresholds))
+        return found
 
 
 def _restrict(order, rows, num_rows):
@@ -135,11 +144,16 @@ def _candidates(columns, order, min_samples_leaf, max_thresholds):
     counts = np.diff(offsets)
     wide = np.flatnonzero(counts > max_thresholds)
     if len(wide):
-        # Evenly spaced ranks, one row per wide feature: the same floats as
-        # a scalar ``linspace(0, count - 1, max_thresholds)`` per feature.
-        ranks = np.linspace(0, counts[wide] - 1, max_thresholds, axis=1)
+        # Evenly spaced ranks, one row per wide feature: ``linspace(0,
+        # count - 1, max_thresholds)``'s own floats (step times ``arange``,
+        # the exact endpoint last), or a lone rank 0 for one threshold.
+        last = counts[wide] - 1
+        ranks = (np.arange(max_thresholds)
+                 * (last[:, None] / max(max_thresholds - 1, 1))).astype(np.int64)
+        if max_thresholds > 1:
+            ranks[:, -1] = last
         keep = np.repeat(counts <= max_thresholds, counts)
-        keep[(offsets[wide, None] + ranks.astype(np.int64)).ravel()] = True
+        keep[(offsets[wide, None] + ranks).ravel()] = True
         picked = np.flatnonzero(keep)
     else:
         picked = np.arange(len(uppers))
@@ -173,27 +187,29 @@ def _candidates(columns, order, min_samples_leaf, max_thresholds):
     return split_features[valid], thresholds[valid], left_counts[valid]
 
 
-def _scan(candidates, order, targets, node_targets):
+def _scan(candidates, order, targets, node_targets, total_sum):
     """Best ``(feature, threshold)`` among ``candidates``, or ``None``.
 
     One cumulative sum of the targets in every feature's sorted order gives
     each candidate's left-side sums; ``argmax`` keeps the first best, the
-    loop oracle's strict-improvement tie-break.
+    loop oracle's strict-improvement tie-break.  ``total_sum`` is
+    ``node_targets.sum()``.
     """
     split_features, thresholds, left_counts = candidates
     num_samples = len(node_targets)
-    sorted_targets = targets[order]
-    cum_sum = np.cumsum(sorted_targets, axis=1)
-    cum_sq = np.cumsum(sorted_targets ** 2, axis=1)
+    # Targets and their squares in every feature's order, summed along the
+    # rows in one sequential cumsum.
+    sums = np.empty((2,) + order.shape)
+    np.take(targets, order, out=sums[0])
+    np.square(sums[0], out=sums[1])
+    np.cumsum(sums, axis=2, out=sums)
     right_counts = num_samples - left_counts
     # Scalar totals computed exactly as the oracle does (np.sum's pairwise
     # order, not the sequential cumsum tail) so gains are bit-identical and
     # the same split wins every tie.
-    total_sum = node_targets.sum()
     total_sq = (node_targets ** 2).sum()
     parent_impurity = total_sq - total_sum ** 2 / num_samples
-    left_sum = cum_sum[split_features, left_counts - 1]
-    left_sq = cum_sq[split_features, left_counts - 1]
+    left_sum, left_sq = sums[:, split_features, left_counts - 1]
     left_impurity = left_sq - left_sum ** 2 / left_counts
     right_impurity = ((total_sq - left_sq)
                       - (total_sum - left_sum) ** 2 / right_counts)
@@ -202,6 +218,13 @@ def _scan(candidates, order, targets, node_targets):
     if gains[best] <= _MIN_GAIN:
         return None
     return int(split_features[best]), float(thresholds[best])
+
+
+def _nearly_constant(values):
+    """``np.allclose(values, values[0])`` at its default tolerances, as its
+    own formula: the two decide alike on finite ``values``."""
+    first = values[0]
+    return bool((np.abs(values - first) <= 1e-8 + 1e-5 * abs(first)).all())
 
 
 class DecisionTreeRegressor:
@@ -273,31 +296,28 @@ class DecisionTreeRegressor:
         append flattened node rows; returns the index of ``rows``' node.
 
         ``rows`` is ascending.  ``order`` is the parent's per-feature row
-        order, or the presort's at the root; a node filters it to its rows
-        only if it scans for a split.
+        order, or the presort's at the root; the presort filters it to the
+        node's rows only if the node scans for a split.
         """
         node_targets = targets[rows]
+        total_sum = node_targets.sum()
         index = len(nodes)
-        nodes.append([-1, np.nan, -1, -1, float(node_targets.mean())])
+        # ``np.mean``'s own bits: the same sum over the same count.
+        nodes.append([-1, np.nan, -1, -1, float(total_sum / len(rows))])
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return index
-        if np.allclose(node_targets, node_targets[0]):
+        if _nearly_constant(node_targets):
             return index
 
-        if depth == 0:
-            candidates = presort.root_candidates(self.min_samples_leaf,
-                                                 self.max_thresholds)
-        else:
-            order = _restrict(order, rows, len(targets))
-            candidates = _candidates(presort.columns, order,
-                                     self.min_samples_leaf, self.max_thresholds)
+        order, candidates = presort.node(rows, order, self.min_samples_leaf,
+                                         self.max_thresholds)
         if candidates is None:
             return index
-        split = _scan(candidates, order, targets, node_targets)
+        split = _scan(candidates, order, targets, node_targets, total_sum)
         if split is None:
             return index
         feature, threshold = split
-        go_left = presort.features[rows, feature] <= threshold
+        go_left = presort.columns[feature, rows] <= threshold
         nodes[index][:4] = (
             feature, threshold,
             self._grow(presort, targets, rows[go_left], order, depth + 1, nodes),

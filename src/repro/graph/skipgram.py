@@ -4,11 +4,10 @@ This is the word2vec-style objective node2vec optimises.  The SGD update is
 vectorised numpy (the SGNS gradient has a closed form), and so is the corpus
 extraction: strided context windows over a padded walk matrix emit the
 (center, context) pairs in *exactly* the order of the original nested loops,
-and one batched ``np.bincount`` builds the noise distribution.  The loops
-are kept as :meth:`SkipGramTrainer._reference_pairs` and
-:meth:`SkipGramTrainer._reference_noise_counts`; because pairs and noise
-counts are bit-identical to them, training consumes the RNG identically and
-the embeddings match a loop-built corpus bit for bit.
+and one batched ``np.bincount`` builds the noise distribution.  Those loops
+are the test oracles in ``tests/graph/reference_skipgram.py``; because pairs
+and noise counts are bit-identical to them, training consumes the RNG
+identically and the embeddings match a loop-built corpus bit for bit.
 
 The learning rate decays linearly over the planned updates down to a floor
 of ``lr / 10_000``, as in word2vec.
@@ -65,31 +64,13 @@ class SkipGramTrainer:
     # ------------------------------------------------------------------
     # Corpus extraction
     # ------------------------------------------------------------------
-    def _pairs_from_walk(self, walk):
-        """(center, context) pairs within the window along a walk (reference)."""
-        pairs = []
-        for index, center in enumerate(walk):
-            low = max(0, index - self.window)
-            high = min(len(walk), index + self.window + 1)
-            for context_index in range(low, high):
-                if context_index != index:
-                    pairs.append((center, walk[context_index]))
-        return pairs
-
-    def _reference_pairs(self, walks):
-        """All pairs of the corpus via the per-walk loops, as an (P, 2) array."""
-        pairs = []
-        for walk in walks:
-            pairs.extend(self._pairs_from_walk(walk))
-        return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
     def _vectorized_pairs(self, walks):
-        """All pairs of the corpus in reference order, via strided windows.
+        """All pairs of the corpus in nested-loop order, via strided windows.
 
         Walks are padded into one ``(num_walks, max_len)`` matrix; every
         window offset is one shifted view of that matrix.  Offsets are
         stacked in increasing order, so flattening row-major reproduces the
-        reference enumeration exactly: walk by walk, center by center,
+        loops' enumeration exactly: walk by walk, center by center,
         contexts left-to-right.
         """
         num_walks = len(walks)
@@ -123,13 +104,6 @@ class SkipGramTrainer:
         if total == 0:
             return np.full(self.num_nodes, 1.0 / self.num_nodes)
         return counts / total
-
-    def _reference_noise_counts(self, walks):
-        counts = np.zeros(self.num_nodes)
-        for walk in walks:
-            for node in walk:
-                counts[node] += 1
-        return counts
 
     def _vectorized_noise_counts(self, walks):
         if not walks:

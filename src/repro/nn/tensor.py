@@ -474,7 +474,8 @@ class Tensor:
     def backward(self, grad=None):
         """Run reverse-mode differentiation from this tensor.
 
-        ``grad`` defaults to 1 for scalar tensors, matching PyTorch.
+        ``grad`` defaults to 1 for scalar tensors, matching PyTorch;
+        a given ``grad`` must have this tensor's shape.
         """
         if not self.requires_grad:
             raise RuntimeError("called backward() on a tensor that does not require grad")
@@ -484,6 +485,9 @@ class Tensor:
             grad = np.ones_like(self.data)
         else:
             grad = _as_array(grad)
+            if grad.shape != self.shape:
+                raise ValueError(f"grad has shape {grad.shape}, but the tensor "
+                                 f"has shape {self.shape}")
 
         # Topological ordering of the graph reachable from self.
         order = []

@@ -38,7 +38,7 @@ from repro.downstream.metrics import (
     kendall_tau,
     spearman_rho,
 )
-from repro.downstream.tree import _Presort, _restrict
+from repro.downstream.tree import _nearly_constant, _Presort, _restrict
 from reference_metrics import (
     _reference_grouped_rank_correlation,
     _reference_kendall_tau,
@@ -129,7 +129,7 @@ tree_problems = st.tuples(
     st.integers(min_value=1, max_value=40),     # features
     st.integers(min_value=1, max_value=5),      # max depth
     st.integers(min_value=1, max_value=5),      # min samples leaf
-    st.integers(min_value=2, max_value=20),     # max thresholds
+    st.integers(min_value=1, max_value=20),     # max thresholds
     st.integers(min_value=0, max_value=10_000), # seed
 )
 
@@ -210,6 +210,38 @@ class TestPresortEquivalence:
         np.testing.assert_array_equal(order, stable_sort_rows(features, child))
 
 
+def vector_near(first):
+    """Finite vectors led by ``first``, their other entries on, one ulp
+    inside or one ulp outside ``np.allclose``'s default tolerance around
+    it, or anywhere within ten tolerances."""
+    tolerance = 1e-8 + 1e-5 * abs(first)
+    edges = [first, first + tolerance, first - tolerance]
+    edges += [np.nextafter(edge, direction) for edge in edges[1:]
+              for direction in (-np.inf, np.inf)]
+    entry = st.one_of(
+        st.sampled_from(edges),
+        st.floats(min_value=-10.0, max_value=10.0).map(
+            lambda scale: first + scale * tolerance))
+    return st.lists(entry, max_size=12).map(
+        lambda rest: np.array([first] + rest, dtype=np.float64))
+
+
+# Finite vectors: clustered at the tolerance edge, or spread anywhere.
+closeness_vectors = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6).flatmap(vector_near),
+    hnp.arrays(dtype=np.float64, shape=st.integers(1, 20),
+               elements=st.floats(min_value=-1e6, max_value=1e6)))
+
+
+class TestNearlyConstant:
+    @given(closeness_vectors)
+    @settings(max_examples=400, deadline=None)
+    @example(np.array([1.0, 1.0 + 1e-8 + 1e-5]))
+    @example(np.array([0.0, 1e-8, -1e-8]))
+    def test_decides_as_allclose_on_finite_vectors(self, values):
+        assert _nearly_constant(values) == np.allclose(values, values[0])
+
+
 class TestTreeEquivalence:
     @given(tree_problems)
     @settings(max_examples=60, deadline=None)
@@ -217,6 +249,8 @@ class TestTreeEquivalence:
     # oracle used to square its scalar sums with ``pow`` and pick the other.
     @example((12, 2, 1, 1, 2, 6353))
     @example((110, 15, 5, 1, 15, 9203))
+    # One threshold per feature: the subsample keeps only the first midpoint.
+    @example((120, 12, 3, 2, 1, 7))
     def test_flattened_predict_matches_node_walk_exactly(self, problem):
         samples, features, depth, leaf, thresholds, seed = problem
         x, y, queries = mixed_columns(samples, features, seed)
@@ -270,8 +304,8 @@ class TestGBMEquivalence:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_mixed_columns_identical(self, seed):
-        # 24 columns of every kind: rounds share one presort and its root
-        # candidates, including features that never offer a split.
+        # 24 columns of every kind: rounds share one presort and its kept
+        # nodes, including features that never offer a split.
         x, y, queries = mixed_columns(150, 24, seed)
         labels = (y > np.median(y)).astype(np.int64)
         with reference_weak_learners():

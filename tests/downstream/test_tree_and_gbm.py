@@ -13,7 +13,8 @@ from repro.downstream import (
     GradientBoostingClassifier,
     GradientBoostingRegressor,
 )
-from repro.downstream.tree import _Presort
+from repro.downstream import tree as tree_module
+from repro.downstream.tree import _candidates, _Presort
 from reference_tree import ReferenceTree
 
 
@@ -152,18 +153,62 @@ class TestPresort:
         np.testing.assert_array_equal(
             tree.predict(x), DecisionTreeRegressor().fit(x, y).predict(x))
 
-    def test_shared_presort_keeps_root_candidates_per_setting(self, rng):
+    def test_shared_presort_keeps_node_candidates_per_setting(self, rng):
         x = np.round(rng.normal(size=(60, 3)), 1)
         y = x[:, 0] + rng.normal(0, 0.1, 60)
         presort = _Presort(x)
-        for settings in [dict(min_samples_leaf=20, max_thresholds=2),
-                         dict(min_samples_leaf=1, max_thresholds=40)]:
-            tree = DecisionTreeRegressor(max_depth=2, **settings)
+        all_settings = [dict(min_samples_leaf=10, max_thresholds=4),
+                        dict(min_samples_leaf=1, max_thresholds=40)]
+        for settings in all_settings:
+            tree = DecisionTreeRegressor(max_depth=3, **settings)
             tree._presort = presort
             tree.fit(x, y)
-            fresh = DecisionTreeRegressor(max_depth=2, **settings).fit(x, y)
+            fresh = DecisionTreeRegressor(max_depth=3, **settings).fit(x, y)
             np.testing.assert_array_equal(tree.predict(x), fresh.predict(x))
             np.testing.assert_array_equal(tree._threshold, fresh._threshold)
+        # Every kept node, the root and those below it, under each setting:
+        # its order is the stable sort of its rows and its candidates are a
+        # fresh scan's under that node's own setting.
+        kept = {}
+        for (rows, leaf, thresholds), (order, candidates) in presort._nodes.items():
+            rows = np.frombuffer(rows, dtype=np.int64)
+            kept.setdefault((leaf, thresholds), []).append(len(rows))
+            np.testing.assert_array_equal(
+                order, rows[np.argsort(x[rows], axis=0, kind="stable")].T)
+            expected = _candidates(presort.columns, order, leaf, thresholds)
+            assert (candidates is None) == (expected is None)
+            for got, want in zip(candidates or (), expected or ()):
+                np.testing.assert_array_equal(got, want)
+        assert set(kept) == {(s["min_samples_leaf"], s["max_thresholds"])
+                             for s in all_settings}
+        for sizes in kept.values():
+            assert 60 in sizes and min(sizes) < 60
+
+    def test_booster_scans_each_node_once(self, rng, monkeypatch):
+        # 30 rounds regrow the same row sets: each (rows, settings) key is
+        # scanned for candidates once, however many rounds split it.
+        x = np.round(rng.normal(size=(80, 4)), 1)
+        y = x[:, 0] + np.sin(3 * x[:, 1]) + rng.normal(0, 0.1, 80)
+        keys = []
+
+        def counting_candidates(columns, order, min_samples_leaf, max_thresholds):
+            keys.append((np.sort(order[0]).tobytes(), min_samples_leaf,
+                         max_thresholds))
+            return _candidates(columns, order, min_samples_leaf, max_thresholds)
+
+        lookups = []
+        node = _Presort.node
+
+        def counting_node(presort, rows, *args):
+            lookups.append(rows.tobytes())
+            return node(presort, rows, *args)
+
+        monkeypatch.setattr(tree_module, "_candidates", counting_candidates)
+        monkeypatch.setattr(_Presort, "node", counting_node)
+        model = GradientBoostingRegressor(n_estimators=30).fit(x, y)
+        assert len(model._trees) == 30
+        assert len(keys) == len(set(keys))
+        assert len(set(keys)) == len(set(lookups)) < len(lookups)
 
     @pytest.mark.parametrize("booster", BOOSTERS)
     def test_refit_booster_sorts_the_new_matrix(self, rng, booster):

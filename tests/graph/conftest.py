@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import SkipGramTrainer
+from reference_skipgram import _reference_noise_counts, _reference_pairs
 
 
 @pytest.fixture(scope="session")
@@ -30,13 +31,15 @@ def reference_walks():
 def loop_corpus_trainer():
     """A ``SkipGramTrainer`` factory whose corpus comes from the loop oracles.
 
-    The pair and noise-count methods are swapped for ``_reference_pairs``
-    and ``_reference_noise_counts`` on the instance, so ``train`` runs the
+    The pair and noise-count methods are swapped for
+    ``reference_skipgram``'s ``_reference_pairs`` and
+    ``_reference_noise_counts`` on the instance, so ``train`` runs the
     original nested loops end to end.
     """
     def make(**kwargs):
         trainer = SkipGramTrainer(**kwargs)
-        trainer._vectorized_pairs = trainer._reference_pairs
-        trainer._vectorized_noise_counts = trainer._reference_noise_counts
+        trainer._vectorized_pairs = lambda walks: _reference_pairs(trainer, walks)
+        trainer._vectorized_noise_counts = (
+            lambda walks: _reference_noise_counts(trainer, walks))
         return trainer
     return make

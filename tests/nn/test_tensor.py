@@ -265,6 +265,21 @@ class TestBackwardMechanics:
         with pytest.raises(RuntimeError):
             (t * 2.0).backward()
 
+    def test_misshaped_seed_grad_rejected_through_graph(self):
+        # Regression: a (2, 3) seed was broadcast then summed down to (3,),
+        # leaving x.grad == [4, 4, 4] with no error.
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+            (x * 2.0).backward(np.ones((2, 3)))
+        assert x.grad is None
+
+    def test_misshaped_seed_grad_rejected_on_leaf(self):
+        # Regression: a leaf stored the (2, 3) seed as its (3,)-tensor's grad.
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3,\)"):
+            x.backward(np.ones((2, 3)))
+        assert x.grad is None
+
     def test_gradient_accumulates_over_multiple_uses(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         out = (t * 2.0 + t * 3.0).sum()
