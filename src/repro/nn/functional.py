@@ -89,7 +89,7 @@ def binary_cross_entropy_with_logits(logits, targets):
     logits = logits if isinstance(logits, Tensor) else Tensor(logits)
     targets = targets if isinstance(targets, Tensor) else Tensor(targets)
     # log(1 + exp(-|x|)) + max(x, 0) - x*y
-    abs_neg = Tensor(-np.abs(logits.data))
+    abs_neg = -(logits.relu() + (-logits).relu())
     log_term = (abs_neg.exp() + 1.0).log()
     relu_term = logits.relu()
     return (log_term + relu_term - logits * targets).mean()

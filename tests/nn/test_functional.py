@@ -158,10 +158,6 @@ class TestGradients:
         build, shape = GRADIENT_CASES[name]
         assert_gradient_matches(build, shape, seed=len(name))
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: the log(1 + exp(-|x|)) term is built from a constant "
-        "Tensor, so its gradient is dropped; fixing it changes the seeded "
-        "BERT/DGI/GMI baseline rows"))
     def test_bce_with_logits_matches_finite_differences(self):
         assert_gradient_matches(
             lambda t: F.binary_cross_entropy_with_logits(t, Tensor(_TARGETS)), (4,), seed=0)
