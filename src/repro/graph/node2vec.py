@@ -73,18 +73,14 @@ class Node2Vec:
         neighbors_fn:
             Callable ``node -> sequence of neighbours``, called once per
             node.  Neighbour order matters: walks sample in that order.
+            Every neighbour must be an integer in ``[0, num_nodes)``; the
+            walker rejects any other with a ``ValueError``.
         num_nodes:
             Number of nodes in the graph, a positive integer.
         """
         if not (isinstance(num_nodes, numbers.Integral) and num_nodes >= 1):
             raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
         adjacency = tuple(tuple(neighbors_fn(node)) for node in range(num_nodes))
-        for node, neighbours in enumerate(adjacency):
-            for neighbour in neighbours:
-                if not (isinstance(neighbour, numbers.Integral)
-                        and 0 <= neighbour < num_nodes):
-                    raise ValueError(f"node {node} has neighbour {neighbour!r}, "
-                                     f"not an integer in [0, {num_nodes})")
         cfg = self.config
 
         def train():

@@ -64,7 +64,7 @@ class SkipGramTrainer:
     # ------------------------------------------------------------------
     # Corpus extraction
     # ------------------------------------------------------------------
-    def _vectorized_pairs(self, walks):
+    def _pairs(self, walks):
         """All pairs of the corpus in nested-loop order, via strided windows.
 
         Walks are padded into one ``(num_walks, max_len)`` matrix; every
@@ -99,13 +99,13 @@ class SkipGramTrainer:
 
     def _noise_distribution(self, walks):
         """Unigram^0.75 noise distribution over the corpus."""
-        counts = np.power(self._vectorized_noise_counts(walks), 0.75)
+        counts = np.power(self._noise_counts(walks), 0.75)
         total = counts.sum()
         if total == 0:
             return np.full(self.num_nodes, 1.0 / self.num_nodes)
         return counts / total
 
-    def _vectorized_noise_counts(self, walks):
+    def _noise_counts(self, walks):
         if not walks:
             return np.zeros(self.num_nodes)
         nodes = np.concatenate([np.asarray(walk, dtype=np.int64) for walk in walks])
@@ -115,7 +115,7 @@ class SkipGramTrainer:
     def train(self, walks, epochs=1):
         """Run SGNS over the walk corpus for ``epochs`` passes."""
         noise = self._noise_distribution(walks)
-        pairs = self._vectorized_pairs(walks)
+        pairs = self._pairs(walks)
         if pairs.shape[0] == 0:
             return self.in_embeddings
 

@@ -5,21 +5,24 @@ embeddings of departure-time slots) and on the road network (to obtain
 topology-aware node embeddings whose concatenation forms the edge topology
 feature, paper Eq. 5).
 
-:meth:`RandomWalker.generate_walks` queries ``neighbors_fn`` once per node
-to build a CSR adjacency, then advances *all* walks of a pass in lockstep:
-each batched step gathers the whole frontier's candidate neighbourhoods from
-the CSR arrays, computes the p/q bias weights with a sorted-membership check
-of candidates against the previous-step neighbourhoods, and samples every
-walk's next node with one cumulative-sum/searchsorted draw.
+:class:`RandomWalker` queries ``neighbors_fn`` once per node, at
+construction, to build a CSR adjacency; a neighbour that is not an integer
+node id raises a ``ValueError`` there.  :meth:`RandomWalker.generate_walks`
+then advances *all* walks of a pass in lockstep: each batched step gathers
+the whole frontier's candidate neighbourhoods from the CSR arrays, computes
+the p/q bias weights with a sorted-membership check of candidates against
+the previous-step neighbourhoods, and samples every walk's next node with one
+cumulative-sum/searchsorted draw.
 
-Single walks (:meth:`RandomWalker.walk_from`) use the original per-step
-loop, :meth:`RandomWalker._reference_walk_from`.  It consumes the RNG
-differently, so individual walks differ for the same seed; the
+The per-step single-walk loop in ``tests/graph/reference_walks.py`` consumes
+the RNG differently, so individual walks differ for the same seed; the
 *distribution* of walks is the same (pinned by the Hypothesis suites in
 ``tests/graph/test_pretraining_equivalence.py``).
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -31,7 +34,10 @@ class RandomWalker:
     Parameters
     ----------
     neighbors_fn:
-        Callable ``node -> sequence of neighbour nodes``.
+        Callable ``node -> sequence of neighbour nodes``, called once per
+        node here.  Every neighbour must be an integer in
+        ``[0, num_nodes)``; otherwise a ``ValueError`` names the first bad
+        one.
     num_nodes:
         Number of nodes; walks start from every node in turn.
     p:
@@ -50,76 +56,31 @@ class RandomWalker:
         self.p = p
         self.q = q
         self.rng = np.random.default_rng(seed)
-        # CSR adjacency, built lazily on the first walk batch.
-        self._indptr = None
-        self._indices = None
-        self._edge_keys = None
-
-    # ------------------------------------------------------------------
-    # CSR adjacency
-    # ------------------------------------------------------------------
-    def _ensure_csr(self):
-        """Materialise the adjacency once: ``neighbors_fn`` is never called
-        again afterwards, however many walks are generated."""
-        if self._indptr is not None:
-            return
-        chunks = []
-        counts = np.zeros(self.num_nodes + 1, dtype=np.int64)
-        for node in range(self.num_nodes):
-            neighbours = np.asarray(list(self.neighbors_fn(node)), dtype=np.int64)
-            chunks.append(neighbours)
-            counts[node + 1] = neighbours.size
-        self._indptr = np.cumsum(counts)
-        self._indices = (np.concatenate(chunks) if chunks
-                         else np.zeros(0, dtype=np.int64))
+        # CSR adjacency: neighbors_fn is never called again afterwards,
+        # however many walks are generated.
+        neighbourhoods = []
+        for node in range(num_nodes):
+            neighbours = list(neighbors_fn(node))
+            for neighbour in neighbours:
+                if not (isinstance(neighbour, numbers.Integral)
+                        and 0 <= neighbour < num_nodes):
+                    raise ValueError(f"node {node} has neighbour {neighbour!r}, "
+                                     f"not an integer in [0, {num_nodes})")
+            neighbourhoods.append(neighbours)
+        degrees = np.array([len(n) for n in neighbourhoods], dtype=np.int64)
+        self._indptr = np.concatenate(([0], np.cumsum(degrees)))
+        self._indices = np.array([n for ns in neighbourhoods for n in ns],
+                                 dtype=np.int64)
         # Sorted (source, target) keys: membership of a candidate c in the
         # previous node's neighbourhood is one searchsorted lookup.
-        sources = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
-                            np.diff(self._indptr))
-        self._edge_keys = np.sort(sources * self.num_nodes + self._indices)
-
-    # ------------------------------------------------------------------
-    # Single walks (per-step loop)
-    # ------------------------------------------------------------------
-    def walk_from(self, start, length):
-        """One biased walk of at most ``length`` nodes starting at ``start``.
-
-        Single walks always use the per-step loop — there is no frontier to
-        batch over.
-        """
-        return self._reference_walk_from(start, length)
-
-    def _reference_walk_from(self, start, length):
-        walk = [start]
-        neighbors = list(self.neighbors_fn(start))
-        if not neighbors:
-            return walk
-        walk.append(int(self.rng.choice(neighbors)))
-        while len(walk) < length:
-            current = walk[-1]
-            previous = walk[-2]
-            neighbors = list(self.neighbors_fn(current))
-            if not neighbors:
-                break
-            weights = np.empty(len(neighbors))
-            previous_neighbors = set(self.neighbors_fn(previous))
-            for index, candidate in enumerate(neighbors):
-                if candidate == previous:
-                    weights[index] = 1.0 / self.p
-                elif candidate in previous_neighbors:
-                    weights[index] = 1.0
-                else:
-                    weights[index] = 1.0 / self.q
-            weights /= weights.sum()
-            walk.append(int(self.rng.choice(neighbors, p=weights)))
-        return walk
+        sources = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
+        self._edge_keys = np.sort(sources * num_nodes + self._indices)
 
     # ------------------------------------------------------------------
     # Lockstep walk batches
     # ------------------------------------------------------------------
     def _batched_walks(self, starts, length):
         """Advance one walk per entry of ``starts`` simultaneously."""
-        self._ensure_csr()
         indptr, indices = self._indptr, self._indices
         degrees = np.diff(indptr)
         starts = np.asarray(starts, dtype=np.int64)

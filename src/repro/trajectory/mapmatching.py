@@ -11,19 +11,22 @@ step has no reachable transition at all, decoding restarts from that fix
 
 Candidate generation is one batched segment-distance computation over
 grid-pruned ``(fix, edge)`` pairs
-(:class:`~repro.roadnet.spatial_index.SegmentGridIndex`), transition pricing
-reuses a resumable multi-target Dijkstra per unique source node
+(:class:`~repro.roadnet.spatial_index.SegmentGridIndex`, one cell per
+``candidate_radius``), keeping the closest six edges per fix; transition
+pricing reuses a resumable multi-target Dijkstra per unique source node
 (:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and across
 a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form Viterbi
 (one ``(K, K)`` transition matrix and one vectorized max per step).
 
-The original per-point/per-pair loops — a full segment-distance scan per fix
-and one fresh Dijkstra per candidate pair per Viterbi step — are kept as the
-``_reference_*`` methods; the test suites check that they decode
-bit-identical paths.
+The per-point/per-pair loops in ``tests/trajectory/reference_mapmatching.py``
+— a full segment-distance scan per fix and one fresh Dijkstra per candidate
+pair per Viterbi step — must decode bit-identical paths.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -32,13 +35,16 @@ from ..roadnet.spatial_index import SegmentGridIndex
 
 __all__ = ["HMMMapMatcher"]
 
+#: Cap on candidate edges per fix (closest first), bounding Viterbi cost.
+_MAX_CANDIDATES = 6
+
 
 def _project_points_onto_segments(points, starts, ends):
     """Distance and projection fraction from points to segments, row-wise.
 
     ``points`` broadcasts against ``starts``/``ends``: one point against all
     segments, or row-paired arrays.  The batched candidate search and the
-    full-scan loop both go through this single helper, so candidate
+    full scan both go through this single helper, so candidate
     distances are bit-identical by construction.
     """
     direction = ends - starts
@@ -60,32 +66,25 @@ class HMMMapMatcher:
     transition_beta:
         Scale (metres) of the exponential transition model.
     candidate_radius:
-        Only edges whose segment lies within this distance of a fix are
-        considered as candidates.
-    max_candidates:
-        Cap on candidates per point (closest first), bounding Viterbi cost.
-    grid_cell_size:
-        Cell size (metres) of the candidate-generation spatial index;
-        defaults to ``candidate_radius``.
-    cache_sources:
-        Capacity of the LRU Dijkstra cache used for transition pricing.
+        Only edges whose segment lies within this distance (metres) of a fix
+        are considered as candidates; it is also the spatial index's cell
+        size.
+
+    All three must be positive and finite.
     """
 
     def __init__(self, network, emission_sigma=15.0, transition_beta=30.0,
-                 candidate_radius=120.0, max_candidates=6,
-                 grid_cell_size=None, cache_sources=4096):
-        if emission_sigma <= 0 or transition_beta <= 0:
-            raise ValueError("emission_sigma and transition_beta must be positive")
+                 candidate_radius=120.0):
+        for name, value in (("emission_sigma", emission_sigma),
+                            ("transition_beta", transition_beta),
+                            ("candidate_radius", candidate_radius)):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)
+                    and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.network = network
         self.emission_sigma = emission_sigma
         self.transition_beta = transition_beta
         self.candidate_radius = candidate_radius
-        self.max_candidates = max_candidates
-        self.grid_cell_size = float(candidate_radius if grid_cell_size is None
-                                    else grid_cell_size)
-        if self.grid_cell_size <= 0:
-            raise ValueError("grid_cell_size must be positive")
-        self.cache_sources = cache_sources
         self._segments = self._build_segment_index()
         self._lengths = np.array([network.edge_length(e)
                                   for e in range(network.num_edges)])
@@ -115,7 +114,7 @@ class HMMMapMatcher:
         """The lazily built :class:`SegmentGridIndex` over edge segments."""
         if self._grid is None:
             starts, ends = self._segments
-            self._grid = SegmentGridIndex(starts, ends, self.grid_cell_size)
+            self._grid = SegmentGridIndex(starts, ends, self.candidate_radius)
         return self._grid
 
     @property
@@ -123,8 +122,7 @@ class HMMMapMatcher:
         """The lazily built LRU transition-distance cache (length cost)."""
         if self._dijkstra is None:
             self._dijkstra = DijkstraCache(
-                self.network, edge_cost=self.network.edge_length,
-                max_sources=self.cache_sources)
+                self.network, edge_cost=self.network.edge_length)
         return self._dijkstra
 
     def _segment_distances(self, point):
@@ -133,43 +131,10 @@ class HMMMapMatcher:
         point = np.asarray(point, dtype=np.float64)
         return _project_points_onto_segments(point, starts, ends)
 
-    def _point_to_edges_distance(self, point):
-        """Perpendicular distance from ``point`` to every edge segment."""
-        return self._segment_distances(point)[0]
-
     # ------------------------------------------------------------------
     # Candidate generation
     # ------------------------------------------------------------------
-    def _reference_candidates(self, point):
-        """Closest candidate edges within the search radius (full scan).
-
-        Returns ``(edges, distances, fractions)`` arrays for the selected
-        candidates; the projection fraction locates each fix's match point
-        along its candidate edge for the transition model.
-        """
-        distances, fractions = self._segment_distances(point)
-        order = np.argsort(distances, kind="stable")
-        selected = [int(e) for e in order[:self.max_candidates]
-                    if distances[e] <= self.candidate_radius]
-        if not selected:
-            # Fall back to the single closest edge so matching never fails.
-            selected = [int(order[0])]
-        edges = np.array(selected, dtype=np.int64)
-        return edges, distances[edges], fractions[edges]
-
-    def _reference_candidate_sets(self, positions):
-        """Per-fix candidates via the original full-scan loop."""
-        candidate_sets, fraction_sets, emission_sets = [], [], []
-        for point in positions:
-            edges, distances, fractions = self._reference_candidates(point)
-            candidate_sets.append(edges)
-            fraction_sets.append(fractions)
-            emission_sets.append(
-                np.array([self._emission_log_prob(d) for d in distances])
-            )
-        return candidate_sets, fraction_sets, emission_sets
-
-    def _vectorized_candidate_sets(self, positions):
+    def _candidate_sets(self, positions):
         """Per-fix candidates via one batched grid-pruned distance pass.
 
         The grid query returns a superset of the edges within
@@ -202,9 +167,9 @@ class HMMMapMatcher:
                 sub_distances = sub_distances[within]
                 sub_edges = flat_edges[low:high][within]
                 sub_fractions = t[low:high][within]
-                # Stable sort over ascending edge ids ties exactly like the
-                # reference's stable argsort over the full distance vector.
-                order = np.argsort(sub_distances, kind="stable")[:self.max_candidates]
+                # Stable sort over ascending edge ids ties exactly like a
+                # stable argsort over the full distance vector.
+                order = np.argsort(sub_distances, kind="stable")[:_MAX_CANDIDATES]
                 edges = sub_edges[order]
                 distances = sub_distances[order]
                 fractions = sub_fractions[order]
@@ -226,40 +191,15 @@ class HMMMapMatcher:
         sigma = self.emission_sigma
         return -0.5 * (distance / sigma) ** 2 - np.log(sigma * np.sqrt(2 * np.pi))
 
-    def _reference_transition_log_prob(self, edge_a, fraction_a, edge_b,
-                                       fraction_b, straight_distance):
-        """Transition likelihood between consecutive candidates.
+    def _transitions(self, edges_a, fractions_a, edges_b, fractions_b,
+                     straight_distance):
+        """(K_prev, K_cur) transition log-prob matrix for one Viterbi step.
 
         The network distance is the driving distance between the two fixes'
-        projection points: remaining length of ``edge_a`` past its match
-        point, the shortest path between the edges, and the length of
-        ``edge_b`` up to its match point.  A crawl along one long edge is
-        therefore scored by the distance actually driven, not as stationary.
-        """
-        length_a = self.network.edge_length(edge_a)
-        if edge_a == edge_b and fraction_b >= fraction_a:
-            network_distance = (fraction_b - fraction_a) * length_a
-        else:
-            target_a = self.network.edge_endpoints(edge_a)[1]
-            source_b = self.network.edge_endpoints(edge_b)[0]
-            if target_a == source_b:
-                between = 0.0
-            else:
-                connecting = shortest_path(
-                    self.network, target_a, source_b,
-                    edge_cost=self.network.edge_length,
-                )
-                if connecting is None:
-                    return -np.inf
-                between = sum(self.network.edge_length(e) for e in connecting)
-            network_distance = ((1.0 - fraction_a) * length_a + between
-                                + fraction_b * self.network.edge_length(edge_b))
-        difference = abs(network_distance - straight_distance)
-        return -difference / self.transition_beta
-
-    def _vectorized_transitions(self, edges_a, fractions_a, edges_b,
-                                fractions_b, straight_distance):
-        """(K_prev, K_cur) transition log-prob matrix for one Viterbi step.
+        projection points: the rest of ``edge_a`` past its match point, the
+        shortest path between the edges, and ``edge_b`` up to its match
+        point.  A forward crawl along one edge is scored by the distance
+        actually driven, not as stationary.
 
         Between-edge driving distances come from the LRU Dijkstra cache: one
         resumable multi-target run per unique previous-candidate head node,
@@ -269,7 +209,7 @@ class HMMMapMatcher:
         lengths_b = self._lengths[edges_b]
         sources = self._edge_targets[edges_a].tolist()
         targets = self._edge_sources[edges_b].tolist()
-        # Candidate sets are tiny (<= max_candidates), so dict-based dedupe
+        # Candidate sets are tiny (<= _MAX_CANDIDATES), so dict-based dedupe
         # beats np.unique; the gather below is order-independent.
         unique_sources = list(dict.fromkeys(sources))
         unique_targets = list(dict.fromkeys(targets))
@@ -301,59 +241,21 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     # Viterbi decoding
     # ------------------------------------------------------------------
-    def _reference_decode(self, candidate_sets, fraction_sets, emission_sets,
-                          straights):
-        """Viterbi with per-pair Python loops and fresh Dijkstras."""
-        scores = [emission_sets[0]]
-        back_pointers = [np.zeros(len(candidate_sets[0]), dtype=np.int64)]
-        break_steps = set()
-        for step in range(1, len(candidate_sets)):
-            straight = straights[step - 1]
-            previous_scores = scores[-1]
-            previous_edges = candidate_sets[step - 1]
-            previous_fractions = fraction_sets[step - 1]
-            current_edges = candidate_sets[step]
-            current_fractions = fraction_sets[step]
-            best_values = np.full(len(current_edges), -np.inf)
-            pointers = np.zeros(len(current_edges), dtype=np.int64)
-            for j in range(len(current_edges)):
-                best_value = -np.inf
-                best_index = 0
-                for i in range(len(previous_edges)):
-                    transition = self._reference_transition_log_prob(
-                        previous_edges[i], previous_fractions[i],
-                        current_edges[j], current_fractions[j], straight)
-                    value = previous_scores[i] + transition
-                    if value > best_value:
-                        best_value = value
-                        best_index = i
-                best_values[j] = best_value
-                pointers[j] = best_index
-            if not np.any(best_values > -np.inf):
-                # HMM break: no candidate is reachable from the previous
-                # fix.  Restart decoding from this fix.
-                break_steps.add(step)
-                scores.append(emission_sets[step])
-                back_pointers.append(np.zeros(len(current_edges), dtype=np.int64))
-            else:
-                scores.append(best_values + emission_sets[step])
-                back_pointers.append(pointers)
-        return scores, back_pointers, break_steps
-
-    def _vectorized_decode(self, candidate_sets, fraction_sets, emission_sets,
-                           straights):
+    def _decode(self, candidate_sets, fraction_sets, emission_sets, straights):
         """Matrix-form Viterbi: one (K, K) transition matrix per step."""
         scores = [emission_sets[0]]
         back_pointers = [np.zeros(len(candidate_sets[0]), dtype=np.int64)]
         break_steps = set()
         for step in range(1, len(candidate_sets)):
-            transitions = self._vectorized_transitions(
+            transitions = self._transitions(
                 candidate_sets[step - 1], fraction_sets[step - 1],
                 candidate_sets[step], fraction_sets[step],
                 straights[step - 1])
             values = scores[-1][:, None] + transitions
             best_values = values.max(axis=0)
             if not np.any(best_values > -np.inf):
+                # HMM break: no candidate is reachable from the previous
+                # fix.  Restart decoding from this fix.
                 break_steps.add(step)
                 scores.append(emission_sets[step])
                 back_pointers.append(
@@ -385,11 +287,14 @@ class HMMMapMatcher:
         positions = trajectory.positions()
         if len(positions) == 0:
             return [], set()
-        candidate_sets, fraction_sets, emission_sets = \
-            self._vectorized_candidate_sets(positions)
+        bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
+        if bad.size:
+            raise ValueError(f"GPS fix {bad[0]} has a non-finite position "
+                             f"{tuple(positions[bad[0]].tolist())}")
+        candidate_sets, fraction_sets, emission_sets = self._candidate_sets(positions)
         straights = np.sqrt(
             ((positions[1:] - positions[:-1]) ** 2).sum(axis=1))
-        scores, back_pointers, break_steps = self._vectorized_decode(
+        scores, back_pointers, break_steps = self._decode(
             candidate_sets, fraction_sets, emission_sets, straights)
         matched = self._backtrack(candidate_sets, scores, back_pointers,
                                   break_steps)

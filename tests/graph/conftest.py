@@ -7,6 +7,7 @@ import pytest
 
 from repro.graph import SkipGramTrainer
 from reference_skipgram import _reference_noise_counts, _reference_pairs
+from reference_walks import reference_walk_from
 
 
 @pytest.fixture(scope="session")
@@ -14,14 +15,14 @@ def reference_walks():
     """``RandomWalker.generate_walks`` as the per-walk loop oracle.
 
     Same shuffled start order per pass as the lockstep engine, then one
-    ``_reference_walk_from`` per start.
+    ``reference_walks.reference_walk_from`` per start.
     """
     def generate(walker, walks_per_node, walk_length):
         walks = []
         order = np.arange(walker.num_nodes)
         for _ in range(walks_per_node):
             walker.rng.shuffle(order)
-            walks.extend(walker._reference_walk_from(int(start), walk_length)
+            walks.extend(reference_walk_from(walker, int(start), walk_length)
                          for start in order)
         return walks
     return generate
@@ -38,8 +39,8 @@ def loop_corpus_trainer():
     """
     def make(**kwargs):
         trainer = SkipGramTrainer(**kwargs)
-        trainer._vectorized_pairs = lambda walks: _reference_pairs(trainer, walks)
-        trainer._vectorized_noise_counts = (
+        trainer._pairs = lambda walks: _reference_pairs(trainer, walks)
+        trainer._noise_counts = (
             lambda walks: _reference_noise_counts(trainer, walks))
         return trainer
     return make

@@ -172,6 +172,12 @@ class TestFitMemo:
             Node2Vec(Node2VecConfig(**SMALL)).fit(neighbors, 8)
             assert calls == list(range(8))
 
+    def test_rejected_graph_is_not_stored(self, cold_memo):
+        neighbours = {0: [1], 1: [0, 5], 2: [1]}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="node 1 has neighbour 5"):
+                Node2Vec(Node2VecConfig(**SMALL)).fit(neighbours.__getitem__, 3)
+
     CHANGED = {"dim": 4, "walks_per_node": 3, "walk_length": 5, "window": 2,
                "negatives": 3, "epochs": 3, "p": 0.5, "q": 2.0, "lr": 0.05, "seed": 1}
 

@@ -46,7 +46,7 @@ class TestCorpusEquivalence:
     def test_pairs_exactly_match_loop_order(self, walks, window):
         trainer = SkipGramTrainer(num_nodes=20, dim=2, window=window)
         reference = _reference_pairs(trainer, walks)
-        vectorized = trainer._vectorized_pairs(walks)
+        vectorized = trainer._pairs(walks)
         np.testing.assert_array_equal(reference, vectorized)
 
     @given(corpora)
@@ -55,7 +55,7 @@ class TestCorpusEquivalence:
         trainer = SkipGramTrainer(num_nodes=20, dim=2)
         np.testing.assert_array_equal(
             _reference_noise_counts(trainer, walks),
-            trainer._vectorized_noise_counts(walks))
+            trainer._noise_counts(walks))
 
     @given(corpora, st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
@@ -152,3 +152,28 @@ class TestWalkDistributionalEquivalence:
         # And the rates themselves agree for the same p.
         assert backtrack_rate(reference_walks, 4.0) == pytest.approx(
             backtrack_rate(RandomWalker.generate_walks, 4.0), abs=0.04)
+
+    @pytest.mark.parametrize("q", [0.25, 4.0])
+    def test_common_neighbour_rate_tracks_q_in_both_impls(self, q, reference_walks):
+        """P(walk[t] neighbours walk[t-2]) agrees for the same q.
+
+        A ring has no common neighbours, so this one links every node to its
+        second neighbours too: each step can go back (1/p), to a common
+        neighbour of the previous node (1) or outward (1/q).
+        """
+        size = 10
+
+        def neighbors(node):
+            return [(node + offset) % size for offset in (-2, -1, 1, 2)]
+
+        def common_rate(generate):
+            walker = RandomWalker(neighbors, num_nodes=size, q=q, seed=7)
+            hits = steps = 0
+            for walk in generate(walker, 40, 12):
+                for i in range(2, len(walk)):
+                    steps += 1
+                    hits += walk[i] in neighbors(walk[i - 2])
+            return hits / steps
+
+        assert common_rate(reference_walks) == pytest.approx(
+            common_rate(RandomWalker.generate_walks), abs=0.04)

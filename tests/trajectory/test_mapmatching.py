@@ -10,6 +10,12 @@ from hypothesis import strategies as st
 from repro.roadnet import EdgeFeatures, RoadNetwork
 from repro.temporal import DepartureTime
 from repro.trajectory import GPSPoint, GPSSampler, GPSTrajectory, HMMMapMatcher, SpeedModel
+from reference_mapmatching import (
+    ReferenceMatcher,
+    reference_candidate_sets,
+    reference_candidates,
+    reference_transition_log_prob,
+)
 
 
 def build_path(network, start_node=0, hops=5):
@@ -22,17 +28,6 @@ def build_path(network, start_node=0, hops=5):
         path.append(edges[0])
         node = network.edge_endpoints(edges[0])[1]
     return path
-
-
-class ReferenceMatcher(HMMMapMatcher):
-    """The matcher with the loop oracles swapped in for candidate search
-    (full scan per fix) and decoding (per-pair Viterbi, fresh Dijkstras)."""
-
-    def _vectorized_candidate_sets(self, positions):
-        return self._reference_candidate_sets(positions)
-
-    def _vectorized_decode(self, *args):
-        return self._reference_decode(*args)
 
 
 def features(length):
@@ -77,11 +72,25 @@ class TestHMMMapMatcher:
     def matcher(self, tiny_network):
         return HMMMapMatcher(tiny_network, emission_sigma=10.0, candidate_radius=150.0)
 
-    def test_parameter_validation(self, tiny_network):
-        with pytest.raises(ValueError):
-            HMMMapMatcher(tiny_network, emission_sigma=0.0)
-        with pytest.raises(ValueError):
-            HMMMapMatcher(tiny_network, transition_beta=-1.0)
+    @pytest.mark.parametrize("name", ["emission_sigma", "transition_beta",
+                                      "candidate_radius"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_parameter_validation(self, tiny_network, name, value):
+        # A NaN sigma or beta used to be accepted, a radius <= 0 was reported
+        # as "grid_cell_size", and a NaN or inf radius still returned a match.
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            HMMMapMatcher(tiny_network, **{name: value})
+
+    @pytest.mark.parametrize("bad", [(float("nan"), 300.0), (560.0, float("inf"))])
+    def test_non_finite_fix_rejected(self, matcher, bad):
+        # Without fix 1 these fixes match [37, 10].  With it they used to
+        # match nine or eleven edges in three HMM segments.
+        trajectory = make_trajectory([(500.0, 300.0), bad, (560.0, 300.0),
+                                      (600.0, 300.0)])
+        for match in (matcher.match, matcher.match_segments,
+                      lambda t: matcher.match_batch([t])):
+            with pytest.raises(ValueError, match="GPS fix 1 has a non-finite"):
+                match(trajectory)
 
     def test_empty_trajectory(self, matcher, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
@@ -116,12 +125,12 @@ class TestHMMMapMatcher:
         assert overlap >= 0.5
 
     def test_point_to_edge_distances_nonnegative(self, matcher, tiny_network):
-        distances = matcher._point_to_edges_distance((10.0, 20.0))
+        distances = matcher._segment_distances((10.0, 20.0))[0]
         assert distances.shape == (tiny_network.num_edges,)
         assert (distances >= 0).all()
 
     def test_candidates_always_nonempty(self, matcher):
-        edges, distances, fractions = matcher._reference_candidates((1e6, 1e6))
+        edges, distances, fractions = reference_candidates(matcher, (1e6, 1e6))
         assert len(edges) >= 1
         assert len(edges) == len(distances) == len(fractions)
 
@@ -147,7 +156,7 @@ class TestTransitionModel:
         # Two fixes 500 m apart along the same 1000 m edge: the driving
         # distance is (0.6 - 0.1) * 1000 = 500 m, matching the straight-line
         # separation, so the transition is now a perfect score ...
-        log_prob = matcher._reference_transition_log_prob(0, 0.1, 0, 0.6, 500.0)
+        log_prob = reference_transition_log_prob(matcher, 0, 0.1, 0, 0.6, 500.0)
         assert log_prob == pytest.approx(0.0)
         # ... where the old edge_a == edge_b -> 0 m shortcut scored the same
         # move as a wildly implausible -500/beta.
@@ -157,7 +166,8 @@ class TestTransitionModel:
         matcher = HMMMapMatcher(single_edge_network)
         # Moving backwards along a one-way edge requires a route from the
         # edge head back to its tail; none exists here.
-        assert matcher._reference_transition_log_prob(0, 0.6, 0, 0.1, 500.0) == -np.inf
+        assert reference_transition_log_prob(
+            matcher, 0, 0.6, 0, 0.1, 500.0) == -np.inf
 
     def test_adjacent_edges_use_projection_distance(self, tiny_network):
         matcher = HMMMapMatcher(tiny_network, transition_beta=30.0)
@@ -167,8 +177,8 @@ class TestTransitionModel:
         length_a = tiny_network.edge_length(edge_a)
         length_b = tiny_network.edge_length(edge_b)
         expected_distance = (1.0 - 0.75) * length_a + 0.0 + 0.25 * length_b
-        log_prob = matcher._reference_transition_log_prob(
-            edge_a, 0.75, edge_b, 0.25, 0.0)
+        log_prob = reference_transition_log_prob(
+            matcher, edge_a, 0.75, edge_b, 0.25, 0.0)
         assert log_prob == pytest.approx(-expected_distance / 30.0)
         # The old model scored adjacent edges as zero network distance.
         assert expected_distance > 0.0
@@ -181,13 +191,13 @@ class TestTransitionModel:
             edges = rng.integers(0, network.num_edges, size=4)
             fractions = rng.uniform(0.0, 1.0, size=4)
             straight = 120.0
-            matrix = matcher._vectorized_transitions(
+            matrix = matcher._transitions(
                 edges[:2], fractions[:2], edges[2:], fractions[2:], straight)
             for i in range(2):
                 for j in range(2):
-                    reference = matcher._reference_transition_log_prob(
-                        edges[i], fractions[i], edges[2 + j], fractions[2 + j],
-                        straight)
+                    reference = reference_transition_log_prob(
+                        matcher, edges[i], fractions[i], edges[2 + j],
+                        fractions[2 + j], straight)
                     assert matrix[i, j] == reference
 
 
@@ -259,8 +269,8 @@ class TestImplEquivalence:
         assert np.count_nonzero(
             vectorized._segment_distances(fallbacks[1])[0] == 300.0) == 2
         positions = np.vstack([rng.uniform(-100.0, 900.0, size=(12, 2)), fallbacks])
-        ref_sets = reference._reference_candidate_sets(positions)
-        vec_sets = vectorized._vectorized_candidate_sets(positions)
+        ref_sets = reference_candidate_sets(reference, positions)
+        vec_sets = vectorized._candidate_sets(positions)
         for ref_arrays, vec_arrays in zip(ref_sets, vec_sets):
             for ref_value, vec_value in zip(ref_arrays, vec_arrays):
                 assert np.array_equal(ref_value, vec_value)
