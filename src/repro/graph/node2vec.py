@@ -14,7 +14,7 @@ import numpy as np
 
 from .._memo import remember
 from .skipgram import SkipGramTrainer
-from .walks import RandomWalker
+from .walks import RandomWalker, _neighbourhoods
 
 __all__ = ["Node2Vec", "Node2VecConfig"]
 
@@ -80,7 +80,9 @@ class Node2Vec:
         """
         if not (isinstance(num_nodes, numbers.Integral) and num_nodes >= 1):
             raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
-        adjacency = tuple(tuple(neighbors_fn(node)) for node in range(num_nodes))
+        # Checked before the memo key hashes it, so a bad neighbour raises
+        # the walker's ValueError even when it is unhashable.
+        adjacency = _neighbourhoods(neighbors_fn, num_nodes)
         cfg = self.config
 
         def train():

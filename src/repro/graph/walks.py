@@ -28,6 +28,23 @@ import numpy as np
 
 __all__ = ["RandomWalker"]
 
+
+def _neighbourhoods(neighbors_fn, num_nodes):
+    """Every node's neighbours as a tuple of tuples, ``neighbors_fn`` called
+    once per node; a neighbour that is not an integer in ``[0, num_nodes)``
+    raises a ``ValueError`` naming it."""
+    neighbourhoods = []
+    for node in range(num_nodes):
+        neighbours = tuple(neighbors_fn(node))
+        for neighbour in neighbours:
+            if not (isinstance(neighbour, numbers.Integral)
+                    and 0 <= neighbour < num_nodes):
+                raise ValueError(f"node {node} has neighbour {neighbour!r}, "
+                                 f"not an integer in [0, {num_nodes})")
+        neighbourhoods.append(neighbours)
+    return tuple(neighbourhoods)
+
+
 class RandomWalker:
     """Generate node2vec walks over a graph given by an adjacency callable.
 
@@ -58,15 +75,7 @@ class RandomWalker:
         self.rng = np.random.default_rng(seed)
         # CSR adjacency: neighbors_fn is never called again afterwards,
         # however many walks are generated.
-        neighbourhoods = []
-        for node in range(num_nodes):
-            neighbours = list(neighbors_fn(node))
-            for neighbour in neighbours:
-                if not (isinstance(neighbour, numbers.Integral)
-                        and 0 <= neighbour < num_nodes):
-                    raise ValueError(f"node {node} has neighbour {neighbour!r}, "
-                                     f"not an integer in [0, {num_nodes})")
-            neighbourhoods.append(neighbours)
+        neighbourhoods = _neighbourhoods(neighbors_fn, num_nodes)
         degrees = np.array([len(n) for n in neighbourhoods], dtype=np.int64)
         self._indptr = np.concatenate(([0], np.cumsum(degrees)))
         self._indices = np.array([n for ns in neighbourhoods for n in ns],

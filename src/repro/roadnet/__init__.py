@@ -6,7 +6,6 @@ from .network import Path, RoadNetwork
 from .search import (
     DijkstraCache,
     k_shortest_paths,
-    multi_target_distances,
     path_similarity,
     shortest_path,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "shortest_path",
     "k_shortest_paths",
     "path_similarity",
-    "multi_target_distances",
     "DijkstraCache",
     "SegmentGridIndex",
 ]

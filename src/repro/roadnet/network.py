@@ -60,7 +60,6 @@ class RoadNetwork:
         self._edge_features = []
         self._out_edges = {}
         self._in_edges = {}
-        self._edge_lookup = {}
         self.feature_encoder = FeatureEncoder()
 
     # ------------------------------------------------------------------
@@ -88,7 +87,6 @@ class RoadNetwork:
         self._edge_features.append(features)
         self._out_edges[source].append(edge_id)
         self._in_edges[target].append(edge_id)
-        self._edge_lookup[(source, target)] = edge_id
         return edge_id
 
     # ------------------------------------------------------------------
@@ -118,10 +116,6 @@ class RoadNetwork:
         """Length of the edge in metres."""
         return self._edge_features[edge_id].length
 
-    def edge_id(self, source, target):
-        """Edge id for a (source, target) pair, or None if absent."""
-        return self._edge_lookup.get((source, target))
-
     def out_edges(self, node_id):
         """Edge ids leaving ``node_id``."""
         return tuple(self._out_edges[node_id])
@@ -133,13 +127,6 @@ class RoadNetwork:
     def edge_feature_matrix(self):
         """Integer matrix of categorical feature indices, shape (E, 4)."""
         return self.feature_encoder.encode_edges(self._edge_features)
-
-    def edge_midpoint(self, edge_id):
-        """Geometric midpoint of the edge, used by the GPS sampler."""
-        source, target = self._edge_endpoints[edge_id]
-        sx, sy = self._node_coords[source]
-        tx, ty = self._node_coords[target]
-        return ((sx + tx) / 2.0, (sy + ty) / 2.0)
 
     def point_along_edge(self, edge_id, fraction):
         """Point at ``fraction`` in [0, 1] along the straight-line edge."""
@@ -166,10 +153,6 @@ class RoadNetwork:
         """Total length in metres of a path."""
         return float(sum(self.edge_length(e) for e in path))
 
-    def path_free_flow_time(self, path):
-        """Sum of free-flow traversal times in seconds along the path."""
-        return float(sum(self._edge_features[e].free_flow_time for e in path))
-
     def path_nodes(self, path):
         """Node sequence visited by a path (length = edges + 1)."""
         edges = list(path)
@@ -187,27 +170,3 @@ class RoadNetwork:
             "total_length_km": float(lengths.sum() / 1000.0),
             "mean_edge_length_m": float(lengths.mean()),
         }
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` with edge attributes.
-
-        Useful for interoperability and for tests that cross-check shortest
-        paths against networkx.  networkx is not a dependency of the package;
-        install it separately to use this method.
-        """
-        import networkx as nx
-
-        graph = nx.DiGraph(name=self.name)
-        for node_id, (x, y) in enumerate(self._node_coords):
-            graph.add_node(node_id, x=x, y=y)
-        for edge_id, (source, target) in enumerate(self._edge_endpoints):
-            features = self._edge_features[edge_id]
-            graph.add_edge(
-                source,
-                target,
-                edge_id=edge_id,
-                length=features.length,
-                road_type=features.road_type,
-                free_flow_time=features.free_flow_time,
-            )
-        return graph

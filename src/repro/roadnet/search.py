@@ -1,19 +1,119 @@
 """Path search over road networks.
 
-The path-ranking and path-recommendation downstream tasks (paper §VII-A2)
-need, for every observed trajectory path, a set of *alternative* paths
-connecting the same source and destination.  The paper uses "a path finding
-algorithm" for this; we provide Dijkstra shortest paths and a Yen-style
-k-shortest-path enumeration, both expressed over edge travel costs.
+The path-ranking and path-recommendation tasks (paper §VII-A2) need, for
+every trajectory path, *alternative* paths between the same endpoints: here
+Yen's k-shortest paths over edge travel costs.  :func:`shortest_path`, Yen's
+spur searches and the map matcher's :class:`DijkstraCache` run one engine, a
+resumable Dijkstra (:class:`_Search`) over lazy ``(edge, cost, head)`` rows
+in ``network.out_edges`` order.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import numbers
 from collections import OrderedDict
 
-__all__ = ["shortest_path", "k_shortest_paths", "path_similarity",
-           "multi_target_distances", "DijkstraCache"]
+__all__ = ["shortest_path", "k_shortest_paths", "path_similarity", "DijkstraCache"]
+
+
+def _check_ids(ids, count, kind):
+    """``ValueError`` naming the first of ``ids`` not an integer in ``[0, count)``."""
+    for value in ids:
+        if not (isinstance(value, numbers.Integral) and 0 <= value < count):
+            raise ValueError(f"{kind} must be an integer in [0, {count}), "
+                             f"got {value!r}")
+
+
+class _Rows(dict):
+    """Lazy ``node -> [(edge, cost, head), ...]`` rows in ``out_edges`` order.
+
+    A node's row is built, and its edge costs checked, on first access.
+    """
+
+    __slots__ = ("network", "edge_cost")
+
+    def __init__(self, network, edge_cost=None):
+        if edge_cost is None:
+            edge_cost = lambda e: network.edge_features(e).free_flow_time
+        self.network = network
+        self.edge_cost = edge_cost
+
+    def __missing__(self, node):
+        row = []
+        for edge in self.network.out_edges(node):
+            step = self.edge_cost(edge)
+            if step < 0:
+                raise ValueError("edge costs must be non-negative for Dijkstra")
+            row.append((edge, step, self.network.edge_endpoints(edge)[1]))
+        self[node] = row
+        return row
+
+
+class _Search:
+    """A resumable single-source Dijkstra run over ``rows``.
+
+    ``settled`` maps each settled node to its distance, ``back`` to the edge
+    that reached it.  A node is pushed only with a strictly smaller cost, so
+    heap entries never tie on ``(cost, node)`` and never compare edges.  Bans
+    cost nothing per relaxation: a banned node starts at ``-inf``, below any
+    candidate, so no edge reaches it (the source is exempt), and a banned
+    edge is cut from a copy of its tail's row.
+    """
+
+    __slots__ = ("network", "rows", "cut", "best", "settled", "back", "heap")
+
+    def __init__(self, rows, source, banned_edges=(), banned_nodes=()):
+        self.network = network = rows.network
+        _check_ids((source, *banned_nodes), network.num_nodes, "node")
+        _check_ids(banned_edges, network.num_edges, "banned edge")
+        self.rows = rows
+        self.cut = {}
+        for edge in banned_edges:
+            tail = network.edge_endpoints(edge)[0]
+            self.cut[tail] = [row for row in self.cut.get(tail, rows[tail])
+                              if row[0] != edge]
+        self.best = dict.fromkeys(banned_nodes, -math.inf)
+        self.best[source] = 0.0
+        self.settled = {}
+        self.back = {}
+        self.heap = [(0.0, source, None)]
+
+    def settle(self, targets):
+        """Pop until every node in ``targets`` is settled or the heap is empty."""
+        settled = self.settled
+        remaining = {t for t in targets if t not in settled}
+        if not remaining:
+            return
+        _check_ids(remaining, self.network.num_nodes, "node")
+        heap, rows, cut = self.heap, self.rows, self.cut
+        best, back = self.best, self.back
+        infinity = math.inf
+        while heap and remaining:
+            cost, node, via = heapq.heappop(heap)
+            if node in settled:
+                continue
+            settled[node] = cost
+            back[node] = via
+            remaining.discard(node)
+            row = cut.get(node)
+            for edge, step, head in rows[node] if row is None else row:
+                candidate = cost + step
+                if candidate < best.get(head, infinity):
+                    best[head] = candidate
+                    heapq.heappush(heap, (candidate, head, edge))
+
+    def path(self, target):
+        """Edge ids from the source to ``target``, or ``None`` if unreached."""
+        self.settle((target,))
+        if target not in self.back:
+            return None
+        edges = []
+        while self.back[target] is not None:
+            edges.append(self.back[target])
+            target = self.network.edge_endpoints(edges[-1])[0]
+        return edges[::-1]
 
 
 def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
@@ -25,7 +125,8 @@ def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
     network:
         A :class:`~repro.roadnet.network.RoadNetwork`.
     source, target:
-        Node ids.
+        Node ids, integers in ``[0, network.num_nodes)``; any other value
+        raises a ``ValueError``.
     edge_cost:
         Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
     banned_edges:
@@ -38,51 +139,9 @@ def shortest_path(network, source, target, edge_cost=None, banned_edges=None,
     -------
     list of edge ids, or ``None`` when the target is unreachable.
     """
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-    banned = banned_edges or frozenset()
-    banned_node_set = banned_nodes or frozenset()
-
-    best = {source: 0.0}
-    back_edge = {}
-    heap = [(0.0, source)]
-    visited = set()
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == target:
-            break
-        for edge in network.out_edges(node):
-            if edge in banned:
-                continue
-            _, neighbour = network.edge_endpoints(edge)
-            if neighbour in banned_node_set:
-                continue
-            step = edge_cost(edge)
-            if step < 0:
-                raise ValueError("edge costs must be non-negative for Dijkstra")
-            candidate = cost + step
-            if candidate < best.get(neighbour, float("inf")):
-                best[neighbour] = candidate
-                back_edge[neighbour] = edge
-                heapq.heappush(heap, (candidate, neighbour))
-
-    if target not in back_edge and source != target:
-        return None
-    if source == target:
-        return []
-
-    # Reconstruct edge sequence.
-    edges = []
-    node = target
-    while node != source:
-        edge = back_edge[node]
-        edges.append(edge)
-        node = network.edge_endpoints(edge)[0]
-    edges.reverse()
-    return edges
+    search = _Search(_Rows(network, edge_cost), source, banned_edges or (),
+                     banned_nodes or ())
+    return search.path(target)
 
 
 def k_shortest_paths(network, source, target, k, edge_cost=None):
@@ -91,21 +150,18 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     The deviation-path construction bans one edge of the current best path at
     a time, which yields genuinely different alternatives — exactly what the
     ranking/recommendation tasks need as negative candidates.  Each spur
-    search additionally bans the root path's nodes, so a spur can never
-    revisit a node already used by its root — without this, the returned
-    "loop-free" paths could repeat nodes and edges.
+    search also bans its root path's nodes, so no path revisits a node.  All
+    searches of one call share one set of rows.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-
-    first = shortest_path(network, source, target, edge_cost=edge_cost)
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    rows = _Rows(network, edge_cost)
+    first = _Search(rows, source).path(target)
     if first is None:
         return []
 
     def cost_of(path):
-        return sum(edge_cost(e) for e in path)
+        return sum(rows.edge_cost(e) for e in path)
 
     accepted = [first]
     candidates = []
@@ -116,29 +172,24 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
         for spur_index in range(len(previous)):
             spur_node = network.edge_endpoints(previous[spur_index])[0]
             root = previous[:spur_index]
-            banned = set()
-            for path in accepted:
-                if list(path[:spur_index]) == list(root) and spur_index < len(path):
-                    banned.add(path[spur_index])
-            # Nodes already visited by the root (everything before the spur
-            # node) must stay off-limits, otherwise the spur path can loop
-            # back through the root.
+            banned = {path[spur_index] for path in accepted
+                      if spur_index < len(path) and path[:spur_index] == root}
+            # The root's nodes stay off-limits, so the spur cannot loop back.
             root_nodes = {network.edge_endpoints(edge)[0] for edge in root}
-            spur = shortest_path(network, spur_node, target,
-                                 edge_cost=edge_cost, banned_edges=banned,
-                                 banned_nodes=root_nodes)
+            spur = _Search(rows, spur_node, banned, root_nodes).path(target)
             if spur is None:
                 continue
-            candidate = list(root) + spur
+            candidate = root + spur
             key = tuple(candidate)
             if key in seen or not network.is_connected_path(candidate):
                 continue
             seen.add(key)
-            heapq.heappush(candidates, (cost_of(candidate), len(candidates), candidate))
+            candidates.append((cost_of(candidate), len(candidates), candidate))
         if not candidates:
             break
-        _, _, best_candidate = heapq.heappop(candidates)
-        accepted.append(best_candidate)
+        best = min(candidates)
+        candidates.remove(best)
+        accepted.append(best[2])
 
     # The deviation search can occasionally surface a cheaper alternative after
     # a more expensive one has been accepted; sort so the documented
@@ -147,119 +198,14 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     return accepted
 
 
-def multi_target_distances(network, source, targets, edge_cost=None,
-                           max_cost=None):
-    """Bounded multi-target Dijkstra: distances from ``source`` to ``targets``.
-
-    One heap run prices every requested target, stopping as soon as all of
-    them are settled (or, with ``max_cost``, as soon as the search frontier
-    exceeds the bound).  The relaxation order and float accumulation are
-    identical to :func:`shortest_path`, so for any reachable target the
-    returned distance is bit-identical to summing the edge costs of the
-    corresponding :func:`shortest_path` result.
-
-    Parameters
-    ----------
-    network:
-        A :class:`~repro.roadnet.network.RoadNetwork`.
-    source:
-        Source node id.
-    targets:
-        Iterable of target node ids.
-    edge_cost:
-        Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
-    max_cost:
-        Optional search bound; targets farther than this come back infinite.
-
-    Returns
-    -------
-    dict mapping each target to its distance (``float("inf")`` when the
-    target is unreachable or beyond ``max_cost``).
-    """
-    if edge_cost is None:
-        edge_cost = lambda e: network.edge_features(e).free_flow_time
-    state = _DijkstraState(source)
-    state.settle(targets, _NetworkAdjacency(network, edge_cost),
-                 max_cost=max_cost)
-    infinity = float("inf")
-    return {target: state.settled.get(target, infinity) for target in targets}
-
-
-class _NetworkAdjacency:
-    """Lazy per-node ``[(cost, head), ...]`` rows computed from the network.
-
-    Rows are built (and edge costs validated) on first access, so one-shot
-    searches touch only the nodes they actually relax.
-    """
-
-    __slots__ = ("_network", "_edge_cost", "_rows")
-
-    def __init__(self, network, edge_cost):
-        self._network = network
-        self._edge_cost = edge_cost
-        self._rows = {}
-
-    def __getitem__(self, node):
-        rows = self._rows.get(node)
-        if rows is None:
-            rows = []
-            for edge in self._network.out_edges(node):
-                step = self._edge_cost(edge)
-                if step < 0:
-                    raise ValueError("edge costs must be non-negative for Dijkstra")
-                rows.append((step, self._network.edge_endpoints(edge)[1]))
-            self._rows[node] = rows
-        return rows
-
-
-class _DijkstraState:
-    """A resumable single-source Dijkstra run over an adjacency table."""
-
-    __slots__ = ("best", "settled", "heap")
-
-    def __init__(self, source):
-        self.best = {source: 0.0}
-        self.settled = {}
-        self.heap = [(0.0, source)]
-
-    def settle(self, targets, adjacency, max_cost=None):
-        """Pop until every node in ``targets`` is settled (or the heap dries
-        up, or the frontier exceeds ``max_cost``)."""
-        remaining = {t for t in targets if t not in self.settled}
-        heap = self.heap
-        settled = self.settled
-        best = self.best
-        while heap and remaining:
-            cost, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            if max_cost is not None and cost > max_cost:
-                # Keep the frontier intact so a later unbounded resume can
-                # continue from here.
-                heapq.heappush(heap, (cost, node))
-                break
-            settled[node] = cost
-            remaining.discard(node)
-            for step, neighbour in adjacency[node]:
-                candidate = cost + step
-                if candidate < best.get(neighbour, float("inf")):
-                    best[neighbour] = candidate
-                    heapq.heappush(heap, (candidate, neighbour))
-
-
 class DijkstraCache:
     """LRU cache of resumable single-source Dijkstra searches.
 
-    The HMM map matcher prices the network distance between every pair of
-    consecutive candidate edges; without caching, that is one full Dijkstra
-    per Viterbi cell.  This cache keys a resumable search state by source
-    node, so each unique source is explored once — later queries (from any
-    Viterbi step, or any trajectory in a batch) resume the existing frontier
-    only as far as the new targets require.
-
-    Distances are bit-identical to :func:`shortest_path` edge-cost sums: the
-    relaxation order (``network.out_edges`` order) and the float accumulation
-    (``cost + step`` along the shortest-path tree) are the same.
+    The HMM map matcher prices the driving distance between consecutive
+    candidate edges.  Each unique source node is explored once: later queries
+    (from any Viterbi step, or any trajectory in a batch) resume its frontier
+    only as far as the new targets require.  Distances are bit-identical to
+    :func:`shortest_path` edge-cost sums, as both run the same engine.
 
     Parameters
     ----------
@@ -268,50 +214,42 @@ class DijkstraCache:
     edge_cost:
         Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
     max_sources:
-        How many source states to keep (least recently used are evicted).
+        How many source searches to keep (least recently used are evicted).
     """
 
     def __init__(self, network, edge_cost=None, max_sources=4096):
         if max_sources < 1:
             raise ValueError("max_sources must be >= 1")
-        if edge_cost is None:
-            edge_cost = lambda e: network.edge_features(e).free_flow_time
         self.max_sources = max_sources
-        # Adjacency rows — (cost, head) per outgoing edge in out_edges order
-        # — are materialised once per touched node and shared by every cached
-        # state, keeping resumed relaxations free of per-edge method calls.
-        self._adjacency = _NetworkAdjacency(network, edge_cost)
-        self._states = OrderedDict()
+        self._rows = _Rows(network, edge_cost)
+        self._searches = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self):
-        return len(self._states)
+        return len(self._searches)
 
     def distances(self, source, targets):
-        """Distances from ``source`` to each node in ``targets``.
+        """Dict ``target -> distance`` from ``source``, ``inf`` if unreachable.
 
-        Returns a dict ``target -> distance`` with ``float("inf")`` for
-        unreachable targets.
+        A node that is not an integer in ``[0, num_nodes)`` raises a
+        ``ValueError``.
         """
-        state = self._states.get(source)
-        if state is None:
+        search = self._searches.get(source)
+        if search is None:
+            search = self._searches[source] = _Search(self._rows, source)
             self.misses += 1
-            state = _DijkstraState(source)
-            self._states[source] = state
-            if len(self._states) > self.max_sources:
-                self._states.popitem(last=False)
+            if len(self._searches) > self.max_sources:
+                self._searches.popitem(last=False)
         else:
             self.hits += 1
-        self._states.move_to_end(source)
-        state.settle(targets, self._adjacency)
-        infinity = float("inf")
-        settled = state.settled
-        return {target: settled.get(target, infinity) for target in targets}
+        self._searches.move_to_end(source)
+        search.settle(targets)
+        return {target: search.settled.get(target, math.inf) for target in targets}
 
     def clear(self):
-        """Drop all cached states (and reset the hit/miss counters)."""
-        self._states.clear()
+        """Drop all cached searches (and reset the hit/miss counters)."""
+        self._searches.clear()
         self.hits = 0
         self.misses = 0
 

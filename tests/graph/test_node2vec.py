@@ -124,6 +124,13 @@ class TestFitValidation:
         with pytest.raises(ValueError, match=r"node 1 has neighbour .*\[0, 3\)"):
             Node2Vec(Node2VecConfig(**SMALL)).fit(neighbours.__getitem__, 3)
 
+    @pytest.mark.parametrize("bad", [np.array(2), [2]], ids=["ndarray", "list"])
+    def test_unhashable_neighbour_raises_the_neighbour_error(self, cold_memo, bad):
+        # Used to raise "TypeError: unhashable type" from the memo key.
+        neighbours = {0: [1], 1: [0, bad], 2: [1]}
+        with pytest.raises(ValueError, match=r"node 1 has neighbour .*\[0, 3\)"):
+            Node2Vec(Node2VecConfig(**SMALL)).fit(neighbours.__getitem__, 3)
+
     def test_isolated_nodes_are_valid(self):
         neighbours = {0: [1], 1: [0], 2: []}
         embeddings = Node2Vec(Node2VecConfig(**SMALL)).fit(neighbours.__getitem__, 3)

@@ -42,21 +42,12 @@ class TestConstruction:
         with pytest.raises(TypeError):
             triangle_network.add_edge(0, 2, {"length": 10})
 
-    def test_edge_lookup(self, triangle_network):
-        assert triangle_network.edge_id(0, 1) == 0
-        assert triangle_network.edge_id(1, 0) is None
-
     def test_adjacency(self, triangle_network):
         assert triangle_network.out_edges(0) == (0,)
         assert triangle_network.in_edges(0) == (2,)
 
 
 class TestGeometry:
-    def test_edge_midpoint(self, triangle_network):
-        x, y = triangle_network.edge_midpoint(0)
-        assert x == pytest.approx(50.0)
-        assert y == pytest.approx(0.0)
-
     def test_point_along_edge_clamps_fraction(self, triangle_network):
         start = triangle_network.point_along_edge(0, -1.0)
         end = triangle_network.point_along_edge(0, 2.0)
@@ -70,10 +61,8 @@ class TestPaths:
         assert not triangle_network.is_connected_path([0, 2])
         assert not triangle_network.is_connected_path([])
 
-    def test_path_length_and_time(self, triangle_network):
+    def test_path_length(self, triangle_network):
         assert triangle_network.path_length([0, 1]) == pytest.approx(300.0)
-        # 36 km/h = 10 m/s -> 30 seconds.
-        assert triangle_network.path_free_flow_time([0, 1]) == pytest.approx(30.0)
 
     def test_path_nodes(self, triangle_network):
         assert triangle_network.path_nodes([0, 1, 2]) == [0, 1, 2, 0]
@@ -98,10 +87,3 @@ class TestExportsAndStats:
         assert stats["num_nodes"] == 3
         assert stats["num_edges"] == 3
         assert stats["total_length_km"] == pytest.approx(0.6)
-
-    def test_to_networkx_roundtrip(self, triangle_network):
-        graph = triangle_network.to_networkx()
-        assert graph.number_of_nodes() == 3
-        assert graph.number_of_edges() == 3
-        assert graph[0][1]["edge_id"] == 0
-        assert graph[0][1]["length"] == pytest.approx(100.0)

@@ -5,6 +5,10 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_search import shortest_path as reference_shortest_path
+from reference_search import to_networkx
 
 from repro.roadnet import (
     CityConfig,
@@ -13,7 +17,6 @@ from repro.roadnet import (
     RoadNetwork,
     generate_city_network,
     k_shortest_paths,
-    multi_target_distances,
     path_similarity,
     shortest_path,
 )
@@ -66,7 +69,7 @@ class TestShortestPath:
     def test_matches_networkx_on_generated_city(self):
         network = generate_city_network(
             CityConfig(name="sp", grid_rows=5, grid_cols=5, seed=2))
-        graph = network.to_networkx()
+        graph = to_networkx(network)
         rng = np.random.default_rng(0)
         for _ in range(5):
             source, target = rng.integers(0, network.num_nodes, size=2)
@@ -112,36 +115,96 @@ class TestBannedNodes:
         assert shortest_path(diamond_network, 0, 3, banned_nodes={1, 2}) is None
 
 
-class TestMultiTargetDistances:
-    def test_matches_shortest_path_costs(self):
-        network = generate_city_network(
-            CityConfig(name="mt", grid_rows=5, grid_cols=5, seed=2))
-        rng = np.random.default_rng(1)
-        source = int(rng.integers(0, network.num_nodes))
-        targets = [int(t) for t in rng.integers(0, network.num_nodes, size=8)]
-        distances = multi_target_distances(network, source, targets,
-                                           edge_cost=network.edge_length)
-        for target in targets:
-            path = shortest_path(network, source, target,
-                                 edge_cost=network.edge_length)
-            if path is None:
-                assert distances[target] == float("inf")
-            else:
-                assert distances[target] == sum(network.edge_length(e) for e in path)
+@st.composite
+def banned_searches(draw):
+    """A small random digraph with tied integer costs, bans and an OD pair.
 
-    def test_source_distance_is_zero(self, diamond_network):
-        assert multi_target_distances(diamond_network, 0, [0])[0] == 0.0
+    Parallel edges and zero costs are allowed, so equal-cost routes are
+    common and the tie-breaking order is exercised.
+    """
+    num_nodes = draw(st.integers(min_value=2, max_value=7))
+    nodes = st.integers(min_value=0, max_value=num_nodes - 1)
+    arcs = draw(st.lists(st.tuples(nodes, nodes).filter(lambda a: a[0] != a[1]),
+                         max_size=18))
+    network = RoadNetwork()
+    for i in range(num_nodes):
+        network.add_node(float(i), 0.0)
+    for tail, head in arcs:
+        network.add_edge(tail, head, features(100.0))
+    costs = [float(c) for c in draw(st.lists(st.integers(min_value=0, max_value=2),
+                                             min_size=len(arcs), max_size=len(arcs)))]
+    edges = st.integers(min_value=0, max_value=max(len(arcs) - 1, 0))
+    banned_edges = draw(st.sets(edges, max_size=4)) if arcs else set()
+    banned_nodes = draw(st.sets(nodes, max_size=3))
+    return network, costs, banned_edges, banned_nodes, draw(nodes), draw(nodes)
 
-    def test_unreachable_target_is_infinite(self, diamond_network):
-        assert multi_target_distances(diamond_network, 3, [0])[0] == float("inf")
 
-    def test_max_cost_bounds_the_search(self, diamond_network):
-        # 0 -> 3 costs 200 via lengths; a 150 bound cuts it off.
-        distances = multi_target_distances(diamond_network, 0, [1, 3],
-                                           edge_cost=diamond_network.edge_length,
-                                           max_cost=150.0)
-        assert distances[1] == 100.0
-        assert distances[3] == float("inf")
+class TestEngineMatchesOracle:
+    @given(banned_searches())
+    @settings(max_examples=300, deadline=None)
+    def test_paths_match_edge_for_edge(self, search):
+        network, costs, banned_edges, banned_nodes, source, target = search
+        for bans in ({}, {"banned_edges": banned_edges, "banned_nodes": banned_nodes}):
+            ours = shortest_path(network, source, target,
+                                 edge_cost=costs.__getitem__, **bans)
+            reference = reference_shortest_path(network, source, target,
+                                                edge_cost=costs.__getitem__, **bans)
+            assert ours == reference
+
+    @given(banned_searches(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_cache_distances_are_oracle_sums(self, search, data):
+        network, costs, _, _, _, _ = search
+        nodes = st.integers(min_value=0, max_value=network.num_nodes - 1)
+        cache = DijkstraCache(network, edge_cost=costs.__getitem__,
+                              max_sources=data.draw(st.integers(1, 3)))
+        # Repeated sources resume (or, after eviction, restart) a search.
+        queries = data.draw(st.lists(st.tuples(nodes, st.lists(nodes, max_size=4)),
+                                     min_size=1, max_size=8))
+        for source, targets in queries:
+            distances = cache.distances(source, targets)
+            assert list(distances) == list(dict.fromkeys(targets))
+            for target in targets:
+                path = reference_shortest_path(network, source, target,
+                                               edge_cost=costs.__getitem__)
+                expected = float("inf") if path is None else sum(costs[e] for e in path)
+                assert distances[target] == expected
+
+
+class TestNodeAndKValidation:
+    @pytest.mark.parametrize("call, bad", [
+        pytest.param(lambda net: shortest_path(net, -1, 3), "-1", id="source-negative"),
+        pytest.param(lambda net: shortest_path(net, 0, 10 ** 6), "1000000",
+                     id="target-too-large"),
+        pytest.param(lambda net: shortest_path(net, 0, 3.5), "3.5", id="target-float"),
+        pytest.param(lambda net: k_shortest_paths(net, 0, 10 ** 6, 2), "1000000",
+                     id="yen-target-too-large"),
+        pytest.param(lambda net: k_shortest_paths(net, -1, 3, 2), "-1",
+                     id="yen-source-negative"),
+        pytest.param(lambda net: k_shortest_paths(net, 0, 3, 2.5), "2.5", id="yen-k-float"),
+        pytest.param(lambda net: shortest_path(net, 0, 3, banned_edges={99}), "99",
+                     id="banned-edge-unknown"),
+        pytest.param(lambda net: shortest_path(net, 0, 3, banned_nodes={-1}), "-1",
+                     id="banned-node-negative"),
+        pytest.param(lambda net: DijkstraCache(net).distances(-1, [3]), "-1",
+                     id="cache-source-negative"),
+        pytest.param(lambda net: DijkstraCache(net).distances(0, [3, 4]), "4",
+                     id="cache-target-too-large"),
+    ])
+    def test_bad_value_is_named(self, diamond_network, call, bad):
+        with pytest.raises(ValueError, match=rf"got {bad}$"):
+            call(diamond_network)
+
+    def test_rejected_source_is_not_cached(self, diamond_network):
+        cache = DijkstraCache(diamond_network)
+        with pytest.raises(ValueError):
+            cache.distances(4, [3])
+        assert len(cache) == 0
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_numpy_integers_are_node_ids(self, diamond_network):
+        assert shortest_path(diamond_network, np.int64(0), np.int64(3)) == [0, 1]
+        assert len(k_shortest_paths(diamond_network, 0, 3, np.int64(2))) == 2
 
 
 class TestDijkstraCache:
@@ -155,12 +218,12 @@ class TestDijkstraCache:
             targets = [int(t) for t in rng.integers(0, network.num_nodes, size=5)]
             distances = cache.distances(source, targets)
             for target in targets:
-                path = shortest_path(network, source, target,
-                                     edge_cost=network.edge_length)
+                path = reference_shortest_path(network, source, target,
+                                               edge_cost=network.edge_length)
                 if path is None:
                     assert distances[target] == float("inf")
                 else:
-                    # Bit-identical to the shortest_path edge-cost sum.
+                    # Bit-identical to the oracle's edge-cost sum.
                     assert distances[target] == sum(
                         network.edge_length(e) for e in path)
 
@@ -169,8 +232,9 @@ class TestDijkstraCache:
                               edge_cost=diamond_network.edge_length)
         first = cache.distances(0, [1])
         second = cache.distances(0, [1, 2, 3])
-        fresh = multi_target_distances(diamond_network, 0, [1, 2, 3],
-                                       edge_cost=diamond_network.edge_length)
+        fresh = DijkstraCache(diamond_network,
+                              edge_cost=diamond_network.edge_length
+                              ).distances(0, [1, 2, 3])
         assert first[1] == fresh[1]
         assert second == fresh
 
@@ -261,6 +325,15 @@ class TestKShortestPaths:
                 nodes = network.path_nodes(path)
                 assert len(nodes) == len(set(nodes))
                 assert len(path) == len(set(path))
+
+
+class TestNetworkxExport:
+    def test_to_networkx_roundtrip(self, diamond_network):
+        graph = to_networkx(diamond_network)
+        assert graph.number_of_nodes() == 4
+        assert graph.number_of_edges() == 4
+        assert graph[0][1]["edge_id"] == 0
+        assert graph[2][3]["length"] == pytest.approx(300.0)
 
 
 class TestPathSimilarity:

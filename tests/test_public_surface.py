@@ -37,3 +37,10 @@ def test_no_loop_oracle_or_engine_fork(name):
     source = inspect.getsource(importlib.import_module(name))
     forks = re.findall(r"^\s*def (_(?:reference|vectorized)_\w*)", source, re.MULTILINE)
     assert not forks, f"{name} defines {forks}"
+
+
+def test_one_dijkstra_loop_in_road_search():
+    # shortest_path, Yen's spur searches and DijkstraCache share one engine;
+    # a second heap-pop loop would be a second engine.
+    source = inspect.getsource(importlib.import_module("repro.roadnet.search"))
+    assert len(re.findall(r"\bheappop\(", source)) == 1

@@ -3,7 +3,8 @@
 Each function takes an :class:`~repro.trajectory.HMMMapMatcher` and redoes
 one stage of its pipeline the slow, obvious way: a full segment-distance
 scan per fix for candidates, and a per-pair Viterbi that prices every
-transition with a fresh :func:`~repro.roadnet.search.shortest_path`.
+transition with a fresh run of the Dijkstra oracle
+``tests/roadnet/reference_search.py``.
 :class:`ReferenceMatcher` is the matcher with both swapped in; it must decode
 bit-identical paths.
 """
@@ -11,8 +12,8 @@ bit-identical paths.
 from __future__ import annotations
 
 import numpy as np
+from reference_search import shortest_path
 
-from repro.roadnet.search import shortest_path
 from repro.trajectory import HMMMapMatcher
 from repro.trajectory.mapmatching import _MAX_CANDIDATES
 
