@@ -14,9 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..core.encoder import pad_paths
-from ..datasets.splits import minibatch_indices
-from .base import _BATCH_SIZE, _LR
-from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
+from .sequence_encoder import SpatialSequenceModel
 
 __all__ = ["BERTPathModel"]
 
@@ -24,12 +22,9 @@ __all__ = ["BERTPathModel"]
 class BERTPathModel(SpatialSequenceModel):
     """Masked-edge + ordering pre-training over path sequences."""
 
-    def fit(self, city, max_batches=None, **kwargs):
-        rng = np.random.default_rng(self.seed)
+    def _objective(self, city, encoder, rng):
         network = city.network
         paths = city.unlabeled.temporal_paths
-
-        encoder = SpatialSequenceEncoder(network, hidden_dim=self.dim, seed=self.seed)
         # Masked-edge head: predict the masked edge's road type from the
         # pooled context representation.
         num_road_types = network.feature_encoder.num_road_types
@@ -37,14 +32,9 @@ class BERTPathModel(SpatialSequenceModel):
         # Ordering head: is this (first half, second half) pair in the
         # correct order?
         order_head = nn.Linear(2 * self.dim, 1, rng=np.random.default_rng(self.seed + 2))
-
-        params = (list(encoder.parameters()) + list(mask_head.parameters())
-                  + list(order_head.parameters()))
-        optimizer = nn.Adam(params, lr=_LR)
         categories = network.edge_feature_matrix()
 
-        for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
-                                         epochs=self.epochs, max_batches=max_batches):
+        def loss_of(step, indices):
             batch_paths = [paths[i] for i in indices]
             pooled, outputs, mask = encoder(batch_paths)
             edge_ids, _ = pad_paths(batch_paths)
@@ -76,18 +66,11 @@ class BERTPathModel(SpatialSequenceModel):
                 else:
                     half_reps.append(nn.Tensor.concatenate([second, first], axis=0).reshape(1, -1))
                     order_labels.append(0.0)
-            if half_reps:
-                pair_logits = order_head(nn.Tensor.concatenate(half_reps, axis=0)).reshape(-1)
-                order_loss = nn.functional.binary_cross_entropy_with_logits(
-                    pair_logits, nn.Tensor(np.array(order_labels))
-                )
-                loss = mask_loss + order_loss
-            else:
-                loss = mask_loss
+            if not half_reps:
+                return mask_loss
+            pair_logits = order_head(nn.Tensor.concatenate(half_reps, axis=0)).reshape(-1)
+            return mask_loss + nn.functional.binary_cross_entropy_with_logits(
+                pair_logits, nn.Tensor(np.array(order_labels))
+            )
 
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-
-        self._encoder = encoder
-        return self
+        return (mask_head, order_head), loss_of

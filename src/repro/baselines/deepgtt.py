@@ -21,6 +21,7 @@ from .. import nn
 from ..core.config import WSCCLConfig
 from ..core.encoder import encode_in_chunks, pad_paths
 from ..core.model import SharedResources
+from ..nn import functional as F
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["DeepGTTModel"]
@@ -45,9 +46,7 @@ class _DeepGTTEncoder(nn.Module):
         spatial = self.spatial(edge_ids)
         edge_states = self.edge_projection(spatial).relu()
 
-        mask_tensor = nn.Tensor(mask[:, :, None])
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
-        pooled_edges = (edge_states * mask_tensor).sum(axis=1) / counts
+        pooled_edges = F.masked_mean(edge_states, mask)
 
         temporal = self.temporal([tp.departure_time for tp in temporal_paths])
         time_state = self.time_projection(temporal).relu()
@@ -85,11 +84,11 @@ class DeepGTTModel(SupervisedSequenceModel):
 
     def _predict(self, pooled):
         """The inverse-Gaussian mean mu."""
-        return _softplus(self._heads[0](pooled).reshape(-1)) + 1e-3
+        return F.softplus(self._heads[0](pooled).reshape(-1).clip(-30.0, 30.0)) + 1e-3
 
     def _loss(self, pooled, outputs, mask, observed):
         mu = self._predict(pooled)
-        lam = _softplus(self._heads[1](pooled).reshape(-1)) + 1e-3
+        lam = F.softplus(self._heads[1](pooled).reshape(-1).clip(-30.0, 30.0)) + 1e-3
         # Negative inverse-Gaussian log-likelihood (up to constants):
         #   -0.5*log(lam) + lam*(x-mu)^2 / (2*mu^2*x)
         residual = observed - mu
@@ -97,7 +96,3 @@ class DeepGTTModel(SupervisedSequenceModel):
             (lam * residual * residual) / (mu * mu * observed * 2.0)
             - lam.log() * 0.5
         ).mean()
-
-
-def _softplus(x):
-    return ((x.clip(-30.0, 30.0)).exp() + 1.0).log()

@@ -76,8 +76,7 @@ class _EdgeTimeBackbone(nn.Module):
         stacked = nn.Tensor.concatenate(pieces, axis=-1)
         raw = self.edge_head(stacked).reshape(-1)
         # softplus(raw) gives seconds-per-100-metres; multiply by length/100.
-        softplus = ((raw.clip(-30.0, 30.0)).exp() + 1.0).log()
-        return softplus * nn.Tensor(self._lengths / 100.0)
+        return nn.functional.softplus(raw.clip(-30.0, 30.0)) * nn.Tensor(self._lengths / 100.0)
 
 
 #: Minibatch size and Adam learning rate of GCN and STGCN.
@@ -124,11 +123,7 @@ class GCNTravelTimeModel(SupervisedModel):
             batch_targets = nn.Tensor(targets[indices] / scale)
 
             predictions = self._predict_batch_tensor(batch_paths) * (1.0 / scale)
-            loss = nn.functional.mse_loss(predictions, batch_targets)
-            optimizer.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(self._backbone.parameters(), 5.0)
-            optimizer.step()
+            optimizer.minimize(nn.functional.mse_loss(predictions, batch_targets), max_norm=5.0)
         return self
 
     def _predict_batch_tensor(self, temporal_paths):

@@ -12,6 +12,9 @@ paper adapts graph-node methods to paths (§VII-A3).
 * :class:`GMIPathModel` — Graphical Mutual Information: the same encoder
   trained to align each node's representation with its own and its
   neighbours' input features (a feature-reconstruction form of local MI).
+
+DGI and GMI share one fit (``_GraphInfomaxModel.fit``): each gives only its
+discriminator or decoder and its loss.
 """
 
 from __future__ import annotations
@@ -110,85 +113,84 @@ class Node2vecPathModel(_EdgeVectorModel):
 class _GCNEncoder(nn.Module):
     """One-layer graph convolution with PReLU-free tanh nonlinearity."""
 
-    def __init__(self, in_dim, out_dim, rng=None):
+    def __init__(self, adjacency, in_dim, out_dim, rng=None):
         super().__init__()
+        self.adjacency = nn.Tensor(adjacency)
         self.linear = nn.Linear(in_dim, out_dim, rng=rng)
 
-    def forward(self, adjacency, features):
-        return (adjacency @ self.linear(features)).tanh()
+    def forward(self, features):
+        return (self.adjacency @ self.linear(features)).tanh()
 
 
-class DGIPathModel(_EdgeVectorModel):
-    """Deep Graph Infomax over the road network."""
+class _GraphInfomaxModel(_EdgeVectorModel):
+    """Base of DGI and GMI: one GCN fit, one objective each.
+
+    ``fit`` builds the node features, the propagation matrix and the
+    encoder, takes ``_GRAPH_EPOCHS`` full-graph Adam steps on the
+    subclass's ``_objective`` and keeps the edge vectors of the trained
+    encoder's node embeddings.
+    """
 
     def fit(self, city, **kwargs):
         network = city.network
         rng = np.random.default_rng(self.seed)
         features = _node_input_features(network)
-        adjacency = nn.Tensor(_normalized_adjacency(network))
-        features_tensor = nn.Tensor(features)
-
-        encoder = _GCNEncoder(features.shape[1], self.dim, rng=rng)
-        discriminator = nn.Linear(self.dim, self.dim, bias=False, rng=rng)
-        params = list(encoder.parameters()) + list(discriminator.parameters())
-        optimizer = nn.Adam(params, lr=_GRAPH_LR)
-
+        adjacency = _normalized_adjacency(network)
+        encoder = _GCNEncoder(adjacency, features.shape[1], self.dim, rng=rng)
+        head, loss_of = self._objective(encoder, adjacency, features, rng)
+        optimizer = nn.Adam(list(encoder.parameters()) + list(head.parameters()), lr=_GRAPH_LR)
         for _ in range(_GRAPH_EPOCHS):
-            positive = encoder(adjacency, features_tensor)
+            optimizer.minimize(loss_of())
+
+        with nn.no_grad():
+            node_embeddings = encoder(nn.Tensor(features)).data
+        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
+        return self
+
+    def _objective(self, encoder, adjacency, features, rng):
+        """``(head, loss_of)``: the discriminator or decoder trained next to
+        the encoder, and ``loss_of()``, the loss of one full-graph step."""
+        raise NotImplementedError
+
+
+class DGIPathModel(_GraphInfomaxModel):
+    """Deep Graph Infomax over the road network."""
+
+    def _objective(self, encoder, adjacency, features, rng):
+        discriminator = nn.Linear(self.dim, self.dim, bias=False, rng=rng)
+        features_tensor = nn.Tensor(features)
+        labels = nn.Tensor(np.concatenate([np.ones(len(features)), np.zeros(len(features))]))
+
+        def loss_of():
+            positive = encoder(features_tensor)
             corrupted = nn.Tensor(features[rng.permutation(len(features))])
-            negative = encoder(adjacency, corrupted)
+            negative = encoder(corrupted)
             summary = positive.mean(axis=0).sigmoid()          # (dim,)
 
             projected = discriminator(nn.Tensor(summary.data.reshape(1, -1)))
             pos_scores = (positive * projected).sum(axis=-1)
             neg_scores = (negative * projected).sum(axis=-1)
             scores = nn.Tensor.concatenate([pos_scores, neg_scores], axis=0)
-            labels = nn.Tensor(np.concatenate([
-                np.ones(len(features)), np.zeros(len(features))
-            ]))
-            loss = nn.functional.binary_cross_entropy_with_logits(scores, labels)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            return nn.functional.binary_cross_entropy_with_logits(scores, labels)
 
-        with nn.no_grad():
-            node_embeddings = encoder(adjacency, features_tensor).data
-        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
-        return self
+        return discriminator, loss_of
 
 
-class GMIPathModel(_EdgeVectorModel):
+class GMIPathModel(_GraphInfomaxModel):
     """Graphical Mutual Information maximisation over the road network."""
 
-    def fit(self, city, **kwargs):
-        network = city.network
-        rng = np.random.default_rng(self.seed)
-        features = _node_input_features(network)
-        adjacency_matrix = _normalized_adjacency(network)
-        adjacency = nn.Tensor(adjacency_matrix)
-        features_tensor = nn.Tensor(features)
-
-        encoder = _GCNEncoder(features.shape[1], self.dim, rng=rng)
+    def _objective(self, encoder, adjacency, features, rng):
         decoder = nn.Linear(self.dim, features.shape[1], rng=rng)
-        params = list(encoder.parameters()) + list(decoder.parameters())
-        optimizer = nn.Adam(params, lr=_GRAPH_LR)
-
+        features_tensor = nn.Tensor(features)
         # Neighbour-feature target: the adjacency-smoothed input features.
-        neighbour_features = nn.Tensor(adjacency_matrix @ features)
+        neighbour_features = nn.Tensor(adjacency @ features)
 
-        for _ in range(_GRAPH_EPOCHS):
-            embeddings = encoder(adjacency, features_tensor)
-            reconstructed = decoder(embeddings)
+        def loss_of():
+            reconstructed = decoder(encoder(features_tensor))
             # MI surrogate: reconstruct both own and neighbour features.
-            loss = (
+            return (
                 nn.functional.mse_loss(reconstructed, features_tensor)
                 + nn.functional.mse_loss(reconstructed, neighbour_features)
             )
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
 
-        with nn.no_grad():
-            node_embeddings = encoder(adjacency, features_tensor).data
-        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
-        return self
+        return decoder, loss_of

@@ -47,9 +47,7 @@ class _HMTRLEncoder(nn.Module):
         inputs = nn.Tensor.concatenate([steps, spatial], axis=-1)
         outputs, _ = self.lstm(inputs, mask=mask)
 
-        mask_tensor = nn.Tensor(mask[:, :, None])
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
-        mean_pooled = (outputs * mask_tensor).sum(axis=1) / counts
+        mean_pooled = nn.functional.masked_mean(outputs, mask)
         # Max over valid steps: push padded entries far down before max.
         shifted = outputs + nn.Tensor((mask[:, :, None] - 1.0) * 1e6)
         max_pooled = shifted.max(axis=1)

@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
-from ..datasets.splits import minibatch_indices
-from .base import _BATCH_SIZE, _LR
-from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
+from ..nn import functional as F
+from .sequence_encoder import SpatialSequenceModel
 
 __all__ = ["InfoGraphModel"]
 
@@ -22,22 +20,14 @@ __all__ = ["InfoGraphModel"]
 class InfoGraphModel(SpatialSequenceModel):
     """Graph-level vs node-level mutual information maximisation on paths."""
 
-    def fit(self, city, max_batches=None, **kwargs):
-        rng = np.random.default_rng(self.seed)
+    def _objective(self, city, encoder, rng):
         paths = city.unlabeled.temporal_paths
-        encoder = SpatialSequenceEncoder(city.network, hidden_dim=self.dim, seed=self.seed)
-        optimizer = nn.Adam(encoder.parameters(), lr=_LR)
 
-        for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
-                                         epochs=self.epochs, max_batches=max_batches):
+        def loss_of(step, indices):
             pooled, outputs, mask = encoder([paths[i] for i in indices])
-            loss = self._jsd_loss(pooled, outputs, mask, rng)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            return self._jsd_loss(pooled, outputs, mask, rng)
 
-        self._encoder = encoder
-        return self
+        return (), loss_of
 
     def _jsd_loss(self, pooled, outputs, mask, rng):
         """Jensen-Shannon MI estimator between path and edge representations."""
@@ -49,7 +39,7 @@ class InfoGraphModel(SpatialSequenceModel):
             own_edges = outputs[i, :int(lengths[i]), :]
             pos_scores = (own_edges * pooled[i:i + 1, :]).sum(axis=-1)
             # softplus(-x) for positives.
-            positive_terms.append(((-pos_scores).exp() + 1.0).log().mean())
+            positive_terms.append(F.softplus(-pos_scores).mean())
 
             other = int(rng.integers(0, batch))
             if other == i:
@@ -57,11 +47,7 @@ class InfoGraphModel(SpatialSequenceModel):
             other_edges = outputs[other, :int(lengths[other]), :]
             neg_scores = (other_edges * pooled[i:i + 1, :]).sum(axis=-1)
             # softplus(x) for negatives.
-            negative_terms.append((neg_scores.exp() + 1.0).log().mean())
+            negative_terms.append(F.softplus(neg_scores).mean())
 
-        loss = positive_terms[0]
-        for term in positive_terms[1:]:
-            loss = loss + term
-        for term in negative_terms:
-            loss = loss + term
-        return loss * (1.0 / batch)
+        # A left-to-right sum: positives, then negatives.
+        return sum(positive_terms[1:] + negative_terms, positive_terms[0]) * (1.0 / batch)

@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..datasets.splits import minibatch_indices
 from ..nn import functional as F
-from .base import _BATCH_SIZE, _LR
-from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
+from .sequence_encoder import SpatialSequenceModel
 
 __all__ = ["MemoryBankModel"]
 
@@ -31,18 +29,20 @@ _TEMPERATURE = 0.1
 class MemoryBankModel(SpatialSequenceModel):
     """Instance-discrimination training with a representation memory bank."""
 
-    def fit(self, city, max_batches=None, **kwargs):
-        rng = np.random.default_rng(self.seed)
+    def _objective(self, city, encoder, rng):
         paths = city.unlabeled.temporal_paths
-        encoder = SpatialSequenceEncoder(city.network, hidden_dim=self.dim, seed=self.seed)
-        optimizer = nn.Adam(encoder.parameters(), lr=_LR)
-
         # Memory bank initialised with random unit vectors.
         bank = rng.normal(size=(len(paths), self.dim))
         bank /= np.maximum(np.linalg.norm(bank, axis=1, keepdims=True), 1e-12)
+        # The last step's batch: its entries are refreshed from the encoder
+        # once its update is taken, at the start of the next step.  The bank
+        # goes with the fit, so the final batch needs no refresh.
+        pending = []
 
-        for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
-                                         epochs=self.epochs, max_batches=max_batches):
+        def loss_of(step, indices):
+            if pending:
+                refresh(pending.pop())
+            pending.append(indices)
             batch_paths = [paths[i] for i in indices]
             pooled, _, _ = encoder(batch_paths)
 
@@ -59,18 +59,15 @@ class MemoryBankModel(SpatialSequenceModel):
             denominator = F.logsumexp(
                 nn.Tensor.concatenate([pos_sims.reshape(-1, 1), neg_sims], axis=1), axis=-1
             )
-            loss = (denominator - pos_sims).mean()
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            return (denominator - pos_sims).mean()
 
+        def refresh(indices):
             # Moving-average refresh of the bank entries for this batch.
-            fresh = encoder.encode(batch_paths)
+            fresh = encoder.encode([paths[i] for i in indices])
             fresh /= np.maximum(np.linalg.norm(fresh, axis=1, keepdims=True), 1e-12)
             bank[indices] = _BANK_MOMENTUM * bank[indices] + (1.0 - _BANK_MOMENTUM) * fresh
             bank[indices] /= np.maximum(
                 np.linalg.norm(bank[indices], axis=1, keepdims=True), 1e-12
             )
 
-        self._encoder = encoder
-        return self
+        return (), loss_of

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
-from ..datasets.splits import minibatch_indices
 from ..datasets.temporal_paths import TemporalPath
-from .base import _BATCH_SIZE, _LR, departure_slot_embedding
-from .sequence_encoder import SpatialSequenceEncoder, SpatialSequenceModel
+from ..nn import functional as F
+from .base import _BATCH_SIZE, departure_slot_embedding
+from .sequence_encoder import SpatialSequenceModel
 
 __all__ = ["PIMModel", "PIMTemporalModel"]
 
@@ -49,34 +48,23 @@ class PIMModel(SpatialSequenceModel):
             edges[position] = int(rng.integers(0, network.num_edges))
         return TemporalPath(path=edges, departure_time=path.departure_time)
 
-    def fit(self, city, max_batches=None, **kwargs):
-        rng = np.random.default_rng(self.seed)
+    def _objective(self, city, encoder, rng):
         paths = city.unlabeled.temporal_paths
         network = city.network
-        encoder = SpatialSequenceEncoder(network, hidden_dim=self.dim, seed=self.seed)
-        optimizer = nn.Adam(encoder.parameters(), lr=_LR)
-
         total_steps = max(1, self.epochs * (len(paths) // _BATCH_SIZE))
-        batches = minibatch_indices(len(paths), _BATCH_SIZE, rng,
-                                    epochs=self.epochs, max_batches=max_batches)
-        for step, indices in enumerate(batches):
+
+        def loss_of(step, indices):
             batch_paths = [paths[i] for i in indices]
             difficulty = min(1.0, step / total_steps)
             negatives = [
                 self._curriculum_negative(p, network, rng, difficulty)
                 for p in batch_paths
             ]
-
             pos_pooled, pos_outputs, pos_mask = encoder(batch_paths)
             neg_pooled, _, _ = encoder(negatives)
+            return self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
 
-            loss = self._infomax_loss(pos_pooled, pos_outputs, pos_mask, neg_pooled)
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
-
-        self._encoder = encoder
-        return self
+        return (), loss_of
 
     def _infomax_loss(self, pooled, outputs, mask, negative_pooled):
         """Global (path vs negative path) + local (path vs own edges) JSD MI."""
@@ -87,21 +75,15 @@ class PIMModel(SpatialSequenceModel):
         # than against its curriculum negative.
         pos_scores = (pooled * pooled).sum(axis=-1)
         neg_scores = (pooled * negative_pooled).sum(axis=-1)
-        global_loss = (
-            ((-pos_scores).exp() + 1.0).log().mean()
-            + (neg_scores.exp() + 1.0).log().mean()
-        )
+        global_loss = F.softplus(-pos_scores).mean() + F.softplus(neg_scores).mean()
 
         # Local: path representation vs its own edge representations.
         local_terms = []
         for i in range(batch):
             own_edges = outputs[i, :int(lengths[i]), :]
             scores = (own_edges * pooled[i:i + 1, :]).sum(axis=-1)
-            local_terms.append(((-scores).exp() + 1.0).log().mean())
-        local_loss = local_terms[0]
-        for term in local_terms[1:]:
-            local_loss = local_loss + term
-        local_loss = local_loss * (1.0 / batch)
+            local_terms.append(F.softplus(-scores).mean())
+        local_loss = sum(local_terms[1:], local_terms[0]) * (1.0 / batch)
 
         return global_loss + local_loss
 

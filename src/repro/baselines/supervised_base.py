@@ -96,11 +96,8 @@ class SupervisedSequenceModel(SupervisedModel):
         for indices in minibatch_indices(len(paths), _BATCH_SIZE, rng,
                                          epochs=self.epochs, max_batches=max_batches):
             pooled, outputs, mask = self._encoder([paths[i] for i in indices])
-            loss = self._loss(pooled, outputs, mask, nn.Tensor(scaled[indices]))
-            optimizer.zero_grad()
-            loss.backward()
-            nn.clip_grad_norm(params, 5.0)
-            optimizer.step()
+            optimizer.minimize(self._loss(pooled, outputs, mask, nn.Tensor(scaled[indices])),
+                               max_norm=5.0)
         return self
 
     # ------------------------------------------------------------------

@@ -162,24 +162,6 @@ class WSCCLConfig:
         return replace(self, **kwargs)
 
     @classmethod
-    def paper_scale(cls):
-        """The paper's original hyper-parameters (slow on this substrate)."""
-        return cls(
-            road_type_dim=64,
-            lanes_dim=32,
-            one_way_dim=16,
-            signals_dim=16,
-            topology_dim=128,
-            temporal_dim=128,
-            hidden_dim=128,
-            lstm_layers=2,
-            batch_size=32,
-            num_meta_sets=10,
-            num_stages=10,
-            slots_per_day=288,
-        )
-
-    @classmethod
     def test_scale(cls):
         """Very small configuration for unit tests."""
         return cls(

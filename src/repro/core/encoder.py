@@ -148,11 +148,7 @@ class TemporalPathEncoder(nn.Module):
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
 
         # Masked mean over valid steps (Eq. 8).
-        mask_tensor = nn.Tensor(mask[:, :, None])
-        counts = nn.Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
-        summed = (outputs * mask_tensor).sum(axis=1)
-        tprs = summed / counts
-
+        tprs = nn.functional.masked_mean(outputs, mask)
         return EncodedBatch(tprs=tprs, edge_representations=outputs,
                             mask=mask, edge_ids=edge_ids)
 

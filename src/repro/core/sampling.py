@@ -73,10 +73,6 @@ class ContrastSets:
     positives: list
     negatives: list
 
-    def queries_with_positives(self):
-        """Indices of queries whose positive set is non-empty."""
-        return [i for i, pos in enumerate(self.positives) if len(pos) > 0]
-
 
 def build_contrast_sets(batch):
     """Compute ``S_tpi`` and ``N_tpi`` for every sample in the batch.

@@ -3,7 +3,9 @@
 :class:`WSCTrainer` trains one :class:`~repro.core.model.WSCModel` with the
 combined global/local weakly-supervised contrastive loss over minibatches of
 temporal paths.  It is reused by the curriculum stage (to train experts and
-to run the staged curriculum) and by the ablation table runners.
+to run the staged curriculum) and by the ablation table runners.  Each step
+builds its loss and updates through :meth:`repro.nn.Optimizer.minimize`,
+clipped at the config's ``grad_clip``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ class TrainingHistory:
     def record(self, value):
         self.epoch_losses.append(float(value))
 
-    @property
-    def final_loss(self):
-        return self.epoch_losses[-1] if self.epoch_losses else float("nan")
-
 
 class WSCTrainer:
     """Minibatch trainer for the weakly-supervised contrastive objective.
@@ -57,7 +55,9 @@ class WSCTrainer:
     def train_step(self, batch, weak_labeler):
         """One optimisation step on a minibatch of ``(TemporalPath, label)``.
 
-        Returns the scalar loss value of the step.
+        Returns the scalar loss value of the step.  A batch whose loss
+        reaches no parameter (no query has both a positive and a negative)
+        updates nothing.
         """
         augmented = augment_with_positive_views(batch, weak_labeler, self.rng)
         temporal_paths = [tp for tp, _ in augmented]
@@ -77,14 +77,7 @@ class WSCTrainer:
             lambda_balance=self.config.lambda_balance,
             temperature=self.config.temperature,
         )
-        if not loss.requires_grad:
-            return float(loss.data)
-
-        self.optimizer.zero_grad()
-        loss.backward()
-        nn.clip_grad_norm(self.model.parameters(), self.config.grad_clip)
-        self.optimizer.step()
-        return float(loss.data)
+        return self.optimizer.minimize(loss, max_norm=self.config.grad_clip)
 
     # ------------------------------------------------------------------
     def fit(self, dataset, epochs=None, batches_per_epoch=None):

@@ -57,10 +57,6 @@ class TemporalPathDataset:
             yield self[index]
 
     # ------------------------------------------------------------------
-    def path_lengths(self):
-        """Number of edges of every temporal path."""
-        return np.array([len(tp) for tp in self.temporal_paths], dtype=np.int64)
-
     def relabel(self, weak_labeler):
         """Return a new dataset with the same paths but a different weak labeler."""
         return TemporalPathDataset(self.temporal_paths, weak_labeler)

@@ -21,6 +21,8 @@ __all__ = [
     "cross_entropy",
     "logsumexp",
     "normalize",
+    "softplus",
+    "masked_mean",
 ]
 
 
@@ -63,6 +65,21 @@ def normalize(x, axis=-1, eps=1e-12):
     return x / (norm + eps)
 
 
+def softplus(x):
+    """``log(1 + exp(x))``; a caller whose ``x`` can overflow clips it first."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    return (x.exp() + 1.0).log()
+
+
+def masked_mean(x, mask):
+    """Mean of ``(B, T, D)`` steps over the valid ones of a ``(B, T)`` 0/1 mask.
+
+    A row with no valid step averages to zero.
+    """
+    counts = Tensor(np.maximum(mask.sum(axis=1, keepdims=True), 1.0))
+    return (x * Tensor(mask[:, :, None])).sum(axis=1) / counts
+
+
 def cosine_similarity(a, b, axis=-1, eps=1e-12):
     """Cosine similarity between two tensors along ``axis``.
 
@@ -90,7 +107,7 @@ def binary_cross_entropy_with_logits(logits, targets):
     targets = targets if isinstance(targets, Tensor) else Tensor(targets)
     # log(1 + exp(-|x|)) + max(x, 0) - x*y
     abs_neg = -(logits.relu() + (-logits).relu())
-    log_term = (abs_neg.exp() + 1.0).log()
+    log_term = softplus(abs_neg)
     relu_term = logits.relu()
     return (log_term + relu_term - logits * targets).mean()
 

@@ -59,11 +59,6 @@ class Module:
         for module_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{module_name}.")
 
-    def zero_grad(self):
-        """Clear gradients on every parameter."""
-        for param in self.parameters():
-            param.zero_grad()
-
     # ------------------------------------------------------------------
     # Train / eval mode
     # ------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""The Adam optimiser and global gradient-norm clipping.
+"""The Adam optimiser, global gradient-norm clipping and the one update step.
 
 The paper trains WSCCL with Adam at learning rate 3e-4; Adam is therefore the
-default everywhere in ``repro.core``.
+default everywhere in ``repro.core``.  Every training loop in the package, the
+baselines' included, updates its parameters through :meth:`Optimizer.minimize`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["Optimizer", "Adam", "clip_grad_norm"]
+
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
 
 
 def clip_grad_norm(parameters, max_norm):
@@ -46,33 +51,43 @@ class Optimizer:
     def step(self):
         raise NotImplementedError
 
+    def minimize(self, loss, max_norm=None):
+        """One update on ``loss``; returns its value.
+
+        Clears the gradients, backpropagates, clips their global norm to
+        ``max_norm`` when one is given, and steps.  A loss with no path to a
+        parameter (a constant) updates nothing.
+        """
+        if loss.requires_grad:
+            self.zero_grad()
+            loss.backward()
+            if max_norm is not None:
+                clip_grad_norm(self.parameters, max_norm)
+            self.step()
+        return float(loss.data)
+
 
 class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba)."""
+    """Adam optimiser (Kingma & Ba) with its default betas and epsilon."""
 
-    def __init__(self, parameters, lr=3e-4, betas=(0.9, 0.999), eps=1e-8, weight_decay=0.0):
+    def __init__(self, parameters, lr=3e-4):
         super().__init__(parameters, lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._step = 0
         self._m = [np.zeros_like(p.data) for p in self.parameters]
         self._v = [np.zeros_like(p.data) for p in self.parameters]
 
     def step(self):
         self._step += 1
-        bias_correction1 = 1.0 - self.beta1 ** self._step
-        bias_correction2 = 1.0 - self.beta2 ** self._step
+        bias_correction1 = 1.0 - _BETA1 ** self._step
+        bias_correction2 = 1.0 - _BETA2 ** self._step
         for param, m, v in zip(self.parameters, self._m, self._v):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad * grad
+            m *= _BETA1
+            m += (1.0 - _BETA1) * grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * grad * grad
             m_hat = m / bias_correction1
             v_hat = v / bias_correction2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)

@@ -57,11 +57,6 @@ class LSTMCell(Module):
         h_new = o_gate * c_new.tanh()
         return h_new, c_new
 
-    def initial_state(self, batch_size):
-        """Zero hidden and cell state."""
-        shape = (batch_size, self.hidden_size)
-        return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
-
     def _run(self, steps, mask, tape):
         """Run over ``(batch, input_size)`` step arrays, taping unless ``tape`` is None."""
         w_ih, w_hh, bias = self.weight_ih.data, self.weight_hh.data, self.bias.data

@@ -140,10 +140,6 @@ class Tensor:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data)
 
-    def detach(self):
-        """Return a new tensor sharing data but cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self):
         """Reset the accumulated gradient."""
         self.grad = None

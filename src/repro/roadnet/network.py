@@ -149,18 +149,6 @@ class RoadNetwork:
                 return False
         return True
 
-    def path_length(self, path):
-        """Total length in metres of a path."""
-        return float(sum(self.edge_length(e) for e in path))
-
-    def path_nodes(self, path):
-        """Node sequence visited by a path (length = edges + 1)."""
-        edges = list(path)
-        nodes = [self._edge_endpoints[edges[0]][0]]
-        for edge in edges:
-            nodes.append(self._edge_endpoints[edge][1])
-        return nodes
-
     def statistics(self):
         """Summary statistics used by the Table II runner."""
         lengths = np.array([f.length for f in self._edge_features]) if self._edge_features else np.zeros(1)

@@ -13,8 +13,6 @@ Node2vec is then run on this graph to obtain temporal embeddings.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .timeslots import DAYS_PER_WEEK, SLOTS_PER_DAY, TOTAL_SLOTS
 
 __all__ = ["TemporalGraph", "build_temporal_graph"]
@@ -47,19 +45,6 @@ class TemporalGraph:
 
     def degree(self, node):
         return len(self._adjacency[node])
-
-    def initial_node_features(self):
-        """Initial one-hot node representations ``[ts, tw]`` (paper Eq. before Eq. 2).
-
-        Returns a matrix of shape ``(num_nodes, 288 + 7)``.
-        """
-        features = np.zeros((self.num_nodes, SLOTS_PER_DAY + DAYS_PER_WEEK))
-        for node in range(self.num_nodes):
-            day = node // SLOTS_PER_DAY
-            slot = node % SLOTS_PER_DAY
-            features[node, slot] = 1.0
-            features[node, SLOTS_PER_DAY + day] = 1.0
-        return features
 
 
 def build_temporal_graph(slots_per_day=SLOTS_PER_DAY, days=DAYS_PER_WEEK):

@@ -71,15 +71,6 @@ class DepartureTime:
         """Build from a fractional hour of day, e.g. ``from_hour(0, 8.25)``."""
         return cls(day_of_week=day_of_week, seconds=float(hour) * 3600.0)
 
-    @classmethod
-    def from_slot_index(cls, slot_index):
-        """Inverse of :attr:`slot_index`."""
-        if not 0 <= slot_index < TOTAL_SLOTS:
-            raise ValueError(f"slot_index must be in [0, {TOTAL_SLOTS})")
-        day = slot_index // SLOTS_PER_DAY
-        slot = slot_index % SLOTS_PER_DAY
-        return cls(day_of_week=int(day), seconds=float(slot * SLOT_MINUTES * 60))
-
     def shift(self, seconds):
         """Return a new departure time shifted by ``seconds`` (wraps within the week)."""
         week_seconds = DAYS_PER_WEEK * 86400

@@ -42,13 +42,6 @@ class GPSTrajectory:
         """(N, 2) array of point coordinates."""
         return np.array([[p.x, p.y] for p in self.points])
 
-    @property
-    def duration(self):
-        """Seconds between the first and last fix."""
-        if len(self.points) < 2:
-            return 0.0
-        return self.points[-1].timestamp - self.points[0].timestamp
-
 
 class GPSSampler:
     """Sample noisy GPS fixes along a path driven under the speed model."""

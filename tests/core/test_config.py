@@ -47,17 +47,6 @@ class TestWSCCLConfig:
         assert config.lambda_balance == 0.8
         assert other is not config
 
-    def test_paper_scale_matches_paper_settings(self):
-        paper = WSCCLConfig.paper_scale()
-        assert paper.hidden_dim == 128
-        assert paper.temporal_dim == 128
-        assert paper.lstm_layers == 2
-        assert paper.batch_size == 32
-        assert paper.num_meta_sets == 10
-        assert paper.slots_per_day == 288
-        assert paper.lambda_balance == 0.8
-        assert paper.learning_rate == pytest.approx(3e-4)
-
     def test_test_scale_is_small(self):
         test = WSCCLConfig.test_scale()
         assert test.hidden_dim <= 16

@@ -122,7 +122,8 @@ class TestTemporalPathEncoder:
         encoded.tprs.sum().backward()
         grads = [p.grad for p in encoder.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
-        encoder.zero_grad()
+        for p in encoder.parameters():
+            p.zero_grad()
 
 
 class TestReservedPadId:
@@ -158,7 +159,8 @@ class TestReservedPadId:
             pytest.skip("tiny corpus produced equal-length paths")
 
         def gradients(batches):
-            encoder.zero_grad()
+            for p in encoder.parameters():
+                p.zero_grad()
             for batch in batches:
                 encoder(batch).tprs.sum().backward()
             return {name: (None if p.grad is None else p.grad.copy())
@@ -169,7 +171,6 @@ class TestReservedPadId:
         # pad positions leak gradient.
         padded = gradients([paths])
         unpadded = gradients([[p] for p in paths])
-        encoder.zero_grad()
         assert set(padded) == set(unpadded)
         for name, grad in padded.items():
             other = unpadded[name]

@@ -73,13 +73,6 @@ class TestContrastSets:
             assert combined == set(range(len(batch)))
             assert not set(sets.positives[i]) & set(sets.negatives[i])
 
-    def test_queries_with_positives(self):
-        batch, _ = make_batch()
-        sets = build_contrast_sets(batch)
-        queries = sets.queries_with_positives()
-        assert 0 in queries and 1 in queries
-        assert 4 not in queries
-
 
 class TestEdgeSampleSets:
     def test_edges_drawn_from_correct_paths(self, rng):

@@ -56,11 +56,6 @@ class TestTemporalPathDataset:
         for tp, label in dataset:
             assert label == labeler(tp.departure_time)
 
-    def test_path_lengths(self, dataset):
-        lengths = dataset.path_lengths()
-        assert lengths.shape == (12,)
-        assert (lengths >= 4).all()
-
     def test_subset_preserves_labeler(self, dataset):
         subset = dataset.subset([0, 2, 4])
         assert len(subset) == 3

@@ -341,7 +341,7 @@ class TestEvaluatorEngineEquivalence:
             rows = []
             for tp in temporal_paths:
                 rows.append([
-                    self.network.path_length(list(tp.path)),
+                    float(sum(map(self.network.edge_length, tp.path))),
                     len(tp),
                     tp.departure_time.hour,
                     float(tp.departure_time.is_weekday),

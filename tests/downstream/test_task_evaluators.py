@@ -30,7 +30,7 @@ class LengthModel:
     def encode(self, temporal_paths):
         rows = []
         for tp in temporal_paths:
-            length = self.network.path_length(list(tp.path))
+            length = float(sum(map(self.network.edge_length, tp.path)))
             rows.append([
                 length,
                 len(tp),

@@ -14,6 +14,12 @@ import numpy as np
 from repro.nn import Tensor
 
 
+def initial_state(cell, batch_size):
+    """Zero hidden and cell state of ``cell`` for ``batch_size`` rows."""
+    shape = (batch_size, cell.hidden_size)
+    return Tensor(np.zeros(shape)), Tensor(np.zeros(shape))
+
+
 def reference_lstm_forward(lstm, x, mask=None):
     """Run ``lstm`` over ``x`` through the per-step autograd graph.
 
@@ -27,7 +33,7 @@ def reference_lstm_forward(lstm, x, mask=None):
     layer_input_steps = [x[:, t, :] for t in range(time_steps)]
     for name in lstm._cell_names:
         cell = getattr(lstm, name)
-        h, c = cell.initial_state(batch)
+        h, c = initial_state(cell, batch)
         step_outputs = []
         for t, step in enumerate(layer_input_steps):
             h_new, c_new = cell(step, (h, c))

@@ -36,14 +36,6 @@ class TestParameterRegistration:
         assert parameter.dtype == np.float64
         assert parameter.requires_grad
 
-    def test_zero_grad_clears_all(self):
-        model = TwoLayer()
-        out = model(nn.Tensor(np.ones((2, 4)))).sum()
-        out.backward()
-        assert any(p.grad is not None for p in model.parameters())
-        model.zero_grad()
-        assert all(p.grad is None for p in model.parameters())
-
 
 class TestTrainEval:
     def test_train_flag_propagates(self):

@@ -1,4 +1,4 @@
-"""Tests for the Adam optimiser and gradient clipping."""
+"""Tests for the Adam optimiser, gradient clipping and ``Optimizer.minimize``."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ def quadratic_loss(parameter):
 class TestAdam:
     def test_first_steps_match_formula(self):
         p = nn.Parameter(np.array([1.0, -2.0]))
-        optimizer = nn.Adam([p], lr=0.1, betas=(0.9, 0.999), eps=1e-8)
+        optimizer = nn.Adam([p], lr=0.1)
         m = v = np.zeros(2)
         expected = p.data.copy()
         for step in (1, 2):
@@ -57,14 +57,6 @@ class TestAdam:
         np.testing.assert_allclose(q.data, [2.0])
         assert p.data[0] != 1.0
 
-    def test_weight_decay_shrinks_parameters(self):
-        p = nn.Parameter(np.array([1.0]))
-        optimizer = nn.Adam([p], lr=0.1, weight_decay=0.5)
-        # Zero-gradient step: only weight decay acts.
-        p.grad = np.array([0.0])
-        optimizer.step()
-        assert p.data[0] < 1.0
-
     def test_rejects_empty_parameter_list(self):
         with pytest.raises(ValueError):
             nn.Adam([], lr=0.1)
@@ -87,6 +79,44 @@ class TestAdam:
             loss.backward()
             optimizer.step()
         np.testing.assert_allclose(layer.weight.data.reshape(-1), true_weights, atol=0.05)
+
+
+class TestMinimize:
+    def test_returns_the_loss_value(self):
+        p = nn.Parameter(np.array([1.0, -2.0]))
+        assert nn.Adam([p], lr=0.1).minimize(quadratic_loss(p)) == 4.0 + 25.0
+
+    def test_matches_the_written_out_step(self):
+        p, q = nn.Parameter(np.array([1.0, -2.0])), nn.Parameter(np.array([1.0, -2.0]))
+        by_hand, minimizing = nn.Adam([p], lr=0.1), nn.Adam([q], lr=0.1)
+        for _ in range(3):
+            by_hand.zero_grad()
+            quadratic_loss(p).backward()
+            by_hand.step()
+            minimizing.minimize(quadratic_loss(q))
+        np.testing.assert_array_equal(q.data, p.data)
+
+    def test_clips_only_when_max_norm_is_given(self, monkeypatch):
+        # A gradient of norm 10: Adam's first step is lr * sign(grad) either
+        # way, so look at the gradient the step sees.
+        seen = []
+        monkeypatch.setattr(nn.Adam, "step", lambda self: seen.append(self.parameters[0].grad))
+        p = nn.Parameter(np.array([0.0]))
+        optimizer = nn.Adam([p], lr=0.1)
+        optimizer.minimize((p * 10.0).sum())
+        optimizer.minimize((p * 10.0).sum(), max_norm=2.0)
+        optimizer.minimize((p * 10.0).sum(), max_norm=50.0)
+        np.testing.assert_array_equal(np.concatenate(seen), [10.0, 2.0, 10.0])
+
+    def test_constant_loss_updates_nothing(self):
+        p = nn.Parameter(np.array([1.0, -2.0]))
+        optimizer = nn.Adam([p], lr=0.1)
+        p.grad = np.array([5.0, 5.0])
+        assert optimizer.minimize(nn.Tensor(np.array(7.0)), max_norm=1.0) == 7.0
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+        np.testing.assert_array_equal(p.grad, [5.0, 5.0])
+        assert optimizer._step == 0
+        np.testing.assert_array_equal(optimizer._m[0], 0.0)
 
 
 class TestClipGradNorm:

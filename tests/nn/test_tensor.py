@@ -293,11 +293,6 @@ class TestBackwardMechanics:
         t.zero_grad()
         assert t.grad is None
 
-    def test_detach_cuts_graph(self):
-        t = Tensor([1.0, 2.0], requires_grad=True)
-        detached = t.detach()
-        assert not detached.requires_grad
-
     def test_no_grad_context(self):
         t = Tensor([1.0], requires_grad=True)
         with no_grad():

@@ -54,9 +54,8 @@ def test_shortest_path_is_connected_and_reaches_target(config, od_seed):
     if path is None:
         return
     assert network.is_connected_path(path)
-    nodes = network.path_nodes(path)
-    assert nodes[0] == source
-    assert nodes[-1] == target
+    assert network.edge_endpoints(path[0])[0] == source
+    assert network.edge_endpoints(path[-1])[1] == target
 
 
 @given(city_configs)

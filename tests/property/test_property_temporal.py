@@ -28,12 +28,6 @@ def test_slot_index_in_range(departure):
     assert 0 <= departure.slot_index < TOTAL_SLOTS
 
 
-@given(st.integers(min_value=0, max_value=TOTAL_SLOTS - 1))
-@settings(max_examples=100, deadline=None)
-def test_slot_index_round_trip(slot_index):
-    assert DepartureTime.from_slot_index(slot_index).slot_index == slot_index
-
-
 @given(departure_times, st.floats(min_value=-7 * 86400, max_value=7 * 86400,
                                   allow_nan=False))
 @settings(max_examples=100, deadline=None)

@@ -61,12 +61,6 @@ class TestPaths:
         assert not triangle_network.is_connected_path([0, 2])
         assert not triangle_network.is_connected_path([])
 
-    def test_path_length(self, triangle_network):
-        assert triangle_network.path_length([0, 1]) == pytest.approx(300.0)
-
-    def test_path_nodes(self, triangle_network):
-        assert triangle_network.path_nodes([0, 1, 2]) == [0, 1, 2, 0]
-
     def test_path_object_validation(self):
         with pytest.raises(ValueError):
             Path([])

@@ -22,6 +22,11 @@ from repro.roadnet import (
 )
 
 
+def path_nodes(network, path):
+    """Node sequence a path visits (one more node than edges)."""
+    return [network.edge_endpoints(path[0])[0]] + [network.edge_endpoints(e)[1] for e in path]
+
+
 def features(length):
     return EdgeFeatures(road_type="residential", lanes=1, one_way=False,
                         traffic_signals=False, length=length, speed_limit=36.0)
@@ -308,7 +313,7 @@ class TestKShortestPaths:
                                  edge_cost=spur_loop_network.edge_length)
         assert paths == [[0, 1, 2], [5, 2]]
         for path in paths:
-            nodes = spur_loop_network.path_nodes(path)
+            nodes = path_nodes(spur_loop_network, path)
             assert len(nodes) == len(set(nodes))
 
     def test_all_paths_are_loop_free_on_generated_city(self):
@@ -322,7 +327,7 @@ class TestKShortestPaths:
                 continue
             for path in k_shortest_paths(network, source, target, k=4,
                                          edge_cost=network.edge_length):
-                nodes = network.path_nodes(path)
+                nodes = path_nodes(network, path)
                 assert len(nodes) == len(set(nodes))
                 assert len(path) == len(set(path))
 

@@ -90,13 +90,10 @@ def test_single_path_and_empty_requests(model, workload, golden):
     assert empty.shape == (0, model.representation_dim)
 
 
-def test_baseline_encoder_through_shared_interface(tiny_city, shared_resources,
-                                                   monkeypatch):
+def test_baseline_encoder_through_shared_interface(tiny_city, monkeypatch):
     from repro.baselines import SpatialSequenceEncoder
 
-    encoder = SpatialSequenceEncoder(
-        tiny_city.network,
-        topology_features=shared_resources.topology_features)
+    encoder = SpatialSequenceEncoder(tiny_city.network)
     paths = list(tiny_city.unlabeled.temporal_paths[:10])
     golden = np.stack([encoder.encode([tp])[0] for tp in paths], axis=0)
     monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 4)

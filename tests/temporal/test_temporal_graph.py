@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.temporal import SLOTS_PER_DAY, TOTAL_SLOTS, TemporalGraph, build_temporal_graph
+from repro.temporal import TemporalGraph, build_temporal_graph
 
 
 class TestTemporalGraphContainer:
@@ -27,16 +27,6 @@ class TestTemporalGraphContainer:
         with pytest.raises(KeyError):
             graph.add_edge(0, 5)
 
-    def test_initial_node_features_shape_and_content(self):
-        graph = TemporalGraph(num_nodes=TOTAL_SLOTS)
-        features = graph.initial_node_features()
-        assert features.shape == (TOTAL_SLOTS, SLOTS_PER_DAY + 7)
-        # The paper's example: 00:06 Monday -> slot one-hot at position 1,
-        # day one-hot at the first day position.
-        row = features[1]
-        assert row[1] == 1.0
-        assert row[SLOTS_PER_DAY + 0] == 1.0
-        assert row.sum() == pytest.approx(2.0)
 
 
 class TestBuildTemporalGraph:

@@ -43,17 +43,6 @@ class TestDepartureTime:
         assert t.hour == pytest.approx(8.5)
         assert t.day_of_week == 4
 
-    def test_from_slot_index_round_trip(self):
-        for index in (0, 1, 287, 288, 2015):
-            t = DepartureTime.from_slot_index(index)
-            assert t.slot_index == index
-
-    def test_from_slot_index_bounds(self):
-        with pytest.raises(ValueError):
-            DepartureTime.from_slot_index(TOTAL_SLOTS)
-        with pytest.raises(ValueError):
-            DepartureTime.from_slot_index(-1)
-
     def test_weekday_flag(self):
         assert DepartureTime.from_hour(0, 10).is_weekday
         assert DepartureTime.from_hour(4, 10).is_weekday

@@ -3,8 +3,10 @@ and no module carries a second engine next to its own."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import re
 
@@ -44,3 +46,17 @@ def test_one_dijkstra_loop_in_road_search():
     # a second heap-pop loop would be a second engine.
     source = inspect.getsource(importlib.import_module("repro.roadnet.search"))
     assert len(re.findall(r"\bheappop\(", source)) == 1
+
+
+def test_one_update_step_in_src():
+    # Every training loop updates through Optimizer.minimize; a
+    # zero_grad/backward/step call anywhere else would be a second loop body.
+    root = pathlib.Path(repro.__file__).parent
+    calls = [
+        f"{path.relative_to(root)}:{node.lineno} .{node.func.attr}()"
+        for path in sorted(root.rglob("*.py")) if path != root / "nn" / "optim.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("zero_grad", "backward", "step")
+    ]
+    assert not calls, calls

@@ -35,16 +35,14 @@ class TestTripSimulator:
 
     def test_trip_path_connects_origin_to_destination(self, simulator, tiny_network):
         trip = simulator.simulate_trip()
-        nodes = tiny_network.path_nodes(trip.path)
-        assert nodes[0] == trip.origin
-        assert nodes[-1] == trip.destination
+        assert tiny_network.edge_endpoints(trip.path[0])[0] == trip.origin
+        assert tiny_network.edge_endpoints(trip.path[-1])[1] == trip.destination
 
     def test_alternatives_share_endpoints(self, simulator, tiny_network):
         trip = simulator.simulate_trip()
         for alternative in trip.alternatives:
-            nodes = tiny_network.path_nodes(alternative)
-            assert nodes[0] == trip.origin
-            assert nodes[-1] == trip.destination
+            assert tiny_network.edge_endpoints(alternative[0])[0] == trip.origin
+            assert tiny_network.edge_endpoints(alternative[-1])[1] == trip.destination
 
     def test_simulate_produces_requested_count(self, simulator):
         trips = simulator.simulate(10)
@@ -52,7 +50,7 @@ class TestTripSimulator:
 
     def test_travel_time_roughly_scales_with_length(self, simulator, tiny_network):
         trips = simulator.simulate(25)
-        lengths = np.array([tiny_network.path_length(t.path) for t in trips])
+        lengths = np.array([sum(map(tiny_network.edge_length, t.path)) for t in trips])
         times = np.array([t.travel_time for t in trips])
         correlation = np.corrcoef(lengths, times)[0, 1]
         assert correlation > 0.5
