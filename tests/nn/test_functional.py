@@ -75,6 +75,31 @@ class TestCosineSimilarity:
         np.testing.assert_allclose(norms, np.ones(6), atol=1e-9)
 
 
+class TestSoftplus:
+    def test_matches_log_of_one_plus_exp(self, rng):
+        x = rng.normal(scale=5.0, size=(3, 4))
+        np.testing.assert_array_equal(F.softplus(Tensor(x)).data, np.log(np.exp(x) + 1.0))
+
+    def test_accepts_plain_arrays(self):
+        np.testing.assert_allclose(F.softplus(np.array([0.0, 30.0])).data,
+                                   [np.log(2.0), 30.0], rtol=1e-12)
+
+
+class TestMaskedMean:
+    def test_averages_only_the_valid_steps(self, rng):
+        x = rng.normal(size=(2, 3, 4))
+        mask = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+        expected = np.stack([x[0, :2].mean(axis=0), x[1, 0]])
+        np.testing.assert_allclose(F.masked_mean(Tensor(x), mask).data, expected, atol=1e-12)
+
+    def test_row_without_a_valid_step_is_zero(self, rng):
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        mask = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        out = F.masked_mean(x, mask).data
+        assert out.shape == (2, 4)
+        np.testing.assert_array_equal(out[1], 0.0)
+
+
 class TestLosses:
     def test_mse_zero_for_equal_inputs(self):
         x = Tensor([1.0, 2.0, 3.0])
@@ -115,6 +140,7 @@ _OTHER = np.random.default_rng(5).normal(size=(3, 4))
 _TARGETS = np.array([1.0, 0.0, 1.0, 0.0])
 _CLASSES = np.array([2, 0, 3])
 _WEIGHTS = np.arange(12.0).reshape(3, 4)
+_STEP_MASK = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 
 #: The ops the WSC losses and baselines differentiate through.
 #: name -> (scalar graph of ``t``, shape of ``t``).
@@ -132,6 +158,9 @@ GRADIENT_CASES = {
         lambda t: F.cosine_similarity(Tensor(_OTHER), t).sum(), (3, 4)),
     "mse_loss": (lambda t: F.mse_loss(t, Tensor(_OTHER)), (3, 4)),
     "cross_entropy": (lambda t: F.cross_entropy(t, _CLASSES), (3, 4)),
+    "softplus": (lambda t: (F.softplus(t) * Tensor(_WEIGHTS)).sum(), (3, 4)),
+    "masked_mean": (
+        lambda t: (F.masked_mean(t, _STEP_MASK) * Tensor(_WEIGHTS[:2])).sum(), (2, 3, 4)),
 }
 
 

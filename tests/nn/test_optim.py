@@ -108,6 +108,15 @@ class TestMinimize:
         optimizer.minimize((p * 10.0).sum(), max_norm=50.0)
         np.testing.assert_array_equal(np.concatenate(seen), [10.0, 2.0, 10.0])
 
+    def test_clears_gradients_left_from_an_earlier_backward(self):
+        p, q = nn.Parameter(np.array([1.0, -2.0])), nn.Parameter(np.array([1.0, -2.0]))
+        stale, fresh = nn.Adam([p], lr=0.1), nn.Adam([q], lr=0.1)
+        quadratic_loss(p).backward()
+        stale.minimize(quadratic_loss(p))
+        fresh.minimize(quadratic_loss(q))
+        np.testing.assert_array_equal(p.grad, q.grad)
+        np.testing.assert_array_equal(stale._v[0], fresh._v[0])
+
     def test_constant_loss_updates_nothing(self):
         p = nn.Parameter(np.array([1.0, -2.0]))
         optimizer = nn.Adam([p], lr=0.1)

@@ -60,3 +60,30 @@ def test_one_update_step_in_src():
         and node.func.attr in ("zero_grad", "backward", "step")
     ]
     assert not calls, calls
+
+
+def test_adam_takes_only_a_learning_rate():
+    from repro import nn
+
+    assert list(inspect.signature(nn.Adam).parameters) == ["parameters", "lr"]
+
+
+def test_sequence_baselines_share_one_fit():
+    # MB, BERT, InfoGraph and PIM give only their objective; the loop is
+    # SpatialSequenceModel.fit.
+    from repro.baselines import BERTPathModel, InfoGraphModel, MemoryBankModel, PIMModel
+    from repro.baselines.sequence_encoder import SpatialSequenceModel
+
+    for cls in (MemoryBankModel, BERTPathModel, InfoGraphModel, PIMModel):
+        assert "fit" not in vars(cls), cls.__name__
+        assert "_objective" in vars(cls), cls.__name__
+        assert cls.fit is SpatialSequenceModel.fit
+
+
+def test_graph_infomax_baselines_share_one_fit():
+    from repro.baselines import DGIPathModel, GMIPathModel
+
+    for cls in (DGIPathModel, GMIPathModel):
+        assert "fit" not in vars(cls), cls.__name__
+        assert "_objective" in vars(cls), cls.__name__
+    assert DGIPathModel.fit is GMIPathModel.fit
