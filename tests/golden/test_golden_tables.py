@@ -6,6 +6,9 @@ with the file committed next to this module, so any change to the numbers
 default) fails here with the first differing line.  Every table runner of
 ``repro.evaluation`` (Table II, Tables III-XII and Fig. 7) has a case at
 ``HarnessConfig()``, and a guard test fails when a new runner lands unpinned.
+The tables score representations through gradient-boosted trees, whose
+predictions move only when a value crosses a split, so one more case pins a
+hash of every fitted model's raw output (``baseline_representations``).
 
 The files are written once and not regenerated by refactors that claim to
 keep outputs identical.  Cities and node2vec fits are memoized per process
@@ -24,14 +27,22 @@ import pathlib
 import pickle
 import sys
 
+import numpy as np
 import pytest
 
 from repro import _memo
 from repro.datasets import DatasetScale, aalborg
+from repro.datasets.tasks import task_split
 import repro.evaluation
 from repro.evaluation import (
+    EDGE_SUM_BASELINES,
+    SUPERVISED_BASELINES,
+    UNSUPERVISED_BASELINES,
     HarnessConfig,
     build_dataset,
+    build_supervised_baseline,
+    fit_unsupervised_baseline,
+    fit_wsccl,
     run_fig7_pretraining,
     run_table2_dataset_statistics,
     run_table3_overall,
@@ -45,6 +56,7 @@ from repro.evaluation import (
     run_table11_lambda,
     run_table12_metasets,
 )
+from repro.serving import PathEmbeddingService
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -63,6 +75,48 @@ def mapmatched_dataset_summary():
         for tp in city.unlabeled.temporal_paths[:50]
     ]
     return {"statistics": city.statistics(), "first_paths": paths}
+
+
+def array_digest(array):
+    """``"<shape> <sha256 of the float64 bytes>"`` of a model's output."""
+    array = np.ascontiguousarray(array, dtype=np.float64)
+    return f"{'x'.join(map(str, array.shape))} {hashlib.sha256(array.tobytes()).hexdigest()}"
+
+
+def baseline_representations():
+    """Hashes of every fitted model's output on the tiny Aalborg ranking paths.
+
+    Covers the eight unsupervised ``encode``s, the supervised baselines'
+    ``encode`` and ``predict`` per task they train on, four WSCCL variants
+    directly and through a service, and PathRank loaded from WSCCL's encoder.
+    """
+    config = HarnessConfig()
+    city = build_dataset("aalborg", config)
+    paths = [e.temporal_path for e in city.tasks.ranking]
+    digests = {}
+    for name in UNSUPERVISED_BASELINES + ("PIM-Temporal",):
+        model = fit_unsupervised_baseline(name, city, config)
+        digests[f"{name} encode"] = array_digest(model.encode(paths))
+    for name in SUPERVISED_BASELINES + EDGE_SUM_BASELINES:
+        tasks = ("travel_time", "ranking") if name in SUPERVISED_BASELINES else ("travel_time",)
+        for task in tasks:
+            train, _ = task_split(task, getattr(city.tasks, task),
+                                  config.test_fraction, config.seed)
+            model = build_supervised_baseline(name, config)
+            model.fit_supervised(train, task, city=city, max_batches=config.max_batches)
+            if name in SUPERVISED_BASELINES:
+                digests[f"{name} {task} encode"] = array_digest(model.encode(paths))
+            digests[f"{name} {task} predict"] = array_digest(model.predict(paths))
+    for variant in ("full", "no_cl", "heuristic", "no_temporal"):
+        wsccl = fit_wsccl(city, config, variant=variant)
+        digests[f"WSCCL {variant} encode"] = array_digest(wsccl.encode(paths))
+        digests[f"WSCCL {variant} service"] = array_digest(
+            PathEmbeddingService(wsccl).embed(paths))
+        if variant == "full":
+            pretrained_state = wsccl.encoder_state_dict()
+    pathrank = build_supervised_baseline("PathRank", config, pretrained_state=pretrained_state)
+    digests["PathRank pretrained encode"] = array_digest(pathrank.fit(city).encode(paths))
+    return digests
 
 
 CASES = {
@@ -86,6 +140,7 @@ CASES = {
     "fig7_pretraining": lambda: run_fig7_pretraining(
         HarnessConfig(), city_name="aalborg", label_fractions=(0.5, 1.0)),
     "aalborg_tiny_mapmatched": mapmatched_dataset_summary,
+    "baseline_representations": baseline_representations,
 }
 
 
