@@ -12,7 +12,7 @@ Quickstart
 >>> city = aalborg(scale=DatasetScale.tiny())
 >>> model = WSCCL(city.network, config=WSCCLConfig.test_scale())
 >>> model.fit(city.unlabeled)                                    # doctest: +SKIP
->>> tpr = model.represent(city.unlabeled.temporal_paths[0])      # doctest: +SKIP
+>>> tprs = model.encode(city.unlabeled.temporal_paths[:3])       # doctest: +SKIP
 """
 
 __version__ = "1.0.0"

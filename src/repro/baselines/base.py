@@ -46,10 +46,6 @@ class RepresentationModel:
         """Return an ``(N, D)`` representation matrix for the given paths."""
         raise NotImplementedError
 
-    def represent(self, temporal_path):
-        """Representation of a single temporal path."""
-        return self.encode([temporal_path])[0]
-
 
 class SupervisedModel(RepresentationModel):
     """Interface for supervised baselines (trained on one task's labels)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import encode_in_chunks, pad_paths
+from ..core.encoder import PathEncoder, pad_paths
 from ..core.model import SharedResources
 from ..nn import functional as F
 from .supervised_base import SupervisedSequenceModel
@@ -27,14 +27,14 @@ from .supervised_base import SupervisedSequenceModel
 __all__ = ["DeepGTTModel"]
 
 
-class _DeepGTTEncoder(nn.Module):
+class _DeepGTTEncoder(PathEncoder):
     """Mean-pooled edge features conditioned on the departure time slot."""
 
     def __init__(self, network, config, resources=None, seed=0):
         super().__init__()
         resources = resources or SharedResources(network, config)
         rng = np.random.default_rng(seed)
-        self.config = config
+        self.output_dim = config.hidden_dim
         self.spatial = resources.new_spatial_embedding(rng=rng)
         self.temporal = resources.new_temporal_embedding()
         self.edge_projection = nn.Linear(config.spatial_dim, config.hidden_dim, rng=rng)
@@ -54,10 +54,6 @@ class _DeepGTTEncoder(nn.Module):
             nn.Tensor.concatenate([pooled_edges, time_state], axis=-1)
         ).tanh()
         return pooled, edge_states, mask
-
-    def encode(self, temporal_paths, batch_size=64):
-        return encode_in_chunks(lambda chunk: self.forward(chunk)[0], temporal_paths,
-                                (0, self.config.hidden_dim), batch_size)
 
 
 class DeepGTTModel(SupervisedSequenceModel):

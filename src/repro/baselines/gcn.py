@@ -134,10 +134,10 @@ class GCNTravelTimeModel(SupervisedModel):
             rows.append(edge_times[indices].sum().reshape(1))
         return nn.Tensor.concatenate(rows, axis=0)
 
-    def predict(self, temporal_paths, batch_size=64):
+    def predict(self, temporal_paths):
         if self._backbone is None:
             raise RuntimeError("model has not been trained")
-        return encode_in_chunks(self._predict_batch_tensor, temporal_paths, (0,), batch_size)
+        return encode_in_chunks(self._predict_batch_tensor, temporal_paths, (0,))
 
 
 class STGCNTravelTimeModel(GCNTravelTimeModel):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import encode_in_chunks, pad_paths
+from ..core.encoder import TemporalPathEncoder
 from ..core.model import SharedResources
 from .supervised_base import SupervisedSequenceModel
 
@@ -26,37 +26,20 @@ __all__ = ["HMTRLModel"]
 _COHERENCE_WEIGHT = 0.1
 
 
-class _HMTRLEncoder(nn.Module):
-    """LSTM over spatio-temporal edge features with mean+max pooling."""
+class _HMTRLEncoder(TemporalPathEncoder):
+    """The temporal path encoder with mean+max pooling mixed by a linear layer."""
 
-    def __init__(self, network, config, resources=None, seed=0):
-        super().__init__()
-        resources = resources or SharedResources(network, config)
-        rng = np.random.default_rng(seed)
-        self.config = config
-        self.spatial = resources.new_spatial_embedding(rng=rng)
-        self.temporal = resources.new_temporal_embedding()
-        self.lstm = nn.LSTM(config.encoder_input_dim, config.hidden_dim, rng=rng)
+    def __init__(self, config, spatial, temporal, rng):
+        super().__init__(config, spatial, temporal, rng)
         self.mix = nn.Linear(2 * config.hidden_dim, config.hidden_dim, rng=rng)
 
     def forward(self, temporal_paths):
-        edge_ids, mask = pad_paths(temporal_paths)
-        spatial = self.spatial(edge_ids)
-        temporal = self.temporal([tp.departure_time for tp in temporal_paths])
-        steps = nn.Tensor(np.repeat(temporal.data[:, None, :], edge_ids.shape[1], axis=1))
-        inputs = nn.Tensor.concatenate([steps, spatial], axis=-1)
-        outputs, _ = self.lstm(inputs, mask=mask)
-
-        mean_pooled = nn.functional.masked_mean(outputs, mask)
+        mean_pooled, outputs, mask = super().forward(temporal_paths)
         # Max over valid steps: push padded entries far down before max.
         shifted = outputs + nn.Tensor((mask[:, :, None] - 1.0) * 1e6)
         max_pooled = shifted.max(axis=1)
         pooled = self.mix(nn.Tensor.concatenate([mean_pooled, max_pooled], axis=-1)).tanh()
         return pooled, outputs, mask
-
-    def encode(self, temporal_paths, batch_size=64):
-        return encode_in_chunks(lambda chunk: self.forward(chunk)[0], temporal_paths,
-                                (0, self.config.hidden_dim), batch_size)
 
 
 class HMTRLModel(SupervisedSequenceModel):
@@ -67,9 +50,10 @@ class HMTRLModel(SupervisedSequenceModel):
         super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
 
     def build_encoder(self, city, resources=None):
-        self._encoder = _HMTRLEncoder(
-            city.network, self.config, resources=resources, seed=self.seed,
-        )
+        resources = resources or SharedResources(city.network, self.config)
+        rng = np.random.default_rng(self.seed)
+        self._encoder = _HMTRLEncoder(self.config, resources.new_spatial_embedding(rng=rng),
+                                      resources.new_temporal_embedding(), rng)
         return self._encoder
 
     def _loss(self, pooled, outputs, mask, observed):

@@ -2,10 +2,10 @@
 
 A supervised path representation model that consumes edge features plus the
 departure time as context and is trained end-to-end on the labels of one
-task.  Its encoder has the same interface as WSCCL's temporal path encoder,
-which is what makes the pre-training experiment of Fig. 7 possible: WSCCL's
-trained encoder parameters are loaded into PathRank before supervised
-fine-tuning (``pretrained_state``).
+task.  Its encoder is WSCCL's temporal path encoder, which is what makes the
+pre-training experiment of Fig. 7 possible: WSCCL's trained encoder
+parameters are loaded into PathRank before supervised fine-tuning
+(``pretrained_state``).
 
 Note: the original PathRank uses GRUs; we reuse the LSTM-based temporal path
 encoder so pre-trained WSCCL parameters transplant exactly (the paper's
@@ -15,30 +15,11 @@ listed in the README's "Baselines" section.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import TemporalPathEncoder
 from ..core.model import SharedResources
 from .supervised_base import SupervisedSequenceModel
 
 __all__ = ["PathRankModel"]
-
-
-class _TemporalEncoderAdapter(nn.Module):
-    """Adapt :class:`TemporalPathEncoder` to the supervised-model interface."""
-
-    def __init__(self, encoder):
-        super().__init__()
-        self.encoder = encoder
-
-    def forward(self, temporal_paths):
-        encoded = self.encoder(temporal_paths)
-        return encoded.tprs, encoded.edge_representations, encoded.mask
-
-    def encode(self, temporal_paths, batch_size=64):
-        return self.encoder.encode(temporal_paths, batch_size=batch_size)
 
 
 class PathRankModel(SupervisedSequenceModel):
@@ -51,15 +32,7 @@ class PathRankModel(SupervisedSequenceModel):
 
     def build_encoder(self, city, resources=None):
         resources = resources or SharedResources(city.network, self.config)
-        rng = np.random.default_rng(self.seed)
-        encoder = TemporalPathEncoder(
-            network=city.network,
-            config=self.config,
-            spatial_embedding=resources.new_spatial_embedding(rng=rng),
-            temporal_embedding=resources.new_temporal_embedding(),
-            rng=rng,
-        )
+        self._encoder = resources.new_encoder(seed=self.seed)
         if self.pretrained_state is not None:
-            encoder.load_state_dict(self.pretrained_state)
-        self._encoder = _TemporalEncoderAdapter(encoder)
+            self._encoder.load_state_dict(self.pretrained_state)
         return self._encoder

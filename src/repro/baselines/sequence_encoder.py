@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import encode_in_chunks, pad_paths
+from ..core.encoder import PathEncoder, pad_paths
 from ..core.spatial import SpatialEmbedding
 from ..datasets.splits import minibatch_indices
 from .base import _BATCH_SIZE, _LR, RepresentationModel
@@ -21,7 +21,7 @@ from .base import _BATCH_SIZE, _LR, RepresentationModel
 __all__ = ["SpatialSequenceEncoder", "SpatialSequenceModel"]
 
 
-class SpatialSequenceEncoder(nn.Module):
+class SpatialSequenceEncoder(PathEncoder):
     """LSTM over spatial edge embeddings with masked mean pooling.
 
     Parameters
@@ -36,7 +36,7 @@ class SpatialSequenceEncoder(nn.Module):
         super().__init__()
         rng = np.random.default_rng(seed)
         self.config = WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
-        self.hidden_dim = hidden_dim
+        self.output_dim = hidden_dim
         self.spatial = SpatialEmbedding(network, self.config, rng=rng)
         self.lstm = nn.LSTM(self.config.spatial_dim, hidden_dim, rng=rng)
 
@@ -46,11 +46,6 @@ class SpatialSequenceEncoder(nn.Module):
         spatial = self.spatial(edge_ids)
         outputs, _ = self.lstm(spatial, mask=mask)
         return nn.functional.masked_mean(outputs, mask), outputs, mask
-
-    def encode(self, temporal_paths, batch_size=64):
-        """Frozen numpy representations for a list of paths."""
-        return encode_in_chunks(lambda chunk: self.forward(chunk)[0],
-                                temporal_paths, (0, self.hidden_dim), batch_size)
 
 
 class SpatialSequenceModel(RepresentationModel):

@@ -24,9 +24,8 @@ __all__ = ["SupervisedSequenceModel"]
 class SupervisedSequenceModel(SupervisedModel):
     """Base class: encoder + linear heads trained on one task's labels.
 
-    Subclasses must set ``self._encoder`` (a module with
-    ``forward(paths) -> (pooled Tensor, outputs Tensor, mask)`` and
-    ``encode(paths) -> numpy``) inside :meth:`build_encoder`.
+    Subclasses must set ``self._encoder``, a
+    :class:`~repro.core.encoder.PathEncoder`, inside :meth:`build_encoder`.
     """
 
     #: Number of ``dim -> 1`` linear heads drawn, in order, from the seeded
@@ -101,12 +100,12 @@ class SupervisedSequenceModel(SupervisedModel):
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, temporal_paths, batch_size=64):
+    def predict(self, temporal_paths):
         """Direct predictions of the trained task, in target units."""
         if self._encoder is None or self._heads is None:
             raise RuntimeError("model has not been trained with fit_supervised")
         scaled = encode_in_chunks(lambda chunk: self._predict(self._encoder(chunk)[0]),
-                                  temporal_paths, (0,), batch_size)
+                                  temporal_paths, (0,))
         return scaled * self._target_std + self._target_mean
 
     def encode(self, temporal_paths):

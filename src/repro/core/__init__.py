@@ -9,9 +9,9 @@ from .curriculum import (
     split_into_meta_sets,
     train_experts,
 )
-from .encoder import PAD_EDGE_ID, EncodedBatch, TemporalPathEncoder, pad_paths
+from .encoder import PAD_EDGE_ID, PathEncoder, TemporalPathEncoder, pad_paths
 from .losses import combined_wsc_loss, global_wsc_loss, local_wsc_loss
-from .model import SharedResources, WSCModel
+from .model import SharedResources
 from .sampling import (
     ContrastSets,
     EdgeSampleSets,
@@ -30,8 +30,8 @@ __all__ = [
     "SpatialEmbedding",
     "compute_edge_topology_features",
     "TemporalEmbedding",
+    "PathEncoder",
     "TemporalPathEncoder",
-    "EncodedBatch",
     "pad_paths",
     "PAD_EDGE_ID",
     "augment_with_positive_views",
@@ -42,7 +42,6 @@ __all__ = [
     "global_wsc_loss",
     "local_wsc_loss",
     "combined_wsc_loss",
-    "WSCModel",
     "SharedResources",
     "WSCTrainer",
     "TrainingHistory",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import WSCModel
+from .model import SharedResources
 from .trainer import WSCTrainer
 
 __all__ = [
@@ -74,12 +74,10 @@ def train_experts(network, meta_sets, config, resources=None, weak_labeler=None,
         raise ValueError(
             "train_experts needs a weak_labeler when meta-sets are non-empty; "
             "untrained experts would yield meaningless difficulty scores")
+    resources = resources or SharedResources(network, config)
     experts = []
     for set_index, meta_set in enumerate(meta_sets):
-        expert = WSCModel(
-            network, config=config, resources=resources,
-            seed=config.seed + 100 + set_index,
-        )
+        expert = resources.new_encoder(seed=config.seed + 100 + set_index)
         trainer = WSCTrainer(expert, config=config, seed=config.seed + set_index)
         if meta_set:
             trainer.fit_on_samples(
@@ -91,7 +89,7 @@ def train_experts(network, meta_sets, config, resources=None, weak_labeler=None,
     return experts
 
 
-def difficulty_scores(samples, assignments, experts, batch_size=64):
+def difficulty_scores(samples, assignments, experts):
     """Difficulty score per sample (Eq. 13).
 
     For a sample from meta-set ``j``, the score is the sum over all other
@@ -103,9 +101,7 @@ def difficulty_scores(samples, assignments, experts, batch_size=64):
         return np.zeros(len(samples))
 
     temporal_paths = [tp for tp, _ in samples]
-    representations = [
-        expert.encode(temporal_paths, batch_size=batch_size) for expert in experts
-    ]
+    representations = [expert.encode(temporal_paths) for expert in experts]
     normalized = []
     for matrix in representations:
         norms = np.linalg.norm(matrix, axis=1, keepdims=True)

@@ -1,11 +1,17 @@
-"""Temporal Path Encoder (paper §IV).
+"""Temporal Path Encoder (paper §IV) and the path-encoder contract.
 
-The encoder turns a batch of temporal paths into
+:class:`TemporalPathEncoder` is the model WSCCL trains.  It turns a batch of
+temporal paths into
 
 * spatio-temporal edge representations (STERs) — the per-step outputs of the
   LSTM over concatenated spatial/temporal edge features (Eq. 7), and
 * temporal path representations (TPRs) — the masked mean of the STERs over
   the path (Eq. 8).
+
+Every path encoder of the repository, WSCCL's and the sequence baselines',
+is a :class:`PathEncoder`: ``forward(paths)`` returns ``(representations,
+steps, mask)`` and the inherited ``encode(paths)`` returns the
+representations as numpy.
 """
 
 from __future__ import annotations
@@ -15,15 +21,15 @@ from itertools import chain
 import numpy as np
 
 from .. import nn
-from .spatial import SpatialEmbedding
-from .temporal_embedding import TemporalEmbedding
 
-__all__ = ["TemporalPathEncoder", "EncodedBatch", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
+__all__ = ["PathEncoder", "TemporalPathEncoder", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
 
 #: Reserved edge id marking padding positions.  It is never a valid edge
 #: index; :class:`~repro.core.spatial.SpatialEmbedding` maps it to an exactly
 #: zero feature vector so padded steps cannot leak activations or gradients.
 PAD_EDGE_ID = -1
+#: Paths per forward pass of :func:`encode_in_chunks`.
+_CHUNK = 64
 
 
 def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
@@ -56,65 +62,67 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
     return edge_ids, valid.astype(np.float64)
 
 
-def encode_in_chunks(forward, temporal_paths, empty_shape, batch_size=64):
-    """Run ``forward`` over ``batch_size`` chunks of paths without gradients.
+def encode_in_chunks(forward, temporal_paths, empty_shape):
+    """Run ``forward`` over chunks of 64 paths without gradients.
 
     ``forward(chunk)`` returns a Tensor with one row per path; the rows of
     all chunks are stacked into one numpy array.  No paths give
-    ``np.zeros(empty_shape)``.  Every model's ``encode`` and ``predict`` is
-    this loop.
+    ``np.zeros(empty_shape)``.  :meth:`PathEncoder.encode` and every
+    supervised model's ``predict`` is this loop.
     """
     if not temporal_paths:
         return np.zeros(empty_shape)
     with nn.no_grad():
         return np.concatenate([
-            forward(temporal_paths[start:start + batch_size]).data
-            for start in range(0, len(temporal_paths), batch_size)
+            forward(temporal_paths[start:start + _CHUNK]).data
+            for start in range(0, len(temporal_paths), _CHUNK)
         ], axis=0)
 
 
-class EncodedBatch:
-    """Output of the encoder for one batch of temporal paths."""
+class PathEncoder(nn.Module):
+    """A module that encodes temporal paths.
 
-    def __init__(self, tprs, edge_representations, mask, edge_ids):
-        #: Tensor (batch, hidden_dim): the TPRs.
-        self.tprs = tprs
-        #: Tensor (batch, max_len, hidden_dim): the STERs.
-        self.edge_representations = edge_representations
-        #: numpy (batch, max_len): validity mask.
-        self.mask = mask
-        #: numpy (batch, max_len): edge ids (padded).
-        self.edge_ids = edge_ids
+    Subclasses set ``output_dim`` and define ``forward(temporal_paths)``,
+    which returns ``(representations, steps, mask)``: the ``(batch,
+    output_dim)`` path representations, the ``(batch, max_len, ·)`` per-step
+    states and the ``(batch, max_len)`` numpy validity mask.
+    """
+
+    def encode(self, temporal_paths):
+        """Path representations as a numpy ``(N, output_dim)`` matrix, without
+        gradients: the inference entry point of every encoder."""
+        return encode_in_chunks(lambda chunk: self(chunk)[0], temporal_paths,
+                                (0, self.output_dim))
 
 
-class TemporalPathEncoder(nn.Module):
-    """Encode temporal paths into TPRs.
+class TemporalPathEncoder(PathEncoder):
+    """Encode temporal paths into STERs and TPRs (Eq. 7–8).
 
     Parameters
     ----------
-    network:
-        The road network the paths live on.
     config:
         :class:`~repro.core.config.WSCCLConfig`.
-    spatial_embedding, temporal_embedding:
-        Optional pre-built embedding modules.  Sharing the (frozen) node2vec
-        features across several encoders — the curriculum experts, the
-        WSCCL-NT ablation — avoids recomputing walks.
+    spatial, temporal:
+        The :class:`~repro.core.spatial.SpatialEmbedding` and
+        :class:`~repro.core.temporal_embedding.TemporalEmbedding` of the
+        path's edges and departure time;
+        :meth:`~repro.core.model.SharedResources.new_encoder` builds both
+        over shared frozen node2vec features.
+    rng:
+        Generator the LSTM weights are drawn from.
     use_temporal:
         When False the temporal embedding is replaced with zeros; this is the
         WSCCL-NT ablation of Table VIII.
     """
 
-    def __init__(self, network, config, spatial_embedding=None,
-                 temporal_embedding=None, use_temporal=True, rng=None):
+    def __init__(self, config, spatial, temporal, rng, use_temporal=True):
         super().__init__()
         self.config = config
-        self.network = network
         self.use_temporal = use_temporal
-        rng = rng or np.random.default_rng(config.seed)
-
-        self.spatial = spatial_embedding or SpatialEmbedding(network, config, rng=rng)
-        self.temporal = temporal_embedding or TemporalEmbedding(config)
+        #: ``d_h``: dimensionality of the TPRs.
+        self.output_dim = config.hidden_dim
+        self.spatial = spatial
+        self.temporal = temporal
         self.lstm = nn.LSTM(
             input_size=config.encoder_input_dim,
             hidden_size=config.hidden_dim,
@@ -122,42 +130,20 @@ class TemporalPathEncoder(nn.Module):
             rng=rng,
         )
 
-    @property
-    def output_dim(self):
-        """``d_h``: dimensionality of the TPRs."""
-        return self.config.hidden_dim
-
-    # ------------------------------------------------------------------
     def forward(self, temporal_paths):
-        """Encode a list of :class:`~repro.datasets.temporal_paths.TemporalPath`.
-
-        Returns an :class:`EncodedBatch`.
-        """
+        """``(tprs, sters, mask)`` for a list of
+        :class:`~repro.datasets.temporal_paths.TemporalPath`."""
         edge_ids, mask = pad_paths(temporal_paths)
-        batch, max_len = edge_ids.shape
-
         spatial = self.spatial(edge_ids)                      # (B, T, d)
         departure_times = [tp.departure_time for tp in temporal_paths]
         temporal = self.temporal(departure_times)             # (B, d_tem)
         if not self.use_temporal:
             temporal = nn.Tensor(np.zeros_like(temporal.data))
         # Broadcast the temporal embedding to every step of the path.
-        temporal_steps = nn.Tensor(np.repeat(temporal.data[:, None, :], max_len, axis=1))
+        temporal_steps = nn.Tensor(np.repeat(temporal.data[:, None, :], edge_ids.shape[1], axis=1))
         inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
 
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
 
         # Masked mean over valid steps (Eq. 8).
-        tprs = nn.functional.masked_mean(outputs, mask)
-        return EncodedBatch(tprs=tprs, edge_representations=outputs,
-                            mask=mask, edge_ids=edge_ids)
-
-    # ------------------------------------------------------------------
-    def encode(self, temporal_paths, batch_size=64):
-        """Encode paths to a plain numpy TPR matrix without tracking gradients.
-
-        This is the inference entry point used by the downstream tasks, the
-        curriculum difficulty scoring, and the baselines' evaluation harness.
-        """
-        return encode_in_chunks(lambda chunk: self.forward(chunk).tprs,
-                                temporal_paths, (0, self.output_dim), batch_size)
+        return nn.functional.masked_mean(outputs, mask), outputs, mask

@@ -1,21 +1,21 @@
-"""The WSC model: a temporal path encoder trained with WSC losses.
+"""Shared frozen resources and the factory of WSC models.
 
-:class:`WSCModel` bundles the encoder with the shared frozen embedding
-resources (node2vec features) so that the curriculum stage can create many
-expert models over the same network without recomputing walks.
+The WSC model is a :class:`~repro.core.encoder.TemporalPathEncoder`.
+:meth:`SharedResources.new_encoder` builds one over frozen node2vec features
+computed once per network, so the curriculum stage, the ablations, model
+loading and PathRank create many encoders without recomputing walks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from .config import WSCCLConfig
 from .encoder import TemporalPathEncoder
 from .spatial import SpatialEmbedding
 from .temporal_embedding import TemporalEmbedding
 
-__all__ = ["WSCModel", "SharedResources"]
+__all__ = ["SharedResources"]
 
 
 class SharedResources:
@@ -59,60 +59,16 @@ class SharedResources:
         """A temporal embedding module reusing the frozen slot embeddings."""
         return TemporalEmbedding(self.config, embeddings=self.temporal_embeddings)
 
+    def new_encoder(self, seed=None, use_temporal=True):
+        """A fresh :class:`~repro.core.encoder.TemporalPathEncoder` over the
+        frozen features.
 
-class WSCModel(nn.Module):
-    """Weakly-Supervised Contrastive model (the paper's basic framework).
-
-    Parameters
-    ----------
-    network:
-        Road network the model's paths live on.
-    config:
-        Hyper-parameters.
-    resources:
-        Optional :class:`SharedResources`; created on demand otherwise.
-    use_temporal:
-        Set False for the WSCCL-NT ablation (Table VIII).
-    seed:
-        Seed for the trainable parameter initialisation (each curriculum
-        expert gets a different seed).
-    """
-
-    def __init__(self, network, config=None, resources=None, use_temporal=True,
-                 seed=None):
-        super().__init__()
-        self.config = config or WSCCLConfig()
-        self.network = network
-        self.resources = resources or SharedResources(network, self.config)
-        seed = self.config.seed if seed is None else seed
-        rng = np.random.default_rng(seed)
-
-        self.encoder = TemporalPathEncoder(
-            network=network,
-            config=self.config,
-            spatial_embedding=self.resources.new_spatial_embedding(rng=rng),
-            temporal_embedding=self.resources.new_temporal_embedding(),
-            use_temporal=use_temporal,
-            rng=rng,
+        One generator seeded with ``seed`` (default: the config's) draws the
+        spatial embedding's weights, then the LSTM's.  ``use_temporal=False``
+        gives the WSCCL-NT ablation (Table VIII).
+        """
+        rng = np.random.default_rng(self.config.seed if seed is None else seed)
+        return TemporalPathEncoder(
+            self.config, self.new_spatial_embedding(rng=rng),
+            self.new_temporal_embedding(), rng, use_temporal=use_temporal,
         )
-
-    @property
-    def representation_dim(self):
-        """Dimensionality of the produced TPRs."""
-        return self.encoder.output_dim
-
-    def forward(self, temporal_paths):
-        """Encode a batch; returns an :class:`~repro.core.encoder.EncodedBatch`."""
-        return self.encoder(temporal_paths)
-
-    def encode(self, temporal_paths, batch_size=64):
-        """Numpy TPR matrix for a list of temporal paths (no gradients)."""
-        return self.encoder.encode(temporal_paths, batch_size=batch_size)
-
-    def embed(self, temporal_paths, batch_size=64):
-        """Alias of :meth:`encode`, matching the serving layer's vocabulary."""
-        return self.encode(temporal_paths, batch_size=batch_size)
-
-    def represent(self, temporal_path):
-        """Convenience: the TPR of a single temporal path as a 1-D array."""
-        return self.encode([temporal_path])[0]

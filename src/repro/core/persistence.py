@@ -17,7 +17,8 @@ import json
 import numpy as np
 
 from .config import WSCCLConfig
-from .model import SharedResources, WSCModel
+from .encoder import TemporalPathEncoder
+from .model import SharedResources
 
 __all__ = ["save_model", "load_model"]
 
@@ -29,32 +30,32 @@ _META_KEY = "meta_json"
 
 
 def save_model(path, model):
-    """Persist a trained :class:`WSCModel` (or a ``WSCCL`` wrapper's model).
+    """Persist a trained :class:`~repro.core.encoder.TemporalPathEncoder`.
 
     Parameters
     ----------
     path:
         Destination ``.npz`` file path.
     model:
-        A :class:`WSCModel`, or any object with a ``model`` attribute holding
-        one (e.g. :class:`~repro.core.wsccl.WSCCL`).
+        A :class:`~repro.core.encoder.TemporalPathEncoder`, or a
+        :class:`~repro.core.wsccl.WSCCL` (its ``model`` is saved with its
+        config).
     """
-    if not isinstance(model, WSCModel):
-        model = getattr(model, "model", None)
-        if not isinstance(model, WSCModel):
-            raise TypeError("save_model expects a WSCModel or a WSCCL instance")
+    encoder = getattr(model, "model", model)
+    if type(encoder) is not TemporalPathEncoder:
+        raise TypeError("save_model expects a TemporalPathEncoder or a WSCCL instance")
 
     arrays = {
-        _RESOURCE_TOPOLOGY: model.resources.topology_features,
-        _RESOURCE_TEMPORAL: model.resources.temporal_embeddings,
+        _RESOURCE_TOPOLOGY: encoder.spatial.topology_features,
+        _RESOURCE_TEMPORAL: encoder.temporal.embeddings,
     }
-    for name, value in model.encoder.state_dict().items():
+    for name, value in encoder.state_dict().items():
         arrays[_STATE_PREFIX + name] = value
 
     config_json = json.dumps(dataclasses.asdict(model.config))
     meta_json = json.dumps({
-        "use_temporal": model.encoder.use_temporal,
-        "num_network_edges": model.network.num_edges,
+        "use_temporal": encoder.use_temporal,
+        "num_network_edges": encoder.spatial.network.num_edges,
     })
     np.savez_compressed(path, **arrays,
                         **{_CONFIG_KEY: np.array(config_json),
@@ -94,15 +95,9 @@ def load_model(path, network):
         topology_features=archive[_RESOURCE_TOPOLOGY],
         temporal_embeddings=archive[_RESOURCE_TEMPORAL],
     )
-    model = WSCModel(
-        network,
-        config=config,
-        resources=resources,
-        use_temporal=meta["use_temporal"],
-    )
+    model = resources.new_encoder(use_temporal=meta["use_temporal"])
     state = {
         name[len(_STATE_PREFIX):]: archive[name]
         for name in archive.files if name.startswith(_STATE_PREFIX)
     }
-    model.encoder.load_state_dict(state)
-    return model
+    return model.load_state_dict(state)

@@ -69,15 +69,9 @@ class TemporalEmbedding(nn.Module):
         """The frozen slot-node embedding matrix."""
         return self._embeddings
 
-    def slot_index(self, departure_time):
-        """Temporal-graph node index of a departure time at this granularity."""
-        seconds_per_slot = 86400.0 / self.slots_per_day
-        slot = int(departure_time.seconds // seconds_per_slot)
-        slot = min(slot, self.slots_per_day - 1)
-        return departure_time.day_of_week * self.slots_per_day + slot
-
     def slot_indices(self, departure_times):
-        """Vectorised :meth:`slot_index` for a batch of departure times."""
+        """Temporal-graph node index of each departure time at this
+        granularity: ``day * slots_per_day + slot of the day``."""
         count = len(departure_times)
         seconds = np.fromiter((t.seconds for t in departure_times),
                               dtype=np.float64, count=count)

@@ -1,8 +1,9 @@
 """Training loops for the WSC (basic) framework.
 
-:class:`WSCTrainer` trains one :class:`~repro.core.model.WSCModel` with the
-combined global/local weakly-supervised contrastive loss over minibatches of
-temporal paths.  It is reused by the curriculum stage (to train experts and
+:class:`WSCTrainer` trains one
+:class:`~repro.core.encoder.TemporalPathEncoder` with the combined
+global/local weakly-supervised contrastive loss over minibatches of temporal
+paths.  It is reused by the curriculum stage (to train experts and
 to run the staged curriculum) and by the ablation table runners.  Each step
 builds its loss and updates through :meth:`repro.nn.Optimizer.minimize`,
 clipped at the config's ``grad_clip``.
@@ -38,7 +39,7 @@ class WSCTrainer:
     Parameters
     ----------
     model:
-        The :class:`~repro.core.model.WSCModel` to train.
+        The :class:`~repro.core.encoder.TemporalPathEncoder` to train.
     config:
         Hyper-parameters (λ, temperature, batch size, learning rate, ...).
         Defaults to the model's own config.
@@ -63,15 +64,14 @@ class WSCTrainer:
         temporal_paths = [tp for tp, _ in augmented]
         contrast_sets = build_contrast_sets(augmented)
 
-        self.model.train()
-        encoded = self.model(temporal_paths)
+        tprs, sters, mask = self.model(temporal_paths)
         edge_sets = sample_edge_sets(
-            augmented, contrast_sets, encoded.mask, self.rng,
+            augmented, contrast_sets, mask, self.rng,
             edges_per_path=self.config.local_edges_per_path,
         )
         loss = combined_wsc_loss(
-            encoded.tprs,
-            encoded.edge_representations,
+            tprs,
+            sters,
             contrast_sets,
             edge_sets,
             lambda_balance=self.config.lambda_balance,

@@ -19,7 +19,7 @@ from .curriculum import (
     split_into_meta_sets,
     train_experts,
 )
-from .model import SharedResources, WSCModel
+from .model import SharedResources
 from .trainer import WSCTrainer
 
 __all__ = ["WSCCL"]
@@ -42,7 +42,7 @@ class WSCCL:
     Attributes
     ----------
     model:
-        The trained :class:`~repro.core.model.WSCModel` after ``fit``.
+        The :class:`~repro.core.encoder.TemporalPathEncoder` it trains.
     plan:
         The :class:`~repro.core.curriculum.CurriculumPlan` used (if any).
     """
@@ -55,8 +55,8 @@ class WSCCL:
         self.network = network
         self.resources = resources or SharedResources(network, self.config)
         self.use_temporal = use_temporal
-        self.model = WSCModel(network, config=self.config, resources=self.resources,
-                              use_temporal=use_temporal)
+        self.model = self.resources.new_encoder(seed=self.config.seed,
+                                                use_temporal=use_temporal)
         self.trainer = WSCTrainer(self.model, config=self.config)
         self.plan = None
         self.experts = []
@@ -112,24 +112,13 @@ class WSCCL:
             )
 
     # ------------------------------------------------------------------
-    # Representation interface (shared with the baselines)
-    # ------------------------------------------------------------------
-    @property
-    def representation_dim(self):
-        return self.model.representation_dim
+    def encode(self, temporal_paths):
+        """TPR matrix for a list of temporal paths (the baselines' interface)."""
+        return self.model.encode(temporal_paths)
 
-    def encode(self, temporal_paths, batch_size=64):
-        """TPR matrix for a list of temporal paths."""
-        return self.model.encode(temporal_paths, batch_size=batch_size)
-
-    def represent(self, temporal_path):
-        """TPR of a single temporal path."""
-        return self.model.represent(temporal_path)
-
-    # ------------------------------------------------------------------
     def encoder_state_dict(self):
         """Trainable encoder parameters, for use as pre-training (Fig. 7)."""
-        return self.model.encoder.state_dict()
+        return self.model.state_dict()
 
     @property
     def history(self):

@@ -12,8 +12,10 @@ A fit checks its inputs and sorts the feature columns once
 that one presort, which also keeps each node's row order and candidate
 splits: they depend on the node's row set, not on the residuals, so a row
 set that recurs in a later round is not scanned again, and a round only
-accumulates its residuals and scores the gains.  The presort and its kept
-nodes are dropped when the fit ends.
+accumulates its residuals and scores the gains.  A round's new scores are the
+leaf values its fit routed the training rows to, so the training matrix is
+never predicted.  The presort and its kept nodes are dropped when the fit
+ends.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class _Booster:
                                          min_samples_leaf=self.min_samples_leaf)
             tree._presort = presort
             tree.fit(features, residuals_of(scores))
-            scores = scores + self.learning_rate * tree.predict(features)
+            scores = scores + self.learning_rate * tree._train_predictions
             self._trees.append(tree)
         return self
 

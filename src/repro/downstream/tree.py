@@ -251,6 +251,9 @@ class DecisionTreeRegressor:
         self._left = None
         self._right = None
         self._value = None
+        #: The fitted tree's prediction for each training row: the value of
+        #: the leaf ``fit`` routed it to (a booster's next residuals).
+        self._train_predictions = None
 
     # ------------------------------------------------------------------
     def fit(self, features, targets):
@@ -261,14 +264,16 @@ class DecisionTreeRegressor:
             presort = _Presort(_check_features(features))
         targets = _check_targets(targets, len(presort.features))
         nodes = []
+        leaves = np.empty(len(targets), dtype=np.int64)
         self._grow(presort, targets, np.arange(len(targets)), presort.order,
-                   depth=0, nodes=nodes)
+                   depth=0, nodes=nodes, leaves=leaves)
         self._num_features = presort.features.shape[1]
         self._feature = np.array([node[0] for node in nodes], dtype=np.int64)
         self._threshold = np.array([node[1] for node in nodes], dtype=np.float64)
         self._left = np.array([node[2] for node in nodes], dtype=np.int64)
         self._right = np.array([node[3] for node in nodes], dtype=np.int64)
         self._value = np.array([node[4] for node in nodes], dtype=np.float64)
+        self._train_predictions = self._value[leaves]
         return self
 
     def predict(self, features):
@@ -291,9 +296,10 @@ class DecisionTreeRegressor:
         return self._value[node]
 
     # ------------------------------------------------------------------
-    def _grow(self, presort, targets, rows, order, depth, nodes):
+    def _grow(self, presort, targets, rows, order, depth, nodes, leaves):
         """Grow depth-first (left before right, like the loop oracle) and
-        append flattened node rows; returns the index of ``rows``' node.
+        append flattened node rows; returns the index of ``rows``' node and
+        sets ``leaves[rows]`` to the leaf each row ends in.
 
         ``rows`` is ascending.  ``order`` is the parent's per-feature row
         order, or the presort's at the root; the presort filters it to the
@@ -304,6 +310,7 @@ class DecisionTreeRegressor:
         index = len(nodes)
         # ``np.mean``'s own bits: the same sum over the same count.
         nodes.append([-1, np.nan, -1, -1, float(total_sum / len(rows))])
+        leaves[rows] = index  # the children overwrite it if the node splits
         if depth >= self.max_depth or len(rows) < 2 * self.min_samples_leaf:
             return index
         if _nearly_constant(node_targets):
@@ -320,6 +327,6 @@ class DecisionTreeRegressor:
         go_left = presort.columns[feature, rows] <= threshold
         nodes[index][:4] = (
             feature, threshold,
-            self._grow(presort, targets, rows[go_left], order, depth + 1, nodes),
-            self._grow(presort, targets, rows[~go_left], order, depth + 1, nodes))
+            self._grow(presort, targets, rows[go_left], order, depth + 1, nodes, leaves),
+            self._grow(presort, targets, rows[~go_left], order, depth + 1, nodes, leaves))
         return index

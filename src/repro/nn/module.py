@@ -1,9 +1,9 @@
 """Module / Parameter abstractions, mirroring ``torch.nn.Module``.
 
 Modules own parameters and sub-modules, expose ``parameters()`` for
-optimisers, support train/eval mode switching, and can export or load their
-state as plain numpy arrays — which is how trained encoders are saved and
-loaded, and how pre-trained encoders are transplanted into PathRank.
+optimisers, and can export or load their state as plain numpy arrays — which
+is how trained encoders are saved and loaded, and how pre-trained encoders
+are transplanted into PathRank.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class Module:
     def __init__(self):
         self._parameters = OrderedDict()
         self._modules = OrderedDict()
-        self.training = True
 
     # ------------------------------------------------------------------
     # Registration via attribute assignment
@@ -58,20 +57,6 @@ class Module:
             yield (f"{prefix}{name}", param)
         for module_name, module in self._modules.items():
             yield from module.named_parameters(prefix=f"{prefix}{module_name}.")
-
-    # ------------------------------------------------------------------
-    # Train / eval mode
-    # ------------------------------------------------------------------
-    def train(self, mode=True):
-        """Switch this module (and children) between train and eval mode."""
-        self.training = mode
-        for module in self._modules.values():
-            module.train(mode)
-        return self
-
-    def eval(self):
-        """Shortcut for ``train(False)``."""
-        return self.train(False)
 
     # ------------------------------------------------------------------
     # State serialisation

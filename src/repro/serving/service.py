@@ -2,9 +2,10 @@
 
 :class:`PathEmbeddingService` fronts any representation model that exposes
 ``encode(list_of_temporal_paths) -> (N, D) array`` — a trained
-:class:`~repro.core.model.WSCModel`, either path encoder, or any baseline
-implementing :class:`~repro.baselines.base.RepresentationModel` — and serves
-embeddings at batch granularity:
+:class:`~repro.core.wsccl.WSCCL`, any
+:class:`~repro.core.encoder.PathEncoder`, or any baseline implementing
+:class:`~repro.baselines.base.RepresentationModel` — and serves embeddings at
+batch granularity:
 
 1. **Cache lookup.**  Each requested path is first looked up in a
    4,096-entry LRU cache keyed on the exact ``(edge sequence, day of week,
@@ -28,7 +29,6 @@ produce (see ``tests/serving/``).
 
 from __future__ import annotations
 
-import inspect
 import time
 
 import numpy as np
@@ -72,44 +72,17 @@ class PathEmbeddingService:
         self.model = model
         self.cache = LRUEmbeddingCache(_CACHE_CAPACITY)
         self.metrics = ServiceMetrics()
-        self._output_dim = None
-        try:
-            encode_params = inspect.signature(model.encode).parameters
-            self._encode_accepts_batch_size = "batch_size" in encode_params
-        except (TypeError, ValueError):
-            self._encode_accepts_batch_size = False
 
     # ------------------------------------------------------------------
-    @property
-    def output_dim(self):
-        """Embedding dimensionality, if known (None before the first batch)."""
-        if self._output_dim is not None:
-            return self._output_dim
-        for attribute in ("representation_dim", "output_dim", "hidden_dim"):
-            dim = getattr(self.model, attribute, None)
-            if isinstance(dim, (int, np.integer)):
-                self._output_dim = int(dim)
-                return self._output_dim
-        return None
-
     def _encode_batch(self, temporal_paths):
         """One model call; validates the result and records padding stats."""
-        if self._encode_accepts_batch_size:
-            # Encoders with an internal default batch_size (e.g. 64) would
-            # otherwise re-chunk our micro-batch, invalidating the padding
-            # stats and capping the effective batch below _MAX_BATCH_SIZE.
-            raw = self.model.encode(temporal_paths,
-                                    batch_size=len(temporal_paths))
-        else:
-            raw = self.model.encode(temporal_paths)
-        embeddings = np.asarray(raw, dtype=np.float64)
+        embeddings = np.asarray(self.model.encode(temporal_paths), dtype=np.float64)
         if embeddings.ndim != 2 or len(embeddings) != len(temporal_paths):
             raise ValueError(
                 f"model returned shape {embeddings.shape} for "
                 f"{len(temporal_paths)} paths")
         lengths = [len(tp) for tp in temporal_paths]
         self.metrics.record_batch(len(temporal_paths), max(lengths), sum(lengths))
-        self._output_dim = embeddings.shape[1]
         return embeddings
 
     # ------------------------------------------------------------------
@@ -123,9 +96,9 @@ class PathEmbeddingService:
         started = time.perf_counter()
         count = len(temporal_paths)
         if count == 0:
-            dim = self.output_dim or 0
+            empty = np.asarray(self.model.encode([]), dtype=np.float64)
             self.metrics.record_request(0, time.perf_counter() - started)
-            return np.zeros((0, dim))
+            return empty
 
         rows = [None] * count
         # key -> list of request positions wanting that embedding.
@@ -162,10 +135,6 @@ class PathEmbeddingService:
     def encode(self, temporal_paths):
         """Alias of :meth:`embed`, so a service can stand in for a model."""
         return self.embed(temporal_paths)
-
-    def represent(self, temporal_path):
-        """Embedding of a single temporal path as a 1-D array."""
-        return self.embed([temporal_path])[0]
 
     # ------------------------------------------------------------------
     def scrape(self):

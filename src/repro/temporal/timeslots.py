@@ -40,19 +40,6 @@ class DepartureTime:
         if not 0.0 <= self.seconds < 24 * 3600:
             raise ValueError(f"seconds must be in [0, 86400), got {self.seconds}")
 
-    # ------------------------------------------------------------------
-    # Slot conversions
-    # ------------------------------------------------------------------
-    @property
-    def slot_of_day(self):
-        """Index of the 5-minute slot within the day (0..287)."""
-        return int(self.seconds // (SLOT_MINUTES * 60))
-
-    @property
-    def slot_index(self):
-        """Global node index in the temporal graph (0..2015)."""
-        return self.day_of_week * SLOTS_PER_DAY + self.slot_of_day
-
     @property
     def hour(self):
         """Hour of day as a float (e.g. 8.5 for 08:30)."""

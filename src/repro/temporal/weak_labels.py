@@ -29,17 +29,10 @@ POP_OFF_PEAK = 2
 class WeakLabeler:
     """Interface: map a :class:`~repro.temporal.timeslots.DepartureTime` to a label."""
 
-    #: Number of distinct labels the labeler can emit.
-    num_labels = 0
-
     #: Short identifier used in experiment reports ("pop", "tci").
     name = "base"
 
     def label(self, departure_time):
-        raise NotImplementedError
-
-    def label_name(self, label):
-        """Human-readable name of a label value."""
         raise NotImplementedError
 
     def __call__(self, departure_time):
@@ -53,7 +46,6 @@ class PeakOffPeakLabeler(WeakLabeler):
     weekdays.  Everything else (including weekends) is off-peak.
     """
 
-    num_labels = 3
     name = "pop"
 
     def __init__(self, morning=(7.0, 9.0), afternoon=(16.0, 19.0)):
@@ -71,11 +63,6 @@ class PeakOffPeakLabeler(WeakLabeler):
                 return POP_AFTERNOON_PEAK
         return POP_OFF_PEAK
 
-    def label_name(self, label):
-        return {POP_MORNING_PEAK: "morning-peak",
-                POP_AFTERNOON_PEAK: "afternoon-peak",
-                POP_OFF_PEAK: "off-peak"}[label]
-
 
 class CongestionIndexLabeler(WeakLabeler):
     """Traffic-congestion-index weak labels with four levels.
@@ -86,7 +73,6 @@ class CongestionIndexLabeler(WeakLabeler):
     TCI buckets: smooth, slow, congested, heavily congested.
     """
 
-    num_labels = 4
     name = "tci"
 
     def __init__(self, congestion_profile, thresholds=(0.25, 0.5, 0.75)):
@@ -105,6 +91,3 @@ class CongestionIndexLabeler(WeakLabeler):
             if level < threshold:
                 return index
         return len(self.thresholds)
-
-    def label_name(self, label):
-        return {0: "smooth", 1: "slow", 2: "congested", 3: "heavily-congested"}[label]

@@ -283,10 +283,10 @@ class HMMMapMatcher:
         return matched
 
     def _match_edges(self, trajectory):
-        """Viterbi-matched edge per fix plus the HMM-break step indices."""
+        """Viterbi-matched edge per fix; decoding restarts at each HMM break."""
         positions = trajectory.positions()
         if len(positions) == 0:
-            return [], set()
+            return []
         bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
         if bad.size:
             raise ValueError(f"GPS fix {bad[0]} has a non-finite position "
@@ -296,9 +296,7 @@ class HMMMapMatcher:
             ((positions[1:] - positions[:-1]) ** 2).sum(axis=1))
         scores, back_pointers, break_steps = self._decode(
             candidate_sets, fraction_sets, emission_sets, straights)
-        matched = self._backtrack(candidate_sets, scores, back_pointers,
-                                  break_steps)
-        return matched, break_steps
+        return self._backtrack(candidate_sets, scores, back_pointers, break_steps)
 
     # ------------------------------------------------------------------
     # Public API
@@ -310,29 +308,9 @@ class HMMMapMatcher:
         path by inserting shortest-path segments between consecutive matched
         edges; matched edges that cannot be connected (e.g. after an HMM
         break onto a different component) are dropped, so the result is
-        always a connected path.  Use :meth:`match_segments` to recover every
-        decoded segment of a broken trajectory.
+        always a connected path.
         """
-        matched, _ = self._match_edges(trajectory)
-        return self._stitch(matched)
-
-    def match_segments(self, trajectory):
-        """Connected sub-paths of the match, one per HMM segment.
-
-        A trajectory that never breaks yields a single segment equal to
-        :meth:`match`; each break (no reachable transition between two
-        consecutive fixes) starts a new segment.
-        """
-        matched, break_steps = self._match_edges(trajectory)
-        if not matched:
-            return []
-        bounds = sorted({0, len(matched)} | break_steps)
-        segments = []
-        for low, high in zip(bounds, bounds[1:]):
-            stitched = self._stitch(matched[low:high])
-            if stitched:
-                segments.append(stitched)
-        return segments
+        return self._stitch(self._match_edges(trajectory))
 
     def match_batch(self, trajectories):
         """Match many trajectories, sharing the transition-distance cache.

@@ -111,7 +111,7 @@ class TestPathRankPretraining:
 
         pretrained = PathRankModel(config=tiny_config, pretrained_state=state, seed=0)
         pretrained.build_encoder(tiny_city, resources=shared_resources)
-        loaded_state = pretrained._encoder.encoder.state_dict()
+        loaded_state = pretrained._encoder.state_dict()
         for name, value in state.items():
             np.testing.assert_allclose(loaded_state[name], value)
 
@@ -126,8 +126,8 @@ class TestPathRankPretraining:
         pretrained = PathRankModel(config=tiny_config, pretrained_state=state, seed=0)
         pretrained.build_encoder(tiny_city, resources=shared_resources)
 
-        scratch_state = scratch._encoder.encoder.state_dict()
-        pretrained_state = pretrained._encoder.encoder.state_dict()
+        scratch_state = scratch._encoder.state_dict()
+        pretrained_state = pretrained._encoder.state_dict()
         assert any(not np.allclose(scratch_state[k], pretrained_state[k])
                    for k in scratch_state)
 

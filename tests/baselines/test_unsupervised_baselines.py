@@ -60,10 +60,9 @@ class TestGraphEmbeddingBaselines:
         reps = model.encode([morning, night])
         np.testing.assert_allclose(reps[0], reps[1])
 
-    def test_represent_single(self, tiny_city):
+    def test_encode_single(self, tiny_city):
         model = Node2vecPathModel(dim=8, seed=0).fit(tiny_city)
-        vector = model.represent(tiny_city.unlabeled.temporal_paths[0])
-        assert vector.ndim == 1
+        assert model.encode(tiny_city.unlabeled.temporal_paths[:1]).shape == (1, 8)
 
 
 class TestSequenceBaselines:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    WSCModel,
+    TemporalPathEncoder,
     build_curriculum_stages,
     difficulty_scores,
     heuristic_curriculum_stages,
@@ -68,7 +68,7 @@ class TestExpertsAndDifficulty:
     def test_one_expert_per_meta_set(self, experts_setup, tiny_config):
         meta_sets, _, experts = experts_setup
         assert len(experts) == tiny_config.num_meta_sets
-        assert all(isinstance(e, WSCModel) for e in experts)
+        assert all(isinstance(e, TemporalPathEncoder) for e in experts)
 
     def test_experts_have_different_parameters(self, experts_setup):
         _, _, experts = experts_setup

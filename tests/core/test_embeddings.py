@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import SpatialEmbedding, TemporalEmbedding, compute_edge_topology_features
 from repro.core.encoder import PAD_EDGE_ID
-from repro.temporal import DepartureTime
+from repro.temporal import SLOTS_PER_DAY, TOTAL_SLOTS, DepartureTime
 
 
 class TestSpatialEmbedding:
@@ -78,9 +78,19 @@ class TestTemporalEmbedding:
     def test_slot_index_granularity(self, embedding, tiny_config):
         slots_per_day = tiny_config.slots_per_day
         midnight_monday = DepartureTime.from_hour(0, 0.0)
-        assert embedding.slot_index(midnight_monday) == 0
         late_sunday = DepartureTime.from_hour(6, 23.99)
-        assert embedding.slot_index(late_sunday) == slots_per_day * 7 - 1
+        assert embedding.slot_indices([midnight_monday, late_sunday]).tolist() == [
+            0, slots_per_day * 7 - 1]
+
+    def test_paper_example_slots(self, tiny_config):
+        # The paper's granularity: 288 five-minute slots a day.  00:06 on
+        # Monday is the second slot of the day; Wednesday midnight opens
+        # Wednesday's slots.
+        config = tiny_config.with_overrides(slots_per_day=SLOTS_PER_DAY)
+        embedding = TemporalEmbedding(
+            config, embeddings=np.zeros((TOTAL_SLOTS, config.temporal_dim)))
+        times = [DepartureTime(day_of_week=0, seconds=6 * 60), DepartureTime.from_hour(2, 0.0)]
+        assert embedding.slot_indices(times).tolist() == [1, 2 * SLOTS_PER_DAY]
 
     def test_same_slot_same_embedding(self, embedding):
         a = embedding([DepartureTime.from_hour(0, 8.01)])

@@ -6,17 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core import PAD_EDGE_ID, TemporalPathEncoder, pad_paths
+from repro.core.encoder import encode_in_chunks
 from repro.datasets import TemporalPath
 from repro.temporal import DepartureTime
 
 
 @pytest.fixture(scope="module")
-def encoder(tiny_city, tiny_config, shared_resources):
-    return TemporalPathEncoder(
-        tiny_city.network, tiny_config,
-        spatial_embedding=shared_resources.new_spatial_embedding(),
-        temporal_embedding=shared_resources.new_temporal_embedding(),
-    )
+def encoder(shared_resources):
+    return shared_resources.new_encoder()
 
 
 def paths_from_city(city, count=4):
@@ -52,23 +49,31 @@ class TestPadPaths:
 class TestTemporalPathEncoder:
     def test_output_shapes(self, encoder, tiny_city, tiny_config):
         paths = paths_from_city(tiny_city, 4)
-        encoded = encoder(paths)
+        tprs, sters, mask = encoder(paths)
         max_len = max(len(p) for p in paths)
-        assert encoded.tprs.shape == (4, tiny_config.hidden_dim)
-        assert encoded.edge_representations.shape == (4, max_len, tiny_config.hidden_dim)
-        assert encoded.mask.shape == (4, max_len)
+        assert tprs.shape == (4, tiny_config.hidden_dim)
+        assert sters.shape == (4, max_len, tiny_config.hidden_dim)
+        assert mask.shape == (4, max_len)
 
     def test_encode_returns_numpy_without_grad(self, encoder, tiny_city, tiny_config):
         paths = paths_from_city(tiny_city, 5)
-        reps = encoder.encode(paths, batch_size=2)
+        reps = encoder.encode(paths)
         assert isinstance(reps, np.ndarray)
         assert reps.shape == (5, tiny_config.hidden_dim)
         assert np.isfinite(reps).all()
 
+    def test_encode_chunks_of_64_match_one_forward(self, encoder, tiny_city):
+        paths = list(tiny_city.unlabeled.temporal_paths[:35]) * 2
+        chunks = []
+        reps = encode_in_chunks(lambda chunk: chunks.append(len(chunk)) or encoder(chunk)[0],
+                                paths, (0, encoder.output_dim))
+        assert chunks == [64, 6]
+        np.testing.assert_allclose(reps[64:], encoder(paths[64:])[0].data, atol=1e-12)
+
     def test_parameters_and_outputs_are_float64(self, encoder, tiny_city):
-        encoded = encoder(paths_from_city(tiny_city, 3))
-        assert encoded.tprs.dtype == np.float64
-        assert encoded.edge_representations.dtype == np.float64
+        tprs, sters, _ = encoder(paths_from_city(tiny_city, 3))
+        assert tprs.dtype == np.float64
+        assert sters.dtype == np.float64
         assert all(p.dtype == np.float64 for p in encoder.parameters())
 
     def test_encode_empty_list(self, encoder, tiny_config):
@@ -77,10 +82,10 @@ class TestTemporalPathEncoder:
 
     def test_tpr_is_mean_of_valid_edge_representations(self, encoder, tiny_city):
         paths = paths_from_city(tiny_city, 3)
-        encoded = encoder(paths)
+        tprs, sters, _ = encoder(paths)
         for row, path in enumerate(paths):
-            valid = encoded.edge_representations.data[row, :len(path)]
-            np.testing.assert_allclose(encoded.tprs.data[row], valid.mean(axis=0), atol=1e-9)
+            valid = sters.data[row, :len(path)]
+            np.testing.assert_allclose(tprs.data[row], valid.mean(axis=0), atol=1e-9)
 
     def test_departure_time_changes_representation(self, encoder, tiny_city):
         base = tiny_city.unlabeled.temporal_paths[0]
@@ -89,19 +94,23 @@ class TestTemporalPathEncoder:
         reps = encoder.encode([peak, night])
         assert not np.allclose(reps[0], reps[1])
 
-    def test_use_temporal_false_ignores_departure_time(self, tiny_city, tiny_config,
-                                                       shared_resources):
-        encoder_nt = TemporalPathEncoder(
-            tiny_city.network, tiny_config,
-            spatial_embedding=shared_resources.new_spatial_embedding(),
-            temporal_embedding=shared_resources.new_temporal_embedding(),
-            use_temporal=False,
-        )
+    def test_use_temporal_false_ignores_departure_time(self, tiny_city, shared_resources):
+        encoder_nt = shared_resources.new_encoder(use_temporal=False)
         base = tiny_city.unlabeled.temporal_paths[0]
         peak = TemporalPath(path=base.path, departure_time=DepartureTime.from_hour(1, 8.0))
         night = TemporalPath(path=base.path, departure_time=DepartureTime.from_hour(1, 3.0))
         reps = encoder_nt.encode([peak, night])
         np.testing.assert_allclose(reps[0], reps[1])
+
+    def test_new_encoder_draws_spatial_then_lstm_from_one_seed(self, tiny_config,
+                                                              shared_resources):
+        rng = np.random.default_rng(5)
+        manual = TemporalPathEncoder(tiny_config, shared_resources.new_spatial_embedding(rng=rng),
+                                     shared_resources.new_temporal_embedding(), rng).state_dict()
+        built = shared_resources.new_encoder(seed=5).state_dict()
+        assert manual.keys() == built.keys()
+        for name, value in manual.items():
+            np.testing.assert_array_equal(value, built[name], err_msg=name)
 
     def test_different_paths_have_different_representations(self, encoder, tiny_city):
         paths = paths_from_city(tiny_city, 2)
@@ -118,8 +127,7 @@ class TestTemporalPathEncoder:
 
     def test_gradients_flow_through_encoder(self, encoder, tiny_city):
         paths = paths_from_city(tiny_city, 3)
-        encoded = encoder(paths)
-        encoded.tprs.sum().backward()
+        encoder(paths)[0].sum().backward()
         grads = [p.grad for p in encoder.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
         for p in encoder.parameters():
@@ -147,13 +155,8 @@ class TestReservedPadId:
         batched = encoder.encode(paths)
         np.testing.assert_allclose(alone[0], batched[0], atol=1e-12)
 
-    def test_pad_positions_receive_no_gradient(self, tiny_city, tiny_config,
-                                               shared_resources):
-        encoder = TemporalPathEncoder(
-            tiny_city.network, tiny_config,
-            spatial_embedding=shared_resources.new_spatial_embedding(),
-            temporal_embedding=shared_resources.new_temporal_embedding(),
-        )
+    def test_pad_positions_receive_no_gradient(self, tiny_city, shared_resources):
+        encoder = shared_resources.new_encoder()
         paths = sorted(tiny_city.unlabeled.temporal_paths[:5], key=len)
         if len(paths[0]) == len(paths[-1]):
             pytest.skip("tiny corpus produced equal-length paths")
@@ -162,7 +165,7 @@ class TestReservedPadId:
             for p in encoder.parameters():
                 p.zero_grad()
             for batch in batches:
-                encoder(batch).tprs.sum().backward()
+                encoder(batch)[0].sum().backward()
             return {name: (None if p.grad is None else p.grad.copy())
                     for name, p in encoder.named_parameters()}
 

@@ -114,14 +114,13 @@ class TestMatrixLossEquivalence:
                                              shared_resources, monkeypatch):
         """A full train_step with the loop oracles patched in (loss and
         contrast sets) lands on the same loss."""
-        from repro.core import WSCModel, WSCTrainer, trainer
+        from repro.core import WSCTrainer, trainer
 
         batch = list(tiny_city.unlabeled)[:6]
         labeler = tiny_city.unlabeled.weak_labeler
 
         def step():
-            model = WSCModel(tiny_city.network, tiny_config,
-                             resources=shared_resources)
+            model = shared_resources.new_encoder()
             return WSCTrainer(model, seed=7).train_step(batch, labeler)
 
         fast = step()

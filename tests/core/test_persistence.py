@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import WSCCL, WSCModel, load_model, save_model
+from repro.core import WSCCL, load_model, save_model
 from repro.roadnet import CityConfig, generate_city_network
 
 
@@ -33,9 +33,9 @@ class TestSaveLoad:
         restored = load_model(archive, tiny_city.network)
         np.testing.assert_allclose(restored.encode(paths), original, atol=1e-9)
 
-    def test_accepts_wsc_model_directly(self, tmp_path, tiny_city, tiny_config,
+    def test_accepts_an_encoder_directly(self, tmp_path, tiny_city, tiny_config,
                                         shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         restored = load_model(archive, tiny_city.network)
@@ -44,7 +44,7 @@ class TestSaveLoad:
 
     def test_loads_archive_carrying_a_removed_config_option(self, tmp_path, tiny_city,
                                                             tiny_config, shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         stored = dict(np.load(archive))
@@ -57,7 +57,7 @@ class TestSaveLoad:
 
     def test_rejects_archive_naming_another_encoder(self, tmp_path, tiny_city,
                                                      tiny_config, shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         rewrite_meta(archive, lambda meta: meta.update(encoder_type="transformer"))
@@ -70,7 +70,7 @@ class TestSaveLoad:
     ], ids=["no-encoder-key", "lstm-encoder-key"])
     def test_round_trip_with_or_without_encoder_key(self, tmp_path, tiny_city, tiny_config,
                                                     shared_resources, edit):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         rewrite_meta(archive, edit)
@@ -81,18 +81,17 @@ class TestSaveLoad:
     @pytest.mark.parametrize("use_temporal", [True, False])
     def test_round_trip_keeps_use_temporal(self, tmp_path, tiny_city, tiny_config,
                                            shared_resources, use_temporal):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources,
-                         use_temporal=use_temporal)
+        model = shared_resources.new_encoder(use_temporal=use_temporal)
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         restored = load_model(archive, tiny_city.network)
-        assert restored.encoder.use_temporal is use_temporal
+        assert restored.use_temporal is use_temporal
         paths = tiny_city.unlabeled.temporal_paths[:3]
         np.testing.assert_array_equal(restored.encode(paths), model.encode(paths))
 
     def test_meta_records_use_temporal_and_edge_count(self, tmp_path, tiny_city,
                                                       tiny_config, shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         meta = json.loads(str(np.load(archive)["meta_json"]))
@@ -105,7 +104,7 @@ class TestSaveLoad:
 
     def test_rejects_mismatched_network(self, tmp_path, tiny_city, tiny_config,
                                         shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         other_network = generate_city_network(
@@ -114,7 +113,7 @@ class TestSaveLoad:
             load_model(archive, other_network)
 
     def test_config_round_trip(self, tmp_path, tiny_city, tiny_config, shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         archive = tmp_path / "wsc.npz"
         save_model(archive, model)
         restored = load_model(archive, tiny_city.network)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import WSCCL, WSCModel, WSCTrainer
+from repro.core import WSCCL, WSCTrainer
 from repro.datasets import TemporalPath
 from repro.temporal import DepartureTime
 
@@ -13,7 +13,7 @@ from repro.temporal import DepartureTime
 class TestWSCTrainer:
     @pytest.fixture()
     def model(self, tiny_city, tiny_config, shared_resources):
-        return WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        return shared_resources.new_encoder()
 
     def test_train_step_returns_finite_loss(self, model, tiny_city):
         trainer = WSCTrainer(model)
@@ -69,7 +69,7 @@ class TestWSCTrainer:
     def test_training_reduces_loss_on_small_corpus(self, tiny_city, tiny_config,
                                                    shared_resources):
         """A few epochs over a small fixed corpus should lower the contrastive loss."""
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+        model = shared_resources.new_encoder()
         trainer = WSCTrainer(model, seed=0)
         samples = list(tiny_city.unlabeled)[:12]
         losses = []
@@ -85,18 +85,17 @@ class TestWSCTrainer:
         assert losses[-1] < losses[0]
 
 
-class TestWSCModel:
-    def test_encode_and_represent(self, tiny_city, tiny_config, shared_resources):
-        model = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources)
+class TestNewEncoder:
+    def test_encode_one_path_matches_its_row(self, tiny_city, tiny_config, shared_resources):
+        model = shared_resources.new_encoder()
         paths = tiny_city.unlabeled.temporal_paths[:3]
         reps = model.encode(paths)
-        assert reps.shape == (3, model.representation_dim)
-        single = model.represent(paths[0])
-        np.testing.assert_allclose(single, reps[0], atol=1e-9)
+        assert reps.shape == (3, model.output_dim)
+        np.testing.assert_allclose(model.encode(paths[:1])[0], reps[0], atol=1e-9)
 
     def test_seed_controls_initialisation(self, tiny_city, tiny_config, shared_resources):
-        a = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources, seed=1)
-        b = WSCModel(tiny_city.network, config=tiny_config, resources=shared_resources, seed=2)
+        a = shared_resources.new_encoder(seed=1)
+        b = shared_resources.new_encoder(seed=2)
         state_a, state_b = a.state_dict(), b.state_dict()
         assert any(not np.allclose(state_a[k], state_b[k]) for k in state_a)
 
@@ -115,14 +114,14 @@ class TestWSCCL:
 
     def test_encode_after_fit(self, fitted, tiny_city):
         reps = fitted.encode(tiny_city.unlabeled.temporal_paths[:4])
-        assert reps.shape == (4, fitted.representation_dim)
+        assert reps.shape == (4, fitted.model.output_dim)
         assert np.isfinite(reps).all()
 
     def test_encoder_state_dict_is_loadable(self, fitted, tiny_city, tiny_config,
                                             shared_resources):
         state = fitted.encoder_state_dict()
         fresh = WSCCL(tiny_city.network, config=tiny_config, resources=shared_resources)
-        fresh.model.encoder.load_state_dict(state)
+        fresh.model.load_state_dict(state)
         paths = tiny_city.unlabeled.temporal_paths[:2]
         np.testing.assert_allclose(fresh.encode(paths), fitted.encode(paths), atol=1e-9)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import DatasetScale, build_city_dataset, minibatch_indices
-from repro.temporal import PeakOffPeakLabeler
+from repro.temporal import CongestionIndexLabeler, PeakOffPeakLabeler
 
 
 class TestDatasetScale:
@@ -45,7 +45,7 @@ class TestBuildCityDataset:
 
     def test_pop_and_tci_labelers_attached(self, tiny_city):
         assert isinstance(tiny_city.pop_labeler, PeakOffPeakLabeler)
-        assert tiny_city.tci_labeler.num_labels == 4
+        assert isinstance(tiny_city.tci_labeler, CongestionIndexLabeler)
 
     def test_cities_differ_in_structure(self, tiny_city, tiny_city_harbin):
         assert tiny_city.network.num_edges != tiny_city_harbin.network.num_edges or \

@@ -40,9 +40,10 @@ class ReferenceTree(DecisionTreeRegressor):
 
     def fit(self, features, targets):
         ReferenceTree.fits += 1
-        self._root = self._reference_grow(np.asarray(features, dtype=np.float64),
-                                          np.asarray(targets, dtype=np.float64),
+        features = np.asarray(features, dtype=np.float64)
+        self._root = self._reference_grow(features, np.asarray(targets, dtype=np.float64),
                                           depth=0)
+        self._train_predictions = self._reference_predict(features)
         return self
 
     def predict(self, features):

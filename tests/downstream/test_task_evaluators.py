@@ -55,7 +55,9 @@ class RandomModel:
     def encode(self, temporal_paths):
         rows = []
         for tp in temporal_paths:
-            key = hash((self.seed, tp.path, tp.departure_time.slot_index))
+            departure = tp.departure_time
+            slot = departure.day_of_week * 288 + int(departure.seconds // 300)
+            key = hash((self.seed, tp.path, slot))
             rng = np.random.default_rng(key % (2 ** 32))
             rows.append(rng.normal(size=self.dim))
         return np.asarray(rows)

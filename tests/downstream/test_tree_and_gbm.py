@@ -221,6 +221,30 @@ class TestPresort:
         np.testing.assert_array_equal(model.predict(other), fresh.predict(other))
 
 
+class TestTrainPredictions:
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    def test_fit_routes_each_training_row_to_its_predict_leaf(self, rng, max_depth):
+        x = np.round(rng.normal(size=(80, 3)), 1)
+        y = x[:, 0] + rng.normal(0, 0.3, 80)
+        tree = DecisionTreeRegressor(max_depth=max_depth, min_samples_leaf=2).fit(x, y)
+        np.testing.assert_array_equal(tree._train_predictions, tree.predict(x))
+
+    @pytest.mark.parametrize("booster", BOOSTERS)
+    def test_booster_fit_never_predicts_the_training_matrix(self, rng, booster,
+                                                            monkeypatch):
+        x = rng.normal(size=(60, 4))
+        labels = (x[:, 0] > 0).astype(float)
+        expected = booster(n_estimators=5).fit(x, labels).predict(x)
+
+        def refuse(tree, features):
+            raise AssertionError("a booster fit called DecisionTreeRegressor.predict")
+
+        monkeypatch.setattr(DecisionTreeRegressor, "predict", refuse)
+        model = booster(n_estimators=5).fit(x, labels)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(model.predict(x), expected)
+
+
 class TestDecisionTree:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

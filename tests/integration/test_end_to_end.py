@@ -65,7 +65,7 @@ class TestWSCCLPipeline:
         model.fit(tiny_city.unlabeled, batches_per_epoch=2, expert_batches=1)
 
         reps = model.encode(tiny_city.unlabeled.temporal_paths)
-        assert reps.shape == (len(tiny_city.unlabeled), model.representation_dim)
+        assert reps.shape == (len(tiny_city.unlabeled), model.model.output_dim)
         assert np.isfinite(reps).all()
 
         results = representation_task_results(

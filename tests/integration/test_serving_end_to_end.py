@@ -4,6 +4,8 @@ metrics are identical to the direct (unserved) evaluation path."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,10 +35,11 @@ class TestServingEndToEnd:
     def test_served_tasks_match_direct_evaluation(self, trained_model, tiny_city,
                                                   monkeypatch):
         served = _all_task_rows(trained_model, tiny_city)
-        # Direct path: the evaluators get the trained WSCModel itself, whose
-        # ``embed`` encodes every request without batching or caching.
+        # Direct path: the evaluators' ``embed`` is the trained encoder's
+        # ``encode``, without batching or caching.
         for module in (harness, downstream_tasks):
-            monkeypatch.setattr(module, "ensure_service", lambda model: model)
+            monkeypatch.setattr(module, "ensure_service", lambda model: SimpleNamespace(
+                embed=model.encode, encode=model.encode))
         direct = _all_task_rows(trained_model.model, tiny_city)
         assert direct == served
 
@@ -62,5 +65,5 @@ class TestServingEndToEnd:
         service = PathEmbeddingService(trained_model)
         paths = tiny_city.unlabeled.temporal_paths
         served = service.embed(paths)
-        assert served.shape == (len(paths), trained_model.representation_dim)
+        assert served.shape == (len(paths), trained_model.model.output_dim)
         assert np.isfinite(served).all()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from reference_lstm import reference_lstm_forward
 
 from repro import nn
-from repro.core import WSCModel, WSCTrainer, trainer
+from repro.core import WSCTrainer, trainer
 from repro.core.encoder import pad_paths
 from repro.datasets import TemporalPath
 
@@ -156,7 +156,7 @@ class TestGraphSize:
         monkeypatch.setattr(trainer, "combined_wsc_loss", recording_loss)
 
         def step():
-            model = WSCModel(tiny_city.network, tiny_config, resources=shared_resources)
+            model = shared_resources.new_encoder()
             WSCTrainer(model, seed=7).train_step(batch, labeler)
             return _graph_size(losses[-1]), model.state_dict()
 

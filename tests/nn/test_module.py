@@ -37,21 +37,6 @@ class TestParameterRegistration:
         assert parameter.requires_grad
 
 
-class TestTrainEval:
-    def test_train_flag_propagates(self):
-        model = TwoLayer()
-        modules = (model, model.first, model.second)
-        model.eval()
-        assert all(not module.training for module in modules)
-        model.train()
-        assert all(module.training for module in modules)
-
-    def test_train_and_eval_return_the_module(self):
-        model = TwoLayer()
-        assert model.eval() is model
-        assert model.train() is model
-
-
 class TestStateDict:
     def test_round_trip(self):
         model_a = TwoLayer()

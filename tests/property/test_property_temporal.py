@@ -6,7 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import TemporalEmbedding, WSCCLConfig
 from repro.temporal import (
+    SLOTS_PER_DAY,
     TOTAL_SLOTS,
     CongestionIndexLabeler,
     DepartureTime,
@@ -25,7 +27,9 @@ departure_times = st.builds(
 @given(departure_times)
 @settings(max_examples=100, deadline=None)
 def test_slot_index_in_range(departure):
-    assert 0 <= departure.slot_index < TOTAL_SLOTS
+    config = WSCCLConfig.test_scale().with_overrides(slots_per_day=SLOTS_PER_DAY)
+    embedding = TemporalEmbedding(config, embeddings=np.zeros((TOTAL_SLOTS, config.temporal_dim)))
+    assert 0 <= embedding.slot_indices([departure])[0] < TOTAL_SLOTS
 
 
 @given(departure_times, st.floats(min_value=-7 * 86400, max_value=7 * 86400,
@@ -54,7 +58,7 @@ def test_shift_forward_then_back_is_identity(departure, shift):
 @settings(max_examples=100, deadline=None)
 def test_pop_labels_always_valid(departure):
     labeler = PeakOffPeakLabeler()
-    assert 0 <= labeler(departure) < labeler.num_labels
+    assert labeler(departure) in (0, 1, 2)
 
 
 @given(departure_times)
@@ -69,7 +73,7 @@ def test_weekend_never_peak(departure):
 @settings(max_examples=100, deadline=None)
 def test_tci_labels_always_valid(departure):
     labeler = CongestionIndexLabeler(CongestionProfile())
-    assert 0 <= labeler(departure) < labeler.num_labels
+    assert labeler(departure) in (0, 1, 2, 3)
 
 
 @given(departure_times)

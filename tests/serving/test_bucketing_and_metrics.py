@@ -79,14 +79,12 @@ class TestServiceMetrics:
 class CountingModel:
     """Length-encoding stub that counts encode calls and paths."""
 
-    representation_dim = 2
-
     def __init__(self):
         self.calls = []
 
     def encode(self, temporal_paths):
         self.calls.append(len(temporal_paths))
-        return np.array([[len(tp), tp.departure_time.slot_index]
+        return np.array([[len(tp), tp.departure_time.seconds]
                          for tp in temporal_paths], dtype=np.float64)
 
 
@@ -203,25 +201,15 @@ class TestCacheKeys:
         np.testing.assert_array_equal(served[0], [len(late), 270.0])
 
 
-class TestModelBatchSizePassThrough:
-    def test_internal_rechunking_is_disabled(self, tiny_city):
-        """Models with their own encode(batch_size=...) default must receive
-        the micro-batch size, or they would re-chunk internally and the
-        padding stats would be wrong."""
-
-        class BatchAwareModel:
-            representation_dim = 1
-
-            def __init__(self):
-                self.seen = []
-
-            def encode(self, temporal_paths, batch_size=4):
-                self.seen.append((len(temporal_paths), batch_size))
-                return np.array([[len(tp)] for tp in temporal_paths],
-                                dtype=np.float64)
-
-        model = BatchAwareModel()
+class TestModelCall:
+    def test_each_micro_batch_is_one_encode_call(self, tiny_city, monkeypatch):
+        """The service hands each micro-batch whole to ``model.encode`` and
+        passes it nothing else."""
+        monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 4)
+        model = CountingModel()
         service = PathEmbeddingService(model)
-        service.embed(tiny_city.unlabeled.temporal_paths[:10])
-        assert all(count == batch_size for count, batch_size in model.seen)
-        assert sum(count for count, _ in model.seen) == 10
+        paths = tiny_city.unlabeled.temporal_paths[:10]
+        service.embed(paths)
+        assert sum(model.calls) == len({cache_key(tp) for tp in paths})
+        assert max(model.calls) <= 4
+        assert service.scrape()["batches"] == len(model.calls)

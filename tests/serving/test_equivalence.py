@@ -1,7 +1,7 @@
 """Golden equivalence suite for the path-embedding service.
 
 The service must be a pure optimisation: for every micro-batch size, cache
-size and cache state, its output must match one-at-a-time ``WSCModel.embed``
+size and cache state, its output must match one-at-a-time ``model.encode``
 calls to 1e-10 on a seeded synthetic dataset.  Tests that need small
 micro-batches or caches patch the service module's ``_MAX_BATCH_SIZE`` or
 ``_CACHE_CAPACITY``.
@@ -12,15 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import WSCModel
 from repro.serving import PathEmbeddingService, service as service_module
 
 TOLERANCE = 1e-10
 
 
 @pytest.fixture(scope="module")
-def model(tiny_city, tiny_config, shared_resources):
-    return WSCModel(tiny_city.network, tiny_config, resources=shared_resources)
+def model(shared_resources):
+    return shared_resources.new_encoder()
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +36,7 @@ def workload(tiny_city):
 @pytest.fixture(scope="module")
 def golden(model, workload):
     """One-at-a-time reference embeddings, in request order."""
-    return np.stack([model.embed([tp])[0] for tp in workload], axis=0)
+    return np.stack([model.encode([tp])[0] for tp in workload], axis=0)
 
 
 @pytest.mark.parametrize("cache_capacity", [1, 5, 4096])
@@ -84,10 +83,10 @@ def test_request_order_is_preserved(model, workload):
 
 def test_single_path_and_empty_requests(model, workload, golden):
     service = PathEmbeddingService(model)
-    np.testing.assert_allclose(service.represent(workload[0]),
+    np.testing.assert_allclose(service.embed([workload[0]])[0],
                                golden[0], atol=TOLERANCE)
     empty = service.embed([])
-    assert empty.shape == (0, model.representation_dim)
+    assert empty.shape == (0, model.output_dim)
 
 
 def test_baseline_encoder_through_shared_interface(tiny_city, monkeypatch):
@@ -99,3 +98,33 @@ def test_baseline_encoder_through_shared_interface(tiny_city, monkeypatch):
     monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", 4)
     service = PathEmbeddingService(encoder)
     np.testing.assert_allclose(service.embed(paths), golden, atol=TOLERANCE)
+
+
+def _fitted_families(tiny_city):
+    """One fitted model of every family the service fronts, by name."""
+    from repro.core import WSCCL
+    from repro.evaluation import (
+        SUPERVISED_BASELINES,
+        UNSUPERVISED_BASELINES,
+        HarnessConfig,
+        build_supervised_baseline,
+        fit_unsupervised_baseline,
+    )
+
+    config = HarnessConfig()
+    models = {name: fit_unsupervised_baseline(name, tiny_city, config)
+              for name in UNSUPERVISED_BASELINES + ("PIM-Temporal",)}
+    models.update({name: build_supervised_baseline(name, config).fit(tiny_city)
+                   for name in SUPERVISED_BASELINES})
+    models["WSCCL"] = WSCCL(tiny_city.network, config=config.wsccl)
+    models["TemporalPathEncoder"] = models["WSCCL"].model
+    return models
+
+
+def test_empty_request_has_the_model_width_for_every_family(tiny_city):
+    path = tiny_city.unlabeled.temporal_paths[:1]
+    for name, model in _fitted_families(tiny_city).items():
+        width = model.encode(path).shape[1]
+        empty = PathEmbeddingService(model).embed([])
+        assert empty.shape == (0, width), name
+        assert empty.dtype == np.float64, name

@@ -28,16 +28,6 @@ class TestDepartureTime:
         with pytest.raises(ValueError):
             DepartureTime(day_of_week=-1, seconds=0.0)
 
-    def test_paper_example_slot(self):
-        # The paper's example: 00:06 on Monday is the second slot of the day.
-        t = DepartureTime(day_of_week=0, seconds=6 * 60)
-        assert t.slot_of_day == 1
-        assert t.slot_index == 1
-
-    def test_slot_index_for_other_days(self):
-        t = DepartureTime.from_hour(2, 0.0)  # Wednesday midnight
-        assert t.slot_index == 2 * SLOTS_PER_DAY
-
     def test_from_hour(self):
         t = DepartureTime.from_hour(4, 8.5)
         assert t.hour == pytest.approx(8.5)

@@ -37,10 +37,6 @@ class TestPeakOffPeakLabeler:
         assert labeler(DepartureTime.from_hour(1, 7.0)) == POP_MORNING_PEAK
         assert labeler(DepartureTime.from_hour(1, 9.0)) == POP_OFF_PEAK
 
-    def test_label_names(self, labeler):
-        assert labeler.label_name(POP_MORNING_PEAK) == "morning-peak"
-        assert labeler.num_labels == 3
-
     def test_invalid_windows_rejected(self):
         with pytest.raises(ValueError):
             PeakOffPeakLabeler(morning=(9.0, 7.0))
@@ -50,9 +46,6 @@ class TestCongestionIndexLabeler:
     @pytest.fixture()
     def labeler(self):
         return CongestionIndexLabeler(CongestionProfile())
-
-    def test_four_labels(self, labeler):
-        assert labeler.num_labels == 4
 
     def test_peak_is_more_congested_than_night(self, labeler):
         peak = labeler(DepartureTime.from_hour(1, 8.0))
@@ -72,10 +65,6 @@ class TestCongestionIndexLabeler:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             CongestionIndexLabeler(lambda t: 0.0, thresholds=(0.5, 0.2, 0.8))
-
-    def test_label_names(self, labeler):
-        assert labeler.label_name(0) == "smooth"
-        assert labeler.label_name(3) == "heavily-congested"
 
 
 class TestCongestionThresholdValidation:

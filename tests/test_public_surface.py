@@ -87,3 +87,49 @@ def test_graph_infomax_baselines_share_one_fit():
         assert "fit" not in vars(cls), cls.__name__
         assert "_objective" in vars(cls), cls.__name__
     assert DGIPathModel.fit is GMIPathModel.fit
+
+
+def _src_trees():
+    root = pathlib.Path(repro.__file__).parent
+    return {str(path.relative_to(root)): ast.parse(path.read_text())
+            for path in sorted(root.rglob("*.py"))}
+
+
+def _base_name(base):
+    return base.attr if isinstance(base, ast.Attribute) else getattr(base, "id", None)
+
+
+def test_one_encode_on_a_module():
+    # Every path encoder inherits PathEncoder.encode; a module writing out
+    # its own would be a second chunked no-grad loop.
+    classes = [(path, node) for path, tree in _src_trees().items()
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    modules = {"Module"}
+    while True:
+        grown = modules | {node.name for _, node in classes
+                           if any(_base_name(base) in modules for base in node.bases)}
+        if grown == modules:
+            break
+        modules = grown
+    encodes = [f"{path}:{node.name}" for path, node in classes if node.name in modules
+               for item in node.body
+               if isinstance(item, ast.FunctionDef) and item.name == "encode"]
+    assert encodes == ["core/encoder.py:PathEncoder"]
+
+
+def test_no_encode_or_predict_takes_a_batch_size():
+    found = [f"{path}:{node.lineno} {node.name}" for path, tree in _src_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name in ("encode", "predict")
+             and "batch_size" in [arg.arg for arg in node.args.args + node.args.kwonlyargs]]
+    assert not found, found
+
+
+def test_serving_does_not_inspect_models():
+    # The service calls model.encode(paths) and nothing else.
+    imports = [f"{path}:{node.lineno}" for path, tree in _src_trees().items()
+               if path.startswith("serving")
+               for node in ast.walk(tree)
+               if (isinstance(node, ast.Import) and any(a.name == "inspect" for a in node.names))
+               or (isinstance(node, ast.ImportFrom) and node.module == "inspect")]
+    assert not imports, imports

@@ -87,8 +87,7 @@ class TestHMMMapMatcher:
         # match nine or eleven edges in three HMM segments.
         trajectory = make_trajectory([(500.0, 300.0), bad, (560.0, 300.0),
                                       (600.0, 300.0)])
-        for match in (matcher.match, matcher.match_segments,
-                      lambda t: matcher.match_batch([t])):
+        for match in (matcher.match, lambda t: matcher.match_batch([t])):
             with pytest.raises(ValueError, match="GPS fix 1 has a non-finite"):
                 match(trajectory)
 
@@ -99,7 +98,6 @@ class TestHMMMapMatcher:
                                     DepartureTime.from_hour(0, 8.0))
         trajectory.points = []
         assert matcher.match(trajectory) == []
-        assert matcher.match_segments(trajectory) == []
 
     def test_matched_path_is_connected(self, matcher, tiny_network):
         speed_model = SpeedModel(tiny_network, seed=0)
@@ -204,13 +202,12 @@ class TestTransitionModel:
 class TestHMMBreak:
     """All-(-inf) Viterbi steps restart decoding (Newson & Krumm's HMM break)."""
 
-    def test_disconnected_trajectory_splits_into_segments(self, disconnected_network):
+    def test_decoding_restarts_after_a_break(self, disconnected_network):
         trajectory = make_trajectory(
             [(50.0, 1.0), (150.0, 1.0), (10050.0, 1.0), (10150.0, 1.0)])
         for matcher_class in (ReferenceMatcher, HMMMapMatcher):
             matcher = matcher_class(disconnected_network)
-            segments = matcher.match_segments(trajectory)
-            assert segments == [[0, 1], [2, 3]]
+            assert matcher._match_edges(trajectory) == [0, 1, 2, 3]
 
     def test_match_keeps_connected_prefix_without_garbage(self, disconnected_network):
         trajectory = make_trajectory(
@@ -221,17 +218,6 @@ class TestHMMBreak:
         # component's edges instead of stitching disconnected garbage.
         assert matched == [0, 1]
         assert disconnected_network.is_connected_path(matched)
-
-    def test_connected_trajectory_is_one_segment(self, tiny_network):
-        speed_model = SpeedModel(tiny_network, seed=0)
-        sampler = GPSSampler(tiny_network, speed_model, sample_interval=8.0,
-                             noise_std=4.0, seed=3)
-        trajectory = sampler.sample(build_path(tiny_network, hops=5),
-                                    DepartureTime.from_hour(0, 9.0))
-        matcher = HMMMapMatcher(tiny_network)
-        segments = matcher.match_segments(trajectory)
-        assert len(segments) == 1
-        assert segments[0] == matcher.match(trajectory)
 
 
 class TestImplEquivalence:
@@ -253,8 +239,6 @@ class TestImplEquivalence:
                 continue
             trajectory = sampler.sample(path, DepartureTime.from_hour(seed % 7, 9.0))
             assert reference.match(trajectory) == vectorized.match(trajectory)
-            assert (reference.match_segments(trajectory)
-                    == vectorized.match_segments(trajectory))
 
     def test_candidate_sets_identical(self, matchers, tiny_network):
         reference, vectorized = matchers
