@@ -39,7 +39,8 @@ from .metrics import ServiceMetrics
 
 __all__ = ["PathEmbeddingService", "cache_key"]
 
-#: Upper bound on paths per model micro-batch.
+#: Upper bound on paths per model micro-batch; no larger than the chunk of
+#: ``encode_in_chunks``, so each micro-batch is one forward pass.
 _MAX_BATCH_SIZE = 64
 #: LRU capacity in embeddings.
 _CACHE_CAPACITY = 4096
