@@ -40,19 +40,12 @@ class _EdgeTimeBackbone(nn.Module):
 
         self.gcn1 = nn.Linear(feature_dim, hidden_dim, rng=rng)
         self.gcn2 = nn.Linear(hidden_dim, hidden_dim, rng=rng)
-        edge_feature_dim = len(network.feature_encoder.one_hot(network.edge_features(0)))
+        self._edge_one_hots = network.feature_encoder.one_hot_matrix(
+            network.edge_feature_matrix())
+        self._endpoints = network.edge_endpoint_matrix()
+        self._lengths = network.edge_lengths()
+        edge_feature_dim = self._edge_one_hots.shape[1]
         self.edge_head = nn.Linear(2 * hidden_dim + edge_feature_dim + extra_dim, 1, rng=rng)
-
-        self._edge_one_hots = np.stack([
-            network.feature_encoder.one_hot(network.edge_features(e))
-            for e in range(network.num_edges)
-        ])
-        self._endpoints = np.array([
-            network.edge_endpoints(e) for e in range(network.num_edges)
-        ], dtype=np.int64)
-        self._lengths = np.array([
-            network.edge_length(e) for e in range(network.num_edges)
-        ])
 
     def node_embeddings(self):
         adjacency = nn.Tensor(self.adjacency)

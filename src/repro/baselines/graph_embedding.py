@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..graph import Node2Vec, Node2VecConfig
+from ..graph import Node2Vec, Node2VecConfig, concat_endpoint_embeddings
 from .base import RepresentationModel, mean_pool_edge_vectors
 
 __all__ = ["Node2vecPathModel", "DGIPathModel", "GMIPathModel"]
@@ -37,43 +37,25 @@ _GRAPH_LR = 0.01
 
 def _node_input_features(network):
     """Per-node features: mean one-hot edge features of incident edges."""
-    encoder = network.feature_encoder
-    sample = encoder.one_hot(network.edge_features(0))
-    features = np.zeros((network.num_nodes, len(sample)))
-    counts = np.zeros(network.num_nodes)
-    for edge in range(network.num_edges):
-        one_hot = encoder.one_hot(network.edge_features(edge))
-        source, target = network.edge_endpoints(edge)
-        features[source] += one_hot
-        features[target] += one_hot
-        counts[source] += 1
-        counts[target] += 1
-    counts = np.maximum(counts, 1.0)
+    one_hots = network.feature_encoder.one_hot_matrix(network.edge_feature_matrix())
+    endpoints = network.edge_endpoint_matrix()
+    features = np.zeros((network.num_nodes, one_hots.shape[1]))
+    # Sums of 0/1 entries are exact, so the accumulation order is immaterial.
+    np.add.at(features, endpoints[:, 0], one_hots)
+    np.add.at(features, endpoints[:, 1], one_hots)
+    counts = np.maximum(np.bincount(endpoints.ravel(), minlength=network.num_nodes), 1.0)
     return features / counts[:, None]
 
 
 def _normalized_adjacency(network):
     """Symmetric normalised adjacency with self-loops (GCN propagation matrix)."""
-    size = network.num_nodes
-    adjacency = np.eye(size)
-    for edge in range(network.num_edges):
-        source, target = network.edge_endpoints(edge)
-        adjacency[source, target] = 1.0
-        adjacency[target, source] = 1.0
+    sources, targets = network.edge_endpoint_matrix().T
+    adjacency = np.eye(network.num_nodes)
+    adjacency[sources, targets] = 1.0
+    adjacency[targets, sources] = 1.0
     degree = adjacency.sum(axis=1)
     inv_sqrt = 1.0 / np.sqrt(np.maximum(degree, 1e-12))
     return adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-
-def _edge_vectors_from_nodes(network, node_embeddings):
-    """Edge representation = concatenation of endpoint node embeddings."""
-    dim = node_embeddings.shape[1]
-    edges = np.zeros((network.num_edges, 2 * dim))
-    for edge in range(network.num_edges):
-        source, target = network.edge_endpoints(edge)
-        edges[edge, :dim] = node_embeddings[source]
-        edges[edge, dim:] = node_embeddings[target]
-    return edges
 
 
 class _EdgeVectorModel(RepresentationModel):
@@ -144,7 +126,7 @@ class _GraphInfomaxModel(_EdgeVectorModel):
 
         with nn.no_grad():
             node_embeddings = encoder(nn.Tensor(features)).data
-        self._edge_vectors = _edge_vectors_from_nodes(network, node_embeddings)
+        self._edge_vectors = concat_endpoint_embeddings(network, node_embeddings)
         return self
 
     def _objective(self, encoder, adjacency, features, rng):

@@ -136,6 +136,15 @@ def build_dataset(city_name, config):
 # ----------------------------------------------------------------------
 # WSCCL variants
 # ----------------------------------------------------------------------
+#: The WSCCL variants :func:`fit_wsccl` trains.
+_WSCCL_VARIANTS = ("full", "no_cl", "heuristic", "no_global", "no_local", "no_temporal")
+
+
+def _check_name(kind, name, valid):
+    if name not in valid:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {', '.join(valid)}")
+
+
 def fit_wsccl(city, config, variant="full", weak_labels="pop", resources=None):
     """Train a WSCCL variant on a city's unlabeled corpus.
 
@@ -148,8 +157,11 @@ def fit_wsccl(city, config, variant="full", weak_labels="pop", resources=None):
     * ``"no_local"`` — λ = 1 (global loss only, Table VI),
     * ``"no_temporal"`` — WSCCL-NT, temporal embedding zeroed (Table VIII).
 
-    ``weak_labels`` selects POP or TCI weak labels (Table VII).
+    ``weak_labels`` selects POP or TCI weak labels (Table VII).  Both names
+    are checked before any work.
     """
+    _check_name("WSCCL variant", variant, _WSCCL_VARIANTS)
+    _check_name("weak label type", weak_labels, ("pop", "tci"))
     wsccl_config = config.wsccl
     if variant == "no_global":
         wsccl_config = wsccl_config.with_overrides(lambda_balance=0.0)
@@ -159,23 +171,19 @@ def fit_wsccl(city, config, variant="full", weak_labels="pop", resources=None):
     dataset = city.unlabeled
     if weak_labels == "tci":
         dataset = dataset.relabel(city.tci_labeler)
-    elif weak_labels != "pop":
-        raise ValueError(f"unknown weak label type {weak_labels!r}")
 
     resources = resources or SharedResources(city.network, wsccl_config)
     model = WSCCL(
         city.network, config=wsccl_config, resources=resources,
         use_temporal=(variant != "no_temporal"),
     )
-    if variant in ("full", "no_global", "no_local", "no_temporal"):
-        model.fit(dataset, batches_per_epoch=config.max_batches,
-                  expert_batches=config.max_batches)
-    elif variant == "heuristic":
+    if variant == "heuristic":
         model.fit_with_heuristic_curriculum(dataset, batches_per_epoch=config.max_batches)
     elif variant == "no_cl":
         model.fit_without_curriculum(dataset, batches_per_epoch=config.max_batches)
     else:
-        raise ValueError(f"unknown WSCCL variant {variant!r}")
+        model.fit(dataset, batches_per_epoch=config.max_batches,
+                  expert_batches=config.max_batches)
     return model
 
 
@@ -187,47 +195,49 @@ SUPERVISED_BASELINES = ("DeepGTT", "HMTRL", "PathRank")
 EDGE_SUM_BASELINES = ("GCN", "STGCN")
 
 
+def _graph_node_model(cls):
+    return lambda c: cls(dim=c.baseline_dim, seed=c.seed)
+
+
+def _sequence_model(cls):
+    return lambda c: cls(dim=c.baseline_dim, epochs=c.baseline_epochs, seed=c.seed)
+
+
+#: Name -> constructor of every unsupervised baseline, given the config.
+_UNSUPERVISED_FACTORIES = {
+    "Node2vec": _graph_node_model(Node2vecPathModel),
+    "DGI": _graph_node_model(DGIPathModel),
+    "GMI": _graph_node_model(GMIPathModel),
+    "MB": _sequence_model(MemoryBankModel),
+    "BERT": _sequence_model(BERTPathModel),
+    "InfoGraph": _sequence_model(InfoGraphModel),
+    "PIM": _sequence_model(PIMModel),
+    "PIM-Temporal": _sequence_model(PIMTemporalModel),
+}
+
+#: Name -> constructor of every supervised and edge-sum baseline, given the
+#: config and the optional pre-trained encoder state (PathRank's only).
+_SUPERVISED_FACTORIES = {
+    "DeepGTT": lambda c, state: DeepGTTModel(
+        config=c.wsccl, epochs=c.supervised_epochs, seed=c.seed),
+    "HMTRL": lambda c, state: HMTRLModel(
+        config=c.wsccl, epochs=c.supervised_epochs, seed=c.seed),
+    "PathRank": lambda c, state: PathRankModel(
+        config=c.wsccl, epochs=c.supervised_epochs, seed=c.seed, pretrained_state=state),
+    "GCN": lambda c, state: GCNTravelTimeModel(
+        hidden_dim=c.baseline_dim, epochs=c.supervised_epochs * 3, seed=c.seed),
+    "STGCN": lambda c, state: STGCNTravelTimeModel(
+        hidden_dim=c.baseline_dim, epochs=c.supervised_epochs * 3, seed=c.seed),
+}
+
+
 def fit_unsupervised_baseline(name, city, config):
     """Fit one of the unsupervised baselines on a city's unlabeled corpus."""
-    seed = config.seed
-    if name == "Node2vec":
-        return Node2vecPathModel(dim=config.baseline_dim, seed=seed).fit(city)
-    if name == "DGI":
-        return DGIPathModel(dim=config.baseline_dim, seed=seed).fit(city)
-    if name == "GMI":
-        return GMIPathModel(dim=config.baseline_dim, seed=seed).fit(city)
-    if name == "MB":
-        return MemoryBankModel(dim=config.baseline_dim, epochs=config.baseline_epochs,
-                               seed=seed).fit(city, max_batches=config.max_batches)
-    if name == "BERT":
-        return BERTPathModel(dim=config.baseline_dim, epochs=config.baseline_epochs,
-                             seed=seed).fit(city, max_batches=config.max_batches)
-    if name == "InfoGraph":
-        return InfoGraphModel(dim=config.baseline_dim, epochs=config.baseline_epochs,
-                              seed=seed).fit(city, max_batches=config.max_batches)
-    if name == "PIM":
-        return PIMModel(dim=config.baseline_dim, epochs=config.baseline_epochs,
-                        seed=seed).fit(city, max_batches=config.max_batches)
-    if name == "PIM-Temporal":
-        return PIMTemporalModel(dim=config.baseline_dim, epochs=config.baseline_epochs,
-                                seed=seed).fit(city, max_batches=config.max_batches)
-    raise KeyError(f"unknown unsupervised baseline {name!r}")
+    _check_name("unsupervised baseline", name, tuple(_UNSUPERVISED_FACTORIES))
+    return _UNSUPERVISED_FACTORIES[name](config).fit(city, max_batches=config.max_batches)
 
 
 def build_supervised_baseline(name, config, pretrained_state=None):
     """Construct (but do not train) a supervised baseline model."""
-    seed = config.seed
-    if name == "DeepGTT":
-        return DeepGTTModel(config=config.wsccl, epochs=config.supervised_epochs, seed=seed)
-    if name == "HMTRL":
-        return HMTRLModel(config=config.wsccl, epochs=config.supervised_epochs, seed=seed)
-    if name == "PathRank":
-        return PathRankModel(config=config.wsccl, epochs=config.supervised_epochs,
-                             seed=seed, pretrained_state=pretrained_state)
-    if name == "GCN":
-        return GCNTravelTimeModel(hidden_dim=config.baseline_dim,
-                                  epochs=config.supervised_epochs * 3, seed=seed)
-    if name == "STGCN":
-        return STGCNTravelTimeModel(hidden_dim=config.baseline_dim,
-                                    epochs=config.supervised_epochs * 3, seed=seed)
-    raise KeyError(f"unknown supervised baseline {name!r}")
+    _check_name("supervised baseline", name, tuple(_SUPERVISED_FACTORIES))
+    return _SUPERVISED_FACTORIES[name](config, pretrained_state)

@@ -1,7 +1,8 @@
 """Graph embedding substrate: node2vec (biased walks + skip-gram)."""
 
-from .node2vec import Node2Vec, Node2VecConfig
+from .node2vec import Node2Vec, Node2VecConfig, concat_endpoint_embeddings
 from .skipgram import SkipGramTrainer
 from .walks import RandomWalker
 
-__all__ = ["Node2Vec", "Node2VecConfig", "RandomWalker", "SkipGramTrainer"]
+__all__ = ["Node2Vec", "Node2VecConfig", "RandomWalker", "SkipGramTrainer",
+           "concat_endpoint_embeddings"]

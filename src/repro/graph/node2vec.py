@@ -16,7 +16,7 @@ from .._memo import remember
 from .skipgram import SkipGramTrainer
 from .walks import RandomWalker, _neighbourhoods
 
-__all__ = ["Node2Vec", "Node2VecConfig"]
+__all__ = ["Node2Vec", "Node2VecConfig", "concat_endpoint_embeddings"]
 
 
 class Node2VecConfig:
@@ -128,15 +128,10 @@ class Node2Vec:
 
     def edge_topology_embeddings(self, network):
         """Per-edge topology feature: concatenation of endpoint embeddings (Eq. 5)."""
-        node_embeddings = self.embeddings
-        dim = node_embeddings.shape[1]
-        if network.num_edges == 0:
-            return np.zeros((0, 2 * dim))
-        endpoints = np.asarray(
-            [network.edge_endpoints(edge) for edge in range(network.num_edges)],
-            dtype=np.int64,
-        )
-        return np.concatenate(
-            (node_embeddings[endpoints[:, 0]], node_embeddings[endpoints[:, 1]]),
-            axis=1,
-        )
+        return concat_endpoint_embeddings(network, self.embeddings)
+
+
+def concat_endpoint_embeddings(network, node_embeddings):
+    """Per-edge rows ``[source embedding, target embedding]``, shape (E, 2 * dim)."""
+    sources, targets = network.edge_endpoint_matrix().T
+    return np.concatenate((node_embeddings[sources], node_embeddings[targets]), axis=1)

@@ -1,7 +1,7 @@
 """Functional operations built on :class:`repro.nn.tensor.Tensor`.
 
 These mirror the subset of ``torch.nn.functional`` that the WSCCL model and
-its baselines use: softmax, log-softmax, cosine similarity, common losses and
+its baselines use: log-softmax, cosine similarity, common losses and
 a handful of numerically-stable helpers used by the contrastive objectives.
 """
 
@@ -13,7 +13,6 @@ from .tensor import Tensor
 
 __all__ = [
     "EXCLUDED_BIAS",
-    "softmax",
     "log_softmax",
     "cosine_similarity",
     "mse_loss",
@@ -31,14 +30,6 @@ __all__ = [
 #: excluded entries contribute neither value nor gradient.  Used by the
 #: contrastive losses' masked reductions.
 EXCLUDED_BIAS = -1e9
-
-
-def softmax(x, axis=-1):
-    """Numerically stable softmax along ``axis``."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    exps = shifted.exp()
-    return exps / exps.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x, axis=-1):

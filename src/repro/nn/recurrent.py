@@ -3,12 +3,12 @@
 The WSCCL temporal path encoder (paper §IV-C, Eq. 7), PathRank and the
 DeepGTT, HMTRL and spatial-encoder baselines run this LSTM over
 ``(batch, time, features)`` sequences.  :class:`LSTMCell` holds one layer's
-parameters and a public one-step ``forward`` on the autograd engine.
-:class:`LSTM` runs the whole sequence as one autograd node: a numpy loop
-over time with a per-step tape, and a hand-written backpropagation through
-time.  Both repeat the per-step cell graph's arithmetic and summation order,
-so outputs and gradients are bit-identical to it (the oracle is
-``tests/nn/reference_lstm.py``); every gemm stays per step for that reason.
+parameters.  :class:`LSTM` runs the whole sequence as one autograd node: a
+numpy loop over time with a per-step tape, and a hand-written
+backpropagation through time.  Both repeat the arithmetic and summation
+order of the per-step cell graph in ``tests/nn/reference_lstm.py``, so
+outputs and gradients are bit-identical to it; every gemm stays per step for
+that reason.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def _sigmoid(x):
 
 
 class LSTMCell(Module):
-    """A single LSTM cell with the standard i/f/g/o gate parameterisation."""
+    """One LSTM layer's parameters, i/f/g/o gates, and its fused time loop."""
 
     def __init__(self, input_size, hidden_size, rng=None):
         super().__init__()
@@ -42,20 +42,6 @@ class LSTMCell(Module):
         # Forget-gate bias of 1.0 is the usual trick for gradient flow.
         bias[hidden_size:2 * hidden_size] = 1.0
         self.bias = Parameter(bias)
-
-    def forward(self, x, state):
-        """One step.  ``x`` is (batch, input_size); ``state`` is ``(h, c)``."""
-        h_prev, c_prev = state
-        x = x if isinstance(x, Tensor) else Tensor(x)
-        gates = x @ self.weight_ih.transpose() + h_prev @ self.weight_hh.transpose() + self.bias
-        hs = self.hidden_size
-        i_gate = gates[:, 0 * hs:1 * hs].sigmoid()
-        f_gate = gates[:, 1 * hs:2 * hs].sigmoid()
-        g_gate = gates[:, 2 * hs:3 * hs].tanh()
-        o_gate = gates[:, 3 * hs:4 * hs].sigmoid()
-        c_new = f_gate * c_prev + i_gate * g_gate
-        h_new = o_gate * c_new.tanh()
-        return h_new, c_new
 
     def _run(self, steps, mask, tape):
         """Run over ``(batch, input_size)`` step arrays, taping unless ``tape`` is None."""

@@ -132,14 +132,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def numpy(self):
-        """Return the underlying numpy array (no copy)."""
-        return self.data
-
-    def item(self):
-        """Return the value of a single-element tensor as a Python float."""
-        return float(self.data)
-
     def zero_grad(self):
         """Reset the accumulated gradient."""
         self.grad = None
@@ -442,24 +434,6 @@ class Tensor:
         requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
         out = Tensor(out_data, requires_grad=requires,
                      _parents=tuple(tensors) if requires else (), _op="concat")
-        if requires:
-            out._backward = backward
-        return out
-
-    @staticmethod
-    def stack(tensors, axis=0):
-        tensors = [Tensor._ensure(t) for t in tensors]
-        out_data = np.stack([t.data for t in tensors], axis=axis)
-
-        def backward(grad):
-            moved = np.moveaxis(grad, axis, 0)
-            for tensor, g in zip(tensors, moved):
-                if tensor.requires_grad:
-                    tensor._accumulate(g)
-
-        requires = is_grad_enabled() and any(t.requires_grad for t in tensors)
-        out = Tensor(out_data, requires_grad=requires,
-                     _parents=tuple(tensors) if requires else (), _op="stack")
         if requires:
             out._backward = backward
         return out

@@ -3,8 +3,8 @@
 The paper's spatial embedding (§IV-B) uses four categorical features per
 edge: road type, number of lanes, one-way flag and traffic signals.  This
 module defines those categories, the container for per-edge features, and the
-conversion from features to categorical indices / one-hot vectors consumed by
-the spatial embedding layer.
+conversion from features to categorical indices (the spatial embedding
+layer's input) and from indices to one-hot rows (the graph baselines' input).
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ class FeatureEncoder:
             int(features.traffic_signals),
         )
 
-    def one_hot(self, features):
-        """Concatenated one-hot encoding of the four categorical features."""
-        rt, lanes, ow, ts = self.categorical_indices(features)
-        pieces = [
-            _one_hot(rt, self.num_road_types),
-            _one_hot(lanes, self.num_lane_buckets),
-            _one_hot(ow, self.num_one_way),
-            _one_hot(ts, self.num_signals),
-        ]
-        return np.concatenate(pieces)
-
     def encode_edges(self, edge_features):
         """Vectorise a sequence of :class:`EdgeFeatures` into an index matrix.
 
@@ -131,8 +120,16 @@ class FeatureEncoder:
             matrix[row] = self.categorical_indices(features)
         return matrix
 
+    def one_hot_matrix(self, indices):
+        """Concatenated one-hots of an ``encode_edges`` index matrix.
 
-def _one_hot(index, size):
-    vector = np.zeros(size)
-    vector[index] = 1.0
-    return vector
+        Each row of the ``(num_edges, 4)`` ``indices`` becomes road type,
+        lane bucket, one-way and signal one-hots side by side: a float array
+        of shape ``(num_edges, 17)`` with four ones per row.
+        """
+        sizes = (self.num_road_types, self.num_lane_buckets,
+                 self.num_one_way, self.num_signals)
+        offsets = np.cumsum((0,) + sizes[:-1])
+        matrix = np.zeros((len(indices), sum(sizes)))
+        np.put_along_axis(matrix, np.asarray(indices) + offsets, 1.0, axis=1)
+        return matrix

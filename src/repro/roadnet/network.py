@@ -124,6 +124,18 @@ class RoadNetwork:
         """Edge ids entering ``node_id``."""
         return tuple(self._in_edges[node_id])
 
+    def edge_endpoint_matrix(self):
+        """(source, target) node ids of every edge, int64 shape (E, 2)."""
+        return np.array(self._edge_endpoints, dtype=np.int64).reshape(-1, 2)
+
+    def edge_lengths(self):
+        """Length of every edge in metres, shape (E,)."""
+        return np.array([f.length for f in self._edge_features], dtype=np.float64)
+
+    def node_coordinate_matrix(self):
+        """(x, y) position of every node in metres, shape (N, 2)."""
+        return np.array(self._node_coords, dtype=np.float64).reshape(-1, 2)
+
     def edge_feature_matrix(self):
         """Integer matrix of categorical feature indices, shape (E, 4)."""
         return self.feature_encoder.encode_edges(self._edge_features)
@@ -151,7 +163,7 @@ class RoadNetwork:
 
     def statistics(self):
         """Summary statistics used by the Table II runner."""
-        lengths = np.array([f.length for f in self._edge_features]) if self._edge_features else np.zeros(1)
+        lengths = self.edge_lengths() if self.num_edges else np.zeros(1)
         return {
             "num_nodes": self.num_nodes,
             "num_edges": self.num_edges,

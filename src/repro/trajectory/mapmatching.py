@@ -9,9 +9,11 @@ with the great-circle distance between fixes, decoded with Viterbi.  When a
 step has no reachable transition at all, decoding restarts from that fix
 (Newson & Krumm's HMM break) instead of stitching disconnected garbage.
 
-Candidate generation is one batched segment-distance computation over
-grid-pruned ``(fix, edge)`` pairs
-(:class:`~repro.roadnet.spatial_index.SegmentGridIndex`, one cell per
+Edge segments, lengths and endpoints are read from the network's
+whole-network arrays (:meth:`~repro.roadnet.network.RoadNetwork.edge_endpoint_matrix`,
+``node_coordinate_matrix`` and ``edge_lengths``).  Candidate generation is
+one batched segment-distance computation over grid-pruned ``(fix, edge)``
+pairs (:class:`~repro.roadnet.spatial_index.SegmentGridIndex`, one cell per
 ``candidate_radius``), keeping the closest six edges per fix; transition
 pricing reuses a resumable multi-target Dijkstra per unique source node
 (:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and across
@@ -85,30 +87,16 @@ class HMMMapMatcher:
         self.emission_sigma = emission_sigma
         self.transition_beta = transition_beta
         self.candidate_radius = candidate_radius
-        self._segments = self._build_segment_index()
-        self._lengths = np.array([network.edge_length(e)
-                                  for e in range(network.num_edges)])
-        endpoints = np.array([network.edge_endpoints(e)
-                              for e in range(network.num_edges)],
-                             dtype=np.int64).reshape(network.num_edges, 2)
-        self._edge_sources = endpoints[:, 0]
-        self._edge_targets = endpoints[:, 1]
+        self._edge_sources, self._edge_targets = network.edge_endpoint_matrix().T
+        coordinates = network.node_coordinate_matrix()
+        self._segments = coordinates[self._edge_sources], coordinates[self._edge_targets]
+        self._lengths = network.edge_lengths()
         self._grid = None
         self._dijkstra = None
 
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
-    def _build_segment_index(self):
-        """Pre-compute segment endpoints for distance queries."""
-        starts = np.zeros((self.network.num_edges, 2))
-        ends = np.zeros((self.network.num_edges, 2))
-        for edge in range(self.network.num_edges):
-            source, target = self.network.edge_endpoints(edge)
-            starts[edge] = self.network.node_coordinates(source)
-            ends[edge] = self.network.node_coordinates(target)
-        return starts, ends
-
     @property
     def grid_index(self):
         """The lazily built :class:`SegmentGridIndex` over edge segments."""

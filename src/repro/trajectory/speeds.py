@@ -138,13 +138,12 @@ class SpeedModel:
         # static per-edge arrays backing the batched pricing paths.
         sensitivities = np.empty(network.num_edges)
         self._speed_limits = np.empty(network.num_edges)
-        self._lengths = np.empty(network.num_edges)
+        self._lengths = network.edge_lengths()
         for edge in range(network.num_edges):
             features = network.edge_features(edge)
             sensitivities[edge] = _CONGESTION_SENSITIVITY.get(
                 features.road_type, DEFAULT_CONGESTION_SENSITIVITY)
             self._speed_limits[edge] = features.speed_limit
-            self._lengths[edge] = network.edge_length(edge)
         # Per-edge congestion sensitivity jitter.
         self._sensitivity = np.clip(
             sensitivities * rng.uniform(0.85, 1.15, size=network.num_edges),

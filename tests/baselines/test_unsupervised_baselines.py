@@ -16,6 +16,7 @@ from repro.baselines import (
     PIMTemporalModel,
     SpatialSequenceEncoder,
 )
+from repro.baselines.graph_embedding import _node_input_features, _normalized_adjacency
 from repro.datasets import TemporalPath
 from repro.temporal import DepartureTime
 
@@ -63,6 +64,33 @@ class TestGraphEmbeddingBaselines:
     def test_encode_single(self, tiny_city):
         model = Node2vecPathModel(dim=8, seed=0).fit(tiny_city)
         assert model.encode(tiny_city.unlabeled.temporal_paths[:1]).shape == (1, 8)
+
+
+class TestGraphInputs:
+    """DGI/GMI/GCN inputs built from whole-network arrays equal the per-edge
+    loops they replaced, bit for bit."""
+
+    def test_node_input_features_match_edge_loop(self, tiny_city):
+        network = tiny_city.network
+        one_hots = network.feature_encoder.one_hot_matrix(network.edge_feature_matrix())
+        features = np.zeros((network.num_nodes, one_hots.shape[1]))
+        counts = np.zeros(network.num_nodes)
+        for edge in range(network.num_edges):
+            for node in network.edge_endpoints(edge):
+                features[node] += one_hots[edge]
+                counts[node] += 1
+        expected = features / np.maximum(counts, 1.0)[:, None]
+        np.testing.assert_array_equal(_node_input_features(network), expected)
+
+    def test_normalized_adjacency_matches_edge_loop(self, tiny_city):
+        network = tiny_city.network
+        adjacency = np.eye(network.num_nodes)
+        for edge in range(network.num_edges):
+            source, target = network.edge_endpoints(edge)
+            adjacency[source, target] = adjacency[target, source] = 1.0
+        inv_sqrt = 1.0 / np.sqrt(adjacency.sum(axis=1))
+        expected = adjacency * inv_sqrt[:, None] * inv_sqrt[None, :]
+        np.testing.assert_array_equal(_normalized_adjacency(network), expected)
 
 
 class TestSequenceBaselines:

@@ -90,6 +90,22 @@ class TestFactories:
             fit_wsccl(tiny_city, fast_config, weak_labels="zodiac",
                       resources=shared_resources)
 
+    @pytest.mark.parametrize("names", [{"variant": "bogus"}, {"weak_labels": "zodiac"},
+                                       {"variant": "bogus", "weak_labels": "tci"}],
+                             ids=["variant", "weak-labels", "variant-before-relabel"])
+    def test_fit_wsccl_checks_names_before_any_work(self, monkeypatch, fast_config,
+                                                     tiny_city, names):
+        from repro.evaluation import experiment
+
+        def must_not_build(*args, **kwargs):
+            raise AssertionError("built before the names were checked")
+
+        monkeypatch.setattr(experiment, "SharedResources", must_not_build)
+        monkeypatch.setattr(experiment, "WSCCL", must_not_build)
+        monkeypatch.setattr(type(tiny_city.unlabeled), "relabel", must_not_build)
+        with pytest.raises(ValueError, match="expected one of"):
+            fit_wsccl(tiny_city, fast_config, **names)
+
     @pytest.mark.parametrize("name", UNSUPERVISED_BASELINES + ("PIM-Temporal",))
     def test_fit_unsupervised_baseline_by_name(self, name, fast_config, tiny_city):
         model = fit_unsupervised_baseline(name, tiny_city, fast_config)
@@ -98,7 +114,7 @@ class TestFactories:
         assert np.isfinite(reps).all()
 
     def test_fit_unsupervised_baseline_rejects_unknown_name(self, fast_config, tiny_city):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="expected one of Node2vec, DGI, .*PIM-Temporal"):
             fit_unsupervised_baseline("NOPE", tiny_city, fast_config)
 
     @pytest.mark.parametrize("name", SUPERVISED_BASELINES + EDGE_SUM_BASELINES)
@@ -108,7 +124,7 @@ class TestFactories:
         assert np.isfinite(list(row.values())).all()
 
     def test_build_supervised_baseline_rejects_unknown_name(self, fast_config):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="expected one of DeepGTT, .*STGCN"):
             build_supervised_baseline("NOPE", fast_config)
 
     def test_representation_task_results_shape(self, fast_config, tiny_city):

@@ -1,10 +1,11 @@
 """The per-step cell-graph oracle for :class:`repro.nn.LSTM`.
 
-:func:`reference_lstm_forward` runs the LSTM one public
-:meth:`repro.nn.LSTMCell.forward` step at a time, so every gate, product
-and mask blend is its own autograd node.  The fused kernel in
-:mod:`repro.nn.recurrent` must produce the same outputs and the same
-gradients bit for bit; ``test_lstm_equivalence.py`` compares the two.
+:func:`reference_lstm_forward` runs the LSTM one :func:`cell_step` at a
+time on the autograd engine, so every gate, product and mask blend is its
+own autograd node, and :func:`stack` joins the top layer's steps.  The
+fused kernel in :mod:`repro.nn.recurrent` must produce the same outputs and
+the same gradients bit for bit; ``test_lstm_equivalence.py`` compares the
+two.
 """
 
 from __future__ import annotations
@@ -12,6 +13,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import Tensor
+
+
+def cell_step(cell, x, state):
+    """One step of ``cell``.  ``x`` is (batch, input_size); ``state`` is ``(h, c)``."""
+    h_prev, c_prev = state
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    gates = x @ cell.weight_ih.transpose() + h_prev @ cell.weight_hh.transpose() + cell.bias
+    hs = cell.hidden_size
+    i_gate = gates[:, 0 * hs:1 * hs].sigmoid()
+    f_gate = gates[:, 1 * hs:2 * hs].sigmoid()
+    g_gate = gates[:, 2 * hs:3 * hs].tanh()
+    o_gate = gates[:, 3 * hs:4 * hs].sigmoid()
+    c_new = f_gate * c_prev + i_gate * g_gate
+    h_new = o_gate * c_new.tanh()
+    return h_new, c_new
+
+
+def stack(tensors, axis=0):
+    """``np.stack`` of tensors as one autograd node."""
+    out_data = np.stack([t.data for t in tensors], axis=axis)
+
+    def backward(grad):
+        for tensor, g in zip(tensors, np.moveaxis(grad, axis, 0)):
+            if tensor.requires_grad:
+                tensor._accumulate(g)
+
+    return tensors[0]._make_result(out_data, tuple(tensors), backward, "stack")
 
 
 def initial_state(cell, batch_size):
@@ -36,7 +64,7 @@ def reference_lstm_forward(lstm, x, mask=None):
         h, c = initial_state(cell, batch)
         step_outputs = []
         for t, step in enumerate(layer_input_steps):
-            h_new, c_new = cell(step, (h, c))
+            h_new, c_new = cell_step(cell, step, (h, c))
             if mask_array is not None:
                 keep = Tensor(mask_array[:, t:t + 1])
                 h = h_new * keep + h * (1.0 - keep)
@@ -46,5 +74,5 @@ def reference_lstm_forward(lstm, x, mask=None):
             step_outputs.append(h)
         layer_input_steps = step_outputs
 
-    outputs = Tensor.stack(layer_input_steps, axis=1)
+    outputs = stack(layer_input_steps, axis=1)
     return outputs, layer_input_steps[-1]

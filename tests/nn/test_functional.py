@@ -9,26 +9,16 @@ from repro.nn import Tensor
 from repro.nn import functional as F
 
 
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        x = Tensor(rng.normal(size=(4, 7)))
-        out = F.softmax(x, axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(4), atol=1e-12)
+def _softmax(x, axis=-1):
+    exps = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exps / exps.sum(axis=axis, keepdims=True)
 
-    def test_invariant_to_constant_shift(self, rng):
-        x = rng.normal(size=(3, 5))
-        a = F.softmax(Tensor(x)).data
-        b = F.softmax(Tensor(x + 100.0)).data
-        np.testing.assert_allclose(a, b, atol=1e-10)
 
-    def test_handles_large_values(self):
-        out = F.softmax(Tensor([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.data, [[0.5, 0.5]])
-
-    def test_log_softmax_matches_log_of_softmax(self, rng):
-        x = Tensor(rng.normal(size=(2, 6)))
-        np.testing.assert_allclose(
-            F.log_softmax(x).data, np.log(F.softmax(x).data), atol=1e-10)
+class TestLogSoftmax:
+    def test_matches_log_of_softmax(self, rng):
+        x = rng.normal(size=(2, 6))
+        np.testing.assert_allclose(F.log_softmax(Tensor(x)).data, np.log(_softmax(x)),
+                                   atol=1e-10)
 
 
 class TestLogSumExp:
@@ -44,7 +34,7 @@ class TestLogSumExp:
     def test_gradient_is_softmax(self):
         x = Tensor(np.array([0.5, 1.5, -0.3]), requires_grad=True)
         F.logsumexp(x).backward()
-        np.testing.assert_allclose(x.grad, F.softmax(Tensor(x.data)).data, atol=1e-10)
+        np.testing.assert_allclose(x.grad, _softmax(x.data), atol=1e-10)
 
 
 class TestCosineSimilarity:
@@ -145,8 +135,6 @@ _STEP_MASK = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
 #: The ops the WSC losses and baselines differentiate through.
 #: name -> (scalar graph of ``t``, shape of ``t``).
 GRADIENT_CASES = {
-    "softmax": (lambda t: (F.softmax(t, axis=-1) * Tensor(_WEIGHTS)).sum(), (3, 4)),
-    "softmax_axis0": (lambda t: (F.softmax(t, axis=0) * Tensor(_WEIGHTS)).sum(), (3, 4)),
     "log_softmax": (lambda t: (F.log_softmax(t) * Tensor(_WEIGHTS)).sum(), (3, 4)),
     "logsumexp_rows": (lambda t: (F.logsumexp(t, axis=-1) ** 2).sum(), (3, 4)),
     "logsumexp_axis0_keepdims": (

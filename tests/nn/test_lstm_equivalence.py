@@ -2,9 +2,9 @@
 
 :meth:`repro.nn.LSTM.forward` is one autograd node with a hand-written
 backward; ``reference_lstm.reference_lstm_forward`` builds the same
-computation from public :class:`repro.nn.LSTMCell` steps.  Outputs, the
-final hidden state, every parameter gradient and the input gradient must
-agree bit for bit (``np.array_equal``), which is what keeps the golden
+computation one autograd cell step at a time.  Outputs, the final hidden
+state, every parameter gradient and the input gradient must agree bit for
+bit (``np.array_equal``), which is what keeps the golden
 tables byte-identical.  The graph-size guards pin what the fusion buys.
 """
 

@@ -67,12 +67,12 @@ class TestFeatureEncoder:
         assert ow == 1
         assert ts == 0
 
-    def test_one_hot_length_and_sum(self):
+    def test_one_hot_matrix_length_and_sum(self):
         encoder = FeatureEncoder()
-        vector = encoder.one_hot(make_features())
+        matrix = encoder.one_hot_matrix(encoder.encode_edges([make_features()]))
         expected_length = len(ROAD_TYPES) + MAX_LANES + 2 + 2
-        assert len(vector) == expected_length
-        assert vector.sum() == pytest.approx(4.0)
+        assert matrix.shape == (1, expected_length)
+        assert matrix.sum() == 4.0
 
     def test_encode_edges_matrix(self):
         encoder = FeatureEncoder()

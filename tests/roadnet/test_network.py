@@ -81,3 +81,65 @@ class TestExportsAndStats:
         assert stats["num_nodes"] == 3
         assert stats["num_edges"] == 3
         assert stats["total_length_km"] == pytest.approx(0.6)
+
+
+def _inline_one_hot(encoder, features):
+    """One edge's concatenated road-type, lane, one-way and signal one-hots."""
+    rows = []
+    for index, size in zip(encoder.categorical_indices(features),
+                           (encoder.num_road_types, encoder.num_lane_buckets,
+                            encoder.num_one_way, encoder.num_signals)):
+        row = np.zeros(size)
+        row[index] = 1.0
+        rows.append(row)
+    return np.concatenate(rows)
+
+
+class TestWholeNetworkArrays:
+    """Each whole-network array equals the per-item accessors, row for row."""
+
+    def test_edge_endpoint_matrix(self, tiny_network):
+        matrix = tiny_network.edge_endpoint_matrix()
+        assert matrix.dtype == np.int64
+        expected = [tiny_network.edge_endpoints(e) for e in range(tiny_network.num_edges)]
+        np.testing.assert_array_equal(matrix, expected)
+
+    def test_edge_lengths(self, tiny_network):
+        expected = [tiny_network.edge_length(e) for e in range(tiny_network.num_edges)]
+        np.testing.assert_array_equal(tiny_network.edge_lengths(), expected)
+
+    def test_node_coordinate_matrix(self, tiny_network):
+        expected = [tiny_network.node_coordinates(n) for n in range(tiny_network.num_nodes)]
+        np.testing.assert_array_equal(tiny_network.node_coordinate_matrix(), expected)
+
+    def test_one_hot_matrix(self, tiny_network):
+        encoder = tiny_network.feature_encoder
+        matrix = encoder.one_hot_matrix(tiny_network.edge_feature_matrix())
+        assert matrix.shape == (tiny_network.num_edges, 17)
+        np.testing.assert_array_equal(matrix.sum(axis=1), 4.0)
+        expected = [_inline_one_hot(encoder, tiny_network.edge_features(e))
+                    for e in range(tiny_network.num_edges)]
+        np.testing.assert_array_equal(matrix, expected)
+
+    def test_empty_network(self):
+        from repro.graph import Node2Vec, Node2VecConfig
+
+        network = RoadNetwork()
+        assert network.edge_endpoint_matrix().shape == (0, 2)
+        assert network.edge_lengths().shape == (0,)
+        assert network.node_coordinate_matrix().shape == (0, 2)
+        one_hots = network.feature_encoder.one_hot_matrix(network.edge_feature_matrix())
+        assert one_hots.shape == (0, 17)
+        # Node2vec needs a node to fit on; an edgeless pair has no edge rows.
+        edgeless = RoadNetwork()
+        edgeless.add_node(0.0, 0.0)
+        edgeless.add_node(1.0, 1.0)
+        node2vec = Node2Vec(Node2VecConfig(dim=3, walks_per_node=1, walk_length=2, epochs=1))
+        node2vec.fit_road_network(edgeless)
+        assert node2vec.edge_topology_embeddings(edgeless).shape == (0, 6)
+        assert node2vec.edge_topology_embeddings(network).shape == (0, 6)
+
+    def test_empty_network_statistics(self):
+        stats = RoadNetwork().statistics()
+        assert stats == {"num_nodes": 0, "num_edges": 0,
+                         "total_length_km": 0.0, "mean_edge_length_m": 0.0}

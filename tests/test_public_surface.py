@@ -133,3 +133,34 @@ def test_serving_does_not_inspect_models():
                if (isinstance(node, ast.Import) and any(a.name == "inspect" for a in node.names))
                or (isinstance(node, ast.ImportFrom) and node.module == "inspect")]
     assert not imports, imports
+
+
+def _ranges_over_edges(node):
+    """True for ``range(<...>.num_edges)``."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range"
+            and any(isinstance(arg, ast.Attribute) and arg.attr == "num_edges"
+                    for arg in node.args))
+
+
+def test_per_edge_arrays_come_from_roadnet():
+    # RoadNetwork's edge_endpoint_matrix, edge_lengths, node_coordinate_matrix
+    # and FeatureEncoder.one_hot_matrix own how edges become arrays; a loop
+    # over edge ids rebuilding one of them elsewhere would be a second copy.
+    per_item = {"edge_endpoints", "edge_length", "node_coordinates", "one_hot"}
+    found = []
+    for path, tree in _src_trees().items():
+        if path.startswith("roadnet"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For):
+                iterables = [node.iter]
+            elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                iterables = [generator.iter for generator in node.generators]
+            else:
+                continue
+            if not any(_ranges_over_edges(iterable) for iterable in iterables):
+                continue
+            found += [f"{path}:{call.lineno} .{call.func.attr}()" for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                      and call.func.attr in per_item]
+    assert not found, found

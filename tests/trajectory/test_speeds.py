@@ -124,6 +124,9 @@ class _StubNetwork:
     def edge_length(self, edge_id):
         return 100.0
 
+    def edge_lengths(self):
+        return np.full(self.num_edges, 100.0)
+
 
 class TestUnknownRoadTypeFallback:
     """SpeedModel must not raise a bare KeyError on unseen road types."""
