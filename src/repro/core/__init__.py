@@ -10,7 +10,7 @@ from .curriculum import (
     train_experts,
 )
 from .encoder import PAD_EDGE_ID, PathEncoder, TemporalPathEncoder, pad_paths
-from .losses import combined_wsc_loss, global_wsc_loss, local_wsc_loss
+from .losses import combined_wsc_loss
 from .model import SharedResources
 from .sampling import (
     ContrastSets,
@@ -39,8 +39,6 @@ __all__ = [
     "sample_edge_sets",
     "ContrastSets",
     "EdgeSampleSets",
-    "global_wsc_loss",
-    "local_wsc_loss",
     "combined_wsc_loss",
     "SharedResources",
     "WSCTrainer",

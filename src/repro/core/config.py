@@ -132,7 +132,7 @@ class WSCCLConfig:
             if not (isinstance(value, numbers.Real) and value > 0):
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
         if not 0.0 <= self.lambda_balance <= 1.0:
-            raise ValueError("lambda_balance must be in [0, 1]")
+            raise ValueError(f"lambda_balance must be in [0, 1], got {self.lambda_balance!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for contrastive training")
         if self.node2vec_walk_length < 2:

@@ -1,162 +1,255 @@
-"""Weakly-supervised contrastive losses (paper §V).
+"""The weakly-supervised contrastive objective (paper §V, Eq. 8 and 10–12).
 
-Both functions return losses to *minimise*; they are the negations of the
-paper's objectives (Eq. 10, Eq. 11) so they can be fed directly to an
-optimiser.  :func:`combined_wsc_loss` implements Eq. 12's λ-weighted sum.
+:func:`combined_wsc_loss` is the whole objective of one WSC train step as a
+single autograd node whose only parent is the LSTM's per-step output
+(``steps``, the STERs).  Its numpy forward takes the masked-mean TPRs
+(Eq. 8), the global loss (negated Eq. 10: one ``(batch, batch)`` cosine
+matrix and a masked row-wise log-sum-exp), the local loss (negated Eq. 11:
+one gather of every sampled ``(query, edge)`` pair and a padded segment
+log-sum-exp) and their λ mix (Eq. 12); its backward is written by hand.
 
-The public functions are the vectorized training fast path: one
-``(batch, batch)`` cosine-similarity matrix plus boolean positive/negative
-masks, with the per-query log-sum-exp done as a masked row-wise reduction —
-no Python loop over queries.  The original per-query loop implementations
-are the equivalence suite's oracles (``tests/core/reference_losses.py``).
+Forward and backward repeat the arithmetic and the gradient-summation order
+of the same objective composed from :class:`~repro.nn.Tensor` operations,
+which ``tests/core/reference_wsc_graph.py`` keeps as the bit-exact oracle.
+The order that matters: the TPRs' gradient sums the global terms, then the
+positive and the negative query gathers; ``steps`` gains the positive edge
+gather, then the masked mean, then the negative edge gather.  Only the signs
+of zero may differ inside the backward, and those never reach a nonzero
+value or the gradient that ``steps`` stores.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .. import nn
+from ..nn import Tensor
 from ..nn import functional as F
 
-__all__ = ["global_wsc_loss", "local_wsc_loss", "combined_wsc_loss"]
+__all__ = ["combined_wsc_loss"]
 
 # Removes an entry from a row-wise log-sum-exp (see nn.functional docs).
 _EXCLUDED_BIAS = F.EXCLUDED_BIAS
+# Norm guard of the TPRs' normalisation (Eq. 10) and the cosines (Eq. 11).
+_EPS = 1e-12
 
 
-def _normalized(tprs, eps=1e-12):
-    norm = (tprs * tprs).sum(axis=-1, keepdims=True) ** 0.5
-    return tprs / (norm + eps)
+def _logsumexp(x):
+    """Row-wise log-sum-exp of ``(N, L)`` ``x``, with the gradient of ``x``."""
+    maxes = x.max(axis=-1, keepdims=True)
+    shifted_exp = np.exp(x - maxes)
+    total = shifted_exp.sum(axis=-1, keepdims=True)
+
+    def backward(grad):
+        return (grad[:, None] / total) * shifted_exp
+
+    return (np.log(total) + maxes).reshape(len(x)), backward
 
 
-def _zero_loss():
-    return nn.Tensor(np.zeros(()), requires_grad=False)
+def _global_term(tprs, contrast_sets, inv_tau):
+    """Negated Eq. 10 and its backward to ``tprs``, or None when no query has
+    both a positive and a negative."""
+    size = len(tprs)
+    positive_counts = np.fromiter(map(len, contrast_sets.positives), np.int64, size)
+    negative_counts = np.fromiter(map(len, contrast_sets.negatives), np.int64, size)
+    valid = (positive_counts > 0) & (negative_counts > 0)
+    if not valid.any():
+        return None
+    rows = np.arange(size)
+    positive_mask = np.zeros((size, size), dtype=bool)
+    negative_mask = np.zeros((size, size), dtype=bool)
+    for query_mask, counts, members in ((positive_mask, positive_counts, contrast_sets.positives),
+                                        (negative_mask, negative_counts, contrast_sets.negatives)):
+        keep = np.repeat(valid, counts)
+        query_mask[np.repeat(rows, counts)[keep],
+                   np.concatenate(members).astype(np.intp)[keep]] = True
+    valid = np.flatnonzero(valid)
+
+    squares = (tprs * tprs).sum(axis=-1, keepdims=True)
+    norm = squares ** 0.5 + _EPS
+    normalized = tprs / norm
+    similarities = (normalized @ normalized.transpose()) * inv_tau
+    # mean_{j in S_i} sim(i, j) as one weighted row-sum.
+    positive_weights = positive_mask / np.maximum(positive_mask.sum(axis=1, keepdims=True), 1)
+    positive_term = (similarities * positive_weights).sum(axis=1)
+    negative_lse, lse_backward = _logsumexp(
+        similarities + np.where(negative_mask, 0.0, _EXCLUDED_BIAS))
+    objective = (positive_term - negative_lse)[valid]
+    value = -(objective.sum() * (1.0 / objective.size))
+
+    def backward(grad):
+        grad_rows = np.zeros(size)
+        grad_rows[valid] = -grad * (1.0 / objective.size)
+        grad_sims = grad_rows[:, None] * positive_weights
+        grad_sims += lse_backward(-grad_rows)
+        grad_sims = grad_sims * inv_tau
+        grad_normalized = grad_sims @ normalized
+        grad_normalized += (normalized.T @ grad_sims).T
+        grad_norm = (-grad_normalized * tprs / (norm ** 2)).sum(axis=1, keepdims=True)
+        grad_tprs = grad_normalized / norm
+        # d(tprs * tprs) reaches tprs once per factor.
+        square_term = grad_norm * 0.5 * squares ** -0.5 * tprs
+        grad_tprs += square_term
+        grad_tprs += square_term
+        return grad_tprs
+
+    return value, backward
 
 
-def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
-    """Global weakly-supervised contrastive loss (negated Eq. 10), matrix form.
+def _local_side(tprs, steps, squares, rows, cols, query, valid, inv_tau):
+    """One side of Eq. 11's ratio: the per-query log-sum-exp of the scaled
+    cosines between each valid query and its sampled edges, and its backward.
+
+    ``squares`` holds the guarded squared norms of every TPR and every step.
+    The backward returns the side's gradient terms of ``tprs`` and ``steps``.
+    """
+    keep = valid[query]
+    rows, cols, query = rows[keep], cols[keep], query[keep]
+    edges = steps[rows, cols]
+    queries = tprs[query]
+    dot = (queries * edges).sum(axis=-1)
+    query_sq, edge_sq = squares[0][query], squares[1][rows, cols]
+    query_norm, edge_norm = query_sq ** 0.5, edge_sq ** 0.5
+    denominator = query_norm * edge_norm
+    sims = (dot / denominator) * inv_tau
+
+    # Each valid query's run of samples, padded into one matrix whose padding
+    # the log-sum-exp excludes.
+    lengths = np.bincount(query, minlength=len(valid))[valid]
+    columns = np.arange(int(lengths.max()))
+    inside = columns < lengths[:, None]
+    pad_index = np.where(inside, (np.cumsum(lengths) - lengths)[:, None] + columns, 0)
+    lse, lse_backward = _logsumexp(sims[pad_index] + np.where(inside, 0.0, _EXCLUDED_BIAS))
+
+    def backward(grad):
+        grad_sims = np.bincount(pad_index.ravel(), weights=lse_backward(grad).ravel(),
+                                minlength=len(sims)) * inv_tau
+        grad_dot = grad_sims / denominator
+        grad_denominator = -grad_sims * dot / (denominator ** 2)
+        grad_queries = grad_dot[:, None] * edges
+        grad_edges = grad_dot[:, None] * queries
+        # A squared norm reaches its operand once per factor of the square.
+        query_term = (grad_denominator * edge_norm * 0.5 * query_sq ** -0.5)[:, None] * queries
+        grad_queries += query_term
+        grad_queries += query_term
+        edge_term = (grad_denominator * query_norm * 0.5 * edge_sq ** -0.5)[:, None] * edges
+        grad_edges += edge_term
+        grad_edges += edge_term
+        # Gather backwards: one bincount over the flat read positions each.
+        batch, time, dim = steps.shape
+        offsets = np.arange(dim)
+        tprs_term = np.bincount((query[:, None] * dim + offsets).ravel(),
+                                weights=grad_queries.ravel(), minlength=batch * dim)
+        steps_term = np.bincount((((rows * time + cols) * dim)[:, None] + offsets).ravel(),
+                                 weights=grad_edges.ravel(), minlength=steps.size)
+        return tprs_term.reshape(batch, dim), steps_term.reshape(steps.shape)
+
+    return lse, backward
+
+
+def _local_term(tprs, steps, edge_sets, inv_tau):
+    """Negated Eq. 11 and its backward, or None when no query has both a
+    positive and a negative edge sample."""
+    size = len(tprs)
+    for query in (edge_sets.positive_query, edge_sets.negative_query):
+        if np.any(query[1:] < query[:-1]):
+            raise ValueError("edge samples must be grouped by query in ascending order")
+    positive_counts = np.bincount(edge_sets.positive_query, minlength=size)
+    valid = (positive_counts > 0) & (np.bincount(edge_sets.negative_query, minlength=size) > 0)
+    if not valid.any():
+        return None
+    # A gathered row's squared norm has the bits of its source row's.
+    squares = ((tprs * tprs).sum(axis=-1) + _EPS, (steps * steps).sum(axis=-1) + _EPS)
+    positive_lse, positive_backward = _local_side(
+        tprs, steps, squares, edge_sets.positive_rows, edge_sets.positive_cols,
+        edge_sets.positive_query, valid, inv_tau)
+    negative_lse, negative_backward = _local_side(
+        tprs, steps, squares, edge_sets.negative_rows, edge_sets.negative_cols,
+        edge_sets.negative_query, valid, inv_tau)
+    weights = 1.0 / positive_counts[valid]
+    per_query = (positive_lse - negative_lse) * weights
+    value = -(per_query.sum() * (1.0 / per_query.size))
+
+    def backward(grad):
+        grad_lse = (-grad * (1.0 / per_query.size)) * weights
+        return positive_backward(grad_lse), negative_backward(-grad_lse)
+
+    return value, backward
+
+
+def combined_wsc_loss(steps, mask, contrast_sets, edge_sets, lambda_balance=0.8,
+                      temperature=0.1):
+    """The negated, λ-weighted WSC objective (Eq. 12) as one autograd node.
 
     Parameters
     ----------
-    tprs:
-        Tensor of shape ``(batch, hidden_dim)``.
+    steps:
+        Tensor ``(batch, max_len, hidden_dim)``: the encoder's per-step
+        outputs (STERs).  The TPRs are their masked mean (Eq. 8).
+    mask:
+        ``(batch, max_len)`` 0/1 array, 1 on a path's real steps.
     contrast_sets:
-        :class:`~repro.core.sampling.ContrastSets` for the batch.
+        :class:`~repro.core.sampling.ContrastSets`, each query's positive and
+        negative paths for the global loss.
+    edge_sets:
+        :class:`~repro.core.sampling.EdgeSampleSets`, each query's positive
+        and negative edge samples for the local loss.
+    lambda_balance:
+        λ in ``[0, 1]``; 1 keeps only the global loss ("w/o Local"), 0 only
+        the local loss ("w/o Global").
     temperature:
-        Softmax temperature applied to the cosine similarities.
+        Positive softmax temperature of the cosine similarities.
 
     Returns
     -------
-    A scalar Tensor.  Returns a zero tensor when no query has both a
-    positive and a negative sample (degenerate batch).
+    A scalar Tensor whose only parent is ``steps``.  A loss whose terms all
+    lack a query with both a positive and a negative is a constant zero.
     """
-    size = len(contrast_sets.positives)
-    positive_mask = np.zeros((size, size), dtype=bool)
-    negative_mask = np.zeros((size, size), dtype=bool)
-    valid = []
-    for i in range(size):
-        positives = contrast_sets.positives[i]
-        negatives = contrast_sets.negatives[i]
-        if len(positives) == 0 or len(negatives) == 0:
-            continue
-        positive_mask[i, positives] = True
-        negative_mask[i, negatives] = True
-        valid.append(i)
-    if not valid:
-        return _zero_loss()
-    valid = np.asarray(valid, dtype=np.int64)
+    if not (isinstance(lambda_balance, numbers.Real) and 0.0 <= lambda_balance <= 1.0):
+        raise ValueError(f"lambda_balance must be in [0, 1], got {lambda_balance!r}")
+    if not (isinstance(temperature, numbers.Real) and np.isfinite(temperature)
+            and temperature > 0.0):
+        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
+    mask = np.asarray(mask, dtype=np.float64)
+    if steps.ndim != 3 or mask.shape != steps.shape[:2]:
+        raise ValueError(f"mask must have shape (batch, max_len) = {steps.shape[:2]}, "
+                         f"got {mask.shape}")
+    counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+    tprs = (steps.data * mask[:, :, None]).sum(axis=1) / counts
+    inv_tau = 1.0 / temperature
+    global_term = _global_term(tprs, contrast_sets, inv_tau) if lambda_balance > 0.0 else None
+    local_term = (_local_term(tprs, steps.data, edge_sets, inv_tau)
+                  if lambda_balance < 1.0 else None)
+    if global_term is None and local_term is None:
+        return Tensor(np.zeros(()))
 
-    normalized = _normalized(tprs)
-    similarities = (normalized @ normalized.transpose()) * (1.0 / temperature)
+    mixed = 0.0 < lambda_balance < 1.0
+    if mixed:
+        global_value, local_value = (np.zeros(()) if term is None else term[0]
+                                     for term in (global_term, local_term))
+        value = global_value * lambda_balance + local_value * (1.0 - lambda_balance)
+    else:
+        value = (global_term or local_term)[0]
 
-    # mean_{j in S_i} sim(i, j): one weighted row-sum instead of a gather per
-    # query.  Rows without positives have all-zero weights (and are dropped
-    # by the ``valid`` selection below).
-    counts = np.maximum(positive_mask.sum(axis=1, keepdims=True), 1)
-    positive_weights = positive_mask / counts
-    positive_term = (similarities * nn.Tensor(positive_weights)).sum(axis=1)
+    def backward(grad):
+        global_grad, local_grad = ((grad * lambda_balance, grad * (1.0 - lambda_balance))
+                                   if mixed else (grad, grad))
+        grad_tprs = None if global_term is None else global_term[1](global_grad)
+        if local_term is not None:
+            (positive_tprs, positive_steps), (negative_tprs, negative_steps) = \
+                local_term[1](local_grad)
+            if grad_tprs is None:
+                grad_tprs = positive_tprs
+            else:
+                grad_tprs += positive_tprs
+            grad_tprs += negative_tprs
+        # The masked mean's backward, between the two edge gathers.
+        grad_steps = (grad_tprs / counts)[:, None, :] * mask[:, :, None]
+        if local_term is not None:
+            grad_steps = positive_steps + grad_steps
+            grad_steps += negative_steps
+        steps._accumulate(grad_steps)
 
-    # log sum_{k in N_i} exp(sim(i, k)): masked row-wise log-sum-exp.
-    negative_bias = np.where(negative_mask, 0.0, _EXCLUDED_BIAS)
-    masked = similarities + nn.Tensor(negative_bias)
-    negative_lse = F.logsumexp(masked, axis=-1)
-
-    objective = (positive_term - negative_lse)[valid]
-    return -objective.mean()
-
-
-def _padded_logsumexp(flat_sims, segment_lengths):
-    """Row-wise log-sum-exp over a flat Tensor split into ragged segments.
-
-    ``flat_sims`` is a 1-D Tensor of concatenated per-query similarity
-    values; ``segment_lengths`` gives each query's run length.  The segments
-    are gathered into one padded ``(num_queries, max_len)`` matrix (padding
-    biased by :data:`_EXCLUDED_BIAS`, so it contributes exactly zero) and
-    reduced with a single log-sum-exp — no Python loop over queries.
-    """
-    lengths = np.asarray(segment_lengths, dtype=np.int64)
-    columns = np.arange(int(lengths.max()))
-    inside = columns < lengths[:, None]
-    starts = np.cumsum(lengths) - lengths
-    pad_index = np.where(inside, starts[:, None] + columns, 0)
-    pad_bias = np.where(inside, 0.0, _EXCLUDED_BIAS)
-    padded = flat_sims[pad_index] + nn.Tensor(pad_bias)
-    return F.logsumexp(padded, axis=-1)
-
-
-def local_wsc_loss(tprs, edge_representations, edge_sets, temperature=0.1):
-    """Local weakly-supervised contrastive loss (negated Eq. 11), matrix form.
-
-    Parameters
-    ----------
-    tprs:
-        Tensor ``(batch, hidden_dim)`` — the query TPRs.
-    edge_representations:
-        Tensor ``(batch, max_len, hidden_dim)`` — the STERs.
-    edge_sets:
-        :class:`~repro.core.sampling.EdgeSampleSets` giving the sampled
-        positive/negative edge positions per query.
-    """
-    batch = tprs.shape[0]
-    valid = [i for i in range(batch)
-             if len(edge_sets.positive_rows[i]) > 0
-             and len(edge_sets.negative_rows[i]) > 0]
-    if not valid:
-        return _zero_loss()
-
-    def gather_sims(rows_per_query, cols_per_query):
-        rows = np.concatenate([rows_per_query[i] for i in valid])
-        cols = np.concatenate([cols_per_query[i] for i in valid])
-        query_index = np.concatenate(
-            [np.full(len(rows_per_query[i]), i, dtype=np.int64) for i in valid])
-        # One gather for every (query, edge) pair in the batch.
-        edges = edge_representations[rows, cols]
-        queries = tprs[query_index]
-        sims = F.cosine_similarity(queries, edges) * (1.0 / temperature)
-        lengths = [len(rows_per_query[i]) for i in valid]
-        return _padded_logsumexp(sims, lengths)
-
-    positive_lse = gather_sims(edge_sets.positive_rows, edge_sets.positive_cols)
-    negative_lse = gather_sims(edge_sets.negative_rows, edge_sets.negative_cols)
-
-    weights = nn.Tensor([1.0 / len(edge_sets.positive_rows[i]) for i in valid])
-    per_query = (positive_lse - negative_lse) * weights
-    return -(per_query.sum() * (1.0 / len(valid)))
-
-
-def combined_wsc_loss(tprs, edge_representations, contrast_sets, edge_sets,
-                      lambda_balance=0.8, temperature=0.1):
-    """λ-weighted combination of the global and local losses (negated Eq. 12).
-
-    ``lambda_balance = 1`` uses only the global loss ("w/o Local" ablation);
-    ``lambda_balance = 0`` uses only the local loss ("w/o Global").
-    """
-    if lambda_balance >= 1.0:
-        return global_wsc_loss(tprs, contrast_sets, temperature=temperature)
-    if lambda_balance <= 0.0:
-        return local_wsc_loss(tprs, edge_representations, edge_sets,
-                              temperature=temperature)
-    global_term = global_wsc_loss(tprs, contrast_sets, temperature=temperature)
-    local_term = local_wsc_loss(tprs, edge_representations, edge_sets,
-                                temperature=temperature)
-    return global_term * lambda_balance + local_term * (1.0 - lambda_balance)
+    return steps._make_result(np.asarray(value, dtype=np.float64), (steps,), backward,
+                              "wsc_loss")

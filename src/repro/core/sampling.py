@@ -19,6 +19,7 @@ random from the positive/negative temporal paths of each query.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,17 +114,21 @@ def build_contrast_sets(batch):
 
 @dataclass
 class EdgeSampleSets:
-    """Sampled positive/negative edge positions for the local loss.
+    """Sampled positive/negative edge positions for the local loss, flat.
 
-    For query ``i``, ``positive_rows[i]`` / ``positive_cols[i]`` index into
-    the (batch, time) grid of spatio-temporal edge representations; likewise
-    for negatives.  Empty arrays mean the query has no usable samples.
+    Positive sample ``k`` is the edge at ``(positive_rows[k],
+    positive_cols[k])`` of the (batch, time) grid of spatio-temporal edge
+    representations, drawn for query ``positive_query[k]``; likewise for
+    negatives.  Each side's samples are grouped by query in ascending order,
+    and a query with no sample on a side has no usable samples.
     """
 
-    positive_rows: list
-    positive_cols: list
-    negative_rows: list
-    negative_cols: list
+    positive_rows: np.ndarray
+    positive_cols: np.ndarray
+    positive_query: np.ndarray
+    negative_rows: np.ndarray
+    negative_cols: np.ndarray
+    negative_query: np.ndarray
 
 
 def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
@@ -142,6 +147,12 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
     different random stream).
     """
     size = len(batch)
+    if not (isinstance(edges_per_path, numbers.Integral) and edges_per_path >= 1):
+        raise ValueError(f"edges_per_path must be a positive integer, got {edges_per_path!r}")
+    mask = np.asarray(mask)
+    if mask.ndim != 2 or mask.shape[0] != size:
+        raise ValueError(f"mask must have one row per batch sample ({size}), "
+                         f"got shape {mask.shape}")
     lengths = mask.sum(axis=1).astype(np.int64)
     max_len = int(mask.shape[1])
 
@@ -150,15 +161,13 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
                                   dtype=np.int64, count=size)
         total_pairs = int(group_sizes.sum())
         if total_pairs == 0:
-            empty = np.asarray([], dtype=np.int64)
-            return [empty] * size, [empty] * size
+            return (np.asarray([], dtype=np.int64),) * 3
         pair_rows = np.concatenate(
             [np.asarray(p, dtype=np.int64) for p in paths_per_query if len(p)])
         query_of_pair = np.repeat(np.arange(size, dtype=np.int64), group_sizes)
 
         pair_lengths = lengths[pair_rows]
         counts = np.minimum(edges_per_path, pair_lengths)
-        counts = np.maximum(counts, 0)
 
         # Rank a uniform matrix per pair; +inf on out-of-range columns keeps
         # them past every valid rank.  The first ``counts`` ranked columns
@@ -177,26 +186,13 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
         else:
             ranked_cols = np.argsort(scores, axis=1)
 
+        # Pairs are ordered by query, so the samples are too.
         take = np.arange(ranked_cols.shape[1])[None, :] < counts[:, None]
-        rows = np.repeat(pair_rows, counts)
-        cols = ranked_cols[take]
-        chosen_query = np.repeat(query_of_pair, counts)
-
-        # Pairs are ordered by query, so one split recovers the per-query lists.
-        per_query = np.bincount(chosen_query, minlength=size)
-        splits = np.cumsum(per_query)[:-1]
-        return np.split(rows, splits), np.split(cols, splits)
+        return (np.repeat(pair_rows, counts), ranked_cols[take],
+                np.repeat(query_of_pair, counts))
 
     positive_paths = [
         np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
         for i in range(size)
     ]
-    positive_rows, positive_cols = draw_group(positive_paths)
-    negative_rows, negative_cols = draw_group(contrast_sets.negatives)
-
-    return EdgeSampleSets(
-        positive_rows=positive_rows,
-        positive_cols=positive_cols,
-        negative_rows=negative_rows,
-        negative_cols=negative_cols,
-    )
+    return EdgeSampleSets(*draw_group(positive_paths), *draw_group(contrast_sets.negatives))

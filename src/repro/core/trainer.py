@@ -4,9 +4,11 @@
 :class:`~repro.core.encoder.TemporalPathEncoder` with the combined
 global/local weakly-supervised contrastive loss over minibatches of temporal
 paths.  It is reused by the curriculum stage (to train experts and
-to run the staged curriculum) and by the ablation table runners.  Each step
-builds its loss and updates through :meth:`repro.nn.Optimizer.minimize`,
-clipped at the config's ``grad_clip``.
+to run the staged curriculum) and by the ablation table runners.  Above the
+LSTM's input, each step's graph is two nodes: the fused LSTM and the
+objective node :func:`~repro.core.losses.combined_wsc_loss`, which takes the
+masked-mean TPRs itself.  The step updates through
+:meth:`repro.nn.Optimizer.minimize`, clipped at the config's ``grad_clip``.
 """
 
 from __future__ import annotations
@@ -58,20 +60,22 @@ class WSCTrainer:
 
         Returns the scalar loss value of the step.  A batch whose loss
         reaches no parameter (no query has both a positive and a negative)
-        updates nothing.
+        updates nothing.  The encoder's TPRs are not used: the objective node
+        averages the LSTM's steps itself, so that its backward sums the
+        gradient of ``steps`` in the order the bit-identical results need.
         """
         augmented = augment_with_positive_views(batch, weak_labeler, self.rng)
         temporal_paths = [tp for tp, _ in augmented]
         contrast_sets = build_contrast_sets(augmented)
 
-        tprs, sters, mask = self.model(temporal_paths)
+        _, steps, mask = self.model(temporal_paths)
         edge_sets = sample_edge_sets(
             augmented, contrast_sets, mask, self.rng,
             edges_per_path=self.config.local_edges_per_path,
         )
         loss = combined_wsc_loss(
-            tprs,
-            sters,
+            steps,
+            mask,
             contrast_sets,
             edge_sets,
             lambda_balance=self.config.lambda_balance,

@@ -1,8 +1,9 @@
 """The per-query loop oracles for :mod:`repro.core.losses`.
 
-Each function is the original Python-loop form of a matrix-form WSC loss;
-``test_fast_path_equivalence.py`` requires the engine to agree with it in
-value and gradient.
+Each function is the original Python-loop form of a matrix-form WSC loss
+(``reference_wsc_graph``); ``test_fast_path_equivalence.py`` requires the
+two, and a train step through the objective node, to agree in value and
+gradient.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ def _reference_local_wsc_loss(tprs, edge_representations, edge_sets, temperature
     """Per-query loop implementation of Eq. 11."""
     terms = []
     for i in range(tprs.shape[0]):
-        pos_rows = edge_sets.positive_rows[i]
-        pos_cols = edge_sets.positive_cols[i]
-        neg_rows = edge_sets.negative_rows[i]
-        neg_cols = edge_sets.negative_cols[i]
+        pos = edge_sets.positive_query == i
+        neg = edge_sets.negative_query == i
+        pos_rows, pos_cols = edge_sets.positive_rows[pos], edge_sets.positive_cols[pos]
+        neg_rows, neg_cols = edge_sets.negative_rows[neg], edge_sets.negative_cols[neg]
         if len(pos_rows) == 0 or len(neg_rows) == 0:
             continue
         query = tprs[i:i + 1, :]                                    # (1, d_h)
@@ -69,15 +70,15 @@ def _reference_local_wsc_loss(tprs, edge_representations, edge_sets, temperature
     return _mean_of_terms(terms)
 
 
-def _reference_combined_wsc_loss(tprs, edge_representations, contrast_sets,
-                                 edge_sets, lambda_balance=0.8, temperature=0.1):
-    """Eq. 12, the λ-weighted sum of the two loop losses."""
+def _reference_combined_wsc_loss(steps, mask, contrast_sets, edge_sets,
+                                 lambda_balance=0.8, temperature=0.1):
+    """Eq. 12, the λ-weighted sum of the two loop losses over the masked-mean
+    TPRs of ``steps``, with the arguments of ``repro.core.combined_wsc_loss``."""
+    tprs = F.masked_mean(steps, np.asarray(mask, dtype=np.float64))
     if lambda_balance >= 1.0:
         return _reference_global_wsc_loss(tprs, contrast_sets, temperature=temperature)
     if lambda_balance <= 0.0:
-        return _reference_local_wsc_loss(tprs, edge_representations, edge_sets,
-                                         temperature=temperature)
+        return _reference_local_wsc_loss(tprs, steps, edge_sets, temperature=temperature)
     global_term = _reference_global_wsc_loss(tprs, contrast_sets, temperature=temperature)
-    local_term = _reference_local_wsc_loss(tprs, edge_representations, edge_sets,
-                                           temperature=temperature)
+    local_term = _reference_local_wsc_loss(tprs, steps, edge_sets, temperature=temperature)
     return global_term * lambda_balance + local_term * (1.0 - lambda_balance)

@@ -33,23 +33,13 @@ def _reference_build_contrast_sets(batch):
 def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
     """Per query, ``min(edges_per_path, length)`` edges of each of its paths."""
     lengths = mask.sum(axis=1).astype(np.int64)
-    positive_rows, positive_cols = [], []
-    negative_rows, negative_cols = [], []
+    sides = ([], [])
     for i in range(len(batch)):
         pos_paths = np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
-        rows_p, cols_p = _draw_edges(pos_paths, lengths, rng, edges_per_path)
-        rows_n, cols_n = _draw_edges(contrast_sets.negatives[i], lengths, rng,
-                                     edges_per_path)
-        positive_rows.append(rows_p)
-        positive_cols.append(cols_p)
-        negative_rows.append(rows_n)
-        negative_cols.append(cols_n)
-    return EdgeSampleSets(
-        positive_rows=positive_rows,
-        positive_cols=positive_cols,
-        negative_rows=negative_rows,
-        negative_cols=negative_cols,
-    )
+        for side, paths in zip(sides, (pos_paths, contrast_sets.negatives[i])):
+            rows, cols = _draw_edges(paths, lengths, rng, edges_per_path)
+            side.append((rows, cols, np.full(len(rows), i, dtype=np.int64)))
+    return EdgeSampleSets(*(np.concatenate(arrays) for side in sides for arrays in zip(*side)))
 
 
 def _draw_edges(path_indices, lengths, rng, edges_per_path):

@@ -20,9 +20,10 @@ class TestWSCCLConfig:
         assert config.spatial_dim == 32
         assert config.encoder_input_dim == 48
 
-    def test_lambda_validation(self):
-        with pytest.raises(ValueError):
-            WSCCLConfig(lambda_balance=1.5)
+    @pytest.mark.parametrize("lambda_balance", [1.5, -2.0])
+    def test_lambda_validation(self, lambda_balance):
+        with pytest.raises(ValueError, match=f"lambda_balance .*{lambda_balance}"):
+            WSCCLConfig(lambda_balance=lambda_balance)
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,11 @@
 """Equivalence suite for the training fast path.
 
-The matrix-form global/local WSC losses are checked against the per-query
-loop losses of ``reference_losses`` (``_reference_global_wsc_loss`` /
-``_reference_local_wsc_loss``), alone and inside a full ``train_step``
-together with ``reference_sampling``'s loop oracle for the grouped contrast
-sets.
+The matrix-form global/local WSC losses of ``reference_wsc_graph`` (the
+objective node's bit-exact oracle) are checked against the per-query loop
+losses of ``reference_losses`` (``_reference_global_wsc_loss`` /
+``_reference_local_wsc_loss``).  A full ``train_step`` through the objective
+node is checked against the same step with the loop losses and
+``reference_sampling``'s loop oracle for the grouped contrast sets patched in.
 
 Everything randomized goes through Hypothesis so shrinking produces a
 minimal counterexample if a backward rule regresses.
@@ -18,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.losses import global_wsc_loss, local_wsc_loss
 from repro.core.sampling import ContrastSets, EdgeSampleSets
 from reference_losses import (
     _reference_combined_wsc_loss,
@@ -26,6 +26,7 @@ from reference_losses import (
     _reference_local_wsc_loss,
 )
 from reference_sampling import _reference_build_contrast_sets
+from reference_wsc_graph import global_wsc_loss, local_wsc_loss
 
 #: Fast-path vs loop-reference agreement (values and gradients).
 FLOAT64_TOLERANCE = 1e-8
@@ -43,16 +44,13 @@ def random_contrast_sets(size, rng):
 
 
 def random_edge_sets(size, max_len, rng):
-    rows_p, cols_p, rows_n, cols_n = [], [], [], []
-    for _ in range(size):
-        p = int(rng.integers(0, 5))
-        n = int(rng.integers(0, 5))
-        rows_p.append(rng.integers(0, size, p))
-        cols_p.append(rng.integers(0, max_len, p))
-        rows_n.append(rng.integers(0, size, n))
-        cols_n.append(rng.integers(0, max_len, n))
-    return EdgeSampleSets(positive_rows=rows_p, positive_cols=cols_p,
-                          negative_rows=rows_n, negative_cols=cols_n)
+    """Flat edge samples, 0-4 per query and side, grouped by query."""
+    arrays = []
+    for _ in range(2):
+        query = np.repeat(np.arange(size), rng.integers(0, 5, size))
+        arrays += [rng.integers(0, size, len(query)), rng.integers(0, max_len, len(query)),
+                   query]
+    return EdgeSampleSets(*arrays)
 
 
 class TestMatrixLossEquivalence:
@@ -112,21 +110,31 @@ class TestMatrixLossEquivalence:
 
     def test_train_step_matches_loop_oracles(self, tiny_city, tiny_config,
                                              shared_resources, monkeypatch):
-        """A full train_step with the loop oracles patched in (loss and
-        contrast sets) lands on the same loss."""
+        """Two train steps through the objective node, and the same steps with
+        the loop oracles patched in (loss and contrast sets), give the same
+        losses, gradients and weights."""
         from repro.core import WSCTrainer, trainer
 
         batch = list(tiny_city.unlabeled)[:6]
         labeler = tiny_city.unlabeled.weak_labeler
 
-        def step():
+        def steps():
             model = shared_resources.new_encoder()
-            return WSCTrainer(model, seed=7).train_step(batch, labeler)
+            step = WSCTrainer(model, seed=7).train_step
+            losses = [step(batch, labeler), step(batch, labeler)]
+            # Adam's update hides a gradient's scale, so compare the gradients too.
+            grads = {name: p.grad for name, p in model.named_parameters()}
+            return losses, grads, model.state_dict()
 
-        fast = step()
+        fast = steps()
         monkeypatch.setattr(trainer, "combined_wsc_loss", _reference_combined_wsc_loss)
         monkeypatch.setattr(trainer, "build_contrast_sets",
                             _reference_build_contrast_sets)
-        loops = step()
-        assert np.isfinite(fast)
-        assert loops == pytest.approx(fast, abs=FLOAT64_TOLERANCE)
+        loops = steps()
+        assert np.all(np.isfinite(fast[0]))
+        assert loops[0] == pytest.approx(fast[0], abs=FLOAT64_TOLERANCE)
+        for fast_arrays, loop_arrays in zip(fast[1:], loops[1:]):
+            assert fast_arrays.keys() == loop_arrays.keys()
+            for name, value in fast_arrays.items():
+                np.testing.assert_allclose(value, loop_arrays[name],
+                                           atol=FLOAT64_TOLERANCE, err_msg=name)

@@ -19,6 +19,13 @@ from reference_sampling import (
 )
 
 
+def query_samples(edge_sets, side, i):
+    """``(rows, cols)`` of query ``i``'s samples on ``side`` ("positive" or "negative")."""
+    picked = getattr(edge_sets, f"{side}_query") == i
+    return (getattr(edge_sets, f"{side}_rows")[picked],
+            getattr(edge_sets, f"{side}_cols")[picked])
+
+
 def make_batch():
     labeler = PeakOffPeakLabeler()
     paths = [
@@ -83,9 +90,9 @@ class TestEdgeSampleSets:
 
         for i in range(len(batch)):
             allowed_pos_rows = set(sets.positives[i].tolist()) | {i}
-            assert set(edge_sets.positive_rows[i].tolist()) <= allowed_pos_rows
+            assert set(query_samples(edge_sets, "positive", i)[0].tolist()) <= allowed_pos_rows
             allowed_neg_rows = set(sets.negatives[i].tolist())
-            assert set(edge_sets.negative_rows[i].tolist()) <= allowed_neg_rows
+            assert set(query_samples(edge_sets, "negative", i)[0].tolist()) <= allowed_neg_rows
 
     def test_column_indices_are_valid_positions(self, rng):
         batch, _ = make_batch()
@@ -94,11 +101,10 @@ class TestEdgeSampleSets:
         _, mask = pad_paths(paths)
         edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=3)
         lengths = mask.sum(axis=1)
-        for i in range(len(batch)):
-            for row, col in zip(edge_sets.positive_rows[i], edge_sets.positive_cols[i]):
-                assert col < lengths[row]
-            for row, col in zip(edge_sets.negative_rows[i], edge_sets.negative_cols[i]):
-                assert col < lengths[row]
+        for side in ("positive", "negative"):
+            rows = getattr(edge_sets, f"{side}_rows")
+            cols = getattr(edge_sets, f"{side}_cols")
+            assert np.all(cols < lengths[rows])
 
     def test_respects_edges_per_path_limit(self, rng):
         batch, _ = make_batch()
@@ -106,7 +112,38 @@ class TestEdgeSampleSets:
         _, mask = pad_paths([tp for tp, _ in batch])
         edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=1)
         # Query 0 has 1 positive path plus itself -> at most 2 positive edges.
-        assert len(edge_sets.positive_rows[0]) <= 2
+        assert len(query_samples(edge_sets, "positive", 0)[0]) <= 2
+
+    @pytest.mark.parametrize("empty", [False, True], ids=["paths", "no_valid_step"])
+    def test_flat_samples_are_grouped_by_query(self, rng, empty):
+        batch, _ = make_batch()
+        sets = build_contrast_sets(batch)
+        _, mask = pad_paths([tp for tp, _ in batch])
+        edge_sets = sample_edge_sets(batch, sets, mask * (not empty), rng, edges_per_path=4)
+        for side in ("positive", "negative"):
+            arrays = [getattr(edge_sets, f"{side}_{name}") for name in ("rows", "cols", "query")]
+            assert len({len(a) for a in arrays}) == 1
+            assert all(a.dtype == np.int64 for a in arrays)
+            assert np.all(np.diff(arrays[2]) >= 0)
+
+
+class TestSamplerRejectsBadInput:
+    """Regressions: these inputs gave empty samples or a deep IndexError."""
+
+    @pytest.mark.parametrize("edges_per_path", [0, -1, 1.5])
+    def test_edges_per_path_must_be_a_positive_integer(self, rng, edges_per_path):
+        batch, _ = make_batch()
+        _, mask = pad_paths([tp for tp, _ in batch])
+        with pytest.raises(ValueError, match=f"edges_per_path .*{edges_per_path}"):
+            sample_edge_sets(batch, build_contrast_sets(batch), mask, rng,
+                             edges_per_path=edges_per_path)
+
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_mask_needs_one_row_per_sample(self, rng, rows):
+        batch, _ = make_batch()
+        _, mask = pad_paths([tp for tp, _ in batch])
+        with pytest.raises(ValueError, match=rf"mask .*\({rows}, 4\)"):
+            sample_edge_sets(batch, build_contrast_sets(batch), np.ones((rows, 4)), rng)
 
 
 class TestGroupedContrastSetsRegression:
@@ -155,16 +192,13 @@ class TestVectorizedEdgeSampler:
             edge_sets = sampler(batch, sets, mask, np.random.default_rng(0),
                                 edges_per_path=2)
             for i in range(len(batch)):
+                positive_rows, positive_cols = query_samples(edge_sets, "positive", i)
+                negative_rows, negative_cols = query_samples(edge_sets, "negative", i)
                 allowed_pos = set(sets.positives[i].tolist()) | {i}
-                assert set(edge_sets.positive_rows[i].tolist()) <= allowed_pos
-                assert set(edge_sets.negative_rows[i].tolist()) <= set(
-                    sets.negatives[i].tolist())
-                for rows, cols in ((edge_sets.positive_rows[i],
-                                    edge_sets.positive_cols[i]),
-                                   (edge_sets.negative_rows[i],
-                                    edge_sets.negative_cols[i])):
-                    for row, col in zip(rows, cols):
-                        assert col < lengths[row]
+                assert set(positive_rows.tolist()) <= allowed_pos
+                assert set(negative_rows.tolist()) <= set(sets.negatives[i].tolist())
+                assert np.all(positive_cols < lengths[positive_rows])
+                assert np.all(negative_cols < lengths[negative_rows])
 
     def test_draws_without_replacement_per_path(self, rng):
         batch, _ = make_batch()
@@ -173,8 +207,7 @@ class TestVectorizedEdgeSampler:
         edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=3)
         for i in range(len(batch)):
             seen = set()
-            for row, col in zip(edge_sets.positive_rows[i],
-                                edge_sets.positive_cols[i]):
+            for row, col in zip(*query_samples(edge_sets, "positive", i)):
                 assert (int(row), int(col)) not in seen
                 seen.add((int(row), int(col)))
 
@@ -188,6 +221,6 @@ class TestVectorizedEdgeSampler:
         slow = _reference_sample_edge_sets(batch, sets, mask,
                                            np.random.default_rng(1),
                                            edges_per_path=2)
-        for i in range(len(batch)):
-            assert len(fast.positive_rows[i]) == len(slow.positive_rows[i])
-            assert len(fast.negative_rows[i]) == len(slow.negative_rows[i])
+        for side in ("positive", "negative"):
+            np.testing.assert_array_equal(getattr(fast, f"{side}_query"),
+                                          getattr(slow, f"{side}_query"))

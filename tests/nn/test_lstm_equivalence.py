@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_wsc_graph
 from reference_lstm import reference_lstm_forward
 
 from repro import nn
@@ -141,29 +142,28 @@ class TestGraphSize:
 
     def test_train_step_graph_halves_and_lands_on_the_same_weights(
             self, tiny_city, tiny_config, shared_resources, monkeypatch):
-        """A tiny WSC train step through the fused LSTM builds at most half
-        the graph of the per-step cell path, and updates every weight to the
-        same bits."""
+        """A tiny WSC train step through the fused LSTM and the objective node
+        builds at most a tenth of the graph of the per-step cell path under
+        the Tensor-composed objective, and updates every weight to the same
+        bits."""
         batch = list(tiny_city.unlabeled)[:6]
         labeler = tiny_city.unlabeled.weak_labeler
         losses = []
-        loss_fn = trainer.combined_wsc_loss
 
-        def recording_loss(*args, **kwargs):
-            losses.append(loss_fn(*args, **kwargs))
-            return losses[-1]
+        def step(loss_fn):
+            def recording_loss(*args, **kwargs):
+                losses.append(loss_fn(*args, **kwargs))
+                return losses[-1]
 
-        monkeypatch.setattr(trainer, "combined_wsc_loss", recording_loss)
-
-        def step():
+            monkeypatch.setattr(trainer, "combined_wsc_loss", recording_loss)
             model = shared_resources.new_encoder()
             WSCTrainer(model, seed=7).train_step(batch, labeler)
             return _graph_size(losses[-1]), model.state_dict()
 
-        fused_size, fused_state = step()
+        fused_size, fused_state = step(trainer.combined_wsc_loss)
         monkeypatch.setattr(nn.LSTM, "forward", reference_lstm_forward)
-        reference_size, reference_state = step()
-        assert fused_size <= 0.5 * reference_size
+        reference_size, reference_state = step(reference_wsc_graph.combined_wsc_loss)
+        assert fused_size <= 0.1 * reference_size
         assert fused_state.keys() == reference_state.keys()
         for name, value in fused_state.items():
             assert np.array_equal(value, reference_state[name]), name
