@@ -129,8 +129,8 @@ class WSCCLConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in _POSITIVE_FLOATS:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if not (isinstance(value, numbers.Real) and 0 < value < float("inf")):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if not 0.0 <= self.lambda_balance <= 1.0:
             raise ValueError(f"lambda_balance must be in [0, 1], got {self.lambda_balance!r}")
         if self.batch_size < 2:

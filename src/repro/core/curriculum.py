@@ -11,12 +11,13 @@ Two stages:
    experts agree = an easy sample.
 
 2. **Curriculum sample selection** — samples are ranked by difficulty score
-   and distributed over ``M`` stages from easy to hard; the model is trained
-   for one epoch per stage, then for a final stage over the full training
-   set.
+   and distributed over ``M`` stages from easy to hard, a
+   :class:`CurriculumPlan`; :class:`~repro.core.wsccl.WSCCL` trains one epoch
+   per stage, then the final stage over the full training set.
 
 A *heuristic* curriculum (sorting by number of edges, Table V's baseline) is
-also provided for the Table V runner.
+also provided for the Table V runner.  Experts and plans are trained by the
+one loop :meth:`~repro.core.trainer.WSCTrainer.fit`.
 """
 
 from __future__ import annotations
@@ -78,13 +79,8 @@ def train_experts(network, meta_sets, config, resources=None, weak_labeler=None,
     experts = []
     for set_index, meta_set in enumerate(meta_sets):
         expert = resources.new_encoder(seed=config.seed + 100 + set_index)
-        trainer = WSCTrainer(expert, config=config, seed=config.seed + set_index)
-        if meta_set:
-            trainer.fit_on_samples(
-                meta_set, weak_labeler,
-                epochs=config.expert_epochs,
-                batches_per_epoch=batches_per_epoch,
-            )
+        WSCTrainer(expert, config=config, seed=config.seed + set_index).fit(
+            [(meta_set, config.expert_epochs)], weak_labeler, batches_per_epoch)
         experts.append(expert)
     return experts
 
@@ -131,10 +127,6 @@ class CurriculumPlan:
     final_stage: list = field(default_factory=list)
     scores: np.ndarray = None
 
-    @property
-    def num_stages(self):
-        return len(self.stages)
-
 
 def build_curriculum_stages(samples, scores, num_stages, rng=None):
     """Rank samples by difficulty score and split them into ``M`` stages.
@@ -144,9 +136,8 @@ def build_curriculum_stages(samples, scores, num_stages, rng=None):
     variations" as the paper puts it.
 
     When ``num_stages`` exceeds the sample count, the stages are merged down
-    to one per sample instead of emitting empty stages (which would reach
-    ``WSCTrainer.fit_on_samples`` as no-op epochs and silently skew the
-    curriculum's stage count).
+    to one per sample instead of emitting empty stages, which would silently
+    skew the curriculum's stage count.
     """
     if num_stages < 1:
         raise ValueError("num_stages must be >= 1")

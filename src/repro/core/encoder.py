@@ -133,6 +133,13 @@ class TemporalPathEncoder(PathEncoder):
     def forward(self, temporal_paths):
         """``(tprs, sters, mask)`` for a list of
         :class:`~repro.datasets.temporal_paths.TemporalPath`."""
+        outputs, mask = self._steps(temporal_paths)
+        # Masked mean over valid steps (Eq. 8).
+        return nn.functional.masked_mean(outputs, mask), outputs, mask
+
+    def _steps(self, temporal_paths):
+        """``(sters, mask)``: the LSTM's per-step outputs (Eq. 7) without the
+        TPRs, which the WSC train step's objective averages itself."""
         edge_ids, mask = pad_paths(temporal_paths)
         spatial = self.spatial(edge_ids)                      # (B, T, d)
         departure_times = [tp.departure_time for tp in temporal_paths]
@@ -142,8 +149,5 @@ class TemporalPathEncoder(PathEncoder):
         # Broadcast the temporal embedding to every step of the path.
         temporal_steps = nn.Tensor(np.repeat(temporal.data[:, None, :], edge_ids.shape[1], axis=1))
         inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
-
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
-
-        # Masked mean over valid steps (Eq. 8).
-        return nn.functional.masked_mean(outputs, mask), outputs, mask
+        return outputs, mask

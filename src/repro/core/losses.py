@@ -51,20 +51,10 @@ def _global_term(tprs, contrast_sets, inv_tau):
     """Negated Eq. 10 and its backward to ``tprs``, or None when no query has
     both a positive and a negative."""
     size = len(tprs)
-    positive_counts = np.fromiter(map(len, contrast_sets.positives), np.int64, size)
-    negative_counts = np.fromiter(map(len, contrast_sets.negatives), np.int64, size)
-    valid = (positive_counts > 0) & (negative_counts > 0)
-    if not valid.any():
+    positive_mask, negative_mask = contrast_sets.positives, contrast_sets.negatives
+    valid = np.flatnonzero(positive_mask.any(axis=1) & negative_mask.any(axis=1))
+    if not valid.size:
         return None
-    rows = np.arange(size)
-    positive_mask = np.zeros((size, size), dtype=bool)
-    negative_mask = np.zeros((size, size), dtype=bool)
-    for query_mask, counts, members in ((positive_mask, positive_counts, contrast_sets.positives),
-                                        (negative_mask, negative_counts, contrast_sets.negatives)):
-        keep = np.repeat(valid, counts)
-        query_mask[np.repeat(rows, counts)[keep],
-                   np.concatenate(members).astype(np.intp)[keep]] = True
-    valid = np.flatnonzero(valid)
 
     squares = (tprs * tprs).sum(axis=-1, keepdims=True)
     norm = squares ** 0.5 + _EPS
@@ -190,8 +180,9 @@ def combined_wsc_loss(steps, mask, contrast_sets, edge_sets, lambda_balance=0.8,
     mask:
         ``(batch, max_len)`` 0/1 array, 1 on a path's real steps.
     contrast_sets:
-        :class:`~repro.core.sampling.ContrastSets`, each query's positive and
-        negative paths for the global loss.
+        :class:`~repro.core.sampling.ContrastSets`, the boolean ``(batch,
+        batch)`` matrices of each query's positive and negative paths for the
+        global loss.
     edge_sets:
         :class:`~repro.core.sampling.EdgeSampleSets`, each query's positive
         and negative edge samples for the local loss.

@@ -13,8 +13,11 @@ paired with a second view that keeps the path and weak label but re-samples
 the departure time inside the same label window.  This guarantees at least
 one positive per query while preserving the paper's definition.
 
-For the local loss (Eq. 11), positive/negative *edge* samples are drawn at
-random from the positive/negative temporal paths of each query.
+The contrast sets are two boolean ``(batch, batch)`` matrices, which the
+global loss (Eq. 10) uses as masks.  For the local loss (Eq. 11),
+positive/negative *edge* samples are drawn at random from the
+positive/negative temporal paths of each query, the pairs read from the
+matrices' nonzero entries.
 """
 
 from __future__ import annotations
@@ -65,51 +68,29 @@ def augment_with_positive_views(batch, weak_labeler, rng, max_shift_minutes=45):
 
 @dataclass
 class ContrastSets:
-    """Positive and negative index sets per query within a batch.
+    """Positive and negative paths of every query within a batch.
 
-    ``positives[i]`` / ``negatives[i]`` are numpy index arrays into the batch
-    (the paper's ``S_tpi`` and ``N_tpi``).
+    ``positives`` and ``negatives`` are boolean ``(batch, batch)`` matrices:
+    row ``i`` marks the paper's ``S_tpi`` and ``N_tpi`` of query ``i``.
     """
 
-    positives: list
-    negatives: list
+    positives: np.ndarray
+    negatives: np.ndarray
 
 
 def build_contrast_sets(batch):
     """Compute ``S_tpi`` and ``N_tpi`` for every sample in the batch.
 
-    ``batch`` is a list of ``(TemporalPath, weak_label)``.
-
-    Samples are grouped by their ``(path, weak_label)`` key in one pass, so
-    construction is O(n) expected in the batch size instead of the O(n²)
-    pairwise scan (the regression test's oracle in
-    ``tests/core/reference_sampling.py``).  Positives of query ``i`` are its
-    group minus itself; negatives are the group's complement, shared by
-    every group member.
+    ``batch`` is a list of ``(TemporalPath, weak_label)``.  Each sample gets
+    one integer id per ``(path, weak_label)`` key; positives of query ``i``
+    share its id, itself excluded, and negatives are every other sample.
+    ``tests/core/reference_sampling.py`` keeps the pairwise scan as oracle.
     """
-    size = len(batch)
-    keys = [(tuple(tp.path), label) for tp, label in batch]
-    groups = {}
-    for index, key in enumerate(keys):
-        groups.setdefault(key, []).append(index)
-
-    all_indices = np.arange(size, dtype=np.int64)
-    group_members = {}
-    group_complement = {}
-    for key, members in groups.items():
-        members = np.asarray(members, dtype=np.int64)
-        group_members[key] = members
-        outside = np.ones(size, dtype=bool)
-        outside[members] = False
-        group_complement[key] = all_indices[outside]
-
-    positives = []
-    negatives = []
-    for index, key in enumerate(keys):
-        members = group_members[key]
-        positives.append(members[members != index])
-        negatives.append(group_complement[key])
-    return ContrastSets(positives=positives, negatives=negatives)
+    ids = {}
+    group = np.array([ids.setdefault((tuple(tp.path), label), len(ids))
+                      for tp, label in batch], dtype=np.int64)
+    same = group[:, None] == group[None, :]
+    return ContrastSets(positives=same & ~np.eye(len(batch), dtype=bool), negatives=~same)
 
 
 @dataclass
@@ -156,16 +137,7 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
     lengths = mask.sum(axis=1).astype(np.int64)
     max_len = int(mask.shape[1])
 
-    def draw_group(paths_per_query):
-        group_sizes = np.fromiter((len(p) for p in paths_per_query),
-                                  dtype=np.int64, count=size)
-        total_pairs = int(group_sizes.sum())
-        if total_pairs == 0:
-            return (np.asarray([], dtype=np.int64),) * 3
-        pair_rows = np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in paths_per_query if len(p)])
-        query_of_pair = np.repeat(np.arange(size, dtype=np.int64), group_sizes)
-
+    def draw_group(query_of_pair, pair_rows):
         pair_lengths = lengths[pair_rows]
         counts = np.minimum(edges_per_path, pair_lengths)
 
@@ -175,7 +147,7 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
         # Only the smallest ``edges_per_path`` ranks are consumed, so an
         # O(T) argpartition plus a tiny prefix sort replaces the full
         # O(T log T) argsort when paths are longer than the sample size.
-        scores = rng.random((total_pairs, max_len))
+        scores = rng.random((len(pair_rows), max_len))
         scores[np.arange(max_len)[None, :] >= pair_lengths[:, None]] = np.inf
         candidates = min(edges_per_path, max_len)
         if candidates < max_len:
@@ -191,8 +163,8 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
         return (np.repeat(pair_rows, counts), ranked_cols[take],
                 np.repeat(query_of_pair, counts))
 
-    positive_paths = [
-        np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
-        for i in range(size)
-    ]
-    return EdgeSampleSets(*draw_group(positive_paths), *draw_group(contrast_sets.negatives))
+    # Each query's own path first, then its positives in ascending order.
+    queries, paths = np.nonzero(contrast_sets.positives | np.eye(size, dtype=bool))
+    first = np.lexsort((paths, paths != queries, queries))
+    return EdgeSampleSets(*draw_group(queries[first], paths[first]),
+                          *draw_group(*np.nonzero(contrast_sets.negatives)))

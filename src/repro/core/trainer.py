@@ -1,14 +1,15 @@
-"""Training loops for the WSC (basic) framework.
+"""The one training loop of the WSC (basic) framework.
 
 :class:`WSCTrainer` trains one
 :class:`~repro.core.encoder.TemporalPathEncoder` with the combined
-global/local weakly-supervised contrastive loss over minibatches of temporal
-paths.  It is reused by the curriculum stage (to train experts and
-to run the staged curriculum) and by the ablation table runners.  Above the
-LSTM's input, each step's graph is two nodes: the fused LSTM and the
-objective node :func:`~repro.core.losses.combined_wsc_loss`, which takes the
-masked-mean TPRs itself.  The step updates through
-:meth:`repro.nn.Optimizer.minimize`, clipped at the config's ``grad_clip``.
+global/local weakly-supervised contrastive loss.  Its :meth:`~WSCTrainer.fit`
+walks a schedule of ``(samples, epochs)`` stages in minibatches; every WSC
+schedule is one: the learned or heuristic curriculum's stages and final stage,
+the "w/o CL" corpus, and each expert's meta-set.  Above the LSTM's input,
+each step's graph is two nodes: the fused LSTM and the objective node
+:func:`~repro.core.losses.combined_wsc_loss`, which takes the masked-mean
+TPRs itself.  The step updates through :meth:`repro.nn.Optimizer.minimize`,
+clipped at the config's ``grad_clip``.
 """
 
 from __future__ import annotations
@@ -60,15 +61,14 @@ class WSCTrainer:
 
         Returns the scalar loss value of the step.  A batch whose loss
         reaches no parameter (no query has both a positive and a negative)
-        updates nothing.  The encoder's TPRs are not used: the objective node
-        averages the LSTM's steps itself, so that its backward sums the
+        updates nothing.  The encoder's TPRs are not built: the objective
+        node averages the LSTM's steps itself, so that its backward sums the
         gradient of ``steps`` in the order the bit-identical results need.
         """
         augmented = augment_with_positive_views(batch, weak_labeler, self.rng)
-        temporal_paths = [tp for tp, _ in augmented]
         contrast_sets = build_contrast_sets(augmented)
 
-        _, steps, mask = self.model(temporal_paths)
+        steps, mask = self.model._steps([tp for tp, _ in augmented])
         edge_sets = sample_edge_sets(
             augmented, contrast_sets, mask, self.rng,
             edges_per_path=self.config.local_edges_per_path,
@@ -84,27 +84,23 @@ class WSCTrainer:
         return self.optimizer.minimize(loss, max_norm=self.config.grad_clip)
 
     # ------------------------------------------------------------------
-    def fit(self, dataset, epochs=None, batches_per_epoch=None):
-        """Train for ``epochs`` passes (default: the config's epoch count)."""
-        epochs = self.config.epochs if epochs is None else epochs
-        return self.fit_on_samples(dataset, dataset.weak_labeler, epochs=epochs,
-                                   batches_per_epoch=batches_per_epoch)
+    def fit(self, schedule, weak_labeler, batches_per_epoch=None):
+        """Train on a schedule of ``(samples, epochs)`` stages, in order.
 
-    def fit_on_samples(self, samples, weak_labeler, epochs=1, batches_per_epoch=None):
-        """Train on a sequence of ``(TemporalPath, label)`` pairs.
-
-        The curriculum stages pass explicit sample lists; :meth:`fit` passes
-        the dataset itself.  An epoch's mean step loss is recorded in
+        ``samples`` is a sequence of ``(TemporalPath, label)`` pairs.  A stage
+        of fewer than two samples runs no step and draws nothing from
+        :attr:`rng`, since :func:`~repro.datasets.minibatch_indices` yields no
+        batch of fewer than two.  An epoch's mean step loss is recorded in
         :attr:`history` when the epoch ran at least one step.
         """
-        samples = list(samples)
-        for _ in range(epochs):
-            losses = [
-                self.train_step([samples[i] for i in indices], weak_labeler)
-                for indices in minibatch_indices(
-                    len(samples), self.config.batch_size, self.rng,
-                    max_batches=batches_per_epoch)
-            ]
-            if losses:
-                self.history.record(float(np.mean(losses)))
+        for samples, epochs in schedule:
+            for _ in range(epochs):
+                losses = [
+                    self.train_step([samples[i] for i in indices], weak_labeler)
+                    for indices in minibatch_indices(
+                        len(samples), self.config.batch_size, self.rng,
+                        max_batches=batches_per_epoch)
+                ]
+                if losses:
+                    self.history.record(float(np.mean(losses)))
         return self.history

@@ -3,8 +3,11 @@
 :class:`WSCCL` is the library's main entry point.  ``fit`` runs the full
 pipeline of the paper: expert training on length-sorted meta-sets, difficulty
 scoring, curriculum construction, staged training easy → hard, and a final
-stage over the whole corpus.  ``fit_without_curriculum`` gives the "w/o CL"
-ablation, and ``fit_with_heuristic_curriculum`` the Table V baseline.
+stage over the whole corpus.  ``fit_with_heuristic_curriculum`` gives the
+Table V baseline, and ``fit_without_curriculum`` the "w/o CL" ablation: a
+plan with no stages whose final stage runs ``config.epochs`` over the corpus.
+Each builds its :class:`~repro.core.curriculum.CurriculumPlan` and trains it
+through the one loop :meth:`~repro.core.trainer.WSCTrainer.fit`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import numpy as np
 
 from .config import WSCCLConfig
 from .curriculum import (
+    CurriculumPlan,
     build_curriculum_stages,
     difficulty_scores,
     heuristic_curriculum_stages,
@@ -44,7 +48,8 @@ class WSCCL:
     model:
         The :class:`~repro.core.encoder.TemporalPathEncoder` it trains.
     plan:
-        The :class:`~repro.core.curriculum.CurriculumPlan` used (if any).
+        The :class:`~repro.core.curriculum.CurriculumPlan` trained last (None
+        before the first fit; no stages for "w/o CL").
     """
 
     # Part of the fit fingerprint in perfbench/tracer.py (``_wsccl_fit_key``).
@@ -74,42 +79,27 @@ class WSCCL:
             batches_per_epoch=expert_batches,
         )
         scores = difficulty_scores(samples, assignments, self.experts)
-        self.plan = build_curriculum_stages(
-            samples, scores, self.config.num_stages,
-            rng=np.random.default_rng(self.config.seed),
-        )
-        self._train_on_plan(self.plan, dataset.weak_labeler, batches_per_epoch)
-        return self
+        plan = build_curriculum_stages(samples, scores, self.config.num_stages,
+                                       rng=np.random.default_rng(self.config.seed))
+        return self._train(plan, self.config.final_stage_epochs, dataset, batches_per_epoch)
 
     def fit_with_heuristic_curriculum(self, dataset, batches_per_epoch=None):
         """Table V baseline: curriculum ordered by path length only."""
-        samples = list(dataset)
-        self.plan = heuristic_curriculum_stages(
-            samples, self.config.num_stages,
-            rng=np.random.default_rng(self.config.seed),
-        )
-        self._train_on_plan(self.plan, dataset.weak_labeler, batches_per_epoch)
-        return self
+        plan = heuristic_curriculum_stages(list(dataset), self.config.num_stages,
+                                           rng=np.random.default_rng(self.config.seed))
+        return self._train(plan, self.config.final_stage_epochs, dataset, batches_per_epoch)
 
     def fit_without_curriculum(self, dataset, batches_per_epoch=None):
         """"w/o CL" ablation: plain WSC training on shuffled data."""
-        self.trainer.fit(dataset, epochs=self.config.epochs,
-                         batches_per_epoch=batches_per_epoch)
-        return self
+        return self._train(CurriculumPlan(final_stage=list(dataset)), self.config.epochs,
+                           dataset, batches_per_epoch)
 
-    def _train_on_plan(self, plan, weak_labeler, batches_per_epoch):
-        for stage in plan.stages:
-            if len(stage) < 2:
-                continue
-            self.trainer.fit_on_samples(
-                stage, weak_labeler, epochs=1, batches_per_epoch=batches_per_epoch
-            )
-        if len(plan.final_stage) >= 2:
-            self.trainer.fit_on_samples(
-                plan.final_stage, weak_labeler,
-                epochs=self.config.final_stage_epochs,
-                batches_per_epoch=batches_per_epoch,
-            )
+    def _train(self, plan, final_epochs, dataset, batches_per_epoch):
+        """One epoch per stage of ``plan``, then ``final_epochs`` over its final stage."""
+        self.plan = plan
+        schedule = [(stage, 1) for stage in plan.stages] + [(plan.final_stage, final_epochs)]
+        self.trainer.fit(schedule, dataset.weak_labeler, batches_per_epoch)
+        return self
 
     # ------------------------------------------------------------------
     def encode(self, temporal_paths):

@@ -61,11 +61,6 @@ class TemporalPathDataset:
         """Return a new dataset with the same paths but a different weak labeler."""
         return TemporalPathDataset(self.temporal_paths, weak_labeler)
 
-    def subset(self, indices):
-        """Return a new dataset restricted to ``indices`` (keeps the labeler)."""
-        selected = [self.temporal_paths[i] for i in indices]
-        return TemporalPathDataset(selected, self.weak_labeler)
-
     def label_distribution(self):
         """Mapping weak label -> count, useful for sanity checks and reports."""
         values, counts = np.unique(self.weak_labels, return_counts=True)

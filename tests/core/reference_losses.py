@@ -35,8 +35,8 @@ def _reference_global_wsc_loss(tprs, contrast_sets, temperature=0.1):
 
     terms = []
     for i in range(len(contrast_sets.positives)):
-        positives = contrast_sets.positives[i]
-        negatives = contrast_sets.negatives[i]
+        positives = np.flatnonzero(contrast_sets.positives[i])
+        negatives = np.flatnonzero(contrast_sets.negatives[i])
         if len(positives) == 0 or len(negatives) == 0:
             continue
         positive_sims = similarities[i, positives]

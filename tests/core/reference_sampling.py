@@ -1,7 +1,10 @@
 """The loop oracles for :mod:`repro.core.sampling`.
 
 ``_reference_build_contrast_sets`` is the original O(n²) pairwise scan, which
-the grouped ``build_contrast_sets`` must reproduce exactly.
+the grouped ``build_contrast_sets`` must reproduce exactly;
+``contrast_sets_from_lists`` turns its per-query index lists into the boolean
+matrices of :class:`~repro.core.ContrastSets`, and the oracles read the
+matrices' rows back as index lists.
 ``_reference_sample_edge_sets`` is the original per-query ``rng.choice``
 sampler: the same distribution as ``sample_edge_sets`` from a different
 random stream, so the tests compare structure and counts, not draws.
@@ -25,9 +28,20 @@ def _reference_build_contrast_sets(batch):
         positive = [j for j in range(size)
                     if j != i and paths[j] == paths[i] and labels[j] == labels[i]]
         negative = [j for j in range(size) if j != i and j not in positive]
-        positives.append(np.asarray(positive, dtype=np.int64))
-        negatives.append(np.asarray(negative, dtype=np.int64))
-    return ContrastSets(positives=positives, negatives=negatives)
+        positives.append(positive)
+        negatives.append(negative)
+    return contrast_sets_from_lists(positives, negatives)
+
+
+def contrast_sets_from_lists(positives, negatives):
+    """:class:`~repro.core.ContrastSets` marking each query ``i``'s
+    ``positives[i]`` and ``negatives[i]`` (sequences of batch indices)."""
+    size = len(positives)
+    matrices = np.zeros((2, size, size), dtype=bool)
+    for matrix, members in zip(matrices, (positives, negatives)):
+        for i, indices in enumerate(members):
+            matrix[i, np.asarray(indices, dtype=np.intp)] = True
+    return ContrastSets(positives=matrices[0], negatives=matrices[1])
 
 
 def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
@@ -35,8 +49,8 @@ def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=
     lengths = mask.sum(axis=1).astype(np.int64)
     sides = ([], [])
     for i in range(len(batch)):
-        pos_paths = np.concatenate(([i], contrast_sets.positives[i])).astype(np.int64)
-        for side, paths in zip(sides, (pos_paths, contrast_sets.negatives[i])):
+        pos_paths = np.concatenate(([i], np.flatnonzero(contrast_sets.positives[i])))
+        for side, paths in zip(sides, (pos_paths, np.flatnonzero(contrast_sets.negatives[i]))):
             rows, cols = _draw_edges(paths, lengths, rng, edges_per_path)
             side.append((rows, cols, np.full(len(rows), i, dtype=np.int64)))
     return EdgeSampleSets(*(np.concatenate(arrays) for side in sides for arrays in zip(*side)))

@@ -37,8 +37,8 @@ def global_wsc_loss(tprs, contrast_sets, temperature=0.1):
     negative_mask = np.zeros((size, size), dtype=bool)
     valid = []
     for i in range(size):
-        positives = contrast_sets.positives[i]
-        negatives = contrast_sets.negatives[i]
+        positives = np.flatnonzero(contrast_sets.positives[i])
+        negatives = np.flatnonzero(contrast_sets.negatives[i])
         if len(positives) == 0 or len(negatives) == 0:
             continue
         positive_mask[i, positives] = True

@@ -82,6 +82,14 @@ def test_configs_reject_non_positive_values(config_class, name, value):
         config_class(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["temperature", "learning_rate", "grad_clip"])
+def test_wsccl_config_rejects_infinite_floats(name):
+    # Regression: ``inf`` passed the ``> 0`` check, and an infinite
+    # temperature failed only at the first train step.
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number, got inf"):
+        WSCCLConfig(**{name: float("inf")})
+
+
 _BAD_SCALE_AND_HARNESS_VALUES = [
     (DatasetScale.tiny(), "grid_rows", 0),
     (DatasetScale.tiny(), "grid_cols", -3),

@@ -101,7 +101,7 @@ class TestCurriculumStages:
     def test_stage_partition(self, samples):
         scores = np.arange(len(samples), dtype=float)
         plan = build_curriculum_stages(samples, scores, num_stages=3)
-        assert plan.num_stages == 3
+        assert len(plan.stages) == 3
         assert sum(len(stage) for stage in plan.stages) == len(samples)
         assert len(plan.final_stage) == len(samples)
 
@@ -125,10 +125,10 @@ class TestCurriculumStages:
 
     def test_more_stages_than_samples_emits_no_empty_stages(self, samples):
         # Regression: num_stages > len(samples) used to produce empty stages
-        # that reached WSCTrainer.fit_on_samples as no-op epochs.
+        # that reached the training loop as no-op epochs.
         few = samples[:3]
         plan = build_curriculum_stages(few, np.arange(3, dtype=float), num_stages=10)
-        assert plan.num_stages == 3
+        assert len(plan.stages) == 3
         assert all(len(stage) >= 1 for stage in plan.stages)
         assert sum(len(stage) for stage in plan.stages) == 3
         assert len(plan.final_stage) == 3
@@ -144,7 +144,7 @@ class TestCurriculumStages:
 
     def test_heuristic_more_stages_than_samples(self, samples):
         plan = heuristic_curriculum_stages(samples[:2], num_stages=5)
-        assert plan.num_stages == 2
+        assert len(plan.stages) == 2
         assert all(len(stage) == 1 for stage in plan.stages)
 
 

@@ -19,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.sampling import ContrastSets, EdgeSampleSets
+from repro.core.sampling import EdgeSampleSets
 from reference_losses import (
     _reference_combined_wsc_loss,
     _reference_global_wsc_loss,
     _reference_local_wsc_loss,
 )
-from reference_sampling import _reference_build_contrast_sets
+from reference_sampling import _reference_build_contrast_sets, contrast_sets_from_lists
 from reference_wsc_graph import global_wsc_loss, local_wsc_loss
 
 #: Fast-path vs loop-reference agreement (values and gradients).
@@ -40,7 +40,7 @@ def random_contrast_sets(size, rng):
         pos_count = int(rng.integers(0, max(1, size // 2)))
         positives.append(np.sort(others[:pos_count]))
         negatives.append(np.sort(others[pos_count:]))
-    return ContrastSets(positives=positives, negatives=negatives)
+    return contrast_sets_from_lists(positives, negatives)
 
 
 def random_edge_sets(size, max_len, rng):
@@ -102,8 +102,7 @@ class TestMatrixLossEquivalence:
 
     def test_degenerate_batches_return_zero(self):
         tprs = nn.Tensor(np.ones((3, 4)), requires_grad=True)
-        empty_sets = ContrastSets(positives=[np.array([], dtype=np.int64)] * 3,
-                                  negatives=[np.array([], dtype=np.int64)] * 3)
+        empty_sets = contrast_sets_from_lists([[]] * 3, [[]] * 3)
         loss = global_wsc_loss(tprs, empty_sets)
         assert float(loss.data) == 0.0
         assert not loss.requires_grad

@@ -12,14 +12,8 @@ from reference_wsc_graph import global_wsc_loss, local_wsc_loss
 
 from repro import nn
 from repro.core import combined_wsc_loss
-from repro.core.sampling import ContrastSets, EdgeSampleSets
-
-
-def make_contrast_sets(positives, negatives):
-    return ContrastSets(
-        positives=[np.asarray(p, dtype=np.int64) for p in positives],
-        negatives=[np.asarray(n, dtype=np.int64) for n in negatives],
-    )
+from repro.core.sampling import EdgeSampleSets
+from reference_sampling import contrast_sets_from_lists as make_contrast_sets
 
 
 def make_edge_sets(positive, negative):

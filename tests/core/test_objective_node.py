@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.core import WSCTrainer, combined_wsc_loss, trainer
-from repro.core.sampling import ContrastSets, EdgeSampleSets
+from repro.core.sampling import EdgeSampleSets
+from reference_sampling import contrast_sets_from_lists
 
 LAMBDAS = (0.0, 0.3, 0.8, 1.0)
 
@@ -64,7 +65,7 @@ def objective_cases(draw):
         query = np.repeat(np.arange(batch), rng.integers(0, 4, size=batch))
         arrays += [rng.integers(0, batch, len(query)), rng.integers(0, time_steps, len(query)),
                    query]
-    return (steps, mask, ContrastSets(positives, negatives), EdgeSampleSets(*arrays),
+    return (steps, mask, contrast_sets_from_lists(positives, negatives), EdgeSampleSets(*arrays),
             draw(st.sampled_from(LAMBDAS)), draw(st.sampled_from([0.07, 0.1, 1.0])))
 
 
@@ -92,8 +93,8 @@ class TestNodeMatchesOracle:
             np.array([0, 1, 1, 2, 3, 2]), np.array([0, 0, 1, 2, 1, 0]), query,
             np.array([2, 3, 0, 1, 0, 1])[:len(negative_query)],
             np.array([1, 2, 0, 0, 0, 1])[:len(negative_query)], negative_query)
-        assert_node_matches_oracle(steps, mask, ContrastSets(positives, negatives), edge_sets,
-                                   lambda_balance, 0.1)
+        assert_node_matches_oracle(steps, mask, contrast_sets_from_lists(positives, negatives),
+                                   edge_sets, lambda_balance, 0.1)
 
 
 def test_train_step_graph_above_the_lstm_is_one_node(tiny_city, shared_resources,
@@ -126,7 +127,8 @@ def test_fit_lands_on_the_oracles_bytes(tiny_city, tiny_config, shared_resources
         monkeypatch.setattr(trainer, "combined_wsc_loss", loss_fn)
         model = shared_resources.new_encoder()
         history = WSCTrainer(model, config=config, seed=3).fit(
-            tiny_city.unlabeled, epochs=2, batches_per_epoch=2)
+            [(list(tiny_city.unlabeled), 2)], tiny_city.unlabeled.weak_labeler,
+            batches_per_epoch=2)
         results.append((model.state_dict(), history.epoch_losses))
     (node_state, node_history), (oracle_state, oracle_history) = results
     assert len(node_history) == 2

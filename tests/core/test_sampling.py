@@ -62,23 +62,26 @@ class TestContrastSets:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         # Query 0: positive = 1 (same path, same morning-peak label).
-        assert list(sets.positives[0]) == [1]
+        assert np.flatnonzero(sets.positives[0]).tolist() == [1]
         # Negatives: 2 (same path, different label), 3 (different path, same
         # label), 4 (different path, different label).
-        assert sorted(sets.negatives[0]) == [2, 3, 4]
+        assert np.flatnonzero(sets.negatives[0]).tolist() == [2, 3, 4]
 
     def test_positive_relation_is_symmetric(self):
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
-        assert 0 in sets.positives[1]
+        np.testing.assert_array_equal(sets.positives, sets.positives.T)
+        np.testing.assert_array_equal(sets.negatives, sets.negatives.T)
 
     def test_sets_partition_the_batch(self):
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
-        for i in range(len(batch)):
-            combined = set(sets.positives[i]) | set(sets.negatives[i]) | {i}
-            assert combined == set(range(len(batch)))
-            assert not set(sets.positives[i]) & set(sets.negatives[i])
+        eye = np.eye(len(batch), dtype=bool)
+        assert sets.positives.dtype == sets.negatives.dtype == bool
+        assert sets.positives.shape == sets.negatives.shape == eye.shape
+        # Every other sample is exactly one of a positive and a negative.
+        np.testing.assert_array_equal(sets.positives ^ sets.negatives, ~eye)
+        assert not (sets.positives | sets.negatives)[eye].any()
 
 
 class TestEdgeSampleSets:
@@ -89,9 +92,9 @@ class TestEdgeSampleSets:
         edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=2)
 
         for i in range(len(batch)):
-            allowed_pos_rows = set(sets.positives[i].tolist()) | {i}
+            allowed_pos_rows = set(np.flatnonzero(sets.positives[i]).tolist()) | {i}
             assert set(query_samples(edge_sets, "positive", i)[0].tolist()) <= allowed_pos_rows
-            allowed_neg_rows = set(sets.negatives[i].tolist())
+            allowed_neg_rows = set(np.flatnonzero(sets.negatives[i]).tolist())
             assert set(query_samples(edge_sets, "negative", i)[0].tolist()) <= allowed_neg_rows
 
     def test_column_indices_are_valid_positions(self, rng):
@@ -114,6 +117,21 @@ class TestEdgeSampleSets:
         # Query 0 has 1 positive path plus itself -> at most 2 positive edges.
         assert len(query_samples(edge_sets, "positive", 0)[0]) <= 2
 
+    def test_pairs_are_query_first_then_ascending(self, rng):
+        # The rng draws one row per (query, path) pair in this order, so the
+        # order is part of every seeded result: per query, its own path, then
+        # its positives ascending; its negatives ascending.
+        batch, _ = make_batch()
+        batch = batch + batch[::-1]
+        sets = build_contrast_sets(batch)
+        _, mask = pad_paths([tp for tp, _ in batch])
+        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=1)
+        positive_rows = [[i] + np.flatnonzero(sets.positives[i]).tolist()
+                         for i in range(len(batch))]
+        negative_rows = [np.flatnonzero(sets.negatives[i]).tolist() for i in range(len(batch))]
+        assert edge_sets.positive_rows.tolist() == sum(positive_rows, [])
+        assert edge_sets.negative_rows.tolist() == sum(negative_rows, [])
+
     @pytest.mark.parametrize("empty", [False, True], ids=["paths", "no_valid_step"])
     def test_flat_samples_are_grouped_by_query(self, rng, empty):
         batch, _ = make_batch()
@@ -125,6 +143,18 @@ class TestEdgeSampleSets:
             assert len({len(a) for a in arrays}) == 1
             assert all(a.dtype == np.int64 for a in arrays)
             assert np.all(np.diff(arrays[2]) >= 0)
+
+
+    def test_side_without_pairs_is_empty(self, rng):
+        # One (path, label) group: every query's negative side has no path.
+        batch = make_batch()[0][:1] * 4
+        sets = build_contrast_sets(batch)
+        _, mask = pad_paths([tp for tp, _ in batch])
+        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=2)
+        assert len(edge_sets.positive_rows) == 4 * 4 * 2
+        for name in ("rows", "cols", "query"):
+            negative = getattr(edge_sets, f"negative_{name}")
+            assert negative.dtype == np.int64 and negative.size == 0
 
 
 class TestSamplerRejectsBadInput:
@@ -174,9 +204,8 @@ class TestGroupedContrastSetsRegression:
         batch = self._random_batch(size, seed)
         fast = build_contrast_sets(batch)
         slow = _reference_build_contrast_sets(batch)
-        for i in range(size):
-            np.testing.assert_array_equal(fast.positives[i], slow.positives[i])
-            np.testing.assert_array_equal(fast.negatives[i], slow.negatives[i])
+        np.testing.assert_array_equal(fast.positives, slow.positives)
+        np.testing.assert_array_equal(fast.negatives, slow.negatives)
 
 
 class TestVectorizedEdgeSampler:
@@ -194,9 +223,10 @@ class TestVectorizedEdgeSampler:
             for i in range(len(batch)):
                 positive_rows, positive_cols = query_samples(edge_sets, "positive", i)
                 negative_rows, negative_cols = query_samples(edge_sets, "negative", i)
-                allowed_pos = set(sets.positives[i].tolist()) | {i}
+                allowed_pos = set(np.flatnonzero(sets.positives[i]).tolist()) | {i}
                 assert set(positive_rows.tolist()) <= allowed_pos
-                assert set(negative_rows.tolist()) <= set(sets.negatives[i].tolist())
+                allowed_neg = set(np.flatnonzero(sets.negatives[i]).tolist())
+                assert set(negative_rows.tolist()) <= allowed_neg
                 assert np.all(positive_cols < lengths[positive_rows])
                 assert np.all(negative_cols < lengths[negative_rows])
 

@@ -56,11 +56,6 @@ class TestTemporalPathDataset:
         for tp, label in dataset:
             assert label == labeler(tp.departure_time)
 
-    def test_subset_preserves_labeler(self, dataset):
-        subset = dataset.subset([0, 2, 4])
-        assert len(subset) == 3
-        assert subset.weak_labeler is dataset.weak_labeler
-
     def test_relabel(self, dataset):
         class ConstantLabeler(PeakOffPeakLabeler):
             def label(self, departure_time):

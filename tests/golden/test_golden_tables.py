@@ -88,7 +88,8 @@ def baseline_representations():
 
     Covers the eight unsupervised ``encode``s, the supervised baselines'
     ``encode`` and ``predict`` per task they train on, four WSCCL variants
-    directly and through a service, and PathRank loaded from WSCCL's encoder.
+    directly and through a service, the λ = 0 and λ = 1 variants' ``encode``,
+    and PathRank loaded from WSCCL's encoder.
     """
     config = HarnessConfig()
     city = build_dataset("aalborg", config)
@@ -114,6 +115,9 @@ def baseline_representations():
             PathEmbeddingService(wsccl).embed(paths))
         if variant == "full":
             pretrained_state = wsccl.encoder_state_dict()
+    for variant in ("no_global", "no_local"):
+        digests[f"WSCCL {variant} encode"] = array_digest(
+            fit_wsccl(city, config, variant=variant).encode(paths))
     pathrank = build_supervised_baseline("PathRank", config, pretrained_state=pretrained_state)
     digests["PathRank pretrained encode"] = array_digest(pathrank.fit(city).encode(paths))
     return digests

@@ -164,3 +164,33 @@ def test_per_edge_arrays_come_from_roadnet():
                       if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                       and call.func.attr in per_item]
     assert not found, found
+
+
+def _call_name(call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_one_wsc_epoch_loop():
+    # The learned and heuristic curricula, "w/o CL" and the experts all train
+    # through WSCTrainer.fit; a second minibatch_indices call in core would be
+    # a second epoch loop.
+    calls = [f"{path}:{node.lineno}" for path, tree in _src_trees().items()
+             if path.startswith("core")
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _call_name(node) == "minibatch_indices"]
+    assert len(calls) == 1, calls
+
+
+def test_no_wsccl_fit_calls_another():
+    # perfbench's tracer fingerprints every WSCCL.fit* call, nested ones too,
+    # so no method of WSCCL may call one of them on self.
+    wsccl = next(node for node in ast.walk(_src_trees()["core/wsccl.py"])
+                 if isinstance(node, ast.ClassDef) and node.name == "WSCCL")
+    fits = {item.name for item in wsccl.body
+            if isinstance(item, ast.FunctionDef) and item.name.startswith("fit")}
+    assert fits == {"fit", "fit_with_heuristic_curriculum", "fit_without_curriculum"}
+    nested = [f"wsccl.py:{call.lineno} self.{call.func.attr}()" for call in ast.walk(wsccl)
+              if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+              and call.func.attr in fits and getattr(call.func.value, "id", None) == "self"]
+    assert not nested, nested
