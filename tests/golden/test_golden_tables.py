@@ -8,7 +8,9 @@ default) fails here with the first differing line.  Every table runner of
 ``HarnessConfig()``, and a guard test fails when a new runner lands unpinned.
 The tables score representations through gradient-boosted trees, whose
 predictions move only when a value crosses a split, so one more case pins a
-hash of every fitted model's raw output (``baseline_representations``).
+hash of every fitted model's raw output (``baseline_representations``), and
+one more pins every WSCCL variant fit at ``HarnessConfig.benchmark()``, the
+scale ``perfbench/`` times (``wsccl_variant_fits``).
 
 The files are written once and not regenerated by refactors that claim to
 keep outputs identical.  Cities and node2vec fits are memoized per process
@@ -123,6 +125,36 @@ def baseline_representations():
     return digests
 
 
+def state_digest(state):
+    """:func:`array_digest` of a state dict's arrays, raveled in key order."""
+    return array_digest(np.concatenate([np.ravel(state[name]) for name in sorted(state)]))
+
+
+def wsccl_variant_fits():
+    """Hashes of the six WSCCL variants fitted at ``HarnessConfig.benchmark()``.
+
+    One fit per variant on Aalborg with POP labels and on Harbin with TCI
+    labels; each covers the trained state dict, every curriculum expert's
+    state dict, the per-epoch losses and ``encode`` of 300 paths: the
+    city's 100-path training corpus, then its first 200 ranking paths.
+    """
+    config = HarnessConfig.benchmark()
+    digests = {}
+    for city_name, weak_labels in (("aalborg", "pop"), ("harbin", "tci")):
+        city = build_dataset(city_name, config)
+        paths = (city.unlabeled.temporal_paths
+                 + [e.temporal_path for e in city.tasks.ranking])[:300]
+        for variant in ("full", "no_cl", "heuristic", "no_global", "no_local", "no_temporal"):
+            wsccl = fit_wsccl(city, config, variant=variant, weak_labels=weak_labels)
+            key = f"{city_name} {weak_labels} {variant}"
+            digests[f"{key} state"] = state_digest(wsccl.encoder_state_dict())
+            for index, expert in enumerate(wsccl.experts):
+                digests[f"{key} expert {index} state"] = state_digest(expert.state_dict())
+            digests[f"{key} epoch_losses"] = array_digest(wsccl.history.epoch_losses)
+            digests[f"{key} encode"] = array_digest(wsccl.encode(paths))
+    return digests
+
+
 CASES = {
     "table2_dataset_statistics": lambda: run_table2_dataset_statistics(
         HarnessConfig(), cities=("aalborg", "harbin", "chengdu")),
@@ -145,6 +177,7 @@ CASES = {
         HarnessConfig(), city_name="aalborg", label_fractions=(0.5, 1.0)),
     "aalborg_tiny_mapmatched": mapmatched_dataset_summary,
     "baseline_representations": baseline_representations,
+    "wsccl_variant_fits": wsccl_variant_fits,
 }
 
 
