@@ -112,12 +112,14 @@ class EdgeSampleSets:
     negative_query: np.ndarray
 
 
-def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
+def sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     """Draw positive/negative edge samples for the local WSC loss.
 
-    Positive edges come from the query's positive temporal paths (including
-    the query itself, whose edges trivially share its path and weak label);
-    negative edges come from its negative temporal paths.
+    ``mask`` is the batch's ``(batch, time)`` valid-step mask and
+    ``contrast_sets`` its :class:`ContrastSets`.  Positive edges come from
+    the query's positive temporal paths (including the query itself, whose
+    edges trivially share its path and weak label); negative edges come from
+    its negative temporal paths.
 
     All ``(query, path)`` pairs are drawn in one batched pass: a single
     uniform matrix is ranked per pair (invalid columns pushed to the end), so
@@ -127,13 +129,16 @@ def sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
     oracle in ``tests/core/reference_sampling.py`` (same distribution,
     different random stream).
     """
-    size = len(batch)
     if not (isinstance(edges_per_path, numbers.Integral) and edges_per_path >= 1):
         raise ValueError(f"edges_per_path must be a positive integer, got {edges_per_path!r}")
     mask = np.asarray(mask)
-    if mask.ndim != 2 or mask.shape[0] != size:
-        raise ValueError(f"mask must have one row per batch sample ({size}), "
-                         f"got shape {mask.shape}")
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be (batch, time), got shape {mask.shape}")
+    size = mask.shape[0]
+    for matrix in (contrast_sets.positives, contrast_sets.negatives):
+        if matrix.shape != (size, size):
+            raise ValueError(f"contrast sets must be ({size}, {size}) for a mask of shape "
+                             f"{mask.shape}, got {matrix.shape}")
     lengths = mask.sum(axis=1).astype(np.int64)
     max_len = int(mask.shape[1])
 

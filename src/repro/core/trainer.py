@@ -70,7 +70,7 @@ class WSCTrainer:
 
         steps, mask = self.model._steps([tp for tp, _ in augmented])
         edge_sets = sample_edge_sets(
-            augmented, contrast_sets, mask, self.rng,
+            contrast_sets, mask, self.rng,
             edges_per_path=self.config.local_edges_per_path,
         )
         loss = combined_wsc_loss(

@@ -8,7 +8,10 @@ numpy loop over time with a per-step tape, and a hand-written
 backpropagation through time.  Both repeat the arithmetic and summation
 order of the per-step cell graph in ``tests/nn/reference_lstm.py``, so
 outputs and gradients are bit-identical to it; every gemm stays per step for
-that reason.
+that reason.  Each step works in place on one ``(batch, 4 * hidden)`` gate
+block: the gemms and the bias sum into it, one clipped sigmoid covers it
+whole (the cell gate's tanh is taken first), and the tape keeps the input,
+forget and output gates as views of it.
 """
 
 from __future__ import annotations
@@ -20,11 +23,6 @@ from .module import Module, Parameter
 from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["LSTMCell", "LSTM"]
-
-
-def _sigmoid(x):
-    # Tensor.sigmoid's expression, applied to the same gate slices.
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
 class LSTMCell(Module):
@@ -48,24 +46,34 @@ class LSTMCell(Module):
         w_ih, w_hh, bias = self.weight_ih.data, self.weight_hh.data, self.bias.data
         hs = self.hidden_size
         h = c = np.zeros((steps[0].shape[0], hs))
+        skip_all = None if mask is None else 1.0 - mask
         hidden = []
         for t, x_t in enumerate(steps):
-            gates = x_t @ w_ih.T + h @ w_hh.T + bias
-            i = _sigmoid(gates[:, 0 * hs:1 * hs])
-            f = _sigmoid(gates[:, 1 * hs:2 * hs])
+            gates = x_t @ w_ih.T
+            gates += h @ w_hh.T
+            gates += bias
             g = np.tanh(gates[:, 2 * hs:3 * hs])
-            o = _sigmoid(gates[:, 3 * hs:4 * hs])
-            c_new = f * c + i * g
+            # Tensor.sigmoid's expression, 1 / (1 + exp(-clip(x))), in place
+            # over the whole block; the cell slice's sigmoid goes unused.
+            np.clip(gates, -60.0, 60.0, out=gates)
+            np.negative(gates, out=gates)
+            np.exp(gates, out=gates)
+            gates += 1.0
+            np.divide(1.0, gates, out=gates)
+            i, f, o = gates[:, 0 * hs:1 * hs], gates[:, 1 * hs:2 * hs], gates[:, 3 * hs:4 * hs]
+            c_new = f * c
+            c_new += i * g
             tanh_c = np.tanh(c_new)
             h_new = o * tanh_c
             if tape is not None:
                 tape.append((x_t, h, c, i, f, g, o, tanh_c))
-            if mask is None:
-                h, c = h_new, c_new
-            else:
-                keep, skip = mask[:, t:t + 1], 1.0 - mask[:, t:t + 1]
-                h = h_new * keep + h * skip
-                c = c_new * keep + c * skip
+            if mask is not None:
+                keep, skip = mask[:, t:t + 1], skip_all[:, t:t + 1]
+                h_new *= keep
+                h_new += h * skip
+                c_new *= keep
+                c_new += c * skip
+            h, c = h_new, c_new
             hidden.append(h)
         return hidden
 

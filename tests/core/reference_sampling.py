@@ -44,11 +44,11 @@ def contrast_sets_from_lists(positives, negatives):
     return ContrastSets(positives=matrices[0], negatives=matrices[1])
 
 
-def _reference_sample_edge_sets(batch, contrast_sets, mask, rng, edges_per_path=2):
+def _reference_sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     """Per query, ``min(edges_per_path, length)`` edges of each of its paths."""
     lengths = mask.sum(axis=1).astype(np.int64)
     sides = ([], [])
-    for i in range(len(batch)):
+    for i in range(len(mask)):
         pos_paths = np.concatenate(([i], np.flatnonzero(contrast_sets.positives[i])))
         for side, paths in zip(sides, (pos_paths, np.flatnonzero(contrast_sets.negatives[i]))):
             rows, cols = _draw_edges(paths, lengths, rng, edges_per_path)

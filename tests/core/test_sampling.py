@@ -89,7 +89,7 @@ class TestEdgeSampleSets:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=2)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=2)
 
         for i in range(len(batch)):
             allowed_pos_rows = set(np.flatnonzero(sets.positives[i]).tolist()) | {i}
@@ -102,7 +102,7 @@ class TestEdgeSampleSets:
         sets = build_contrast_sets(batch)
         paths = [tp for tp, _ in batch]
         _, mask = pad_paths(paths)
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=3)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=3)
         lengths = mask.sum(axis=1)
         for side in ("positive", "negative"):
             rows = getattr(edge_sets, f"{side}_rows")
@@ -113,7 +113,7 @@ class TestEdgeSampleSets:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=1)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=1)
         # Query 0 has 1 positive path plus itself -> at most 2 positive edges.
         assert len(query_samples(edge_sets, "positive", 0)[0]) <= 2
 
@@ -125,7 +125,7 @@ class TestEdgeSampleSets:
         batch = batch + batch[::-1]
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=1)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=1)
         positive_rows = [[i] + np.flatnonzero(sets.positives[i]).tolist()
                          for i in range(len(batch))]
         negative_rows = [np.flatnonzero(sets.negatives[i]).tolist() for i in range(len(batch))]
@@ -137,7 +137,7 @@ class TestEdgeSampleSets:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask * (not empty), rng, edges_per_path=4)
+        edge_sets = sample_edge_sets(sets, mask * (not empty), rng, edges_per_path=4)
         for side in ("positive", "negative"):
             arrays = [getattr(edge_sets, f"{side}_{name}") for name in ("rows", "cols", "query")]
             assert len({len(a) for a in arrays}) == 1
@@ -150,7 +150,7 @@ class TestEdgeSampleSets:
         batch = make_batch()[0][:1] * 4
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=2)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=2)
         assert len(edge_sets.positive_rows) == 4 * 4 * 2
         for name in ("rows", "cols", "query"):
             negative = getattr(edge_sets, f"negative_{name}")
@@ -165,15 +165,30 @@ class TestSamplerRejectsBadInput:
         batch, _ = make_batch()
         _, mask = pad_paths([tp for tp, _ in batch])
         with pytest.raises(ValueError, match=f"edges_per_path .*{edges_per_path}"):
-            sample_edge_sets(batch, build_contrast_sets(batch), mask, rng,
+            sample_edge_sets(build_contrast_sets(batch), mask, rng,
                              edges_per_path=edges_per_path)
 
     @pytest.mark.parametrize("rows", [3, 7])
     def test_mask_needs_one_row_per_sample(self, rng, rows):
         batch, _ = make_batch()
+        with pytest.raises(ValueError, match=rf"\({rows}, {rows}\) .*\({rows}, 4\), got \(5, 5\)"):
+            sample_edge_sets(build_contrast_sets(batch), np.ones((rows, 4)), rng)
+
+    @pytest.mark.parametrize("side", ["positives", "negatives"])
+    def test_contrast_matrices_must_be_square_in_the_mask_rows(self, rng, side):
+        # The batch size comes from the mask's rows, so either matrix having
+        # another shape must raise rather than index out of range.
+        batch, _ = make_batch()
         _, mask = pad_paths([tp for tp, _ in batch])
-        with pytest.raises(ValueError, match=rf"mask .*\({rows}, 4\)"):
-            sample_edge_sets(batch, build_contrast_sets(batch), np.ones((rows, 4)), rng)
+        sets = build_contrast_sets(batch)
+        setattr(sets, side, getattr(sets, side)[:, :4])
+        with pytest.raises(ValueError, match=r"\(5, 5\) .*\(5, 4\), got \(5, 4\)"):
+            sample_edge_sets(sets, mask, rng)
+
+    def test_mask_must_be_two_dimensional(self, rng):
+        batch, _ = make_batch()
+        with pytest.raises(ValueError, match=r"mask must be \(batch, time\), got shape \(5,\)"):
+            sample_edge_sets(build_contrast_sets(batch), np.ones(5), rng)
 
 
 class TestGroupedContrastSetsRegression:
@@ -218,7 +233,7 @@ class TestVectorizedEdgeSampler:
         lengths = mask.sum(axis=1)
 
         for sampler in (sample_edge_sets, _reference_sample_edge_sets):
-            edge_sets = sampler(batch, sets, mask, np.random.default_rng(0),
+            edge_sets = sampler(sets, mask, np.random.default_rng(0),
                                 edges_per_path=2)
             for i in range(len(batch)):
                 positive_rows, positive_cols = query_samples(edge_sets, "positive", i)
@@ -234,7 +249,7 @@ class TestVectorizedEdgeSampler:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        edge_sets = sample_edge_sets(batch, sets, mask, rng, edges_per_path=3)
+        edge_sets = sample_edge_sets(sets, mask, rng, edges_per_path=3)
         for i in range(len(batch)):
             seen = set()
             for row, col in zip(*query_samples(edge_sets, "positive", i)):
@@ -246,9 +261,9 @@ class TestVectorizedEdgeSampler:
         batch, _ = make_batch()
         sets = build_contrast_sets(batch)
         _, mask = pad_paths([tp for tp, _ in batch])
-        fast = sample_edge_sets(batch, sets, mask, np.random.default_rng(1),
+        fast = sample_edge_sets(sets, mask, np.random.default_rng(1),
                                 edges_per_path=2)
-        slow = _reference_sample_edge_sets(batch, sets, mask,
+        slow = _reference_sample_edge_sets(sets, mask,
                                            np.random.default_rng(1),
                                            edges_per_path=2)
         for side in ("positive", "negative"):
