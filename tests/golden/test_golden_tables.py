@@ -211,7 +211,8 @@ def test_no_runner_mutates_a_memoized_city():
 
     before = digests()
     for name, case in CASES.items():
-        if name != "aalborg_tiny_mapmatched":
+        # Neither case reads a memoized city at HarnessConfig().
+        if name not in ("aalborg_tiny_mapmatched", "wsccl_variant_fits"):
             case()
     assert digests() == before
 
