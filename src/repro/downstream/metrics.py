@@ -3,13 +3,16 @@
 Regression: MAE, MARE, MAPE.  Ranking: Kendall's τ and Spearman's ρ computed
 per query group and averaged.  Classification: accuracy and hit rate.
 
-The rank correlations are vectorized: ``kendall_tau`` counts discordant
-pairs with merge-sort inversion counting (Knight's O(n log n) algorithm
-instead of the O(n²) pair loop), ``_ranks`` averages ties with one
-``np.unique(return_inverse)`` + ``bincount`` pass, and
+The rank correlations are vectorized: ``kendall_tau`` sums the pair signs
+over all ``n(n−1)/2`` pairs in one array pass (candidate sets hold a handful
+of paths, so the quadratic pair count is tiny), ``_ranks`` averages ties with
+one ``np.unique(return_inverse)`` + ``bincount`` pass, and
 ``grouped_rank_correlation`` sorts by group once instead of building a
 boolean mask per group.  The original loop implementations are the
 equivalence tests' oracles, in ``tests/downstream/reference_metrics.py``.
+
+Every metric rejects NaN and ±inf in ``truth`` or ``prediction`` with a
+``ValueError``: a NaN has no rank (it used to count as a tie).
 
 ``spearman_rho`` is additionally *tie-correct*: it computes the Pearson
 correlation of the average ranks.  The historical ``1 − 6Σd²/(n(n²−1))``
@@ -34,6 +37,15 @@ __all__ = [
 ]
 
 
+def _check_finite(truth, prediction):
+    """``ValueError`` naming the first non-finite entry of either array."""
+    for name, values in (("truth", truth), ("prediction", prediction)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {values.flat[bad[0]]} "
+                             f"at index {bad[0]}")
+
+
 def _validate(truth, prediction):
     truth = np.asarray(truth, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
@@ -41,16 +53,12 @@ def _validate(truth, prediction):
         raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape}")
     if truth.size == 0:
         raise ValueError("metrics need at least one example")
+    _check_finite(truth, prediction)
     return truth, prediction
 
 
 def _validate_labels(truth, prediction):
-    truth = np.asarray(truth)
-    prediction = np.asarray(prediction)
-    if truth.shape != prediction.shape:
-        raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape}")
-    if truth.size == 0:
-        raise ValueError("metrics need at least one example")
+    truth, prediction = _validate(truth, prediction)
     return truth.astype(np.int64), prediction.astype(np.int64)
 
 
@@ -78,82 +86,23 @@ def mape(truth, prediction, eps=1e-9):
 # ----------------------------------------------------------------------
 # Rank correlations
 # ----------------------------------------------------------------------
-def _count_inversions(values, leaf_size=32):
-    """Number of index pairs ``i < j`` with ``values[i] > values[j]`` (strict).
-
-    Bottom-up merge counting: leaves are handled with one vectorized pairwise
-    comparison, then sorted runs are merged pairwise, counting cross-run
-    inversions with one ``searchsorted`` per merge.  O(n log n) comparisons
-    with O(n / leaf_size) Python-level iterations.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = len(values)
-    if n < 2:
-        return 0
-    # Pad to a multiple of the leaf size with +inf: a padded element never
-    # precedes a real one and never exceeds itself, so it adds no inversions.
-    padded_length = -(-n // leaf_size) * leaf_size
-    padded = np.full(padded_length, np.inf)
-    padded[:n] = values
-    blocks = padded.reshape(-1, leaf_size)
-
-    upper_i, upper_j = np.triu_indices(leaf_size, k=1)
-    inversions = int(np.count_nonzero(blocks[:, upper_i] > blocks[:, upper_j]))
-
-    runs = list(np.sort(blocks, axis=1))
-    while len(runs) > 1:
-        merged_runs = []
-        for index in range(0, len(runs) - 1, 2):
-            left, right = runs[index], runs[index + 1]
-            inversions += int(
-                np.sum(len(left) - np.searchsorted(left, right, side="right")))
-            merged_runs.append(np.sort(np.concatenate([left, right])))
-        if len(runs) % 2:
-            merged_runs.append(runs[-1])
-        runs = merged_runs
-    return inversions
-
-
-def _sorted_tie_term(sorted_values):
-    """``Σ t(t-1)/2`` over runs of equal values in an already-sorted array."""
-    n = len(sorted_values)
-    boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
-    counts = np.diff(np.concatenate(([0], boundaries, [n])))
-    return int(np.sum(counts * (counts - 1) // 2))
-
-
 def kendall_tau(truth, prediction):
     """Kendall rank correlation coefficient (Eq. 15, concordant-discordant form).
 
-    Knight's algorithm: sort lexicographically by ``(truth, prediction)``,
-    count discordant pairs as merge-sort inversions of the prediction order,
-    and correct for ties with the pair-count identity
-    ``C − D = n0 − n1 − n2 + n3 − 2·D``.  Exactly equal to the O(n²) pair
-    loop, including the τ-a denominator ``n(n−1)/2``.
+    τ-a: the sum over all pairs ``i < j`` of
+    ``sign(truth_i − truth_j) · sign(prediction_i − prediction_j)``, an exact
+    integer ``C − D``, over ``n(n−1)/2``.  Tied pairs count zero.
     """
     truth, prediction = _validate(truth, prediction)
     n = len(truth)
     if n < 2:
         return 0.0
-    order = np.lexsort((prediction, truth))
-    sorted_truth = truth[order]
-    sorted_prediction = prediction[order]
-
-    total_pairs = n * (n - 1) // 2
-    truth_ties = _sorted_tie_term(sorted_truth)
-    prediction_ties = _sorted_tie_term(np.sort(prediction))
-    joint_breaks = np.flatnonzero(
-        (sorted_truth[1:] != sorted_truth[:-1])
-        | (sorted_prediction[1:] != sorted_prediction[:-1])) + 1
-    joint_counts = np.diff(np.concatenate(([0], joint_breaks, [n])))
-    joint_ties = int(np.sum(joint_counts * (joint_counts - 1) // 2))
-
-    # With truth ascending and prediction ascending inside truth-tie groups,
-    # every prediction inversion is exactly one discordant pair.
-    discordant = _count_inversions(sorted_prediction)
-    concordant_minus_discordant = (
-        total_pairs - truth_ties - prediction_ties + joint_ties - 2 * discordant)
-    return float(concordant_minus_discordant / total_pairs)
+    first, second = np.triu_indices(n, 1)
+    # Signs by comparison: a difference of two huge magnitudes could overflow.
+    truth_sign, prediction_sign = (
+        (v[first] > v[second]).astype(np.int64) - (v[first] < v[second])
+        for v in (truth, prediction))
+    return int((truth_sign * prediction_sign).sum()) / (n * (n - 1) // 2)
 
 
 def _ranks(values):
@@ -210,6 +159,8 @@ def grouped_rank_correlation(truth, prediction, groups, statistic="kendall"):
     if not (truth.shape == prediction.shape == groups.shape):
         raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape} "
                          f"vs {groups.shape}")
+    # The whole arrays, so a NaN in a skipped singleton group is caught too.
+    _check_finite(truth, prediction)
     func = _STATISTICS[statistic]
 
     order = np.argsort(groups, kind="stable")

@@ -1,4 +1,8 @@
-"""Road-network substrate: graph model, edge features, generator, search."""
+"""Road-network substrate: graph model, edge features, generator, search.
+
+No spatial index: networks have a few hundred edges, and the map matcher
+prefilters with segment bounding boxes (:mod:`repro.trajectory.mapmatching`).
+"""
 
 from .features import MAX_LANES, ROAD_TYPES, EdgeFeatures, FeatureEncoder
 from .generator import CityConfig, generate_city_network
@@ -9,7 +13,6 @@ from .search import (
     path_similarity,
     shortest_path,
 )
-from .spatial_index import SegmentGridIndex
 
 __all__ = [
     "EdgeFeatures",
@@ -24,5 +27,4 @@ __all__ = [
     "k_shortest_paths",
     "path_similarity",
     "DijkstraCache",
-    "SegmentGridIndex",
 ]

@@ -5,7 +5,8 @@ every trajectory path, *alternative* paths between the same endpoints: here
 Yen's k-shortest paths over edge travel costs.  :func:`shortest_path`, Yen's
 spur searches and the map matcher's :class:`DijkstraCache` run one engine, a
 resumable Dijkstra (:class:`_Search`) over lazy ``(edge, cost, head)`` rows
-in ``network.out_edges`` order.
+in ``network.out_edges`` order.  The cache keeps one search per source node
+and evicts none: a network has few enough nodes that all of them fit.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import heapq
 import math
 import numbers
-from collections import OrderedDict
 
 __all__ = ["shortest_path", "k_shortest_paths", "path_similarity", "DijkstraCache"]
 
@@ -199,13 +199,14 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
 
 
 class DijkstraCache:
-    """LRU cache of resumable single-source Dijkstra searches.
+    """Resumable single-source Dijkstra searches, kept per source node.
 
     The HMM map matcher prices the driving distance between consecutive
     candidate edges.  Each unique source node is explored once: later queries
     (from any Viterbi step, or any trajectory in a batch) resume its frontier
     only as far as the new targets require.  Distances are bit-identical to
-    :func:`shortest_path` edge-cost sums, as both run the same engine.
+    :func:`shortest_path` edge-cost sums, as both run the same engine.  The
+    cache holds at most one search per node of the network and evicts none.
 
     Parameters
     ----------
@@ -213,16 +214,11 @@ class DijkstraCache:
         A :class:`~repro.roadnet.network.RoadNetwork`.
     edge_cost:
         Optional callable ``edge_id -> cost``.  Defaults to free-flow time.
-    max_sources:
-        How many source searches to keep (least recently used are evicted).
     """
 
-    def __init__(self, network, edge_cost=None, max_sources=4096):
-        if max_sources < 1:
-            raise ValueError("max_sources must be >= 1")
-        self.max_sources = max_sources
+    def __init__(self, network, edge_cost=None):
         self._rows = _Rows(network, edge_cost)
-        self._searches = OrderedDict()
+        self._searches = {}
         self.hits = 0
         self.misses = 0
 
@@ -239,11 +235,8 @@ class DijkstraCache:
         if search is None:
             search = self._searches[source] = _Search(self._rows, source)
             self.misses += 1
-            if len(self._searches) > self.max_sources:
-                self._searches.popitem(last=False)
         else:
             self.hits += 1
-        self._searches.move_to_end(source)
         search.settle(targets)
         return {target: search.settled.get(target, math.inf) for target in targets}
 

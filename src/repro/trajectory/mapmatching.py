@@ -12,10 +12,10 @@ step has no reachable transition at all, decoding restarts from that fix
 Edge segments, lengths and endpoints are read from the network's
 whole-network arrays (:meth:`~repro.roadnet.network.RoadNetwork.edge_endpoint_matrix`,
 ``node_coordinate_matrix`` and ``edge_lengths``).  Candidate generation is
-one batched segment-distance computation over grid-pruned ``(fix, edge)``
-pairs (:class:`~repro.roadnet.spatial_index.SegmentGridIndex`, one cell per
-``candidate_radius``), keeping the closest six edges per fix; transition
-pricing reuses a resumable multi-target Dijkstra per unique source node
+one batched segment-distance computation over the ``(fix, edge)`` pairs whose
+segment bounding box, grown by ``candidate_radius`` plus a metre, holds the
+fix, keeping the closest six edges per fix; transition pricing reuses a
+resumable multi-target Dijkstra per unique source node
 (:class:`~repro.roadnet.search.DijkstraCache`, shared across steps and across
 a :meth:`HMMMapMatcher.match_batch`), and decoding is matrix-form Viterbi
 (one ``(K, K)`` transition matrix and one vectorized max per step).
@@ -33,7 +33,6 @@ import numbers
 import numpy as np
 
 from ..roadnet.search import DijkstraCache, shortest_path
-from ..roadnet.spatial_index import SegmentGridIndex
 
 __all__ = ["HMMMapMatcher"]
 
@@ -69,8 +68,7 @@ class HMMMapMatcher:
         Scale (metres) of the exponential transition model.
     candidate_radius:
         Only edges whose segment lies within this distance (metres) of a fix
-        are considered as candidates; it is also the spatial index's cell
-        size.
+        are considered as candidates.
 
     All three must be positive and finite.
     """
@@ -91,23 +89,19 @@ class HMMMapMatcher:
         coordinates = network.node_coordinate_matrix()
         self._segments = coordinates[self._edge_sources], coordinates[self._edge_targets]
         self._lengths = network.edge_lengths()
-        self._grid = None
+        # Segment bounding boxes grown by the radius and a 1 m margin against
+        # rounding, one row per axis: the candidate prefilter.
+        grow = candidate_radius + 1.0
+        self._box_lows = (np.minimum(*self._segments) - grow).T.copy()
+        self._box_highs = (np.maximum(*self._segments) + grow).T.copy()
         self._dijkstra = None
 
     # ------------------------------------------------------------------
     # Geometry
     # ------------------------------------------------------------------
     @property
-    def grid_index(self):
-        """The lazily built :class:`SegmentGridIndex` over edge segments."""
-        if self._grid is None:
-            starts, ends = self._segments
-            self._grid = SegmentGridIndex(starts, ends, self.candidate_radius)
-        return self._grid
-
-    @property
     def dijkstra_cache(self):
-        """The lazily built LRU transition-distance cache (length cost)."""
+        """The lazily built transition-distance cache (length cost)."""
         if self._dijkstra is None:
             self._dijkstra = DijkstraCache(
                 self.network, edge_cost=self.network.edge_length)
@@ -123,61 +117,57 @@ class HMMMapMatcher:
     # Candidate generation
     # ------------------------------------------------------------------
     def _candidate_sets(self, positions):
-        """Per-fix candidates via one batched grid-pruned distance pass.
+        """Per-fix candidates via one batched, box-prefiltered distance pass.
 
-        The grid query returns a superset of the edges within
-        ``candidate_radius`` of each fix, so the exact distances computed on
-        the pruned pairs select exactly the candidates of the full scan.
+        A fix within ``candidate_radius`` of a segment lies inside the
+        segment's grown bounding box, so the exact distances computed on the
+        pairs the boxes keep select exactly the candidates of the full scan.
         """
-        grid = self.grid_index
         radius = self.candidate_radius
-        per_point = [grid.query(point, radius) for point in positions]
-        counts = np.array([len(edges) for edges in per_point], dtype=np.int64)
-
-        if counts.sum():
-            flat_edges = np.concatenate(
-                [edges for edges in per_point if len(edges)])
-            point_rows = np.repeat(np.arange(len(positions)), counts)
-            starts, ends = self._segments
-            flat_distances, t = _project_points_onto_segments(
-                positions[point_rows], starts[flat_edges], ends[flat_edges])
-        else:
-            flat_edges = np.empty(0, dtype=np.int64)
-            flat_distances = t = np.empty(0)
-        offsets = np.concatenate(([0], np.cumsum(counts)))
+        (low_x, low_y), (high_x, high_y) = self._box_lows, self._box_highs
+        x, y = positions[:, :1], positions[:, 1:]
+        inside = (x >= low_x) & (x <= high_x) & (y >= low_y) & (y <= high_y)
+        rows, edges = np.nonzero(inside)
+        starts, ends = self._segments
+        distances, fractions = _project_points_onto_segments(
+            positions[rows], starts[edges], ends[edges])
+        within = distances <= radius
+        rows, edges = rows[within], edges[within]
+        distances, fractions = distances[within], fractions[within]
+        emissions = self._emission_log_prob(distances)
+        # Pairs come in ascending edge ids per fix, so the stable sort ties
+        # exactly like a stable argsort over the full distance vector.
+        order = np.lexsort((distances, rows))
+        bounds = np.searchsorted(rows[order], np.arange(len(positions) + 1))
 
         candidate_sets, fraction_sets, emission_sets = [], [], []
-        for index, point in enumerate(positions):
-            low, high = offsets[index], offsets[index + 1]
-            sub_distances = flat_distances[low:high]
-            within = sub_distances <= radius
-            if within.any():
-                sub_distances = sub_distances[within]
-                sub_edges = flat_edges[low:high][within]
-                sub_fractions = t[low:high][within]
-                # Stable sort over ascending edge ids ties exactly like a
-                # stable argsort over the full distance vector.
-                order = np.argsort(sub_distances, kind="stable")[:_MAX_CANDIDATES]
-                edges = sub_edges[order]
-                distances = sub_distances[order]
-                fractions = sub_fractions[order]
+        for index, (low, high) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if low < high:
+                chosen = order[low:min(high, low + _MAX_CANDIDATES)]
+                candidate_sets.append(edges[chosen])
+                fraction_sets.append(fractions[chosen])
+                emission_sets.append(emissions[chosen])
             else:
                 # Nothing within the radius: fall back to the closest edge
                 # (the lowest id among ties) so matching never fails.
-                distances, fractions = self._segment_distances(point)
-                edges = np.array([np.argmin(distances)], dtype=np.int64)
-                distances, fractions = distances[edges], fractions[edges]
-            candidate_sets.append(edges)
-            fraction_sets.append(fractions)
-            emission_sets.append(self._emission_log_prob(distances))
+                all_distances, all_fractions = self._segment_distances(
+                    positions[index])
+                closest = np.array([np.argmin(all_distances)], dtype=np.int64)
+                candidate_sets.append(closest)
+                fraction_sets.append(all_fractions[closest])
+                emission_sets.append(
+                    self._emission_log_prob(all_distances[closest]))
         return candidate_sets, fraction_sets, emission_sets
 
     # ------------------------------------------------------------------
     # Emission and transition models
     # ------------------------------------------------------------------
     def _emission_log_prob(self, distance):
+        # np.square, not ** 2: a numpy scalar's ** 2 goes through pow(),
+        # which can differ from x * x by an ulp, so a scalar and an array
+        # call would disagree.
         sigma = self.emission_sigma
-        return -0.5 * (distance / sigma) ** 2 - np.log(sigma * np.sqrt(2 * np.pi))
+        return -0.5 * np.square(distance / sigma) - np.log(sigma * np.sqrt(2 * np.pi))
 
     def _transitions(self, edges_a, fractions_a, edges_b, fractions_b,
                      straight_distance):
@@ -189,7 +179,7 @@ class HMMMapMatcher:
         point.  A forward crawl along one edge is scored by the distance
         actually driven, not as stationary.
 
-        Between-edge driving distances come from the LRU Dijkstra cache: one
+        Between-edge driving distances come from the Dijkstra cache: one
         resumable multi-target run per unique previous-candidate head node,
         shared across steps and trajectories.
         """
@@ -197,20 +187,14 @@ class HMMMapMatcher:
         lengths_b = self._lengths[edges_b]
         sources = self._edge_targets[edges_a].tolist()
         targets = self._edge_sources[edges_b].tolist()
-        # Candidate sets are tiny (<= _MAX_CANDIDATES), so dict-based dedupe
-        # beats np.unique; the gather below is order-independent.
-        unique_sources = list(dict.fromkeys(sources))
+        # Candidate sets are tiny (<= _MAX_CANDIDATES): one cache query per
+        # unique source over the unique targets, then a plain gather.
         unique_targets = list(dict.fromkeys(targets))
-        source_rows = {node: row for row, node in enumerate(unique_sources)}
-        target_cols = {node: col for col, node in enumerate(unique_targets)}
         cache = self.dijkstra_cache
-        between = np.empty((len(unique_sources), len(unique_targets)))
-        for row, source in enumerate(unique_sources):
-            distances = cache.distances(source, unique_targets)
-            between[row] = [distances[t] for t in unique_targets]
-        inverse_a = [source_rows[node] for node in sources]
-        inverse_b = [target_cols[node] for node in targets]
-        between = between[inverse_a][:, inverse_b]
+        rows = {source: cache.distances(source, unique_targets)
+                for source in dict.fromkeys(sources)}
+        between = np.array([[rows[source][target] for target in targets]
+                            for source in sources])
 
         network_distance = (1.0 - fractions_a) * lengths_a
         network_distance = network_distance[:, None] + between

@@ -67,15 +67,32 @@ continuous_vectors = st.integers(min_value=2, max_value=60).flatmap(
     ))
 
 
+def candidate_set_examples(test):
+    """Ranking candidate sets hold 1–4 paths (the trip and up to three
+    alternatives); pin those sizes, with ties, as explicit examples."""
+    for truth, prediction in (
+            ([0.5], [2.0]),
+            ([1.0, 1.0], [0.3, 0.7]),
+            ([1.0, 0.4], [0.2, 0.2]),
+            ([1.0, 0.5, 0.5], [0.9, 0.1, 0.1]),
+            ([1.0, 0.6, 0.6], [0.4, 0.8, 0.4]),
+            ([1.0, 0.7, 0.2, 0.7], [0.5, 0.5, 0.1, 0.9]),
+            ([0.3, 0.3, 0.3, 0.3], [1.0, 2.0, 3.0, 4.0])):
+        test = example((np.array(truth), np.array(prediction)))(test)
+    return test
+
+
 class TestMetricEquivalence:
     @given(tied_vectors)
     @settings(max_examples=80, deadline=None)
+    @candidate_set_examples
     def test_kendall_exactly_matches_pair_loop_under_ties(self, pair):
         truth, prediction = pair
         assert kendall_tau(truth, prediction) == _reference_kendall_tau(truth, prediction)
 
     @given(continuous_vectors)
     @settings(max_examples=60, deadline=None)
+    @candidate_set_examples
     def test_kendall_exactly_matches_pair_loop_continuous(self, pair):
         truth, prediction = pair
         assert kendall_tau(truth, prediction) == _reference_kendall_tau(truth, prediction)

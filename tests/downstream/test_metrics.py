@@ -45,6 +45,43 @@ class TestRegressionMetrics:
             mae([], [])
 
 
+NON_FINITE_METRICS = [
+    pytest.param(metric, id=metric.__name__)
+    for metric in (mae, mare, mape, kendall_tau, spearman_rho, accuracy, hit_rate)
+] + [
+    pytest.param(lambda t, p: grouped_rank_correlation(t, p, [0, 0, 1], statistic),
+                 id=f"grouped-{statistic}")
+    for statistic in ("kendall", "spearman")
+]
+
+
+class TestNonFiniteInput:
+    # A NaN used to be scored as a tie: kendall_tau([1, 2, 3], [1, nan, 3])
+    # gave 1.0 and spearman_rho 0.5, while mae returned nan.
+    @pytest.mark.parametrize("metric", NON_FINITE_METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["truth", "prediction"])
+    def test_rejected_and_named(self, metric, bad, name):
+        clean = [1.0, 2.0, 3.0]
+        arrays = {"truth": list(clean), "prediction": list(clean)}
+        arrays[name][1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad} at index 1$"):
+            metric(arrays["truth"], arrays["prediction"])
+
+    @pytest.mark.parametrize("statistic", ["kendall", "spearman"])
+    def test_grouped_checks_singleton_groups_too(self, statistic):
+        # Group 1 holds one entry and is skipped, but its NaN still counts.
+        with pytest.raises(ValueError, match="prediction must be finite"):
+            grouped_rank_correlation([1.0, 2.0, 3.0], [1.0, 2.0, np.nan],
+                                     [0, 0, 1], statistic)
+
+    def test_kendall_of_extreme_magnitudes_does_not_overflow(self):
+        # Pair signs come from comparisons; 1.7e308 - (-1.7e308) overflows.
+        huge = [-1.7e308, 1.7e308, 0.0]
+        assert kendall_tau(huge, huge) == 1.0
+        assert kendall_tau(huge, [1.7e308, -1.7e308, 0.0]) == -1.0
+
+
 class TestRankCorrelations:
     def test_kendall_perfect_agreement(self):
         assert kendall_tau([1, 2, 3, 4], [10, 20, 30, 40]) == pytest.approx(1.0)

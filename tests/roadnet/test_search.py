@@ -161,9 +161,8 @@ class TestEngineMatchesOracle:
     def test_cache_distances_are_oracle_sums(self, search, data):
         network, costs, _, _, _, _ = search
         nodes = st.integers(min_value=0, max_value=network.num_nodes - 1)
-        cache = DijkstraCache(network, edge_cost=costs.__getitem__,
-                              max_sources=data.draw(st.integers(1, 3)))
-        # Repeated sources resume (or, after eviction, restart) a search.
+        cache = DijkstraCache(network, edge_cost=costs.__getitem__)
+        # Repeated sources resume their search.
         queries = data.draw(st.lists(st.tuples(nodes, st.lists(nodes, max_size=4)),
                                      min_size=1, max_size=8))
         for source, targets in queries:
@@ -251,26 +250,12 @@ class TestDijkstraCache:
         assert cache.misses == 2
         assert cache.hits == 1
 
-    def test_lru_eviction(self, diamond_network):
-        cache = DijkstraCache(diamond_network, max_sources=2)
-        cache.distances(0, [3])
-        cache.distances(1, [3])
-        cache.distances(2, [3])
-        assert len(cache) == 2
-        # Source 0 was least recently used; re-querying it is a miss again.
-        cache.distances(0, [3])
-        assert cache.misses == 4
-
     def test_clear(self, diamond_network):
         cache = DijkstraCache(diamond_network)
         cache.distances(0, [3])
         cache.clear()
         assert len(cache) == 0
         assert (cache.hits, cache.misses) == (0, 0)
-
-    def test_invalid_capacity(self, diamond_network):
-        with pytest.raises(ValueError):
-            DijkstraCache(diamond_network, max_sources=0)
 
 
 class TestKShortestPaths:

@@ -76,8 +76,8 @@ class TestHMMMapMatcher:
                                       "candidate_radius"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
     def test_parameter_validation(self, tiny_network, name, value):
-        # A NaN sigma or beta used to be accepted, a radius <= 0 was reported
-        # as "grid_cell_size", and a NaN or inf radius still returned a match.
+        # A NaN sigma or beta used to be accepted, and a NaN or inf radius
+        # still returned a match.
         with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
             HMMMapMatcher(tiny_network, **{name: value})
 
@@ -144,6 +144,21 @@ class TestHMMMapMatcher:
         matcher = HMMMapMatcher(tiny_network)
         batch = matcher.match_batch(trajectories)
         assert batch == [matcher.match(t) for t in trajectories]
+
+    def test_dijkstra_cache_keeps_one_search_per_source(self, tiny_network):
+        speed_model = SpeedModel(tiny_network, seed=0)
+        sampler = GPSSampler(tiny_network, speed_model, sample_interval=8.0,
+                             noise_std=4.0, seed=6)
+        trajectories = [
+            sampler.sample(build_path(tiny_network, start_node=node, hops=6),
+                           DepartureTime.from_hour(0, 9.0))
+            for node in range(0, tiny_network.num_nodes, 3)
+        ]
+        matcher = HMMMapMatcher(tiny_network)
+        matcher.match_batch(trajectories)
+        cache = matcher.dijkstra_cache
+        assert cache.hits > 0
+        assert len(cache) == cache.misses <= tiny_network.num_nodes
 
 
 class TestTransitionModel:
@@ -220,6 +235,93 @@ class TestHMMBreak:
         assert disconnected_network.is_connected_path(matched)
 
 
+def assert_same_candidate_sets(matcher, positions):
+    """``_candidate_sets`` equals the full-scan oracle in dtype and bytes."""
+    expected = reference_candidate_sets(matcher, positions)
+    actual = matcher._candidate_sets(positions)
+    for expected_arrays, actual_arrays in zip(expected, actual, strict=True):
+        for want, got in zip(expected_arrays, actual_arrays, strict=True):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+def straddle_radius(matcher, edge, point, axis, step):
+    """The two fixes one ulp apart on ``axis`` whose distances to ``edge``
+    (through ``_segment_distances``) straddle ``candidate_radius``.
+
+    ``point`` lies at the radius and ``step`` (±1) is the direction along
+    ``axis`` away from the segment.  Bisects the coordinate between half a
+    radius inside and half a radius beyond; the first fix returned is at or
+    inside the radius, the second just beyond it.
+    """
+    radius = matcher.candidate_radius
+
+    def fix_at(coordinate):
+        fix = np.array(point, dtype=np.float64)
+        fix[axis] = coordinate
+        return fix
+
+    def inside(coordinate):
+        return matcher._segment_distances(fix_at(coordinate))[0][edge] <= radius
+
+    near = point[axis] - step * radius / 2
+    far = point[axis] + step * radius / 2
+    assert inside(near) and not inside(far)
+    while (middle := near + (far - near) / 2) not in (near, far):
+        if inside(middle):
+            near = middle
+        else:
+            far = middle
+    return fix_at(near), fix_at(far)
+
+
+@st.composite
+def boundary_cases(draw):
+    """A few random segments and fixes at their radius, off ends and sides."""
+    # Whole-metre draws put the nominal fixes exactly at the radius.
+    coordinates = st.one_of(st.integers(min_value=-2000, max_value=2000).map(float),
+                            st.floats(min_value=-2000.0, max_value=2000.0))
+    num_edges = draw(st.integers(min_value=1, max_value=4))
+    network = RoadNetwork()
+    for _ in range(2 * num_edges):
+        network.add_node(draw(coordinates), draw(coordinates))
+    for edge in range(num_edges):
+        network.add_edge(2 * edge, 2 * edge + 1, features(100.0))
+    matcher = HMMMapMatcher(network, candidate_radius=draw(st.one_of(
+        st.integers(min_value=1, max_value=400).map(float),
+        st.floats(min_value=0.5, max_value=400.0))))
+    radius = matcher.candidate_radius
+    starts, ends = matcher._segments
+
+    fixes = []
+    for edge in range(num_edges):
+        start, end = starts[edge], ends[edge]
+        direction = end - start
+        # Beyond each end on each axis, moving away from the segment.
+        for anchor, outward in ((end, np.sign(direction)), (start, -np.sign(direction))):
+            for axis in (0, 1):
+                step = outward[axis] or 1.0
+                point = anchor.copy()
+                point[axis] += step * radius
+                fixes.append(point)
+                fixes.extend(straddle_radius(matcher, edge, point, axis, step))
+        # Off both sides of the midpoint, along the segment's normal.
+        length = np.hypot(*direction)
+        if length > 1e-3:
+            normal = np.array([-direction[1], direction[0]]) / length
+            axis = int(np.argmax(np.abs(normal)))
+            for side in (1.0, -1.0):
+                point = (start + end) / 2 + side * radius * normal
+                fixes.append(point)
+                fixes.extend(straddle_radius(
+                    matcher, edge, point, axis, side * np.sign(normal[axis])))
+    # No edge within the radius: the closest-edge fallback.
+    fixes.append(np.array([1e5, -1e5]))
+    fixes.extend(np.array(draw(st.lists(st.tuples(coordinates, coordinates),
+                                        max_size=6))).reshape(-1, 2))
+    return matcher, np.array(fixes)
+
+
 class TestImplEquivalence:
     """The matcher and its loop oracles decode bit-identical paths."""
 
@@ -253,11 +355,15 @@ class TestImplEquivalence:
         assert np.count_nonzero(
             vectorized._segment_distances(fallbacks[1])[0] == 300.0) == 2
         positions = np.vstack([rng.uniform(-100.0, 900.0, size=(12, 2)), fallbacks])
-        ref_sets = reference_candidate_sets(reference, positions)
-        vec_sets = vectorized._candidate_sets(positions)
-        for ref_arrays, vec_arrays in zip(ref_sets, vec_sets):
-            for ref_value, vec_value in zip(ref_arrays, vec_arrays):
-                assert np.array_equal(ref_value, vec_value)
+        assert_same_candidate_sets(vectorized, positions)
+
+    @given(boundary_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_candidate_sets_identical_at_the_radius(self, case):
+        # Fixes exactly at the radius, and one ulp either side, must not be
+        # dropped by the bounding-box prefilter.
+        matcher, positions = case
+        assert_same_candidate_sets(matcher, positions)
 
     @given(seed=st.integers(min_value=0, max_value=10_000),
            hops=st.integers(min_value=2, max_value=8),
