@@ -191,9 +191,9 @@ class HMMMapMatcher:
         # unique source over the unique targets, then a plain gather.
         unique_targets = list(dict.fromkeys(targets))
         cache = self.dijkstra_cache
-        rows = {source: cache.distances(source, unique_targets)
-                for source in dict.fromkeys(sources)}
-        between = np.array([[rows[source][target] for target in targets]
+        distances_from = {source: cache.distances(source, unique_targets)
+                          for source in dict.fromkeys(sources)}
+        between = np.array([[distances_from[source][target] for target in targets]
                             for source in sources])
 
         network_distance = (1.0 - fractions_a) * lengths_a

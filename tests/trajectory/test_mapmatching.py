@@ -343,7 +343,7 @@ class TestImplEquivalence:
             assert reference.match(trajectory) == vectorized.match(trajectory)
 
     def test_candidate_sets_identical(self, matchers, tiny_network):
-        reference, vectorized = matchers
+        _, vectorized = matchers
         rng = np.random.default_rng(11)
         # Two fixes with no edge inside the candidate radius take the
         # closest-edge fallback: a far corner, and a point 300 m off a
