@@ -130,7 +130,8 @@ class GCNTravelTimeModel(SupervisedModel):
     def predict(self, temporal_paths):
         if self._backbone is None:
             raise RuntimeError("model has not been trained")
-        return encode_in_chunks(self._predict_batch_tensor, temporal_paths, (0,))
+        return encode_in_chunks(lambda chunk: self._predict_batch_tensor(chunk).data,
+                                temporal_paths, (0,))
 
 
 class STGCNTravelTimeModel(GCNTravelTimeModel):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import TemporalPathEncoder
+from ..core.encoder import PathEncoder, TemporalPathEncoder
 from ..core.model import SharedResources
 from .supervised_base import SupervisedSequenceModel
 
@@ -32,6 +32,10 @@ class _HMTRLEncoder(TemporalPathEncoder):
     def __init__(self, config, spatial, temporal, rng):
         super().__init__(config, spatial, temporal, rng)
         self.mix = nn.Linear(2 * config.hidden_dim, config.hidden_dim, rng=rng)
+
+    # The pooling differs from the temporal path encoder's, so encode takes
+    # each chunk from this forward, as every other encoder does by default.
+    _representations = PathEncoder._representations
 
     def forward(self, temporal_paths):
         mean_pooled, outputs, mask = super().forward(temporal_paths)

@@ -104,7 +104,7 @@ class SupervisedSequenceModel(SupervisedModel):
         """Direct predictions of the trained task, in target units."""
         if self._encoder is None or self._heads is None:
             raise RuntimeError("model has not been trained with fit_supervised")
-        scaled = encode_in_chunks(lambda chunk: self._predict(self._encoder(chunk)[0]),
+        scaled = encode_in_chunks(lambda chunk: self._predict(self._encoder(chunk)[0]).data,
                                   temporal_paths, (0,))
         return scaled * self._target_std + self._target_mean
 

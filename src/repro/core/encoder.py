@@ -12,6 +12,13 @@ Every path encoder of the repository, WSCCL's and the sequence baselines',
 is a :class:`PathEncoder`: ``forward(paths)`` returns ``(representations,
 steps, mask)`` and the inherited ``encode(paths)`` returns the
 representations as numpy.
+
+``encode`` takes each chunk's representations from the ``_representations``
+hook, by default ``forward``'s.  The temporal path encoder's hook computes
+the TPRs without the autograd engine: the same numpy input that training
+wraps in the spatial embedding's node, each LSTM layer's loop with no tape
+and no mask, and the masked mean in numpy.  Its TPRs are byte-identical to
+the forward's (``tests/core/test_inference_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -65,8 +72,8 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
 def encode_in_chunks(forward, temporal_paths, empty_shape):
     """Run ``forward`` over chunks of 64 paths without gradients.
 
-    ``forward(chunk)`` returns a Tensor with one row per path; the rows of
-    all chunks are stacked into one numpy array.  No paths give
+    ``forward(chunk)`` returns a numpy array with one row per path; the rows
+    of all chunks are stacked into one array.  No paths give
     ``np.zeros(empty_shape)``.  :meth:`PathEncoder.encode` and every
     supervised model's ``predict`` is this loop.
     """
@@ -74,7 +81,7 @@ def encode_in_chunks(forward, temporal_paths, empty_shape):
         return np.zeros(empty_shape)
     with nn.no_grad():
         return np.concatenate([
-            forward(temporal_paths[start:start + _CHUNK]).data
+            forward(temporal_paths[start:start + _CHUNK])
             for start in range(0, len(temporal_paths), _CHUNK)
         ], axis=0)
 
@@ -91,8 +98,15 @@ class PathEncoder(nn.Module):
     def encode(self, temporal_paths):
         """Path representations as a numpy ``(N, output_dim)`` matrix, without
         gradients: the inference entry point of every encoder."""
-        return encode_in_chunks(lambda chunk: self(chunk)[0], temporal_paths,
+        return encode_in_chunks(self._representations, temporal_paths,
                                 (0, self.output_dim))
+
+    def _representations(self, chunk):
+        """The numpy representations of one chunk of at most 64 paths, run
+        under ``no_grad``: :meth:`encode`'s hook.  By default they are
+        ``forward``'s; an encoder that can compute them without the autograd
+        engine overrides this with the same arithmetic."""
+        return self(chunk)[0].data
 
 
 class TemporalPathEncoder(PathEncoder):
@@ -140,14 +154,46 @@ class TemporalPathEncoder(PathEncoder):
     def _steps(self, temporal_paths):
         """``(sters, mask)``: the LSTM's per-step outputs (Eq. 7) without the
         TPRs, which the WSC train step's objective averages itself."""
-        edge_ids, mask = pad_paths(temporal_paths)
-        spatial = self.spatial(edge_ids)                      # (B, T, d)
-        departure_times = [tp.departure_time for tp in temporal_paths]
-        temporal = self.temporal(departure_times)             # (B, d_tem)
-        if not self.use_temporal:
-            temporal = nn.Tensor(np.zeros_like(temporal.data))
-        # Broadcast the temporal embedding to every step of the path.
-        temporal_steps = nn.Tensor(np.repeat(temporal.data[:, None, :], edge_ids.shape[1], axis=1))
-        inputs = nn.Tensor.concatenate([temporal_steps, spatial], axis=-1)
+        inputs, mask, spatial_context = self._inputs(temporal_paths)
+        inputs = self.spatial._node(inputs, spatial_context, start=self.config.temporal_dim)
         outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
         return outputs, mask
+
+    def _inputs(self, temporal_paths):
+        """``(inputs, mask, spatial_context)``: the LSTM's numpy input.
+
+        Each step of ``inputs`` is the path's temporal embedding (Eq. 2;
+        zeros without ``use_temporal``) followed by the edge's spatial
+        features (Eq. 6), written by the spatial embedding's numpy gather.
+        Training wraps the array in the spatial embedding's autograd node
+        with ``spatial_context``; inference reads it.
+        """
+        edge_ids, mask = pad_paths(temporal_paths)
+        temporal_dim = self.config.temporal_dim
+        inputs = np.empty(edge_ids.shape + (self.config.encoder_input_dim,))
+        if self.use_temporal:
+            departures = [tp.departure_time for tp in temporal_paths]
+            slots = self.temporal.slot_indices(departures)
+            # Broadcast the temporal embedding to every step of the path.
+            inputs[..., :temporal_dim] = self.temporal.embeddings[slots][:, None, :]
+        else:
+            inputs[..., :temporal_dim] = 0.0
+        spatial_context = self.spatial._gather(edge_ids, inputs[..., temporal_dim:])
+        return inputs, mask, spatial_context
+
+    def _representations(self, chunk):
+        """The TPRs of ``chunk`` in numpy: the forward's arithmetic without
+        the autograd engine, the mask check or the LSTM's mask.
+
+        ``pad_paths`` gives a prefix mask, so a path's padded steps all come
+        after its last real one, and the masked mean multiplies their
+        outputs by zero.  On a real step the masked LSTM's blend ``h_new * 1
+        + h * 0`` is ``h_new`` itself (its sign of zero aside), so the TPRs
+        equal the forward's.
+        """
+        inputs, mask, _ = self._inputs(chunk)
+        steps = [inputs[:, t, :] for t in range(inputs.shape[1])]
+        for cell in self.lstm.cells:
+            steps = cell._run(steps, None, None)
+        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        return (np.stack(steps, axis=1) * mask[:, :, None]).sum(axis=1) / counts

@@ -10,6 +10,15 @@ Each edge of a path is embedded as the concatenation of
 The topology feature comes from a node2vec run over the road network and is
 kept frozen, exactly as in the paper; the categorical embedding matrices are
 learned end-to-end with the rest of the encoder.
+
+The forward is numpy: one gather of the topology rows and the four category
+tables into one buffer (:meth:`SpatialEmbedding._gather`), wrapped in one
+autograd node whose backward scatters each table's gradient columns with the
+engine's indexing scatter (:meth:`SpatialEmbedding._node`).  Its output and
+gradients are byte-identical to the Tensor-composed graph in
+``tests/core/reference_spatial.py``.  The temporal path encoder gathers
+straight into its LSTM input, which training wraps in the same node and
+inference reads as an array.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import numpy as np
 
 from .. import nn
 from ..graph import Node2Vec, Node2VecConfig
+from ..nn.tensor import scatter_sum
 
 __all__ = ["SpatialEmbedding", "compute_edge_topology_features"]
 
@@ -100,8 +110,76 @@ class SpatialEmbedding(nn.Module):
         """The frozen per-edge topology feature matrix."""
         return self._topology_features
 
+    def _type_tables(self):
+        """The four categorical embeddings, in the column order of the
+        network's edge feature matrix and of Eq. 4."""
+        return (self.road_type_embedding, self.lanes_embedding,
+                self.one_way_embedding, self.signals_embedding)
+
+    def _gather(self, edge_id_batch, out):
+        """Write the features of a padded edge-id batch into ``out``.
+
+        ``out`` is a ``(batch, max_len, spatial_dim)`` float64 array (or a
+        view of one): the topology feature (Eq. 5), then the four type
+        embeddings (Eq. 4).  Padded positions are multiplied by zero.
+        Returns the ``(categories, keep)`` pair that the backward of
+        :meth:`_node` needs; ``keep`` is None for an unpadded batch.
+        """
+        edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
+        num_edges = len(self._edge_categories)
+        if edge_ids.size and edge_ids.max() >= num_edges:
+            raise ValueError(f"edge id {int(edge_ids.max())} is out of range "
+                             f"for a network with {num_edges} edges")
+        # Every id is now in range or negative, and "clip" reads a negative
+        # (padding) id as edge 0, whose features are zeroed below; it also
+        # lets take write into a strided column block without a buffer.
+        categories = self._edge_categories.take(edge_ids, axis=0, mode="clip")  # (B, T, 4)
+        start = self.config.topology_dim
+        self._topology_features.take(edge_ids, axis=0, out=out[..., :start], mode="clip")
+        for column, table in enumerate(self._type_tables()):
+            stop = start + table.embedding_dim
+            table.weight.data.take(categories[..., column], axis=0,
+                                   out=out[..., start:stop], mode="clip")
+            start = stop
+        padded = edge_ids < 0
+        keep = None
+        if padded.any():
+            keep = (~padded).astype(np.float64)[..., None]
+            out *= keep
+        return categories, keep
+
+    def _node(self, data, context, start=0):
+        """``data`` as one autograd node whose parents are the four type
+        tables' weights.
+
+        ``data[..., start:]`` holds the features that :meth:`_gather` wrote
+        and ``context`` is what it returned.  The backward scatters the
+        type-embedding columns of the gradient (times ``keep`` when padded)
+        into each weight with the engine's indexing scatter, so the weights'
+        gradients are those of the Tensor-composed graph, byte for byte.
+        """
+        categories, keep = context
+        tables = self._type_tables()
+        weights = tuple(table.weight for table in tables)
+
+        def backward(grad):
+            type_grad = grad[..., start + self.config.topology_dim:]
+            if keep is not None:
+                type_grad = type_grad * keep
+            column_start = 0
+            for column, table in enumerate(tables):
+                column_stop = column_start + table.embedding_dim
+                weight = table.weight
+                if weight.requires_grad:
+                    weight._accumulate(scatter_sum(
+                        weight.shape, categories[..., column],
+                        type_grad[..., column_start:column_stop]))
+                column_start = column_stop
+
+        return weights[0]._make_result(data, weights, backward, "spatial")
+
     def forward(self, edge_id_batch):
-        """Embed a padded batch of edge-id sequences.
+        """Embed a padded batch of edge-id sequences (Eq. 6).
 
         Parameters
         ----------
@@ -114,31 +192,9 @@ class SpatialEmbedding(nn.Module):
 
         Returns
         -------
-        Tensor of shape ``(batch, max_len, spatial_dim)``.
+        Tensor of shape ``(batch, max_len, spatial_dim)``: one autograd node,
+        computed in numpy, whose parents are the four type tables' weights.
         """
         edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
-        num_edges = len(self._edge_categories)
-        if edge_ids.size and edge_ids.max() >= num_edges:
-            raise ValueError(f"edge id {int(edge_ids.max())} is out of range "
-                             f"for a network with {num_edges} edges")
-        padded = edge_ids < 0
-        has_padding = bool(padded.any())
-        safe_ids = np.where(padded, 0, edge_ids) if has_padding else edge_ids
-        categories = self._edge_categories[safe_ids]          # (B, T, 4)
-
-        road_type = self.road_type_embedding(categories[..., 0])
-        lanes = self.lanes_embedding(categories[..., 1])
-        one_way = self.one_way_embedding(categories[..., 2])
-        signals = self.signals_embedding(categories[..., 3])
-        type_embedding = nn.Tensor.concatenate(
-            [road_type, lanes, one_way, signals], axis=-1
-        )                                                      # Eq. 4
-
-        topology_features = self._topology_features[safe_ids]
-        if has_padding:
-            keep = (~padded).astype(np.float64)[..., None]
-            topology_features = topology_features * keep
-            type_embedding = type_embedding * nn.Tensor(keep)
-
-        topology = nn.Tensor(topology_features)                # Eq. 5, frozen
-        return nn.Tensor.concatenate([topology, type_embedding], axis=-1)  # Eq. 6
+        out = np.empty(edge_ids.shape + (self.output_dim,))
+        return self._node(out, self._gather(edge_ids, out))

@@ -37,9 +37,15 @@ __all__ = [
 ]
 
 
-def _check_finite(truth, prediction):
-    """``ValueError`` naming the first non-finite entry of either array."""
-    for name, values in (("truth", truth), ("prediction", prediction)):
+def _check_finite(truth, prediction, groups=None):
+    """``ValueError`` naming the first non-finite entry of any array given.
+
+    ``groups`` is checked only if it holds floats: other ids are finite.
+    """
+    named = [("truth", truth), ("prediction", prediction)]
+    if groups is not None and groups.dtype.kind in "fc":
+        named.append(("groups", groups))
+    for name, values in named:
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise ValueError(f"{name} must be finite, got {values.flat[bad[0]]} "
@@ -160,7 +166,8 @@ def grouped_rank_correlation(truth, prediction, groups, statistic="kendall"):
         raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape} "
                          f"vs {groups.shape}")
     # The whole arrays, so a NaN in a skipped singleton group is caught too.
-    _check_finite(truth, prediction)
+    # A NaN group id would split into singletons, since NaN != NaN.
+    _check_finite(truth, prediction, groups)
     func = _STATISTICS[statistic]
 
     order = np.argsort(groups, kind="stable")

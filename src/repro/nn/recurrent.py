@@ -11,7 +11,16 @@ outputs and gradients are bit-identical to it; every gemm stays per step for
 that reason.  Each step works in place on one ``(batch, 4 * hidden)`` gate
 block: the gemms and the bias sum into it, one clipped sigmoid covers it
 whole (the cell gate's tanh is taken first), and the tape keeps the input,
-forget and output gates as views of it.
+forget and output gates as views of it.  The clip is an in-place
+``np.maximum`` then ``np.minimum``: the values of ``np.clip``, NaN included,
+without its Python wrapper.
+
+Inference (the temporal path encoder's ``encode``) calls
+:meth:`LSTMCell._run` with neither a tape nor a mask.  The mask only blends
+a padded step's state forward, and with a prefix mask every padded step
+comes after the path's last real one, where the masked mean ignores it; on a
+real step the blend ``h_new * 1 + h * 0`` is ``h_new`` up to the sign of an
+exact zero.
 """
 
 from __future__ import annotations
@@ -55,7 +64,8 @@ class LSTMCell(Module):
             g = np.tanh(gates[:, 2 * hs:3 * hs])
             # Tensor.sigmoid's expression, 1 / (1 + exp(-clip(x))), in place
             # over the whole block; the cell slice's sigmoid goes unused.
-            np.clip(gates, -60.0, 60.0, out=gates)
+            np.maximum(gates, -60.0, out=gates)
+            np.minimum(gates, 60.0, out=gates)
             np.negative(gates, out=gates)
             np.exp(gates, out=gates)
             gates += 1.0
@@ -133,6 +143,11 @@ class LSTM(Module):
             in_size = input_size if layer == 0 else hidden_size
             setattr(self, name, LSTMCell(in_size, hidden_size, rng=rng))
 
+    @property
+    def cells(self):
+        """The layers' :class:`LSTMCell` modules, bottom first."""
+        return [getattr(self, name) for name in self._cell_names]
+
     def forward(self, x, mask=None):
         """Run over ``x`` of shape ``(batch, time >= 1, input_size)``.
 
@@ -145,7 +160,7 @@ class LSTM(Module):
         """
         x = x if isinstance(x, Tensor) else Tensor(x)
         mask = self._check_inputs(x, mask)
-        cells = [getattr(self, name) for name in self._cell_names]
+        cells = self.cells
         parents = (x,) + tuple(p for cell in cells
                                for p in (cell.weight_ih, cell.weight_hh, cell.bias))
         record = is_grad_enabled() and any(p.requires_grad for p in parents)

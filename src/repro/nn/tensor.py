@@ -61,6 +61,21 @@ def _as_array(data):
     return np.asarray(data, dtype=np.float64)
 
 
+def scatter_sum(shape, index, values):
+    """The gradient of ``x[index]`` for an ``x`` of ``shape``: ``values``
+    summed into zeros at the positions that ``x[index]`` reads.
+
+    numpy's own indexing maps each read to its flat position, so every index
+    kind (slices, masks, repeated or negative integers) becomes one bincount.
+    It adds the values in read order into zeros: each element gets the same
+    additions, in the same order, as an unbuffered scatter-add.
+    """
+    size = int(np.prod(shape))
+    positions = np.arange(size).reshape(shape)[index]
+    full = np.bincount(np.ravel(positions), weights=np.ravel(values), minlength=size)
+    return full.reshape(shape)
+
+
 def _sum_to_shape(grad, shape):
     """Reduce ``grad`` so that it has ``shape``.
 
@@ -400,16 +415,7 @@ class Tensor:
 
         def backward(grad):
             if self.requires_grad:
-                # numpy's own indexing maps each read to its flat position, so
-                # every index kind (slices, masks, repeated or negative
-                # integers) becomes one bincount.  It adds the weights in read
-                # order into zeros: each element gets the same additions, in
-                # the same order, as an unbuffered scatter-add.
-                size = self.data.size
-                positions = np.arange(size).reshape(self.shape)[index]
-                full = np.bincount(np.ravel(positions), weights=np.ravel(grad),
-                                   minlength=size)
-                self._accumulate(full.reshape(self.shape))
+                self._accumulate(scatter_sum(self.shape, index, grad))
 
         return self._make_result(out_data, (self,), backward, "getitem")
 

@@ -26,11 +26,13 @@ def plan_batches(lengths, max_batch_size):
 
     Returns a list of 1-D ``int64`` index arrays into ``lengths``; every
     index appears in exactly one micro-batch, and all members of a
-    micro-batch share a length bucket.
+    micro-batch share a length bucket.  A request holds a handful of
+    lengths, so the grouping is plain Python.
     """
-    keys = (np.asarray(lengths, dtype=np.int64) - 1) // _BUCKET_WIDTH
-    order = np.argsort(keys, kind="stable")
-    buckets = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-    return [bucket[start:start + max_batch_size]
-            for bucket in buckets
+    buckets = {}
+    for index, length in enumerate(lengths):
+        buckets.setdefault((int(length) - 1) // _BUCKET_WIDTH, []).append(index)
+    return [np.array(bucket[start:start + max_batch_size], dtype=np.int64)
+            for key in sorted(buckets)
+            for bucket in (buckets[key],)
             for start in range(0, len(bucket), max_batch_size)]

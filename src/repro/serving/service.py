@@ -22,9 +22,11 @@ batch granularity:
    :class:`~repro.serving.metrics.ServiceMetrics` and exposed via
    :meth:`PathEmbeddingService.scrape`.
 
-The service is *bit-faithful*: whatever the request mix or cache state, the
-returned matrix matches what one-at-a-time ``model.encode([tp])`` calls
-produce (see ``tests/serving/``).
+Whatever the request mix or cache state, every returned row is
+byte-identical to the row ``model.encode`` gives its path within the path's
+planned micro-batch.  It agrees with one-at-a-time ``model.encode([tp])``
+calls to 1e-10, not bit for bit: a gemm row's low bits can depend on how many
+rows the micro-batch has (see ``tests/serving/``).
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class PathEmbeddingService:
     def embed(self, temporal_paths):
         """Embeddings for ``temporal_paths`` as an ``(N, D)`` float64 matrix.
 
-        Rows are in request order.  Equivalent to stacking one-at-a-time
-        ``model.encode([tp])`` results, but batched, bucketed and cached.
+        Rows are in request order.  Each is the row ``model.encode`` gave
+        the path in the micro-batch it was planned into (or cached from);
+        it agrees with a one-at-a-time ``model.encode([tp])`` to 1e-10.
         """
         temporal_paths = list(temporal_paths)
         started = time.perf_counter()

@@ -65,7 +65,7 @@ class TestTemporalPathEncoder:
     def test_encode_chunks_of_64_match_one_forward(self, encoder, tiny_city):
         paths = list(tiny_city.unlabeled.temporal_paths[:35]) * 2
         chunks = []
-        reps = encode_in_chunks(lambda chunk: chunks.append(len(chunk)) or encoder(chunk)[0],
+        reps = encode_in_chunks(lambda chunk: chunks.append(len(chunk)) or encoder(chunk)[0].data,
                                 paths, (0, encoder.output_dim))
         assert chunks == [64, 6]
         np.testing.assert_allclose(reps[64:], encoder(paths[64:])[0].data, atol=1e-12)

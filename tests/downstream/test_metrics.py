@@ -75,6 +75,16 @@ class TestNonFiniteInput:
             grouped_rank_correlation([1.0, 2.0, 3.0], [1.0, 2.0, np.nan],
                                      [0, 0, 1], statistic)
 
+    @pytest.mark.parametrize("statistic", ["kendall", "spearman"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_grouped_rejects_non_finite_group_ids(self, statistic, bad):
+        # NaN != NaN split [nan, nan] into two skipped singletons, so the
+        # correlation read 1.0 where group ids [1, 1, 0, 0] give 0.0.
+        assert grouped_rank_correlation([1, 2, 3, 4], [2, 1, 3, 4], [1, 1, 0, 0],
+                                        statistic) == 0.0
+        with pytest.raises(ValueError, match=rf"^groups must be finite, got {bad} at index 0$"):
+            grouped_rank_correlation([1, 2, 3, 4], [2, 1, 3, 4], [bad, bad, 0, 0], statistic)
+
     def test_kendall_of_extreme_magnitudes_does_not_overflow(self):
         # Pair signs come from comparisons; 1.7e308 - (-1.7e308) overflows.
         huge = [-1.7e308, 1.7e308, 0.0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_bucketing import plan_batches_reference
 
 from repro.serving import (
     PathEmbeddingService,
@@ -37,6 +38,34 @@ class TestPlanBatches:
         for batch in plan_batches(lengths, max_batch_size=64):
             batch_lengths = [lengths[i] for i in batch]
             assert max(batch_lengths) - min(batch_lengths) < 8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.one_of(
+            st.lists(st.integers(0, 40), max_size=40),
+            st.lists(st.integers(0, 3000), max_size=3000),
+            st.integers(0, 3000).flatmap(lambda length: st.lists(
+                st.just(length), max_size=200)),
+        ),
+        max_batch_size=st.one_of(st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65]),
+                                 st.integers(1, 3001)),
+    )
+    def test_plan_equals_the_numpy_planner(self, lengths, max_batch_size):
+        plan = plan_batches(lengths, max_batch_size)
+        expected = plan_batches_reference(lengths, max_batch_size)
+        assert len(plan) == len(expected)
+        for batch, want in zip(plan, expected):
+            assert batch.dtype == np.int64 and batch.ndim == 1
+            np.testing.assert_array_equal(batch, want)
+
+    def test_plan_equals_the_numpy_planner_at_batch_size_edges(self):
+        lengths = [1, 8, 9, 16, 17, 0, 3000, 8, 1] * 15
+        for max_batch_size in (1, 8, 14, 15, 16, 64, len(lengths) - 1,
+                               len(lengths), len(lengths) + 1):
+            plan = plan_batches(lengths, max_batch_size)
+            expected = plan_batches_reference(lengths, max_batch_size)
+            assert [batch.tolist() for batch in plan] == \
+                [want.tolist() for want in expected]
 
     def test_buckets_in_length_order_then_arrival_order(self):
         plan = plan_batches([9, 1, 5, 17, 2, 7, 10], max_batch_size=2)

@@ -2,9 +2,10 @@
 
 The service must be a pure optimisation: for every micro-batch size, cache
 size and cache state, its output must match one-at-a-time ``model.encode``
-calls to 1e-10 on a seeded synthetic dataset.  Tests that need small
-micro-batches or caches patch the service module's ``_MAX_BATCH_SIZE`` or
-``_CACHE_CAPACITY``.
+calls to 1e-10 on a seeded synthetic dataset, and each row must be
+byte-identical to ``model.encode`` of the micro-batch it was planned into.
+Tests that need small micro-batches or caches patch the service module's
+``_MAX_BATCH_SIZE`` or ``_CACHE_CAPACITY``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import PathEmbeddingService, service as service_module
+from repro.serving import PathEmbeddingService, plan_batches, service as service_module
 
 TOLERANCE = 1e-10
 
@@ -62,6 +63,31 @@ def test_service_matches_across_batch_sizes(model, workload, golden,
     monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", max_batch_size)
     service = PathEmbeddingService(model)
     np.testing.assert_allclose(service.embed(workload), golden, atol=TOLERANCE)
+
+
+@pytest.mark.parametrize("max_batch_size", [1, 3, 8, 64])
+def test_served_rows_are_their_micro_batch_rows_byte_for_byte(model, workload,
+                                                              max_batch_size,
+                                                              monkeypatch):
+    """The exact invariant: a row is ``model.encode`` of its planned
+    micro-batch, bit for bit; only the 1e-10 checks above span batch sizes."""
+    monkeypatch.setattr(service_module, "_MAX_BATCH_SIZE", max_batch_size)
+    service = PathEmbeddingService(model)
+    cold = service.embed(workload)
+    hot = service.embed(workload)
+    first = {}
+    for tp in workload:
+        first.setdefault(service_module.cache_key(tp), tp)
+    misses = list(first.values())
+    expected = {}
+    for batch in plan_batches([len(tp) for tp in misses], max_batch_size):
+        paths = [misses[i] for i in batch]
+        for tp, row in zip(paths, model.encode(paths)):
+            expected[service_module.cache_key(tp)] = row
+    for position, tp in enumerate(workload):
+        want = expected[service_module.cache_key(tp)].tobytes()
+        assert cold[position].tobytes() == want
+        assert hot[position].tobytes() == want
 
 
 def test_hot_cache_matches_cold_cache(model, workload, golden):
