@@ -159,17 +159,15 @@ class SpatialEmbedding(nn.Module):
         gradients are those of the Tensor-composed graph, byte for byte.
         """
         categories, keep = context
-        tables = self._type_tables()
-        weights = tuple(table.weight for table in tables)
+        weights = tuple(table.weight for table in self._type_tables())
 
         def backward(grad):
             type_grad = grad[..., start + self.config.topology_dim:]
             if keep is not None:
                 type_grad = type_grad * keep
             column_start = 0
-            for column, table in enumerate(tables):
-                column_stop = column_start + table.embedding_dim
-                weight = table.weight
+            for column, weight in enumerate(weights):
+                column_stop = column_start + weight.shape[1]
                 if weight.requires_grad:
                     weight._accumulate(scatter_sum(
                         weight.shape, categories[..., column],

@@ -31,8 +31,7 @@ def plan_batches(lengths, max_batch_size):
     """
     buckets = {}
     for index, length in enumerate(lengths):
-        buckets.setdefault((int(length) - 1) // _BUCKET_WIDTH, []).append(index)
+        buckets.setdefault((length - 1) // _BUCKET_WIDTH, []).append(index)
     return [np.array(bucket[start:start + max_batch_size], dtype=np.int64)
-            for key in sorted(buckets)
-            for bucket in (buckets[key],)
+            for _, bucket in sorted(buckets.items())
             for start in range(0, len(bucket), max_batch_size)]
