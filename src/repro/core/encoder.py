@@ -16,9 +16,17 @@ representations as numpy.
 ``encode`` takes each chunk's representations from the ``_representations``
 hook, by default ``forward``'s.  The temporal path encoder's hook computes
 the TPRs without the autograd engine: the same numpy input that training
-wraps in the spatial embedding's node, each LSTM layer's loop with no tape
-and no mask, and the masked mean in numpy.  Its TPRs are byte-identical to
-the forward's (``tests/core/test_inference_equivalence.py``).
+wraps in the spatial embedding's node, each LSTM layer's loop (the one that
+training runs) with no tape and no mask, and the masked mean in numpy.  Its
+TPRs are byte-identical to the forward's
+(``tests/core/test_inference_equivalence.py``).
+
+The input is built with few numpy calls, since a served micro-batch holds a
+handful of paths: :func:`pad_paths` copies every edge id with one
+``np.fromiter`` and pads only when the lengths differ, the spatial gather
+zeroes padded steps with the mask it returns, and the slot indices come
+from two ``np.fromiter`` passes (``tests/core/test_input_builders.py`` holds
+both builders to their numpy-only oracles).
 """
 
 from __future__ import annotations
@@ -50,6 +58,9 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
         downstream).
     mask:
         ``(batch, max_len)`` float array with 1.0 on real steps.
+
+    The ids are copied with one ``np.fromiter``; paths of one length are
+    only reshaped, others are scattered into a padded grid.
     """
     if not temporal_paths:
         raise ValueError("cannot pad an empty batch")
@@ -57,15 +68,16 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
         # Non-negative (or truncating-to-0) pads would alias a real edge id
         # and be embedded as it.
         raise ValueError(f"pad_value must be a negative integer, got {pad_value}")
-    batch = len(temporal_paths)
-    lengths = np.fromiter((len(tp) for tp in temporal_paths),
-                          dtype=np.int64, count=batch)
-    max_len = int(lengths.max())
-    valid = np.arange(max_len)[None, :] < lengths[:, None]
-    edge_ids = np.full((batch, max_len), int(pad_value), dtype=np.int64)
-    edge_ids[valid] = np.fromiter(
-        chain.from_iterable(tp.path for tp in temporal_paths),
-        dtype=np.int64, count=int(lengths.sum()))
+    paths = [tp.path for tp in temporal_paths]
+    lengths = list(map(len, paths))
+    max_len = max(lengths)
+    flat = np.fromiter(chain.from_iterable(paths), dtype=np.int64, count=sum(lengths))
+    if len(flat) == len(paths) * max_len:
+        # Paths of one length (a lone path, say) need no padding.
+        return flat.reshape(len(paths), max_len), np.ones((len(paths), max_len))
+    valid = np.arange(max_len) < np.array(lengths)[:, None]
+    edge_ids = np.full(valid.shape, int(pad_value), dtype=np.int64)
+    edge_ids[valid] = flat
     return edge_ids, valid.astype(np.float64)
 
 
@@ -73,17 +85,17 @@ def encode_in_chunks(forward, temporal_paths, empty_shape):
     """Run ``forward`` over chunks of 64 paths without gradients.
 
     ``forward(chunk)`` returns a numpy array with one row per path; the rows
-    of all chunks are stacked into one array.  No paths give
-    ``np.zeros(empty_shape)``.  :meth:`PathEncoder.encode` and every
-    supervised model's ``predict`` is this loop.
+    of all chunks are stacked into one array, and a lone chunk's array is
+    returned as it is.  No paths give ``np.zeros(empty_shape)``.
+    :meth:`PathEncoder.encode` and every supervised model's ``predict`` is
+    this loop.
     """
     if not temporal_paths:
         return np.zeros(empty_shape)
     with nn.no_grad():
-        return np.concatenate([
-            forward(temporal_paths[start:start + _CHUNK])
-            for start in range(0, len(temporal_paths), _CHUNK)
-        ], axis=0)
+        chunks = [forward(temporal_paths[start:start + _CHUNK])
+                  for start in range(0, len(temporal_paths), _CHUNK)]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
 class PathEncoder(nn.Module):
@@ -178,7 +190,8 @@ class TemporalPathEncoder(PathEncoder):
             inputs[..., :temporal_dim] = self.temporal.embeddings[slots][:, None, :]
         else:
             inputs[..., :temporal_dim] = 0.0
-        spatial_context = self.spatial._gather(edge_ids, inputs[..., temporal_dim:])
+        spatial_context = self.spatial._gather(edge_ids, inputs[..., temporal_dim:],
+                                               mask[..., None])
         return inputs, mask, spatial_context
 
     def _representations(self, chunk):
@@ -192,8 +205,10 @@ class TemporalPathEncoder(PathEncoder):
         equal the forward's.
         """
         inputs, mask, _ = self._inputs(chunk)
-        steps = [inputs[:, t, :] for t in range(inputs.shape[1])]
+        steps = inputs.swapaxes(0, 1)
         for cell in self.lstm.cells:
             steps = cell._run(steps, None, None)
         counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        return (np.stack(steps, axis=1) * mask[:, :, None]).sum(axis=1) / counts
+        # A C-ordered product sums over time in the forward's order.
+        weighted = np.multiply(steps.swapaxes(0, 1), mask[:, :, None], order="C")
+        return weighted.sum(axis=1) / counts

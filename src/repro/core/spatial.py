@@ -116,22 +116,23 @@ class SpatialEmbedding(nn.Module):
         return (self.road_type_embedding, self.lanes_embedding,
                 self.one_way_embedding, self.signals_embedding)
 
-    def _gather(self, edge_id_batch, out):
-        """Write the features of a padded edge-id batch into ``out``.
+    def _gather(self, edge_ids, out, keep):
+        """Write the features of a padded int64 edge-id batch into ``out``.
 
         ``out`` is a ``(batch, max_len, spatial_dim)`` float64 array (or a
         view of one): the topology feature (Eq. 5), then the four type
-        embeddings (Eq. 4).  Padded positions are multiplied by zero.
-        Returns the ``(categories, keep)`` pair that the backward of
-        :meth:`_node` needs; ``keep`` is None for an unpadded batch.
+        embeddings (Eq. 4).  ``keep`` is the ``(batch, max_len, 1)`` float
+        array holding 1.0 on real steps and 0.0 on padded ones; every step is
+        multiplied by it, which zeroes a padded step and leaves a real one's
+        bits as they are.  Returns the ``(categories, keep)`` pair that the
+        backward of :meth:`_node` needs.
         """
-        edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
         num_edges = len(self._edge_categories)
         if edge_ids.size and edge_ids.max() >= num_edges:
             raise ValueError(f"edge id {int(edge_ids.max())} is out of range "
                              f"for a network with {num_edges} edges")
         # Every id is now in range or negative, and "clip" reads a negative
-        # (padding) id as edge 0, whose features are zeroed below; it also
+        # (padding) id as edge 0, whose features ``keep`` zeroes; it also
         # lets take write into a strided column block without a buffer.
         categories = self._edge_categories.take(edge_ids, axis=0, mode="clip")  # (B, T, 4)
         start = self.config.topology_dim
@@ -141,11 +142,7 @@ class SpatialEmbedding(nn.Module):
             table.weight.data.take(categories[..., column], axis=0,
                                    out=out[..., start:stop], mode="clip")
             start = stop
-        padded = edge_ids < 0
-        keep = None
-        if padded.any():
-            keep = (~padded).astype(np.float64)[..., None]
-            out *= keep
+        out *= keep
         return categories, keep
 
     def _node(self, data, context, start=0):
@@ -154,7 +151,7 @@ class SpatialEmbedding(nn.Module):
 
         ``data[..., start:]`` holds the features that :meth:`_gather` wrote
         and ``context`` is what it returned.  The backward scatters the
-        type-embedding columns of the gradient (times ``keep`` when padded)
+        type-embedding columns of the gradient (times ``keep``)
         into each weight with the engine's indexing scatter, so the weights'
         gradients are those of the Tensor-composed graph, byte for byte.
         """
@@ -162,9 +159,7 @@ class SpatialEmbedding(nn.Module):
         weights = tuple(table.weight for table in self._type_tables())
 
         def backward(grad):
-            type_grad = grad[..., start + self.config.topology_dim:]
-            if keep is not None:
-                type_grad = type_grad * keep
+            type_grad = grad[..., start + self.config.topology_dim:] * keep
             column_start = 0
             for column, weight in enumerate(weights):
                 column_stop = column_start + weight.shape[1]
@@ -195,4 +190,5 @@ class SpatialEmbedding(nn.Module):
         """
         edge_ids = np.asarray(edge_id_batch, dtype=np.int64)
         out = np.empty(edge_ids.shape + (self.output_dim,))
-        return self._node(out, self._gather(edge_ids, out))
+        keep = (edge_ids >= 0).astype(np.float64)[..., None]
+        return self._node(out, self._gather(edge_ids, out, keep))

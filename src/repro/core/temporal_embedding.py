@@ -8,6 +8,8 @@ paper's pipeline where node2vec is a pre-processing step.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
 from .. import nn
@@ -16,6 +18,9 @@ from ..temporal.temporal_graph import build_temporal_graph
 from ..temporal.timeslots import DAYS_PER_WEEK
 
 __all__ = ["TemporalEmbedding"]
+
+_SECONDS = attrgetter("seconds")
+_DAY = attrgetter("day_of_week")
 
 
 class TemporalEmbedding(nn.Module):
@@ -73,14 +78,13 @@ class TemporalEmbedding(nn.Module):
         """Temporal-graph node index of each departure time at this
         granularity: ``day * slots_per_day + slot of the day``."""
         count = len(departure_times)
-        seconds = np.fromiter((t.seconds for t in departure_times),
-                              dtype=np.float64, count=count)
-        days = np.fromiter((t.day_of_week for t in departure_times),
-                           dtype=np.int64, count=count)
-        seconds_per_slot = 86400.0 / self.slots_per_day
-        slots = np.minimum((seconds // seconds_per_slot).astype(np.int64),
-                           self.slots_per_day - 1)
-        return days * self.slots_per_day + slots
+        seconds = np.fromiter(map(_SECONDS, departure_times), dtype=np.float64, count=count)
+        # The slot of the day, capped in float: it is a small whole number.
+        slots = np.minimum(seconds // (86400.0 / self.slots_per_day),
+                           self.slots_per_day - 1).astype(np.int64)
+        slots += np.fromiter(map(_DAY, departure_times), dtype=np.int64,
+                             count=count) * self.slots_per_day
+        return slots
 
     def forward(self, departure_times):
         """Temporal embedding ``t_all`` for a batch of departure times.

@@ -7,13 +7,21 @@ parameters.  :class:`LSTM` runs the whole sequence as one autograd node: a
 numpy loop over time with a per-step tape, and a hand-written
 backpropagation through time.  Both repeat the arithmetic and summation
 order of the per-step cell graph in ``tests/nn/reference_lstm.py``, so
-outputs and gradients are bit-identical to it; every gemm stays per step for
-that reason.  Each step works in place on one ``(batch, 4 * hidden)`` gate
-block: the gemms and the bias sum into it, one clipped sigmoid covers it
-whole (the cell gate's tanh is taken first), and the tape keeps the input,
-forget and output gates as views of it.  The clip is an in-place
-``np.maximum`` then ``np.minimum``: the values of ``np.clip``, NaN included,
-without its Python wrapper.
+outputs and gradients are bit-identical to it.
+
+:meth:`LSTMCell._run` is the one time loop.  It takes the layer's whole
+``(time, batch, features)`` input and projects every step with one stacked
+``np.matmul``, which numpy runs as one gemm per step, so each step's
+projection has the bits of its own ``x_t @ w_ih.T``; one gemm over all
+``batch * time`` rows would not.  Each step then works in place on its
+``(batch, 4 * hidden)`` gate block: the recurrent gemm (skipped at t = 0,
+where the zero state would add +0.0 before the bias) and the bias sum into
+it, one clipped sigmoid covers it whole (the cell gate's tanh is taken
+first), and the tape keeps the input, forget and output gates as views of
+it.  The clip is an in-place ``np.maximum`` then ``np.minimum``: the values
+of ``np.clip``, NaN included, without its Python wrapper.  The hidden states
+are written into one ``(time, batch, hidden)`` array, the next layer's
+input.
 
 Inference (the temporal path encoder's ``encode``) calls
 :meth:`LSTMCell._run` with neither a tape nor a mask.  The mask only blends
@@ -33,6 +41,10 @@ from .tensor import Tensor, is_grad_enabled
 
 __all__ = ["LSTMCell", "LSTM"]
 
+# The loop's constants as 0-d arrays: numpy takes them with less per-call
+# work than Python floats, and computes the same float64 values.
+_CLIP_LOW, _CLIP_HIGH, _ONE = np.array(-60.0), np.array(60.0), np.array(1.0)
+
 
 class LSTMCell(Module):
     """One LSTM layer's parameters, i/f/g/o gates, and its fused time loop."""
@@ -51,32 +63,47 @@ class LSTMCell(Module):
         self.bias = Parameter(bias)
 
     def _run(self, steps, mask, tape):
-        """Run over ``(batch, input_size)`` step arrays, taping unless ``tape`` is None."""
-        w_ih, w_hh, bias = self.weight_ih.data, self.weight_hh.data, self.bias.data
+        """Run over the ``(time, batch, input_size)`` array ``steps``, taping
+        unless ``tape`` is None; return the ``(time, batch, hidden_size)``
+        hidden states."""
+        w_hh_t = self.weight_hh.data.T
         hs = self.hidden_size
-        h = c = np.zeros((steps[0].shape[0], hs))
+        # One stacked matmul, which numpy runs as one gemm per step: each
+        # step's projection has the bits of its own ``steps[t] @ w_ih.T``.
+        projected = np.matmul(steps, self.weight_ih.data.T)
+        hidden = np.empty(projected.shape[:2] + (hs,))
+        # The bias as full rows: adding a same-shape block costs less per
+        # step than broadcasting the vector, and adds the same numbers.
+        bias = np.empty_like(projected[0])
+        bias[...] = self.bias.data
+        h = c = np.zeros((steps.shape[1], hs))
         skip_all = None if mask is None else 1.0 - mask
-        hidden = []
-        for t, x_t in enumerate(steps):
-            gates = x_t @ w_ih.T
-            gates += h @ w_hh.T
+        # Each step's gate block and its input, forget, cell and output
+        # slices, and the step's row of ``hidden``, come out of one zip.
+        blocks = (projected[..., 0 * hs:1 * hs], projected[..., 1 * hs:2 * hs],
+                  projected[..., 2 * hs:3 * hs], projected[..., 3 * hs:4 * hs])
+        for t, (gates, i, f, g_pre, o, h_new) in enumerate(zip(projected, *blocks, hidden)):
+            if t:
+                # At t = 0 the zero state's product would add +0.0, which
+                # the bias sum then absorbs.
+                gates += h @ w_hh_t
             gates += bias
-            g = np.tanh(gates[:, 2 * hs:3 * hs])
+            g = np.tanh(g_pre)
             # Tensor.sigmoid's expression, 1 / (1 + exp(-clip(x))), in place
-            # over the whole block; the cell slice's sigmoid goes unused.
-            np.maximum(gates, -60.0, out=gates)
-            np.minimum(gates, 60.0, out=gates)
+            # over the whole block, so ``i``, ``f`` and ``o`` are the gates;
+            # the cell slice's sigmoid goes unused.
+            np.maximum(gates, _CLIP_LOW, out=gates)
+            np.minimum(gates, _CLIP_HIGH, out=gates)
             np.negative(gates, out=gates)
             np.exp(gates, out=gates)
-            gates += 1.0
-            np.divide(1.0, gates, out=gates)
-            i, f, o = gates[:, 0 * hs:1 * hs], gates[:, 1 * hs:2 * hs], gates[:, 3 * hs:4 * hs]
+            gates += _ONE
+            np.divide(_ONE, gates, out=gates)
             c_new = f * c
             c_new += i * g
             tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
+            np.multiply(o, tanh_c, out=h_new)
             if tape is not None:
-                tape.append((x_t, h, c, i, f, g, o, tanh_c))
+                tape.append((steps[t], h, c, i, f, g, o, tanh_c))
             if mask is not None:
                 keep, skip = mask[:, t:t + 1], skip_all[:, t:t + 1]
                 h_new *= keep
@@ -84,7 +111,6 @@ class LSTMCell(Module):
                 c_new *= keep
                 c_new += c * skip
             h, c = h_new, c_new
-            hidden.append(h)
         return hidden
 
     def _backprop(self, tape, mask, grad_hidden, need_input_grad, hh_forward_order):
@@ -166,7 +192,7 @@ class LSTM(Module):
         record = is_grad_enabled() and any(p.requires_grad for p in parents)
 
         tapes = [[] if record else None for _ in cells]
-        steps = [x.data[:, t, :] for t in range(x.shape[1])]
+        steps = x.data.swapaxes(0, 1)
         for cell, tape in zip(cells, tapes):
             steps = cell._run(steps, mask, tape)
 
@@ -182,7 +208,8 @@ class LSTM(Module):
             if x.requires_grad:
                 x._accumulate(np.stack(grad_hidden, axis=1))
 
-        outputs = x._make_result(np.stack(steps, axis=1), parents, backward, "lstm")
+        outputs = x._make_result(np.ascontiguousarray(steps.swapaxes(0, 1)), parents,
+                                 backward, "lstm")
         return outputs, outputs[:, -1, :]
 
     def _check_inputs(self, x, mask):

@@ -13,6 +13,8 @@ reproducible run to run.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["plan_batches"]
@@ -27,11 +29,23 @@ def plan_batches(lengths, max_batch_size):
     Returns a list of 1-D ``int64`` index arrays into ``lengths``; every
     index appears in exactly one micro-batch, and all members of a
     micro-batch share a length bucket.  A request holds a handful of
-    lengths, so the grouping is plain Python.
+    lengths, so the grouping is plain Python.  ``max_batch_size`` must be an
+    integer (not a ``bool``) of at least 1 and every length at least 1;
+    anything else raises ``ValueError``.
     """
+    # operator.index takes exactly the integers; it is far cheaper than an
+    # isinstance check against numbers.Integral, and this runs per request.
+    try:
+        size = operator.index(max_batch_size)
+    except TypeError:
+        size = 0
+    if isinstance(max_batch_size, bool) or size < 1:
+        raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size!r}")
+    if len(lengths) and min(lengths) < 1:
+        raise ValueError(f"lengths must all be >= 1, got {min(lengths)!r}")
     buckets = {}
     for index, length in enumerate(lengths):
         buckets.setdefault((length - 1) // _BUCKET_WIDTH, []).append(index)
-    return [np.array(bucket[start:start + max_batch_size], dtype=np.int64)
+    return [np.array(bucket[start:start + size], dtype=np.int64)
             for _, bucket in sorted(buckets.items())
-            for start in range(0, len(bucket), max_batch_size)]
+            for start in range(0, len(bucket), size)]

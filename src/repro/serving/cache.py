@@ -2,9 +2,10 @@
 
 The cache maps a hashable key — the service uses ``(edge sequence,
 departure time)``, see :func:`repro.serving.service.cache_key` — to the
-embedding vector the model computed for it.  Entries are stored as read-only copies and served
-back as fresh copies, so neither the service nor its callers can corrupt a
-cached value by mutating an array in place.
+embedding vector the model computed for it.  ``put`` stores one read-only
+copy per entry, so memory stays bounded by the capacity, and ``get`` serves
+that read-only row itself: writing to it raises ``ValueError``, so neither
+the service nor its callers can corrupt a cached value in place.
 
 Eviction is least-recently-used: both hits and overwrites refresh an entry's
 recency.  The cache keeps running ``hits`` / ``misses`` / ``evictions`` /
@@ -14,6 +15,7 @@ folds into its scrape output.
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 
 import numpy as np
@@ -27,15 +29,16 @@ class LRUEmbeddingCache:
     Parameters
     ----------
     capacity:
-        Maximum number of entries; must be positive.  When a ``put`` would
-        exceed it, the least recently used entry is evicted.
+        Maximum number of entries: an integer (not a ``bool``) of at least
+        1.  When a ``put`` would exceed it, the least recently used entry is
+        evicted.
     """
 
     def __init__(self, capacity):
-        capacity = int(capacity)
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        if (isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral)
+                or capacity < 1):
+            raise ValueError(f"cache capacity must be an integer >= 1, got {capacity!r}")
+        self.capacity = int(capacity)
         self._entries = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -51,7 +54,7 @@ class LRUEmbeddingCache:
 
     # ------------------------------------------------------------------
     def get(self, key):
-        """Return a copy of the cached embedding, or ``None`` on a miss.
+        """Return the cached read-only embedding, or ``None`` on a miss.
 
         A hit refreshes the entry's recency.
         """
@@ -61,10 +64,11 @@ class LRUEmbeddingCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry.copy()
+        return entry
 
     def put(self, key, embedding):
-        """Store a copy of ``embedding`` under ``key``, evicting if full."""
+        """Store a read-only copy of ``embedding`` under ``key``, evicting if
+        full."""
         value = np.array(embedding, dtype=np.float64, copy=True)
         value.setflags(write=False)
         if key in self._entries:

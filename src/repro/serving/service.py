@@ -10,13 +10,15 @@ batch granularity:
 1. **Cache lookup.**  Each requested path is first looked up in a
    4,096-entry LRU cache keyed on the exact ``(edge sequence, day of week,
    seconds)`` departure, so a hit is always correct whatever the model's
-   temporal granularity.
+   temporal granularity.  A hit is the cache's read-only row, which
+   ``embed`` copies once, into the matrix it returns.
 2. **Deduplication.**  Misses are deduplicated within the request: the same
    temporal path requested twice is encoded once.
 3. **Length-bucketed micro-batching.**  Remaining unique misses are planned
    by :func:`~repro.serving.bucketing.plan_batches` into micro-batches of at
    most 64 paths, each padded to its own length bucket's maximum instead of
-   the global one.
+   the global one.  Each path's length is read once, from its edge
+   sequence.
 4. **Metrics.**  Per-request latency, throughput, padding efficiency and
    cache counters are recorded in a
    :class:`~repro.serving.metrics.ServiceMetrics` and exposed via
@@ -77,14 +79,14 @@ class PathEmbeddingService:
         self.metrics = ServiceMetrics()
 
     # ------------------------------------------------------------------
-    def _encode_batch(self, temporal_paths):
-        """One model call; validates the result and records padding stats."""
+    def _encode_batch(self, temporal_paths, lengths):
+        """One model call over paths of the given lengths; validates the
+        result and records padding stats."""
         embeddings = np.asarray(self.model.encode(temporal_paths), dtype=np.float64)
         if embeddings.ndim != 2 or len(embeddings) != len(temporal_paths):
             raise ValueError(
                 f"model returned shape {embeddings.shape} for "
                 f"{len(temporal_paths)} paths")
-        lengths = [len(tp) for tp in temporal_paths]
         self.metrics.record_batch(len(temporal_paths), max(lengths), sum(lengths))
         return embeddings
 
@@ -120,16 +122,20 @@ class PathEmbeddingService:
                 pending_paths.append((key, path))
 
         if pending_paths:
-            lengths = [len(path) for _, path in pending_paths]
+            lengths = [len(path.path) for _, path in pending_paths]
             for batch_indices in plan_batches(lengths, _MAX_BATCH_SIZE):
+                batch_indices = batch_indices.tolist()
                 batch = [pending_paths[i] for i in batch_indices]
-                embeddings = self._encode_batch([path for _, path in batch])
+                embeddings = self._encode_batch([path for _, path in batch],
+                                                [lengths[i] for i in batch_indices])
                 for (key, _), embedding in zip(batch, embeddings):
                     self.cache.put(key, embedding)
                     for position in pending[key]:
                         rows[position] = embedding
 
-        result = np.stack(rows, axis=0).astype(np.float64, copy=False)
+        # Cached rows are the cache's read-only arrays; np.array copies them
+        # into one matrix, as np.stack would, with less per-call work.
+        result = np.array(rows)
         self.metrics.record_request(count, time.perf_counter() - started)
         return result
 

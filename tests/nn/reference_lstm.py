@@ -6,6 +6,12 @@ own autograd node, and :func:`stack` joins the top layer's steps.  The
 fused kernel in :mod:`repro.nn.recurrent` must produce the same outputs and
 the same gradients bit for bit; ``test_lstm_equivalence.py`` compares the
 two.
+
+:func:`per_step_run` is the fused loop as it was before it projected all
+steps with one stacked matmul: each step's input projection is its own
+``x_t @ w_ih.T`` and every step adds ``h @ w_hh.T``.
+``test_lstm_loop.py`` checks :meth:`repro.nn.LSTMCell._run` against it:
+outputs, tape and gradients, byte for byte.
 """
 
 from __future__ import annotations
@@ -76,3 +82,41 @@ def reference_lstm_forward(lstm, x, mask=None):
 
     outputs = stack(layer_input_steps, axis=1)
     return outputs, layer_input_steps[-1]
+
+
+def per_step_run(cell, steps, mask, tape):
+    """Run ``cell`` over a list of ``(batch, input_size)`` step arrays with
+    one projection per step, taping unless ``tape`` is None; return the
+    list of hidden states."""
+    w_ih, w_hh, bias = cell.weight_ih.data, cell.weight_hh.data, cell.bias.data
+    hs = cell.hidden_size
+    h = c = np.zeros((steps[0].shape[0], hs))
+    skip_all = None if mask is None else 1.0 - mask
+    hidden = []
+    for t, x_t in enumerate(steps):
+        gates = x_t @ w_ih.T
+        gates += h @ w_hh.T
+        gates += bias
+        g = np.tanh(gates[:, 2 * hs:3 * hs])
+        np.maximum(gates, -60.0, out=gates)
+        np.minimum(gates, 60.0, out=gates)
+        np.negative(gates, out=gates)
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.divide(1.0, gates, out=gates)
+        i, f, o = gates[:, 0 * hs:1 * hs], gates[:, 1 * hs:2 * hs], gates[:, 3 * hs:4 * hs]
+        c_new = f * c
+        c_new += i * g
+        tanh_c = np.tanh(c_new)
+        h_new = o * tanh_c
+        if tape is not None:
+            tape.append((x_t, h, c, i, f, g, o, tanh_c))
+        if mask is not None:
+            keep, skip = mask[:, t:t + 1], skip_all[:, t:t + 1]
+            h_new *= keep
+            h_new += h * skip
+            c_new *= keep
+            c_new += c * skip
+        h, c = h_new, c_new
+        hidden.append(h)
+    return hidden

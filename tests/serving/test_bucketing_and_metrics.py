@@ -42,9 +42,9 @@ class TestPlanBatches:
     @settings(max_examples=200, deadline=None)
     @given(
         lengths=st.one_of(
-            st.lists(st.integers(0, 40), max_size=40),
-            st.lists(st.integers(0, 3000), max_size=3000),
-            st.integers(0, 3000).flatmap(lambda length: st.lists(
+            st.lists(st.integers(1, 40), max_size=40),
+            st.lists(st.integers(1, 3000), max_size=3000),
+            st.integers(1, 3000).flatmap(lambda length: st.lists(
                 st.just(length), max_size=200)),
         ),
         max_batch_size=st.one_of(st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65]),
@@ -59,7 +59,7 @@ class TestPlanBatches:
             np.testing.assert_array_equal(batch, want)
 
     def test_plan_equals_the_numpy_planner_at_batch_size_edges(self):
-        lengths = [1, 8, 9, 16, 17, 0, 3000, 8, 1] * 15
+        lengths = [1, 8, 9, 16, 17, 25, 3000, 8, 1] * 15
         for max_batch_size in (1, 8, 14, 15, 16, 64, len(lengths) - 1,
                                len(lengths), len(lengths) + 1):
             plan = plan_batches(lengths, max_batch_size)
@@ -71,9 +71,21 @@ class TestPlanBatches:
         plan = plan_batches([9, 1, 5, 17, 2, 7, 10], max_batch_size=2)
         assert [batch.tolist() for batch in plan] == [[1, 2], [4, 5], [0, 6], [3]]
 
-
     def test_empty_request_plans_no_batches(self):
         assert plan_batches([], max_batch_size=4) == []
+
+    @pytest.mark.parametrize("max_batch_size", [-1, 0, 2.0, 2.5, "4", True, None])
+    def test_bad_max_batch_size_rejected(self, max_batch_size):
+        # -1 used to plan no batches (dropping every path) and 0 failed
+        # inside range().
+        with pytest.raises(ValueError, match="max_batch_size"):
+            plan_batches([3, 5, 12], max_batch_size)
+
+    @pytest.mark.parametrize("lengths", [[3, 0, 12], [-2], [5, -2, 0]])
+    def test_lengths_below_one_rejected(self, lengths):
+        # They used to be bucketed silently.
+        with pytest.raises(ValueError, match="lengths"):
+            plan_batches(lengths, 4)
 
     def test_full_bucket_splits_into_max_size_chunks_in_arrival_order(self):
         plan = plan_batches([3] * 130, max_batch_size=64)

@@ -13,6 +13,7 @@ reference implementation; the invariants under test:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -107,19 +108,28 @@ def test_capacity_never_exceeded_under_distinct_inserts(capacity, extra):
         assert key in cache
 
 
-def test_returned_arrays_are_isolated_copies():
+def test_returned_rows_are_read_only_and_the_cached_value_survives():
     cache = LRUEmbeddingCache(4)
     original = np.array([1.0, 2.0, 3.0])
     cache.put("k", original)
     original[:] = -1.0                       # caller mutates its array
     first = cache.get("k")
     np.testing.assert_array_equal(first, [1.0, 2.0, 3.0])
-    first[:] = 99.0                          # caller mutates the result
+    with pytest.raises(ValueError):
+        first[:] = 99.0                      # caller tries to mutate the result
+    with pytest.raises(ValueError):
+        first += 1.0
     np.testing.assert_array_equal(cache.get("k"), [1.0, 2.0, 3.0])
 
 
-def test_invalid_capacity_rejected():
-    import pytest
+@pytest.mark.parametrize("capacity", [0, -3, 2.7, 1.0, True, False, "8", None])
+def test_invalid_capacity_rejected(capacity):
+    # 2.7 used to become 2, True 1 and "8" 8.
+    with pytest.raises(ValueError, match="capacity"):
+        LRUEmbeddingCache(capacity)
 
-    with pytest.raises(ValueError):
-        LRUEmbeddingCache(0)
+
+@pytest.mark.parametrize("capacity", [1, 7, np.int64(3)])
+def test_integer_capacity_accepted(capacity):
+    cache = LRUEmbeddingCache(capacity)
+    assert cache.capacity == int(capacity) and type(cache.capacity) is int
