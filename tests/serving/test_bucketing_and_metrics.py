@@ -130,6 +130,18 @@ class CountingModel:
 
 
 class TestServiceBookkeeping:
+    def test_served_matrix_is_a_writable_copy_of_read_only_cache_rows(self, tiny_city):
+        service = PathEmbeddingService(CountingModel())
+        paths = tiny_city.unlabeled.temporal_paths[:3]
+        first = service.embed(paths)
+        hits = service.embed(paths[:1])          # a lone cached row
+        assert service.cache.hits == 1
+        assert not service.cache.get(cache_key(paths[0])).flags.writeable
+        for result in (first, hits):
+            assert result.flags.writeable and result.flags.owndata
+            result[:] = -1.0
+        np.testing.assert_array_equal(service.embed(paths), CountingModel().encode(paths))
+
     def test_duplicates_encoded_once_per_request_with_cache(self, tiny_city):
         model = CountingModel()
         service = PathEmbeddingService(model)
