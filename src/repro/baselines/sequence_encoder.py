@@ -13,7 +13,7 @@ import numpy as np
 
 from .. import nn
 from ..core.config import WSCCLConfig
-from ..core.encoder import PathEncoder, pad_paths
+from ..core.encoder import LSTMPathEncoder, pad_paths
 from ..core.spatial import SpatialEmbedding
 from ..datasets.splits import minibatch_indices
 from .base import _BATCH_SIZE, _LR, RepresentationModel
@@ -21,8 +21,9 @@ from .base import _BATCH_SIZE, _LR, RepresentationModel
 __all__ = ["SpatialSequenceEncoder", "SpatialSequenceModel"]
 
 
-class SpatialSequenceEncoder(PathEncoder):
-    """LSTM over spatial edge embeddings with masked mean pooling.
+class SpatialSequenceEncoder(LSTMPathEncoder):
+    """LSTM over spatial edge embeddings with masked mean pooling: WSCCL's
+    path encoder without the temporal block.
 
     Parameters
     ----------
@@ -40,12 +41,11 @@ class SpatialSequenceEncoder(PathEncoder):
         self.spatial = SpatialEmbedding(network, self.config, rng=rng)
         self.lstm = nn.LSTM(self.config.spatial_dim, hidden_dim, rng=rng)
 
-    def forward(self, temporal_paths):
-        """Return (path_representations, edge_representations, mask)."""
+    def _inputs(self, temporal_paths):
+        """Each step of the input is the edge's spatial features (Eq. 6)."""
         edge_ids, mask = pad_paths(temporal_paths)
-        spatial = self.spatial(edge_ids)
-        outputs, _ = self.lstm(spatial, mask=mask)
-        return nn.functional.masked_mean(outputs, mask), outputs, mask
+        inputs = np.empty(edge_ids.shape + (self.config.spatial_dim,))
+        return inputs, mask, self.spatial._gather(edge_ids, inputs, mask[..., None])
 
 
 class SpatialSequenceModel(RepresentationModel):

@@ -9,7 +9,7 @@ from .curriculum import (
     split_into_meta_sets,
     train_experts,
 )
-from .encoder import PAD_EDGE_ID, PathEncoder, TemporalPathEncoder, pad_paths
+from .encoder import PAD_EDGE_ID, LSTMPathEncoder, PathEncoder, TemporalPathEncoder, pad_paths
 from .losses import combined_wsc_loss
 from .model import SharedResources
 from .sampling import (
@@ -30,6 +30,7 @@ __all__ = [
     "SpatialEmbedding",
     "compute_edge_topology_features",
     "TemporalEmbedding",
+    "LSTMPathEncoder",
     "PathEncoder",
     "TemporalPathEncoder",
     "pad_paths",

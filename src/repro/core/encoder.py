@@ -8,25 +8,14 @@ temporal paths into
 * temporal path representations (TPRs) — the masked mean of the STERs over
   the path (Eq. 8).
 
-Every path encoder of the repository, WSCCL's and the sequence baselines',
-is a :class:`PathEncoder`: ``forward(paths)`` returns ``(representations,
-steps, mask)`` and the inherited ``encode(paths)`` returns the
-representations as numpy.
-
-``encode`` takes each chunk's representations from the ``_representations``
-hook, by default ``forward``'s.  The temporal path encoder's hook computes
-the TPRs without the autograd engine: the same numpy input that training
-wraps in the spatial embedding's node, each LSTM layer's loop (the one that
-training runs) with no tape and no mask, and the masked mean in numpy.  Its
-TPRs are byte-identical to the forward's
+Every path encoder of the repository is a :class:`PathEncoder`:
+``forward(paths)`` returns ``(representations, steps, mask)`` and the
+inherited ``encode(paths)`` takes each chunk's representations from the
+``_representations`` hook, by default ``forward``'s.  WSCCL's encoder and
+the spatial baselines' are :class:`LSTMPathEncoder` subclasses that differ
+only in the numpy input they build; their shared hook computes the TPRs
+without the autograd engine, byte-identical to the forward's
 (``tests/core/test_inference_equivalence.py``).
-
-The input is built with few numpy calls, since a served micro-batch holds a
-handful of paths: :func:`pad_paths` copies every edge id with one
-``np.fromiter`` and pads only when the lengths differ, the spatial gather
-zeroes padded steps with the mask it returns, and the slot indices come
-from two ``np.fromiter`` passes (``tests/core/test_input_builders.py`` holds
-both builders to their numpy-only oracles).
 """
 
 from __future__ import annotations
@@ -37,7 +26,7 @@ import numpy as np
 
 from .. import nn
 
-__all__ = ["PathEncoder", "TemporalPathEncoder", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
+__all__ = ["PathEncoder", "LSTMPathEncoder", "TemporalPathEncoder", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
 
 #: Reserved edge id marking padding positions.  It is never a valid edge
 #: index; :class:`~repro.core.spatial.SpatialEmbedding` maps it to an exactly
@@ -59,8 +48,10 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
     mask:
         ``(batch, max_len)`` float array with 1.0 on real steps.
 
-    The ids are copied with one ``np.fromiter``; paths of one length are
-    only reshaped, others are scattered into a padded grid.
+    The ids are copied with one ``np.fromiter``, since a served micro-batch
+    holds a handful of paths; paths of one length are only reshaped, others
+    are scattered into a padded grid.  ``tests/core/test_input_builders.py``
+    holds this and the slot indices to numpy-only oracles.
     """
     if not temporal_paths:
         raise ValueError("cannot pad an empty batch")
@@ -121,7 +112,55 @@ class PathEncoder(nn.Module):
         return self(chunk)[0].data
 
 
-class TemporalPathEncoder(PathEncoder):
+class LSTMPathEncoder(PathEncoder):
+    """The STERs are ``lstm``'s per-step outputs (Eq. 7) and the TPRs their
+    masked mean (Eq. 8).
+
+    A subclass sets ``spatial``, ``lstm`` and ``output_dim`` and defines
+    ``_inputs(paths)``, which returns ``(inputs, mask, spatial_context)``:
+    the LSTM's numpy input, whose last block ``spatial._gather`` wrote, the
+    :func:`pad_paths` mask and what the gather returned.  Training wraps the
+    input in the spatial embedding's autograd node; the numpy
+    ``_representations`` hook reads it.
+    """
+
+    def forward(self, temporal_paths):
+        """``(tprs, sters, mask)`` for a list of
+        :class:`~repro.datasets.temporal_paths.TemporalPath`."""
+        outputs, mask = self._steps(temporal_paths)
+        # Masked mean over valid steps (Eq. 8).
+        return nn.functional.masked_mean(outputs, mask), outputs, mask
+
+    def _steps(self, temporal_paths):
+        """``(sters, mask)``: the LSTM's per-step outputs (Eq. 7) without the
+        TPRs, which the WSC train step's objective averages itself."""
+        inputs, mask, spatial_context = self._inputs(temporal_paths)
+        start = inputs.shape[-1] - self.spatial.output_dim   # the last block
+        inputs = self.spatial._node(inputs, spatial_context, start=start)
+        outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
+        return outputs, mask
+
+    def _representations(self, chunk):
+        """The TPRs of ``chunk`` in numpy: the forward's arithmetic without
+        the autograd engine, the mask check or the LSTM's mask.
+
+        ``pad_paths`` gives a prefix mask, so a path's padded steps all come
+        after its last real one, and the masked mean multiplies their
+        outputs by zero.  On a real step the masked LSTM's blend ``h_new * 1
+        + h * 0`` is ``h_new`` itself (its sign of zero aside), so the TPRs
+        equal the forward's.
+        """
+        inputs, mask, _ = self._inputs(chunk)
+        steps = inputs.swapaxes(0, 1)
+        for cell in self.lstm.cells:
+            steps = cell._run(steps, None, None)
+        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
+        # A C-ordered product sums over time in the forward's order.
+        weighted = np.multiply(steps.swapaxes(0, 1), mask[:, :, None], order="C")
+        return weighted.sum(axis=1) / counts
+
+
+class TemporalPathEncoder(LSTMPathEncoder):
     """Encode temporal paths into STERs and TPRs (Eq. 7–8).
 
     Parameters
@@ -156,30 +195,10 @@ class TemporalPathEncoder(PathEncoder):
             rng=rng,
         )
 
-    def forward(self, temporal_paths):
-        """``(tprs, sters, mask)`` for a list of
-        :class:`~repro.datasets.temporal_paths.TemporalPath`."""
-        outputs, mask = self._steps(temporal_paths)
-        # Masked mean over valid steps (Eq. 8).
-        return nn.functional.masked_mean(outputs, mask), outputs, mask
-
-    def _steps(self, temporal_paths):
-        """``(sters, mask)``: the LSTM's per-step outputs (Eq. 7) without the
-        TPRs, which the WSC train step's objective averages itself."""
-        inputs, mask, spatial_context = self._inputs(temporal_paths)
-        inputs = self.spatial._node(inputs, spatial_context, start=self.config.temporal_dim)
-        outputs, _ = self.lstm(inputs, mask=mask)             # (B, T, d_h), Eq. 7
-        return outputs, mask
-
     def _inputs(self, temporal_paths):
-        """``(inputs, mask, spatial_context)``: the LSTM's numpy input.
-
-        Each step of ``inputs`` is the path's temporal embedding (Eq. 2;
+        """Each step of the input is the path's temporal embedding (Eq. 2;
         zeros without ``use_temporal``) followed by the edge's spatial
-        features (Eq. 6), written by the spatial embedding's numpy gather.
-        Training wraps the array in the spatial embedding's autograd node
-        with ``spatial_context``; inference reads it.
-        """
+        features (Eq. 6)."""
         edge_ids, mask = pad_paths(temporal_paths)
         temporal_dim = self.config.temporal_dim
         inputs = np.empty(edge_ids.shape + (self.config.encoder_input_dim,))
@@ -193,22 +212,3 @@ class TemporalPathEncoder(PathEncoder):
         spatial_context = self.spatial._gather(edge_ids, inputs[..., temporal_dim:],
                                                mask[..., None])
         return inputs, mask, spatial_context
-
-    def _representations(self, chunk):
-        """The TPRs of ``chunk`` in numpy: the forward's arithmetic without
-        the autograd engine, the mask check or the LSTM's mask.
-
-        ``pad_paths`` gives a prefix mask, so a path's padded steps all come
-        after its last real one, and the masked mean multiplies their
-        outputs by zero.  On a real step the masked LSTM's blend ``h_new * 1
-        + h * 0`` is ``h_new`` itself (its sign of zero aside), so the TPRs
-        equal the forward's.
-        """
-        inputs, mask, _ = self._inputs(chunk)
-        steps = inputs.swapaxes(0, 1)
-        for cell in self.lstm.cells:
-            steps = cell._run(steps, None, None)
-        counts = np.maximum(mask.sum(axis=1, keepdims=True), 1.0)
-        # A C-ordered product sums over time in the forward's order.
-        weighted = np.multiply(steps.swapaxes(0, 1), mask[:, :, None], order="C")
-        return weighted.sum(axis=1) / counts

@@ -121,13 +121,13 @@ def sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     edges trivially share its path and weak label); negative edges come from
     its negative temporal paths.
 
-    All ``(query, path)`` pairs are drawn in one batched pass: a single
-    uniform matrix is ranked per pair (invalid columns pushed to the end), so
-    each pair's first ``min(edges_per_path, length)`` ranks are a uniform
-    sample without replacement — no per-pair ``rng.choice`` calls, which
-    dominated the training step.  The per-query loop sampler is the test
-    oracle in ``tests/core/reference_sampling.py`` (same distribution,
-    different random stream).
+    All ``(query, path)`` pairs are drawn in one batched pass: a uniform
+    matrix scores every pair's columns (+inf past the path's end), and each
+    of ``edges_per_path`` rounds of a row-wise ``argmin`` picks a pair's
+    lowest score and sets it to +inf; a pair's first ``min(edges_per_path,
+    length)`` picks are a uniform sample without replacement.  The per-query
+    loop sampler is the test oracle in ``tests/core/reference_sampling.py``
+    (same distribution, different random stream).
     """
     if not (isinstance(edges_per_path, numbers.Integral) and edges_per_path >= 1):
         raise ValueError(f"edges_per_path must be a positive integer, got {edges_per_path!r}")
@@ -145,23 +145,13 @@ def sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     def draw_group(query_of_pair, pair_rows):
         pair_lengths = lengths[pair_rows]
         counts = np.minimum(edges_per_path, pair_lengths)
-
-        # Rank a uniform matrix per pair; +inf on out-of-range columns keeps
-        # them past every valid rank.  The first ``counts`` ranked columns
-        # are a uniform without-replacement sample of the valid positions.
-        # Only the smallest ``edges_per_path`` ranks are consumed, so an
-        # O(T) argpartition plus a tiny prefix sort replaces the full
-        # O(T log T) argsort when paths are longer than the sample size.
         scores = rng.random((len(pair_rows), max_len))
         scores[np.arange(max_len)[None, :] >= pair_lengths[:, None]] = np.inf
-        candidates = min(edges_per_path, max_len)
-        if candidates < max_len:
-            prefix = np.argpartition(scores, candidates - 1, axis=1)[:, :candidates]
-            prefix_scores = np.take_along_axis(scores, prefix, axis=1)
-            order = np.argsort(prefix_scores, axis=1)
-            ranked_cols = np.take_along_axis(prefix, order, axis=1)
-        else:
-            ranked_cols = np.argsort(scores, axis=1)
+        pairs = np.arange(len(pair_rows))
+        ranked_cols = np.empty((len(pair_rows), min(edges_per_path, max_len)), dtype=np.int64)
+        for rank in range(ranked_cols.shape[1]):
+            ranked_cols[:, rank] = picks = scores.argmin(axis=1)
+            scores[pairs, picks] = np.inf
 
         # Pairs are ordered by query, so the samples are too.
         take = np.arange(ranked_cols.shape[1])[None, :] < counts[:, None]

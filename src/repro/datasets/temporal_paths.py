@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -17,7 +18,13 @@ class TemporalPath:
     departure_time: object
 
     def __post_init__(self):
-        object.__setattr__(self, "path", tuple(int(e) for e in self.path))
+        path = tuple(self.path)
+        try:
+            if bool in map(type, path):
+                raise TypeError
+            object.__setattr__(self, "path", tuple(map(index, path)))
+        except TypeError:
+            raise ValueError(f"edge ids must be integers (not bools), got path {path!r}") from None
         if not self.path:
             raise ValueError("temporal path must contain at least one edge")
         if min(self.path) < 0:

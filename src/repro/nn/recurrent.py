@@ -23,15 +23,13 @@ of ``np.clip``, NaN included, without its Python wrapper.  The hidden states
 are written into one ``(time, batch, hidden)`` array, the next layer's
 input.
 
-Inference (the temporal path encoder's ``encode``) calls
-:meth:`LSTMCell._run` with neither a tape nor a mask.  The mask only blends
-a padded step's state forward, and with a prefix mask every padded step
-comes after the path's last real one, where the masked mean ignores it; on a
-real step the blend ``h_new * 1 + h * 0`` is ``h_new`` up to the sign of an
-exact zero.
+Inference calls :meth:`LSTMCell._run` with neither a tape nor a mask: see
+``repro.core.encoder.LSTMPathEncoder._representations`` for why that is exact.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -46,11 +44,18 @@ __all__ = ["LSTMCell", "LSTM"]
 _CLIP_LOW, _CLIP_HIGH, _ONE = np.array(-60.0), np.array(60.0), np.array(1.0)
 
 
+def _check_size(name, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class LSTMCell(Module):
     """One LSTM layer's parameters, i/f/g/o gates, and its fused time loop."""
 
     def __init__(self, input_size, hidden_size, rng=None):
         super().__init__()
+        _check_size("input_size", input_size)
+        _check_size("hidden_size", hidden_size)
         rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
@@ -158,8 +163,7 @@ class LSTM(Module):
 
     def __init__(self, input_size, hidden_size, num_layers=1, rng=None):
         super().__init__()
-        if num_layers < 1:
-            raise ValueError("num_layers must be >= 1")
+        _check_size("num_layers", num_layers)  # the cells check the other two
         rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import operator
 
-import numpy as np
-
 __all__ = ["plan_batches"]
 
 #: Lengths ``1..8`` share the first bucket, ``9..16`` the second, ...
@@ -26,10 +24,10 @@ _BUCKET_WIDTH = 8
 def plan_batches(lengths, max_batch_size):
     """Plan micro-batches of at most ``max_batch_size`` paths.
 
-    Returns a list of 1-D ``int64`` index arrays into ``lengths``; every
-    index appears in exactly one micro-batch, and all members of a
-    micro-batch share a length bucket.  A request holds a handful of
-    lengths, so the grouping is plain Python.  ``max_batch_size`` must be an
+    Returns a list of micro-batches, each a list of indices into
+    ``lengths``; every index appears in exactly one micro-batch, and all
+    members of a micro-batch share a length bucket.  A request holds a
+    handful of lengths, so the grouping is plain Python.  ``max_batch_size`` must be an
     integer (not a ``bool``) of at least 1 and every length at least 1;
     anything else raises ``ValueError``.
     """
@@ -46,6 +44,6 @@ def plan_batches(lengths, max_batch_size):
     buckets = {}
     for index, length in enumerate(lengths):
         buckets.setdefault((length - 1) // _BUCKET_WIDTH, []).append(index)
-    return [np.array(bucket[start:start + size], dtype=np.int64)
+    return [bucket[start:start + size]
             for _, bucket in sorted(buckets.items())
             for start in range(0, len(bucket), size)]

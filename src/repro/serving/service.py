@@ -124,7 +124,6 @@ class PathEmbeddingService:
         if pending_paths:
             lengths = [len(path.path) for _, path in pending_paths]
             for batch_indices in plan_batches(lengths, _MAX_BATCH_SIZE):
-                batch_indices = batch_indices.tolist()
                 batch = [pending_paths[i] for i in batch_indices]
                 embeddings = self._encode_batch([path for _, path in batch],
                                                 [lengths[i] for i in batch_indices])

@@ -5,11 +5,15 @@ in numpy; its output and the gradients of its four type tables must equal
 the Tensor-composed graph of ``reference_spatial.spatial_graph``.
 :meth:`~repro.core.encoder.TemporalPathEncoder.encode` runs that numpy input
 through the LSTM cells without the autograd engine or the mask; its TPRs
-must equal the Tensor forward's.  Bytes are compared, so signs of zero count
+must equal the Tensor forward's, and so must the spatial-only encoder's of
+the MB, BERT, InfoGraph and PIM baselines, which shares that hook.  Bytes are compared, so signs of zero count
 as they do in the goldens.
 """
 
 from __future__ import annotations
+
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -17,9 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_spatial import spatial_graph
 
+import repro
 from repro import nn
+from repro.baselines import SpatialSequenceEncoder
+from repro.baselines.deepgtt import _DeepGTTEncoder
 from repro.baselines.hmtrl import _HMTRLEncoder
-from repro.core import PAD_EDGE_ID, TemporalPathEncoder
+from repro.core import PAD_EDGE_ID, PathEncoder, TemporalPathEncoder
 from repro.core.encoder import pad_paths
 from repro.datasets import TemporalPath
 from repro.temporal import DepartureTime
@@ -157,6 +164,89 @@ def test_encoder_input_node_keeps_outputs_and_gradients(shared_resources, tiny_c
     assert grads.keys() == want_grads.keys()
     for name, grad in grads.items():
         assert _bytes(grad) == _bytes(want_grads[name]), name
+
+
+def _spatial_reference_forward(encoder, temporal_paths):
+    """The spatial-only encoder's representations from the pipeline it had
+    before it shared the temporal path encoder's: the spatial embedding's
+    forward, the masked LSTM and the Tensor masked mean."""
+    edge_ids, mask = pad_paths(temporal_paths)
+    outputs, _ = encoder.lstm(encoder.spatial(edge_ids), mask=mask)
+    return nn.functional.masked_mean(outputs, mask)
+
+
+@pytest.fixture(scope="module")
+def spatial_encoder(tiny_city):
+    return SpatialSequenceEncoder(tiny_city.network, hidden_dim=8, seed=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_spatial_encoder_encode_equals_the_tensor_forward(spatial_encoder, tiny_city, data):
+    chunk = data.draw(_paths(tiny_city.network.num_edges))
+    encoded = spatial_encoder.encode(chunk)
+    with nn.no_grad():
+        forward = spatial_encoder(chunk)[0].data
+        reference = _spatial_reference_forward(spatial_encoder, chunk).data
+    assert encoded.shape == (len(chunk), spatial_encoder.output_dim)
+    assert _bytes(encoded) == _bytes(forward) == _bytes(reference)
+
+
+def test_spatial_encoder_keeps_outputs_and_gradients(spatial_encoder, tiny_city):
+    paths = tiny_city.unlabeled.temporal_paths[:9]
+
+    def run(forward):
+        for param in spatial_encoder.parameters():
+            param.zero_grad()
+        pooled = forward(paths)
+        (pooled * nn.Tensor(np.random.default_rng(1).standard_normal(pooled.shape))).sum().backward()
+        return pooled.data, {name: param.grad.copy()
+                             for name, param in spatial_encoder.named_parameters()}
+
+    pooled, grads = run(lambda chunk: spatial_encoder(chunk)[0])
+    want_pooled, want_grads = run(lambda chunk: _spatial_reference_forward(spatial_encoder, chunk))
+    assert _bytes(pooled) == _bytes(want_pooled)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert _bytes(grad) == _bytes(want_grads[name]), name
+
+
+def _subclasses(cls):
+    for subclass in cls.__subclasses__():
+        yield subclass
+        yield from _subclasses(subclass)
+
+
+def test_every_lstm_encoder_encodes_through_the_shared_numpy_hook(shared_resources,
+                                                                  tiny_city):
+    rng = np.random.default_rng(0)
+    config = shared_resources.config
+    builders = {
+        TemporalPathEncoder: lambda: shared_resources.new_encoder(),
+        SpatialSequenceEncoder: lambda: SpatialSequenceEncoder(tiny_city.network),
+        _HMTRLEncoder: lambda: _HMTRLEncoder(config, shared_resources.new_spatial_embedding(rng=rng),
+                                             shared_resources.new_temporal_embedding(), rng),
+        _DeepGTTEncoder: lambda: _DeepGTTEncoder(tiny_city.network, config, shared_resources),
+    }
+    from repro.core import LSTMPathEncoder
+
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    # A new path encoder must be listed here, so that it is checked.
+    assert {cls for cls in _subclasses(PathEncoder)
+            if cls.__module__.startswith("repro.")} == set(builders) | {LSTMPathEncoder}
+    shared = LSTMPathEncoder._representations
+    for cls, build in builders.items():
+        encoder = build()
+        assert type(encoder) is cls
+        if not hasattr(encoder, "lstm"):
+            continue
+        if cls is _HMTRLEncoder:
+            # Its mean+max pooling is not the shared hook's masked mean.
+            assert cls._representations is PathEncoder._representations
+        else:
+            assert cls._representations is shared, cls.__name__
+            assert cls._representations is not PathEncoder._representations
 
 
 def test_hmtrl_encode_is_its_forward(shared_resources, tiny_city):

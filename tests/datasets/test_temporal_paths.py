@@ -35,6 +35,20 @@ class TestTemporalPath:
         assert tp.num_edges == 3
         assert tp.path == (3, 4, 5)
 
+    @pytest.mark.parametrize("path", [(1.7, 2), (True, 2), (2, False), ("3",), (1, 2.0),
+                                      np.array([1.0, 2.0]), np.array([True, False])])
+    def test_non_integer_edge_ids_rejected(self, path):
+        # int() used to alias them: (1.7, 2) became (1, 2) and ("3",) (3,).
+        with pytest.raises(ValueError, match=r"edge ids must be integers \(not bools\), got path"):
+            TemporalPath(path=path, departure_time=DepartureTime.from_hour(0, 8.0))
+
+    @pytest.mark.parametrize("path", [np.array([3, 4, 5]), (np.int32(3), np.uint8(4), 5),
+                                      (e for e in (3, 4, 5))])
+    def test_numpy_integer_edge_ids_become_ints(self, path):
+        tp = TemporalPath(path=path, departure_time=DepartureTime.from_hour(0, 8.0))
+        assert tp.path == (3, 4, 5)
+        assert all(type(edge) is int for edge in tp.path)
+
     def test_hashable_and_frozen(self):
         tp = TemporalPath(path=[1, 2], departure_time=DepartureTime.from_hour(0, 8.0))
         assert tp == TemporalPath(path=[1, 2], departure_time=tp.departure_time)

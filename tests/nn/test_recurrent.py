@@ -96,6 +96,23 @@ class TestLSTM:
         with pytest.raises(ValueError):
             nn.LSTM(4, 4, num_layers=0)
 
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, 4.0, True, "4", None])
+    @pytest.mark.parametrize("name", ["input_size", "hidden_size", "num_layers"])
+    def test_rejects_sizes_that_are_not_integers_of_at_least_one(self, name, bad):
+        # LSTM(4, 0) and LSTM(0, 4) used to construct, and num_layers=1.5
+        # failed with a TypeError inside range().
+        sizes = {"input_size": 4, "hidden_size": 4, "num_layers": 1, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            nn.LSTM(**sizes)
+        if name != "num_layers":
+            sizes.pop("num_layers")
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                nn.LSTMCell(**sizes)
+
+    def test_accepts_numpy_integer_sizes(self):
+        lstm = nn.LSTM(np.int64(3), np.int32(2), num_layers=np.int64(2))
+        assert len(lstm.cells) == 2
+
     def test_stacked_layers_chain_cells(self, rng):
         """Layer 2 runs its cell over layer 1's hidden states (Eq. 7, stacked)."""
         lstm = nn.LSTM(input_size=3, hidden_size=4, num_layers=2, rng=np.random.default_rng(2))

@@ -2,7 +2,7 @@
 
 ``repro.serving.plan_batches`` groups a request's handful of lengths in plain
 Python; this is the vectorised planner it replaced, whose plans it must
-equal array for array.
+equal, each index array read as a list.
 """
 
 from __future__ import annotations
