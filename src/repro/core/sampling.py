@@ -129,7 +129,8 @@ def sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     loop sampler is the test oracle in ``tests/core/reference_sampling.py``
     (same distribution, different random stream).
     """
-    if not (isinstance(edges_per_path, numbers.Integral) and edges_per_path >= 1):
+    if isinstance(edges_per_path, bool) or not (isinstance(edges_per_path, numbers.Integral)
+                                                and edges_per_path >= 1):
         raise ValueError(f"edges_per_path must be a positive integer, got {edges_per_path!r}")
     mask = np.asarray(mask)
     if mask.ndim != 2:

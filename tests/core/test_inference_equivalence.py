@@ -5,9 +5,10 @@ in numpy; its output and the gradients of its four type tables must equal
 the Tensor-composed graph of ``reference_spatial.spatial_graph``.
 :meth:`~repro.core.encoder.TemporalPathEncoder.encode` runs that numpy input
 through the LSTM cells without the autograd engine or the mask; its TPRs
-must equal the Tensor forward's, and so must the spatial-only encoder's of
-the MB, BERT, InfoGraph and PIM baselines, which shares that hook.  Bytes are compared, so signs of zero count
-as they do in the goldens.
+must equal the Tensor forward's, and so must the representations of the
+spatial-only encoder of the MB, BERT, InfoGraph and PIM baselines, which
+shares that hook.  Bytes are compared, so signs of zero count as they do in
+the goldens.
 """
 
 from __future__ import annotations

@@ -160,7 +160,7 @@ class TestEdgeSampleSets:
 class TestSamplerRejectsBadInput:
     """Regressions: these inputs gave empty samples or a deep IndexError."""
 
-    @pytest.mark.parametrize("edges_per_path", [0, -1, 1.5])
+    @pytest.mark.parametrize("edges_per_path", [0, -1, 1.5, True])
     def test_edges_per_path_must_be_a_positive_integer(self, rng, edges_per_path):
         batch, _ = make_batch()
         _, mask = pad_paths([tp for tp, _ in batch])
