@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.config import WSCCLConfig
+from ..core.model import slot_embeddings
 from ..core.temporal_embedding import TemporalEmbedding
 
 __all__ = ["RepresentationModel", "SupervisedModel"]
@@ -71,5 +72,6 @@ def mean_pool_edge_vectors(edge_vectors, paths):
 
 def departure_slot_embedding():
     """The frozen departure-time slot embedding of PIM-Temporal and STGCN."""
-    return TemporalEmbedding(WSCCLConfig.test_scale().with_overrides(
-        temporal_dim=_TEMPORAL_DIM, slots_per_day=_SLOTS_PER_DAY))
+    config = WSCCLConfig.test_scale().with_overrides(
+        temporal_dim=_TEMPORAL_DIM, slots_per_day=_SLOTS_PER_DAY)
+    return TemporalEmbedding(config, slot_embeddings(config))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..core.encoder import pad_paths
 from .sequence_encoder import SpatialSequenceModel
 
 __all__ = ["BERTPathModel"]
@@ -37,7 +36,6 @@ class BERTPathModel(SpatialSequenceModel):
         def loss_of(step, indices):
             batch_paths = [paths[i] for i in indices]
             pooled, outputs, mask = encoder(batch_paths)
-            edge_ids, _ = pad_paths(batch_paths)
 
             # ---- masked edge objective: one edge per path ----------------
             target_types = []
@@ -45,7 +43,7 @@ class BERTPathModel(SpatialSequenceModel):
             for row, path in enumerate(batch_paths):
                 valid = len(path)
                 masked_position = int(rng.integers(0, valid))
-                target_types.append(categories[edge_ids[row, masked_position], 0])
+                target_types.append(categories[path.path[masked_position], 0])
                 context_vectors.append(pooled[row:row + 1, :])
             contexts = nn.Tensor.concatenate(context_vectors, axis=0)
             logits = mask_head(contexts)

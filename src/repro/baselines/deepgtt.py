@@ -30,9 +30,9 @@ __all__ = ["DeepGTTModel"]
 class _DeepGTTEncoder(PathEncoder):
     """Mean-pooled edge features conditioned on the departure time slot."""
 
-    def __init__(self, network, config, resources=None, seed=0):
+    def __init__(self, resources, seed=0):
         super().__init__()
-        resources = resources or SharedResources(network, config)
+        config = resources.config
         rng = np.random.default_rng(seed)
         self.output_dim = config.hidden_dim
         self.spatial = resources.new_spatial_embedding(rng=rng)
@@ -65,10 +65,8 @@ class DeepGTTModel(SupervisedSequenceModel):
         self.config = config or WSCCLConfig.test_scale()
         super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
 
-    def build_encoder(self, city, resources=None):
-        self._encoder = _DeepGTTEncoder(
-            city.network, self.config, resources=resources, seed=self.seed,
-        )
+    def build_encoder(self, city):
+        self._encoder = _DeepGTTEncoder(SharedResources(city.network, self.config), seed=self.seed)
         return self._encoder
 
     def _scale_targets(self, targets):

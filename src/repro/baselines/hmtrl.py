@@ -53,8 +53,8 @@ class HMTRLModel(SupervisedSequenceModel):
         self.config = config or WSCCLConfig.test_scale()
         super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
 
-    def build_encoder(self, city, resources=None):
-        resources = resources or SharedResources(city.network, self.config)
+    def build_encoder(self, city):
+        resources = SharedResources(city.network, self.config)
         rng = np.random.default_rng(self.seed)
         self._encoder = _HMTRLEncoder(self.config, resources.new_spatial_embedding(rng=rng),
                                       resources.new_temporal_embedding(), rng)

@@ -30,9 +30,8 @@ class PathRankModel(SupervisedSequenceModel):
         super().__init__(dim=self.config.hidden_dim, epochs=epochs, seed=seed)
         self.pretrained_state = pretrained_state
 
-    def build_encoder(self, city, resources=None):
-        resources = resources or SharedResources(city.network, self.config)
-        self._encoder = resources.new_encoder(seed=self.seed)
+    def build_encoder(self, city):
+        self._encoder = SharedResources(city.network, self.config).new_encoder(seed=self.seed)
         if self.pretrained_state is not None:
             self._encoder.load_state_dict(self.pretrained_state)
         return self._encoder

@@ -14,6 +14,7 @@ import numpy as np
 from .. import nn
 from ..core.config import WSCCLConfig
 from ..core.encoder import LSTMPathEncoder, pad_paths
+from ..core.model import edge_topology_features
 from ..core.spatial import SpatialEmbedding
 from ..datasets.splits import minibatch_indices
 from .base import _BATCH_SIZE, _LR, RepresentationModel
@@ -38,7 +39,8 @@ class SpatialSequenceEncoder(LSTMPathEncoder):
         rng = np.random.default_rng(seed)
         self.config = WSCCLConfig.test_scale().with_overrides(hidden_dim=hidden_dim)
         self.output_dim = hidden_dim
-        self.spatial = SpatialEmbedding(network, self.config, rng=rng)
+        self.spatial = SpatialEmbedding(network, self.config,
+                                        edge_topology_features(network, self.config), rng=rng)
         self.lstm = nn.LSTM(self.config.spatial_dim, hidden_dim, rng=rng)
 
     def _inputs(self, temporal_paths):

@@ -42,7 +42,7 @@ class SupervisedSequenceModel(SupervisedModel):
         self._target_std = 1.0
 
     # ------------------------------------------------------------------
-    def build_encoder(self, city, resources=None):
+    def build_encoder(self, city):
         """Create ``self._encoder`` for the given city dataset."""
         raise NotImplementedError
 
@@ -61,12 +61,12 @@ class SupervisedSequenceModel(SupervisedModel):
         return nn.functional.mse_loss(self._predict(pooled), observed)
 
     # ------------------------------------------------------------------
-    def fit(self, city, **kwargs):
+    def fit(self, city):
         """Unsupervised ``fit`` only builds the encoder (used before encode)."""
-        self.build_encoder(city, **kwargs)
+        self.build_encoder(city)
         return self
 
-    def fit_supervised(self, examples, task, city=None, max_batches=None, **kwargs):
+    def fit_supervised(self, examples, task, city=None, max_batches=None):
         """Train end-to-end on labelled examples of ``task``.
 
         ``task`` is 'travel_time' or 'ranking'; the targets are the
@@ -80,7 +80,7 @@ class SupervisedSequenceModel(SupervisedModel):
         if self._encoder is None:
             if city is None:
                 raise ValueError("pass city= the first time fit_supervised is called")
-            self.build_encoder(city, **kwargs)
+            self.build_encoder(city)
 
         paths = [e.temporal_path for e in examples]
         scaled = self._scale_targets(task_labels(task, examples))

@@ -20,7 +20,7 @@ from .sampling import (
     sample_edge_sets,
 )
 from .persistence import load_model, save_model
-from .spatial import SpatialEmbedding, compute_edge_topology_features
+from .spatial import SpatialEmbedding
 from .temporal_embedding import TemporalEmbedding
 from .trainer import TrainingHistory, WSCTrainer
 from .wsccl import WSCCL
@@ -28,7 +28,6 @@ from .wsccl import WSCCL
 __all__ = [
     "WSCCLConfig",
     "SpatialEmbedding",
-    "compute_edge_topology_features",
     "TemporalEmbedding",
     "LSTMPathEncoder",
     "PathEncoder",

@@ -125,13 +125,20 @@ class WSCCLConfig:
     def __post_init__(self):
         for name in _POSITIVE_INTS:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in _POSITIVE_FLOATS:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 < value < float("inf")):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if not 0.0 <= self.lambda_balance <= 1.0:
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
+                                               and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.topology_dim % 2:
+            raise ValueError("topology_dim must be even (two endpoint embeddings), "
+                             f"got {self.topology_dim!r}")
+        if isinstance(self.lambda_balance, bool) or not (
+                isinstance(self.lambda_balance, numbers.Real) and 0.0 <= self.lambda_balance <= 1.0):
             raise ValueError(f"lambda_balance must be in [0, 1], got {self.lambda_balance!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 for contrastive training")

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import SharedResources
 from .trainer import WSCTrainer
 
 __all__ = [
@@ -60,12 +59,13 @@ def split_into_meta_sets(samples, num_meta_sets):
     return meta_sets, assignments
 
 
-def train_experts(network, meta_sets, config, resources=None, weak_labeler=None,
-                  batches_per_epoch=None):
+def train_experts(resources, meta_sets, config, weak_labeler=None, batches_per_epoch=None):
     """Train one independent WSC expert per meta-set.
 
-    Each expert starts from a different random initialisation (seeded by its
-    meta-set index) and sees only its own meta-set, per the paper.
+    Each expert is built by ``resources``, a
+    :class:`~repro.core.model.SharedResources`, from a different random
+    initialisation (seeded by its meta-set index) and sees only its own
+    meta-set, per the paper.
 
     A ``weak_labeler`` is required whenever any meta-set holds samples:
     without one the experts would silently stay at their random
@@ -75,7 +75,6 @@ def train_experts(network, meta_sets, config, resources=None, weak_labeler=None,
         raise ValueError(
             "train_experts needs a weak_labeler when meta-sets are non-empty; "
             "untrained experts would yield meaningless difficulty scores")
-    resources = resources or SharedResources(network, config)
     experts = []
     for set_index, meta_set in enumerate(meta_sets):
         expert = resources.new_encoder(seed=config.seed + 100 + set_index)

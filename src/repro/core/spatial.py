@@ -8,8 +8,10 @@ Each edge of a path is embedded as the concatenation of
   the edge's two endpoint nodes (Eq. 5), projected to ``topology_dim``.
 
 The topology feature comes from a node2vec run over the road network and is
-kept frozen, exactly as in the paper; the categorical embedding matrices are
-learned end-to-end with the rest of the encoder.
+kept frozen, exactly as in the paper: the layer takes it as an array, which
+:func:`repro.core.model.edge_topology_features` computes (and
+:class:`~repro.core.model.SharedResources` holds).  The categorical embedding
+matrices are learned end-to-end with the rest of the encoder.
 
 The forward is numpy: one gather of the topology rows and the four category
 tables into one buffer (:meth:`SpatialEmbedding._gather`), wrapped in one
@@ -26,26 +28,9 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..graph import Node2Vec, Node2VecConfig
 from ..nn.tensor import scatter_sum
 
-__all__ = ["SpatialEmbedding", "compute_edge_topology_features"]
-
-
-def compute_edge_topology_features(network, dim, config=None, seed=0):
-    """Node2vec topology feature per edge (Eq. 5), shape ``(num_edges, dim)``.
-
-    ``dim`` must be even: each endpoint contributes ``dim / 2`` dimensions.
-    """
-    if dim % 2 != 0:
-        raise ValueError("topology dim must be even (two endpoint embeddings)")
-    node_dim = dim // 2
-    n2v_config = config or Node2VecConfig(dim=node_dim, seed=seed)
-    if n2v_config.dim != node_dim:
-        raise ValueError("config dim must equal topology dim / 2")
-    node2vec = Node2Vec(n2v_config)
-    node2vec.fit_road_network(network)
-    return node2vec.edge_topology_embeddings(network)
+__all__ = ["SpatialEmbedding"]
 
 
 class SpatialEmbedding(nn.Module):
@@ -58,12 +43,10 @@ class SpatialEmbedding(nn.Module):
     config:
         A :class:`~repro.core.config.WSCCLConfig`.
     topology_features:
-        Optional pre-computed ``(num_edges, topology_dim)`` array.  When
-        omitted it is computed here with node2vec (the expensive part), so
-        callers that share a network across models should pass it in.
+        The frozen ``(num_edges, topology_dim)`` topology feature matrix.
     """
 
-    def __init__(self, network, config, topology_features=None, rng=None):
+    def __init__(self, network, config, topology_features, rng=None):
         super().__init__()
         self.config = config
         self.network = network
@@ -75,19 +58,6 @@ class SpatialEmbedding(nn.Module):
         self.one_way_embedding = nn.Embedding(encoder.num_one_way, config.one_way_dim, rng=rng)
         self.signals_embedding = nn.Embedding(encoder.num_signals, config.signals_dim, rng=rng)
 
-        if topology_features is None:
-            topology_features = compute_edge_topology_features(
-                network, config.topology_dim,
-                config=Node2VecConfig(
-                    dim=config.topology_dim // 2,
-                    walks_per_node=config.node2vec_walks,
-                    walk_length=config.node2vec_walk_length,
-                    window=config.node2vec_window,
-                    epochs=config.node2vec_epochs,
-                    seed=config.seed,
-                ),
-                seed=config.seed,
-            )
         topology_features = np.asarray(topology_features, dtype=np.float64)
         if topology_features.shape != (network.num_edges, config.topology_dim):
             raise ValueError(

@@ -3,7 +3,9 @@
 A temporal graph over ``(day of week, time slot)`` nodes is embedded with
 node2vec; the temporal embedding of a departure time is the embedding of its
 slot node.  The embedding is kept frozen during WSC training, matching the
-paper's pipeline where node2vec is a pre-processing step.
+paper's pipeline where node2vec is a pre-processing step: the layer takes the
+slot embeddings as an array, which :func:`repro.core.model.slot_embeddings`
+computes (and :class:`~repro.core.model.SharedResources` holds).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from operator import attrgetter
 import numpy as np
 
 from .. import nn
-from ..graph import Node2Vec, Node2VecConfig
-from ..temporal.temporal_graph import build_temporal_graph
 from ..temporal.timeslots import DAYS_PER_WEEK
 
 __all__ = ["TemporalEmbedding"]
@@ -32,18 +32,15 @@ class TemporalEmbedding(nn.Module):
         A :class:`~repro.core.config.WSCCLConfig`; ``temporal_dim`` and
         ``slots_per_day`` control the embedding size and graph granularity.
     embeddings:
-        Optional pre-computed ``(slots_per_day * 7, temporal_dim)`` array to
-        reuse across models (e.g. the curriculum experts).
+        The frozen ``(slots_per_day * 7, temporal_dim)`` slot embeddings.
     """
 
-    def __init__(self, config, embeddings=None):
+    def __init__(self, config, embeddings):
         super().__init__()
         self.config = config
         self.slots_per_day = config.slots_per_day
         self.num_nodes = self.slots_per_day * DAYS_PER_WEEK
 
-        if embeddings is None:
-            embeddings = self._fit_node2vec(config)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if embeddings.shape != (self.num_nodes, config.temporal_dim):
             raise ValueError(
@@ -51,18 +48,6 @@ class TemporalEmbedding(nn.Module):
                 f"expected {(self.num_nodes, config.temporal_dim)}"
             )
         self._embeddings = embeddings
-
-    def _fit_node2vec(self, config):
-        graph = build_temporal_graph(slots_per_day=self.slots_per_day)
-        node2vec = Node2Vec(Node2VecConfig(
-            dim=config.temporal_dim,
-            walks_per_node=config.node2vec_walks,
-            walk_length=config.node2vec_walk_length,
-            window=config.node2vec_window,
-            epochs=config.node2vec_epochs,
-            seed=config.seed,
-        ))
-        return node2vec.fit_temporal_graph(graph)
 
     @property
     def output_dim(self):

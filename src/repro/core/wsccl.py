@@ -74,8 +74,7 @@ class WSCCL:
         samples = list(dataset)
         meta_sets, assignments = split_into_meta_sets(samples, self.config.num_meta_sets)
         self.experts = train_experts(
-            self.network, meta_sets, self.config,
-            resources=self.resources, weak_labeler=dataset.weak_labeler,
+            self.resources, meta_sets, self.config, weak_labeler=dataset.weak_labeler,
             batches_per_epoch=expert_batches,
         )
         scores = difficulty_scores(samples, assignments, self.experts)

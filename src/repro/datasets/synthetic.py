@@ -46,7 +46,7 @@ class DatasetScale:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(
                     f"{field.name} must be a positive integer, got {value!r}")
 

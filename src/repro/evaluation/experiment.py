@@ -69,8 +69,11 @@ class HarnessConfig:
         for name in ("baseline_dim", "baseline_epochs", "supervised_epochs",
                      "max_batches", "n_estimators"):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
+                                               and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (isinstance(self.test_fraction, numbers.Real)
                 and 0.0 < self.test_fraction < 1.0):
             raise ValueError(

@@ -32,14 +32,14 @@ class Node2VecConfig:
         for name, value in (("dim", dim), ("walks_per_node", walks_per_node),
                             ("walk_length", walk_length), ("window", window),
                             ("negatives", negatives), ("epochs", epochs)):
-            if not (isinstance(value, numbers.Integral) and value >= 1):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name, value in (("p", p), ("q", q), ("lr", lr)):
             if not (isinstance(value, numbers.Real) and value > 0):
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
-        if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         self.dim = dim
         self.walks_per_node = walks_per_node

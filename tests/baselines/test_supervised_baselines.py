@@ -83,18 +83,6 @@ class TestSupervisedSequenceModels:
                                  city=tiny_city)
         assert model._encoder is None
 
-    @pytest.mark.parametrize("model_cls", SEQUENCE_SUPERVISED)
-    def test_shared_resources_give_the_same_encoder(self, model_cls, tiny_city,
-                                                    tiny_config, shared_resources):
-        """Building with or without SharedResources initialises the same weights."""
-        own = model_cls(config=tiny_config, seed=3).build_encoder(tiny_city)
-        shared = model_cls(config=tiny_config, seed=3).build_encoder(
-            tiny_city, resources=shared_resources)
-        own_state, shared_state = own.state_dict(), shared.state_dict()
-        assert own_state.keys() == shared_state.keys()
-        for name, value in own_state.items():
-            np.testing.assert_array_equal(shared_state[name], value, err_msg=name)
-
     def test_deepgtt_predictions_positive_for_travel_time(self, tiny_city, tiny_config):
         model = DeepGTTModel(config=tiny_config, epochs=1, seed=0)
         model.fit_supervised(tiny_city.tasks.travel_time, "travel_time",
@@ -110,7 +98,7 @@ class TestPathRankPretraining:
         state = wsccl.encoder_state_dict()
 
         pretrained = PathRankModel(config=tiny_config, pretrained_state=state, seed=0)
-        pretrained.build_encoder(tiny_city, resources=shared_resources)
+        pretrained.build_encoder(tiny_city)
         loaded_state = pretrained._encoder.state_dict()
         for name, value in state.items():
             np.testing.assert_allclose(loaded_state[name], value)
@@ -122,9 +110,9 @@ class TestPathRankPretraining:
         state = wsccl.encoder_state_dict()
 
         scratch = PathRankModel(config=tiny_config, seed=0)
-        scratch.build_encoder(tiny_city, resources=shared_resources)
+        scratch.build_encoder(tiny_city)
         pretrained = PathRankModel(config=tiny_config, pretrained_state=state, seed=0)
-        pretrained.build_encoder(tiny_city, resources=shared_resources)
+        pretrained.build_encoder(tiny_city)
 
         scratch_state = scratch._encoder.state_dict()
         pretrained_state = pretrained._encoder.state_dict()

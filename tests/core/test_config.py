@@ -67,6 +67,13 @@ class TestWSCCLConfig:
     (WSCCLConfig, "learning_rate", 0.0),
     (WSCCLConfig, "grad_clip", -1.0),
     (WSCCLConfig, "temperature", float("nan")),
+    (WSCCLConfig, "topology_dim", 7),
+    # A bool is an int to numpy and to ``range``: True would train 1 epoch.
+    (WSCCLConfig, "epochs", True),
+    (WSCCLConfig, "lambda_balance", True),
+    (WSCCLConfig, "seed", -1),
+    (WSCCLConfig, "seed", 1.5),
+    (WSCCLConfig, "seed", True),
     (Node2VecConfig, "dim", 0),
     (Node2VecConfig, "walks_per_node", 0),
     (Node2VecConfig, "walk_length", 1),
@@ -76,6 +83,8 @@ class TestWSCCLConfig:
     (Node2VecConfig, "p", 0.0),
     (Node2VecConfig, "q", -2.0),
     (Node2VecConfig, "lr", float("nan")),
+    (Node2VecConfig, "dim", True),
+    (Node2VecConfig, "seed", True),
 ])
 def test_configs_reject_non_positive_values(config_class, name, value):
     with pytest.raises(ValueError, match=name):
@@ -94,12 +103,15 @@ _BAD_SCALE_AND_HARNESS_VALUES = [
     (DatasetScale.tiny(), "grid_rows", 0),
     (DatasetScale.tiny(), "grid_cols", -3),
     (DatasetScale.tiny(), "num_trips", 2.5),
+    (DatasetScale.tiny(), "num_trips", True),
     (DatasetScale.tiny(), "num_labeled", 0),
     (HarnessConfig(), "baseline_dim", 0),
     (HarnessConfig(), "baseline_epochs", -1),
     (HarnessConfig(), "supervised_epochs", 1.5),
     (HarnessConfig(), "max_batches", 0),
     (HarnessConfig(), "n_estimators", 0),
+    (HarnessConfig(), "n_estimators", True),
+    (HarnessConfig(), "seed", -1),
     (HarnessConfig(), "test_fraction", 0.0),
     (HarnessConfig(), "test_fraction", 1.0),
     (HarnessConfig(), "test_fraction", float("nan")),

@@ -58,8 +58,7 @@ class TestExpertsAndDifficulty:
     def experts_setup(self, tiny_city, tiny_config, shared_resources, samples):
         meta_sets, assignments = split_into_meta_sets(samples, tiny_config.num_meta_sets)
         experts = train_experts(
-            tiny_city.network, meta_sets, tiny_config,
-            resources=shared_resources,
+            shared_resources, meta_sets, tiny_config,
             weak_labeler=tiny_city.unlabeled.weak_labeler,
             batches_per_epoch=1,
         )
@@ -155,12 +154,10 @@ class TestTrainExpertsValidation:
         # experts, making the downstream difficulty scores pure noise.
         meta_sets, _ = split_into_meta_sets(samples, tiny_config.num_meta_sets)
         with pytest.raises(ValueError):
-            train_experts(tiny_city.network, meta_sets, tiny_config,
-                          resources=shared_resources, weak_labeler=None)
+            train_experts(shared_resources, meta_sets, tiny_config, weak_labeler=None)
 
     def test_none_labeler_with_all_empty_meta_sets_allowed(self, tiny_city,
                                                            tiny_config,
                                                            shared_resources):
-        experts = train_experts(tiny_city.network, [[], []], tiny_config,
-                                resources=shared_resources, weak_labeler=None)
+        experts = train_experts(shared_resources, [[], []], tiny_config, weak_labeler=None)
         assert len(experts) == 2

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SpatialEmbedding, TemporalEmbedding, compute_edge_topology_features
+from repro.core import SpatialEmbedding, TemporalEmbedding
+from repro.core.model import edge_topology_features, slot_embeddings
 from repro.core.encoder import PAD_EDGE_ID
 from repro.temporal import SLOTS_PER_DAY, TOTAL_SLOTS, DepartureTime
 
@@ -14,7 +15,7 @@ class TestSpatialEmbedding:
     @pytest.fixture(scope="class")
     def embedding(self, tiny_city, tiny_config, shared_resources):
         return SpatialEmbedding(tiny_city.network, tiny_config,
-                                topology_features=shared_resources.topology_features)
+                                shared_resources.topology_features)
 
     def test_output_shape(self, embedding, tiny_config):
         edge_ids = np.array([[0, 1, 2], [3, 4, 5]])
@@ -53,22 +54,20 @@ class TestSpatialEmbedding:
     def test_topology_shape_mismatch_rejected(self, tiny_city, tiny_config):
         bad = np.zeros((3, tiny_config.topology_dim))
         with pytest.raises(ValueError):
-            SpatialEmbedding(tiny_city.network, tiny_config, topology_features=bad)
+            SpatialEmbedding(tiny_city.network, tiny_config, bad)
 
-    def test_compute_edge_topology_features(self, tiny_network):
-        features = compute_edge_topology_features(tiny_network, dim=8, seed=0)
-        assert features.shape == (tiny_network.num_edges, 8)
+    def test_shared_resources_hold_the_edge_topology_features(self, tiny_city, tiny_config,
+                                                             shared_resources):
+        features = edge_topology_features(tiny_city.network, tiny_config)
+        assert features.shape == (tiny_city.network.num_edges, tiny_config.topology_dim)
         assert np.isfinite(features).all()
-
-    def test_topology_dim_must_be_even(self, tiny_network):
-        with pytest.raises(ValueError):
-            compute_edge_topology_features(tiny_network, dim=7)
+        assert features.tobytes() == shared_resources.topology_features.tobytes()
 
 
 class TestTemporalEmbedding:
     @pytest.fixture(scope="class")
     def embedding(self, tiny_config, shared_resources):
-        return TemporalEmbedding(tiny_config, embeddings=shared_resources.temporal_embeddings)
+        return TemporalEmbedding(tiny_config, shared_resources.temporal_embeddings)
 
     def test_output_shape(self, embedding, tiny_config):
         times = [DepartureTime.from_hour(0, 8.0), DepartureTime.from_hour(3, 15.0)]
@@ -87,8 +86,7 @@ class TestTemporalEmbedding:
         # Monday is the second slot of the day; Wednesday midnight opens
         # Wednesday's slots.
         config = tiny_config.with_overrides(slots_per_day=SLOTS_PER_DAY)
-        embedding = TemporalEmbedding(
-            config, embeddings=np.zeros((TOTAL_SLOTS, config.temporal_dim)))
+        embedding = TemporalEmbedding(config, np.zeros((TOTAL_SLOTS, config.temporal_dim)))
         times = [DepartureTime(day_of_week=0, seconds=6 * 60), DepartureTime.from_hour(2, 0.0)]
         assert embedding.slot_indices(times).tolist() == [1, 2 * SLOTS_PER_DAY]
 
@@ -108,4 +106,9 @@ class TestTemporalEmbedding:
 
     def test_shape_mismatch_rejected(self, tiny_config):
         with pytest.raises(ValueError):
-            TemporalEmbedding(tiny_config, embeddings=np.zeros((3, tiny_config.temporal_dim)))
+            TemporalEmbedding(tiny_config, np.zeros((3, tiny_config.temporal_dim)))
+
+    def test_shared_resources_hold_the_slot_embeddings(self, tiny_config, shared_resources):
+        embeddings = slot_embeddings(tiny_config)
+        assert embeddings.shape == (tiny_config.slots_per_day * 7, tiny_config.temporal_dim)
+        assert embeddings.tobytes() == shared_resources.temporal_embeddings.tobytes()

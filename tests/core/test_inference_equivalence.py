@@ -227,7 +227,7 @@ def test_every_lstm_encoder_encodes_through_the_shared_numpy_hook(shared_resourc
         SpatialSequenceEncoder: lambda: SpatialSequenceEncoder(tiny_city.network),
         _HMTRLEncoder: lambda: _HMTRLEncoder(config, shared_resources.new_spatial_embedding(rng=rng),
                                              shared_resources.new_temporal_embedding(), rng),
-        _DeepGTTEncoder: lambda: _DeepGTTEncoder(tiny_city.network, config, shared_resources),
+        _DeepGTTEncoder: lambda: _DeepGTTEncoder(shared_resources),
     }
     from repro.core import LSTMPathEncoder
 

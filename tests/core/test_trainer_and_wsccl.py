@@ -192,7 +192,7 @@ class TestWSCCL:
             model.fit_without_curriculum(dataset)
         else:
             meta_sets, _ = split_into_meta_sets(list(dataset), tiny_config.num_meta_sets)
-            train_experts(tiny_city.network, meta_sets, tiny_config, resources=shared_resources,
+            train_experts(shared_resources, meta_sets, tiny_config,
                           weak_labeler=dataset.weak_labeler)
         assert len(count_steps) == steps
 

@@ -48,6 +48,21 @@ def test_one_dijkstra_loop_in_road_search():
     assert len(re.findall(r"\bheappop\(", source)) == 1
 
 
+def test_one_owner_of_the_frozen_node2vec_features():
+    # core/model.py turns a WSCCLConfig into node2vec features; every layer,
+    # encoder and baseline takes their arrays.  Only the Node2vec baseline
+    # runs a fit of its own.
+    root = pathlib.Path(repro.__file__).parent
+    fits = sorted({
+        str(path.relative_to(root)) for path in root.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Node2Vec"
+    })
+    assert fits == ["baselines/graph_embedding.py", "core/model.py"]
+    core = "".join(path.read_text() for path in (root / "core").rglob("*.py"))
+    assert len(re.findall(r"\bNode2VecConfig\(", core)) == 1
+
+
 def test_one_update_step_in_src():
     # Every training loop updates through Optimizer.minimize; a
     # zero_grad/backward/step call anywhere else would be a second loop body.
