@@ -129,7 +129,8 @@ class WSCCLConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name in _POSITIVE_FLOATS:
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and 0 < value < float("inf")):
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and 0 < value < float("inf")):
                 raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
                                                and self.seed >= 0):

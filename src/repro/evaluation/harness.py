@@ -1,8 +1,15 @@
 """Table/figure runners: one function per experiment in the paper's §VII.
 
-Every function returns plain dictionaries (method -> metrics) so a caller
-can print the table, pin it byte for byte (``tests/golden/``) or assert on
-its *shape* (who wins, orderings; ``perfbench/suite.py``).
+Every function returns plain dictionaries (city -> row label -> metrics) so
+a caller can print the table, pin it byte for byte (``tests/golden/``) or
+assert on its *shape* (who wins, orderings; ``perfbench/suite.py``).
+
+There is one city loop, :func:`_table`: it builds each named city once and
+nests the ``(label, row)`` pairs that a runner's row function yields for it,
+in the order they are yielded.  A runner only lists its rows, and fits them
+in that order; a WSCCL row is :func:`_wsccl_row`, a fit and its scores under
+one config, and the sweeps of Tables XI and XII replace fields of
+``config.wsccl``.
 
 Frozen representation models are scored through
 :func:`representation_task_results`: one
@@ -84,16 +91,29 @@ def supervised_task_results(model, city, config, task, train_limit=None):
     return score_task(task, test, model.predict([e.temporal_path for e in test])).as_row()
 
 
+def _table(config, city_names, rows):
+    """Build each named city once and nest the ``(label, row)`` pairs that
+    ``rows(city)`` yields: ``{city_name: {label: row, ...}, ...}``."""
+    return {name: dict(rows(build_dataset(name, config))) for name in city_names}
+
+
+def _wsccl_row(city, config, tasks=("travel_time", "ranking"), **fit):
+    """Fit a WSCCL variant (``fit`` goes to :func:`fit_wsccl`) and score it
+    on ``tasks`` under the same config."""
+    return representation_task_results(fit_wsccl(city, config, **fit), city, config, tasks)
+
+
+def _with_wsccl(config, **overrides):
+    """``config`` with some of its WSCCL hyper-parameters replaced."""
+    return dataclasses.replace(config, wsccl=dataclasses.replace(config.wsccl, **overrides))
+
+
 # ----------------------------------------------------------------------
 # Table II — dataset statistics
 # ----------------------------------------------------------------------
 def run_table2_dataset_statistics(config, cities=("aalborg", "harbin", "chengdu")):
     """Regenerate the dataset statistics table."""
-    rows = {}
-    for name in cities:
-        city = build_dataset(name, config)
-        rows[name] = city.statistics()
-    return rows
+    return _table(config, cities, lambda city: city.statistics().items())
 
 
 # ----------------------------------------------------------------------
@@ -103,31 +123,21 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
                        include_supervised=True, include_edge_sum=True):
     """Travel-time and ranking results for WSCCL and the baselines."""
     methods = methods or UNSUPERVISED_BASELINES
-    results = {}
-    for city_name in cities:
-        city = build_dataset(city_name, config)
-        city_rows = {}
 
+    def rows(city):
         for name in methods:
-            model = fit_unsupervised_baseline(name, city, config)
-            city_rows[name] = representation_task_results(model, city, config)
+            yield name, representation_task_results(
+                fit_unsupervised_baseline(name, city, config), city, config)
+        for name in SUPERVISED_BASELINES if include_supervised else ():
+            yield name, {task: supervised_task_results(
+                build_supervised_baseline(name, config), city, config, task)
+                for task in ("travel_time", "ranking")}
+        for name in EDGE_SUM_BASELINES if include_edge_sum else ():
+            yield name, {"travel_time": supervised_task_results(
+                build_supervised_baseline(name, config), city, config, "travel_time")}
+        yield "WSCCL", _wsccl_row(city, config)
 
-        if include_supervised:
-            for name in SUPERVISED_BASELINES:
-                city_rows[name] = {
-                    task: supervised_task_results(
-                        build_supervised_baseline(name, config), city, config, task)
-                    for task in ("travel_time", "ranking")
-                }
-        if include_edge_sum:
-            for name in EDGE_SUM_BASELINES:
-                city_rows[name] = {"travel_time": supervised_task_results(
-                    build_supervised_baseline(name, config), city, config, "travel_time")}
-
-        wsccl = fit_wsccl(city, config, variant="full")
-        city_rows["WSCCL"] = representation_task_results(wsccl, city, config)
-        results[city_name] = city_rows
-    return results
+    return _table(config, cities, rows)
 
 
 # ----------------------------------------------------------------------
@@ -136,83 +146,49 @@ def run_table3_overall(config, cities=("aalborg",), methods=None,
 def run_table4_recommendation(config, cities=("aalborg",), methods=None):
     """Path recommendation accuracy / hit rate for WSCCL and baselines."""
     methods = methods or UNSUPERVISED_BASELINES
-    results = {}
-    for city_name in cities:
-        city = build_dataset(city_name, config)
-        city_rows = {}
+    tasks = ("recommendation",)
+
+    def rows(city):
         for name in methods:
-            model = fit_unsupervised_baseline(name, city, config)
-            city_rows[name] = representation_task_results(
-                model, city, config, tasks=("recommendation",))["recommendation"]
-        wsccl = fit_wsccl(city, config, variant="full")
-        city_rows["WSCCL"] = representation_task_results(
-            wsccl, city, config, tasks=("recommendation",))["recommendation"]
-        results[city_name] = city_rows
-    return results
+            yield name, representation_task_results(
+                fit_unsupervised_baseline(name, city, config), city, config,
+                tasks)["recommendation"]
+        yield "WSCCL", _wsccl_row(city, config, tasks)["recommendation"]
+
+    return _table(config, cities, rows)
 
 
 # ----------------------------------------------------------------------
-# Table V — learned vs heuristic curriculum
+# Tables V-VIII — WSCCL variants: curriculum design, ablation of CL and of
+# the global and local losses, POP vs TCI weak labels, temporal information
 # ----------------------------------------------------------------------
 def run_table5_curriculum_design(config, city_name="aalborg"):
     """Learned curriculum (WSCCL) vs the length-sorted heuristic curriculum."""
-    city = build_dataset(city_name, config)
-    rows = {}
-    for label, variant in (("Heuristic", "heuristic"), ("WSCCL", "full")):
-        model = fit_wsccl(city, config, variant=variant)
-        rows[label] = representation_task_results(model, city, config)
-    return {city_name: rows}
+    return _table(config, (city_name,), lambda city: (
+        (label, _wsccl_row(city, config, variant=variant))
+        for label, variant in (("Heuristic", "heuristic"), ("WSCCL", "full"))))
 
 
-# ----------------------------------------------------------------------
-# Table VI — ablation of CL, global and local losses
-# ----------------------------------------------------------------------
 def run_table6_ablation(config, city_name="aalborg"):
     """WSCCL vs w/o CL, w/o Global, w/o Local."""
-    city = build_dataset(city_name, config)
-    rows = {}
-    variants = (
-        ("w/o CL", "no_cl"),
-        ("w/o Global", "no_global"),
-        ("w/o Local", "no_local"),
-        ("WSCCL", "full"),
-    )
-    for label, variant in variants:
-        model = fit_wsccl(city, config, variant=variant)
-        rows[label] = representation_task_results(model, city, config)
-    return {city_name: rows}
+    variants = (("w/o CL", "no_cl"), ("w/o Global", "no_global"),
+                ("w/o Local", "no_local"), ("WSCCL", "full"))
+    return _table(config, (city_name,), lambda city: (
+        (label, _wsccl_row(city, config, variant=variant)) for label, variant in variants))
 
 
-# ----------------------------------------------------------------------
-# Table VII — POP vs TCI weak labels
-# ----------------------------------------------------------------------
 def run_table7_weak_labels(config, cities=("harbin",)):
     """WSCCL trained with POP vs TCI weak labels."""
-    results = {}
-    for city_name in cities:
-        city = build_dataset(city_name, config)
-        rows = {}
-        for label, weak in (("WSCCL-TCI", "tci"), ("WSCCL-POP", "pop")):
-            model = fit_wsccl(city, config, variant="full", weak_labels=weak)
-            rows[label] = representation_task_results(model, city, config)
-        results[city_name] = rows
-    return results
+    return _table(config, cities, lambda city: (
+        (label, _wsccl_row(city, config, variant="full", weak_labels=weak))
+        for label, weak in (("WSCCL-TCI", "tci"), ("WSCCL-POP", "pop"))))
 
 
-# ----------------------------------------------------------------------
-# Table VIII — effect of temporal information
-# ----------------------------------------------------------------------
 def run_table8_temporal(config, cities=("aalborg",)):
     """WSCCL vs WSCCL-NT (temporal embedding removed)."""
-    results = {}
-    for city_name in cities:
-        city = build_dataset(city_name, config)
-        rows = {}
-        for label, variant in (("WSCCL", "full"), ("WSCCL-NT", "no_temporal")):
-            model = fit_wsccl(city, config, variant=variant)
-            rows[label] = representation_task_results(model, city, config)
-        results[city_name] = rows
-    return results
+    return _table(config, cities, lambda city: (
+        (label, _wsccl_row(city, config, variant=variant))
+        for label, variant in (("WSCCL", "full"), ("WSCCL-NT", "no_temporal"))))
 
 
 # ----------------------------------------------------------------------
@@ -220,16 +196,12 @@ def run_table8_temporal(config, cities=("aalborg",)):
 # ----------------------------------------------------------------------
 def run_table9_pim_temporal(config, cities=("aalborg",)):
     """WSCCL vs PIM with a concatenated temporal embedding."""
-    results = {}
-    for city_name in cities:
-        city = build_dataset(city_name, config)
-        rows = {}
-        pim_temporal = fit_unsupervised_baseline("PIM-Temporal", city, config)
-        rows["PIM-Temporal"] = representation_task_results(pim_temporal, city, config)
-        wsccl = fit_wsccl(city, config, variant="full")
-        rows["WSCCL"] = representation_task_results(wsccl, city, config)
-        results[city_name] = rows
-    return results
+    def rows(city):
+        yield "PIM-Temporal", representation_task_results(
+            fit_unsupervised_baseline("PIM-Temporal", city, config), city, config)
+        yield "WSCCL", _wsccl_row(city, config)
+
+    return _table(config, cities, rows)
 
 
 # ----------------------------------------------------------------------
@@ -244,55 +216,39 @@ def run_table10_supervised_transfer(config, city_name="aalborg",
     to travel time — matching the paper's naming where the suffix denotes the
     *secondary* task the representation is transferred to.
     """
-    city = build_dataset(city_name, config)
-    rows = {}
-    for name in methods:
-        # Train on the primary task; score the secondary one through the
-        # frozen representations.
-        for primary, secondary, suffix in (("travel_time", "ranking", "PR"),
-                                           ("ranking", "travel_time", "TTE")):
-            model = build_supervised_baseline(name, config)
-            row = {primary: supervised_task_results(model, city, config, primary)}
-            row.update(representation_task_results(model, city, config, tasks=(secondary,)))
-            rows[f"{name}-{suffix}"] = {task: row[task] for task in ("travel_time", "ranking")}
+    def rows(city):
+        for name in methods:
+            # Train on the primary task; score the secondary one through the
+            # frozen representations.
+            for primary, secondary, suffix in (("travel_time", "ranking", "PR"),
+                                               ("ranking", "travel_time", "TTE")):
+                model = build_supervised_baseline(name, config)
+                row = {primary: supervised_task_results(model, city, config, primary)}
+                row.update(representation_task_results(model, city, config, tasks=(secondary,)))
+                yield f"{name}-{suffix}", {task: row[task] for task in ("travel_time", "ranking")}
+        yield "WSCCL", _wsccl_row(city, config)
 
-    wsccl = fit_wsccl(city, config, variant="full")
-    rows["WSCCL"] = representation_task_results(wsccl, city, config)
-    return {city_name: rows}
+    return _table(config, (city_name,), rows)
 
 
 # ----------------------------------------------------------------------
-# Table XI — effect of λ
+# Tables XI and XII — effect of λ and of the number of meta-sets N
 # ----------------------------------------------------------------------
 def run_table11_lambda(config, city_name="aalborg",
                        lambdas=(0.0, 0.2, 0.4, 0.6, 0.8, 1.0)):
     """Sweep the global/local balance λ."""
-    city = build_dataset(city_name, config)
-    rows = {}
-    for value in lambdas:
-        lambda_config = dataclasses.replace(
-            config, wsccl=config.wsccl.with_overrides(lambda_balance=float(value)))
-        model = fit_wsccl(city, lambda_config, variant="no_cl")
-        rows[float(value)] = representation_task_results(model, city, lambda_config)
-    return {city_name: rows}
+    return _table(config, (city_name,), lambda city: (
+        (float(value), _wsccl_row(city, _with_wsccl(config, lambda_balance=float(value)),
+                                  variant="no_cl"))
+        for value in lambdas))
 
 
-# ----------------------------------------------------------------------
-# Table XII — effect of the number of meta-sets N
-# ----------------------------------------------------------------------
 def run_table12_metasets(config, city_name="aalborg", meta_set_counts=(2, 4, 6)):
     """Sweep the number of meta-sets / curriculum stages (N = M)."""
-    city = build_dataset(city_name, config)
-    rows = {}
-    for count in meta_set_counts:
-        sweep_config = dataclasses.replace(
-            config,
-            wsccl=config.wsccl.with_overrides(
-                num_meta_sets=int(count), num_stages=int(count)),
-        )
-        model = fit_wsccl(city, sweep_config, variant="full")
-        rows[int(count)] = representation_task_results(model, city, sweep_config)
-    return {city_name: rows}
+    return _table(config, (city_name,), lambda city: (
+        (int(count), _wsccl_row(city, _with_wsccl(
+            config, num_meta_sets=int(count), num_stages=int(count)), variant="full"))
+        for count in meta_set_counts))
 
 
 # ----------------------------------------------------------------------
@@ -306,26 +262,25 @@ def run_fig7_pretraining(config, city_name="aalborg",
     PathRank trained from scratch and PathRank whose encoder is initialised
     from a trained WSCCL model.
     """
-    city = build_dataset(city_name, config)
-    wsccl = fit_wsccl(city, config, variant="full")
-    pretrained_state = wsccl.encoder_state_dict()
-
     tasks = ("travel_time", "ranking")
-    train_sizes = {
-        task: len(task_split(task, getattr(city.tasks, task),
-                             config.test_fraction, config.seed)[0])
-        for task in tasks
-    }
 
-    series = {"scratch": {}, "pretrained": {}}
-    for fraction in label_fractions:
-        for mode in ("scratch", "pretrained"):
-            state = pretrained_state if mode == "pretrained" else None
-            series[mode][float(fraction)] = {
-                task: supervised_task_results(
-                    build_supervised_baseline("PathRank", config, pretrained_state=state),
-                    city, config, task,
-                    train_limit=max(4, int(round(train_sizes[task] * fraction))))
-                for task in tasks
-            }
-    return {city_name: series}
+    def rows(city):
+        pretrained_state = fit_wsccl(city, config, variant="full").encoder_state_dict()
+        train_sizes = {
+            task: len(task_split(task, getattr(city.tasks, task),
+                                 config.test_fraction, config.seed)[0])
+            for task in tasks
+        }
+        series = {"scratch": {}, "pretrained": {}}
+        for fraction in label_fractions:
+            for mode, state in (("scratch", None), ("pretrained", pretrained_state)):
+                series[mode][float(fraction)] = {
+                    task: supervised_task_results(
+                        build_supervised_baseline("PathRank", config, pretrained_state=state),
+                        city, config, task,
+                        train_limit=max(4, int(round(train_sizes[task] * fraction))))
+                    for task in tasks
+                }
+        return series.items()
+
+    return _table(config, (city_name,), rows)

@@ -35,8 +35,9 @@ class Node2VecConfig:
             if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         for name, value in (("p", p), ("q", q), ("lr", lr)):
-            if not (isinstance(value, numbers.Real) and value > 0):
-                raise ValueError(f"{name} must be a positive number, got {value!r}")
+            if isinstance(value, bool) or not (
+                    isinstance(value, numbers.Real) and 0 < value < float("inf")):
+                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
         if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):

@@ -74,6 +74,9 @@ class TestWSCCLConfig:
     (WSCCLConfig, "seed", -1),
     (WSCCLConfig, "seed", 1.5),
     (WSCCLConfig, "seed", True),
+    (WSCCLConfig, "temperature", True),
+    (WSCCLConfig, "grad_clip", True),
+    (WSCCLConfig, "learning_rate", True),
     (Node2VecConfig, "dim", 0),
     (Node2VecConfig, "walks_per_node", 0),
     (Node2VecConfig, "walk_length", 1),
@@ -85,6 +88,12 @@ class TestWSCCLConfig:
     (Node2VecConfig, "lr", float("nan")),
     (Node2VecConfig, "dim", True),
     (Node2VecConfig, "seed", True),
+    (Node2VecConfig, "p", True),
+    (Node2VecConfig, "q", True),
+    (Node2VecConfig, "lr", True),
+    (Node2VecConfig, "p", float("inf")),
+    (Node2VecConfig, "q", float("inf")),
+    (Node2VecConfig, "lr", float("inf")),
 ])
 def test_configs_reject_non_positive_values(config_class, name, value):
     with pytest.raises(ValueError, match=name):

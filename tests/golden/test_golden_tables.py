@@ -3,7 +3,9 @@
 Each case recomputes a seeded result and compares its canonical JSON text
 with the file committed next to this module, so any change to the numbers
 (a refactor that reorders a float reduction, a different RNG draw, a changed
-default) fails here with the first differing line.  Every table runner of
+default) fails here with the first differing line.  The JSON sorts its keys,
+so each table case also checks the order of its cities and rows
+(``ROW_ORDER``) on the same result.  Every table runner of
 ``repro.evaluation`` (Table II, Tables III-XII and Fig. 7) has a case at
 ``HarnessConfig()``, and a guard test fails when a new runner lands unpinned.
 The tables score representations through gradient-boosted trees, whose
@@ -181,16 +183,54 @@ CASES = {
 }
 
 
+_STATISTICS = ["name", "num_nodes", "num_edges", "unlabeled_paths", "labeled_paths",
+               "weak_label_distribution"]
+_UNSUPERVISED = ["Node2vec", "DGI", "GMI", "MB", "BERT", "InfoGraph", "PIM"]
+
+#: Each table case's cities, and each city's rows, in the order the runner
+#: inserts them.  ``canonical_json`` sorts keys, so only this sees a runner
+#: that reorders its rows; ``format_metric_table`` and
+#: ``format_nested_results`` print in insertion order.  A dict nests one
+#: level deeper (Fig. 7's label fractions per series).
+ROW_ORDER = {
+    "table2_dataset_statistics": {
+        "aalborg": _STATISTICS, "harbin": _STATISTICS, "chengdu": _STATISTICS},
+    "table3_overall": {"aalborg": _UNSUPERVISED + [
+        "DeepGTT", "HMTRL", "PathRank", "GCN", "STGCN", "WSCCL"]},
+    "table4_recommendation": {"aalborg": _UNSUPERVISED + ["WSCCL"]},
+    "table5_curriculum_design": {"aalborg": ["Heuristic", "WSCCL"]},
+    "table6_ablation": {"aalborg": ["w/o CL", "w/o Global", "w/o Local", "WSCCL"]},
+    "table7_weak_labels": {"harbin": ["WSCCL-TCI", "WSCCL-POP"]},
+    "table8_temporal": {"aalborg": ["WSCCL", "WSCCL-NT"]},
+    "table9_pim_temporal": {"aalborg": ["PIM-Temporal", "WSCCL"]},
+    "table10_supervised_transfer": {"aalborg": [
+        "PathRank-PR", "PathRank-TTE", "DeepGTT-PR", "DeepGTT-TTE", "WSCCL"]},
+    "table11_lambda": {"aalborg": [0.0, 0.4, 0.8, 1.0]},
+    "table12_metasets": {"aalborg": [2, 4]},
+    "fig7_pretraining": {"aalborg": {"scratch": [0.5, 1.0], "pretrained": [0.5, 1.0]}},
+}
+
+
+def key_order(value, shape):
+    """``value``'s keys in insertion order, nested as deep as ``shape`` is."""
+    if isinstance(shape, dict):
+        return [(key, key_order(value[key], shape.get(key))) for key in value]
+    return list(value)
+
+
 def test_every_table_runner_is_pinned():
     runners = [name for name in repro.evaluation.__all__ if name.startswith("run_")]
     assert runners
     assert [name for name in runners if name.removeprefix("run_") not in CASES] == []
+    assert [name for name in runners if name.removeprefix("run_") not in ROW_ORDER] == []
 
 
 def assert_matches_golden(name):
     expected = (GOLDEN_DIR / f"{name}.json").read_text()
-    actual = canonical_json(CASES[name]())
-    assert actual.splitlines() == expected.splitlines()
+    result = CASES[name]()
+    assert canonical_json(result).splitlines() == expected.splitlines()
+    if name in ROW_ORDER:
+        assert key_order(result, ROW_ORDER[name]) == key_order(ROW_ORDER[name], ROW_ORDER[name])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

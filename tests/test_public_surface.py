@@ -48,6 +48,14 @@ def test_one_dijkstra_loop_in_road_search():
     assert len(re.findall(r"\bheappop\(", source)) == 1
 
 
+def test_one_city_loop_in_the_table_runners():
+    # Every run_* lists its rows and hands them to _table, which builds the
+    # cities; a runner with a build_dataset call would be a second loop.
+    harness = importlib.import_module("repro.evaluation.harness")
+    assert len(re.findall(r"\bbuild_dataset\(", inspect.getsource(harness))) == 1
+    assert re.search(r"\bbuild_dataset\(", inspect.getsource(harness._table))
+
+
 def test_one_owner_of_the_frozen_node2vec_features():
     # core/model.py turns a WSCCLConfig into node2vec features; every layer,
     # encoder and baseline takes their arrays.  Only the Node2vec baseline
