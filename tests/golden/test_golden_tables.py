@@ -12,7 +12,8 @@ The tables score representations through gradient-boosted trees, whose
 predictions move only when a value crosses a split, so one more case pins a
 hash of every fitted model's raw output (``baseline_representations``), and
 one more pins every WSCCL variant fit at ``HarnessConfig.benchmark()``, the
-scale ``perfbench/`` times (``wsccl_variant_fits``).
+scale ``perfbench/`` times (``wsccl_variant_fits``), and one pins the node2vec
+walks both of WSCCL's graph embeddings start from (``node2vec_walks``).
 
 The files are written once and not regenerated by refactors that claim to
 keep outputs identical.  Cities and node2vec fits are memoized per process
@@ -38,6 +39,7 @@ from repro import _memo
 from repro.datasets import DatasetScale, aalborg
 from repro.datasets.tasks import task_split
 import repro.evaluation
+from repro.graph import Node2Vec, RandomWalker
 from repro.evaluation import (
     EDGE_SUM_BASELINES,
     SUPERVISED_BASELINES,
@@ -61,6 +63,7 @@ from repro.evaluation import (
     run_table12_metasets,
 )
 from repro.serving import PathEmbeddingService
+from repro.temporal import build_temporal_graph
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -157,6 +160,40 @@ def wsccl_variant_fits():
     return digests
 
 
+class _GraphOf(Node2Vec):
+    """A ``Node2Vec`` whose ``fit`` returns the graph it was given."""
+
+    def fit(self, neighbors_fn, num_nodes):
+        return neighbors_fn, num_nodes
+
+
+def node2vec_walks():
+    """sha256 digests of ``RandomWalker.generate_walks`` at seed 0.
+
+    Covers the temporal graph at 24 and 48 slots per day and the undirected
+    road neighbourhoods of the three tiny cities (as ``fit_road_network``
+    builds them), each at the pipeline's two walk settings: ``(1, 5)`` of
+    ``WSCCLConfig.test_scale()`` and ``(3, 10)`` of the default config and
+    the Node2vec baseline.
+    """
+    graphs = {}
+    for slots in (24, 48):
+        graphs[f"temporal {slots} slots"] = _GraphOf().fit_temporal_graph(
+            build_temporal_graph(slots_per_day=slots))
+    for name in ("aalborg", "harbin", "chengdu"):
+        graphs[f"{name} road"] = _GraphOf().fit_road_network(
+            build_dataset(name, HarnessConfig()).network)
+    digests = {}
+    for graph, (neighbors_fn, num_nodes) in graphs.items():
+        for walks_per_node, walk_length in ((1, 5), (3, 10)):
+            walks = RandomWalker(neighbors_fn, num_nodes, seed=0).generate_walks(
+                walks_per_node, walk_length)
+            text = json.dumps(walks, separators=(",", ":"))
+            digests[f"{graph} {walks_per_node}x{walk_length}"] = (
+                f"{len(walks)} {hashlib.sha256(text.encode()).hexdigest()}")
+    return digests
+
+
 CASES = {
     "table2_dataset_statistics": lambda: run_table2_dataset_statistics(
         HarnessConfig(), cities=("aalborg", "harbin", "chengdu")),
@@ -180,6 +217,7 @@ CASES = {
     "aalborg_tiny_mapmatched": mapmatched_dataset_summary,
     "baseline_representations": baseline_representations,
     "wsccl_variant_fits": wsccl_variant_fits,
+    "node2vec_walks": node2vec_walks,
 }
 
 
