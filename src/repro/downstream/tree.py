@@ -26,6 +26,8 @@ the scan grows bit-identical trees.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = ["DecisionTreeRegressor"]
@@ -34,10 +36,13 @@ _MIN_GAIN = 1e-12
 
 
 def _check_at_least_one(**values):
-    """Reject any size-like setting below 1, naming it."""
+    """Reject any size-like setting that is not an integer >= 1, naming it.
+
+    A bool is an int to ``range`` and to comparisons, so it is rejected too.
+    """
     for name, value in values.items():
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _check_finite(name, values):

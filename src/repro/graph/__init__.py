@@ -1,4 +1,4 @@
-"""Graph embedding substrate: node2vec (biased walks + skip-gram)."""
+"""Graph embedding substrate: node2vec (uniform walks at p = q = 1 + skip-gram)."""
 
 from .node2vec import Node2Vec, Node2VecConfig, concat_endpoint_embeddings
 from .skipgram import SkipGramTrainer

@@ -14,7 +14,7 @@ import numpy as np
 
 from .._memo import remember
 from .skipgram import SkipGramTrainer
-from .walks import RandomWalker, _neighbourhoods
+from .walks import RandomWalker, _check_positive_integers, _neighbourhoods
 
 __all__ = ["Node2Vec", "Node2VecConfig", "concat_endpoint_embeddings"]
 
@@ -22,22 +22,19 @@ __all__ = ["Node2Vec", "Node2VecConfig", "concat_endpoint_embeddings"]
 class Node2VecConfig:
     """Hyper-parameters for one node2vec run.
 
+    Walks are uniform (node2vec at p = q = 1, see :mod:`repro.graph.walks`).
     ``lr`` is the initial skip-gram learning rate; it decays linearly, as in
     word2vec.  ``seed`` must be a non-negative integer: a fit is a pure
     function of its config and graph.
     """
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
-                 negatives=5, epochs=2, p=1.0, q=1.0, lr=0.025, seed=0):
-        for name, value in (("dim", dim), ("walks_per_node", walks_per_node),
-                            ("walk_length", walk_length), ("window", window),
-                            ("negatives", negatives), ("epochs", epochs)):
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        for name, value in (("p", p), ("q", q), ("lr", lr)):
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Real) and 0 < value < float("inf")):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+                 negatives=5, epochs=2, lr=0.025, seed=0):
+        _check_positive_integers(dim=dim, walks_per_node=walks_per_node,
+                                 walk_length=walk_length, window=window,
+                                 negatives=negatives, epochs=epochs)
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < float("inf")):
+            raise ValueError(f"lr must be a positive finite number, got {lr!r}")
         if walk_length < 2:
             raise ValueError("walk_length must be >= 2")
         if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
@@ -48,8 +45,6 @@ class Node2VecConfig:
         self.window = window
         self.negatives = negatives
         self.epochs = epochs
-        self.p = p
-        self.q = q
         self.lr = lr
         self.seed = seed
 
@@ -79,16 +74,14 @@ class Node2Vec:
         num_nodes:
             Number of nodes in the graph, a positive integer.
         """
-        if not (isinstance(num_nodes, numbers.Integral) and num_nodes >= 1):
-            raise ValueError(f"num_nodes must be a positive integer, got {num_nodes!r}")
+        _check_positive_integers(num_nodes=num_nodes)
         # Checked before the memo key hashes it, so a bad neighbour raises
         # the walker's ValueError even when it is unhashable.
         adjacency = _neighbourhoods(neighbors_fn, num_nodes)
         cfg = self.config
 
         def train():
-            walker = RandomWalker(adjacency.__getitem__, num_nodes, p=cfg.p, q=cfg.q,
-                                  seed=cfg.seed)
+            walker = RandomWalker(adjacency.__getitem__, num_nodes, seed=cfg.seed)
             walks = walker.generate_walks(cfg.walks_per_node, cfg.walk_length)
             trainer = SkipGramTrainer(num_nodes=num_nodes, dim=cfg.dim, window=cfg.window,
                                       negatives=cfg.negatives, lr=cfg.lr, seed=cfg.seed)

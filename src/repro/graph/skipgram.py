@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .walks import _check_positive_integers
+
 __all__ = ["SkipGramTrainer"]
 
 #: Word2vec's learning-rate floor: the linear decay never goes below
@@ -44,12 +46,15 @@ class SkipGramTrainer:
     lr:
         Initial SGD learning rate; it decays linearly over the planned
         updates of a :meth:`train` call, floored at ``lr / 10_000``.
+
+    ``num_nodes``, ``dim``, ``window``, ``negatives`` and ``batch_size``
+    must be positive integers.
     """
 
     def __init__(self, num_nodes, dim, window=5, negatives=5, lr=0.025, seed=0,
                  batch_size=512):
-        if dim < 1:
-            raise ValueError("dim must be >= 1")
+        _check_positive_integers(num_nodes=num_nodes, dim=dim, window=window,
+                                 negatives=negatives, batch_size=batch_size)
         self.num_nodes = num_nodes
         self.dim = dim
         self.window = window

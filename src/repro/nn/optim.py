@@ -7,6 +7,9 @@ baselines' included, updates its parameters through :meth:`Optimizer.minimize`.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 __all__ = ["Optimizer", "Adam", "clip_grad_norm"]
@@ -39,8 +42,10 @@ class Optimizer:
         self.parameters = list(parameters)
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        # A NaN rate passes ``lr <= 0`` and turns every parameter NaN.
+        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real)
+                                        and math.isfinite(lr) and lr > 0):
+            raise ValueError(f"lr must be a positive finite number, got {lr!r}")
         self.lr = lr
 
     def zero_grad(self):

@@ -83,16 +83,10 @@ class TestWSCCLConfig:
     (Node2VecConfig, "window", 0),
     (Node2VecConfig, "negatives", -1),
     (Node2VecConfig, "epochs", 1.5),
-    (Node2VecConfig, "p", 0.0),
-    (Node2VecConfig, "q", -2.0),
     (Node2VecConfig, "lr", float("nan")),
     (Node2VecConfig, "dim", True),
     (Node2VecConfig, "seed", True),
-    (Node2VecConfig, "p", True),
-    (Node2VecConfig, "q", True),
     (Node2VecConfig, "lr", True),
-    (Node2VecConfig, "p", float("inf")),
-    (Node2VecConfig, "q", float("inf")),
     (Node2VecConfig, "lr", float("inf")),
 ])
 def test_configs_reject_non_positive_values(config_class, name, value):

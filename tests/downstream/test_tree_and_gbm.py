@@ -66,6 +66,18 @@ class TestSettings:
         with pytest.raises(ValueError, match=setting):
             booster(**{setting: 0})
 
+    @pytest.mark.parametrize("model, setting", [
+        (DecisionTreeRegressor, "max_depth"), (DecisionTreeRegressor, "min_samples_leaf"),
+        (DecisionTreeRegressor, "max_thresholds"),
+        (GradientBoostingRegressor, "n_estimators"), (GradientBoostingClassifier, "n_estimators"),
+        (GradientBoostingRegressor, "max_depth")])
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_sizes_must_be_integers(self, model, setting, value):
+        # Regression: True was read as 1, and n_estimators=2.5 failed only
+        # at fit, with a TypeError from range.
+        with pytest.raises(ValueError, match=f"{setting} must be an integer >= 1, got {value!r}"):
+            model(**{setting: value})
+
 
 class TestPredictInput:
     @pytest.mark.parametrize("booster, method",

@@ -186,7 +186,7 @@ class TestFitMemo:
                 Node2Vec(Node2VecConfig(**SMALL)).fit(neighbours.__getitem__, 3)
 
     CHANGED = {"dim": 4, "walks_per_node": 3, "walk_length": 5, "window": 2,
-               "negatives": 3, "epochs": 3, "p": 0.5, "q": 2.0, "lr": 0.05, "seed": 1}
+               "negatives": 3, "epochs": 3, "lr": 0.05, "seed": 1}
 
     def test_every_config_field_is_covered(self):
         assert set(self.CHANGED) == set(vars(Node2VecConfig()))

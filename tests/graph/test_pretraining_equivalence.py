@@ -8,10 +8,11 @@ Three layers, matching the engine:
 * SGNS — because corpus and noise are bit-identical, training consumes the
   RNG identically and the final embeddings match bit for bit;
 * walks — the CSR lockstep walker consumes the RNG differently, so
-  equivalence is distributional (PR 3's histogram pattern): first-step and
-  second-order transition frequencies agree within a total-variation bound,
-  and every structural invariant (edges followed, dead ends, lengths) holds
-  for arbitrary graphs.
+  equivalence is distributional (a histogram comparison): transition
+  frequencies agree within a total-variation bound, the rates of stepping
+  back and of stepping to a common neighbour match their uniform-walk
+  values in both, and every structural invariant (edges followed, dead
+  ends, lengths) holds for arbitrary graphs.
 """
 
 from __future__ import annotations
@@ -114,66 +115,46 @@ class TestWalkDistributionalEquivalence:
             return [(node - 1) % size, (node + 1) % size]
         return neighbors
 
-    def _transition_counts(self, generate, p, q, passes, seed):
+    def _transition_counts(self, generate, passes, seed):
         size = 10
-        walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=q,
-                              seed=seed)
+        walker = RandomWalker(self._ring(size), num_nodes=size, seed=seed)
         counts = np.zeros((size, size))
         for walk in generate(walker, passes, 12):
             for a, b in zip(walk, walk[1:]):
                 counts[a, b] += 1
         return counts
 
-    @pytest.mark.parametrize("p,q", [(1.0, 1.0), (4.0, 0.25), (0.25, 4.0)])
-    def test_first_order_transition_frequencies_agree(self, p, q, reference_walks):
-        reference = self._transition_counts(reference_walks, p, q, passes=60, seed=0)
-        vectorized = self._transition_counts(RandomWalker.generate_walks, p, q,
+    def test_first_order_transition_frequencies_agree(self, reference_walks):
+        reference = self._transition_counts(reference_walks, passes=60, seed=0)
+        vectorized = self._transition_counts(RandomWalker.generate_walks,
                                              passes=60, seed=1)
         reference /= reference.sum()
         vectorized /= vectorized.sum()
         total_variation = 0.5 * np.abs(reference - vectorized).sum()
         assert total_variation < 0.05
 
-    def test_backtrack_rate_tracks_p_in_both_impls(self, reference_walks):
-        """P(walk[t] == walk[t-2]) responds to p the same way in both."""
-        def backtrack_rate(generate, p):
-            size = 12
-            walker = RandomWalker(self._ring(size), num_nodes=size, p=p, q=1.0,
-                                  seed=5)
-            hits = steps = 0
-            for walk in generate(walker, 40, 15):
-                for i in range(2, len(walk)):
-                    steps += 1
-                    hits += walk[i] == walk[i - 2]
-            return hits / steps
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_second_order_rates_are_uniform(self, engine, reference_walks):
+        """P(walk[t] == walk[t-2]) and P(walk[t] neighbours walk[t-2]).
 
-        for generate in (reference_walks, RandomWalker.generate_walks):
-            assert backtrack_rate(generate, 20.0) < backtrack_rate(generate, 0.05)
-        # And the rates themselves agree for the same p.
-        assert backtrack_rate(reference_walks, 4.0) == pytest.approx(
-            backtrack_rate(RandomWalker.generate_walks, 4.0), abs=0.04)
-
-    @pytest.mark.parametrize("q", [0.25, 4.0])
-    def test_common_neighbour_rate_tracks_q_in_both_impls(self, q, reference_walks):
-        """P(walk[t] neighbours walk[t-2]) agrees for the same q.
-
-        A ring has no common neighbours, so this one links every node to its
-        second neighbours too: each step can go back (1/p), to a common
-        neighbour of the previous node (1) or outward (1/q).
+        Every node links to its first and second neighbours on a ring of 10,
+        so a uniform step goes back with probability 1/4, and to a common
+        neighbour of the node before with probability 1/2 after a ±1 step
+        and 1/4 after a ±2 step: 3/8 in all.
         """
         size = 10
 
         def neighbors(node):
             return [(node + offset) % size for offset in (-2, -1, 1, 2)]
 
-        def common_rate(generate):
-            walker = RandomWalker(neighbors, num_nodes=size, q=q, seed=7)
-            hits = steps = 0
-            for walk in generate(walker, 40, 12):
-                for i in range(2, len(walk)):
-                    steps += 1
-                    hits += walk[i] in neighbors(walk[i - 2])
-            return hits / steps
-
-        assert common_rate(reference_walks) == pytest.approx(
-            common_rate(RandomWalker.generate_walks), abs=0.04)
+        generate = (reference_walks if engine == "reference"
+                    else RandomWalker.generate_walks)
+        walker = RandomWalker(neighbors, num_nodes=size, seed=7)
+        back = common = steps = 0
+        for walk in generate(walker, 40, 12):
+            for i in range(2, len(walk)):
+                steps += 1
+                back += walk[i] == walk[i - 2]
+                common += walk[i] in neighbors(walk[i - 2])
+        assert back / steps == pytest.approx(0.25, abs=0.03)
+        assert common / steps == pytest.approx(0.375, abs=0.03)

@@ -19,6 +19,16 @@ class TestSkipGramTrainer:
         with pytest.raises(ValueError):
             SkipGramTrainer(num_nodes=5, dim=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("dim", 2.5), ("window", True), ("negatives", True), ("batch_size", True),
+        ("window", 0), ("negatives", 1.5), ("batch_size", 0), ("num_nodes", True)])
+    def test_sizes_must_be_positive_integers(self, name, value):
+        # Regression: dim=2.5 raised a TypeError from numpy, and True was
+        # read as a window, negative count or batch size of 1.
+        sizes = {"num_nodes": 5, "dim": 2, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {value!r}"):
+            SkipGramTrainer(**sizes)
+
     def test_pairs_from_walk_window(self):
         trainer = SkipGramTrainer(num_nodes=10, dim=2, window=1)
         pairs = _pairs_from_walk(trainer.window, [0, 1, 2])

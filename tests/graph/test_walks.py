@@ -1,10 +1,10 @@
-"""Tests for biased random walks."""
+"""Tests for uniform random walks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.graph import RandomWalker
+from repro.graph import Node2VecConfig, RandomWalker
 from reference_walks import reference_walk_from
 
 
@@ -43,25 +43,6 @@ class TestRandomWalker:
         walks = walker.generate_walks(walks_per_node=3, walk_length=5)
         assert len(walks) == 18
 
-    def test_high_p_discourages_backtracking(self):
-        """With p very large and q=1, immediate backtracking should be rare."""
-        size = 30
-        backtracks = {"low_p": 0, "high_p": 0}
-        for label, p in (("low_p", 0.05), ("high_p", 50.0)):
-            walker = RandomWalker(ring_neighbors(size), num_nodes=size, p=p, q=1.0, seed=3)
-            for start in range(size):
-                walk = reference_walk_from(walker, start, length=30)
-                for i in range(2, len(walk)):
-                    if walk[i] == walk[i - 2]:
-                        backtracks[label] += 1
-        assert backtracks["high_p"] < backtracks["low_p"]
-
-    def test_invalid_p_q(self):
-        with pytest.raises(ValueError):
-            RandomWalker(ring_neighbors(4), 4, p=0.0)
-        with pytest.raises(ValueError):
-            RandomWalker(ring_neighbors(4), 4, q=-1.0)
-
     @pytest.mark.parametrize("bad", [5, -1, 1.5])
     def test_neighbour_outside_the_graph(self, bad):
         # -1 used to alias node 2 and then fail in numpy with "index 3 is out
@@ -69,6 +50,24 @@ class TestRandomWalker:
         neighbours = {0: [1], 1: [0, bad], 2: [1]}
         with pytest.raises(ValueError, match=r"node 1 has neighbour .*\[0, 3\)"):
             RandomWalker(neighbours.__getitem__, 3)
+
+    @pytest.mark.parametrize("name, value", [
+        ("walks_per_node", 2.5), ("walks_per_node", True), ("walks_per_node", 0),
+        ("walk_length", 2.5), ("walk_length", True), ("walk_length", 0)])
+    def test_generate_walks_rejects_non_positive_integer_counts(self, name, value):
+        # Regression: 2.5 walks per node raised a TypeError from range, and
+        # walks_per_node=True returned one walk per node.
+        counts = {"walks_per_node": 1, "walk_length": 3, name: value}
+        walker = RandomWalker(ring_neighbors(4), 4, seed=0)
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {value!r}"):
+            walker.generate_walks(**counts)
+
+    def test_walks_take_no_bias_parameters(self):
+        # Every walk is uniform: node2vec at p = q = 1.
+        with pytest.raises(TypeError):
+            RandomWalker(ring_neighbors(4), 4, q=1.0)
+        with pytest.raises(TypeError):
+            Node2VecConfig(p=1.0)
 
     def test_deterministic_given_seed(self):
         a = RandomWalker(ring_neighbors(8), 8, seed=7).generate_walks(1, 6)
@@ -106,18 +105,6 @@ class TestVectorizedWalker:
         assert walks[1] == [1]
         assert walks[2] == [2]
 
-    def test_high_p_discourages_backtracking(self):
-        size = 30
-        backtracks = {"low_p": 0, "high_p": 0}
-        for label, p in (("low_p", 0.05), ("high_p", 50.0)):
-            walker = RandomWalker(ring_neighbors(size), num_nodes=size, p=p,
-                                  q=1.0, seed=3)
-            for walk in walker.generate_walks(1, 30):
-                for i in range(2, len(walk)):
-                    if walk[i] == walk[i - 2]:
-                        backtracks[label] += 1
-        assert backtracks["high_p"] < backtracks["low_p"]
-
     def test_neighbors_fn_called_once_per_node(self):
         calls = []
 
@@ -149,20 +136,22 @@ class TestFixedSeedPins:
     """Pin the exact RNG streams of the engine and the loop oracle."""
 
     def test_reference_walks_pinned(self, reference_walks):
-        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42)
+        walker = RandomWalker(ring_neighbors(6), 6, seed=42)
         assert reference_walks(walker, 1, 5) == [
-            [3, 2, 1, 2, 3], [2, 3, 4, 3, 2], [5, 0, 1, 2, 3],
-            [4, 3, 2, 1, 0], [1, 2, 3, 4, 5], [0, 5, 4, 5, 0]]
+            [3, 2, 3, 2, 1], [2, 3, 4, 5, 0], [5, 0, 1, 2, 1],
+            [4, 5, 4, 5, 4], [1, 0, 1, 2, 3], [0, 5, 0, 1, 0]]
 
     def test_vectorized_walks_pinned(self):
-        walker = RandomWalker(ring_neighbors(6), 6, p=2.0, q=0.5, seed=42)
+        # Written by the second-order engine at p = q = 1, before its bias
+        # machinery was removed: the uniform step draws the same walks.
+        walker = RandomWalker(ring_neighbors(6), 6, seed=42)
         assert walker.generate_walks(1, 5) == [
-            [3, 4, 5, 0, 1], [2, 1, 0, 5, 0], [5, 0, 1, 0, 1],
-            [4, 5, 0, 1, 2], [1, 2, 3, 4, 3], [0, 5, 4, 3, 2]]
+            [3, 4, 3, 2, 1], [2, 1, 0, 1, 2], [5, 0, 1, 0, 1],
+            [4, 5, 0, 1, 2], [1, 2, 3, 4, 3], [0, 5, 4, 5, 4]]
 
     @pytest.mark.parametrize("engine", ["reference", "vectorized"])
     def test_same_seed_same_walks(self, engine, reference_walks):
         generate = (reference_walks if engine == "reference"
                     else RandomWalker.generate_walks)
-        make = lambda: RandomWalker(ring_neighbors(9), 9, p=0.5, q=2.0, seed=11)
+        make = lambda: RandomWalker(ring_neighbors(9), 9, seed=11)
         assert generate(make(), 2, 7) == generate(make(), 2, 7)

@@ -65,6 +65,13 @@ class TestAdam:
         with pytest.raises(ValueError):
             nn.Adam([nn.Parameter(np.zeros(1))], lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), True])
+    def test_rejects_non_finite_or_bool_lr(self, lr):
+        # Regression: lr=nan passed ``lr <= 0``, and one minimize then wrote
+        # NaN into every parameter.
+        with pytest.raises(ValueError, match=f"lr must be a positive finite number, got {lr!r}"):
+            nn.Adam([nn.Parameter(np.zeros(2))], lr=lr)
+
     def test_trains_a_linear_model(self, rng):
         """Adam should fit a small least-squares problem."""
         true_weights = np.array([2.0, -1.0, 0.5])
