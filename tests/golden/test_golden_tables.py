@@ -12,8 +12,9 @@ The tables score representations through gradient-boosted trees, whose
 predictions move only when a value crosses a split, so one more case pins a
 hash of every fitted model's raw output (``baseline_representations``), and
 one more pins every WSCCL variant fit at ``HarnessConfig.benchmark()``, the
-scale ``perfbench/`` times (``wsccl_variant_fits``), and one pins the node2vec
-walks both of WSCCL's graph embeddings start from (``node2vec_walks``).
+scale ``perfbench/`` times (``wsccl_variant_fits``), one pins the node2vec
+walks both of WSCCL's graph embeddings start from (``node2vec_walks``), and
+one pins every trip the cities are built from (``simulated_trips``).
 
 The files are written once and not regenerated by refactors that claim to
 keep outputs identical.  Cities and node2vec fits are memoized per process
@@ -27,6 +28,7 @@ after a deliberate output change:
 from __future__ import annotations
 
 import hashlib
+import dataclasses
 import json
 import pathlib
 import pickle
@@ -194,6 +196,43 @@ def node2vec_walks():
     return digests
 
 
+def trips_digest(city):
+    """sha256 of a city's trips, ranking scores and weak-label distribution.
+
+    Each trip contributes its path, departure time, travel time, origin,
+    destination and alternatives; floats are written with ``float.hex``.
+    """
+    def edges(path):
+        return [int(edge) for edge in path]
+
+    record = {
+        "trips": [
+            [edges(trip.path), trip.departure_time.day_of_week,
+             float(trip.departure_time.seconds).hex(), float(trip.travel_time).hex(),
+             int(trip.origin), int(trip.destination),
+             [edges(alternative) for alternative in trip.alternatives]]
+            for trip in city.trips],
+        "ranking_scores": [float(example.score).hex() for example in city.tasks.ranking],
+        "weak_label_distribution": city.unlabeled.label_distribution(),
+    }
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return f"{len(city.trips)} {hashlib.sha256(text.encode()).hexdigest()}"
+
+
+def simulated_trips():
+    """:func:`trips_digest` of the three cities at ``HarnessConfig()`` and
+    ``HarnessConfig.benchmark()``, with corpus paths from the simulator and
+    from map-matched GPS."""
+    digests = {}
+    for scale, config in (("tiny", HarnessConfig()), ("benchmark", HarnessConfig.benchmark())):
+        for paths_from in ("simulator", "mapmatched"):
+            config = dataclasses.replace(config, paths_from=paths_from)
+            for name in ("aalborg", "harbin", "chengdu"):
+                digests[f"{name} {scale} {paths_from}"] = trips_digest(
+                    build_dataset(name, config))
+    return digests
+
+
 CASES = {
     "table2_dataset_statistics": lambda: run_table2_dataset_statistics(
         HarnessConfig(), cities=("aalborg", "harbin", "chengdu")),
@@ -218,6 +257,7 @@ CASES = {
     "baseline_representations": baseline_representations,
     "wsccl_variant_fits": wsccl_variant_fits,
     "node2vec_walks": node2vec_walks,
+    "simulated_trips": simulated_trips,
 }
 
 
