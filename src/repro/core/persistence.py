@@ -5,8 +5,7 @@ features, the configuration and a small meta record (``use_temporal`` and the
 network's edge count) are stored in a single ``.npz`` archive so a trained
 model can be shipped to downstream users without retraining node2vec or the
 contrastive objective — the deployment mode the paper's "generic TPR" pitch
-implies.  Older archives may also name an ``encoder_type`` in their meta;
-only ``"lstm"`` loads.
+implies.
 """
 
 from __future__ import annotations
@@ -68,22 +67,11 @@ def load_model(path, network):
 
     The road network must be the same one the model was trained on (checked
     via its edge count); the frozen node2vec features stored in the archive
-    are reused, so no walks are re-run.  Raises ``ValueError`` when the
-    archive names an encoder other than the LSTM.
+    are reused, so no walks are re-run.
     """
     archive = np.load(path, allow_pickle=False)
-    # Archives written by older versions may carry options that no longer
-    # exist; only the current config fields are restored.
-    known = {field.name for field in dataclasses.fields(WSCCLConfig)}
-    stored = json.loads(str(archive[_CONFIG_KEY]))
-    config = WSCCLConfig(**{k: v for k, v in stored.items() if k in known})
+    config = WSCCLConfig(**json.loads(str(archive[_CONFIG_KEY])))
     meta = json.loads(str(archive[_META_KEY]))
-
-    encoder_type = meta.get("encoder_type", "lstm")
-    if encoder_type != "lstm":
-        raise ValueError(
-            f"archive holds a {encoder_type!r} encoder; only the 'lstm' "
-            "encoder can be loaded")
     if network.num_edges != meta["num_network_edges"]:
         raise ValueError(
             f"network mismatch: archive was trained on {meta['num_network_edges']} "

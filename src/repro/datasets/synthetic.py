@@ -92,10 +92,12 @@ class CityDataset:
         }
 
 
-# City-specific layout parameters.  Grid aspect, arterial spacing and the
-# congestion profile differ per city so the three datasets are genuinely
-# different distributions, mirroring (at reduced scale) the differences in
-# network density and traffic regime between Aalborg, Harbin and Chengdu.
+# City-specific layout parameters.  All three cities share one grid per
+# scale (``DatasetScale``'s rows and columns), so their undirected road graphs
+# are identical; what differs per city is the arterial spacing, the one-way
+# and signal fractions, the congestion profile, the GPS regime and the seed.
+# These mirror (at reduced scale) the differences in network density and
+# traffic regime between Aalborg, Harbin and Chengdu.
 _CITY_LAYOUTS = {
     # One-way fractions decrease from Aalborg to Chengdu so the edge/node
     # density ordering of the paper's Table II (Chengdu densest, Aalborg

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .speeds import check_finite
+
 __all__ = ["GPSPoint", "GPSTrajectory", "GPSSampler"]
 
 
@@ -44,17 +46,17 @@ class GPSTrajectory:
 
 
 class GPSSampler:
-    """Sample noisy GPS fixes along a path driven under the speed model."""
+    """Sample noisy GPS fixes along a path driven under the speed model.
+
+    ``sample_interval`` (seconds between fixes) must be a positive finite
+    number and ``noise_std`` (metres) a non-negative finite one.
+    """
 
     def __init__(self, network, speed_model, sample_interval=15.0, noise_std=8.0, seed=0):
-        if sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
         self.network = network
         self.speed_model = speed_model
-        self.sample_interval = sample_interval
-        self.noise_std = noise_std
+        self.sample_interval = check_finite("sample_interval", sample_interval, positive=True)
+        self.noise_std = check_finite("noise_std", noise_std)
         self.rng = np.random.default_rng(seed)
 
     def sample(self, path, departure_time):
@@ -63,19 +65,13 @@ class GPSSampler:
         Raises
         ------
         ValueError
-            If ``path`` is empty (there is no geometry to sample along).
+            If ``path`` is empty (there is no geometry to sample along) or
+            holds an id that is not an edge of the network.
         """
         path = list(path)
         if not path:
             raise ValueError("cannot sample GPS fixes along an empty path")
-        # Per-edge traversal times with the clock advancing along the path.
-        clock = departure_time
-        edge_times = []
-        for edge in path:
-            seconds = self.speed_model.edge_travel_time(edge, clock, rng=self.rng)
-            edge_times.append(seconds)
-            clock = clock.shift(seconds)
-
+        edge_times = self.speed_model.edge_travel_times(path, departure_time, rng=self.rng)
         cumulative = np.concatenate(([0.0], np.cumsum(edge_times)))
         total_time = cumulative[-1]
 

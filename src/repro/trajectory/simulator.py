@@ -4,11 +4,14 @@ The simulator replaces the paper's fleet GPS corpora.  For each trip it
 
 1. picks an origin/destination pair and a departure time (commute-heavy on
    weekdays, spread out on weekends),
-2. computes candidate routes with the k-shortest-path search under the
-   *time-dependent* travel costs, and picks the route a driver would take at
-   that departure time (fastest route with a small amount of choice noise),
-3. records the driven path, its simulated travel time, and (optionally) a
-   noisy GPS trace.
+2. computes candidate routes with the k-shortest-path search over every
+   edge's cost at the departure time (one
+   :meth:`~repro.trajectory.speeds.SpeedModel.edge_travel_time_vector`
+   table), prices each candidate by walking its clock edge by edge, and
+   picks the route taken at that departure time (the fastest, with a small
+   amount of choice noise),
+3. records the driven path and its travel time, priced by the same clock
+   walk with per-edge speed noise.
 
 Because route choice and travel time both depend on the departure time, the
 resulting dataset has exactly the spatio-temporal coupling WSCCL's weak
@@ -17,13 +20,14 @@ labels are designed to exploit.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..roadnet.search import k_shortest_paths
 from ..temporal.timeslots import DepartureTime
-from .speeds import SpeedModel
+from .speeds import SpeedModel, check_finite
 
 __all__ = ["Trip", "TripSimulator"]
 
@@ -55,19 +59,36 @@ class Trip:
     alternatives: list = field(default_factory=list)
 
 
+def _check_count(name, value):
+    """``value``, unless it is not an integer >= 0 (bools included): then a
+    ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class TripSimulator:
-    """Generate trips over a road network with a time-dependent speed model."""
+    """Generate trips over a road network with a time-dependent speed model.
+
+    ``min_trip_edges``, ``max_trip_edges`` and ``num_alternatives`` must be
+    non-negative integers with ``min_trip_edges <= max_trip_edges``, and
+    ``route_choice_noise`` (the relative spread of a candidate's perceived
+    cost) a finite, non-negative number.
+    """
 
     def __init__(self, network, speed_model=None, seed=0,
                  min_trip_edges=4, max_trip_edges=40, num_alternatives=3,
                  route_choice_noise=0.1):
         self.network = network
+        self.min_trip_edges = _check_count("min_trip_edges", min_trip_edges)
+        self.max_trip_edges = _check_count("max_trip_edges", max_trip_edges)
+        if min_trip_edges > max_trip_edges:
+            raise ValueError(f"min_trip_edges ({min_trip_edges}) must not exceed "
+                             f"max_trip_edges ({max_trip_edges})")
+        self.num_alternatives = _check_count("num_alternatives", num_alternatives)
+        self.route_choice_noise = check_finite("route_choice_noise", route_choice_noise)
         self.speed_model = speed_model or SpeedModel(network, seed=seed)
         self.rng = np.random.default_rng(seed)
-        self.min_trip_edges = min_trip_edges
-        self.max_trip_edges = max_trip_edges
-        self.num_alternatives = num_alternatives
-        self.route_choice_noise = route_choice_noise
 
     # ------------------------------------------------------------------
     # Departure time sampling
@@ -127,7 +148,8 @@ class TripSimulator:
         # One vectorised evaluation of every edge's cost at the departure
         # time; the search then reads from the table instead of paying a
         # Python speed-model call per relaxed edge.  The table entries are
-        # bit-identical to edge_travel_time.
+        # bit-identical to edge_travel_time, though unlike the trip's own
+        # price they do not advance the clock along the path.
         cost_vector = self.speed_model.edge_travel_time_vector(departure_time)
 
         def cost(edge):
@@ -152,9 +174,9 @@ class TripSimulator:
 
         # Route choice: drivers mostly take the fastest route at departure,
         # with a small noise term representing preference heterogeneity.
-        # All k candidates are priced in lockstep (bit-identical to pricing
-        # each with path_travel_time).
-        costs = self.speed_model.path_travel_times(candidates, departure_time)
+        # Each candidate is priced noise-free by walking its clock.
+        costs = np.array([self.speed_model.path_travel_time(candidate, departure_time)
+                          for candidate in candidates])
         noisy = costs * (1.0 + self.rng.normal(0.0, self.route_choice_noise, size=len(costs)))
         chosen_index = int(np.argmin(noisy))
         chosen = candidates[chosen_index]
@@ -174,8 +196,13 @@ class TripSimulator:
             alternatives=[list(a) for a in alternatives],
         )
 
-    def simulate(self, num_trips, progress_every=0):
-        """Simulate ``num_trips`` trips (skipping unroutable OD pairs)."""
+    def simulate(self, num_trips):
+        """Simulate ``num_trips`` trips (skipping unroutable OD pairs).
+
+        ``num_trips`` must be a non-negative integer.  Fewer trips come back
+        when ``10 * num_trips`` attempts do not yield enough routable ones.
+        """
+        _check_count("num_trips", num_trips)
         trips = []
         attempts = 0
         while len(trips) < num_trips and attempts < num_trips * 10:

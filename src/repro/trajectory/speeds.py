@@ -6,28 +6,33 @@ that dependency: a congestion profile over the day (morning and afternoon
 peaks on weekdays), modulated per road type and per edge, which yields
 realistic time-varying travel speeds for the simulator.
 
-Pricing comes in two granularities:
-
-* per-edge scalars (:meth:`SpeedModel.edge_speed`,
-  :meth:`SpeedModel.path_travel_time`) — the reference path, one Python call
-  per edge;
-* batched arrays (:meth:`SpeedModel.edge_speeds`,
-  :meth:`SpeedModel.edge_travel_time_vector`,
-  :meth:`SpeedModel.path_travel_times`) — whole-frontier numpy over static
-  per-edge factor arrays.  Noise-free batched pricing is bit-identical to
-  the reference loop.
-
-Both price congestion continuously in the departure time; nothing is
-quantised to time slots.
+Pricing walks a path's clock edge by edge
+(:meth:`SpeedModel.edge_travel_times`): each edge is priced at the time the
+vehicle reaches it, so congestion is continuous in the departure time and
+nothing is quantised to time slots.  The one batched call,
+:meth:`SpeedModel.edge_travel_time_vector`, prices every edge at a single
+departure time for the simulator's route search.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
-from ..temporal.timeslots import DAYS_PER_WEEK
-
 __all__ = ["CongestionProfile", "SpeedModel", "DEFAULT_CONGESTION_SENSITIVITY"]
+
+
+def check_finite(name, value, positive=False):
+    """``value``, unless it is a bool, a non-finite number or a negative one
+    (with ``positive``, also zero): then a ``ValueError`` naming ``name``."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a {sign} finite number, got {value!r}")
+    return value
 
 
 class CongestionProfile:
@@ -37,20 +42,20 @@ class CongestionProfile:
     congestion.  Weekday profiles have a morning peak centred at 8:00 and an
     afternoon peak centred at 17:30; weekends have a single shallow midday
     bump.  Gaussian bumps keep the profile smooth, so travel times vary
-    continuously with departure time.
+    continuously with departure time.  Every argument must be a finite,
+    non-negative number, and ``peak_width_hours`` a positive one.
     """
 
     def __init__(self, morning_peak_hour=8.0, afternoon_peak_hour=17.5,
                  morning_intensity=0.85, afternoon_intensity=0.75,
                  weekend_intensity=0.30, peak_width_hours=1.2):
-        if peak_width_hours <= 0:
-            raise ValueError("peak_width_hours must be positive")
-        self.morning_peak_hour = morning_peak_hour
-        self.afternoon_peak_hour = afternoon_peak_hour
-        self.morning_intensity = morning_intensity
-        self.afternoon_intensity = afternoon_intensity
-        self.weekend_intensity = weekend_intensity
-        self.peak_width_hours = peak_width_hours
+        self.morning_peak_hour = check_finite("morning_peak_hour", morning_peak_hour)
+        self.afternoon_peak_hour = check_finite("afternoon_peak_hour", afternoon_peak_hour)
+        self.morning_intensity = check_finite("morning_intensity", morning_intensity)
+        self.afternoon_intensity = check_finite("afternoon_intensity", afternoon_intensity)
+        self.weekend_intensity = check_finite("weekend_intensity", weekend_intensity)
+        self.peak_width_hours = check_finite("peak_width_hours", peak_width_hours,
+                                             positive=True)
 
     def level(self, departure_time):
         """Congestion level in [0, 1] at a departure time."""
@@ -64,32 +69,14 @@ class CongestionProfile:
         midday = self.weekend_intensity * _bump(hour, 13.0, 2.5)
         return float(np.clip(0.05 + midday, 0.0, 1.0))
 
-    def level_batch(self, days, seconds):
-        """Vectorised :meth:`level` over parallel day/seconds arrays.
-
-        Elementwise identical to the scalar formula (same IEEE operations in
-        the same order), so batched pricing matches the per-edge reference
-        bit for bit.
-        """
-        days = np.asarray(days)
-        hours = np.asarray(seconds, dtype=np.float64) / 3600.0
-        width = self.peak_width_hours
-        morning = self.morning_intensity * _bump(hours, self.morning_peak_hour, width)
-        afternoon = self.afternoon_intensity * _bump(hours, self.afternoon_peak_hour, width)
-        weekday_level = np.clip(0.08 + morning + afternoon, 0.0, 1.0)
-        weekend_level = np.clip(0.05 + self.weekend_intensity * _bump(hours, 13.0, 2.5),
-                                0.0, 1.0)
-        return np.where(days < 5, weekday_level, weekend_level)
-
     def __call__(self, departure_time):
         return self.level(departure_time)
 
 
 def _bump(hour, center, width):
     # Square via multiplication, not `** 2`: CPython computes float ** 2.0
-    # through libm pow(), which can land one ulp away from the correctly
-    # rounded x*x that numpy uses for arrays — and scalar and batched
-    # congestion levels must agree bit for bit.
+    # through libm pow(), which can land one ulp away from x*x, so changing
+    # it would move congestion levels and every trip pinned in tests/golden/.
     z = (hour - center) / width
     return np.exp(-0.5 * (z * z))
 
@@ -121,7 +108,8 @@ class SpeedModel:
     slower than their speed limit suggests) plus a dynamic congestion factor
     driven by the :class:`CongestionProfile` and the edge's road type.  Road
     types missing from the sensitivity table fall back to
-    :data:`DEFAULT_CONGESTION_SENSITIVITY`.
+    :data:`DEFAULT_CONGESTION_SENSITIVITY`.  ``noise_std`` (the relative
+    spread of a noisy edge speed) must be a finite, non-negative number.
     """
 
     #: Speeds never drop below this floor (km/h), however congested.
@@ -130,12 +118,12 @@ class SpeedModel:
     def __init__(self, network, profile=None, seed=0, noise_std=0.05):
         self.network = network
         self.profile = profile or CongestionProfile()
-        self.noise_std = noise_std
+        self.noise_std = check_finite("noise_std", noise_std)
         rng = np.random.default_rng(seed)
         # Static per-edge heterogeneity in (0.75, 1.0].
         self._capacity_factor = 1.0 - rng.uniform(0.0, 0.25, size=network.num_edges)
         # One pass over the edge features: congestion sensitivity plus the
-        # static per-edge arrays backing the batched pricing paths.
+        # static per-edge arrays behind edge_travel_time_vector.
         sensitivities = np.empty(network.num_edges)
         self._speed_limits = np.empty(network.num_edges)
         self._lengths = network.edge_lengths()
@@ -153,9 +141,6 @@ class SpeedModel:
         """Network-wide congestion level (used by the TCI weak labeler)."""
         return self.profile.level(departure_time)
 
-    # ------------------------------------------------------------------
-    # Reference (per-edge) pricing
-    # ------------------------------------------------------------------
     def edge_speed(self, edge_id, departure_time, rng=None):
         """Travel speed on the edge in km/h at the given departure time."""
         features = self.network.edge_features(edge_id)
@@ -171,93 +156,46 @@ class SpeedModel:
         speed_mps = self.edge_speed(edge_id, departure_time, rng=rng) / 3.6
         return float(self.network.edge_length(edge_id) / speed_mps)
 
-    def path_travel_time(self, path, departure_time, rng=None):
-        """Travel time of a path, advancing the clock edge by edge.
+    def edge_travel_times(self, path, departure_time, rng=None):
+        """Traversal seconds of each edge of ``path``, advancing the clock edge by edge.
 
         The departure time is shifted as the vehicle progresses, so a path
         started just before the peak partially experiences it — the same
         coupling between space and time the paper's encoder must learn.
+        With ``rng``, each edge draws its speed noise in path order.  Every
+        edge id is checked before the first draw: an id that is not an
+        integer in ``[0, num_edges)`` raises a ``ValueError`` naming it.
         """
+        path = list(path)
+        num_edges = self.network.num_edges
+        for edge in path:
+            if isinstance(edge, bool) or not (isinstance(edge, numbers.Integral)
+                                              and 0 <= edge < num_edges):
+                raise ValueError(
+                    f"edge id must be an integer in [0, {num_edges}), got {edge!r}")
         clock = departure_time
-        total = 0.0
+        times = []
         for edge in path:
             seconds = self.edge_travel_time(edge, clock, rng=rng)
-            total += seconds
+            times.append(seconds)
             clock = clock.shift(seconds)
-        return float(total)
+        return times
 
-    # ------------------------------------------------------------------
-    # Batched pricing
-    # ------------------------------------------------------------------
-    def edge_speeds(self, departure_time):
-        """Noise-free speeds of *all* edges at one departure time, shape (E,).
+    def path_travel_time(self, path, departure_time, rng=None):
+        """Travel time of a path: its :meth:`edge_travel_times` summed in path order."""
+        total = 0.0
+        for seconds in self.edge_travel_times(path, departure_time, rng=rng):
+            total += seconds
+        return total
 
-        Bit-identical to calling :meth:`edge_speed` per edge with
-        ``rng=None``.
+    def edge_travel_time_vector(self, departure_time):
+        """Noise-free traversal seconds of all edges at one departure time, shape (E,).
+
+        One vectorised evaluation replacing ``num_edges`` scalar
+        :meth:`edge_travel_time` calls, bit-identical to them with
+        ``rng=None`` — this is the edge-cost table the simulator's route
+        search reads from.
         """
         level = self.profile.level(departure_time)
         speeds = self._speed_limits * self._capacity_factor * (1.0 - self._sensitivity * level)
-        return np.maximum(speeds, self.MIN_SPEED_KMH)
-
-    def edge_travel_time_vector(self, departure_time):
-        """Noise-free traversal seconds of all edges at one departure time.
-
-        One vectorised evaluation replacing ``num_edges`` scalar
-        :meth:`edge_travel_time` calls — this is the edge-cost table the
-        simulator's route search reads from.
-        """
-        return self._lengths / (self.edge_speeds(departure_time) / 3.6)
-
-    def path_travel_times(self, paths, departure_time):
-        """Travel times of many paths sharing one departure time, shape (k,).
-
-        All paths advance in lockstep: step ``t`` gathers the speeds of every
-        path's ``t``-th edge at that path's current clock, accumulates the
-        traversal seconds and shifts the clocks — ``max(len(path))`` numpy
-        steps instead of ``k × len(path)`` Python calls.  The result is
-        bit-identical to looping :meth:`path_travel_time` over the paths
-        (without noise).
-        """
-        paths = [np.asarray(list(path), dtype=np.int64) for path in paths]
-        count = len(paths)
-        totals = np.zeros(count)
-        if count == 0:
-            return totals
-        lengths = np.fromiter((p.size for p in paths), dtype=np.int64, count=count)
-        max_len = int(lengths.max(initial=0))
-        if max_len == 0:
-            return totals
-        padded = np.full((count, max_len), -1, dtype=np.int64)
-        for row, path in enumerate(paths):
-            padded[row, :path.size] = path
-
-        days = np.full(count, departure_time.day_of_week, dtype=np.int64)
-        seconds = np.full(count, departure_time.seconds, dtype=np.float64)
-        for step in range(max_len):
-            active = np.flatnonzero(lengths > step)
-            edges = padded[active, step]
-            level = self.profile.level_batch(days[active], seconds[active])
-            slowdown = 1.0 - self._sensitivity[edges] * level
-            speeds = np.maximum(
-                self._speed_limits[edges] * self._capacity_factor[edges] * slowdown,
-                self.MIN_SPEED_KMH)
-            step_seconds = self._lengths[edges] / (speeds / 3.6)
-            totals[active] += step_seconds
-            days[active], seconds[active] = _advance_clock(
-                days[active], seconds[active], step_seconds)
-        return totals
-
-
-def _advance_clock(days, seconds, delta):
-    """Vectorised mirror of ``DepartureTime.shift`` over parallel arrays."""
-    week_seconds = DAYS_PER_WEEK * 86400.0
-    total = days * 86400.0 + seconds + delta
-    total = total % week_seconds
-    # Guard against float rounding, exactly as DepartureTime.shift does.
-    total = np.where(total >= week_seconds, total - week_seconds, total)
-    day, remainder = np.divmod(total, 86400.0)
-    day = day.astype(np.int64) % DAYS_PER_WEEK
-    rolled = remainder >= 86400.0
-    day = np.where(rolled, (day + 1) % DAYS_PER_WEEK, day)
-    remainder = np.where(rolled, 0.0, remainder)
-    return day, remainder
+        return self._lengths / (np.maximum(speeds, self.MIN_SPEED_KMH) / 3.6)

@@ -217,3 +217,15 @@ def test_no_wsccl_fit_calls_another():
               if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
               and call.func.attr in fits and getattr(call.func.value, "id", None) == "self"]
     assert not nested, nested
+
+
+def test_one_clock_walk_in_the_trajectory_layer():
+    # The simulator, the route-choice prices and GPSSampler take edge times
+    # from SpeedModel.edge_travel_times; a second .shift( loop would be a
+    # second pricing path.
+    shifts = [f"{path}:{node.lineno} in {function.name}"
+              for path, tree in _src_trees().items() if path.startswith("trajectory")
+              for function in ast.walk(tree) if isinstance(function, ast.FunctionDef)
+              for node in ast.walk(function)
+              if isinstance(node, ast.Call) and _call_name(node) == "shift"]
+    assert shifts == [shifts[0]] and shifts[0].endswith(" in edge_travel_times"), shifts

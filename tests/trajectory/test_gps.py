@@ -81,6 +81,19 @@ class TestGPSSampler:
         with pytest.raises(ValueError):
             GPSSampler(tiny_network, speed_model, noise_std=-1.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("sample_interval", float("nan")), ("sample_interval", float("inf")),
+        ("sample_interval", True), ("noise_std", float("nan")),
+        ("noise_std", float("inf")), ("noise_std", True)])
+    def test_rejects_non_finite_and_bool_parameters(self, tiny_network, name, value):
+        # A NaN or infinite interval gave 2-fix traces; a NaN noise gave NaN fixes.
+        with pytest.raises(ValueError, match=name):
+            GPSSampler(tiny_network, SpeedModel(tiny_network), **{name: value})
+
+    def test_rejects_edge_ids_outside_the_network(self, sampler, tiny_network):
+        with pytest.raises(ValueError, match="edge id"):
+            sampler.sample([0, tiny_network.num_edges], DepartureTime.from_hour(0, 9.0))
+
     def test_empty_path_raises_value_error(self, sampler):
         with pytest.raises(ValueError, match="empty path"):
             sampler.sample([], DepartureTime.from_hour(0, 9.0))
@@ -88,11 +101,11 @@ class TestGPSSampler:
     def test_no_duplicate_fix_when_duration_is_exact_multiple(self, tiny_network):
         """total_time % sample_interval == 0 must not emit two final fixes."""
 
-        class ConstantSpeedModel:
+        class ConstantSpeedModel(SpeedModel):
             def edge_travel_time(self, edge, clock, rng=None):
                 return 10.0
 
-        sampler = GPSSampler(tiny_network, ConstantSpeedModel(),
+        sampler = GPSSampler(tiny_network, ConstantSpeedModel(tiny_network),
                              sample_interval=10.0, noise_std=0.0, seed=0)
         path = build_path(tiny_network, hops=3)
         trajectory = sampler.sample(path, DepartureTime.from_hour(0, 9.0))

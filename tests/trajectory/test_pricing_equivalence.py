@@ -1,11 +1,12 @@
-"""Equivalence suites: batched trip pricing vs the per-edge reference loops.
+"""Equivalence suites: trip pricing vs the per-edge reference loops.
 
-* ``level_batch`` / ``edge_speeds`` / ``edge_travel_time_vector`` /
-  ``path_travel_times`` are elementwise the same IEEE operations as the
-  scalar reference, so equality is exact (``==``, not approx).
-* The simulator, which prices through the batched calls, must produce
-  bit-identical trips to a simulator whose speed model prices with the
-  scalar per-edge calls under one seed.
+* ``edge_travel_time_vector`` is elementwise the same IEEE operations as
+  ``edge_travel_time``, so equality is exact (``==``, not approx).
+* ``path_travel_time`` sums ``edge_travel_times``, the clock walk, in path
+  order.
+* The simulator, whose route search reads the edge-cost vector, must
+  produce bit-identical trips to a simulator whose speed model prices the
+  vector with scalar per-edge calls under one seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.temporal import DepartureTime
-from repro.trajectory import CongestionProfile, SpeedModel, TripSimulator
+from repro.trajectory import SpeedModel, TripSimulator
 
 departure_times = st.tuples(
     st.integers(min_value=0, max_value=6),
@@ -43,62 +44,35 @@ def random_paths(network, rng, count, max_edges):
 
 class TestExactEquivalence:
     @given(departure_times)
-    @settings(max_examples=60, deadline=None)
-    def test_level_batch_matches_scalar(self, departure_time):
-        profile = CongestionProfile()
-        batch = profile.level_batch(
-            np.array([departure_time.day_of_week]),
-            np.array([departure_time.seconds]))
-        assert float(batch[0]) == profile.level(departure_time)
-
-    def test_level_batch_matches_scalar_pow_ulp_regression(self):
-        """Regression: CPython float ** 2.0 (libm pow) could land one ulp
-        away from numpy's array squaring inside ``_bump``, breaking exact
-        scalar-vs-batch equality at this Hypothesis-found departure time."""
-        profile = CongestionProfile()
-        departure_time = DepartureTime.from_hour(5, 4.363320136857637)
-        batch = profile.level_batch(
-            np.array([departure_time.day_of_week]),
-            np.array([departure_time.seconds]))
-        assert float(batch[0]) == profile.level(departure_time)
-
-    @given(departure_times)
     @settings(max_examples=30, deadline=None)
     def test_edge_vectors_match_scalar_loop(self, tiny_network, departure_time):
         model = SpeedModel(tiny_network, seed=0)
-        speeds = model.edge_speeds(departure_time)
         times = model.edge_travel_time_vector(departure_time)
         for edge in range(tiny_network.num_edges):
-            assert float(speeds[edge]) == model.edge_speed(edge, departure_time)
             assert float(times[edge]) == model.edge_travel_time(edge, departure_time)
 
     @given(departure_times, st.integers(min_value=0, max_value=1000))
     @settings(max_examples=40, deadline=None)
-    def test_batched_path_pricing_matches_loop(self, tiny_network, departure_time,
-                                               seed):
+    def test_path_price_sums_the_clock_walk_in_order(self, tiny_network, departure_time,
+                                                     seed):
         model = SpeedModel(tiny_network, seed=0)
         rng = np.random.default_rng(seed)
-        paths = random_paths(tiny_network, rng, count=6, max_edges=12)
-        batched = model.path_travel_times(paths, departure_time)
-        looped = np.array([model.path_travel_time(path, departure_time)
-                           for path in paths])
-        np.testing.assert_array_equal(batched, looped)
-
-    def test_empty_batch(self, tiny_network):
-        model = SpeedModel(tiny_network, seed=0)
-        assert model.path_travel_times([], DepartureTime.from_hour(0, 8.0)).shape == (0,)
+        for path in random_paths(tiny_network, rng, count=6, max_edges=12):
+            clock, expected, total = departure_time, [], 0.0
+            for edge in path:
+                expected.append(model.edge_travel_time(edge, clock))
+                total += expected[-1]
+                clock = clock.shift(expected[-1])
+            assert model.edge_travel_times(path, departure_time) == expected
+            assert model.path_travel_time(path, departure_time) == total
 
 
 class LoopPricedSpeedModel(SpeedModel):
-    """Prices every batch call with the scalar per-edge / per-path methods."""
+    """Prices the route search's edge-cost table with scalar per-edge calls."""
 
     def edge_travel_time_vector(self, departure_time):
         return np.array([self.edge_travel_time(edge, departure_time)
                          for edge in range(self.network.num_edges)])
-
-    def path_travel_times(self, paths, departure_time):
-        return np.array([self.path_travel_time(path, departure_time)
-                         for path in paths])
 
 
 class TestSimulatorImplEquivalence:

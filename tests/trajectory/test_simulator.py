@@ -71,6 +71,33 @@ class TestTripSimulator:
         assert peak.travel_time > night.travel_time
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("num_trips", [2.5, True, -1, None])
+    def test_simulate_rejects_a_non_integer_or_negative_count(self, tiny_network, num_trips):
+        # 2.5 used to return 3 trips, True 1 and -1 none.
+        simulator = TripSimulator(tiny_network, seed=0, min_trip_edges=2)
+        with pytest.raises(ValueError, match="num_trips"):
+            simulator.simulate(num_trips)
+
+    def test_simulate_zero_trips(self, tiny_network):
+        assert TripSimulator(tiny_network, seed=0).simulate(0) == []
+
+    @pytest.mark.parametrize("name, value", [
+        ("min_trip_edges", 2.5), ("min_trip_edges", -1), ("max_trip_edges", True),
+        ("max_trip_edges", 40.0), ("num_alternatives", -2), ("num_alternatives", False),
+        ("route_choice_noise", float("nan")), ("route_choice_noise", float("inf")),
+        ("route_choice_noise", -0.1), ("route_choice_noise", True)])
+    def test_constructor_rejects_invalid_values(self, tiny_network, name, value):
+        # num_alternatives=-2 used to fail deep in Yen's search, and a NaN
+        # noise always picked the first candidate.
+        with pytest.raises(ValueError, match=name):
+            TripSimulator(tiny_network, **{name: value})
+
+    def test_constructor_rejects_min_above_max_edges(self, tiny_network):
+        with pytest.raises(ValueError, match="min_trip_edges"):
+            TripSimulator(tiny_network, min_trip_edges=10, max_trip_edges=2)
+
+
 class _ScriptedRNG:
     """Stand-in rng whose ``integers`` draws pop from a scripted sequence."""
 
@@ -104,7 +131,8 @@ class TestSampleODPairRegression:
 
     def test_last_draw_distinct_is_returned_as_before(self, tiny_network):
         """Non-degenerate exhaustion keeps the pre-fix result (last draw)."""
-        simulator = TripSimulator(tiny_network, seed=0, min_trip_edges=100)
+        simulator = TripSimulator(tiny_network, seed=0, min_trip_edges=100,
+                                  max_trip_edges=100)
         # Distance check can never pass (needs >= 100 * 125 m); all draws
         # distinct, so the last one is returned.
         simulator.rng = _ScriptedRNG([0, 1] * 49 + [2, 3])

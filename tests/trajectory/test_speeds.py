@@ -43,6 +43,16 @@ class TestCongestionProfile:
         with pytest.raises(ValueError):
             CongestionProfile(peak_width_hours=0.0)
 
+    @pytest.mark.parametrize("name", [
+        "morning_peak_hour", "afternoon_peak_hour", "morning_intensity",
+        "afternoon_intensity", "weekend_intensity", "peak_width_hours"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, True])
+    def test_rejects_non_finite_negative_and_bool_values(self, name, value):
+        # A NaN width made level() NaN, which the TCI labeler read as its
+        # top label.
+        with pytest.raises(ValueError, match=name):
+            CongestionProfile(**{name: value})
+
 
 class TestSpeedModel:
     @pytest.fixture(scope="class")
@@ -102,6 +112,37 @@ class TestSpeedModel:
     def test_congestion_level_exposed(self, model):
         level = model.congestion_level(DepartureTime.from_hour(0, 8.0))
         assert 0.0 <= level <= 1.0
+
+    @pytest.mark.parametrize("noise_std", [-1.0, float("nan"), float("inf"), True])
+    def test_rejects_invalid_noise_std(self, tiny_network, noise_std):
+        # A negative or NaN spread used to price silently without noise.
+        with pytest.raises(ValueError, match="noise_std"):
+            SpeedModel(tiny_network, noise_std=noise_std)
+
+    @pytest.mark.parametrize("bad", [-1, "edges", 1.0, True, None])
+    def test_rejects_edge_ids_outside_the_network(self, model, tiny_network, bad):
+        # [-1] used to price the last edge.
+        bad = tiny_network.num_edges if bad == "edges" else bad
+        t = DepartureTime.from_hour(0, 8.0)
+        with pytest.raises(ValueError, match="edge id"):
+            model.path_travel_time([bad], t)
+
+    def test_bad_edge_id_is_caught_before_any_noise_draw(self, model):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="edge id"):
+            model.edge_travel_times([0, 1, -1], DepartureTime.from_hour(0, 8.0), rng=rng)
+        assert rng.bit_generator.state == state
+
+    def test_noisy_walk_draws_once_per_edge_in_path_order(self, model):
+        t = DepartureTime.from_hour(0, 8.0)
+        walked = model.edge_travel_times([0, 1, 2], t, rng=np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        clock, expected = t, []
+        for edge in (0, 1, 2):
+            expected.append(model.edge_travel_time(edge, clock, rng=rng))
+            clock = clock.shift(expected[-1])
+        assert walked == expected
 
 
 class _StubFeatures:
