@@ -60,6 +60,18 @@ class SupervisedModel(RepresentationModel):
         raise NotImplementedError
 
 
+def _check_supervised_fit(examples, task, tasks, built, city):
+    """What every ``fit_supervised`` checks before it builds anything: ``task``
+    is one of ``tasks``, the ``examples`` fill one minibatch (2 or more), and
+    ``city`` is given unless the model is already ``built``."""
+    if task not in tasks:
+        raise ValueError(f"unsupported task {task!r}; expected one of {tasks}")
+    if len(examples) < 2:
+        raise ValueError(f"need at least 2 examples for one minibatch, got {len(examples)}")
+    if not built and city is None:
+        raise ValueError("pass city= the first time fit_supervised is called")
+
+
 def mean_pool_edge_vectors(edge_vectors, paths):
     """Average per-edge vectors over each path (shared by several baselines)."""
     edge_vectors = np.asarray(edge_vectors, dtype=np.float64)

@@ -21,7 +21,8 @@ from .. import nn
 from ..core.encoder import encode_in_chunks
 from ..datasets.splits import minibatch_indices
 from ..datasets.tasks import task_labels
-from .base import _TEMPORAL_DIM, SupervisedModel, departure_slot_embedding
+from .base import (_TEMPORAL_DIM, SupervisedModel, _check_supervised_fit,
+                   departure_slot_embedding)
 from .graph_embedding import _node_input_features, _normalized_adjacency
 
 __all__ = ["GCNTravelTimeModel", "STGCNTravelTimeModel"]
@@ -94,13 +95,9 @@ class GCNTravelTimeModel(SupervisedModel):
         return None
 
     def fit_supervised(self, examples, task, city=None, max_batches=None, **kwargs):
-        if task != "travel_time":
-            raise ValueError("GCN/STGCN baselines only support the travel_time task")
-        if len(examples) < 2:
-            raise ValueError(f"need at least 2 examples for one minibatch, got {len(examples)}")
+        # Edge-sum models predict a travel time, so they train on no other task.
+        _check_supervised_fit(examples, task, ("travel_time",), self._backbone is not None, city)
         if self._backbone is None:
-            if city is None:
-                raise ValueError("pass city= the first time fit_supervised is called")
             self.fit(city)
 
         paths = [e.temporal_path for e in examples]

@@ -17,7 +17,7 @@ from .. import nn
 from ..core.encoder import encode_in_chunks
 from ..datasets.splits import minibatch_indices
 from ..datasets.tasks import task_labels
-from .base import _BATCH_SIZE, _LR, SupervisedModel
+from .base import _BATCH_SIZE, _LR, SupervisedModel, _check_supervised_fit
 
 __all__ = ["SupervisedSequenceModel"]
 
@@ -73,13 +73,9 @@ class SupervisedSequenceModel(SupervisedModel):
         examples' :func:`~repro.datasets.tasks.task_labels`.  The task and
         the example count are checked before the encoder is built.
         """
-        if task not in ("travel_time", "ranking"):
-            raise ValueError(f"unsupported task {task!r}")
-        if len(examples) < 2:
-            raise ValueError(f"need at least 2 examples for one minibatch, got {len(examples)}")
+        _check_supervised_fit(examples, task, ("travel_time", "ranking"),
+                              self._encoder is not None, city)
         if self._encoder is None:
-            if city is None:
-                raise ValueError("pass city= the first time fit_supervised is called")
             self.build_encoder(city)
 
         paths = [e.temporal_path for e in examples]

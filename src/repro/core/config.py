@@ -8,18 +8,21 @@ examples can raise or lower the scale through a single config object.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
+
+from .._checks import check_integer, check_real
 
 __all__ = ["WSCCLConfig"]
 
-_POSITIVE_INTS = (
+#: Each integer field's least value: a contrastive batch needs two paths and
+#: a node2vec walk two nodes.
+_INTEGER_LOWS = dict.fromkeys((
     "road_type_dim", "lanes_dim", "one_way_dim", "signals_dim", "topology_dim",
-    "temporal_dim", "hidden_dim", "lstm_layers", "batch_size", "epochs",
+    "temporal_dim", "hidden_dim", "lstm_layers", "epochs",
     "local_edges_per_path", "num_meta_sets", "num_stages", "expert_epochs",
     "final_stage_epochs", "slots_per_day", "node2vec_walks",
-    "node2vec_walk_length", "node2vec_window", "node2vec_epochs",
-)
+    "node2vec_window", "node2vec_epochs",
+), 1) | {"batch_size": 2, "node2vec_walk_length": 2, "seed": 0}
 _POSITIVE_FLOATS = ("learning_rate", "temperature", "grad_clip")
 
 
@@ -123,28 +126,14 @@ class WSCCLConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _POSITIVE_INTS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for name, low in _INTEGER_LOWS.items():
+            check_integer(name, getattr(self, name), low=low)
         for name in _POSITIVE_FLOATS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                    isinstance(value, numbers.Real) and 0 < value < float("inf")):
-                raise ValueError(f"{name} must be a positive finite number, got {value!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
-                                               and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+            check_real(name, getattr(self, name), above=0)
+        check_real("lambda_balance", self.lambda_balance, at_least=0, at_most=1)
         if self.topology_dim % 2:
             raise ValueError("topology_dim must be even (two endpoint embeddings), "
                              f"got {self.topology_dim!r}")
-        if isinstance(self.lambda_balance, bool) or not (
-                isinstance(self.lambda_balance, numbers.Real) and 0.0 <= self.lambda_balance <= 1.0):
-            raise ValueError(f"lambda_balance must be in [0, 1], got {self.lambda_balance!r}")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 for contrastive training")
-        if self.node2vec_walk_length < 2:
-            raise ValueError("node2vec_walk_length must be >= 2")
         if (24 * 60) % self.slots_per_day != 0:
             # Any divisor of 1440 minutes works; 288 is the paper's default.
             raise ValueError("slots_per_day must divide 1440 minutes")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._checks import check_integer
 from .trainer import WSCTrainer
 
 __all__ = [
@@ -45,8 +46,7 @@ def split_into_meta_sets(samples, num_meta_sets):
     of ``N`` lists plus, per sample, the index of its meta-set (aligned with
     the *original* ordering of ``samples``).
     """
-    if num_meta_sets < 1:
-        raise ValueError("num_meta_sets must be >= 1")
+    check_integer("num_meta_sets", num_meta_sets, low=1)
     lengths = np.array([len(tp) for tp, _ in samples])
     order = np.argsort(lengths, kind="stable")
     assignments = np.zeros(len(samples), dtype=np.int64)
@@ -138,8 +138,7 @@ def build_curriculum_stages(samples, scores, num_stages, rng=None):
     to one per sample instead of emitting empty stages, which would silently
     skew the curriculum's stage count.
     """
-    if num_stages < 1:
-        raise ValueError("num_stages must be >= 1")
+    check_integer("num_stages", num_stages, low=1)
     samples = list(samples)
     scores = np.asarray(scores)
     if len(samples) != len(scores):

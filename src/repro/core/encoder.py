@@ -25,6 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .. import nn
+from .._checks import check_integer
 
 __all__ = ["PathEncoder", "LSTMPathEncoder", "TemporalPathEncoder", "pad_paths", "encode_in_chunks", "PAD_EDGE_ID"]
 
@@ -55,10 +56,8 @@ def pad_paths(temporal_paths, pad_value=PAD_EDGE_ID):
     """
     if not temporal_paths:
         raise ValueError("cannot pad an empty batch")
-    if pad_value != int(pad_value) or int(pad_value) >= 0:
-        # Non-negative (or truncating-to-0) pads would alias a real edge id
-        # and be embedded as it.
-        raise ValueError(f"pad_value must be a negative integer, got {pad_value}")
+    # A non-negative pad would alias a real edge id and be embedded as it.
+    check_integer("pad_value", pad_value, high=0)
     paths = [tp.path for tp in temporal_paths]
     lengths = list(map(len, paths))
     max_len = max(lengths)

@@ -20,10 +20,9 @@ value or the gradient that ``steps`` stores.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .._checks import check_real
 from ..nn import Tensor
 from ..nn import functional as F
 
@@ -197,11 +196,8 @@ def combined_wsc_loss(steps, mask, contrast_sets, edge_sets, lambda_balance=0.8,
     A scalar Tensor whose only parent is ``steps``.  A loss whose terms all
     lack a query with both a positive and a negative is a constant zero.
     """
-    if not (isinstance(lambda_balance, numbers.Real) and 0.0 <= lambda_balance <= 1.0):
-        raise ValueError(f"lambda_balance must be in [0, 1], got {lambda_balance!r}")
-    if not (isinstance(temperature, numbers.Real) and np.isfinite(temperature)
-            and temperature > 0.0):
-        raise ValueError(f"temperature must be a positive finite number, got {temperature!r}")
+    check_real("lambda_balance", lambda_balance, at_least=0, at_most=1)
+    check_real("temperature", temperature, above=0)
     mask = np.asarray(mask, dtype=np.float64)
     if steps.ndim != 3 or mask.shape != steps.shape[:2]:
         raise ValueError(f"mask must have shape (batch, max_len) = {steps.shape[:2]}, "

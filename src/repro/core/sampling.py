@@ -22,11 +22,11 @@ matrices' nonzero entries.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_integer
 from ..datasets.temporal_paths import TemporalPath
 
 __all__ = [
@@ -129,9 +129,7 @@ def sample_edge_sets(contrast_sets, mask, rng, edges_per_path=2):
     loop sampler is the test oracle in ``tests/core/reference_sampling.py``
     (same distribution, different random stream).
     """
-    if isinstance(edges_per_path, bool) or not (isinstance(edges_per_path, numbers.Integral)
-                                                and edges_per_path >= 1):
-        raise ValueError(f"edges_per_path must be a positive integer, got {edges_per_path!r}")
+    check_integer("edges_per_path", edges_per_path, low=1)
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError(f"mask must be (batch, time), got shape {mask.shape}")

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import check_integer, check_real
+
 __all__ = ["train_test_split", "grouped_train_test_split", "minibatch_indices"]
 
 
 def train_test_split(items, test_fraction=0.2, seed=0):
     """Random split of a sequence into (train, test) lists."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_real("test_fraction", test_fraction, above=0, below=1)
     items = list(items)
     rng = np.random.default_rng(seed)
     order = np.arange(len(items))
@@ -31,8 +32,7 @@ def train_test_split(items, test_fraction=0.2, seed=0):
 
 def grouped_train_test_split(items, groups, test_fraction=0.2, seed=0):
     """Split so that all items sharing a group id land on the same side."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
+    check_real("test_fraction", test_fraction, above=0, below=1)
     if len(items) != len(groups):
         raise ValueError("items and groups must have the same length")
     items = list(items)
@@ -57,8 +57,7 @@ def minibatch_indices(count, batch_size, rng, epochs=1, max_batches=None):
     lazy, so draws the caller makes from ``rng`` between batches stay in
     order with the permutations.
     """
-    if batch_size < 2:
-        raise ValueError(f"batch_size must be >= 2, got {batch_size}")
+    check_integer("batch_size", batch_size, low=2)
     for _ in range(epochs):
         order = rng.permutation(count)
         yielded = 0

@@ -10,9 +10,9 @@ CPU in seconds-to-minutes.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, replace
 
+from .._checks import check_integer
 from ..roadnet.generator import CityConfig, generate_city_network
 from ..temporal.weak_labels import CongestionIndexLabeler, PeakOffPeakLabeler
 from ..trajectory.gps import GPSSampler
@@ -45,10 +45,7 @@ class DatasetScale:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(
-                    f"{field.name} must be a positive integer, got {value!r}")
+            check_integer(field.name, getattr(self, field.name), low=1)
 
     @classmethod
     def tiny(cls):

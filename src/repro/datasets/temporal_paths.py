@@ -7,6 +7,8 @@ from operator import index
 
 import numpy as np
 
+from .._checks import check_integer
+
 __all__ = ["TemporalPath", "TemporalPathDataset"]
 
 
@@ -19,16 +21,11 @@ class TemporalPath:
 
     def __post_init__(self):
         path = tuple(self.path)
-        try:
-            if bool in map(type, path):
-                raise TypeError
-            object.__setattr__(self, "path", tuple(map(index, path)))
-        except TypeError:
-            raise ValueError(f"edge ids must be integers (not bools), got path {path!r}") from None
-        if not self.path:
+        if not path:
             raise ValueError("temporal path must contain at least one edge")
-        if min(self.path) < 0:
-            raise ValueError(f"edge ids must be non-negative, got {min(self.path)}")
+        for edge in path:
+            check_integer("edge id", edge, low=0)
+        object.__setattr__(self, "path", tuple(map(index, path)))
 
     def __len__(self):
         return len(self.path)

@@ -20,12 +20,11 @@ ends.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tree import (DecisionTreeRegressor, _check_at_least_one, _check_features,
-                   _check_predict_features, _check_targets, _Presort)
+from .._checks import check_integer, check_real
+from .tree import (DecisionTreeRegressor, _check_features, _check_predict_features,
+                   _check_targets, _Presort)
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
@@ -35,15 +34,10 @@ class _Booster:
 
     def __init__(self, n_estimators=50, learning_rate=0.1, max_depth=3,
                  min_samples_leaf=5):
-        _check_at_least_one(n_estimators=n_estimators, max_depth=max_depth,
-                            min_samples_leaf=min_samples_leaf)
-        if not (math.isfinite(learning_rate) and learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and > 0, got {learning_rate!r}")
-        self.n_estimators = n_estimators
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
+        self.n_estimators = check_integer("n_estimators", n_estimators, low=1)
+        self.learning_rate = check_real("learning_rate", learning_rate, above=0)
+        self.max_depth = check_integer("max_depth", max_depth, low=1)
+        self.min_samples_leaf = check_integer("min_samples_leaf", min_samples_leaf, low=1)
         self._trees = []
         self._initial = 0.0
         self._num_features = None

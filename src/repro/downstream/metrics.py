@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import check_finite_array
+
 __all__ = [
     "mae",
     "mare",
@@ -37,21 +39,6 @@ __all__ = [
 ]
 
 
-def _check_finite(truth, prediction, groups=None):
-    """``ValueError`` naming the first non-finite entry of any array given.
-
-    ``groups`` is checked only if it holds floats: other ids are finite.
-    """
-    named = [("truth", truth), ("prediction", prediction)]
-    if groups is not None and groups.dtype.kind in "fc":
-        named.append(("groups", groups))
-    for name, values in named:
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {values.flat[bad[0]]} "
-                             f"at index {bad[0]}")
-
-
 def _validate(truth, prediction):
     truth = np.asarray(truth, dtype=np.float64)
     prediction = np.asarray(prediction, dtype=np.float64)
@@ -59,7 +46,8 @@ def _validate(truth, prediction):
         raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape}")
     if truth.size == 0:
         raise ValueError("metrics need at least one example")
-    _check_finite(truth, prediction)
+    check_finite_array("truth", truth)
+    check_finite_array("prediction", prediction)
     return truth, prediction
 
 
@@ -166,8 +154,12 @@ def grouped_rank_correlation(truth, prediction, groups, statistic="kendall"):
         raise ValueError(f"shape mismatch: {truth.shape} vs {prediction.shape} "
                          f"vs {groups.shape}")
     # The whole arrays, so a NaN in a skipped singleton group is caught too.
-    # A NaN group id would split into singletons, since NaN != NaN.
-    _check_finite(truth, prediction, groups)
+    # A NaN group id would split into singletons, since NaN != NaN; other
+    # group ids than floats are finite.
+    check_finite_array("truth", truth)
+    check_finite_array("prediction", prediction)
+    if groups.dtype.kind in "fc":
+        check_finite_array("groups", groups)
     func = _STATISTICS[statistic]
 
     order = np.argsort(groups, kind="stable")

@@ -26,30 +26,13 @@ the scan grows bit-identical trees.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
+
+from .._checks import check_finite_array, check_integer
 
 __all__ = ["DecisionTreeRegressor"]
 
 _MIN_GAIN = 1e-12
-
-
-def _check_at_least_one(**values):
-    """Reject any size-like setting that is not an integer >= 1, naming it.
-
-    A bool is an int to ``range`` and to comparisons, so it is rejected too.
-    """
-    for name, value in values.items():
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
-def _check_finite(name, values):
-    """``values`` unchanged, or a ValueError naming ``name`` on NaN or ±inf."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite, got NaN or infinity")
-    return values
 
 
 def _check_features(features):
@@ -59,7 +42,7 @@ def _check_features(features):
         raise ValueError("features must be a 2-D array")
     if len(features) == 0:
         raise ValueError("cannot fit on zero samples")
-    return _check_finite("features", features)
+    return check_finite_array("features", features)
 
 
 def _check_targets(targets, num_samples, name="targets"):
@@ -68,7 +51,7 @@ def _check_targets(targets, num_samples, name="targets"):
     if targets.ndim != 1 or len(targets) != num_samples:
         raise ValueError(f"{name} must be a vector aligned with the "
                          f"{num_samples} feature rows, got shape {targets.shape}")
-    return _check_finite(name, targets)
+    return check_finite_array(name, targets)
 
 
 def _check_predict_features(features, num_features):
@@ -78,7 +61,7 @@ def _check_predict_features(features, num_features):
         raise ValueError(f"model was fitted on {num_features} features; predict "
                          f"needs an (N, {num_features}) matrix, got shape "
                          f"{features.shape}")
-    return _check_finite("features", features)
+    return check_finite_array("features", features)
 
 
 class _Presort:
@@ -241,11 +224,9 @@ class DecisionTreeRegressor:
     """
 
     def __init__(self, max_depth=3, min_samples_leaf=5, max_thresholds=16):
-        _check_at_least_one(max_depth=max_depth, min_samples_leaf=min_samples_leaf,
-                            max_thresholds=max_thresholds)
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
-        self.max_thresholds = max_thresholds
+        self.max_depth = check_integer("max_depth", max_depth, low=1)
+        self.min_samples_leaf = check_integer("min_samples_leaf", min_samples_leaf, low=1)
+        self.max_thresholds = check_integer("max_thresholds", max_thresholds, low=1)
         # A booster sets this to its _Presort before each fit; fit uses it
         # only for the very matrix it sorted, then drops it.
         self._presort = None

@@ -8,9 +8,9 @@ just "for each method: fit, evaluate, collect a row".
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
+from .._checks import check_integer, check_real
 from .._memo import remember
 from ..baselines import (
     BERTPathModel,
@@ -68,16 +68,9 @@ class HarnessConfig:
     def __post_init__(self):
         for name in ("baseline_dim", "baseline_epochs", "supervised_epochs",
                      "max_batches", "n_estimators"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
-                                               and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (isinstance(self.test_fraction, numbers.Real)
-                and 0.0 < self.test_fraction < 1.0):
-            raise ValueError(
-                f"test_fraction must be in (0, 1), got {self.test_fraction!r}")
+            check_integer(name, getattr(self, name), low=1)
+        check_integer("seed", self.seed, low=0)
+        check_real("test_fraction", self.test_fraction, above=0, below=1)
         if self.paths_from not in ("simulator", "mapmatched"):
             raise ValueError("paths_from must be 'simulator' or 'mapmatched', "
                              f"got {self.paths_from!r}")

@@ -20,8 +20,8 @@ embeddings, and exact-split gradient-boosting models fit them.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 
+from .._checks import check_integer
 from ..datasets.tasks import TASKS, task_split
 from ..downstream.tasks import ensure_service, evaluate_task, score_task
 from .experiment import (
@@ -83,9 +83,8 @@ def supervised_task_results(model, city, config, task, train_limit=None):
     """Train a supervised baseline on ``task``'s labels and score the test
     split; ``train_limit`` (``None`` or an integer >= 2) caps the train split."""
     _check_tasks((task,))
-    if train_limit is not None and not (
-            isinstance(train_limit, numbers.Integral) and train_limit >= 2):
-        raise ValueError(f"train_limit must be None or an integer >= 2, got {train_limit!r}")
+    if train_limit is not None:
+        check_integer("train_limit", train_limit, low=2)
     train, test = task_split(task, getattr(city.tasks, task), config.test_fraction, config.seed)
     model.fit_supervised(train[:train_limit], task, city=city, max_batches=config.max_batches)
     return score_task(task, test, model.predict([e.temporal_path for e in test])).as_row()

@@ -8,13 +8,12 @@ embeddings from :class:`~repro.graph.skipgram.SkipGramTrainer`.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .._checks import check_integer, check_real
 from .._memo import remember
 from .skipgram import SkipGramTrainer
-from .walks import RandomWalker, _check_positive_integers, _neighbourhoods
+from .walks import RandomWalker, _neighbourhoods
 
 __all__ = ["Node2Vec", "Node2VecConfig", "concat_endpoint_embeddings"]
 
@@ -30,23 +29,14 @@ class Node2VecConfig:
 
     def __init__(self, dim=128, walks_per_node=10, walk_length=20, window=5,
                  negatives=5, epochs=2, lr=0.025, seed=0):
-        _check_positive_integers(dim=dim, walks_per_node=walks_per_node,
-                                 walk_length=walk_length, window=window,
-                                 negatives=negatives, epochs=epochs)
-        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real) and 0 < lr < float("inf")):
-            raise ValueError(f"lr must be a positive finite number, got {lr!r}")
-        if walk_length < 2:
-            raise ValueError("walk_length must be >= 2")
-        if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-        self.dim = dim
-        self.walks_per_node = walks_per_node
-        self.walk_length = walk_length
-        self.window = window
-        self.negatives = negatives
-        self.epochs = epochs
-        self.lr = lr
-        self.seed = seed
+        self.dim = check_integer("dim", dim, low=1)
+        self.walks_per_node = check_integer("walks_per_node", walks_per_node, low=1)
+        self.walk_length = check_integer("walk_length", walk_length, low=2)
+        self.window = check_integer("window", window, low=1)
+        self.negatives = check_integer("negatives", negatives, low=1)
+        self.epochs = check_integer("epochs", epochs, low=1)
+        self.lr = check_real("lr", lr, above=0)
+        self.seed = check_integer("seed", seed, low=0)
 
 
 class Node2Vec:
@@ -74,7 +64,7 @@ class Node2Vec:
         num_nodes:
             Number of nodes in the graph, a positive integer.
         """
-        _check_positive_integers(num_nodes=num_nodes)
+        check_integer("num_nodes", num_nodes, low=1)
         # Checked before the memo key hashes it, so a bad neighbour raises
         # the walker's ValueError even when it is unhashable.
         adjacency = _neighbourhoods(neighbors_fn, num_nodes)

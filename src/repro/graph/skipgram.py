@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .walks import _check_positive_integers
+from .._checks import check_integer, check_real
 
 __all__ = ["SkipGramTrainer"]
 
@@ -48,19 +48,17 @@ class SkipGramTrainer:
         updates of a :meth:`train` call, floored at ``lr / 10_000``.
 
     ``num_nodes``, ``dim``, ``window``, ``negatives`` and ``batch_size``
-    must be positive integers.
+    must be positive integers, and ``lr`` a positive finite number.
     """
 
     def __init__(self, num_nodes, dim, window=5, negatives=5, lr=0.025, seed=0,
                  batch_size=512):
-        _check_positive_integers(num_nodes=num_nodes, dim=dim, window=window,
-                                 negatives=negatives, batch_size=batch_size)
-        self.num_nodes = num_nodes
-        self.dim = dim
-        self.window = window
-        self.negatives = negatives
-        self.lr = lr
-        self.batch_size = batch_size
+        self.num_nodes = check_integer("num_nodes", num_nodes, low=1)
+        self.dim = check_integer("dim", dim, low=1)
+        self.window = check_integer("window", window, low=1)
+        self.negatives = check_integer("negatives", negatives, low=1)
+        self.lr = check_real("lr", lr, above=0)
+        self.batch_size = check_integer("batch_size", batch_size, low=1)
         self.rng = np.random.default_rng(seed)
         scale = 0.5 / dim
         self.in_embeddings = self.rng.uniform(-scale, scale, size=(num_nodes, dim))

@@ -23,32 +23,22 @@ differently, so individual walks differ for the same seed; the
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .._checks import check_integer
+
 __all__ = ["RandomWalker"]
-
-
-def _check_positive_integers(**values):
-    """Reject any value that is not an integer >= 1 (bools included), naming it."""
-    for name, value in values.items():
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _neighbourhoods(neighbors_fn, num_nodes):
     """Every node's neighbours as a tuple of tuples, ``neighbors_fn`` called
     once per node; a neighbour that is not an integer in ``[0, num_nodes)``
-    raises a ``ValueError`` naming it."""
+    raises a ``ValueError`` naming its node."""
     neighbourhoods = []
     for node in range(num_nodes):
         neighbours = tuple(neighbors_fn(node))
         for neighbour in neighbours:
-            if not (isinstance(neighbour, numbers.Integral)
-                    and 0 <= neighbour < num_nodes):
-                raise ValueError(f"node {node} has neighbour {neighbour!r}, "
-                                 f"not an integer in [0, {num_nodes})")
+            check_integer(f"neighbour of node {node}", neighbour, low=0, high=num_nodes)
         neighbourhoods.append(neighbours)
     return tuple(neighbourhoods)
 
@@ -117,7 +107,8 @@ class RandomWalker:
         neighbours has at least two nodes; one ends before ``walk_length``
         nodes only at a node with no neighbours.
         """
-        _check_positive_integers(walks_per_node=walks_per_node, walk_length=walk_length)
+        check_integer("walks_per_node", walks_per_node, low=1)
+        check_integer("walk_length", walk_length, low=1)
         walks = []
         order = np.arange(self.num_nodes)
         for _ in range(walks_per_node):

@@ -7,10 +7,9 @@ baselines' included, updates its parameters through :meth:`Optimizer.minimize`.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
+
+from .._checks import check_real
 
 __all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
@@ -43,10 +42,7 @@ class Optimizer:
         if not self.parameters:
             raise ValueError("optimizer received an empty parameter list")
         # A NaN rate passes ``lr <= 0`` and turns every parameter NaN.
-        if isinstance(lr, bool) or not (isinstance(lr, numbers.Real)
-                                        and math.isfinite(lr) and lr > 0):
-            raise ValueError(f"lr must be a positive finite number, got {lr!r}")
-        self.lr = lr
+        self.lr = check_real("lr", lr, above=0)
 
     def zero_grad(self):
         """Clear gradients on all managed parameters."""

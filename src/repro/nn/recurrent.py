@@ -29,10 +29,9 @@ Inference calls :meth:`LSTMCell._run` with neither a tape nor a mask: see
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
+from .._checks import check_integer
 from . import init
 from .module import Module, Parameter
 from .tensor import Tensor, is_grad_enabled
@@ -44,18 +43,13 @@ __all__ = ["LSTMCell", "LSTM"]
 _CLIP_LOW, _CLIP_HIGH, _ONE = np.array(-60.0), np.array(60.0), np.array(1.0)
 
 
-def _check_size(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 class LSTMCell(Module):
     """One LSTM layer's parameters, i/f/g/o gates, and its fused time loop."""
 
     def __init__(self, input_size, hidden_size, rng=None):
         super().__init__()
-        _check_size("input_size", input_size)
-        _check_size("hidden_size", hidden_size)
+        check_integer("input_size", input_size, low=1)
+        check_integer("hidden_size", hidden_size, low=1)
         rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size
@@ -163,7 +157,7 @@ class LSTM(Module):
 
     def __init__(self, input_size, hidden_size, num_layers=1, rng=None):
         super().__init__()
-        _check_size("num_layers", num_layers)  # the cells check the other two
+        check_integer("num_layers", num_layers, low=1)  # the cells check the other two
         rng = rng or np.random.default_rng(0)
         self.input_size = input_size
         self.hidden_size = hidden_size

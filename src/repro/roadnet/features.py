@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_integer, check_real
+
 __all__ = ["ROAD_TYPES", "MAX_LANES", "EdgeFeatures", "FeatureEncoder"]
 
 
@@ -61,12 +63,9 @@ class EdgeFeatures:
     def __post_init__(self):
         if self.road_type not in ROAD_TYPES:
             raise ValueError(f"unknown road type: {self.road_type!r}")
-        if not 1 <= self.lanes <= MAX_LANES:
-            raise ValueError(f"lanes must be in [1, {MAX_LANES}], got {self.lanes}")
-        if self.length <= 0:
-            raise ValueError("length must be positive")
-        if self.speed_limit <= 0:
-            raise ValueError("speed_limit must be positive")
+        check_integer("lanes", self.lanes, low=1, high=MAX_LANES + 1)
+        check_real("length", self.length, above=0)
+        check_real("speed_limit", self.speed_limit, above=0)
 
     @property
     def free_flow_time(self):

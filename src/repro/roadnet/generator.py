@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._checks import check_integer, check_real
 from .features import MAX_LANES, EdgeFeatures
 from .network import RoadNetwork
 
@@ -83,14 +84,11 @@ class CityConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.grid_rows < 2 or self.grid_cols < 2:
-            raise ValueError("grid must be at least 2x2")
-        if not 0.0 <= self.one_way_fraction <= 1.0:
-            raise ValueError("one_way_fraction must be in [0, 1]")
-        if not 0.0 <= self.signal_fraction <= 1.0:
-            raise ValueError("signal_fraction must be in [0, 1]")
-        if self.arterial_every < 2:
-            raise ValueError("arterial_every must be >= 2")
+        for name in ("grid_rows", "grid_cols", "arterial_every"):
+            check_integer(name, getattr(self, name), low=2)
+        check_real("block_length", self.block_length, above=0)
+        for name in ("one_way_fraction", "signal_fraction"):
+            check_real(name, getattr(self, name), at_least=0, at_most=1)
 
 
 def generate_city_network(config):

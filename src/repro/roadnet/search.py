@@ -13,17 +13,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
+
+from .._checks import check_integer
 
 __all__ = ["shortest_path", "k_shortest_paths", "path_similarity", "DijkstraCache"]
-
-
-def _check_ids(ids, count, kind):
-    """``ValueError`` naming the first of ``ids`` not an integer in ``[0, count)``."""
-    for value in ids:
-        if not (isinstance(value, numbers.Integral) and 0 <= value < count):
-            raise ValueError(f"{kind} must be an integer in [0, {count}), "
-                             f"got {value!r}")
 
 
 class _Rows(dict):
@@ -66,8 +59,10 @@ class _Search:
 
     def __init__(self, rows, source, banned_edges=(), banned_nodes=()):
         self.network = network = rows.network
-        _check_ids((source, *banned_nodes), network.num_nodes, "node")
-        _check_ids(banned_edges, network.num_edges, "banned edge")
+        for node in (source, *banned_nodes):
+            check_integer("node", node, low=0, high=network.num_nodes)
+        for edge in banned_edges:
+            check_integer("banned edge", edge, low=0, high=network.num_edges)
         self.rows = rows
         self.cut = {}
         for edge in banned_edges:
@@ -83,10 +78,12 @@ class _Search:
     def settle(self, targets):
         """Pop until every node in ``targets`` is settled or the heap is empty."""
         settled = self.settled
+        # Every target, settled or not: True would hash as a settled node 1.
+        for target in targets:
+            check_integer("node", target, low=0, high=self.network.num_nodes)
         remaining = {t for t in targets if t not in settled}
         if not remaining:
             return
-        _check_ids(remaining, self.network.num_nodes, "node")
         heap, rows, cut = self.heap, self.rows, self.cut
         best, back = self.best, self.back
         infinity = math.inf
@@ -153,8 +150,7 @@ def k_shortest_paths(network, source, target, k, edge_cost=None):
     search also bans its root path's nodes, so no path revisits a node.  All
     searches of one call share one set of rows.
     """
-    if not (isinstance(k, numbers.Integral) and k >= 1):
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    check_integer("k", k, low=1)
     rows = _Rows(network, edge_cost)
     first = _Search(rows, source).path(target)
     if first is None:

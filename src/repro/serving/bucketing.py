@@ -13,7 +13,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
-import operator
+from .._checks import check_integer
 
 __all__ = ["plan_batches"]
 
@@ -27,18 +27,11 @@ def plan_batches(lengths, max_batch_size):
     Returns a list of micro-batches, each a list of indices into
     ``lengths``; every index appears in exactly one micro-batch, and all
     members of a micro-batch share a length bucket.  A request holds a
-    handful of lengths, so the grouping is plain Python.  ``max_batch_size`` must be an
-    integer (not a ``bool``) of at least 1 and every length at least 1;
-    anything else raises ``ValueError``.
+    handful of lengths, so the grouping is plain Python.  ``max_batch_size``
+    must be an integer >= 1 and every length at least 1; anything else
+    raises ``ValueError``.
     """
-    # operator.index takes exactly the integers; it is far cheaper than an
-    # isinstance check against numbers.Integral, and this runs per request.
-    try:
-        size = operator.index(max_batch_size)
-    except TypeError:
-        size = 0
-    if isinstance(max_batch_size, bool) or size < 1:
-        raise ValueError(f"max_batch_size must be an integer >= 1, got {max_batch_size!r}")
+    size = check_integer("max_batch_size", max_batch_size, low=1)
     if len(lengths) and min(lengths) < 1:
         raise ValueError(f"lengths must all be >= 1, got {min(lengths)!r}")
     buckets = {}

@@ -15,10 +15,11 @@ folds into its scrape output.
 
 from __future__ import annotations
 
-import numbers
 from collections import OrderedDict
 
 import numpy as np
+
+from .._checks import check_integer
 
 __all__ = ["LRUEmbeddingCache"]
 
@@ -29,16 +30,12 @@ class LRUEmbeddingCache:
     Parameters
     ----------
     capacity:
-        Maximum number of entries: an integer (not a ``bool``) of at least
-        1.  When a ``put`` would exceed it, the least recently used entry is
-        evicted.
+        Maximum number of entries, an integer >= 1.  When a ``put`` would
+        exceed it, the least recently used entry is evicted.
     """
 
     def __init__(self, capacity):
-        if (isinstance(capacity, bool) or not isinstance(capacity, numbers.Integral)
-                or capacity < 1):
-            raise ValueError(f"cache capacity must be an integer >= 1, got {capacity!r}")
-        self.capacity = int(capacity)
+        self.capacity = int(check_integer("capacity", capacity, low=1))
         self._entries = OrderedDict()
         self.hits = 0
         self.misses = 0

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .._checks import check_integer, check_real
+
 __all__ = [
     "SLOT_MINUTES",
     "SLOTS_PER_DAY",
@@ -35,10 +37,8 @@ class DepartureTime:
     seconds: float
 
     def __post_init__(self):
-        if not 0 <= self.day_of_week < DAYS_PER_WEEK:
-            raise ValueError(f"day_of_week must be in [0, 7), got {self.day_of_week}")
-        if not 0.0 <= self.seconds < 24 * 3600:
-            raise ValueError(f"seconds must be in [0, 86400), got {self.seconds}")
+        check_integer("day_of_week", self.day_of_week, low=0, high=DAYS_PER_WEEK)
+        check_real("seconds", self.seconds, at_least=0, below=24 * 3600)
 
     @property
     def hour(self):

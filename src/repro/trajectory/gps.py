@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speeds import check_finite
+from .._checks import check_real
 
 __all__ = ["GPSPoint", "GPSTrajectory", "GPSSampler"]
 
@@ -55,8 +55,8 @@ class GPSSampler:
     def __init__(self, network, speed_model, sample_interval=15.0, noise_std=8.0, seed=0):
         self.network = network
         self.speed_model = speed_model
-        self.sample_interval = check_finite("sample_interval", sample_interval, positive=True)
-        self.noise_std = check_finite("noise_std", noise_std)
+        self.sample_interval = check_real("sample_interval", sample_interval, above=0)
+        self.noise_std = check_real("noise_std", noise_std, at_least=0)
         self.rng = np.random.default_rng(seed)
 
     def sample(self, path, departure_time):

@@ -27,11 +27,9 @@ pair per Viterbi step — must decode bit-identical paths.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
+from .._checks import check_finite_array, check_real
 from ..roadnet.search import DijkstraCache, shortest_path
 
 __all__ = ["HMMMapMatcher"]
@@ -75,16 +73,10 @@ class HMMMapMatcher:
 
     def __init__(self, network, emission_sigma=15.0, transition_beta=30.0,
                  candidate_radius=120.0):
-        for name, value in (("emission_sigma", emission_sigma),
-                            ("transition_beta", transition_beta),
-                            ("candidate_radius", candidate_radius)):
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)
-                    and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.network = network
-        self.emission_sigma = emission_sigma
-        self.transition_beta = transition_beta
-        self.candidate_radius = candidate_radius
+        self.emission_sigma = check_real("emission_sigma", emission_sigma, above=0)
+        self.transition_beta = check_real("transition_beta", transition_beta, above=0)
+        self.candidate_radius = check_real("candidate_radius", candidate_radius, above=0)
         self._edge_sources, self._edge_targets = network.edge_endpoint_matrix().T
         coordinates = network.node_coordinate_matrix()
         self._segments = coordinates[self._edge_sources], coordinates[self._edge_targets]
@@ -259,10 +251,7 @@ class HMMMapMatcher:
         positions = trajectory.positions()
         if len(positions) == 0:
             return []
-        bad = np.flatnonzero(~np.isfinite(positions).all(axis=1))
-        if bad.size:
-            raise ValueError(f"GPS fix {bad[0]} has a non-finite position "
-                             f"{tuple(positions[bad[0]].tolist())}")
+        check_finite_array("GPS fix positions", positions)
         candidate_sets, fraction_sets, emission_sets = self._candidate_sets(positions)
         straights = np.sqrt(
             ((positions[1:] - positions[:-1]) ** 2).sum(axis=1))

@@ -20,14 +20,14 @@ labels are designed to exploit.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._checks import check_integer, check_real
 from ..roadnet.search import k_shortest_paths
 from ..temporal.timeslots import DepartureTime
-from .speeds import SpeedModel, check_finite
+from .speeds import SpeedModel
 
 __all__ = ["Trip", "TripSimulator"]
 
@@ -59,14 +59,6 @@ class Trip:
     alternatives: list = field(default_factory=list)
 
 
-def _check_count(name, value):
-    """``value``, unless it is not an integer >= 0 (bools included): then a
-    ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 0):
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return value
-
-
 class TripSimulator:
     """Generate trips over a road network with a time-dependent speed model.
 
@@ -80,13 +72,14 @@ class TripSimulator:
                  min_trip_edges=4, max_trip_edges=40, num_alternatives=3,
                  route_choice_noise=0.1):
         self.network = network
-        self.min_trip_edges = _check_count("min_trip_edges", min_trip_edges)
-        self.max_trip_edges = _check_count("max_trip_edges", max_trip_edges)
+        self.min_trip_edges = check_integer("min_trip_edges", min_trip_edges, low=0)
+        self.max_trip_edges = check_integer("max_trip_edges", max_trip_edges, low=0)
         if min_trip_edges > max_trip_edges:
             raise ValueError(f"min_trip_edges ({min_trip_edges}) must not exceed "
                              f"max_trip_edges ({max_trip_edges})")
-        self.num_alternatives = _check_count("num_alternatives", num_alternatives)
-        self.route_choice_noise = check_finite("route_choice_noise", route_choice_noise)
+        self.num_alternatives = check_integer("num_alternatives", num_alternatives, low=0)
+        self.route_choice_noise = check_real("route_choice_noise", route_choice_noise,
+                                             at_least=0)
         self.speed_model = speed_model or SpeedModel(network, seed=seed)
         self.rng = np.random.default_rng(seed)
 
@@ -202,7 +195,7 @@ class TripSimulator:
         ``num_trips`` must be a non-negative integer.  Fewer trips come back
         when ``10 * num_trips`` attempts do not yield enough routable ones.
         """
-        _check_count("num_trips", num_trips)
+        check_integer("num_trips", num_trips, low=0)
         trips = []
         attempts = 0
         while len(trips) < num_trips and attempts < num_trips * 10:

@@ -16,23 +16,11 @@ departure time for the simulator's route search.
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
+from .._checks import check_integer, check_real
+
 __all__ = ["CongestionProfile", "SpeedModel", "DEFAULT_CONGESTION_SENSITIVITY"]
-
-
-def check_finite(name, value, positive=False):
-    """``value``, unless it is a bool, a non-finite number or a negative one
-    (with ``positive``, also zero): then a ``ValueError`` naming ``name``."""
-    if isinstance(value, bool) or not (
-            isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value > 0 if positive else value >= 0)):
-        sign = "positive" if positive else "non-negative"
-        raise ValueError(f"{name} must be a {sign} finite number, got {value!r}")
-    return value
 
 
 class CongestionProfile:
@@ -49,13 +37,14 @@ class CongestionProfile:
     def __init__(self, morning_peak_hour=8.0, afternoon_peak_hour=17.5,
                  morning_intensity=0.85, afternoon_intensity=0.75,
                  weekend_intensity=0.30, peak_width_hours=1.2):
-        self.morning_peak_hour = check_finite("morning_peak_hour", morning_peak_hour)
-        self.afternoon_peak_hour = check_finite("afternoon_peak_hour", afternoon_peak_hour)
-        self.morning_intensity = check_finite("morning_intensity", morning_intensity)
-        self.afternoon_intensity = check_finite("afternoon_intensity", afternoon_intensity)
-        self.weekend_intensity = check_finite("weekend_intensity", weekend_intensity)
-        self.peak_width_hours = check_finite("peak_width_hours", peak_width_hours,
-                                             positive=True)
+        self.morning_peak_hour = check_real("morning_peak_hour", morning_peak_hour, at_least=0)
+        self.afternoon_peak_hour = check_real("afternoon_peak_hour", afternoon_peak_hour,
+                                              at_least=0)
+        self.morning_intensity = check_real("morning_intensity", morning_intensity, at_least=0)
+        self.afternoon_intensity = check_real("afternoon_intensity", afternoon_intensity,
+                                              at_least=0)
+        self.weekend_intensity = check_real("weekend_intensity", weekend_intensity, at_least=0)
+        self.peak_width_hours = check_real("peak_width_hours", peak_width_hours, above=0)
 
     def level(self, departure_time):
         """Congestion level in [0, 1] at a departure time."""
@@ -118,7 +107,7 @@ class SpeedModel:
     def __init__(self, network, profile=None, seed=0, noise_std=0.05):
         self.network = network
         self.profile = profile or CongestionProfile()
-        self.noise_std = check_finite("noise_std", noise_std)
+        self.noise_std = check_real("noise_std", noise_std, at_least=0)
         rng = np.random.default_rng(seed)
         # Static per-edge heterogeneity in (0.75, 1.0].
         self._capacity_factor = 1.0 - rng.uniform(0.0, 0.25, size=network.num_edges)
@@ -169,10 +158,7 @@ class SpeedModel:
         path = list(path)
         num_edges = self.network.num_edges
         for edge in path:
-            if isinstance(edge, bool) or not (isinstance(edge, numbers.Integral)
-                                              and 0 <= edge < num_edges):
-                raise ValueError(
-                    f"edge id must be an integer in [0, {num_edges}), got {edge!r}")
+            check_integer("edge id", edge, low=0, high=num_edges)
         clock = departure_time
         times = []
         for edge in path:

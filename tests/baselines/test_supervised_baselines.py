@@ -133,7 +133,7 @@ class TestEdgeSumBaselines:
     @pytest.mark.parametrize("model_cls", [GCNTravelTimeModel, STGCNTravelTimeModel])
     def test_ranking_task_rejected(self, model_cls, tiny_city):
         model = model_cls(hidden_dim=8, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported task 'ranking'"):
             model.fit_supervised(tiny_city.tasks.ranking, "ranking", city=tiny_city)
         assert model._backbone is None
 

@@ -98,7 +98,7 @@ def test_configs_reject_non_positive_values(config_class, name, value):
 def test_wsccl_config_rejects_infinite_floats(name):
     # Regression: ``inf`` passed the ``> 0`` check, and an infinite
     # temperature failed only at the first train step.
-    with pytest.raises(ValueError, match=f"{name} must be a positive finite number, got inf"):
+    with pytest.raises(ValueError, match=rf"{name} must be a finite real in \(0, inf\), got inf"):
         WSCCLConfig(**{name: float("inf")})
 
 

@@ -44,6 +44,13 @@ class TestMetaSetSplit:
         with pytest.raises(ValueError):
             split_into_meta_sets(samples, num_meta_sets=0)
 
+    @pytest.mark.parametrize("count", [True, 1.5])
+    def test_count_must_be_an_integer(self, samples, count):
+        # True used to give one meta-set; 1.5 failed deep in numpy.
+        with pytest.raises(ValueError,
+                           match=rf"^num_meta_sets must be an integer >= 1, got {count!r}$"):
+            split_into_meta_sets(samples, count)
+
     def test_more_sets_than_samples(self):
         from repro.datasets import TemporalPath
         from repro.temporal import DepartureTime
@@ -115,6 +122,13 @@ class TestCurriculumStages:
     def test_invalid_stage_count(self, samples):
         with pytest.raises(ValueError):
             build_curriculum_stages(samples, np.zeros(len(samples)), num_stages=0)
+
+    @pytest.mark.parametrize("count", [True, 1.5])
+    def test_stage_count_must_be_an_integer(self, samples, count):
+        # True used to give one stage; 1.5 failed deep in numpy.
+        with pytest.raises(ValueError,
+                           match=rf"^num_stages must be an integer >= 1, got {count!r}$"):
+            build_curriculum_stages(samples, np.zeros(len(samples)), num_stages=count)
 
     def test_heuristic_orders_by_length(self, samples):
         plan = heuristic_curriculum_stages(samples, num_stages=2)

@@ -51,6 +51,15 @@ def test_pad_paths_matches_the_numpy_builder(paths, pad_value):
     assert_same_bits(mask, want_mask)
 
 
+@pytest.mark.parametrize("pad_value", [0, 3, -1.0, -1.5, True])
+def test_pad_value_must_be_a_negative_integer(pad_value):
+    # -1.0 used to pass as -1; a pad >= 0 would alias a real edge id.
+    path = TemporalPath((0, 1), DepartureTime.from_hour(0, 8.0))
+    with pytest.raises(ValueError,
+                       match=rf"^pad_value must be an integer < 0, got {pad_value!r}$"):
+        pad_paths([path], pad_value=pad_value)
+
+
 @pytest.mark.parametrize("slots_per_day", [1, 9, 48, 288])
 @settings(max_examples=40, deadline=None)
 @given(paths=batches())

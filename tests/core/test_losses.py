@@ -212,7 +212,7 @@ class TestRejectsBadInput:
         arguments.update(kwargs)
         return combined_wsc_loss(**arguments)
 
-    @pytest.mark.parametrize("lambda_balance", [1.5, -2.0, float("nan")])
+    @pytest.mark.parametrize("lambda_balance", [1.5, -2.0, float("nan"), True])
     def test_lambda_outside_unit_interval(self, lambda_balance):
         with pytest.raises(ValueError, match=f"lambda_balance .*{lambda_balance}"):
             self._call(lambda_balance=lambda_balance)

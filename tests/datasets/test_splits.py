@@ -38,6 +38,13 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError):
             train_test_split([1, 2, 3], test_fraction=1.0)
 
+    @pytest.mark.parametrize("test_fraction", ["a", None, True])
+    def test_non_real_fraction_rejected(self, test_fraction):
+        # "a" and None used to raise a TypeError from the comparison.
+        with pytest.raises(ValueError, match=rf"^test_fraction must be a finite real in "
+                                             rf"\(0, 1\), got {test_fraction!r}$"):
+            train_test_split([1, 2, 3], test_fraction=test_fraction)
+
 
 class TestGroupedSplit:
     def test_groups_do_not_straddle(self):
@@ -62,7 +69,8 @@ class TestGroupedSplit:
     def test_invalid_fraction_rejected(self, test_fraction):
         # 0.0 and -0.5 used to give a silent one-group test split, 1.5 a
         # misleading empty-train error downstream.
-        with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"test_fraction must be a finite real in \(0, 1\), "
+                                             rf"got {test_fraction}"):
             grouped_train_test_split(list(range(8)), [i // 2 for i in range(8)],
                                      test_fraction=test_fraction)
 
@@ -123,7 +131,8 @@ class TestMinibatchIndices:
                                          max_batches=2))
         assert len(batches) == 6
 
-    @pytest.mark.parametrize("batch_size", [-1, 0, 1])
+    @pytest.mark.parametrize("batch_size", [-1, 0, 1, 2.5, True])
     def test_batch_size_below_two_rejected(self, batch_size):
+        # 2.5 used to raise a TypeError from range.
         with pytest.raises(ValueError, match="batch_size"):
             list(minibatch_indices(10, batch_size, np.random.default_rng(0)))

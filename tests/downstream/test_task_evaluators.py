@@ -110,7 +110,8 @@ class TestEvaluateRanking:
     @pytest.mark.parametrize("test_fraction", [0.0, -0.5, 1.5])
     def test_invalid_test_fraction_rejected(self, tiny_city, test_fraction):
         # 0.0 and -0.5 used to score a silent one-trip test split.
-        with pytest.raises(ValueError, match=r"test_fraction must be in \(0, 1\)"):
+        with pytest.raises(ValueError, match=rf"test_fraction must be a finite real in \(0, 1\), "
+                                             rf"got {test_fraction}"):
             evaluate_ranking(LengthModel(tiny_city.network), tiny_city.tasks.ranking,
                              test_fraction=test_fraction, n_estimators=5)
 

@@ -52,9 +52,10 @@ class TestSettings:
                 "n_estimators", "learning_rate", "max_depth", "min_samples_leaf"]
 
     @pytest.mark.parametrize("booster", BOOSTERS)
-    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("learning_rate", [0.0, -1.0, float("nan"), float("inf"), True, "x"])
     def test_booster_rejects_bad_learning_rate(self, booster, learning_rate):
-        # Regression: learning_rate=-1.0 used to fit a diverging model.
+        # Regression: learning_rate=-1.0 used to fit a diverging model, True
+        # boosted at rate 1 and "x" raised a TypeError from math.isfinite.
         with pytest.raises(ValueError, match="learning_rate"):
             booster(learning_rate=learning_rate)
 

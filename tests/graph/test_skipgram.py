@@ -26,8 +26,14 @@ class TestSkipGramTrainer:
         # Regression: dim=2.5 raised a TypeError from numpy, and True was
         # read as a window, negative count or batch size of 1.
         sizes = {"num_nodes": 5, "dim": 2, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got {value!r}"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1, got {value!r}"):
             SkipGramTrainer(**sizes)
+
+    @pytest.mark.parametrize("lr", [float("nan"), 0.0, True])
+    def test_lr_must_be_a_positive_finite_real(self, lr):
+        # A NaN rate used to train NaN embeddings without an error.
+        with pytest.raises(ValueError, match=rf"^lr must be a finite real in \(0, inf\), got {lr!r}$"):
+            SkipGramTrainer(num_nodes=5, dim=2, lr=lr)
 
     def test_pairs_from_walk_window(self):
         trainer = SkipGramTrainer(num_nodes=10, dim=2, window=1)

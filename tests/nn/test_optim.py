@@ -69,7 +69,8 @@ class TestAdam:
     def test_rejects_non_finite_or_bool_lr(self, lr):
         # Regression: lr=nan passed ``lr <= 0``, and one minimize then wrote
         # NaN into every parameter.
-        with pytest.raises(ValueError, match=f"lr must be a positive finite number, got {lr!r}"):
+        with pytest.raises(ValueError,
+                           match=rf"lr must be a finite real in \(0, inf\), got {lr!r}"):
             nn.Adam([nn.Parameter(np.zeros(2))], lr=lr)
 
     def test_trains_a_linear_model(self, rng):

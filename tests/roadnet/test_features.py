@@ -30,6 +30,14 @@ class TestEdgeFeatures:
         with pytest.raises(ValueError):
             make_features(lanes=MAX_LANES + 1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("lanes", True), ("lanes", 1.5), ("length", float("nan")), ("speed_limit", True)])
+    def test_rejects_bool_non_integer_and_non_finite_values(self, name, value):
+        # lanes=True read as one lane, lanes=1.5 indexed no category, and a
+        # NaN length priced every path through the edge as NaN.
+        with pytest.raises(ValueError, match=rf"^{name} must be an? (integer|finite real) "):
+            make_features(**{name: value})
+
     def test_positive_length_required(self):
         with pytest.raises(ValueError):
             make_features(length=0.0)

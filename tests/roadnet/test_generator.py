@@ -19,6 +19,17 @@ class TestCityConfig:
         with pytest.raises(ValueError):
             CityConfig(name="x", grid_rows=4, grid_cols=4, signal_fraction=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("grid_rows", 2.5), ("grid_cols", True), ("arterial_every", 4.0),
+        ("one_way_fraction", True), ("signal_fraction", float("nan")),
+        ("block_length", float("inf"))])
+    def test_rejects_non_integer_sizes_and_non_real_fractions(self, name, value):
+        # grid_rows=2.5 failed inside range(), and one_way_fraction=True made
+        # every residential street one-way.
+        config = {"name": "x", "grid_rows": 4, "grid_cols": 4, name: value}
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            CityConfig(**config)
+
     def test_rejects_bad_arterial_spacing(self):
         with pytest.raises(ValueError):
             CityConfig(name="x", grid_rows=4, grid_cols=4, arterial_every=1)

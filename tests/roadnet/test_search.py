@@ -194,10 +194,21 @@ class TestNodeAndKValidation:
                      id="cache-source-negative"),
         pytest.param(lambda net: DijkstraCache(net).distances(0, [3, 4]), "4",
                      id="cache-target-too-large"),
+        pytest.param(lambda net: shortest_path(net, True, 3), "True", id="source-bool"),
+        pytest.param(lambda net: k_shortest_paths(net, 0, 3, True), "True", id="yen-k-bool"),
+        pytest.param(lambda net: DijkstraCache(net).distances(0, [True]), "True",
+                     id="cache-target-bool"),
     ])
     def test_bad_value_is_named(self, diamond_network, call, bad):
         with pytest.raises(ValueError, match=rf"got {bad}$"):
             call(diamond_network)
+
+    def test_bool_target_is_rejected_after_node_one_settles(self, diamond_network):
+        # True hashes as node 1, so it used to read node 1's distance.
+        cache = DijkstraCache(diamond_network)
+        cache.distances(0, [1])
+        with pytest.raises(ValueError, match=r"^node must be an integer in \[0, 4\), got True$"):
+            cache.distances(0, [True])
 
     def test_rejected_source_is_not_cached(self, diamond_network):
         cache = DijkstraCache(diamond_network)

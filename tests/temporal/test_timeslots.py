@@ -28,6 +28,18 @@ class TestDepartureTime:
         with pytest.raises(ValueError):
             DepartureTime(day_of_week=-1, seconds=0.0)
 
+    @pytest.mark.parametrize("day", [True, 1.5])
+    def test_day_must_be_an_integer(self, day):
+        # True used to read as Tuesday and 1.5 as a day between two.
+        with pytest.raises(ValueError,
+                           match=rf"^day_of_week must be an integer in \[0, 7\), got {day!r}$"):
+            DepartureTime(day, 0.0)
+
+    @pytest.mark.parametrize("seconds", [True, float("nan"), "0"])
+    def test_seconds_must_be_a_finite_real(self, seconds):
+        with pytest.raises(ValueError, match=r"^seconds must be a finite real in \[0, 86400\)"):
+            DepartureTime(0, seconds)
+
     def test_from_hour(self):
         t = DepartureTime.from_hour(4, 8.5)
         assert t.hour == pytest.approx(8.5)

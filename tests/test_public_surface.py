@@ -229,3 +229,40 @@ def test_one_clock_walk_in_the_trajectory_layer():
               for node in ast.walk(function)
               if isinstance(node, ast.Call) and _call_name(node) == "shift"]
     assert shifts == [shifts[0]] and shifts[0].endswith(" in edge_travel_times"), shifts
+
+
+
+#: Type names whose isinstance test decides what a numeric scalar is.
+_SCALAR_TYPES = {"bool", "int", "float", "complex", "Integral", "Real", "Number",
+                 "integer", "floating", "number"}
+
+
+def _isinstance_kinds(node):
+    """The type names an ``isinstance(x, kinds)`` call tests; empty for other nodes."""
+    if not (isinstance(node, ast.Call) and _call_name(node) == "isinstance"
+            and len(node.args) == 2):
+        return set()
+    kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+    return {_base_name(kind) for kind in kinds}
+
+
+def test_one_owner_of_argument_checks():
+    # repro/_checks.py decides what counts as an integer or a finite real; a
+    # module deciding a scalar's type itself would hold a second policy.
+    found = []
+    for path, tree in _src_trees().items():
+        if path == "_checks.py":
+            continue
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "numbers"):
+                found.append(f"{path}:{node.lineno} imports numbers")
+            if "bool" in _isinstance_kinds(node):
+                found.append(f"{path}:{node.lineno} isinstance(..., bool)")
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith(("_check_", "check_"))
+                    and any(_isinstance_kinds(inner) & _SCALAR_TYPES
+                            or isinstance(inner, ast.Call) and _call_name(inner) == "index"
+                            for inner in ast.walk(node))):
+                found.append(f"{path}:{node.lineno} {node.name} tests a scalar's type")
+    assert not found, found

@@ -74,21 +74,24 @@ class TestHMMMapMatcher:
 
     @pytest.mark.parametrize("name", ["emission_sigma", "transition_beta",
                                       "candidate_radius"])
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), True])
     def test_parameter_validation(self, tiny_network, name, value):
-        # A NaN sigma or beta used to be accepted, and a NaN or inf radius
-        # still returned a match.
-        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        # A NaN sigma or beta used to be accepted, a NaN or inf radius still
+        # returned a match, and True matched with a 1 m setting.
+        with pytest.raises(ValueError,
+                           match=rf"{name} must be a finite real in \(0, inf\), got {value!r}"):
             HMMMapMatcher(tiny_network, **{name: value})
 
-    @pytest.mark.parametrize("bad", [(float("nan"), 300.0), (560.0, float("inf"))])
-    def test_non_finite_fix_rejected(self, matcher, bad):
+    @pytest.mark.parametrize("bad, entry", [((float("nan"), 300.0), r"nan at index \(1, 0\)"),
+                                            ((560.0, float("inf")), r"inf at index \(1, 1\)")])
+    def test_non_finite_fix_rejected(self, matcher, bad, entry):
         # Without fix 1 these fixes match [37, 10].  With it they used to
         # match nine or eleven edges in three HMM segments.
         trajectory = make_trajectory([(500.0, 300.0), bad, (560.0, 300.0),
                                       (600.0, 300.0)])
         for match in (matcher.match, lambda t: matcher.match_batch([t])):
-            with pytest.raises(ValueError, match="GPS fix 1 has a non-finite"):
+            with pytest.raises(ValueError,
+                               match=f"^GPS fix positions must be finite, got {entry}$"):
                 match(trajectory)
 
     def test_empty_trajectory(self, matcher, tiny_network):
