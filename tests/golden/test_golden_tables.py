@@ -13,8 +13,9 @@ predictions move only when a value crosses a split, so one more case pins a
 hash of every fitted model's raw output (``baseline_representations``), and
 one more pins every WSCCL variant fit at ``HarnessConfig.benchmark()``, the
 scale ``perfbench/`` times (``wsccl_variant_fits``), one pins the node2vec
-walks both of WSCCL's graph embeddings start from (``node2vec_walks``), and
-one pins every trip the cities are built from (``simulated_trips``).
+walks both of WSCCL's graph embeddings start from (``node2vec_walks``), one
+pins the embeddings themselves (``node2vec_embeddings``), and one pins every
+trip the cities are built from (``simulated_trips``).
 
 The files are written once and not regenerated by refactors that claim to
 keep outputs identical.  Cities and node2vec fits are memoized per process
@@ -38,6 +39,8 @@ import numpy as np
 import pytest
 
 from repro import _memo
+from repro.core import WSCCLConfig
+from repro.core.model import edge_topology_features, slot_embeddings
 from repro.datasets import DatasetScale, aalborg
 from repro.datasets.tasks import task_split
 import repro.evaluation
@@ -196,6 +199,29 @@ def node2vec_walks():
     return digests
 
 
+def node2vec_embeddings():
+    """:func:`array_digest` of WSCCL's two frozen node2vec features.
+
+    ``slot_embeddings`` (Eq. 2) and ``edge_topology_features`` (Eq. 5) of
+    the three cities at ``HarnessConfig()`` and ``HarnessConfig.benchmark()``
+    scale, under ``WSCCLConfig.test_scale()``, the default ``WSCCLConfig()``
+    and ``HarnessConfig.benchmark().wsccl``.
+    """
+    configs = {"test_scale": WSCCLConfig.test_scale(), "default": WSCCLConfig(),
+               "benchmark": HarnessConfig.benchmark().wsccl}
+    networks = {f"{name} {scale}": build_dataset(name, harness).network
+                for scale, harness in (("tiny", HarnessConfig()),
+                                       ("benchmark", HarnessConfig.benchmark()))
+                for name in ("aalborg", "harbin", "chengdu")}
+    digests = {}
+    for config_name, config in configs.items():
+        digests[f"{config_name} slots"] = array_digest(slot_embeddings(config))
+        for network_name, network in networks.items():
+            digests[f"{config_name} {network_name} topology"] = array_digest(
+                edge_topology_features(network, config))
+    return digests
+
+
 def trips_digest(city):
     """sha256 of a city's trips, ranking scores and weak-label distribution.
 
@@ -257,6 +283,7 @@ CASES = {
     "baseline_representations": baseline_representations,
     "wsccl_variant_fits": wsccl_variant_fits,
     "node2vec_walks": node2vec_walks,
+    "node2vec_embeddings": node2vec_embeddings,
     "simulated_trips": simulated_trips,
 }
 
