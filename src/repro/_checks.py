@@ -4,7 +4,10 @@ One rule for scalars: an integer is anything ``operator.index`` accepts
 except a 0-d array (mutable, so unhashable), a real is a finite
 ``numbers.Real``, and neither is ever a ``bool``, which would otherwise pass
 as 0 or 1.  The checks return the value they were given, unchanged, so a
-caller stores exactly what it was passed.  Each raises a ``ValueError`` in
+caller stores exactly what it was passed; ``check_integers`` checks every
+entry of a sequence as ``check_integer`` does and returns it as a tuple.
+An exact ``int`` or ``float`` is accepted by its type alone, before the
+costlier general tests.  Each raises a ``ValueError`` in
 one format that names the argument and the value:
 
 * ``{name} must be an integer{bounds}, got {value!r}``, where the bounds
@@ -27,14 +30,20 @@ def check_integer(name, value, low=None, high=None):
     """``value`` if it is an integer in ``[low, high)`` (either bound may be
     ``None``), not a ``bool`` or an array; otherwise a ``ValueError`` naming
     ``name``."""
-    try:
-        number = operator.index(value)
-    except TypeError:
-        pass
+    # An exact int, the common case, skips operator.index and the isinstance
+    # test (a bool's type is bool, not int).
+    if type(value) is int:
+        number = value
     else:
-        if (not isinstance(value, (bool, np.ndarray)) and (low is None or number >= low)
-                and (high is None or number < high)):
-            return value
+        try:
+            number = operator.index(value)
+        except TypeError:
+            number = None
+        if isinstance(value, (bool, np.ndarray)):
+            number = None
+    if (number is not None and (low is None or number >= low)
+            and (high is None or number < high)):
+        return value
     if high is None:
         bounds = "" if low is None else f" >= {low}"
     else:
@@ -42,14 +51,31 @@ def check_integer(name, value, low=None, high=None):
     raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
+def check_integers(name, values, low=None, high=None):
+    """``values`` as a tuple, unchanged, if every entry passes
+    :func:`check_integer` with these bounds; otherwise its ``ValueError``
+    for the first entry that does not."""
+    values = tuple(values)
+    # A sequence of exact ints passes in one step; any other falls back to
+    # the entry-by-entry check, which raises for the first bad entry.
+    if ({int}.issuperset(map(type, values))
+            and (low is None or not values or min(values) >= low)
+            and (high is None or not values or max(values) < high)):
+        return values
+    for value in values:
+        check_integer(name, value, low, high)
+    return values
+
+
 def check_real(name, value, above=None, at_least=None, below=None, at_most=None):
     """``value`` if it is a finite real (not a ``bool``) inside the interval
     the given bounds describe; otherwise a ``ValueError`` naming ``name``."""
-    # float and int come first in the tuple, so a float (numpy's included)
-    # or an int skips the costly ABC check of numbers.Real.  The comparisons
-    # with infinity reject NaN, and unlike math.isfinite they take an int of
-    # any size.
-    if (not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))
+    # An exact float skips both isinstance tests; float and int come first
+    # in the tuple, so a numpy float or an int skips the costly ABC check of
+    # numbers.Real.  The comparisons with infinity reject NaN, and unlike
+    # math.isfinite they take an int of any size.
+    if ((type(value) is float
+         or (not isinstance(value, bool) and isinstance(value, (float, int, numbers.Real))))
             and -math.inf < value < math.inf
             and (above is None or value > above) and (at_least is None or value >= at_least)
             and (below is None or value < below) and (at_most is None or value <= at_most)):

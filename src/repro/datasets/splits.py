@@ -55,9 +55,14 @@ def minibatch_indices(count, batch_size, rng, epochs=1, max_batches=None):
     is skipped, since no contrastive or regression step can use it, and at
     most ``max_batches`` chunks are yielded per epoch.  The generator is
     lazy, so draws the caller makes from ``rng`` between batches stay in
-    order with the permutations.
+    order with the permutations.  ``epochs`` must be an integer ``>= 0`` and
+    ``max_batches`` ``None`` or one; at 0, each epoch still draws its
+    permutation but yields nothing.
     """
     check_integer("batch_size", batch_size, low=2)
+    check_integer("epochs", epochs, low=0)
+    if max_batches is not None:
+        check_integer("max_batches", max_batches, low=0)
     for _ in range(epochs):
         order = rng.permutation(count)
         yielded = 0

@@ -7,7 +7,7 @@ from operator import index
 
 import numpy as np
 
-from .._checks import check_integer
+from .._checks import check_integers
 
 __all__ = ["TemporalPath", "TemporalPathDataset"]
 
@@ -20,11 +20,9 @@ class TemporalPath:
     departure_time: object
 
     def __post_init__(self):
-        path = tuple(self.path)
+        path = check_integers("edge id", self.path, low=0)
         if not path:
             raise ValueError("temporal path must contain at least one edge")
-        for edge in path:
-            check_integer("edge id", edge, low=0)
         object.__setattr__(self, "path", tuple(map(index, path)))
 
     def __len__(self):

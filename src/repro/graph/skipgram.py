@@ -11,6 +11,23 @@ identically and the embeddings match a loop-built corpus bit for bit.
 
 The learning rate decays linearly over the planned updates down to a floor
 of ``lr / 10_000``, as in word2vec.
+
+Training reproduces two numpy calls bit for bit, faster:
+
+* Each epoch reorders the pairs with ``pairs[rng.permutation(n)]``.
+  ``Generator.permutation(n)`` shuffles ``arange(n)`` with the same
+  Fisher-Yates draws ``Generator.shuffle`` makes on the ``(n, 2)`` pair
+  array, so it yields the same order and leaves the generator in the same
+  state, without moving the pairs row by row.
+* :func:`_scatter_add` is ``np.add.at`` for a matrix and row indices, as
+  one ``np.bincount`` over flat ``(row, column)`` cells.  Each touched
+  row's current value is listed before its updates, in occurrence order,
+  so every cell is the same left-to-right sum.  ``bincount`` starts each
+  sum at ``+0.0``, which changes nothing but a cell holding ``-0.0`` whose
+  updates are all ``-0.0`` (``np.add.at`` keeps ``-0.0`` there); the
+  scatter restores those cells.  SGNS never hits that case anyway: the
+  out-vectors start at ``+0.0``, the in-vectors at ``uniform`` draws, which
+  are never ``-0.0``, and a sum is ``-0.0`` only if both its terms are.
 """
 
 from __future__ import annotations
@@ -24,6 +41,30 @@ __all__ = ["SkipGramTrainer"]
 #: Word2vec's learning-rate floor: the linear decay never goes below
 #: ``lr * _MIN_LR_FRACTION``.
 _MIN_LR_FRACTION = 1e-4
+
+
+def _scatter_add(target, rows, updates):
+    """``np.add.at(target, rows, updates)`` for a 2-D ``target`` and a 1-D
+    ``rows``, bit for bit, with one ``np.bincount`` over flat cells."""
+    num_rows, width = target.shape
+    touched_mask = np.bincount(rows, minlength=num_rows) > 0
+    touched = np.flatnonzero(touched_mask)
+    slots = (np.cumsum(touched_mask) - 1)[rows]
+    current = target[touched]
+    # Row slot i owns the flat cells [i * width, (i + 1) * width); the
+    # current values come first, then the updates in occurrence order.
+    cells = ((np.concatenate((np.arange(touched.size), slots)) * width)[:, None]
+             + np.arange(width)).ravel()
+    sums = np.bincount(cells, weights=np.concatenate((current, updates)).ravel(),
+                       minlength=touched.size * width).reshape(current.shape)
+    negative_zero = (current == 0) & np.signbit(current)
+    if negative_zero.any():
+        # -0.0 + -0.0 is -0.0, but bincount's sums start at +0.0.
+        moved = np.bincount(cells[touched.size * width:],
+                            weights=((updates != 0) | ~np.signbit(updates)).ravel(),
+                            minlength=touched.size * width).reshape(current.shape)
+        sums[negative_zero & (moved == 0)] = -0.0
+    target[touched] = sums
 
 
 def _sigmoid(x):
@@ -126,7 +167,7 @@ class SkipGramTrainer:
         total_batches = max(1, epochs * batches_per_epoch)
         completed = 0
         for _ in range(epochs):
-            self.rng.shuffle(pairs)
+            pairs = pairs[self.rng.permutation(len(pairs))]
             negatives = self.rng.choice(
                 self.num_nodes, size=(len(pairs), self.negatives), p=noise
             )
@@ -150,9 +191,9 @@ class SkipGramTrainer:
         errors = labels - scores                                      # (B, 1+K)
         grad_centers = np.einsum("bk,bkd->bd", errors, target_vecs)
         grad_targets = errors[:, :, None] * center_vecs[:, None, :]   # (B, 1+K, D)
-        np.add.at(self.out_embeddings, targets.reshape(-1),
-                  lr * grad_targets.reshape(-1, self.dim))
-        np.add.at(self.in_embeddings, centers, lr * grad_centers)
+        _scatter_add(self.out_embeddings, targets.reshape(-1),
+                     lr * grad_targets.reshape(-1, self.dim))
+        _scatter_add(self.in_embeddings, centers, lr * grad_centers)
 
     # ------------------------------------------------------------------
     def embeddings(self):

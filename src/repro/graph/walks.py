@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._checks import check_integer
+from .._checks import check_integer, check_integers
 
 __all__ = ["RandomWalker"]
 
@@ -34,13 +34,9 @@ def _neighbourhoods(neighbors_fn, num_nodes):
     """Every node's neighbours as a tuple of tuples, ``neighbors_fn`` called
     once per node; a neighbour that is not an integer in ``[0, num_nodes)``
     raises a ``ValueError`` naming its node."""
-    neighbourhoods = []
-    for node in range(num_nodes):
-        neighbours = tuple(neighbors_fn(node))
-        for neighbour in neighbours:
-            check_integer(f"neighbour of node {node}", neighbour, low=0, high=num_nodes)
-        neighbourhoods.append(neighbours)
-    return tuple(neighbourhoods)
+    return tuple(check_integers(f"neighbour of node {node}", neighbors_fn(node),
+                                low=0, high=num_nodes)
+                 for node in range(num_nodes))
 
 
 class RandomWalker:

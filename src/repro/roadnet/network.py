@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._checks import check_integer
 from .features import EdgeFeatures, FeatureEncoder
 
 __all__ = ["RoadNetwork", "Path"]
@@ -74,7 +75,13 @@ class RoadNetwork:
         return node_id
 
     def add_edge(self, source, target, features):
-        """Add a directed road segment.  Returns the new edge id."""
+        """Add a directed road segment.  Returns the new edge id.
+
+        A node id that is not an integer raises a ``ValueError``, and an
+        integer one that names no node a ``KeyError``.
+        """
+        check_integer("node id", source)
+        check_integer("node id", target)
         if source == target:
             raise ValueError("self-loop edges are not allowed in a road network")
         for node in (source, target):

@@ -13,6 +13,7 @@ Node2vec is then run on this graph to obtain temporal embeddings.
 
 from __future__ import annotations
 
+from .._checks import check_integer
 from .timeslots import DAYS_PER_WEEK, SLOTS_PER_DAY, TOTAL_SLOTS
 
 __all__ = ["TemporalGraph", "build_temporal_graph"]
@@ -26,7 +27,13 @@ class TemporalGraph:
         self._adjacency = [set() for _ in range(num_nodes)]
 
     def add_edge(self, a, b):
-        """Add an undirected edge; self-loops are ignored."""
+        """Add an undirected edge; self-loops are ignored.
+
+        A node id that is not an integer raises a ``ValueError``, and an
+        integer one outside ``[0, num_nodes)`` a ``KeyError``.
+        """
+        check_integer("node id", a)
+        check_integer("node id", b)
         if a == b:
             return
         for node in (a, b):

@@ -54,9 +54,9 @@ class CongestionProfile:
             morning = self.morning_intensity * _bump(hour, self.morning_peak_hour, width)
             afternoon = self.afternoon_intensity * _bump(hour, self.afternoon_peak_hour, width)
             base = 0.08
-            return float(np.clip(base + morning + afternoon, 0.0, 1.0))
+            return float(min(max(base + morning + afternoon, 0.0), 1.0))
         midday = self.weekend_intensity * _bump(hour, 13.0, 2.5)
-        return float(np.clip(0.05 + midday, 0.0, 1.0))
+        return float(min(max(0.05 + midday, 0.0), 1.0))
 
     def __call__(self, departure_time):
         return self.level(departure_time)
@@ -66,6 +66,7 @@ def _bump(hour, center, width):
     # Square via multiplication, not `** 2`: CPython computes float ** 2.0
     # through libm pow(), which can land one ulp away from x*x, so changing
     # it would move congestion levels and every trip pinned in tests/golden/.
+    # For the same reason the exponential stays np.exp, not math.exp.
     z = (hour - center) / width
     return np.exp(-0.5 * (z * z))
 
@@ -137,7 +138,7 @@ class SpeedModel:
         slowdown = 1.0 - self._sensitivity[edge_id] * level
         speed = features.speed_limit * self._capacity_factor[edge_id] * slowdown
         if rng is not None and self.noise_std > 0:
-            speed *= float(np.clip(rng.normal(1.0, self.noise_std), 0.5, 1.5))
+            speed *= min(max(rng.normal(1.0, self.noise_std), 0.5), 1.5)
         return float(max(speed, self.MIN_SPEED_KMH))
 
     def edge_travel_time(self, edge_id, departure_time, rng=None):

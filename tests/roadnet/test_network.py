@@ -38,6 +38,17 @@ class TestConstruction:
         with pytest.raises(KeyError):
             triangle_network.add_edge(0, 99, simple_features())
 
+    @pytest.mark.parametrize("source, target, bad", [
+        (True, 2, "True"), (0, 1.0, "1.0"), ("0", 1, "'0'"), (np.array(0), 1, r"array\(0\)")])
+    def test_non_integer_node_id_rejected(self, triangle_network, source, target, bad):
+        # Regression: add_edge(True, 2, features) stored the endpoints (True, 2).
+        with pytest.raises(ValueError, match=rf"^node id must be an integer, got {bad}$"):
+            triangle_network.add_edge(source, target, simple_features())
+        assert triangle_network.num_edges == 3
+
+    def test_numpy_integer_node_ids_accepted(self, triangle_network):
+        assert triangle_network.add_edge(np.int64(0), np.int64(2), simple_features()) == 3
+
     def test_wrong_feature_type_rejected(self, triangle_network):
         with pytest.raises(TypeError):
             triangle_network.add_edge(0, 2, {"length": 10})

@@ -27,6 +27,14 @@ class TestTemporalGraphContainer:
         with pytest.raises(KeyError):
             graph.add_edge(0, 5)
 
+    @pytest.mark.parametrize("a, b, bad", [(True, 2, True), (0, 1.5, 1.5), (1.0, 1.0, 1.0)])
+    def test_non_integer_node_id_rejected(self, a, b, bad):
+        # Regression: TemporalGraph(4).add_edge(True, 2) linked node 1.
+        graph = TemporalGraph(num_nodes=4)
+        with pytest.raises(ValueError, match=rf"^node id must be an integer, got {bad}$"):
+            graph.add_edge(a, b)
+        assert graph.num_edges == 0
+
 
 
 class TestBuildTemporalGraph:

@@ -265,4 +265,40 @@ def test_one_owner_of_argument_checks():
                             or isinstance(inner, ast.Call) and _call_name(inner) == "index"
                             for inner in ast.walk(node))):
                 found.append(f"{path}:{node.lineno} {node.name} tests a scalar's type")
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)
+                    and _call_name(node.left) == "type"
+                    and any(_base_name(kind) in _SCALAR_TYPES for kind in node.comparators)):
+                found.append(f"{path}:{node.lineno} type(...) tests a scalar's type")
     assert not found, found
+
+
+def _function(tree, class_name, name):
+    """The ``def name`` of ``class class_name`` in a parsed module."""
+    owner = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) and node.name == class_name)
+    return next(node for node in owner.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_cold_start_kernels_avoid_shuffle_add_at_and_scalar_clip():
+    # SkipGramTrainer reorders pairs with a permutation-take and scatters with
+    # _scatter_add; Generator.shuffle moves an (n, 2) array row by row and
+    # np.add.at is several times slower than one bincount.  The speed model
+    # clips its two per-edge scalars with min/max: np.clip on a scalar pays
+    # for an array round trip on every priced edge.  SpeedModel.__init__'s
+    # clip of the per-edge sensitivity array stays.
+    trees = _src_trees()
+    found = [f"graph/skipgram.py:{node.lineno} {_call_name(node)}"
+             for node in ast.walk(trees["graph/skipgram.py"])
+             if isinstance(node, ast.Call)
+             and (_call_name(node) == "shuffle"
+                  or _call_name(node) == "at" and isinstance(node.func.value, ast.Attribute)
+                  and node.func.value.attr == "add")]
+    for class_name, name in (("CongestionProfile", "level"), ("SpeedModel", "edge_speed")):
+        found += [f"trajectory/speeds.py:{node.lineno} np.clip in {name}"
+                  for node in ast.walk(_function(trees["trajectory/speeds.py"], class_name, name))
+                  if isinstance(node, ast.Call) and _call_name(node) == "clip"]
+    assert not found, found
+    init = _function(trees["trajectory/speeds.py"], "SpeedModel", "__init__")
+    assert any(isinstance(node, ast.Call) and _call_name(node) == "clip"
+               for node in ast.walk(init))

@@ -7,12 +7,15 @@
 * The simulator, whose route search reads the edge-cost vector, must
   produce bit-identical trips to a simulator whose speed model prices the
   vector with scalar per-edge calls under one seed.
+* The scalar clips of ``CongestionProfile.level`` and
+  ``SpeedModel.edge_speed``, ``min(max(x, low), high)``, give the bits of
+  ``np.clip``, NaN and signed zeros included.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.temporal import DepartureTime
@@ -40,6 +43,21 @@ def random_paths(network, rng, count, max_edges):
         if path:
             paths.append(path)
     return paths
+
+
+class TestScalarClip:
+    @given(st.floats(allow_nan=True, allow_infinity=True),
+           st.sampled_from([(0.0, 1.0), (0.5, 1.5), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0)]))
+    @settings(max_examples=300, deadline=None)
+    @example(-0.0, (0.0, 1.0))
+    @example(0.0, (-0.0, 1.0))
+    @example(float("nan"), (0.0, 1.0))
+    @example(np.float64(0.75), (0.0, 1.0))
+    def test_min_max_matches_np_clip(self, value, bounds):
+        low, high = bounds
+        expected = float(np.clip(value, low, high))
+        actual = float(min(max(value, low), high))
+        assert np.float64(actual).tobytes() == np.float64(expected).tobytes()
 
 
 class TestExactEquivalence:
