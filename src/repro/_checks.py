@@ -30,16 +30,16 @@ def check_integer(name, value, low=None, high=None):
     """``value`` if it is an integer in ``[low, high)`` (either bound may be
     ``None``), not a ``bool`` or an array; otherwise a ``ValueError`` naming
     ``name``."""
-    # An exact int, the common case, skips operator.index and the isinstance
-    # test (a bool's type is bool, not int).
+    # An exact int, the common case, skips the isinstance test and
+    # operator.index (a bool's type is bool, not int).
     if type(value) is int:
         number = value
+    elif isinstance(value, (bool, np.ndarray)):
+        number = None
     else:
         try:
             number = operator.index(value)
         except TypeError:
-            number = None
-        if isinstance(value, (bool, np.ndarray)):
             number = None
     if (number is not None and (low is None or number >= low)
             and (high is None or number < high)):
@@ -58,9 +58,8 @@ def check_integers(name, values, low=None, high=None):
     values = tuple(values)
     # A sequence of exact ints passes in one step; any other falls back to
     # the entry-by-entry check, which raises for the first bad entry.
-    if ({int}.issuperset(map(type, values))
-            and (low is None or not values or min(values) >= low)
-            and (high is None or not values or max(values) < high)):
+    if (values and {int}.issuperset(map(type, values))
+            and (low is None or min(values) >= low) and (high is None or max(values) < high)):
         return values
     for value in values:
         check_integer(name, value, low, high)

@@ -131,15 +131,15 @@ class TestMinibatchIndices:
                                          max_batches=2))
         assert len(batches) == 6
 
-    @pytest.mark.parametrize("name, value, least", [
-        ("epochs", True, 0), ("epochs", 2.5, 0), ("epochs", -1, 0),
-        ("max_batches", 1.5, 0), ("max_batches", True, 0), ("max_batches", -1, 0)])
-    def test_epochs_and_max_batches_must_be_integers(self, name, value, least):
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", True), ("epochs", 2.5), ("epochs", -1),
+        ("max_batches", 1.5), ("max_batches", True), ("max_batches", -1)])
+    def test_epochs_and_max_batches_must_be_integers(self, name, value):
         # Regression: epochs=True ran one epoch and epochs=2.5 raised a
         # TypeError from range; max_batches=1.5 yielded 2 batches an epoch
         # and max_batches=True 1.
         with pytest.raises(ValueError,
-                           match=rf"^{name} must be an integer >= {least}, got {value!r}$"):
+                           match=rf"^{name} must be an integer >= 0, got {value!r}$"):
             list(minibatch_indices(20, 4, np.random.default_rng(0), **{name: value}))
 
     def test_zero_epochs_yield_nothing(self):
