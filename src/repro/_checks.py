@@ -56,11 +56,6 @@ def check_integers(name, values, low=None, high=None):
     :func:`check_integer` with these bounds; otherwise its ``ValueError``
     for the first entry that does not."""
     values = tuple(values)
-    # A sequence of exact ints passes in one step; any other falls back to
-    # the entry-by-entry check, which raises for the first bad entry.
-    if (values and {int}.issuperset(map(type, values))
-            and (low is None or min(values) >= low) and (high is None or max(values) < high)):
-        return values
     for value in values:
         check_integer(name, value, low, high)
     return values

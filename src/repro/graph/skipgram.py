@@ -23,11 +23,11 @@ Training reproduces two numpy calls bit for bit, faster:
   one ``np.bincount`` over flat ``(row, column)`` cells.  Each touched
   row's current value is listed before its updates, in occurrence order,
   so every cell is the same left-to-right sum.  ``bincount`` starts each
-  sum at ``+0.0``, which changes nothing but a cell holding ``-0.0`` whose
-  updates are all ``-0.0`` (``np.add.at`` keeps ``-0.0`` there); the
-  scatter restores those cells.  SGNS never hits that case anyway: the
-  out-vectors start at ``+0.0``, the in-vectors at ``uniform`` draws, which
-  are never ``-0.0``, and a sum is ``-0.0`` only if both its terms are.
+  sum at ``+0.0``, and ``+0.0 + x`` is ``x`` for every ``x`` but ``-0.0``,
+  so the scatter requires a target without ``-0.0`` cells.  SGNS keeps it
+  so: the out-vectors start at ``+0.0``, the in-vectors at ``uniform``
+  draws, which are never ``-0.0``, and a sum is ``-0.0`` only if both its
+  terms are.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ _MIN_LR_FRACTION = 1e-4
 
 
 def _scatter_add(target, rows, updates):
-    """``np.add.at(target, rows, updates)`` for a 2-D ``target`` and a 1-D
-    ``rows``, bit for bit, with one ``np.bincount`` over flat cells."""
+    """``np.add.at(target, rows, updates)`` for a 2-D ``target`` with no
+    ``-0.0`` cell and a 1-D ``rows``, bit for bit, with one ``np.bincount``
+    over flat cells."""
     num_rows, width = target.shape
     touched_mask = np.bincount(rows, minlength=num_rows) > 0
     touched = np.flatnonzero(touched_mask)
@@ -57,13 +58,6 @@ def _scatter_add(target, rows, updates):
              + np.arange(width)).ravel()
     sums = np.bincount(cells, weights=np.concatenate((current, updates)).ravel(),
                        minlength=touched.size * width).reshape(current.shape)
-    negative_zero = (current == 0) & np.signbit(current)
-    if negative_zero.any():
-        # -0.0 + -0.0 is -0.0, but bincount's sums start at +0.0.
-        moved = np.bincount(cells[touched.size * width:],
-                            weights=((updates != 0) | ~np.signbit(updates)).ravel(),
-                            minlength=touched.size * width).reshape(current.shape)
-        sums[negative_zero & (moved == 0)] = -0.0
     target[touched] = sums
 
 

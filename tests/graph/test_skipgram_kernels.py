@@ -3,7 +3,8 @@
 The epoch reorder ``pairs[rng.permutation(n)]`` must give exactly the order
 ``Generator.shuffle`` gives the ``(n, 2)`` pair array and leave the
 generator in the same state, and ``_scatter_add`` must give exactly the
-bits of ``np.add.at``, signs of zero included.  The last test trains
+bits of ``np.add.at``, signs of zero included, on a target without ``-0.0``
+cells, which SGNS never makes.  The last test trains
 against ``reference_skipgram._reference_train``, the loop that still uses
 both numpy calls.
 """
@@ -27,6 +28,8 @@ def same_bits(actual, expected):
 
 # Few distinct values plus both zeros, so repeats, cancellations and -0.0 occur.
 values = st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5, 0.1, 1e-17, 3e16, -3e16])
+# _scatter_add's precondition: the target holds no -0.0.
+target_values = values.filter(lambda value: value != 0 or not np.signbit(value))
 
 
 @st.composite
@@ -34,7 +37,7 @@ def scatters(draw):
     """A ``(target, rows, updates)`` case; rows repeat and may be all one row."""
     num_rows = draw(st.integers(1, 6))
     width = draw(st.integers(1, 4))
-    target = np.array(draw(st.lists(values, min_size=num_rows * width,
+    target = np.array(draw(st.lists(target_values, min_size=num_rows * width,
                                     max_size=num_rows * width))).reshape(num_rows, width)
     rows = np.array(draw(st.lists(st.integers(0, num_rows - 1), max_size=12)), dtype=np.int64)
     updates = np.array(draw(st.lists(values, min_size=rows.size * width,
@@ -45,9 +48,9 @@ def scatters(draw):
 class TestScatterAdd:
     @settings(max_examples=300, deadline=None)
     @given(scatters())
-    # A -0.0 cell whose updates are all -0.0 stays -0.0; one +0.0 update makes it +0.0.
-    @example((np.array([[-0.0, -0.0]]), np.array([0, 0]), np.array([[-0.0, -0.0], [-0.0, 0.0]])))
-    @example((np.array([[-0.0], [1.0]]), np.array([0]), np.array([[-0.0]])))
+    # A +0.0 cell plus -0.0 updates stays +0.0; x + -x is +0.0.
+    @example((np.array([[0.0, 1.0]]), np.array([0, 0]), np.array([[-0.0, -1.0], [-0.0, -0.0]])))
+    @example((np.array([[0.0], [1.0]]), np.array([0]), np.array([[-0.0]])))
     @example((np.array([[2.0]]), np.zeros(0, dtype=np.int64), np.zeros((0, 1))))
     def test_matches_add_at_bit_for_bit(self, case):
         target, rows, updates = case
@@ -102,9 +105,9 @@ class TestTrainingMatchesTheNumpyKernels:
         assert engine.rng.bit_generator.state == reference.rng.bit_generator.state
 
     def test_embeddings_never_hold_negative_zero(self):
-        # The -0.0 repair in _scatter_add never fires in SGNS: the out-vectors
-        # start at +0.0, the in-vectors at uniform draws, and a sum is -0.0
-        # only when both its terms are.
+        # _scatter_add's precondition holds in SGNS: the out-vectors start at
+        # +0.0, the in-vectors at uniform draws, and a sum is -0.0 only when
+        # both its terms are.
         trainer = SkipGramTrainer(num_nodes=12, dim=3, seed=0)
         walks = [[0, 1, 2, 3], [3, 4, 5], [6, 7, 8, 9, 10, 11]]
         for embeddings in (trainer.in_embeddings, trainer.out_embeddings):
